@@ -1,8 +1,8 @@
 """Candidate-ranking throughput: full-schedule vs cone-restricted batch.
 
 Times the greedy loop's phase-2 scoring -- per-fault (ER, observed-ES)
-stats on one shared vector batch -- the seed way (one full
-``LogicSimulator`` walk per candidate via ``MetricsEstimator.simulate``)
+stats on one shared vector batch -- the seed way (one whole-netlist
+simulation per candidate via ``MetricsEstimator.simulate``)
 against the new ``BatchFaultSimulator`` path
 (``MetricsEstimator.simulate_faults``), on the Table II circuits.  The
 fault population is the one phase 2 actually scores: candidates with a

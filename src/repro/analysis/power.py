@@ -17,7 +17,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..circuit import Circuit
-from ..simulation.logicsim import LogicSimulator
+from ..simulation.compiled import CompiledSimulator
 from ..simulation.vectors import random_vectors
 
 __all__ = ["PowerEstimate", "estimate_switching"]
@@ -52,7 +52,7 @@ def estimate_switching(
     uses (fanout + 1) as the load proxy.
     """
     rng = rng or np.random.default_rng(seed)
-    sim = LogicSimulator(circuit)
+    sim = CompiledSimulator(circuit)
     a = sim.run(random_vectors(len(circuit.inputs), num_pairs, rng))
     b = sim.run(random_vectors(len(circuit.inputs), num_pairs, rng))
     fan = circuit.fanout_map()

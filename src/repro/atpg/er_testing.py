@@ -26,7 +26,7 @@ import numpy as np
 from ..circuit import Circuit
 from ..faults.collapse import collapse_faults
 from ..faults.model import StuckAtFault, enumerate_faults
-from ..simulation.logicsim import LogicSimulator
+from ..simulation.compiled import CompiledSimulator
 from ..simulation.vectors import pack_vectors, random_vectors
 
 __all__ = ["ErTestSet", "estimate_fault_er", "generate_er_tests"]
@@ -41,7 +41,7 @@ def estimate_fault_er(
     """Estimate each fault's error rate over one shared random batch."""
     if faults is None:
         faults = enumerate_faults(circuit)
-    sim = LogicSimulator(circuit)
+    sim = CompiledSimulator(circuit)
     vecs = random_vectors(len(circuit.inputs), num_vectors, np.random.default_rng(seed))
     packed = pack_vectors(vecs)
     good = sim.run_packed(packed, num_vectors)
@@ -116,7 +116,7 @@ def generate_er_tests(
     """
     if not 0.0 <= er_threshold < 1.0:
         raise ValueError("er_threshold must be in [0, 1)")
-    sim = LogicSimulator(circuit)
+    sim = CompiledSimulator(circuit)
     rng = np.random.default_rng(seed)
     vecs = random_vectors(len(circuit.inputs), num_candidates, rng)
     packed = pack_vectors(vecs)

@@ -359,7 +359,8 @@ class EsAtpg:
         import numpy as np
 
         from ..circuit.structure import subcircuit
-        from ..simulation.logicsim import LogicSimulator
+        from ..obs.core import NULL
+        from ..simulation.compiled import CompiledSimulator
         from ..simulation.vectors import pack_vectors
 
         s = len(self.support)
@@ -369,8 +370,10 @@ class EsAtpg:
         fault_signals = [f.line.signal for f in self.faults]
         good_cone = subcircuit(self.good, self.affected_outputs)
         faulty_cone = subcircuit(self.faulty, list(faulty_names) + fault_signals)
-        good_sim = LogicSimulator(good_cone)
-        faulty_sim = LogicSimulator(faulty_cone)
+        # Kernel counters describe the estimator's simulations; this
+        # query reports its own effort as es_atpg.exact_vectors.
+        good_sim = CompiledSimulator(good_cone, obs=NULL)
+        faulty_sim = CompiledSimulator(faulty_cone, obs=NULL)
         pi_index = {pi: k for k, pi in enumerate(self.good.inputs)}
         support_idx = [pi_index[pi] for pi in self.support]
         n_in = len(self.good.inputs)

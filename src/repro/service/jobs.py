@@ -7,17 +7,17 @@ service data dir::
     jobs/<id>/
       request.json     # the submitted SimplifyRequest (versioned JSON)
       netlist.bench    # the exact netlist text the job optimizes
-      checkpoint.jsonl # run journal doubling as the crash checkpoint
-      journal.jsonl    # observability journal (uploaded as artifact)
+      checkpoint.jsonl # the run journal: crash checkpoint + event stream
       progress.json    # atomic heartbeat snapshot (live progress feed)
       outcome.json     # the SimplifyOutcome, written once on success
       error.json       # typed error body, written once on failure
 
-(``fom="best"`` requests suffix checkpoint/journal per constituent
-FOM, exactly like the CLI.)  Because the checkpoint is the same
-journal ``circuit_simplify`` resumes from, *re-running a job directory
-is the crash-recovery story*: a worker that died mid-run left a
-readable prefix, and the next attempt replays it and continues.
+(``fom="best"`` requests suffix the checkpoint per constituent FOM,
+exactly like the CLI.)  Because the checkpoint is the journal
+``circuit_simplify`` resumes from, *re-running a job directory is the
+crash-recovery story*: a worker that died mid-run left a readable
+prefix, and the next attempt replays it and appends to it -- so the
+one file also holds the job's full event history across attempts.
 
 The :class:`JobStore` owns the id space, the directories, and a
 bounded FIFO queue (``queue.Queue``).  Submission is content-aware:
@@ -105,10 +105,6 @@ class Job:
     @property
     def checkpoint_path(self) -> str:
         return os.path.join(self.dir, "checkpoint.jsonl")
-
-    @property
-    def journal_path(self) -> str:
-        return os.path.join(self.dir, "journal.jsonl")
 
     @property
     def progress_path(self) -> str:
@@ -409,27 +405,25 @@ class JobStore:
 # ----------------------------------------------------------------------
 # journal views (the /v1/jobs/<id>/events and /trace read paths)
 # ----------------------------------------------------------------------
-#: Journal file suffixes in execution order.  A single-FOM request
-#: writes the bare ``journal.jsonl``; ``fom="best"`` suffixes one file
-#: per constituent run (see ``_per_fom_path``), and the runs execute
-#: sequentially in exactly this order -- so concatenating the files
-#: yields the job's event timeline, and an event *index* into the
-#: concatenation is a stable streaming cursor.
+#: Checkpoint file suffixes in execution order.  A single-FOM request
+#: writes the bare ``checkpoint.jsonl``; ``fom="best"`` suffixes one
+#: file per constituent run (see ``_per_fom_path``), and the runs
+#: execute sequentially in exactly this order.  Each file only grows
+#: (a resume appends after truncating a torn tail), so concatenating
+#: the files yields the job's event timeline, and an event *index* into
+#: the concatenation is a stable streaming cursor.
 _JOURNAL_SUFFIXES = ("", ".area_per_rs", ".area")
 
 
 def job_activity_paths(job: Job) -> List[str]:
     """Files whose mtime advance proves the runner is making progress.
 
-    The hang watchdog's liveness signal: the journal(s), checkpoint(s)
-    and progress heartbeat all advance once per committed event, so a
-    deadline with none of them moving means the child is wedged, not
-    slow.  Paths that don't exist yet are included (callers skip them).
+    The hang watchdog's liveness signal: the checkpoint(s) and the
+    progress heartbeat advance once per committed event, so a deadline
+    with none of them moving means the child is wedged, not slow.
+    Paths that don't exist yet are included (callers skip them).
     """
-    paths: List[str] = []
-    for suffix in _JOURNAL_SUFFIXES:
-        paths.append(job.journal_path + suffix)
-        paths.append(job.checkpoint_path + suffix)
+    paths = [job.checkpoint_path + suffix for suffix in _JOURNAL_SUFFIXES]
     paths.append(job.progress_path)
     return paths
 
@@ -455,16 +449,18 @@ def job_error_record(job: Job) -> Optional[Dict]:
 
 
 def job_journal_events(job: Job) -> List[Dict]:
-    """Every journal event the job's runner has written so far.
+    """Every journal event the job's runners have written so far.
 
-    Reads the readable prefix of each journal file (a torn final line
-    -- the runner mid-write or mid-crash -- ends that file's
-    contribution, exactly the journal durability contract).  Safe to
-    call while the runner is writing.
+    Reads the readable prefix of each checkpoint file (a torn final
+    line -- the runner mid-write or mid-crash -- ends that file's
+    contribution, exactly the journal durability contract).  Every
+    attempt's events are there: a resumed attempt appends a ``resume``
+    marker and continues the same file.  Safe to call while the runner
+    is writing.
     """
     events: List[Dict] = []
     for suffix in _JOURNAL_SUFFIXES:
-        path = job.journal_path + suffix
+        path = job.checkpoint_path + suffix
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 for line in fh:

@@ -136,9 +136,10 @@ def run_job(job_dir: str, flight: FlightRecorder = None) -> SimplifyOutcome:
     """Execute the job stored in ``job_dir`` and persist its outcome.
 
     The stored request's durability fields are overridden with the
-    job-local paths -- the service owns placement, not the submitter --
-    and a :class:`ProgressReporter` feeds ``progress.json`` so the
-    server can answer status polls with live numbers.  The request's
+    job-local checkpoint path -- the service owns placement, not the
+    submitter -- and a :class:`ProgressReporter` feeds
+    ``progress.json`` so the server can answer status polls with live
+    numbers.  The request's
     ``trace_id`` (stamped by the server at submit) flows through
     ``simplify`` into the journal header and telemetry events: the
     runner-side half of the correlation story.  ``flight`` (when armed
@@ -159,9 +160,10 @@ def run_job(job_dir: str, flight: FlightRecorder = None) -> SimplifyOutcome:
     except ValueError as exc:
         raise CompileError(f"netlist does not parse: {exc}") from exc
 
+    # The checkpoint (appended across resumes) is the job's only
+    # journal: the event stream and trace endpoints read it too.
     request = request.replace(
-        checkpoint=os.path.join(job_dir, "checkpoint.jsonl"),
-        journal=os.path.join(job_dir, "journal.jsonl"),
+        checkpoint=os.path.join(job_dir, "checkpoint.jsonl"), journal=None
     )
     progress = ProgressReporter(
         json_path=os.path.join(job_dir, "progress.json"),
@@ -172,9 +174,9 @@ def run_job(job_dir: str, flight: FlightRecorder = None) -> SimplifyOutcome:
         sinks.append(flight)
     injector = _FaultInjector.from_env(job_dir)
     if injector is not None:
-        # Last in the fan-out: the journal/checkpoint sinks have
-        # committed the event before an injected fault fires, so a
-        # killed attempt leaves a resumable prefix.
+        # Last in the fan-out: the checkpoint sink has committed the
+        # event before an injected fault fires, so a killed attempt
+        # leaves a resumable prefix.
         sinks.append(injector)
     sink = progress if len(sinks) == 1 else _Fanout(sinks)
     try:

@@ -18,7 +18,7 @@ Cancellation is cooperative-at-the-supervisor: the server flips
 
 Hang watchdog (``hang_timeout_s``): a wedged child looks exactly like
 a slow one from ``poll()``, so liveness is judged by *artifact
-advance*: if none of the job's journal/checkpoint/progress files gains
+advance*: if none of the job's checkpoint/progress files gains
 an mtime within the deadline, the supervisor sends ``SIGUSR1`` (the
 runner's ``faulthandler`` answers with an all-thread stack dump into
 ``stacks.txt`` -- C-level, fires even when the GIL is wedged), waits a
@@ -124,8 +124,8 @@ class WorkerPool:
         #: ``(job, record)``; the record is also appended to
         #: ``job.attempt_history`` (the ``/trace`` endpoint's source).
         self.on_attempt = on_attempt
-        #: Hang watchdog deadline: kill an attempt whose journal/
-        #: checkpoint/progress files all stop advancing for this long.
+        #: Hang watchdog deadline: kill an attempt whose checkpoint/
+        #: progress files all stop advancing for this long.
         #: ``None`` disables the watchdog (safe for workloads whose
         #: single iterations legitimately outlast any fixed deadline).
         self.hang_timeout_s = hang_timeout_s
@@ -339,7 +339,7 @@ class WorkerPool:
             stacks_text=stacks_text,
             trace_id=job.trace_id,
             note=(
-                f"hang watchdog: no journal/checkpoint/progress advance "
+                f"hang watchdog: no checkpoint/progress advance "
                 f"for {self.hang_timeout_s:g}s; sent SIGUSR1 then SIGKILL "
                 f"(attempt {job.attempts})"
             ),

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..circuit import Circuit
@@ -70,7 +70,7 @@ class GreedyConfig:
         fault dropping against the RS threshold).  Bit-identical to the
         per-fault full simulation it replaces -- the golden equivalence
         test pins that -- but much faster; ``False`` keeps the seed
-        path (full ``LogicSimulator`` walk per candidate).  Commit
+        path (one whole-netlist simulation per candidate).  Commit
         decisions always use the full differential simulation either
         way, because ER does not compose across interacting faults.
     datapath_only:
@@ -96,16 +96,6 @@ class GreedyConfig:
     prepass_backtrack_limit:
         PODEM backtrack budget per fault during the prepass (aborted
         proofs count as not redundant).
-    engine:
-        Simulation engine: ``"compiled"`` (whole-netlist compiled
-        kernel, the default) or ``"python"`` (per-gate
-        :class:`~repro.simulation.logicsim.LogicSimulator` walk).
-        ``None`` / ``"auto"`` consult the ``REPRO_ENGINE`` environment
-        variable.  The resolved concrete value is what gets journaled,
-        so a checkpoint resume adopts the original run's engine no
-        matter the resuming process's environment.  Both engines are
-        bit-identical (pinned by the golden equivalence suite); the
-        flag exists for cross-checking and as an escape hatch.
     """
 
     fom: str = "area_per_rs"
@@ -122,7 +112,6 @@ class GreedyConfig:
     pow2_es: bool = False
     redundancy_prepass: bool = False
     prepass_backtrack_limit: int = 500
-    engine: Optional[str] = None
 
 
 @dataclass
@@ -265,14 +254,8 @@ def circuit_simplify(
     :mod:`repro.parallel.checkpoint`.
     """
     from ..parallel.pool import resolve_workers
-    from ..simulation.compiled import resolve_engine
 
     cfg = config or GreedyConfig()
-    # Resolve the engine to a concrete value up front: the journaled
-    # config must name the engine actually used (a resume adopts it
-    # regardless of the resuming process's REPRO_ENGINE), and the
-    # config-match check below compares resolved against resolved.
-    cfg = replace(cfg, engine=resolve_engine(cfg.engine))
     if (rs_threshold is None) == (rs_pct_threshold is None):
         raise ValueError("give exactly one of rs_threshold / rs_pct_threshold")
     maximum = rs_max(circuit)
@@ -301,9 +284,6 @@ def circuit_simplify(
         if state is not None:
             if config is None:
                 cfg = greedy_config_from(state.config)
-                # Checkpoints written before the engine flag existed
-                # journal no engine: resolve the default for them.
-                cfg = replace(cfg, engine=resolve_engine(cfg.engine))
             else:
                 _check_config_matches(cfg, state)
             state.validate_threshold(threshold)
@@ -360,12 +340,7 @@ def circuit_simplify(
         exhaustive=cfg.exhaustive,
         atpg_node_limit=cfg.atpg_node_limit,
         obs=obs,
-        engine=cfg.engine,
     )
-    if estimator.engine != cfg.engine:
-        # Compile fallback: record the engine actually in effect so the
-        # journal (and any resume) reflects reality.
-        cfg = replace(cfg, engine=estimator.engine)
     result = GreedyResult(
         original=circuit,
         simplified=circuit.copy(),
@@ -379,19 +354,27 @@ def circuit_simplify(
     reference: Optional[Circuit] = None
     banned: Set[Tuple] = set()
     skip_prepass = False
+    journaled_prepass: List[StuckAtFault] = []
     if replay is not None:
-        result.simplified = replay.current
-        result.iterations = list(replay.iterations)
-        result.faults = list(replay.faults)
-        result.final_metrics = replay.final_metrics
-        start_iteration = replay.start_iteration
-        current_rs = replay.current_rs
-        reference = replay.reference
-        banned = set(replay.banned)
-        skip_prepass = True
-        prev.er, prev.es, prev.rs = replay.prev_metrics
         obs.incr("checkpoint.resumes")
         obs.incr("checkpoint.replayed_iterations", len(replay.iterations))
+        if cfg.redundancy_prepass and replay.start_iteration == 0 and not replay.banned:
+            # Cut before any greedy event, so possibly inside the
+            # prepass's injections.  The prepass is deterministic: re-run
+            # it from the original netlist and journal only the
+            # injections the checkpoint does not hold yet.
+            journaled_prepass = list(replay.faults)
+        else:
+            result.simplified = replay.current
+            result.iterations = list(replay.iterations)
+            result.faults = list(replay.faults)
+            result.final_metrics = replay.final_metrics
+            start_iteration = replay.start_iteration
+            current_rs = replay.current_rs
+            reference = replay.reference
+            banned = set(replay.banned)
+            skip_prepass = True
+            prev.er, prev.es, prev.rs = replay.prev_metrics
 
     # The monitor attaches to the registry *before* the pool is built:
     # the pool's executor reads ``obs.telemetry`` to decide whether
@@ -462,6 +445,7 @@ def circuit_simplify(
             reference=reference,
             banned=banned,
             skip_prepass=skip_prepass,
+            journaled_prepass=journaled_prepass,
             prev=prev,
         )
         # Stop sampling before the summary snapshot: the final sample's
@@ -564,14 +548,15 @@ def _run_greedy(
     reference: Optional[Circuit] = None,
     banned: Optional[Set[Tuple]] = None,
     skip_prepass: bool = False,
+    journaled_prepass: Sequence[StuckAtFault] = (),
     prev: Optional[_MetricsCursor] = None,
 ) -> None:
     """The prepass + greedy loop proper, instrumented and journaled.
 
     The resume parameters (``start_iteration``, ``current_rs``,
-    ``reference``, ``banned``, ``skip_prepass``, ``prev``) let a
-    checkpoint replay drop the loop exactly where a killed run stopped;
-    fresh runs use the defaults.
+    ``reference``, ``banned``, ``skip_prepass``, ``journaled_prepass``,
+    ``prev``) let a checkpoint replay drop the loop exactly where a
+    killed run stopped; fresh runs use the defaults.
     """
     current = result.simplified
     banned = set() if banned is None else banned
@@ -581,7 +566,15 @@ def _run_greedy(
     if cfg.redundancy_prepass and not skip_prepass:
         with obs.span("prepass"):
             current = _apply_redundancy_prepass(current, cfg, estimator, result)
-        for rec in result.iterations:
+        done = len(journaled_prepass)
+        if result.faults[:done] != list(journaled_prepass):
+            from ..parallel.checkpoint import CheckpointError
+
+            raise CheckpointError(
+                "the re-run redundancy prepass does not reproduce the "
+                "checkpointed injections"
+            )
+        for rec in result.iterations[done:]:
             _emit_iteration(journal, rec, prev)
             # Prepass injections are PODEM-proven free: the selection-
             # time prediction is exactly zero ER and ES.
@@ -830,7 +823,7 @@ def _apply_redundancy_prepass(
     screen_vecs = random_vectors(
         len(current.inputs), 256, np.random.default_rng(cfg.seed + 7)
     )
-    fsim = FaultSimulator(current, obs=estimator.obs, engine=cfg.engine)
+    fsim = FaultSimulator(current, obs=estimator.obs)
     survivors = []
     for rep, members in classes.members.items():
         d = fsim.differential(screen_vecs, [rep])
@@ -913,11 +906,9 @@ def _fault_key(fault: StuckAtFault) -> Tuple:
 
 
 def _candidate_faults(circuit: Circuit, cfg: GreedyConfig) -> List[StuckAtFault]:
+    # Without control outputs every line is datapath.
     if cfg.datapath_only and circuit.control_outputs:
         return datapath_faults(circuit, include_branches=cfg.include_branches)
-    if cfg.datapath_only:
-        # no control outputs: every line is datapath
-        return enumerate_faults(circuit, include_branches=cfg.include_branches)
     return enumerate_faults(circuit, include_branches=cfg.include_branches)
 
 

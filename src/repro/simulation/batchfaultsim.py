@@ -13,8 +13,8 @@ waste:
   its line (the gates in the line's transitive fanout, in topological
   order, from :func:`repro.circuit.structure.fanout_cone_gates`),
   reading undisturbed signals straight from the baseline; the cone is
-  compiled into level groups -- same-type gates on one topological
-  level evaluate in a single vectorized numpy call;
+  lowered into level groups -- same-level gates sharing a bitwise core
+  of the compiled program evaluate in a single vectorized numpy call;
 * only the primary outputs inside the cone are compared against the
   reference machine -- every other output is known to still match the
   baseline -- and only cone value-outputs enter the weighted-deviation
@@ -48,14 +48,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuit import Circuit, GateType
+from ..circuit import Circuit
 from ..circuit.gates import ALL_ONES
 from ..circuit.netlist import CircuitError
 from ..circuit.structure import fanout_cone_gates
 from ..faults.model import Line, StuckAtFault
 from ..obs.core import Instrumentation, get_active
-from .compiled import CORE_PAD, eval_core_group, lower_entry, make_simulator
-from .logicsim import LogicSimulator, SimResult, _eval_into
+from .compiled import (
+    CORE_PAD,
+    ROW_ONE,
+    ROW_ZERO,
+    CompiledSimulator,
+    eval_core_group,
+    eval_core_row,
+    lower_entry,
+)
+from .logicsim import SimResult
 from .vectors import pack_vectors, popcount_words, tail_mask, unpack_vectors
 
 __all__ = ["FaultBatchStats", "BatchFaultSimulator"]
@@ -130,11 +138,12 @@ class FaultBatchStats:
 class _ConePlan:
     """Precomputed replay schedule for one fault site.
 
-    ``first`` is the faulted gate itself for branch faults (its pin
-    override makes it the one gate that needs scalar evaluation);
-    ``groups`` is the rest of the cone, level-grouped: gates on the same
-    topological level never feed each other, so all same-type/same-arity
-    gates of a level evaluate in a single vectorized numpy call.
+    ``first`` is the faulted gate itself for branch faults, lowered to
+    ``(core, out_row, input_rows, invert)`` (its pin override makes it
+    the one gate evaluated on its own); ``groups`` is the rest of the
+    cone, level-grouped: gates on the same topological level never feed
+    each other, so all gates of a level that share a core evaluate in a
+    single vectorized numpy call.
     """
 
     __slots__ = (
@@ -169,50 +178,6 @@ class _ConePlan:
         self.val_rows = val_rows
 
 
-def _eval_group(
-    gtype: GateType, out_rows: np.ndarray, in_rows: np.ndarray,
-    work: np.ndarray, sl: slice,
-) -> None:
-    """Evaluate one level-group of same-type gates in vectorized form.
-
-    ``in_rows`` has shape (arity, k): operand j of all k gates at once.
-    The fancy read ``work[in_rows[0], sl]`` copies, so in-place ufuncs
-    on the accumulator never alias the work array.
-    """
-    if gtype is GateType.CONST0:
-        work[out_rows, sl] = 0
-        return
-    if gtype is GateType.CONST1:
-        work[out_rows, sl] = ALL_ONES
-        return
-    acc = work[in_rows[0], sl]
-    if gtype is GateType.BUF:
-        work[out_rows, sl] = acc
-        return
-    if gtype is GateType.NOT:
-        np.bitwise_not(acc, out=acc)
-        work[out_rows, sl] = acc
-        return
-    if gtype in (GateType.AND, GateType.NAND):
-        for j in range(1, in_rows.shape[0]):
-            np.bitwise_and(acc, work[in_rows[j], sl], out=acc)
-        if gtype is GateType.NAND:
-            np.bitwise_not(acc, out=acc)
-    elif gtype in (GateType.OR, GateType.NOR):
-        for j in range(1, in_rows.shape[0]):
-            np.bitwise_or(acc, work[in_rows[j], sl], out=acc)
-        if gtype is GateType.NOR:
-            np.bitwise_not(acc, out=acc)
-    elif gtype in (GateType.XOR, GateType.XNOR):
-        for j in range(1, in_rows.shape[0]):
-            np.bitwise_xor(acc, work[in_rows[j], sl], out=acc)
-        if gtype is GateType.XNOR:
-            np.bitwise_not(acc, out=acc)
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown gate type {gtype!r}")
-    work[out_rows, sl] = acc
-
-
 class BatchFaultSimulator:
     """Cone-restricted single-fault batch simulator bound to one circuit.
 
@@ -225,15 +190,11 @@ class BatchFaultSimulator:
     pair a simplified netlist's outputs positionally with the original's
     weights.
 
-    ``engine`` selects the simulation kernel
-    (:func:`repro.simulation.compiled.resolve_engine` semantics).  The
-    compiled engine runs the baseline through the whole-netlist
-    compiled program and replays cones as level-sliced core groups --
-    same-level gates of *any* type merge into at most three padded
-    bitwise passes on the shared value matrix.  Detection, deviation,
-    chunking and early-drop logic are engine-independent, so both
-    engines produce bit-identical stats (including the dropped/
-    words_simulated bookkeeping).
+    The baseline runs through the whole-netlist compiled program, and
+    cones replay as level-sliced core groups -- same-level gates of
+    *any* type merge into at most three padded bitwise passes on the
+    shared value matrix, whose constant rows also serve the stuck pin
+    of a branch fault.
     """
 
     def __init__(
@@ -243,11 +204,10 @@ class BatchFaultSimulator:
         value_outputs: Optional[Sequence[str]] = None,
         weights: Optional[Sequence[int]] = None,
         obs: Optional[Instrumentation] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.circuit = circuit
         self.obs = obs if obs is not None else get_active()
-        self.sim, self.engine = make_simulator(circuit, engine, self.obs)
+        self.sim = CompiledSimulator(circuit, obs=self.obs)
         self.observe_outputs = tuple(observe_outputs or circuit.outputs)
         if value_outputs is not None:
             self.value_outputs = tuple(value_outputs)
@@ -267,21 +227,14 @@ class BatchFaultSimulator:
         self._val_rows = np.asarray(
             [self.sim.index_of(o) for o in self.value_outputs], dtype=np.intp
         )
-        # schedule entries keyed by the driven signal (the compiled
-        # schedule is in topological_order(), one entry per gate)
-        self._entry_of: Dict[str, Tuple] = {
-            name: entry
-            for name, entry in zip(circuit.topological_order(), self.sim._schedule)
-        }
-        self._topo_pos = {n: i for i, n in enumerate(circuit.topological_order())}
-        # topological level per signal: gates of one level are mutually
-        # independent, which licenses the grouped evaluation in _ConePlan
-        self._level: Dict[str, int] = {s: 0 for s in circuit.inputs}
-        for name in circuit.topological_order():
-            g = circuit.gates[name]
-            self._level[name] = 1 + max(
-                (self._level[s] for s in g.inputs), default=0
-            )
+        # lowered schedule entries keyed by the driven signal (the
+        # compiled schedule is in topological_order(), one entry per gate)
+        order = circuit.topological_order()
+        self._entry_of: Dict[str, Tuple[int, int, Tuple[int, ...], bool]] = {}
+        for name, (gtype, out_row, in_rows) in zip(order, self.sim._schedule):
+            core, invert, ins = lower_entry(gtype, in_rows)
+            self._entry_of[name] = (core, out_row, tuple(ins), invert)
+        self._topo_pos = {n: i for i, n in enumerate(order)}
         self._plan_cache: Dict[Tuple[str, str], _ConePlan] = {}
 
         wmax = max((abs(w) for w in self.weights), default=1)
@@ -428,78 +381,35 @@ class BatchFaultSimulator:
     def _group_entries(self, gates: Sequence[str]) -> Tuple[Tuple, ...]:
         """Bucket cone gates into vectorized replay groups.
 
-        The python engine buckets by ``(level, type, arity)`` (gates of
-        one group share a single typed numpy call); the compiled engine
-        buckets by ``(level, core)`` -- all same-level gates lowering to
-        the same bitwise core merge into one padded group regardless of
-        type or arity, executed by
-        :func:`repro.simulation.compiled.eval_core_group` against the
-        constant rows of the compiled value matrix.  Either way a
-        singleton bucket stays a scalar entry (basic row slicing beats
-        the gather/scatter machinery for one gate).
+        Gates bucket by ``(level, core)``: all same-level gates lowering
+        to the same bitwise core merge into one group padded to its
+        widest fan-in with the core's identity row, executed by
+        :func:`repro.simulation.compiled.eval_core_group`.  A singleton
+        bucket stays a scalar ``(core, out_row, input_rows, invert)``
+        entry for :func:`repro.simulation.compiled.eval_core_row`.
         """
-        if self.engine == "compiled":
-            return self._group_entries_compiled(gates)
-        buckets: Dict[Tuple[int, GateType, int], List[Tuple[int, Tuple[int, ...]]]] = {}
-        for g in gates:
-            gtype, out_idx, in_idx = self._entry_of[g]
-            buckets.setdefault((self._level[g], gtype, len(in_idx)), []).append(
-                (out_idx, in_idx)
-            )
-        groups = []
-        for lvl, gtype, arity in sorted(
-            buckets, key=lambda k: (k[0], k[1].name, k[2])
-        ):
-            ents = buckets[(lvl, gtype, arity)]
-            if len(ents) == 1:
-                # singleton bucket: basic row slicing beats the fancy
-                # gather/scatter machinery -- emit a scalar entry
-                out_idx, in_idx = ents[0]
-                groups.append((gtype, out_idx, in_idx))
-                continue
-            out_rows = np.asarray([o for o, _ in ents], dtype=np.intp)
-            if arity:
-                in_rows = np.asarray(
-                    [[ii[j] for _o, ii in ents] for j in range(arity)],
-                    dtype=np.intp,
-                )
-            else:
-                in_rows = np.empty((0, len(ents)), dtype=np.intp)
-            groups.append((gtype, out_rows, in_rows))
-        return tuple(groups)
-
-    def _group_entries_compiled(self, gates: Sequence[str]) -> Tuple[Tuple, ...]:
-        """Compiled-engine grouping: (level, core) buckets, arity-padded.
-
-        Emits 4-tuples ``(core, out_rows, in_rows, inv)`` next to the
-        scalar 3-tuples; ``_evaluate_one`` dispatches on tuple length.
-        """
-        from ..circuit.gates import ALL_ONES
-
+        level_of_row = self.sim.program.level_of_row
         buckets: Dict[Tuple[int, int], List[Tuple]] = {}
         for g in gates:
-            gtype, out_idx, in_idx = self._entry_of[g]
-            core, invert, ins = lower_entry(gtype, in_idx)
-            buckets.setdefault((self._level[g], core), []).append(
-                (gtype, out_idx, in_idx, ins, invert)
-            )
+            entry = self._entry_of[g]
+            buckets.setdefault((level_of_row[entry[1]], entry[0]), []).append(entry)
         groups: List[Tuple] = []
-        for lvl, core in sorted(buckets):
-            ents = buckets[(lvl, core)]
+        for key in sorted(buckets):
+            ents = buckets[key]
             if len(ents) == 1:
-                gtype, out_idx, in_idx, _ins, _inv = ents[0]
-                groups.append((gtype, out_idx, in_idx))
+                groups.append(ents[0])
                 continue
-            arity = max(len(ins) for _g, _o, _i, ins, _v in ents)
+            core = key[1]
+            arity = max(len(ins) for _c, _o, ins, _v in ents)
             pad = CORE_PAD[core]
-            out_rows = np.asarray([o for _g, o, _i, _ins, _v in ents], dtype=np.intp)
+            out_rows = np.asarray([o for _c, o, _ins, _v in ents], dtype=np.intp)
             in_rows = np.empty((arity, len(ents)), dtype=np.intp)
-            for col, (_g, _o, _i, ins, _v) in enumerate(ents):
+            for col, (_c, _o, ins, _v) in enumerate(ents):
                 for j in range(arity):
                     in_rows[j, col] = ins[j] if j < len(ins) else pad
-            if any(v for _g, _o, _i, _ins, v in ents):
+            if any(v for _c, _o, _ins, v in ents):
                 inv = np.asarray(
-                    [[ALL_ONES if v else 0] for _g, _o, _i, _ins, v in ents],
+                    [[ALL_ONES if v else 0] for _c, _o, _ins, v in ents],
                     dtype=np.uint64,
                 )
             else:
@@ -554,7 +464,6 @@ class BatchFaultSimulator:
         line = fault.line
         if not self.circuit.has_signal(line.signal):
             raise CircuitError(f"fault site {line} not in circuit")
-        override: Optional[Tuple[int, int]] = None
         forced_row: Optional[int] = None
         if line.is_stem:
             forced_row = self.sim.index_of(line.signal)
@@ -564,9 +473,15 @@ class BatchFaultSimulator:
                 raise CircuitError(f"fault {fault}: gate {line.gate!r} not in circuit")
             if line.pin >= len(gate.inputs) or gate.inputs[line.pin] != line.signal:
                 raise CircuitError(f"fault {fault}: pin does not match netlist")
-            override = (self.sim.index_of(line.gate), line.pin)
         plan = self._plan_for_line(line)
         word = ALL_ONES if fault.value else np.uint64(0)
+        first = plan.first
+        if first is not None:
+            # the stuck pin reads the matching constant row
+            core, out_row, ins, invert = first
+            ins = list(ins)
+            ins[line.pin] = ROW_ONE if fault.value else ROW_ZERO
+            first = (core, out_row, tuple(ins), invert)
         other_diff = [p for p in self._dirty if p not in plan.obs_set]
 
         work, base, tail, ref = self._work, self._base, self._tail, self._ref_out
@@ -585,25 +500,13 @@ class BatchFaultSimulator:
             wlen = hi - lo
             if forced_row is not None:
                 work[forced_row, sl] = word
-            if plan.first is not None:
-                gtype, out_idx, in_idx = plan.first
-                operands = [
-                    np.full(wlen, word, dtype=np.uint64)
-                    if pin == override[1]
-                    else work[idx, sl]
-                    for pin, idx in enumerate(in_idx)
-                ]
-                _eval_into(gtype, operands, work[out_idx, sl], wlen)
-            for entry in plan.groups:
-                if len(entry) == 4:  # compiled-engine core group
-                    eval_core_group(entry[0], entry[1], entry[2], entry[3], work, sl)
-                    continue
-                gtype, out_rows, in_rows = entry
-                if type(out_rows) is int:
-                    operands = [work[idx, sl] for idx in in_rows]
-                    _eval_into(gtype, operands, work[out_rows, sl], wlen)
+            if first is not None:
+                eval_core_row(*first, work, sl)
+            for core, out, ins, inv in plan.groups:
+                if type(out) is int:
+                    eval_core_row(core, out, ins, inv, work, sl)
                 else:
-                    _eval_group(gtype, out_rows, in_rows, work, sl)
+                    eval_core_group(core, out, ins, inv, work, sl)
 
             if plan.obs_pos.size:
                 d = ref[plan.obs_pos, sl] ^ work[plan.obs_rows, sl]

@@ -10,9 +10,11 @@ injection follows the line semantics of :mod:`repro.faults.model`:
 * a **branch** fault substitutes the stuck value only on the one gate
   pin it names.
 
-This simulator is the workhorse behind ER estimation (differential
-good-vs-faulty simulation, Section IV.A of the paper) and behind the
-exhaustive ground-truth checks in the test-suite.
+This per-gate simulator is the reference the test-suite checks the
+production simulator against: every production path (ER estimation by
+differential good-vs-faulty simulation, Section IV.A of the paper,
+included) runs :class:`~repro.simulation.compiled.CompiledSimulator`,
+which must stay bit-identical to it.
 """
 
 from __future__ import annotations

@@ -43,6 +43,20 @@ def test_from_json_rejects_unknown_fields():
         SimplifyRequest.from_json("[1, 2]")
 
 
+def test_legacy_engine_key_loads_and_fingerprints_the_same():
+    """Requests stored while the simulator was selectable carry an
+    ``engine`` key; it is accepted and ignored, so they load, compare
+    and share a result-cache entry with the same request without it."""
+    req = SimplifyRequest(rs_pct_threshold=2.5, fom="area", seed=7)
+    for engine in ("python", "compiled", "auto"):
+        legacy = SimplifyRequest.from_json(
+            json.dumps(dict(req.to_dict(), engine=engine))
+        )
+        assert legacy == req
+        assert legacy.fingerprint() == req.fingerprint()
+    assert "engine" not in req.to_dict()
+
+
 def test_from_json_validates():
     with pytest.raises(ValueError):
         SimplifyRequest.from_json('{"fom": "best"}')  # no threshold
@@ -65,7 +79,6 @@ def test_greedy_config_mirror():
         pow2_es=True,
         redundancy_prepass=True,
         prepass_backtrack_limit=77,
-        engine="python",
     )
     cfg = req.greedy_config("area")
     assert cfg == GreedyConfig(
@@ -83,7 +96,6 @@ def test_greedy_config_mirror():
         pow2_es=True,
         redundancy_prepass=True,
         prepass_backtrack_limit=77,
-        engine="python",
     )
     # "best" is a policy, not a greedy FOM: it resolves to a real one
     assert req.greedy_config().fom == "area_per_rs"

@@ -14,12 +14,9 @@ import subprocess
 import sys
 import textwrap
 import time
-from dataclasses import replace
-
 import pytest
 
-from repro import GreedyConfig, circuit_simplify, dumps_bench
-from repro.simulation import resolve_engine
+from repro import GreedyConfig, circuit_simplify, dumps_bench, loads_bench
 from repro.obs import Instrumentation
 from repro.parallel import (
     CheckpointError,
@@ -141,14 +138,12 @@ def test_resume_from_adopts_checkpoint_config(adder, reference, tmp_path):
         _truncate_after_iterations(ckpt, 1)
     res = resume_from(adder, ckpt)  # no config given: header's is used
     _assert_identical(res, reference)
-    # The header stores the *resolved* engine, which the resume adopts.
-    assert res.config == replace(_CFG, engine=resolve_engine(_CFG.engine))
+    assert res.config == _CFG
 
 
 def test_resume_with_prepass_checkpoint(tmp_path):
     """A run killed after the redundancy prepass resumes identically
-    (the prepass is not re-run; its netlist is the structural
-    reference)."""
+    (its netlist is the structural reference for the greedy phase)."""
     from repro.benchlib import ISCAS85_SUITE
 
     circuit = ISCAS85_SUITE["c880"].builder()
@@ -167,6 +162,41 @@ def test_resume_with_prepass_checkpoint(tmp_path):
         circuit, rs_pct_threshold=1.0, config=cfg, checkpoint=str(ckpt)
     )
     _assert_identical(resumed, ref)
+
+
+def test_resume_cut_inside_prepass_matches_uninterrupted(tmp_path):
+    """A checkpoint cut partway through the prepass's injections resumes
+    identically, and journals every injection exactly once: the resume
+    re-runs the deterministic prepass and emits only what the
+    checkpoint is missing."""
+    from repro.benchlib import ISCAS85_SUITE
+
+    # Bench-loaded, unit weights: every output is data, so the prepass
+    # proves dozens of faults redundant.
+    circuit = loads_bench(dumps_bench(ISCAS85_SUITE["c880"].builder()), name="c880")
+    for o in circuit.outputs:
+        circuit.output_weights[o] = 1
+    cfg = GreedyConfig(
+        num_vectors=500, seed=0, candidate_limit=20, max_iterations=1,
+        redundancy_prepass=True, prepass_backtrack_limit=10,
+    )
+    full = tmp_path / "full.jsonl"
+    reference = circuit_simplify(
+        circuit, rs_pct_threshold=2.0, config=cfg, checkpoint=str(full)
+    )
+    prepass = sum(r.phase == "prepass" for r in reference.iterations)
+    assert prepass >= 4, "expected the prepass to inject several faults"
+    for keep in (1, prepass // 2):
+        ckpt = tmp_path / f"cut{keep}.jsonl"
+        ckpt.write_text(full.read_text())
+        _truncate_after_iterations(ckpt, keep)
+        resumed = circuit_simplify(
+            circuit, rs_pct_threshold=2.0, config=cfg, checkpoint=str(ckpt)
+        )
+        _assert_identical(resumed, reference)
+        journaled = [(ev["phase"], ev["index"]) for ev in
+                     load_checkpoint(ckpt).iteration_events]
+        assert journaled == [(r.phase, r.index) for r in reference.iterations]
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +345,10 @@ def _iteration_events(path):
     return count
 
 
-def test_sigkill_and_resume_matches_uninterrupted(tmp_path):
+@pytest.fixture(scope="module")
+def c880_killable():
+    """The c880 run the SIGKILL tests interrupt, and its uninterrupted
+    result."""
     from repro.benchlib import ISCAS85_SUITE
 
     circuit = ISCAS85_SUITE["c880"].builder()
@@ -325,8 +358,14 @@ def test_sigkill_and_resume_matches_uninterrupted(tmp_path):
     )
     reference = circuit_simplify(circuit, rs_pct_threshold=2.0, config=cfg)
     assert len(reference.iterations) >= 2, "need a multi-commit run to kill"
+    return circuit, cfg, reference
 
-    ckpt = tmp_path / "killed.jsonl"
+
+def _kill_child_after(tmp_path, ckpt, iterations):
+    """Run ``_CHILD`` against ``ckpt`` and SIGKILL it once the checkpoint
+    holds ``iterations`` iteration events.  Returns whether it was
+    killed (a child that finishes first leaves a complete checkpoint,
+    which is still a valid resume input)."""
     script = tmp_path / "child.py"
     script.write_text(_CHILD)
     env = dict(os.environ)
@@ -339,25 +378,27 @@ def test_sigkill_and_resume_matches_uninterrupted(tmp_path):
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
-    killed = False
     try:
         deadline = time.time() + 300
         while time.time() < deadline:
             if child.poll() is not None:
-                break  # finished before we could kill it -- still valid
-            if _iteration_events(ckpt) >= 2:
+                return False
+            if _iteration_events(ckpt) >= iterations:
                 child.send_signal(signal.SIGKILL)
                 child.wait(timeout=30)
-                killed = True
-                break
+                return True
             time.sleep(0.05)
-        else:
-            pytest.fail("child neither progressed nor finished in time")
+        pytest.fail("child neither progressed nor finished in time")
     finally:
         if child.poll() is None:
             child.kill()
             child.wait(timeout=30)
 
+
+def test_sigkill_and_resume_matches_uninterrupted(tmp_path, c880_killable):
+    circuit, cfg, reference = c880_killable
+    ckpt = tmp_path / "killed.jsonl"
+    killed = _kill_child_after(tmp_path, ckpt, 2)
     resumed = circuit_simplify(
         circuit, rs_pct_threshold=2.0, config=cfg, checkpoint=str(ckpt)
     )
@@ -368,79 +409,20 @@ def test_sigkill_and_resume_matches_uninterrupted(tmp_path):
         assert state.resumes == 1
 
 
-_CHILD_COMPILED = textwrap.dedent(
-    """
-    import sys
-    from repro import GreedyConfig, circuit_simplify
-    from repro.benchlib import ISCAS85_SUITE
-
-    ckpt = sys.argv[1]
-    circuit = ISCAS85_SUITE["c880"].builder()
-    cfg = GreedyConfig(num_vectors=1000, seed=0, candidate_limit=40,
-                       max_iterations=6, atpg_node_limit=400,
-                       engine="compiled")
-    circuit_simplify(circuit, rs_pct_threshold=2.0, config=cfg,
-                     checkpoint=ckpt)
-    """
-)
-
-
-def test_sigkill_compiled_run_resumes_with_journaled_engine(
-    tmp_path, monkeypatch
-):
-    """SIGKILL a compiled-engine run, then resume in an environment
-    that prefers the python engine: the resume must adopt the engine
-    recorded in the journal header (``compiled``) and still reproduce
-    the serial python-engine fault sequence -- the engines are
-    bit-identical, so the trajectory cannot depend on which one the
-    journal pins."""
-    from repro.benchlib import ISCAS85_SUITE
-    from repro.simulation.compiled import ENGINE_ENV
-
-    circuit = ISCAS85_SUITE["c880"].builder()
-    cfg = GreedyConfig(
-        num_vectors=1000, seed=0, candidate_limit=40,
-        max_iterations=6, atpg_node_limit=400, engine="python",
-    )
-    reference = circuit_simplify(circuit, rs_pct_threshold=2.0, config=cfg)
-    assert len(reference.iterations) >= 2, "need a multi-commit run to kill"
-
+def test_sigkill_compiled_run_resumes_with_journaled_engine(tmp_path, c880_killable):
+    """A killed run whose checkpoint header still journals the retired
+    ``engine`` setting -- as checkpoints written while the simulator was
+    selectable do -- resumes from the header's config, ignoring the
+    key, and reproduces the uninterrupted run."""
+    circuit, cfg, reference = c880_killable
     ckpt = tmp_path / "killed.jsonl"
-    script = tmp_path / "child.py"
-    script.write_text(_CHILD_COMPILED)
-    env = dict(os.environ)
-    env.pop(ENGINE_ENV, None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.abspath("src"), env.get("PYTHONPATH")) if p
-    )
-    child = subprocess.Popen(
-        [sys.executable, str(script), str(ckpt)],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    try:
-        deadline = time.time() + 300
-        while time.time() < deadline:
-            if child.poll() is not None:
-                break  # finished before we could kill it -- still valid
-            if _iteration_events(ckpt) >= 1:
-                child.send_signal(signal.SIGKILL)
-                child.wait(timeout=30)
-                break
-            time.sleep(0.05)
-        else:
-            pytest.fail("child neither progressed nor finished in time")
-    finally:
-        if child.poll() is None:
-            child.kill()
-            child.wait(timeout=30)
-
-    # resume with no config in a python-preferring environment: the
-    # journal header's resolved engine must win over REPRO_ENGINE
-    monkeypatch.setenv(ENGINE_ENV, "python")
+    _kill_child_after(tmp_path, ckpt, 1)
+    lines = ckpt.read_text().splitlines(True)
+    header = json.loads(lines[0])
+    header["config"]["engine"] = "compiled"
+    lines[0] = json.dumps(header) + "\n"
+    ckpt.write_text("".join(lines))
     resumed = resume_from(circuit, ckpt)
-    assert resumed.config.engine == "compiled"
+    assert resumed.config == cfg
     _assert_identical(resumed, reference)
-    state = load_checkpoint(ckpt)
-    assert state.complete
+    assert load_checkpoint(ckpt).complete

@@ -7,6 +7,7 @@ content-addressed cache never couples these tests to that module's.
 
 import concurrent.futures
 import json
+import os
 import socket
 import struct
 import time
@@ -88,11 +89,13 @@ def test_trace_id_propagates_end_to_end(server, adder_bench):
     )
 
     # Runner journal header: the runner-side half of the correlation.
+    # The checkpoint is the job's one journal; no second copy is written.
     job = service.store.get(snap["job_id"])
-    with open(job.journal_path, "r", encoding="utf-8") as fh:
+    with open(job.checkpoint_path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
     assert header["event"] == "run_start"
     assert header["trace_id"] == trace_id
+    assert not os.path.exists(os.path.join(job.dir, "journal.jsonl"))
 
     # Assembled Chrome trace: the id rides the lane metadata.
     trace = client.trace(snap["job_id"])

@@ -17,7 +17,7 @@ import pytest
 
 from repro import SimplifyRequest, dumps_bench, loads_bench
 from repro.benchlib import ISCAS85_SUITE
-from repro.service import ServiceClient, serve_in_thread
+from repro.service import ServiceClient, job_journal_events, serve_in_thread
 
 # The c880 shape the single-process SIGKILL test uses: enough committed
 # iterations to kill between two of them, small enough to finish fast.
@@ -134,6 +134,60 @@ def test_sigkill_worker_job_resumes_bit_identically(
                 for line in fh:
                     events.append(json.loads(line))
             assert any(e.get("event") == "resume" for e in events)
+    finally:
+        service.stop()
+        httpd.shutdown()
+        httpd.server_close()
+
+
+def test_resumed_job_serves_full_event_history(tmp_path, c880_bench, reference):
+    """The checkpoint is the job's one journal: after a SIGKILL mid-greedy
+    and a resume, the job's events start at ``run_start``, keep every
+    pre-crash iteration, and commit each fault once -- and a stream
+    cursor taken before the kill neither re-delivers nor skips."""
+    httpd, service, _thread = serve_in_thread(
+        host="127.0.0.1", port=0, data_dir=str(tmp_path), workers=1, max_attempts=3,
+    )
+    client = ServiceClient(f"http://127.0.0.1:{httpd.server_address[1]}")
+    try:
+        snap = client.submit(REQUEST, netlist=c880_bench, name="c880")
+        job = service.store.get(snap["job_id"])
+        stream = client.stream(snap["job_id"], wait=1.0, timeout=300)
+        streamed = []
+        for event in stream:  # advance the cursor past the first commit
+            streamed.append(event)
+            if event.get("event") == "iteration":
+                break
+
+        pre_crash = None
+        deadline = time.time() + 300
+        while time.time() < deadline and pre_crash is None:
+            status = client.status(snap["job_id"])
+            if status["state"] in ("done", "failed", "cancelled"):
+                break
+            pid = status.get("worker_pid")
+            if pid and _iteration_events(job.checkpoint_path) >= 2:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    break  # finished between poll and kill
+                time.sleep(0.5)  # let the supervisor reap the attempt
+                pre_crash = job_journal_events(job)
+            time.sleep(0.05)
+        if pre_crash is None:
+            pytest.skip("runner outran the kill loop; nothing to assert")
+
+        streamed.extend(stream)  # the same cursor, across the resume
+        assert client.status(snap["job_id"])["state"] == "done"
+        events = job_journal_events(job)
+        assert events[0]["event"] == "run_start"
+        assert events[: len(pre_crash)] == pre_crash
+        assert [e["event"] for e in events].count("resume") == 1
+        assert streamed == events
+        assert [e["fault"] for e in events if e["event"] == "iteration"] == [
+            str(f) for f in reference.faults
+        ]
+        assert not os.path.exists(os.path.join(job.dir, "journal.jsonl"))
     finally:
         service.stop()
         httpd.shutdown()
