@@ -115,13 +115,10 @@ class EsAtpg:
                 raise ValueError("good and faulty circuits must have matching outputs")
         self.faults = tuple(faults)
         self.node_limit = node_limit
-        if value_outputs is not None:
-            self.value_outputs = tuple(value_outputs)
-        elif good.data_outputs:
-            self.value_outputs = tuple(good.data_outputs)
-        else:
-            self.value_outputs = tuple(good.outputs)
-        self.weights = {o: int(good.output_weights.get(o, 1)) for o in self.value_outputs}
+        self.value_outputs = (
+            tuple(value_outputs) if value_outputs is not None else good.value_outputs
+        )
+        self.weights = dict(zip(self.value_outputs, good.weights_of(self.value_outputs)))
         # positional pairing good output -> faulty output
         self._pair = dict(zip(good.outputs, self.faulty.outputs))
 
@@ -361,6 +358,7 @@ class EsAtpg:
         from ..circuit.structure import subcircuit
         from ..obs.core import NULL
         from ..simulation.compiled import CompiledSimulator
+        from ..simulation.deviation import WeightedDeviation
         from ..simulation.vectors import pack_vectors
 
         s = len(self.support)
@@ -377,7 +375,7 @@ class EsAtpg:
         pi_index = {pi: k for k, pi in enumerate(self.good.inputs)}
         support_idx = [pi_index[pi] for pi in self.support]
         n_in = len(self.good.inputs)
-        weights = [self.weights[o] for o in self.affected_outputs]
+        deviation = WeightedDeviation(self.weights[o] for o in self.affected_outputs)
         total = 1 << s
         best = 0
         self.obs.incr("es_atpg.exact_vectors", total)
@@ -393,14 +391,7 @@ class EsAtpg:
             gbits = g.output_bits(self.affected_outputs)
             fbits = f.output_bits(faulty_names)
             delta = fbits.astype(np.int8) - gbits.astype(np.int8)
-            max_w = max(weights) if weights else 1
-            if max_w * max(1, len(weights)) < (1 << 53):
-                vals = np.abs(delta @ np.asarray(weights, dtype=np.float64))
-                best = max(best, int(vals.max()))
-            else:
-                for row in delta:
-                    v = abs(sum(w * int(d) for w, d in zip(weights, row) if d))
-                    best = max(best, v)
+            best = max(best, deviation.max_abs(delta))
         return best
 
     def decide(self, threshold: int, exhaustive_limit: int = 22) -> EsResult:

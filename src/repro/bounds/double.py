@@ -88,9 +88,8 @@ def lemma2_w(
     prof_j = parity_profile(circuit, fault_j, vectors, sim)
     tfo_i = transitive_fanout(circuit, fault_i.line.signal, include_self=True)
     tfo_j = transitive_fanout(circuit, fault_j.line.signal, include_self=True)
-    value_outputs = circuit.data_outputs or list(circuit.outputs)
     w = 0
-    for o in value_outputs:
+    for o in circuit.value_outputs:
         if o not in tfo_i or o not in tfo_j:
             continue
         pi, pj = prof_i[o], prof_j[o]

@@ -147,6 +147,16 @@ class Circuit:
         data = set(self.data_outputs)
         return tuple(o for o in self._outputs if o not in data)
 
+    @property
+    def value_outputs(self) -> Tuple[str, ...]:
+        """Outputs whose weighted numeric value defines ES: the data
+        outputs, or every output when none are marked."""
+        return tuple(self.data_outputs or self._outputs)
+
+    def weights_of(self, outputs: Iterable[str]) -> List[int]:
+        """The numeric weight of each named output (1 when unset)."""
+        return [int(self.output_weights.get(o, 1)) for o in outputs]
+
     def is_input(self, signal: str) -> bool:
         """True when ``signal`` is a primary input."""
         return signal in self._input_set

@@ -87,6 +87,13 @@ _NON_SEMANTIC_FIELDS = (
     "trace_id",
 )
 
+#: Retired request fields.  Each chose between two bit-identical code
+#: paths that no longer both exist (``engine``: the per-gate or compiled
+#: simulator; ``use_batch_ranking``: per-candidate or batch fault
+#: simulation for ranking), so stored payloads carrying them still load
+#: and the value is ignored.
+_RETIRED_FIELDS = ("engine", "use_batch_ranking")
+
 #: Correlation-id charset: URL- and filename-safe, boundable in logs.
 _TRACE_ID_RE = re.compile(r"^[A-Za-z0-9._\-]{1,128}$")
 
@@ -220,7 +227,6 @@ _GREEDY_FIELDS = (
     "seed",
     "es_mode",
     "candidate_limit",
-    "use_batch_ranking",
     "datapath_only",
     "include_branches",
     "max_iterations",
@@ -274,7 +280,6 @@ class SimplifyRequest:
     seed: int = 0
     es_mode: str = "hybrid"
     candidate_limit: Optional[int] = 200
-    use_batch_ranking: bool = True
     datapath_only: bool = True
     include_branches: bool = True
     max_iterations: int = 10_000
@@ -376,15 +381,16 @@ class SimplifyRequest:
         accepted, newer versions are rejected with an upgrade hint.
         Unknown keys are rejected -- a field this build has never heard
         of means the payload is newer or wrong, and either way it must
-        not be silently dropped.  The one exception is the retired
-        ``engine`` field (it chose between two bit-identical
-        simulators): stored requests that carry it still load.
+        not be silently dropped.  The exceptions are the
+        :data:`_RETIRED_FIELDS`: stored requests that carry them still
+        load.
         """
         if not isinstance(data, dict):
             raise InvalidRequestError("request JSON must be an object")
         data = dict(data)
         _check_schema_version("request", data.pop("schema_version", None))
-        data.pop("engine", None)
+        for key in _RETIRED_FIELDS:
+            data.pop(key, None)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

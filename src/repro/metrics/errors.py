@@ -29,8 +29,8 @@ def rs_max(circuit: Circuit, value_outputs: Optional[Sequence[str]] = None) -> i
     outputs when unannotated).
     """
     if value_outputs is None:
-        value_outputs = circuit.data_outputs or circuit.outputs
-    return sum(int(circuit.output_weights.get(o, 1)) for o in value_outputs)
+        value_outputs = circuit.value_outputs
+    return sum(circuit.weights_of(value_outputs))
 
 
 def rs_percent(rs: float, maximum: int) -> float:

@@ -35,6 +35,7 @@ from ..faults.model import StuckAtFault
 from ..obs.core import Instrumentation, get_active
 from ..simulation.batchfaultsim import BatchFaultSimulator, FaultBatchStats
 from ..simulation.compiled import CompiledSimulator
+from ..simulation.deviation import WeightedDeviation
 from ..simulation.logicsim import SimResult
 from ..simulation.vectors import exhaustive_vectors, pack_vectors, random_vectors
 from .errors import ErrorMetrics, rs_max
@@ -80,13 +81,11 @@ class MetricsEstimator:
         self.packed = pack_vectors(self.vectors)
         self.atpg_node_limit = atpg_node_limit
 
-        if value_outputs is not None:
-            self.value_outputs = tuple(value_outputs)
-        elif circuit.data_outputs:
-            self.value_outputs = tuple(circuit.data_outputs)
-        else:
-            self.value_outputs = tuple(circuit.outputs)
-        self.weights = [int(circuit.output_weights.get(o, 1)) for o in self.value_outputs]
+        self.value_outputs = (
+            tuple(value_outputs) if value_outputs is not None else circuit.value_outputs
+        )
+        self.weights = circuit.weights_of(self.value_outputs)
+        self.deviation = WeightedDeviation(self.weights)
         self.rs_maximum = rs_max(circuit, self.value_outputs)
         # positions of value outputs within the output list (for pairing)
         self._value_pos = [circuit.outputs.index(o) for o in self.value_outputs]
@@ -366,22 +365,4 @@ class MetricsEstimator:
         value_names = [target.outputs[p] for p in self._value_pos]
         fbits = res.output_bits(value_names)
         delta = fbits.astype(np.int8) - self._good_value_bits.astype(np.int8)
-        observed = _max_abs_weighted(delta, self.weights)
-        return er, observed
-
-
-def _max_abs_weighted(delta: np.ndarray, weights: List[int]) -> int:
-    """Largest |delta . weights| over rows, exact for arbitrary weights."""
-    if delta.size == 0:
-        return 0
-    max_weight = max(weights) if weights else 1
-    if max_weight * max(1, len(weights)) < (1 << 53):
-        wvec = np.asarray(weights, dtype=np.float64)
-        vals = np.abs(delta @ wvec)
-        return int(vals.max())
-    best = 0
-    for row in delta:
-        v = abs(sum(w * int(d) for w, d in zip(weights, row) if d))
-        if v > best:
-            best = v
-    return best
+        return er, self.deviation.max_abs(delta)

@@ -63,16 +63,6 @@ class GreedyConfig:
     candidate_limit:
         Number of candidates fully evaluated per iteration after proxy
         pre-ranking; ``None`` evaluates all (the paper's full scan).
-    use_batch_ranking:
-        Score the shortlist with the cone-restricted
-        :class:`~repro.simulation.batchfaultsim.BatchFaultSimulator`
-        (one baseline per batch, per-fault fanout-cone replay, early
-        fault dropping against the RS threshold).  Bit-identical to the
-        per-fault full simulation it replaces -- the golden equivalence
-        test pins that -- but much faster; ``False`` keeps the seed
-        path (one whole-netlist simulation per candidate).  Commit
-        decisions always use the full differential simulation either
-        way, because ER does not compose across interacting faults.
     datapath_only:
         Restrict candidates to datapath lines (Table II methodology).
     include_branches:
@@ -103,7 +93,6 @@ class GreedyConfig:
     seed: int = 0
     es_mode: str = "hybrid"
     candidate_limit: Optional[int] = 200
-    use_batch_ranking: bool = True
     datapath_only: bool = True
     include_branches: bool = True
     max_iterations: int = 10_000
@@ -389,7 +378,7 @@ def circuit_simplify(
         obs.telemetry = monitor
 
     pool = None
-    if num_workers > 1 and cfg.use_batch_ranking:
+    if num_workers > 1:
         from ..parallel.pool import ScoringPool
 
         pool = ScoringPool(estimator, num_workers, obs=obs)
@@ -918,8 +907,7 @@ def _reachable_weight(circuit: Circuit) -> Dict[str, int]:
     This is the structural upper bound on the ES any fault at that line
     can cause, computed in one reverse-topological sweep.
     """
-    value_outputs = circuit.data_outputs or list(circuit.outputs)
-    weights = {o: int(circuit.output_weights.get(o, 1)) for o in value_outputs}
+    value_outputs = circuit.value_outputs
     masks: Dict[str, int] = {s: 0 for s in circuit.signals()}
     for i, o in enumerate(value_outputs):
         masks[o] |= 1 << i
@@ -935,7 +923,7 @@ def _reachable_weight(circuit: Circuit) -> Dict[str, int]:
         for g, _pin in fan.get(pi, ()):
             m |= masks[g]
         masks[pi] = m
-    wlist = [weights[o] for o in value_outputs]
+    wlist = circuit.weights_of(value_outputs)
     out: Dict[str, int] = {}
     for s, m in masks.items():
         total = 0
@@ -965,52 +953,46 @@ def _rank_candidates(
     *prediction* the calibration events pair with the realized commit
     measurement.
     """
-    reach = _reachable_weight(current)
-
     # Phase 1: structural proxy ranking (cheap) to pick the shortlist.
-    proxied: List[Tuple[float, int, StuckAtFault]] = []
-    for f in candidates:
-        try:
-            delta = preview_area_reduction(current, f)
-        except Exception:
-            continue  # e.g. a stem fault contradicting an existing constant
-        if delta <= 0:
-            continue
-        wbound = reach.get(f.line.signal, 0)
-        if cfg.fom == "area":
-            proxy = float(delta)
-        else:
-            proxy = delta / (wbound + 1.0)
-        proxied.append((proxy, delta, f))
-    proxied.sort(key=lambda t: -t[0])
+    with estimator.obs.span("proxy"):
+        reach = _reachable_weight(current)
+        proxied: List[Tuple[float, int, StuckAtFault]] = []
+        for f in candidates:
+            try:
+                delta = preview_area_reduction(current, f)
+            except Exception:
+                continue  # e.g. a stem fault contradicting an existing constant
+            if delta <= 0:
+                continue
+            wbound = reach.get(f.line.signal, 0)
+            if cfg.fom == "area":
+                proxy = float(delta)
+            else:
+                proxy = delta / (wbound + 1.0)
+            proxied.append((proxy, delta, f))
+        proxied.sort(key=lambda t: -t[0])
     shortlist = proxied if cfg.candidate_limit is None else proxied[: cfg.candidate_limit]
 
-    # Phase 2: exact simulation-based scoring of the shortlist.  The
-    # batch path computes the same (ER, observed-ES) pairs as one
-    # estimator.simulate call per fault, restricted to each fault's
-    # fanout cone; faults whose running RS lower bound already exceeds
-    # the threshold are dropped mid-batch (they would be skipped below
+    # Phase 2: exact simulation-based scoring of the shortlist.  Batch
+    # fault simulation yields, per fault, the (ER, observed-ES) pair one
+    # estimator.simulate call would, replaying only the fault's fanout
+    # cone; faults whose running RS lower bound already exceeds the
+    # threshold are dropped mid-batch (they would be skipped below
     # anyway).
     eps = max(estimator.rs_maximum * 1e-15, 1e-12)
-    if cfg.use_batch_ranking:
-        scorer = pool if pool is not None else estimator
-        stats = scorer.simulate_faults(
-            [f for _proxy, _delta, f in shortlist],
-            approx=current,
-            rs_drop_threshold=threshold,
-        )
-        results = [(st.error_rate, st.max_abs_deviation, st.dropped) for st in stats]
-    else:
-        results = [
-            estimator.simulate(approx=current, faults=[f]) + (False,)
-            for _proxy, _delta, f in shortlist
-        ]
+    scorer = pool if pool is not None else estimator
+    stats = scorer.simulate_faults(
+        [f for _proxy, _delta, f in shortlist],
+        approx=current,
+        rs_drop_threshold=threshold,
+    )
     # Feeds the telemetry monitor's candidates_per_s throughput gauge.
     estimator.obs.incr("greedy.candidates_scored", len(shortlist))
     scored: List[Tuple[float, StuckAtFault, float, float, int, int]] = []
-    for (_proxy, delta, f), (er, observed, dropped) in zip(shortlist, results):
+    for (_proxy, delta, f), st in zip(shortlist, stats):
+        er, observed = st.error_rate, st.max_abs_deviation
         sim_rs = er * observed
-        if dropped or sim_rs > threshold:
+        if st.dropped or sim_rs > threshold:
             continue  # the conservative ES can only be larger
         if cfg.fom == "area":
             fom = float(delta)

@@ -63,6 +63,7 @@ from .compiled import (
     eval_core_row,
     lower_entry,
 )
+from .deviation import WeightedDeviation
 from .logicsim import SimResult
 from .vectors import pack_vectors, popcount_words, tail_mask, unpack_vectors
 
@@ -209,20 +210,15 @@ class BatchFaultSimulator:
         self.obs = obs if obs is not None else get_active()
         self.sim = CompiledSimulator(circuit, obs=self.obs)
         self.observe_outputs = tuple(observe_outputs or circuit.outputs)
-        if value_outputs is not None:
-            self.value_outputs = tuple(value_outputs)
-        elif circuit.data_outputs:
-            self.value_outputs = tuple(circuit.data_outputs)
-        else:
-            self.value_outputs = tuple(circuit.outputs)
+        self.value_outputs = (
+            tuple(value_outputs) if value_outputs is not None else circuit.value_outputs
+        )
         if weights is not None:
             if len(weights) != len(self.value_outputs):
                 raise ValueError("weights must match value_outputs")
             self.weights = [int(w) for w in weights]
         else:
-            self.weights = [
-                int(circuit.output_weights.get(o, 1)) for o in self.value_outputs
-            ]
+            self.weights = circuit.weights_of(self.value_outputs)
         self._obs_rows = [self.sim.index_of(o) for o in self.observe_outputs]
         self._val_rows = np.asarray(
             [self.sim.index_of(o) for o in self.value_outputs], dtype=np.intp
@@ -237,9 +233,7 @@ class BatchFaultSimulator:
         self._topo_pos = {n: i for i, n in enumerate(order)}
         self._plan_cache: Dict[Tuple[str, str], _ConePlan] = {}
 
-        wmax = max((abs(w) for w in self.weights), default=1)
-        self._float_ok = wmax * max(1, len(self.weights)) < (1 << 53)
-        self._wvec = np.asarray(self.weights, dtype=np.float64)
+        self.deviation = WeightedDeviation(self.weights)
 
         # batch state (populated by load_batch)
         self._base: Optional[np.ndarray] = None
@@ -325,12 +319,8 @@ class BatchFaultSimulator:
                 raise ValueError("reference_value_bits shape mismatch")
         self._ref_val_bits = ref_bits
         self._base_delta = host_bits - ref_bits
-        if self._float_ok:
-            self._base_dev = self._base_delta.astype(np.float64) @ self._wvec
-            self._base_dev_zero = not self._base_dev.any()
-        else:
-            self._base_dev = None
-            self._base_dev_zero = False
+        self._base_dev = self.deviation.signed(self._base_delta)
+        self._base_dev_zero = not self._base_dev.any()
         return good
 
     # ------------------------------------------------------------------
@@ -578,8 +568,6 @@ class BatchFaultSimulator:
         nrows = r1 - r0
         if nrows <= 0:
             return 0, 0, []
-        if not self._float_ok:
-            return self._chunk_deviation_exact(plan, sl, r0, r1, detailed)
         if plan.val_idx.size == 0:
             if self._base_dev_zero:
                 return 0, 0, [0] * nrows if detailed else []
@@ -589,43 +577,12 @@ class BatchFaultSimulator:
                 np.int8
             )
             delta_new = new_bits - self._ref_val_bits[r0:r1][:, plan.val_idx]
-            adj = (
-                delta_new - self._base_delta[r0:r1][:, plan.val_idx]
-            ).astype(np.float64) @ self._wvec[plan.val_idx]
+            adj = self.deviation.signed(
+                delta_new - self._base_delta[r0:r1][:, plan.val_idx], plan.val_idx
+            )
             dev = self._base_dev[r0:r1] + adj
         abs_dev = np.abs(dev)
-        chunk_max = int(abs_dev.max()) if abs_dev.size else 0
+        chunk_max = int(abs_dev.max())
         chunk_sum = int(abs_dev.sum())
         dev_list = [int(v) for v in dev] if detailed else []
-        return chunk_max, chunk_sum, dev_list
-
-    def _chunk_deviation_exact(
-        self,
-        plan: _ConePlan,
-        sl: slice,
-        r0: int,
-        r1: int,
-        detailed: bool,
-    ) -> Tuple[int, int, List[int]]:
-        """Arbitrary-precision fallback for weights beyond float64 range."""
-        nrows = r1 - r0
-        delta = self._base_delta[r0:r1].copy()
-        if plan.val_idx.size:
-            new_bits = unpack_vectors(self._work[plan.val_rows, sl], nrows).astype(
-                np.int8
-            )
-            delta[:, plan.val_idx] = (
-                new_bits - self._ref_val_bits[r0:r1][:, plan.val_idx]
-            )
-        chunk_max = 0
-        chunk_sum = 0
-        dev_list: List[int] = []
-        for row in delta:
-            v = int(sum(w * int(d) for w, d in zip(self.weights, row) if d))
-            a = abs(v)
-            if a > chunk_max:
-                chunk_max = a
-            chunk_sum += a
-            if detailed:
-                dev_list.append(v)
         return chunk_max, chunk_sum, dev_list

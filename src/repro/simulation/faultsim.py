@@ -21,6 +21,7 @@ from ..circuit import Circuit
 from ..faults.model import StuckAtFault
 from ..obs.core import Instrumentation, get_active
 from .compiled import CompiledSimulator
+from .deviation import WeightedDeviation
 from .logicsim import SimResult
 from .vectors import pack_vectors, random_vectors, exhaustive_vectors
 
@@ -120,13 +121,11 @@ class FaultSimulator:
         self.obs = obs if obs is not None else get_active()
         self.sim = CompiledSimulator(circuit, obs=self.obs)
         self.observe_outputs = tuple(observe_outputs or circuit.outputs)
-        if value_outputs is not None:
-            self.value_outputs = tuple(value_outputs)
-        elif circuit.data_outputs:
-            self.value_outputs = tuple(circuit.data_outputs)
-        else:
-            self.value_outputs = tuple(circuit.outputs)
-        self.weights = [int(circuit.output_weights.get(o, 1)) for o in self.value_outputs]
+        self.value_outputs = (
+            tuple(value_outputs) if value_outputs is not None else circuit.value_outputs
+        )
+        self.weights = circuit.weights_of(self.value_outputs)
+        self.deviation = WeightedDeviation(self.weights)
         self._good_cache: Dict[Tuple[int, bytes], SimResult] = {}
 
     # ------------------------------------------------------------------
@@ -201,19 +200,8 @@ class FaultSimulator:
             return [0] * n
         gbits = good.output_bits(self.value_outputs)
         fbits = faulty.output_bits(self.value_outputs)
-        delta = fbits.astype(np.int8) - gbits.astype(np.int8)  # (N, m) in {-1,0,1}
-        max_weight = max(self.weights) if self.weights else 1
-        if max_weight <= (1 << 52):
-            wvec = np.asarray(self.weights, dtype=np.float64)
-            approx = delta @ wvec
-            # float64 is exact up to 2**53; verify and fall back otherwise
-            if max_weight * len(self.weights) < (1 << 53):
-                return [int(v) for v in approx]
-        # exact big-int path
-        return [
-            int(sum(w * int(d) for w, d in zip(self.weights, row) if d))
-            for row in delta
-        ]
+        delta = fbits.astype(np.int8) - gbits.astype(np.int8)
+        return [int(v) for v in self.deviation.signed(delta)]
 
     # ------------------------------------------------------------------
     def estimate(

@@ -57,6 +57,21 @@ def test_legacy_engine_key_loads_and_fingerprints_the_same():
     assert "engine" not in req.to_dict()
 
 
+def test_legacy_use_batch_ranking_key_loads_and_fingerprints_the_same():
+    """Requests stored while candidate ranking had a per-fault seed path
+    carry ``use_batch_ranking``; either value loads to the one ranking
+    path and shares a result-cache entry with the request without it."""
+    req = SimplifyRequest(rs_pct_threshold=2.5, fom="area", seed=7)
+    for flag in (True, False):
+        legacy = SimplifyRequest.from_json(
+            json.dumps(dict(req.to_dict(), use_batch_ranking=flag))
+        )
+        assert legacy == req
+        assert legacy.fingerprint() == req.fingerprint()
+    assert "use_batch_ranking" not in req.to_dict()
+    assert "use_batch_ranking" not in req.greedy_config().__dict__
+
+
 def test_from_json_validates():
     with pytest.raises(ValueError):
         SimplifyRequest.from_json('{"fom": "best"}')  # no threshold
@@ -70,7 +85,6 @@ def test_greedy_config_mirror():
         seed=9,
         es_mode="simulated",
         candidate_limit=17,
-        use_batch_ranking=False,
         datapath_only=False,
         include_branches=False,
         max_iterations=55,
@@ -87,7 +101,6 @@ def test_greedy_config_mirror():
         seed=9,
         es_mode="simulated",
         candidate_limit=17,
-        use_batch_ranking=False,
         datapath_only=False,
         include_branches=False,
         max_iterations=55,

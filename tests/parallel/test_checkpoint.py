@@ -411,15 +411,17 @@ def test_sigkill_and_resume_matches_uninterrupted(tmp_path, c880_killable):
 
 def test_sigkill_compiled_run_resumes_with_journaled_engine(tmp_path, c880_killable):
     """A killed run whose checkpoint header still journals the retired
-    ``engine`` setting -- as checkpoints written while the simulator was
-    selectable do -- resumes from the header's config, ignoring the
-    key, and reproduces the uninterrupted run."""
+    ``engine`` and ``use_batch_ranking`` settings -- as checkpoints
+    written while the simulator or the ranking path was selectable do --
+    resumes from the header's config, ignoring both keys, and
+    reproduces the uninterrupted run."""
     circuit, cfg, reference = c880_killable
     ckpt = tmp_path / "killed.jsonl"
     _kill_child_after(tmp_path, ckpt, 1)
     lines = ckpt.read_text().splitlines(True)
     header = json.loads(lines[0])
     header["config"]["engine"] = "compiled"
+    header["config"]["use_batch_ranking"] = False
     lines[0] = json.dumps(header) + "\n"
     ckpt.write_text("".join(lines))
     resumed = resume_from(circuit, ckpt)

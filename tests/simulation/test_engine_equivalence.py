@@ -273,13 +273,14 @@ def test_end_to_end_simplify_identical(name):
 
 def test_simplify_outcome_identical_via_request():
     """The SimplifyRequest surface reproduces the recorded c17 outcome,
-    and a stored request naming the retired ``engine`` field still
-    loads and runs to the same outcome."""
+    and a stored request naming the retired ``engine`` and
+    ``use_batch_ranking`` fields still loads and runs to the same
+    outcome."""
     circuit = build_c17()
     req = SimplifyRequest(
         rs_pct_threshold=10.0, fom="area", num_vectors=400, seed=0, exhaustive=True,
     )
-    legacy = dict(req.to_dict(), engine="python")
+    legacy = dict(req.to_dict(), engine="python", use_batch_ranking=False)
     for request in (req, SimplifyRequest.from_dict(legacy)):
         outcome = request.run(circuit)
         assert [str(f) for f in outcome.faults] == ["G1 SA0"]
