@@ -174,7 +174,10 @@ def _add_greedy_options(p: argparse.ArgumentParser) -> None:
 def _add_obs_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--journal", default=None, metavar="PATH",
                    help="stream a structured JSONL run journal here "
-                        "(render it later with `repro report PATH`)")
+                        "(render it later with `repro report PATH`); it "
+                        "is also the run's checkpoint: rerunning with "
+                        "the same path resumes a killed run "
+                        "bit-identically")
     p.add_argument("--profile", action="store_true",
                    help="print the phase-time / counter breakdown after the run")
 
@@ -304,8 +307,6 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     logger.info(f"\nelapsed: {outcome.elapsed_s:.1f}s")
     if args.journal:
         logger.info(f"run journal written to {args.journal}")
-    if args.checkpoint:
-        logger.info(f"checkpoint written to {args.checkpoint}")
     if args.trace:
         spans = write_chrome_trace(args.trace, obs.tracer)
         logger.info(f"chrome trace written to {args.trace} ({spans} spans)")
@@ -955,9 +956,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("simplify", help="RS-budgeted simplification")
     p.add_argument("netlist")
     p.add_argument("-o", "--output", default=None, help="write .bench here")
-    p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="journal every committed step here; rerunning with "
-                        "the same path resumes a killed run bit-identically")
     _add_greedy_options(p)
     _add_obs_options(p)
     _add_live_obs_options(p)
@@ -1001,7 +999,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("audit",
                        help="estimator-calibration / RS-budget audit of a "
                             "run journal")
-    p.add_argument("journal", help="journal JSONL path from --journal/--checkpoint")
+    p.add_argument("journal", help="journal JSONL path from --journal")
     p.add_argument("--exact", action="store_true",
                    help="replay the journal and cross-check the final ER "
                         "against the BDD engine (small circuits; needs "

@@ -66,6 +66,7 @@ __all__ = [
     "simplify",
     "verify_simplification",
     "format_report",
+    "journal_paths",
 ]
 
 #: Version of the JSON wire schema shared by :class:`SimplifyRequest`
@@ -75,13 +76,12 @@ __all__ = [
 SCHEMA_VERSION = 2
 
 #: Request fields that do not change the mathematical outcome of a run
-#: -- durability paths, parallelism/sampling knobs (parallel runs are
+#: -- the journal path, parallelism/sampling knobs (parallel runs are
 #: bit-identical to serial ones) and the correlation id.  They are
 #: excluded from :meth:`SimplifyRequest.fingerprint`, so two
 #: submissions differing only here share one result-cache entry.
 _NON_SEMANTIC_FIELDS = (
     "workers",
-    "checkpoint",
     "journal",
     "telemetry_interval",
     "trace_id",
@@ -218,7 +218,7 @@ def _iteration_from_dict(data: Dict[str, Any]) -> IterationRecord:
 logger = logging.getLogger("repro.core")
 
 _FOMS = ("best", "area", "area_per_rs")
-_ES_MODES = ("hybrid", "atpg", "simulated")
+_ES_MODES = ("hybrid", "simulated")
 _WEIGHTS = ("netlist", "unit", "binary")
 
 # GreedyConfig fields that SimplifyRequest mirrors one-to-one.
@@ -255,18 +255,19 @@ class SimplifyRequest:
 
     ``workers`` shards phase-2 candidate scoring across processes
     (``None`` consults ``REPRO_WORKERS``; see
-    :func:`repro.parallel.resolve_workers`); ``checkpoint`` journals
-    every committed step so a killed run resumes bit-identically
-    (:mod:`repro.parallel.checkpoint`); ``journal`` streams the same
-    events to a separate observability file; ``telemetry_interval``
+    :func:`repro.parallel.resolve_workers`); ``journal`` streams every
+    event of the run to a JSONL file that is also its checkpoint: a
+    rerun on the same path resumes a killed run bit-identically
+    (:mod:`repro.parallel.checkpoint`; ``fom="best"`` writes one file
+    per FOM, see :func:`journal_paths`); ``telemetry_interval``
     switches on the background RSS/CPU/throughput sampler
     (:mod:`repro.obs.telemetry`) at that many seconds per sample.
 
     ``trace_id`` is an opaque correlation id stamped into the run's
     journal header and telemetry events so a service submission can be
     traced into the runner subprocess that executed it.  Like the
-    durability fields it is non-semantic: two requests differing only
-    in ``trace_id`` share one result-cache entry.
+    journal path it is non-semantic: two requests differing only in
+    ``trace_id`` share one result-cache entry.
 
     The request serializes to JSON (:meth:`to_json` /
     :meth:`from_json`) so a run's full configuration can be stored
@@ -290,7 +291,6 @@ class SimplifyRequest:
     prepass_backtrack_limit: int = 500
     weights: str = "netlist"
     workers: Optional[int] = None
-    checkpoint: Optional[str] = None
     journal: Optional[str] = None
     telemetry_interval: Optional[float] = None
     trace_id: Optional[str] = None
@@ -357,7 +357,6 @@ class SimplifyRequest:
             pow2_es=getattr(args, "pow2_es", False),
             weights=getattr(args, "weights", "netlist"),
             workers=getattr(args, "workers", None),
-            checkpoint=getattr(args, "checkpoint", None),
             journal=getattr(args, "journal", None),
             telemetry_interval=getattr(args, "telemetry_interval", None),
             trace_id=getattr(args, "trace_id", None),
@@ -383,7 +382,11 @@ class SimplifyRequest:
         of means the payload is newer or wrong, and either way it must
         not be silently dropped.  The exceptions are the
         :data:`_RETIRED_FIELDS`: stored requests that carry them still
-        load.
+        load.  Two retired spellings load onto their successors: a
+        ``checkpoint`` path becomes ``journal`` (the journal is the
+        checkpoint; when both are set ``checkpoint`` wins, because it
+        holds the resumable history), and ``es_mode="atpg"``, which
+        always ran exactly like ``"hybrid"``, becomes ``"hybrid"``.
         """
         if not isinstance(data, dict):
             raise InvalidRequestError("request JSON must be an object")
@@ -391,6 +394,11 @@ class SimplifyRequest:
         _check_schema_version("request", data.pop("schema_version", None))
         for key in _RETIRED_FIELDS:
             data.pop(key, None)
+        checkpoint = data.pop("checkpoint", None)
+        if checkpoint is not None:
+            data["journal"] = checkpoint
+        if data.get("es_mode") == "atpg":
+            data["es_mode"] = "hybrid"
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -426,9 +434,8 @@ class SimplifyRequest:
     def to_dict(self) -> Dict[str, Any]:
         """The JSON-ready form of this request (versioned)."""
         data = dataclasses.asdict(self)
-        for key in ("checkpoint", "journal"):
-            if data[key] is not None:
-                data[key] = os.fspath(data[key])
+        if data["journal"] is not None:
+            data["journal"] = os.fspath(data["journal"])
         data["schema_version"] = SCHEMA_VERSION
         return data
 
@@ -438,7 +445,7 @@ class SimplifyRequest:
     def fingerprint(self) -> str:
         """Content digest of the *semantic* request fields.
 
-        Durability paths and parallelism knobs
+        The journal path and parallelism knobs
         (:data:`_NON_SEMANTIC_FIELDS`) are excluded: parallel scoring
         is bit-identical to serial scoring and journal paths do not
         change the result, so requests differing only there share one
@@ -663,20 +670,24 @@ def simplify(
         if request.rs_threshold is not None
         else float(request.rs_pct_threshold) * rs_max(target) / 100.0
     )
-    foms = ("area_per_rs", "area") if request.fom == "best" else (request.fom,)
+    foms = _constituent_foms(request.fom)
+    journals = (
+        journal_paths(request.journal, request.fom)
+        if request.journal is not None
+        else [None] * len(foms)
+    )
 
     t0 = time.perf_counter()
     runs = []
-    for fom in foms:
+    for fom, journal in zip(foms, journals):
         cfg = request.greedy_config(fom)
         result = circuit_simplify(
             target,
             rs_threshold=threshold,
             config=cfg,
-            journal=_per_fom_path(request.journal, fom, foms),
+            journal=journal,
             obs=obs,
             workers=request.workers,
-            checkpoint=_per_fom_path(request.checkpoint, fom, foms),
             progress=progress,
             telemetry_interval=request.telemetry_interval,
             trace_id=request.trace_id,
@@ -705,15 +716,24 @@ def simplify(
     )
 
 
-def _per_fom_path(
-    path: Optional[Union[str, os.PathLike]], fom: str, foms: Tuple[str, ...]
-) -> Optional[str]:
-    """One journal/checkpoint file per constituent run: suffix the FOM
-    when the policy runs more than one."""
-    if path is None:
-        return None
+def _constituent_foms(fom: str) -> Tuple[str, ...]:
+    """The single-FOM greedy runs a FOM policy executes, in order."""
+    return ("area_per_rs", "area") if fom == "best" else (fom,)
+
+
+def journal_paths(path: Union[str, os.PathLike], fom: str) -> List[str]:
+    """The journal file of each constituent run of a ``fom`` policy, in
+    execution order.
+
+    A journal path names one run, so a single-FOM request journals to
+    ``path`` itself and ``fom="best"`` suffixes each FOM:
+    ``PATH.area_per_rs``, then ``PATH.area``.  Each file only grows, so
+    their concatenation is the request's event timeline; the job server
+    reads a job's journal through this helper.
+    """
     path = os.fspath(path)
-    return path if len(foms) == 1 else f"{path}.{fom}"
+    foms = _constituent_foms(fom)
+    return [path] if len(foms) == 1 else [f"{path}.{f}" for f in foms]
 
 
 def _budget_exhausted(result: GreedyResult, threshold: float) -> bool:

@@ -23,20 +23,20 @@ openmetrics`` and the heartbeat's ``telemetry.prom``).
 mergeable log-bucketed :class:`~repro.obs.slo.LatencyHistogram`, the
 OpenMetrics histogram parser, and the quantile summary / ``--fail-over``
 gate logic behind ``repro slo``.  ``repro.obs.flight`` (DESIGN.md §15)
-is the failure-mode layer: the bounded ring-buffer
-:class:`~repro.obs.flight.FlightRecorder` flushing atomic crash
-bundles, the in-process :class:`~repro.obs.flight.StallWatchdog`,
-normalized-traceback error fingerprints, and the postmortem / fleet
-error-cluster renderers behind ``repro postmortem`` / ``repro errors``.
+is the failure-mode layer: the :class:`~repro.obs.flight.FlightRecorder`
+crash hooks and the one atomic crash-bundle writer
+:func:`~repro.obs.flight.package_bundle`, whose journal tail is read
+from the run journal itself, normalized-traceback error fingerprints,
+and the postmortem / fleet error-cluster renderers behind
+``repro postmortem`` / ``repro errors``.
 """
 
 from .compare import compare_files, compare_runs, render_compare
 from .flight import (
     BUNDLE_DIRNAME,
-    DEFAULT_CAPACITY,
     STACKS_FILENAME,
+    TAIL_EVENTS,
     FlightRecorder,
-    StallWatchdog,
     cluster_errors,
     error_fingerprint,
     fingerprint_key,
@@ -193,10 +193,9 @@ __all__ = [
     "render_audit",
     "exact_er_check",
     "BUNDLE_DIRNAME",
-    "DEFAULT_CAPACITY",
     "STACKS_FILENAME",
+    "TAIL_EVENTS",
     "FlightRecorder",
-    "StallWatchdog",
     "cluster_errors",
     "error_fingerprint",
     "fingerprint_key",

@@ -3,19 +3,16 @@
 The rest of the observability stack answers "what is the run doing?";
 this module answers "why is it stuck or dead?".  Three pieces:
 
-* :class:`FlightRecorder` -- a bounded ring buffer with the journal
-  ``emit(event)`` surface, teed into the run's event stream.  It keeps
-  the last N events in memory (the "flight recorder") and flushes them
-  -- together with a ``faulthandler`` all-thread stack dump and the
-  progress/telemetry snapshots -- as an atomic **crash bundle**
-  (``crash/`` directory) from an installed ``sys.excepthook``.  It also
-  registers ``SIGUSR1`` with ``faulthandler`` so an external watchdog
-  can extract a stack dump from a wedged process (the C-level handler
-  fires even when the GIL is held).
-* :class:`StallWatchdog` -- an in-process thread that writes a
-  ``stall`` bundle when the event stream stops advancing for longer
-  than a deadline (N x the expected event interval), then re-arms when
-  progress resumes.
+* :class:`FlightRecorder` -- arms crash capture in a runner process: a
+  chained ``sys.excepthook`` that writes a **crash bundle** (``crash/``
+  directory) on any unexpected death, and a ``faulthandler``
+  registration for ``SIGUSR1`` so an external watchdog can extract a
+  stack dump from a wedged process (the C-level handler fires even when
+  the GIL is held).
+* :func:`package_bundle` -- the one bundle writer, shared by that
+  excepthook and the supervisor, which packages a hung or killed child
+  from outside.  The bundle's journal tail is read from the run's own
+  journal files: the run journal is the crash record.
 * Fingerprinting + forensics readers -- :func:`normalize_traceback`
   collapses a Python traceback (or a faulthandler dump) to its stable
   shape so :func:`fingerprint_text` clusters "the same failure" across
@@ -28,11 +25,10 @@ Bundle layout (all files best-effort except ``crash.json``)::
     crash/
       crash.json          # kind, ts, pid, trace_id, fingerprint, error
       traceback.txt       # formatted exception (crash bundles)
-      stacks.txt          # faulthandler dump of all threads
+      stacks.txt          # stack dump of all threads
       stacks_signal.txt   # SIGUSR1-triggered dump, when one landed
-      journal_tail.jsonl  # last N journal events from the ring
+      journal_tail.jsonl  # last TAIL_EVENTS events of the run journal
       progress.json       # last progress snapshot, verbatim copy
-      telemetry.json      # instrumentation snapshot at flush time
 
 The bundle directory is assembled in a sibling temp dir and published
 with one rename, so a half-written bundle is never observable.
@@ -40,7 +36,6 @@ with one rename, so a half-written bundle is never observable.
 
 from __future__ import annotations
 
-import collections
 import faulthandler
 import hashlib
 import json
@@ -50,19 +45,18 @@ import re
 import shutil
 import signal
 import sys
-import threading
+import tempfile
 import time
 import traceback
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .journal import load_journal
+from .journal import journal_events, load_journal
 
 __all__ = [
     "BUNDLE_DIRNAME",
     "STACKS_FILENAME",
-    "DEFAULT_CAPACITY",
+    "TAIL_EVENTS",
     "FlightRecorder",
-    "StallWatchdog",
     "normalize_traceback",
     "error_fingerprint",
     "fingerprint_text",
@@ -82,9 +76,9 @@ logger = logging.getLogger("repro.obs.flight")
 BUNDLE_DIRNAME = "crash"
 #: Standing faulthandler target for SIGUSR1 dumps, next to the bundle.
 STACKS_FILENAME = "stacks.txt"
-#: Ring capacity: enough tail to see what the run was doing, small
+#: Journal tail length: enough to see what the run was doing, small
 #: enough that a bundle stays a few tens of KB.
-DEFAULT_CAPACITY = 64
+TAIL_EVENTS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -163,74 +157,43 @@ def error_fingerprint(exc_type, exc, tb) -> Tuple[str, str]:
 
 
 class FlightRecorder:
-    """Bounded ring of recent journal events + crash-bundle flusher.
+    """Crash capture for one run directory.
 
-    Tee it into a run's event stream (it has the sink ``emit(event)``
-    surface) and call :meth:`install` to arm the excepthook and the
-    SIGUSR1 stack-dump handler.  Thread-safe; ``emit`` is O(1).
+    :meth:`install` arms the excepthook and the SIGUSR1 stack-dump
+    handler; the excepthook publishes the run's bundle through
+    :func:`package_bundle`, its tail read from ``journal_paths``.
     """
 
     def __init__(
         self,
-        capacity: int = DEFAULT_CAPACITY,
         trace_id: Optional[str] = None,
-        obs=None,
+        journal_paths: Sequence[str] = (),
     ) -> None:
-        self.capacity = max(1, int(capacity))
         self.trace_id = trace_id
-        #: Optional Instrumentation whose ``snapshot()`` lands in the
-        #: bundle's telemetry.json.
-        self.obs = obs
-        self.events_seen = 0
-        self.last_advance_unix = time.time()
-        self._ring = collections.deque(maxlen=self.capacity)
-        self._lock = threading.Lock()
-        self._bundle_lock = threading.Lock()
-        self._bundle_dir: Optional[str] = None
-        self._progress_path: Optional[str] = None
-        self._stacks_path: Optional[str] = None
+        #: The run's journal files, in order: the source of the tail.
+        self.journal_paths = list(journal_paths)
+        self._run_dir: Optional[str] = None
         self._stacks_fh = None
         self._signal_registered = False
         self._prev_excepthook = None
 
-    # -- journal-sink surface ------------------------------------------
-    def emit(self, event: Dict) -> None:
-        with self._lock:
-            self._ring.append(dict(event))
-            self.events_seen += 1
-            self.last_advance_unix = time.time()
-
-    def tail(self) -> List[Dict]:
-        with self._lock:
-            return list(self._ring)
-
-    def idle_seconds(self, now: Optional[float] = None) -> float:
-        """Seconds since the last event reached the ring."""
-        return (time.time() if now is None else now) - self.last_advance_unix
-
     # -- arming --------------------------------------------------------
-    def install(
-        self,
-        bundle_dir: str,
-        stacks_path: Optional[str] = None,
-        progress_path: Optional[str] = None,
-        excepthook: bool = True,
-    ) -> None:
+    def install(self, run_dir: str, excepthook: bool = True) -> None:
         """Arm crash capture for this process.
 
-        ``bundle_dir`` is where :meth:`write_bundle` publishes;
-        ``stacks_path`` (kept open for the process lifetime) becomes the
+        Bundles publish to ``run_dir/crash``; ``run_dir/stacks.txt``
+        (kept open for the process lifetime) becomes the
         ``faulthandler`` target for SIGUSR1, so an external watchdog's
         signal yields a stack dump even from a process wedged inside C
         code holding the GIL.
         """
-        self._bundle_dir = os.path.abspath(bundle_dir)
-        self._progress_path = progress_path
+        self._run_dir = os.path.abspath(run_dir)
         sig = getattr(signal, "SIGUSR1", None)
-        if stacks_path is not None and sig is not None:
+        if sig is not None:
             try:
-                self._stacks_path = os.path.abspath(stacks_path)
-                self._stacks_fh = open(self._stacks_path, "w", encoding="utf-8")
+                self._stacks_fh = open(
+                    os.path.join(self._run_dir, STACKS_FILENAME), "w", encoding="utf-8"
+                )
                 faulthandler.register(sig, file=self._stacks_fh, all_threads=True)
                 self._signal_registered = True
             except (OSError, RuntimeError, ValueError):  # pragma: no cover
@@ -258,221 +221,107 @@ class FlightRecorder:
 
     def _excepthook(self, exc_type, exc, tb) -> None:
         try:
-            self.write_bundle("crash", exc_info=(exc_type, exc, tb))
+            self.write_bundle((exc_type, exc, tb))
         except Exception:  # noqa: BLE001 - forensics must not mask the crash
             logger.debug("crash bundle write failed", exc_info=True)
         prev = self._prev_excepthook or sys.__excepthook__
         prev(exc_type, exc, tb)
 
     # -- flushing ------------------------------------------------------
-    def write_bundle(
-        self,
-        kind: str,
-        exc_info=None,
-        note: Optional[str] = None,
-    ) -> str:
-        """Flush the recorder's state as an atomic ``crash/`` bundle.
+    def write_bundle(self, exc_info) -> str:
+        """Publish this process's ``crash`` bundle for ``exc_info``.
 
-        Returns the published bundle path.  ``kind`` is ``crash`` /
-        ``stall`` / anything the caller wants to label the incident.
+        Returns the bundle path.  The bundle carries the formatted
+        traceback, whose normalized shape is the fingerprint, and a
+        fresh all-thread stack dump.
         """
-        if self._bundle_dir is None:
+        if self._run_dir is None:
             raise ValueError("FlightRecorder.install() was never called")
-        with self._bundle_lock:
-            tmp = f"{self._bundle_dir}.tmp.{os.getpid()}"
-            shutil.rmtree(tmp, ignore_errors=True)
-            os.makedirs(tmp)
-
-            with open(os.path.join(tmp, STACKS_FILENAME), "w", encoding="utf-8") as fh:
-                try:
-                    faulthandler.dump_traceback(file=fh, all_threads=True)
-                except (OSError, RuntimeError):  # pragma: no cover
-                    fh.write("(stack dump unavailable)\n")
-            _copy_if_exists(
-                self._stacks_path, os.path.join(tmp, "stacks_signal.txt"),
-                nonempty=True,
-            )
-            _copy_if_exists(self._progress_path, os.path.join(tmp, "progress.json"))
-
-            with open(
-                os.path.join(tmp, "journal_tail.jsonl"), "w", encoding="utf-8"
-            ) as fh:
-                for event in self.tail():
-                    fh.write(json.dumps(event, sort_keys=True, default=str) + "\n")
-
-            if self.obs is not None:
-                try:
-                    with open(
-                        os.path.join(tmp, "telemetry.json"), "w", encoding="utf-8"
-                    ) as fh:
-                        json.dump(
-                            self.obs.snapshot(), fh, indent=2, sort_keys=True,
-                            default=str,
-                        )
-                        fh.write("\n")
-                except Exception:  # noqa: BLE001 - snapshot is best-effort
-                    logger.debug("telemetry snapshot failed", exc_info=True)
-
-            error = None
-            if exc_info is not None:
-                fingerprint, tb_text = error_fingerprint(*exc_info)
-                with open(
-                    os.path.join(tmp, "traceback.txt"), "w", encoding="utf-8"
-                ) as fh:
-                    fh.write(tb_text)
-                error = {
-                    "type": exc_info[0].__name__ if exc_info[0] else "Exception",
-                    "message": str(exc_info[1]),
-                }
-                normalized = normalize_traceback(tb_text)
-            else:
-                # No exception: the stall/stack shape is the identity.
-                with open(
-                    os.path.join(tmp, STACKS_FILENAME), "r", encoding="utf-8"
-                ) as fh:
-                    stacks_text = fh.read()
-                fingerprint = fingerprint_text(stacks_text)
-                normalized = normalize_traceback(stacks_text)
-
-            crash = {
-                "kind": kind,
-                "ts_unix": time.time(),
-                "pid": os.getpid(),
-                "python": sys.version.split()[0],
-                "trace_id": self.trace_id,
-                "fingerprint": fingerprint,
-                "error": error,
-                "normalized": normalized,
-                "events_seen": self.events_seen,
-                "note": note,
-            }
-            with open(os.path.join(tmp, "crash.json"), "w", encoding="utf-8") as fh:
-                json.dump(crash, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-
-            _publish_dir(tmp, self._bundle_dir)
-            return self._bundle_dir
-
-
-class StallWatchdog:
-    """In-process stall detector over one :class:`FlightRecorder`.
-
-    A daemon thread that writes a ``stall`` bundle when the recorder's
-    event stream has not advanced for ``deadline_s`` (callers derive it
-    as N x the expected event interval), fires ``on_stall(path)``, then
-    re-arms once events flow again.  It never kills anything -- killing
-    is the *supervisor's* call (see ``WorkerPool``); this thread's job
-    is to save the evidence while the process is still alive.
-    """
-
-    def __init__(
-        self,
-        recorder: FlightRecorder,
-        deadline_s: float,
-        poll_s: float = 0.25,
-        on_stall=None,
-    ) -> None:
-        if deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0")
-        self.recorder = recorder
-        self.deadline_s = float(deadline_s)
-        self.poll_s = float(poll_s)
-        self.on_stall = on_stall
-        self.stalls = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> None:
-        if self._thread is not None:
-            raise RuntimeError("watchdog already started")
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-stall-watchdog", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def _loop(self) -> None:
-        fired = False
-        while not self._stop.wait(self.poll_s):
-            idle = self.recorder.idle_seconds()
-            if idle < self.deadline_s:
-                fired = False
-                continue
-            if fired:
-                continue
-            fired = True
-            self.stalls += 1
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
             try:
-                path = self.recorder.write_bundle(
-                    "stall",
-                    note=(
-                        f"no journal events for {idle:.1f}s "
-                        f"(deadline {self.deadline_s:g}s)"
-                    ),
-                )
-            except Exception:  # noqa: BLE001 - watchdog must survive
-                logger.debug("stall bundle write failed", exc_info=True)
-                continue
-            logger.warning("stall detected; bundle written to %s", path)
-            if self.on_stall is not None:
-                try:
-                    self.on_stall(path)
-                except Exception:  # noqa: BLE001
-                    logger.debug("on_stall callback failed", exc_info=True)
+                faulthandler.dump_traceback(file=fh, all_threads=True)
+            except (OSError, RuntimeError):  # pragma: no cover
+                fh.write("(stack dump unavailable)\n")
+            fh.seek(0)
+            stacks_text = fh.read()
+        fingerprint, traceback_text = error_fingerprint(*exc_info)
+        return package_bundle(
+            self._run_dir,
+            "crash",
+            fingerprint,
+            journal_paths=self.journal_paths,
+            error={
+                "type": exc_info[0].__name__ if exc_info[0] else "Exception",
+                "message": str(exc_info[1]),
+            },
+            stacks_text=stacks_text,
+            traceback_text=traceback_text,
+            trace_id=self.trace_id,
+            pid=os.getpid(),
+        )
 
 
 # ---------------------------------------------------------------------------
-# supervisor-side packaging (no live recorder: build from artifacts)
+# the one bundle writer
 # ---------------------------------------------------------------------------
 
 
 def package_bundle(
-    job_dir: str,
+    run_dir: str,
     kind: str,
     fingerprint: str,
+    journal_paths: Sequence[str] = (),
     error: Optional[Dict] = None,
-    tail_events: Sequence[Dict] = (),
     stacks_text: Optional[str] = None,
+    traceback_text: Optional[str] = None,
     trace_id: Optional[str] = None,
     note: Optional[str] = None,
+    pid: Optional[int] = None,
 ) -> str:
-    """Assemble a crash bundle for ``job_dir`` from the outside.
+    """Publish the crash bundle ``run_dir/crash``; returns its path.
 
-    The supervisor's half of the story: after it SIGKILLs a hung child
-    (which cannot run an excepthook) it packages whatever the job dir
-    holds -- the SIGUSR1 stack dump, the journal tail, the last
-    progress snapshot -- under the same ``crash/`` contract the
-    in-process recorder publishes.  Overwrites an existing bundle.
+    The in-process excepthook (:meth:`FlightRecorder.write_bundle`) and
+    the supervisor -- after it SIGKILLs a hung child, or finds a child
+    killed from outside, neither of which can run an excepthook -- both
+    write through here.  ``journal_tail.jsonl`` holds the last
+    :data:`TAIL_EVENTS` events of the run's ``journal_paths``
+    (:func:`~repro.obs.journal.journal_events`).  ``stacks_text`` is the
+    bundle's stack dump; when it is omitted the run dir's standing
+    SIGUSR1 dump (``stacks.txt``) serves instead, and when it is given
+    a non-empty SIGUSR1 dump is kept alongside as ``stacks_signal.txt``.
+    Overwrites an existing bundle.
     """
-    job_dir = os.path.abspath(job_dir)
-    bundle_dir = os.path.join(job_dir, BUNDLE_DIRNAME)
+    run_dir = os.path.abspath(run_dir)
+    bundle_dir = os.path.join(run_dir, BUNDLE_DIRNAME)
     tmp = f"{bundle_dir}.tmp.{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp)
+    signal_dump = _read_if_exists(os.path.join(run_dir, STACKS_FILENAME))
     if stacks_text is None:
-        stacks_text = _read_if_exists(os.path.join(job_dir, STACKS_FILENAME))
-    if stacks_text:
-        with open(os.path.join(tmp, STACKS_FILENAME), "w", encoding="utf-8") as fh:
-            fh.write(stacks_text)
+        stacks_text, signal_dump = signal_dump, None
+    for name, text in (
+        (STACKS_FILENAME, stacks_text),
+        ("stacks_signal.txt", signal_dump),
+        ("traceback.txt", traceback_text),
+    ):
+        if text:
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
     _copy_if_exists(
-        os.path.join(job_dir, "progress.json"), os.path.join(tmp, "progress.json")
+        os.path.join(run_dir, "progress.json"), os.path.join(tmp, "progress.json")
     )
     with open(os.path.join(tmp, "journal_tail.jsonl"), "w", encoding="utf-8") as fh:
-        for event in tail_events:
+        for event in journal_events(journal_paths)[-TAIL_EVENTS:]:
             fh.write(json.dumps(event, sort_keys=True, default=str) + "\n")
+    shape = traceback_text or stacks_text
     crash = {
         "kind": kind,
         "ts_unix": time.time(),
-        "pid": None,
+        "pid": pid,
         "trace_id": trace_id,
         "fingerprint": fingerprint,
         "error": error,
-        "normalized": normalize_traceback(stacks_text) if stacks_text else None,
+        "normalized": normalize_traceback(shape) if shape else None,
         "note": note,
     }
     with open(os.path.join(tmp, "crash.json"), "w", encoding="utf-8") as fh:
@@ -482,12 +331,10 @@ def package_bundle(
     return bundle_dir
 
 
-def _copy_if_exists(src: Optional[str], dst: str, nonempty: bool = False) -> None:
-    if not src or not os.path.isfile(src):
+def _copy_if_exists(src: str, dst: str) -> None:
+    if not os.path.isfile(src):
         return
     try:
-        if nonempty and os.path.getsize(src) == 0:
-            return
         shutil.copyfile(src, dst)
     except OSError:  # pragma: no cover - forensics is best-effort
         logger.debug("cannot copy %s into bundle", src, exc_info=True)
@@ -717,9 +564,8 @@ def load_bundle(path: str) -> Dict:
             "stacks": None,
             "stacks_signal": None,
             "traceback": None,
-            "tail": events[-DEFAULT_CAPACITY:],
+            "tail": events[-TAIL_EVENTS:],
             "progress": None,
-            "telemetry": None,
         }
     if not os.path.isdir(path):
         raise ValueError(f"{path}: no such file or directory")
@@ -733,29 +579,15 @@ def load_bundle(path: str) -> Dict:
             )
     with open(os.path.join(bundle_dir, "crash.json"), "r", encoding="utf-8") as fh:
         crash = json.load(fh)
-    tail: List[Dict] = []
-    tail_path = os.path.join(bundle_dir, "journal_tail.jsonl")
-    if os.path.isfile(tail_path):
-        with open(tail_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    tail.append(json.loads(line))
-                except ValueError:
-                    continue  # torn tail line
     progress = _load_json_if_exists(os.path.join(bundle_dir, "progress.json"))
-    telemetry = _load_json_if_exists(os.path.join(bundle_dir, "telemetry.json"))
     return {
         "source": bundle_dir,
         "crash": crash,
         "stacks": _read_if_exists(os.path.join(bundle_dir, STACKS_FILENAME)),
         "stacks_signal": _read_if_exists(os.path.join(bundle_dir, "stacks_signal.txt")),
         "traceback": _read_if_exists(os.path.join(bundle_dir, "traceback.txt")),
-        "tail": tail,
+        "tail": journal_events([os.path.join(bundle_dir, "journal_tail.jsonl")]),
         "progress": progress,
-        "telemetry": telemetry,
     }
 
 

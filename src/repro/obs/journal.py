@@ -19,8 +19,11 @@ handed to the OS in a **single buffered write followed by a flush**, so
 a run killed between events leaves a journal whose every line is a
 complete, parseable event -- interrupted runs keep a readable prefix.
 (A kill *during* the one write can leave at most one torn final line;
-:func:`read_journal` tolerates exactly that.)  The file itself is
-opened in ``w`` mode: a journal path names one run.
+:func:`read_journal` tolerates exactly that.)  A journal path names one
+run, and the journal is also that run's checkpoint: ``circuit_simplify``
+continues a file holding a prefix of the same run (``append=True``),
+rebuilds the result from a complete one, and refuses any other file
+(:mod:`repro.parallel.checkpoint`).
 
 :func:`read_journal` / :func:`validate_event` are the consumer side:
 the reader yields parsed events in order and (non-strict mode) ignores
@@ -33,8 +36,7 @@ structured ``fault_detail`` object (signal/gate/pin/value) so committed
 faults can be replayed through the Overlay engine, ``rejection`` events
 record commit-phase rejections (rebuilding the greedy loop's banned set
 on resume), and a ``resume`` event marks each continuation of an
-interrupted run.  A journal written in append mode (``append=True``)
-continues an existing file instead of naming a fresh run.
+interrupted run.
 
 Version 3 adds estimator-calibration observability
 (:mod:`repro.obs.quality`): each committed iteration is followed by a
@@ -65,16 +67,18 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import IO, Dict, Iterator, List, Optional, Union
+from typing import IO, Dict, Iterable, Iterator, List, Optional, Union
 
 __all__ = [
     "JOURNAL_VERSION",
     "REQUIRED_KEYS",
     "JournalError",
+    "JournalTee",
     "RunJournal",
     "validate_event",
     "read_journal",
     "load_journal",
+    "journal_events",
     "truncate_torn_tail",
 ]
 
@@ -200,21 +204,13 @@ def validate_event(event: Dict) -> Dict:
 class RunJournal:
     """JSONL event writer with a readable-prefix durability guarantee.
 
-    ``fsync=True`` additionally forces every event to stable storage
-    (for crash-hardened runs; the default only guarantees the prefix
-    property against process death, not power loss).  ``append=True``
-    continues an existing journal (the checkpoint-resume path) instead
-    of starting a fresh run file.
+    The guarantee holds against process death, not power loss.
+    ``append=True`` continues an existing journal (the checkpoint-resume
+    path) instead of starting a fresh run file.
     """
 
-    def __init__(
-        self,
-        path: Union[str, os.PathLike],
-        fsync: bool = False,
-        append: bool = False,
-    ) -> None:
+    def __init__(self, path: Union[str, os.PathLike], append: bool = False) -> None:
         self.path = os.fspath(path)
-        self._fsync = fsync
         mode = "a" if append else "w"
         self._fh: Optional[IO[str]] = open(self.path, mode, encoding="utf-8")
         self.events_written = 0
@@ -235,8 +231,6 @@ class RunJournal:
             # interrupt between events never tears a line.
             self._fh.write(line + "\n")
             self._fh.flush()
-            if self._fsync:
-                os.fsync(self._fh.fileno())
             self.events_written += 1
 
     def close(self) -> None:
@@ -254,6 +248,21 @@ class RunJournal:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class JournalTee:
+    """One ``emit(event)`` sink fanning every event out to several, in
+    order: the run journal, a live progress reporter, a test hook --
+    anything with the journal's ``emit`` surface."""
+
+    __slots__ = ("sinks",)
+
+    def __init__(self, sinks) -> None:
+        self.sinks = list(sinks)
+
+    def emit(self, event: Dict) -> None:
+        for sink in self.sinks:
+            sink.emit(event)
 
 
 def _jsonify(obj):
@@ -274,11 +283,14 @@ def read_journal(
 ) -> Iterator[Dict]:
     """Yield the parsed events of a journal file in order.
 
-    In the default non-strict mode a torn **final** line (the one
-    partial write an interrupt can leave behind) is silently ignored;
-    any other malformed or mid-file garbage line raises
-    :class:`JournalError` either way, because it means the file is not
-    a journal prefix but a corrupted stream.
+    In the default non-strict mode a torn **final** line (one without
+    its newline: the one partial write an interrupt can leave behind,
+    or a line the writer is still writing) is silently ignored -- the
+    same line :func:`truncate_torn_tail` cuts before a resume appends,
+    so no reader ever counts an event a resume could remove.  Any other
+    malformed or mid-file garbage line raises :class:`JournalError`
+    either way, because it means the file is not a journal prefix but a
+    corrupted stream.
 
     ``skip_unknown=True`` silently drops well-formed events whose type
     this build has never heard of (the forward-compat contract for the
@@ -296,7 +308,8 @@ def read_journal(
     for i, line in enumerate(lines):
         if not line.strip():
             continue
-        is_last = i == len(lines) - 1
+        if i == len(lines) - 1 and not trailing_complete and not strict:
+            return  # torn final line from an interrupted run
         try:
             event = json.loads(line)
             if (
@@ -308,8 +321,6 @@ def read_journal(
             if validate:
                 validate_event(event)
         except (json.JSONDecodeError, JournalError) as exc:
-            if is_last and not trailing_complete and not strict:
-                return  # torn final line from an interrupted run
             raise JournalError(f"{path}: bad journal line {i + 1}: {exc}") from exc
         yield event
 
@@ -326,6 +337,24 @@ def load_journal(
             path, strict=strict, validate=validate, skip_unknown=skip_unknown
         )
     )
+
+
+def journal_events(paths: Iterable[Union[str, os.PathLike]]) -> List[Dict]:
+    """The events of one run's journal files, in order, as far as they read.
+
+    Each file contributes its readable prefix (:func:`read_journal`,
+    unvalidated): a missing file contributes nothing, and mid-file
+    garbage ends that file's contribution instead of raising.  Safe to
+    call while the run is still writing -- the service's live event
+    stream and every crash bundle's journal tail read a run this way.
+    """
+    events: List[Dict] = []
+    for path in paths:
+        try:
+            events.extend(read_journal(path, validate=False))
+        except (OSError, ValueError):  # JournalError, undecodable bytes
+            continue
+    return events
 
 
 def truncate_torn_tail(path: Union[str, os.PathLike]) -> bool:

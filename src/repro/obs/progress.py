@@ -2,9 +2,9 @@
 
 A :class:`ProgressReporter` is a journal *sink*: it exposes the same
 ``emit(event)`` surface as :class:`~repro.obs.journal.RunJournal`, so
-the greedy loop fans the one event stream out to it alongside the
-journal and checkpoint files -- no second instrumentation channel, and
-the progress view can never disagree with what the journal recorded.
+the greedy loop fans the one event stream out to it alongside the run
+journal -- no second instrumentation channel, and the progress view
+can never disagree with what the journal recorded.
 
 Two outputs, both optional:
 

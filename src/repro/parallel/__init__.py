@@ -2,8 +2,8 @@
 
 ``repro.parallel.pool`` shards phase-2 candidate scoring across worker
 processes with a deterministic merge (parallel runs select the same
-fault sequence as serial runs); ``repro.parallel.checkpoint`` journals
-committed iterations so a killed run can be resumed bit-identically.
+fault sequence as serial runs); ``repro.parallel.checkpoint`` resumes
+a killed run bit-identically from its run journal.
 See DESIGN.md §8.
 """
 

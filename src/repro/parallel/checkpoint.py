@@ -1,6 +1,6 @@
 """Run-level checkpoint/resume on top of the JSONL run journal.
 
-A checkpoint file *is* a run journal (schema version >= 2): the
+The run journal (schema version >= 2) *is* the checkpoint: the
 ``run_start`` header pins the circuit identity, RS threshold and the
 full greedy config; every committed step is an ``iteration`` event
 whose ``fault_detail`` names the injected fault structurally; every
@@ -20,9 +20,9 @@ exactly the state needed to continue it:
   same journal after a ``resume`` marker event.
 
 :func:`resume_from` is the one-call entry point; the greedy loop itself
-consumes :func:`load_checkpoint` / :func:`replay_checkpoint` when
-``circuit_simplify`` is handed a ``checkpoint`` path that already holds
-a run prefix.
+consumes :func:`maybe_load_checkpoint` / :func:`replay_checkpoint` when
+``circuit_simplify`` is handed a ``journal`` path that already holds a
+run prefix.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..circuit import Circuit
 from ..core.errors import CheckpointMismatchError
@@ -375,13 +375,18 @@ def greedy_config_from(config: Dict):
     Unknown keys (written by a newer schema) are dropped rather than
     fatal; known keys keep their journaled values verbatim, which is
     what pins the resumed run to the original's vector batch and knobs.
+    The one exception is ``es_mode="atpg"``, a retired spelling that
+    always ran exactly like ``"hybrid"``: it loads as ``"hybrid"``.
     """
     import dataclasses
 
     from ..simplify.greedy import GreedyConfig
 
     known = {f.name for f in dataclasses.fields(GreedyConfig)}
-    return GreedyConfig(**{k: v for k, v in config.items() if k in known})
+    fields = {k: v for k, v in config.items() if k in known}
+    if fields.get("es_mode") == "atpg":
+        fields["es_mode"] = "hybrid"
+    return GreedyConfig(**fields)
 
 
 # ----------------------------------------------------------------------
@@ -391,28 +396,25 @@ def resume_from(
     circuit: Circuit,
     checkpoint: Union[str, os.PathLike],
     workers: Optional[int] = None,
-    journal=None,
     obs=None,
 ):
-    """Continue (or finish reconstructing) a checkpointed run.
+    """Continue (or finish reconstructing) a journaled run.
 
-    Loads the run configuration from the checkpoint header -- the
-    caller supplies only the original circuit and the path -- replays
-    the committed prefix, and runs the greedy loop to completion,
-    appending to the same checkpoint.  A checkpoint whose run already
-    completed reconstructs the finished :class:`GreedyResult` without
-    re-running anything.
+    Loads the run configuration from the journal header -- the caller
+    supplies only the original circuit and the path -- replays the
+    committed prefix, and runs the greedy loop to completion, appending
+    to the same journal.  A journal whose run already completed
+    reconstructs the finished :class:`GreedyResult` without re-running
+    anything.
     """
     from ..simplify.greedy import circuit_simplify
 
     state = load_checkpoint(checkpoint)
-    cfg = greedy_config_from(state.config)
     return circuit_simplify(
         circuit,
         rs_threshold=state.rs_threshold,
-        config=cfg,
-        journal=journal,
+        config=greedy_config_from(state.config),
+        journal=checkpoint,
         obs=obs,
         workers=workers,
-        checkpoint=checkpoint,
     )

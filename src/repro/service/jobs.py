@@ -7,17 +7,18 @@ service data dir::
     jobs/<id>/
       request.json     # the submitted SimplifyRequest (versioned JSON)
       netlist.bench    # the exact netlist text the job optimizes
-      checkpoint.jsonl # the run journal: crash checkpoint + event stream
+      checkpoint.jsonl # the run journal: checkpoint, event stream, crash record
       progress.json    # atomic heartbeat snapshot (live progress feed)
       outcome.json     # the SimplifyOutcome, written once on success
       error.json       # typed error body, written once on failure
 
 (``fom="best"`` requests suffix the checkpoint per constituent FOM,
-exactly like the CLI.)  Because the checkpoint is the journal
-``circuit_simplify`` resumes from, *re-running a job directory is the
-crash-recovery story*: a worker that died mid-run left a readable
-prefix, and the next attempt replays it and appends to it -- so the
-one file also holds the job's full event history across attempts.
+exactly like the CLI; :func:`job_journal_paths`.)  Because the
+checkpoint is the journal ``circuit_simplify`` resumes from,
+*re-running a job directory is the crash-recovery story*: a worker
+that died mid-run left a readable prefix, and the next attempt replays
+it and appends to it -- so the one file also holds the job's full
+event history across attempts.
 
 The :class:`JobStore` owns the id space, the directories, and a
 bounded FIFO queue (``queue.Queue``).  Submission is content-aware:
@@ -40,9 +41,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..core.api import SimplifyRequest
+from ..core.api import SimplifyRequest, journal_paths
 from ..core.errors import JobNotFoundError, QueueFullError
 from ..obs.core import NULL, Instrumentation
+from ..obs.journal import journal_events
 
 __all__ = [
     "Job",
@@ -53,6 +55,7 @@ __all__ = [
     "job_chrome_trace",
     "job_error_record",
     "job_journal_events",
+    "job_journal_paths",
 ]
 
 logger = logging.getLogger("repro.service.jobs")
@@ -405,14 +408,17 @@ class JobStore:
 # ----------------------------------------------------------------------
 # journal views (the /v1/jobs/<id>/events and /trace read paths)
 # ----------------------------------------------------------------------
-#: Checkpoint file suffixes in execution order.  A single-FOM request
-#: writes the bare ``checkpoint.jsonl``; ``fom="best"`` suffixes one
-#: file per constituent run (see ``_per_fom_path``), and the runs
-#: execute sequentially in exactly this order.  Each file only grows
-#: (a resume appends after truncating a torn tail), so concatenating
-#: the files yields the job's event timeline, and an event *index* into
-#: the concatenation is a stable streaming cursor.
-_JOURNAL_SUFFIXES = ("", ".area_per_rs", ".area")
+def job_journal_paths(job: Job) -> List[str]:
+    """The job's journal files in execution order.
+
+    A single-FOM request writes the bare ``checkpoint.jsonl``;
+    ``fom="best"`` writes one file per constituent run
+    (:func:`repro.core.api.journal_paths`).  Each file only grows (a
+    resume appends after truncating a torn tail no reader counted), so
+    concatenating the files yields the job's event timeline, and an
+    event *index* into the concatenation is a stable streaming cursor.
+    """
+    return journal_paths(job.checkpoint_path, job.request.fom)
 
 
 def job_activity_paths(job: Job) -> List[str]:
@@ -423,9 +429,7 @@ def job_activity_paths(job: Job) -> List[str]:
     with none of them moving means the child is wedged, not slow.
     Paths that don't exist yet are included (callers skip them).
     """
-    paths = [job.checkpoint_path + suffix for suffix in _JOURNAL_SUFFIXES]
-    paths.append(job.progress_path)
-    return paths
+    return job_journal_paths(job) + [job.progress_path]
 
 
 def job_error_record(job: Job) -> Optional[Dict]:
@@ -451,33 +455,14 @@ def job_error_record(job: Job) -> Optional[Dict]:
 def job_journal_events(job: Job) -> List[Dict]:
     """Every journal event the job's runners have written so far.
 
-    Reads the readable prefix of each checkpoint file (a torn final
-    line -- the runner mid-write or mid-crash -- ends that file's
-    contribution, exactly the journal durability contract).  Every
-    attempt's events are there: a resumed attempt appends a ``resume``
-    marker and continues the same file.  Safe to call while the runner
-    is writing.
+    The readable prefix of each journal file
+    (:func:`~repro.obs.journal.journal_events`: a torn final line -- the
+    runner mid-write or mid-crash -- is not counted, exactly the
+    journal durability contract).  Every attempt's events are there: a
+    resumed attempt appends a ``resume`` marker and continues the same
+    file.  Safe to call while the runner is writing.
     """
-    events: List[Dict] = []
-    for suffix in _JOURNAL_SUFFIXES:
-        path = job.checkpoint_path + suffix
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.endswith("\n"):
-                        break  # torn tail: the runner is mid-write
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        event = json.loads(line)
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(event, dict):
-                        events.append(event)
-        except OSError:
-            continue
-    return events
+    return journal_events(job_journal_paths(job))
 
 
 def job_chrome_trace(job: Job, events: Optional[List[Dict]] = None) -> Dict:

@@ -19,14 +19,11 @@ Exit protocol (what the supervisor reads):
 * neither -> the process crashed mid-run; re-queue and resume.
 
 Forensics (DESIGN.md §15): every runner arms a
-:class:`~repro.obs.flight.FlightRecorder` -- the run's event stream is
-teed into its ring buffer, an excepthook flushes a ``crash/`` bundle
-on any unexpected death, and ``SIGUSR1`` is registered with
+:class:`~repro.obs.flight.FlightRecorder` -- an excepthook writes a
+``crash/`` bundle on any unexpected death, its journal tail read from
+the job's checkpoint journal, and ``SIGUSR1`` is registered with
 ``faulthandler`` so the pool's hang watchdog can extract an all-thread
 stack dump (``stacks.txt``) from a wedged process before killing it.
-``REPRO_FLIGHT_STALL_S`` (set by the pool from its hang deadline) arms
-the in-process :class:`~repro.obs.flight.StallWatchdog` as well, so a
-stall is self-reported with full context before the external kill.
 """
 
 from __future__ import annotations
@@ -36,28 +33,18 @@ import logging
 import os
 import sys
 import time
+from typing import Optional
 
 from ..circuit import loads_bench
-from ..core.api import SimplifyOutcome, SimplifyRequest, simplify
+from ..core.api import SimplifyOutcome, SimplifyRequest, journal_paths, simplify
 from ..core.errors import CompileError, ReproError, error_body
-from ..obs.flight import BUNDLE_DIRNAME, STACKS_FILENAME, FlightRecorder, StallWatchdog
+from ..obs.flight import FlightRecorder
+from ..obs.journal import JournalTee
 from ..obs.progress import ProgressReporter
 
 __all__ = ["run_job", "main"]
 
 logger = logging.getLogger("repro.service.runner")
-
-
-class _Fanout:
-    """One journal sink fanning events to several (progress reporter,
-    flight recorder, test fault injector)."""
-
-    def __init__(self, sinks) -> None:
-        self.sinks = list(sinks)
-
-    def emit(self, event: dict) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
 
 
 class _FaultInjector:
@@ -132,26 +119,31 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def run_job(job_dir: str, flight: FlightRecorder = None) -> SimplifyOutcome:
+def run_job(job_dir: str, flight: Optional[FlightRecorder] = None) -> SimplifyOutcome:
     """Execute the job stored in ``job_dir`` and persist its outcome.
 
-    The stored request's durability fields are overridden with the
-    job-local checkpoint path -- the service owns placement, not the
+    The stored request's journal path is overridden with the job-local
+    ``checkpoint.jsonl`` -- the service owns placement, not the
     submitter -- and a :class:`ProgressReporter` feeds
     ``progress.json`` so the server can answer status polls with live
     numbers.  The request's
     ``trace_id`` (stamped by the server at submit) flows through
     ``simplify`` into the journal header and telemetry events: the
     runner-side half of the correlation story.  ``flight`` (when armed
-    by :func:`main`) rides the same event stream, so a crash bundle
-    carries the run's last moments.
+    by :func:`main`) learns the trace id and the journal files, so a
+    crash bundle carries the run's last moments.
     """
     with open(os.path.join(job_dir, "request.json"), "r", encoding="utf-8") as fh:
         request = SimplifyRequest.from_json(fh.read())
     if request.trace_id:
         logger.info("job %s trace_id=%s", job_dir, request.trace_id)
+    # The checkpoint (appended across resumes) is the job's only
+    # journal: the event stream, trace and crash tail read it too.
+    journal = os.path.join(job_dir, "checkpoint.jsonl")
+    request = request.replace(journal=journal)
     if flight is not None:
         flight.trace_id = request.trace_id
+        flight.journal_paths = journal_paths(journal, request.fom)
     with open(os.path.join(job_dir, "netlist.bench"), "r", encoding="utf-8") as fh:
         bench_text = fh.read()
     name = _bench_name(bench_text)
@@ -160,25 +152,15 @@ def run_job(job_dir: str, flight: FlightRecorder = None) -> SimplifyOutcome:
     except ValueError as exc:
         raise CompileError(f"netlist does not parse: {exc}") from exc
 
-    # The checkpoint (appended across resumes) is the job's only
-    # journal: the event stream and trace endpoints read it too.
-    request = request.replace(
-        checkpoint=os.path.join(job_dir, "checkpoint.jsonl"), journal=None
-    )
     progress = ProgressReporter(
         json_path=os.path.join(job_dir, "progress.json"),
         interval_s=0.2,
     )
-    sinks = [progress]
-    if flight is not None:
-        sinks.append(flight)
     injector = _FaultInjector.from_env(job_dir)
-    if injector is not None:
-        # Last in the fan-out: the checkpoint sink has committed the
-        # event before an injected fault fires, so a killed attempt
-        # leaves a resumable prefix.
-        sinks.append(injector)
-    sink = progress if len(sinks) == 1 else _Fanout(sinks)
+    # The injector rides behind the journal, which has committed the
+    # event before an injected fault fires, so a killed attempt leaves
+    # a resumable prefix.
+    sink = progress if injector is None else JournalTee([progress, injector])
     try:
         outcome = simplify(circuit, request, progress=sink)
     finally:
@@ -208,19 +190,9 @@ def main(argv=None) -> int:
         return 2
     job_dir = argv[0]
     flight = FlightRecorder()
-    flight.install(
-        bundle_dir=os.path.join(job_dir, BUNDLE_DIRNAME),
-        stacks_path=os.path.join(job_dir, STACKS_FILENAME),
-        progress_path=os.path.join(job_dir, "progress.json"),
-    )
-    watchdog = None
-    try:
-        stall_s = float(os.environ.get("REPRO_FLIGHT_STALL_S") or 0.0)
-    except ValueError:
-        stall_s = 0.0
-    if stall_s > 0:
-        watchdog = StallWatchdog(flight, deadline_s=stall_s)
-        watchdog.start()
+    flight.install(job_dir)
+    # Anything *unexpected* propagates past this frame into the
+    # installed excepthook, which writes the crash bundle.
     try:
         run_job(job_dir, flight=flight)
         return 0
@@ -235,11 +207,6 @@ def main(argv=None) -> int:
         )
         logger.error("job %s failed: %s", job_dir, exc)
         return 1
-    finally:
-        # Anything *unexpected* propagates past this frame into the
-        # installed excepthook, which flushes the crash bundle.
-        if watchdog is not None:
-            watchdog.stop()
 
 
 if __name__ == "__main__":

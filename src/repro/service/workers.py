@@ -57,7 +57,7 @@ from ..obs.flight import (
     package_bundle,
 )
 from .cache import ResultCache
-from .jobs import Job, JobStore, job_activity_paths, job_journal_events
+from .jobs import Job, JobStore, job_activity_paths, job_journal_paths
 
 __all__ = ["WorkerPool"]
 
@@ -68,24 +68,14 @@ _POLL_S = 0.05
 #: before SIGKILL (it stays wedged -- this wait is for the dump, not
 #: for a graceful exit).
 _DUMP_GRACE_S = 1.0
-#: Crash-bundle journal tail length (matches the in-process ring).
-_TAIL_EVENTS = 64
 
 
-def _runner_env(stall_s: Optional[float] = None) -> dict:
-    """Child env with this repro importable regardless of install mode.
-
-    ``stall_s`` arms the runner's *in-process* stall watchdog (see
-    ``repro.service.runner``) so a wedged child saves a rich bundle
-    itself before the supervisor's coarser deadline kills it.  An
-    explicit ``REPRO_FLIGHT_STALL_S`` in the environment wins.
-    """
+def _runner_env() -> dict:
+    """Child env with this repro importable regardless of install mode."""
     env = dict(os.environ)
     pkg_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = pkg_root if not existing else os.pathsep.join([pkg_root, existing])
-    if stall_s and "REPRO_FLIGHT_STALL_S" not in env:
-        env["REPRO_FLIGHT_STALL_S"] = f"{stall_s:g}"
     return env
 
 
@@ -174,10 +164,9 @@ class WorkerPool:
             self.obs.incr("service.jobs_resumed")
             logger.info("resuming %s (attempt %d)", job.id, job.attempts)
         started_unix = time.time()
-        stall_s = self.hang_timeout_s / 2 if self.hang_timeout_s else None
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.service.runner", job.dir],
-            env=_runner_env(stall_s),
+            env=_runner_env(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
@@ -321,10 +310,6 @@ class WorkerPool:
                 stacks_text = fh.read() or None
         except OSError:
             pass
-        try:
-            tail = job_journal_events(job)[-_TAIL_EVENTS:]
-        except Exception:  # noqa: BLE001 - a torn journal is no excuse
-            tail = []
         if stacks_text:
             # Identical wedge points dump identical (normalized)
             # stacks, so hangs cluster by *where* they stuck.
@@ -335,8 +320,7 @@ class WorkerPool:
             job.dir,
             "hung",
             fingerprint=fingerprint,
-            tail_events=tail,
-            stacks_text=stacks_text,
+            journal_paths=job_journal_paths(job),
             trace_id=job.trace_id,
             note=(
                 f"hang watchdog: no checkpoint/progress advance "
@@ -349,9 +333,9 @@ class WorkerPool:
         """A bundle for a crash the child couldn't record itself.
 
         A SIGKILLed/OOMed child runs no excepthook, so unless the
-        in-process recorder already published (its excepthook or stall
-        watchdog got there first), the supervisor packages what's on
-        disk, fingerprinted by the kill signal / exit code.
+        in-process recorder already published (its excepthook got
+        there first), the supervisor packages what's on disk,
+        fingerprinted by the kill signal / exit code.
         """
         try:
             if os.path.isdir(job.crash_dir):
@@ -366,16 +350,12 @@ class WorkerPool:
             else:
                 fingerprint = fingerprint_key("exit", str(returncode))
                 message = f"exited with code {returncode} and no outcome"
-            try:
-                tail = job_journal_events(job)[-_TAIL_EVENTS:]
-            except Exception:  # noqa: BLE001
-                tail = []
             package_bundle(
                 job.dir,
                 "crashed",
                 fingerprint=fingerprint,
+                journal_paths=job_journal_paths(job),
                 error={"type": "WorkerCrash", "message": message},
-                tail_events=tail,
                 trace_id=job.trace_id,
                 note=f"{message} (attempt {job.attempts})",
             )

@@ -37,7 +37,7 @@ from ..faults.model import StuckAtFault, datapath_faults, enumerate_faults
 from ..metrics.errors import ErrorMetrics, rs_max
 from ..metrics.estimate import MetricsEstimator
 from ..obs.core import Instrumentation, get_active
-from ..obs.journal import JOURNAL_VERSION, RunJournal, truncate_torn_tail
+from ..obs.journal import JOURNAL_VERSION, JournalTee, RunJournal, truncate_torn_tail
 from .engine import Overlay, preview_area_reduction
 
 __all__ = ["GreedyConfig", "IterationRecord", "GreedyResult", "circuit_simplify"]
@@ -57,8 +57,7 @@ class GreedyConfig:
         RNG seed for the vector batch.
     es_mode:
         ``"hybrid"`` (rank by simulated ES, commit with ATPG ES --
-        default), ``"atpg"`` (ATPG for commits, identical to hybrid in
-        effect), or ``"simulated"`` (no ATPG at all; fastest,
+        default) or ``"simulated"`` (no ATPG at all; fastest,
         optimistic ES).
     candidate_limit:
         Number of candidates fully evaluated per iteration after proxy
@@ -169,30 +168,14 @@ class GreedyResult:
         return 100.0 * best / base if base else 0.0
 
 
-class _JournalTee:
-    """Fan one event stream out to several sinks (run journal,
-    checkpoint journal, live progress reporter -- anything with the
-    ``emit(event)`` surface)."""
-
-    __slots__ = ("journals",)
-
-    def __init__(self, journals: List) -> None:
-        self.journals = journals
-
-    def emit(self, event: Dict) -> None:
-        for j in self.journals:
-            j.emit(event)
-
-
 def circuit_simplify(
     circuit: Circuit,
     rs_threshold: Optional[float] = None,
     rs_pct_threshold: Optional[float] = None,
     config: Optional[GreedyConfig] = None,
-    journal: Optional[Union[str, os.PathLike, RunJournal]] = None,
+    journal: Optional[Union[str, os.PathLike]] = None,
     obs: Optional[Instrumentation] = None,
     workers: Optional[int] = None,
-    checkpoint: Optional[Union[str, os.PathLike]] = None,
     progress=None,
     telemetry_interval: Optional[float] = None,
     trace_id: Optional[str] = None,
@@ -202,9 +185,16 @@ def circuit_simplify(
     Exactly one of ``rs_threshold`` (absolute RS) or ``rs_pct_threshold``
     (percent of the circuit's maximum RS, as in Table II) must be given.
 
-    ``journal`` (a path or an open :class:`~repro.obs.journal.RunJournal`)
-    streams one JSONL event per committed step plus a run header and a
-    final summary; an interrupted run leaves a readable prefix.
+    ``journal`` names the run's JSONL journal: one event per committed
+    step plus a run header and a final summary.  It is also the run's
+    checkpoint.  A file holding a prefix of the same run (e.g. from a
+    killed process) is replayed through the Overlay engine and the run
+    *continues* where it stopped, appending to the same file; a file
+    holding the complete run rebuilds the finished result without
+    re-running; any other file is refused with
+    :class:`~repro.parallel.checkpoint.CheckpointError`
+    (``checkpoint_mismatch``) before it is opened.  A missing or empty
+    file starts a fresh run.  See :mod:`repro.parallel.checkpoint`.
     ``obs`` overrides the active instrumentation registry; when a
     journal is requested and instrumentation is off, a private registry
     is switched on so the journal always carries real phase timings.
@@ -216,7 +206,7 @@ def circuit_simplify(
 
     ``progress`` attaches a live sink (usually a
     :class:`~repro.obs.progress.ProgressReporter`) that receives the
-    same event stream as the journals -- the heartbeat can never
+    same event stream as the journal -- the heartbeat can never
     disagree with the journal.  The caller owns its lifetime (it is
     not closed here, so one reporter can span the ``fom="best"``
     policy's two constituent runs).
@@ -232,15 +222,6 @@ def circuit_simplify(
     header (``run_start``/``resume``) and every telemetry event; the
     job server uses it to link a client submission to this run's
     artifacts.  ``None`` (the default) leaves the events untouched.
-
-    ``checkpoint`` names a journal file that doubles as a durable run
-    checkpoint: if the file already holds a run prefix (e.g. from a
-    killed process), the committed faults are replayed through the
-    Overlay engine and the run *continues* from where it stopped,
-    appending to the same file; otherwise a fresh checkpoint is
-    started.  A checkpoint whose run already completed reconstructs the
-    finished result without re-running.  See
-    :mod:`repro.parallel.checkpoint`.
     """
     from ..parallel.pool import resolve_workers
 
@@ -256,20 +237,19 @@ def circuit_simplify(
     num_workers = resolve_workers(workers)
 
     # ------------------------------------------------------------------
-    # checkpoint: load an existing prefix and replay it
+    # the journal: load an existing prefix of this run and replay it
     # ------------------------------------------------------------------
     replay = None
     state = None
-    checkpoint_path: Optional[str] = None
-    if checkpoint is not None:
+    if journal is not None:
         from ..parallel.checkpoint import (
             greedy_config_from,
             maybe_load_checkpoint,
             replay_checkpoint,
         )
 
-        checkpoint_path = os.fspath(checkpoint)
-        state = maybe_load_checkpoint(checkpoint_path)
+        journal = os.fspath(journal)
+        state = maybe_load_checkpoint(journal)
         if state is not None:
             if config is None:
                 cfg = greedy_config_from(state.config)
@@ -281,6 +261,8 @@ def circuit_simplify(
 
     if cfg.fom not in ("area", "area_per_rs"):
         raise ValueError(f"unknown FOM {cfg.fom!r}")
+    if cfg.es_mode not in ("hybrid", "simulated"):
+        raise ValueError(f"unknown es_mode {cfg.es_mode!r}")
 
     obs = obs if obs is not None else get_active()
 
@@ -289,34 +271,13 @@ def circuit_simplify(
         obs.incr("checkpoint.already_complete")
         return _rebuild_complete_result(circuit, cfg, state, replay, maximum)
 
-    # ------------------------------------------------------------------
-    # journal sinks: optional user journal + optional checkpoint journal
-    # ------------------------------------------------------------------
-    sinks: List[RunJournal] = []
-    own_journals: List[RunJournal] = []
+    run_journal: Optional[RunJournal] = None
     if journal is not None:
-        same_file = (
-            not isinstance(journal, RunJournal)
-            and checkpoint_path is not None
-            and os.path.abspath(os.fspath(journal)) == os.path.abspath(checkpoint_path)
-        )
-        if not same_file:
-            if isinstance(journal, RunJournal):
-                sinks.append(journal)
-            else:
-                j = RunJournal(journal)
-                sinks.append(j)
-                own_journals.append(j)
-    if checkpoint_path is not None:
         if replay is not None:
-            truncate_torn_tail(checkpoint_path)
-        cj = RunJournal(checkpoint_path, append=replay is not None)
-        sinks.append(cj)
-        own_journals.append(cj)
-    all_sinks: List = list(sinks)
-    if progress is not None:
-        all_sinks.append(progress)
-    tee: Optional[_JournalTee] = _JournalTee(all_sinks) if all_sinks else None
+            truncate_torn_tail(journal)
+        run_journal = RunJournal(journal, append=replay is not None)
+    sinks = [s for s in (run_journal, progress) if s is not None]
+    tee: Optional[JournalTee] = JournalTee(sinks) if sinks else None
     # A journal or a telemetry monitor needs real timings/counters to
     # record: switch a private registry on when instrumentation is off.
     if (tee is not None or telemetry_interval is not None) and not obs.enabled:
@@ -337,33 +298,9 @@ def circuit_simplify(
         config=cfg,
     )
 
-    prev = _MetricsCursor()
-    start_iteration = 0
-    current_rs = 0.0
-    reference: Optional[Circuit] = None
-    banned: Set[Tuple] = set()
-    skip_prepass = False
-    journaled_prepass: List[StuckAtFault] = []
     if replay is not None:
         obs.incr("checkpoint.resumes")
         obs.incr("checkpoint.replayed_iterations", len(replay.iterations))
-        if cfg.redundancy_prepass and replay.start_iteration == 0 and not replay.banned:
-            # Cut before any greedy event, so possibly inside the
-            # prepass's injections.  The prepass is deterministic: re-run
-            # it from the original netlist and journal only the
-            # injections the checkpoint does not hold yet.
-            journaled_prepass = list(replay.faults)
-        else:
-            result.simplified = replay.current
-            result.iterations = list(replay.iterations)
-            result.faults = list(replay.faults)
-            result.final_metrics = replay.final_metrics
-            start_iteration = replay.start_iteration
-            current_rs = replay.current_rs
-            reference = replay.reference
-            banned = set(replay.banned)
-            skip_prepass = True
-            prev.er, prev.es, prev.rs = replay.prev_metrics
 
     # The monitor attaches to the registry *before* the pool is built:
     # the pool's executor reads ``obs.telemetry`` to decide whether
@@ -429,13 +366,7 @@ def circuit_simplify(
             obs,
             tee,
             pool=pool,
-            start_iteration=start_iteration,
-            current_rs=current_rs,
-            reference=reference,
-            banned=banned,
-            skip_prepass=skip_prepass,
-            journaled_prepass=journaled_prepass,
-            prev=prev,
+            replay=replay,
         )
         # Stop sampling before the summary snapshot: the final sample's
         # gauges land in the summary, and the journal still ends with it.
@@ -468,21 +399,21 @@ def circuit_simplify(
             obs.telemetry = None
         if pool is not None:
             pool.close()
-        for j in own_journals:
-            j.close()
+        if run_journal is not None:
+            run_journal.close()
     return result
 
 
 def _check_config_matches(cfg: GreedyConfig, state) -> None:
     """Resuming with a different config would silently diverge: refuse."""
-    from ..parallel.checkpoint import CheckpointError
+    from ..parallel.checkpoint import CheckpointError, greedy_config_from
 
     ours = asdict(cfg)
-    theirs = state.config
+    theirs = asdict(greedy_config_from(state.config))
     diffs = [
         f"{k}: given={ours[k]!r} checkpoint={theirs[k]!r}"
         for k in ours
-        if k in theirs and ours[k] != theirs[k]
+        if k in state.config and ours[k] != theirs[k]
     ]
     if diffs:
         raise CheckpointError(
@@ -518,7 +449,7 @@ def _rebuild_complete_result(
                 observed_es=int(s["final_es"]),
                 rs_maximum=int(maximum),
                 num_vectors=state.num_vectors,
-                es_mode="hybrid" if cfg.es_mode != "simulated" else "simulated",
+                es_mode=cfg.es_mode,
             )
     return result
 
@@ -530,33 +461,50 @@ def _run_greedy(
     result: GreedyResult,
     threshold: float,
     obs: Instrumentation,
-    journal: Optional[_JournalTee],
+    journal: Optional[JournalTee],
     pool=None,
-    start_iteration: int = 0,
-    current_rs: float = 0.0,
-    reference: Optional[Circuit] = None,
-    banned: Optional[Set[Tuple]] = None,
-    skip_prepass: bool = False,
-    journaled_prepass: Sequence[StuckAtFault] = (),
-    prev: Optional[_MetricsCursor] = None,
+    replay=None,
 ) -> None:
     """The prepass + greedy loop proper, instrumented and journaled.
 
-    The resume parameters (``start_iteration``, ``current_rs``,
-    ``reference``, ``banned``, ``skip_prepass``, ``journaled_prepass``,
-    ``prev``) let a checkpoint replay drop the loop exactly where a
-    killed run stopped; fresh runs use the defaults.
+    ``replay`` (a :class:`~repro.parallel.checkpoint.ReplayedRun`) drops
+    the loop exactly where a killed run stopped; fresh runs pass none.
     """
+    journaled_prepass: List[StuckAtFault] = []
+    if (
+        replay is not None
+        and cfg.redundancy_prepass
+        and replay.start_iteration == 0
+        and not replay.banned
+    ):
+        # Cut before any greedy event, so possibly inside the prepass's
+        # injections.  The prepass is deterministic: re-run it from the
+        # original netlist and journal only the injections the
+        # checkpoint does not hold yet.
+        journaled_prepass, replay = replay.faults, None
+    prev = _MetricsCursor()
+    start_iteration = 0
+    current_rs = 0.0
+    reference: Optional[Circuit] = None
+    banned: Set[Tuple] = set()
+    if replay is not None:
+        result.simplified = replay.current
+        result.iterations = list(replay.iterations)
+        result.faults = list(replay.faults)
+        result.final_metrics = replay.final_metrics
+        start_iteration = replay.start_iteration
+        current_rs = replay.current_rs
+        reference = replay.reference
+        banned = set(replay.banned)
+        prev.er, prev.es, prev.rs = replay.prev_metrics
     current = result.simplified
-    banned = set() if banned is None else banned
     use_atpg = cfg.es_mode != "simulated"
-    prev = _MetricsCursor() if prev is None else prev
 
-    if cfg.redundancy_prepass and not skip_prepass:
+    if cfg.redundancy_prepass and replay is None:
         with obs.span("prepass"):
             current = _apply_redundancy_prepass(current, cfg, estimator, result)
         done = len(journaled_prepass)
-        if result.faults[:done] != list(journaled_prepass):
+        if result.faults[:done] != journaled_prepass:
             from ..parallel.checkpoint import CheckpointError
 
             raise CheckpointError(
@@ -691,7 +639,7 @@ class _MetricsCursor:
 
 
 def _emit_iteration(
-    journal: Optional[_JournalTee], rec: IterationRecord, prev: _MetricsCursor
+    journal: Optional[JournalTee], rec: IterationRecord, prev: _MetricsCursor
 ) -> None:
     """Emit one iteration event; advances the delta cursor either way."""
     m = rec.metrics
@@ -729,7 +677,7 @@ def _emit_iteration(
 
 
 def _emit_calibration(
-    journal: Optional[_JournalTee],
+    journal: Optional[JournalTee],
     rec: IterationRecord,
     predicted: Optional[Dict],
     threshold: float,
@@ -756,7 +704,7 @@ def _emit_calibration(
 
 
 def _emit_rejection(
-    journal: Optional[_JournalTee], iteration: int, fault: StuckAtFault, reason: str
+    journal: Optional[JournalTee], iteration: int, fault: StuckAtFault, reason: str
 ) -> None:
     """Journal a commit-phase rejection (needed to resume bit-identically:
     the banned set must survive a process death, or a resumed run could

@@ -139,15 +139,15 @@ def test_simplify_workers_matches_serial(netlist, tmp_path, capsys):
 
 
 def test_simplify_checkpoint_resume_cli(netlist, tmp_path, capsys):
-    """--checkpoint journals the run; a rerun resumes/rebuilds from it."""
+    """--journal is the checkpoint; a rerun resumes/rebuilds from it."""
     import json
 
     ckpt = tmp_path / "run.ckpt.jsonl"
     args = ["simplify", netlist, "--rs-pct", "5", "--vectors", "1000",
-            "--checkpoint", str(ckpt)]
+            "--journal", str(ckpt)]
     out_a = tmp_path / "a.bench"
     assert main(args + ["-o", str(out_a)]) == 0
-    assert "checkpoint written to" in capsys.readouterr().out
+    assert "run journal written to" in capsys.readouterr().out
     events = [json.loads(l) for l in ckpt.read_text().splitlines()]
     assert events[0]["event"] == "run_start"
     assert events[-1]["event"] == "summary"
@@ -164,6 +164,25 @@ def test_simplify_checkpoint_resume_cli(netlist, tmp_path, capsys):
     assert out_b.read_text() == out_a.read_text()
 
 
+def test_simplify_journal_is_never_overwritten(netlist, tmp_path, capsys):
+    """A path names one run: rerunning it on a complete --journal
+    appends nothing, and a different run on the same path is refused
+    with checkpoint_mismatch before the file is touched."""
+    journal = tmp_path / "run.jsonl"
+    args = ["simplify", netlist, "--vectors", "1000", "--journal", str(journal)]
+    out_a, out_b = tmp_path / "a.bench", tmp_path / "b.bench"
+    assert main(args + ["--rs-pct", "5", "-o", str(out_a)]) == 0
+    complete = journal.read_bytes()
+    assert main(args + ["--rs-pct", "5", "-o", str(out_b)]) == 0
+    assert journal.read_bytes() == complete
+    assert out_b.read_text() == out_a.read_text()
+    capsys.readouterr()
+
+    assert main(args + ["--rs-pct", "6"]) == 2
+    assert "checkpoint_mismatch" in capsys.readouterr().err
+    assert journal.read_bytes() == complete
+
+
 def test_simplify_rejects_bad_checkpoint(netlist, tmp_path, capsys):
     ckpt = tmp_path / "bad.jsonl"
     ckpt.write_text(
@@ -171,7 +190,7 @@ def test_simplify_rejects_bad_checkpoint(netlist, tmp_path, capsys):
         '"reason": "rs_exceeded"}\n'
     )
     rc = main(["simplify", netlist, "--rs-pct", "5", "--vectors", "500",
-               "--checkpoint", str(ckpt)])
+               "--journal", str(ckpt)])
     assert rc == 2
     assert "run_start" in capsys.readouterr().err
 

@@ -8,6 +8,7 @@ import pytest
 from repro import (
     SCHEMA_VERSION,
     GreedyConfig,
+    InvalidRequestError,
     SimplifyRequest,
     UnsupportedSchemaVersionError,
 )
@@ -24,7 +25,6 @@ def test_json_round_trip():
         redundancy_prepass=True,
         weights="binary",
         workers=4,
-        checkpoint="run.ckpt.jsonl",
         journal="run.journal.jsonl",
     )
     text = req.to_json()
@@ -33,7 +33,7 @@ def test_json_round_trip():
     data = json.loads(text)
     assert data["rs_pct_threshold"] == 2.5
     assert data["workers"] == 4
-    assert data["checkpoint"] == "run.ckpt.jsonl"
+    assert data["journal"] == "run.journal.jsonl"
 
 
 def test_from_json_rejects_unknown_fields():
@@ -70,6 +70,36 @@ def test_legacy_use_batch_ranking_key_loads_and_fingerprints_the_same():
         assert legacy.fingerprint() == req.fingerprint()
     assert "use_batch_ranking" not in req.to_dict()
     assert "use_batch_ranking" not in req.greedy_config().__dict__
+
+
+def test_legacy_checkpoint_path_loads_onto_journal():
+    """Requests stored while the checkpoint was a second journal option
+    carry ``checkpoint``; it loads onto ``journal``.  When both are set
+    ``checkpoint`` wins: it holds the resumable history."""
+    base = SimplifyRequest(rs_pct_threshold=2.5, seed=7).to_dict()
+    req = SimplifyRequest.from_dict(dict(base, checkpoint="ck.jsonl"))
+    assert req == SimplifyRequest(rs_pct_threshold=2.5, seed=7, journal="ck.jsonl")
+    both = SimplifyRequest.from_dict(
+        dict(base, checkpoint="ck.jsonl", journal="j.jsonl")
+    )
+    assert both.journal == "ck.jsonl"
+    assert "checkpoint" not in req.to_dict()
+
+
+def test_es_mode_atpg_and_hybrid_share_one_fingerprint():
+    """``es_mode="atpg"`` always ran exactly like ``"hybrid"``: stored
+    requests carrying it load as hybrid and share its result-cache
+    entry, and new requests can no longer spell it."""
+    req = SimplifyRequest(rs_pct_threshold=2.5, seed=7)
+    assert req.es_mode == "hybrid"
+    legacy = SimplifyRequest.from_json(
+        json.dumps(dict(req.to_dict(), es_mode="atpg"))
+    )
+    assert legacy == req
+    assert legacy.fingerprint() == req.fingerprint()
+    assert legacy.greedy_config().es_mode == "hybrid"
+    with pytest.raises(InvalidRequestError, match="es_mode"):
+        SimplifyRequest(rs_pct_threshold=2.5, es_mode="atpg")
 
 
 def test_from_json_validates():
@@ -135,8 +165,7 @@ def test_from_cli_args():
         pow2_es=True,
         weights="binary",
         workers=2,
-        checkpoint="ck.jsonl",
-        journal=None,
+        journal="ck.jsonl",
     )
     req = SimplifyRequest.from_cli_args(ns)
     assert req.rs_pct_threshold == 1.0
@@ -145,7 +174,7 @@ def test_from_cli_args():
     assert req.num_vectors == 2048
     assert req.redundancy_prepass is False  # --no-prepass
     assert req.workers == 2
-    assert req.checkpoint == "ck.jsonl"
+    assert req.journal == "ck.jsonl"
 
 
 def test_schema_version_in_wire_form():
@@ -186,7 +215,7 @@ def test_schema_version_rejects_garbage():
 def test_fingerprint_ignores_non_semantic_fields():
     base = SimplifyRequest(rs_pct_threshold=2.0, seed=3)
     same = base.replace(
-        workers=8, checkpoint="ck.jsonl", journal="j.jsonl", telemetry_interval=1.0
+        workers=8, journal="j.jsonl", telemetry_interval=1.0
     )
     assert base.fingerprint() == same.fingerprint()
     # semantic fields do move the digest

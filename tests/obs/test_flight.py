@@ -1,21 +1,21 @@
 """Flight recorder, fingerprinting, and crash-bundle forensics.
 
-Unit layer of DESIGN.md §15: the ring buffer, the normalization
-contract that makes fingerprints stable across hosts and line-number
-churn, bundle writing/loading, the in-process stall watchdog, and the
+Unit layer of DESIGN.md §15: the normalization contract that makes
+fingerprints stable across hosts and line-number churn, bundle
+writing/loading (the journal tail read from the run journal), and the
 fleet aggregation helpers behind ``repro errors``.
 """
 
 import json
 import os
-import time
+import sys
 
 import pytest
 
 from repro.obs.flight import (
     BUNDLE_DIRNAME,
+    TAIL_EVENTS,
     FlightRecorder,
-    StallWatchdog,
     cluster_errors,
     fingerprint_key,
     fingerprint_text,
@@ -99,40 +99,29 @@ def test_fingerprint_key_keeps_numeric_causes_apart():
 # ---------------------------------------------------------------------------
 
 
-def _armed_recorder(tmp_path, capacity=8):
-    rec = FlightRecorder(capacity=capacity, trace_id="trace-xyz")
-    rec.install(
-        bundle_dir=str(tmp_path / BUNDLE_DIRNAME),
-        stacks_path=str(tmp_path / "stacks.txt"),
-        progress_path=str(tmp_path / "progress.json"),
-        excepthook=False,  # keep sys.excepthook pristine under pytest
-    )
+def _write_journal(path, events):
+    with open(path, "w") as fh:
+        for event in events:
+            fh.write(json.dumps(event) + "\n")
+
+
+def _armed_recorder(tmp_path, journal_paths=()):
+    rec = FlightRecorder(trace_id="trace-xyz", journal_paths=journal_paths)
+    # excepthook=False keeps sys.excepthook pristine under pytest
+    rec.install(str(tmp_path), excepthook=False)
     return rec
 
 
-def test_ring_keeps_only_the_tail(tmp_path):
-    rec = _armed_recorder(tmp_path, capacity=4)
-    try:
-        for i in range(10):
-            rec.emit({"event": "iteration", "index": i})
-        assert rec.events_seen == 10
-        tail = rec.tail()
-        assert [e["index"] for e in tail] == [6, 7, 8, 9]
-    finally:
-        rec.uninstall()
-
-
 def test_write_bundle_contents_and_atomic_overwrite(tmp_path):
-    rec = _armed_recorder(tmp_path)
+    journal = tmp_path / "run.jsonl"
+    _write_journal(journal, [{"event": "iteration", "index": 0, "area_after": 412.5}])
+    rec = _armed_recorder(tmp_path, [str(journal)])
     try:
-        rec.emit({"event": "iteration", "index": 0, "area_after": 412.5})
         (tmp_path / "progress.json").write_text('{"status": "running"}\n')
         try:
             raise KeyError(140234)
         except KeyError:
-            import sys
-
-            bundle = rec.write_bundle("crash", exc_info=sys.exc_info())
+            bundle = rec.write_bundle(sys.exc_info())
 
         crash = json.loads(
             (tmp_path / BUNDLE_DIRNAME / "crash.json").read_text()
@@ -155,12 +144,16 @@ def test_write_bundle_contents_and_atomic_overwrite(tmp_path):
 
         # A later flush atomically replaces the whole bundle -- no
         # leftovers from the first one, no temp staging dirs.
-        rec.write_bundle("stall", note="second flush")
+        os.remove(tmp_path / "progress.json")
+        try:
+            raise ValueError("second flush")
+        except ValueError:
+            rec.write_bundle(sys.exc_info())
         crash2 = json.loads(
             (tmp_path / BUNDLE_DIRNAME / "crash.json").read_text()
         )
-        assert crash2["kind"] == "stall"
-        assert not (tmp_path / BUNDLE_DIRNAME / "traceback.txt").exists()
+        assert crash2["error"]["type"] == "ValueError"
+        assert not (tmp_path / BUNDLE_DIRNAME / "progress.json").exists()
         assert not [p for p in os.listdir(tmp_path) if ".tmp." in p]
         assert bundle == str(tmp_path / BUNDLE_DIRNAME)
     finally:
@@ -169,46 +162,7 @@ def test_write_bundle_contents_and_atomic_overwrite(tmp_path):
 
 def test_write_bundle_requires_install(tmp_path):
     with pytest.raises(ValueError):
-        FlightRecorder().write_bundle("crash")
-
-
-def test_stall_watchdog_fires_once_then_rearms(tmp_path):
-    rec = _armed_recorder(tmp_path)
-    fired = []
-    dog = StallWatchdog(
-        rec, deadline_s=0.3, poll_s=0.05, on_stall=fired.append
-    )
-    dog.start()
-    try:
-        deadline = time.time() + 5.0
-        while not fired and time.time() < deadline:
-            time.sleep(0.05)
-        assert len(fired) == 1, "stall bundle never fired"
-        crash = json.loads(
-            (tmp_path / BUNDLE_DIRNAME / "crash.json").read_text()
-        )
-        assert crash["kind"] == "stall"
-        assert "no journal events" in crash["note"]
-
-        # still stalled: must NOT refire
-        time.sleep(0.6)
-        assert len(fired) == 1
-
-        # progress resumes -> re-arms -> a second stall fires again
-        rec.emit({"event": "iteration", "index": 1})
-        deadline = time.time() + 5.0
-        while len(fired) < 2 and time.time() < deadline:
-            time.sleep(0.05)
-        assert len(fired) == 2
-        assert dog.stalls == 2
-    finally:
-        dog.stop()
-        rec.uninstall()
-
-
-def test_stall_watchdog_rejects_bad_deadline(tmp_path):
-    with pytest.raises(ValueError):
-        StallWatchdog(FlightRecorder(), deadline_s=0.0)
+        FlightRecorder().write_bundle((KeyError, KeyError(1), None))
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +177,18 @@ def test_package_bundle_and_load_roundtrip(tmp_path):
         'Thread 0x1 (most recent call first):\n  File "a.py", line 1 in f\n'
     )
     (job_dir / "progress.json").write_text('{"iteration": 3}\n')
+    # a fom="best" job's two journal files; the second one's last line
+    # is torn (the child died mid-write) and must not reach the tail
+    first, second = job_dir / "checkpoint.jsonl.a", job_dir / "checkpoint.jsonl.b"
+    _write_journal(first, [{"event": "iteration", "index": i} for i in range(70)])
+    _write_journal(second, [{"event": "run_start"}, {"event": "iteration", "index": 3}])
+    with open(second, "a") as fh:
+        fh.write('{"event": "iteration", "ind')
     path = package_bundle(
         str(job_dir),
         "hung",
         fingerprint=fingerprint_key("hang", "demo"),
-        tail_events=[{"event": "iteration", "index": 3}],
+        journal_paths=[str(first), str(second), str(job_dir / "missing.jsonl")],
         trace_id="t-1",
         note="watchdog demo",
     )
@@ -238,7 +199,9 @@ def test_package_bundle_and_load_roundtrip(tmp_path):
         bundle = load_bundle(source)
         assert bundle["crash"]["kind"] == "hung"
         assert bundle["crash"]["trace_id"] == "t-1"
-        assert bundle["tail"][0]["index"] == 3
+        tail = bundle["tail"]
+        assert len(tail) == TAIL_EVENTS
+        assert [e.get("index") for e in tail[-3:]] == [69, None, 3]
         assert "a.py" in bundle["stacks"]
     report = render_postmortem(load_bundle(str(job_dir)))
     assert "kind: hung" in report

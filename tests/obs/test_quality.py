@@ -386,7 +386,7 @@ def _checkpoint_c17(tmp_path):
         datapath_only=False, redundancy_prepass=True,
     )
     result = circuit_simplify(
-        build_c17(), rs_pct_threshold=10.0, config=cfg, checkpoint=path
+        build_c17(), rs_pct_threshold=10.0, config=cfg, journal=path
     )
     return path, result
 

@@ -1,10 +1,11 @@
 """Checkpoint/resume: a killed run continues bit-identically.
 
-The contract under test: for any prefix of a checkpointed run, resuming
-from that prefix produces the same fault sequence, the same final
-netlist, and the same final metrics as the uninterrupted run -- the
-journal carries everything the greedy loop's state depends on
-(committed faults, rejected faults, config, exact threshold).
+The run journal is the checkpoint.  The contract under test: for any
+prefix of a journaled run, resuming from that prefix produces the same
+fault sequence, the same final netlist, and the same final metrics as
+the uninterrupted run -- the journal carries everything the greedy
+loop's state depends on (committed faults, rejected faults, config,
+exact threshold).
 """
 
 import json
@@ -17,7 +18,7 @@ import time
 import pytest
 
 from repro import GreedyConfig, circuit_simplify, dumps_bench, loads_bench
-from repro.obs import Instrumentation
+from repro.obs import Instrumentation, load_journal
 from repro.parallel import (
     CheckpointError,
     load_checkpoint,
@@ -29,12 +30,12 @@ from tests.conftest import build_c17, build_ripple_adder
 _CFG = GreedyConfig(num_vectors=900, seed=4, candidate_limit=60)
 
 
-def _run(circuit, checkpoint=None, config=_CFG, obs=None):
+def _run(circuit, journal=None, config=_CFG, obs=None):
     return circuit_simplify(
         circuit,
         rs_pct_threshold=6.0,
         config=config,
-        checkpoint=checkpoint,
+        journal=journal,
         obs=obs,
     )
 
@@ -78,7 +79,7 @@ def _assert_identical(resumed, reference):
 
 def test_fresh_run_with_checkpoint_matches_plain(adder, reference, tmp_path):
     ckpt = tmp_path / "run.jsonl"
-    res = _run(adder, checkpoint=str(ckpt))
+    res = _run(adder, journal=str(ckpt))
     _assert_identical(res, reference)
     state = load_checkpoint(ckpt)
     assert state.complete
@@ -90,10 +91,10 @@ def test_truncated_checkpoint_resumes_identically(adder, reference, tmp_path, ke
     if len(reference.iterations) <= keep:
         pytest.skip("reference run too short to truncate there")
     ckpt = tmp_path / "run.jsonl"
-    _run(adder, checkpoint=str(ckpt))
+    _run(adder, journal=str(ckpt))
     _truncate_after_iterations(ckpt, keep)
     obs = Instrumentation()
-    resumed = _run(adder, checkpoint=str(ckpt), obs=obs)
+    resumed = _run(adder, journal=str(ckpt), obs=obs)
     _assert_identical(resumed, reference)
     counters = obs.snapshot()["counters"]
     assert counters["checkpoint.resumes"] == 1
@@ -102,17 +103,25 @@ def test_truncated_checkpoint_resumes_identically(adder, reference, tmp_path, ke
     state = load_checkpoint(ckpt)
     assert state.complete
     assert state.resumes == 1
+    # ...and the run's whole history: the original header, one resume
+    # marker, and every committed step of the result
+    events = load_journal(ckpt, strict=True)
+    assert events[0]["event"] == "run_start"
+    assert [e["event"] for e in events].count("resume") == 1
+    assert [(e["index"], e["fault"]) for e in events if e["event"] == "iteration"] == [
+        (r.index, str(r.fault)) for r in resumed.iterations
+    ]
 
 
 def test_torn_final_line_is_tolerated(adder, reference, tmp_path):
     if len(reference.iterations) < 2:
         pytest.skip("reference run too short")
     ckpt = tmp_path / "run.jsonl"
-    _run(adder, checkpoint=str(ckpt))
+    _run(adder, journal=str(ckpt))
     _truncate_after_iterations(ckpt, 1)
     with open(ckpt, "a") as fh:
         fh.write('{"event": "iteration", "index": 99, "ar')  # torn write
-    resumed = _run(adder, checkpoint=str(ckpt))
+    resumed = _run(adder, journal=str(ckpt))
     _assert_identical(resumed, reference)
     # the torn fragment was cut before appending: every line parses
     with open(ckpt) as fh:
@@ -122,10 +131,10 @@ def test_torn_final_line_is_tolerated(adder, reference, tmp_path):
 
 def test_complete_checkpoint_short_circuits(adder, reference, tmp_path):
     ckpt = tmp_path / "run.jsonl"
-    _run(adder, checkpoint=str(ckpt))
+    _run(adder, journal=str(ckpt))
     before = os.path.getsize(ckpt)
     obs = Instrumentation()
-    res = _run(adder, checkpoint=str(ckpt), obs=obs)
+    res = _run(adder, journal=str(ckpt), obs=obs)
     _assert_identical(res, reference)
     assert os.path.getsize(ckpt) == before  # nothing re-ran, nothing appended
     assert obs.snapshot()["counters"]["checkpoint.already_complete"] == 1
@@ -133,7 +142,7 @@ def test_complete_checkpoint_short_circuits(adder, reference, tmp_path):
 
 def test_resume_from_adopts_checkpoint_config(adder, reference, tmp_path):
     ckpt = tmp_path / "run.jsonl"
-    _run(adder, checkpoint=str(ckpt))
+    _run(adder, journal=str(ckpt))
     if len(reference.iterations) > 1:
         _truncate_after_iterations(ckpt, 1)
     res = resume_from(adder, ckpt)  # no config given: header's is used
@@ -156,10 +165,10 @@ def test_resume_with_prepass_checkpoint(tmp_path):
     prepass_count = sum(1 for r in ref.iterations if r.phase == "prepass")
     assert prepass_count, "expected the c880 prepass to remove redundancies"
     ckpt = tmp_path / "run.jsonl"
-    circuit_simplify(circuit, rs_pct_threshold=1.0, config=cfg, checkpoint=str(ckpt))
+    circuit_simplify(circuit, rs_pct_threshold=1.0, config=cfg, journal=str(ckpt))
     _truncate_after_iterations(ckpt, prepass_count)
     resumed = circuit_simplify(
-        circuit, rs_pct_threshold=1.0, config=cfg, checkpoint=str(ckpt)
+        circuit, rs_pct_threshold=1.0, config=cfg, journal=str(ckpt)
     )
     _assert_identical(resumed, ref)
 
@@ -182,7 +191,7 @@ def test_resume_cut_inside_prepass_matches_uninterrupted(tmp_path):
     )
     full = tmp_path / "full.jsonl"
     reference = circuit_simplify(
-        circuit, rs_pct_threshold=2.0, config=cfg, checkpoint=str(full)
+        circuit, rs_pct_threshold=2.0, config=cfg, journal=str(full)
     )
     prepass = sum(r.phase == "prepass" for r in reference.iterations)
     assert prepass >= 4, "expected the prepass to inject several faults"
@@ -191,7 +200,7 @@ def test_resume_cut_inside_prepass_matches_uninterrupted(tmp_path):
         ckpt.write_text(full.read_text())
         _truncate_after_iterations(ckpt, keep)
         resumed = circuit_simplify(
-            circuit, rs_pct_threshold=2.0, config=cfg, checkpoint=str(ckpt)
+            circuit, rs_pct_threshold=2.0, config=cfg, journal=str(ckpt)
         )
         _assert_identical(resumed, reference)
         journaled = [(ev["phase"], ev["index"]) for ev in
@@ -243,7 +252,7 @@ def test_resume_tolerates_renamed_circuit(adder, reference, tmp_path):
     # .bench carries no weights; restore them (signal names survive)
     reloaded.output_weights = dict(adder.output_weights)
     ckpt = tmp_path / "run.jsonl"
-    _run(adder, checkpoint=str(ckpt))
+    _run(adder, journal=str(ckpt))
     _truncate_after_iterations(ckpt, 1)
     # capture on the module logger directly: the CLI may have switched
     # the repro logging tree to propagate=False, which blinds caplog
@@ -270,7 +279,7 @@ def test_resume_tolerates_renamed_circuit(adder, reference, tmp_path):
 
 def test_resume_rejects_wrong_circuit(adder, tmp_path):
     ckpt = tmp_path / "run.jsonl"
-    _run(adder, checkpoint=str(ckpt))
+    _run(adder, journal=str(ckpt))
     _truncate_after_iterations(ckpt, 1)
     with pytest.raises(CheckpointError, match="does not match this circuit"):
         resume_from(build_c17(), ckpt)
@@ -278,26 +287,48 @@ def test_resume_rejects_wrong_circuit(adder, tmp_path):
 
 def test_resume_rejects_mismatched_config(adder, tmp_path):
     ckpt = tmp_path / "run.jsonl"
-    _run(adder, checkpoint=str(ckpt))
+    _run(adder, journal=str(ckpt))
     _truncate_after_iterations(ckpt, 1)
     other = GreedyConfig(num_vectors=901, seed=4, candidate_limit=60)
     with pytest.raises(CheckpointError, match="config does not match"):
-        _run(adder, checkpoint=str(ckpt), config=other)
+        _run(adder, journal=str(ckpt), config=other)
+
+
+def test_legacy_atpg_header_resumes_as_hybrid(adder, reference, tmp_path):
+    """A journal header carrying the retired ``es_mode="atpg"`` -- which
+    always ran exactly like ``"hybrid"`` -- resumes under the hybrid
+    config, whether the caller passes it or adopts the header's."""
+    if len(reference.iterations) < 2:
+        pytest.skip("reference run too short")
+    ckpt = tmp_path / "run.jsonl"
+    _run(adder, journal=str(ckpt))
+    _truncate_after_iterations(ckpt, 1)
+    lines = ckpt.read_text().splitlines(True)
+    header = json.loads(lines[0])
+    header["config"]["es_mode"] = "atpg"
+    lines[0] = json.dumps(header) + "\n"
+    legacy = "".join(lines)
+    ckpt.write_text(legacy)
+    _assert_identical(_run(adder, journal=str(ckpt)), reference)
+    ckpt.write_text(legacy)
+    resumed = resume_from(adder, ckpt)
+    assert resumed.config == _CFG
+    _assert_identical(resumed, reference)
 
 
 def test_resume_rejects_mismatched_threshold(adder, tmp_path):
     ckpt = tmp_path / "run.jsonl"
-    _run(adder, checkpoint=str(ckpt))
+    _run(adder, journal=str(ckpt))
     _truncate_after_iterations(ckpt, 1)
     with pytest.raises(CheckpointError, match="threshold"):
         circuit_simplify(
-            adder, rs_pct_threshold=3.0, config=_CFG, checkpoint=str(ckpt)
+            adder, rs_pct_threshold=3.0, config=_CFG, journal=str(ckpt)
         )
 
 
 def test_replay_rejects_tampered_trajectory(adder, tmp_path):
     ckpt = tmp_path / "run.jsonl"
-    _run(adder, checkpoint=str(ckpt))
+    _run(adder, journal=str(ckpt))
     _truncate_after_iterations(ckpt, 1)
     lines = ckpt.read_text().splitlines(True)
     events = [json.loads(l) for l in lines]
@@ -325,7 +356,7 @@ _CHILD = textwrap.dedent(
     cfg = GreedyConfig(num_vectors=1000, seed=0, candidate_limit=40,
                        max_iterations=6, atpg_node_limit=400)
     circuit_simplify(circuit, rs_pct_threshold=2.0, config=cfg,
-                     checkpoint=ckpt)
+                     journal=ckpt)
     """
 )
 
@@ -400,7 +431,7 @@ def test_sigkill_and_resume_matches_uninterrupted(tmp_path, c880_killable):
     ckpt = tmp_path / "killed.jsonl"
     killed = _kill_child_after(tmp_path, ckpt, 2)
     resumed = circuit_simplify(
-        circuit, rs_pct_threshold=2.0, config=cfg, checkpoint=str(ckpt)
+        circuit, rs_pct_threshold=2.0, config=cfg, journal=str(ckpt)
     )
     _assert_identical(resumed, reference)
     state = load_checkpoint(ckpt)

@@ -9,7 +9,8 @@ deliberately sabotaged runner (``REPRO_TEST_*`` fault hooks in
   finishes **bit-identical** to an uninterrupted run;
 * crashing runners leave fingerprinted crash bundles that
   ``GET /v1/errors`` clusters: identical failures share a fingerprint,
-  distinct failure modes split;
+  distinct failure modes split, and each bundle's journal tail is the
+  tail of the job's own journal;
 * ``repro postmortem`` / ``repro errors`` render it all offline from
   the data dir after the server is gone.
 """
@@ -23,8 +24,8 @@ import pytest
 from repro import SimplifyOutcome, SimplifyRequest, dumps_bench, loads_bench
 from repro.benchlib import ISCAS85_SUITE
 from repro.cli import main
-from repro.obs.flight import load_bundle, render_postmortem
-from repro.service import ServiceClient, serve_in_thread
+from repro.obs.flight import TAIL_EVENTS, load_bundle, render_postmortem
+from repro.service import ServiceClient, job_journal_events, serve_in_thread
 
 # Same shape as test_resume: a fast c880 run with >= 2 committed
 # iterations, so the fault hooks have a mid-run point to fire at.
@@ -137,7 +138,7 @@ def test_hung_runner_is_dumped_killed_and_resumes_bit_identically(
 
 
 def test_crash_fingerprints_cluster_by_failure_mode(
-    tmp_path, monkeypatch, c880_bench, capsys
+    tmp_path, monkeypatch, c880_bench, reference, capsys
 ):
     monkeypatch.setenv("REPRO_TEST_CRASH_AFTER_ITERS", "1")
     monkeypatch.setenv("REPRO_TEST_CRASH_KIND", "runtime")
@@ -164,18 +165,43 @@ def test_crash_fingerprints_cluster_by_failure_mode(
         job_ids.append(snap["job_id"])
         assert client.wait(snap["job_id"], timeout=300)["state"] == "failed"
 
+        # ...and a fom="best" runtime fault inside its second FOM run:
+        # the runtime failure mode again, with a journal that spans the
+        # job's two per-FOM files
+        monkeypatch.setenv("REPRO_TEST_CRASH_KIND", "runtime")
+        monkeypatch.setenv(
+            "REPRO_TEST_CRASH_AFTER_ITERS", str(len(reference.iterations) + 1)
+        )
+        snap = client.submit(
+            REQUEST.replace(fom="best"), netlist=c880_bench, name="c880"
+        )
+        job_ids.append(snap["job_id"])
+        assert client.wait(snap["job_id"], timeout=300)["state"] == "failed"
+
         errors = client.errors()
-        assert errors["errors_total"] == 3
+        assert errors["errors_total"] == 4
         assert len(errors["clusters"]) == 2, (
             "two failure modes must yield exactly two fingerprints"
         )
         by_count = {c["count"]: c for c in errors["clusters"]}
-        assert set(by_count) == {2, 1}
-        assert "runtime" in by_count[2]["message"]
+        assert set(by_count) == {3, 1}
+        assert "runtime" in by_count[3]["message"]
         assert "value" in by_count[1]["message"]
         assert (
-            by_count[2]["fingerprint"] != by_count[1]["fingerprint"]
+            by_count[3]["fingerprint"] != by_count[1]["fingerprint"]
         )
+
+        # every bundle's tail is the last <= 64 events of the job's
+        # journal -- the journal is the crash record, not a copy of it
+        for job_id in job_ids:
+            job = service.store.get(job_id)
+            tail = load_bundle(job.dir)["tail"]
+            assert tail and tail == job_journal_events(job)[-TAIL_EVENTS:]
+        best = service.store.get(job_ids[-1])
+        streamed = client.events(best.id, wait=0.0)["events"]
+        assert streamed == job_journal_events(best)
+        for events in (streamed, load_bundle(best.dir)["tail"]):
+            assert [e["event"] for e in events].count("run_start") == 2
 
         # the child's excepthook wrote the rich bundle itself: real
         # exception type, formatted traceback, journal tail
@@ -193,9 +219,9 @@ def test_crash_fingerprints_cluster_by_failure_mode(
     # offline fleet view over the dead server's data dir, via the CLI
     assert main(["errors", str(tmp_path), "--format", "json"]) == 0
     body = json.loads(capsys.readouterr().out)
-    assert body["errors_total"] == 3
+    assert body["errors_total"] == 4
     assert len(body["clusters"]) == 2
-    assert {c["count"] for c in body["clusters"]} == {2, 1}
+    assert {c["count"] for c in body["clusters"]} == {3, 1}
 
     # and the postmortem CLI renders one of the bundles
     job_dir = os.path.join(str(tmp_path), "jobs", job_ids[0])

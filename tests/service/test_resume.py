@@ -140,11 +140,19 @@ def test_sigkill_worker_job_resumes_bit_identically(
         httpd.server_close()
 
 
-def test_resumed_job_serves_full_event_history(tmp_path, c880_bench, reference):
+def test_resumed_job_serves_full_event_history(
+    tmp_path, monkeypatch, c880_bench, reference
+):
     """The checkpoint is the job's one journal: after a SIGKILL mid-greedy
     and a resume, the job's events start at ``run_start``, keep every
     pre-crash iteration, and commit each fault once -- and a stream
     cursor taken before the kill neither re-delivers nor skips."""
+    # The run commits only two faults, so a kill timed by polling alone
+    # can land after the run journaled its summary, leaving nothing to
+    # resume.  The runner's test hook parks the first attempt right
+    # after its second commit (once per job), so the SIGKILL below
+    # always lands mid-greedy.
+    monkeypatch.setenv("REPRO_TEST_HANG_AFTER_ITERS", "2")
     httpd, service, _thread = serve_in_thread(
         host="127.0.0.1", port=0, data_dir=str(tmp_path), workers=1, max_attempts=3,
     )
