@@ -123,7 +123,8 @@ class EsAtpg:
         self._pair = dict(zip(good.outputs, self.faulty.outputs))
 
         self.affected_outputs = self._find_affected_outputs()
-        self.max_weight_sum: int = sum(self.weights[o] for o in self.affected_outputs)
+        # the largest |deviation| any vector can reach, whatever the signs
+        self.max_weight_sum: int = sum(abs(self.weights[o]) for o in self.affected_outputs)
 
         # Restrict simulation and decisions to the relevant cones.
         relevant_good: Set[str] = set()
@@ -251,19 +252,19 @@ class EsAtpg:
         for o in self.affected_outputs:
             w = self.weights[o]
             g, f = good[o], faulty[self._pair[o]]
+            # the range [lo, hi] of f - g over the unknown side(s)
             if g != _X and f != _X:
-                d = w * (f - g)
-                dmin += d
-                dmax += d
+                lo = hi = f - g
             elif g != _X:  # f unknown
-                dmin += w * (0 - g)
-                dmax += w * (1 - g)
+                lo, hi = -g, 1 - g
             elif f != _X:  # g unknown
-                dmin += w * (f - 1)
-                dmax += w * f
+                lo, hi = f - 1, f
             else:
-                dmin -= w
-                dmax += w
+                lo, hi = -1, 1
+            if w < 0:
+                lo, hi = hi, lo
+            dmin += w * lo
+            dmax += w * hi
         return dmin, dmax
 
     # ------------------------------------------------------------------
@@ -333,7 +334,7 @@ class EsAtpg:
         for o in self.affected_outputs:
             cone = transitive_fanin(self.good, o, include_self=True)
             cone |= transitive_fanin(self.faulty, self._pair[o], include_self=True)
-            w = self.weights[o]
+            w = abs(self.weights[o])
             for pi in self.support:
                 if pi in cone:
                     score[pi] += w
@@ -425,7 +426,8 @@ class EsAtpg:
         Returns the smallest ``2**k`` for which the ATPG *refutes*
         ``|deviation| >= 2**k`` (the paper's rule: if a test exists for
         ``2**j`` but not for ``2**k``, take ES = ``2**k``), clipped to
-        the structural maximum (the summed weight of affected outputs).
+        the structural maximum (the summed ``|weight|`` of affected
+        outputs).
         ``observed_lower_bound`` -- e.g. the largest deviation seen
         during fault simulation -- lets the sweep skip thresholds that
         are already known to be achievable.  Aborted queries count as

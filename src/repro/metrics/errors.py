@@ -23,14 +23,16 @@ __all__ = ["ErrorMetrics", "rs_max", "rs_percent"]
 
 
 def rs_max(circuit: Circuit, value_outputs: Optional[Sequence[str]] = None) -> int:
-    """Maximum possible RS of a circuit: ER = 1 and ES = total weight.
+    """Maximum possible RS of a circuit: ER = 1 and ES = the summed
+    ``|weight|`` of the value outputs (a negative weight moves the value
+    just as far).
 
     ``value_outputs`` defaults to the circuit's data outputs (all
     outputs when unannotated).
     """
     if value_outputs is None:
         value_outputs = circuit.value_outputs
-    return sum(circuit.weights_of(value_outputs))
+    return sum(abs(w) for w in circuit.weights_of(value_outputs))
 
 
 def rs_percent(rs: float, maximum: int) -> float:

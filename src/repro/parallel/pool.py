@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
@@ -99,6 +100,29 @@ _WORKER_OBS: Optional[Instrumentation] = None
 _WORKER_TELEMETRY: bool = False
 
 
+#: How often a worker checks that its coordinator is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _watch_coordinator() -> None:
+    """Exit this worker once its coordinator has died.
+
+    A worker blocks reading the executor's call queue, and it holds a
+    write end of that pipe itself, so a SIGKILLed coordinator never
+    gives it EOF.  A daemon thread notices the reparenting instead.
+    """
+    import threading
+
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="coordinator-watch", daemon=True).start()
+
+
 def _init_worker(
     circuit: Circuit,
     vectors: Optional[np.ndarray],
@@ -109,6 +133,7 @@ def _init_worker(
 ) -> None:
     """Build the per-worker estimator once (the pickle-once shipment)."""
     global _WORKER_EST, _WORKER_SHM, _WORKER_OBS, _WORKER_TELEMETRY
+    _watch_coordinator()
     _WORKER_TELEMETRY = bool(telemetry)
     if shm_spec is not None:
         from multiprocessing import shared_memory

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..circuit import Circuit
 from ..circuit.structure import datapath_signals
+from ..faults.collapse import FaultClasses
 from ..faults.model import StuckAtFault, datapath_faults, enumerate_faults
 from ..metrics.errors import ErrorMetrics, rs_max
 from ..metrics.estimate import MetricsEstimator
@@ -737,7 +738,10 @@ def _apply_redundancy_prepass(
 ) -> Circuit:
     """Inject PODEM-proven redundant candidate faults (free area).
 
-    Each proven fault is applied one at a time and re-validated by a
+    The collapsed candidate classes first pass a random-pattern screen
+    (:func:`_prescreen_survivors`): a class the screen detects is
+    testable, so PODEM runs only on the undetected few.  Each proven
+    fault is then applied one at a time and re-validated by a
     differential simulation against the original (ER must stay exactly
     0 on the batch): injecting one redundancy can, in principle, turn a
     structurally different member of the remaining set non-redundant.
@@ -749,23 +753,7 @@ def _apply_redundancy_prepass(
     if not candidates:
         return current
     classes = collapse_faults(current, candidates)
-
-    # Random-pattern prescreen: any fault detected by the batch is
-    # provably testable, so PODEM only runs on the undetected few.
-    import numpy as np
-
-    from ..simulation.faultsim import FaultSimulator
-    from ..simulation.vectors import random_vectors
-
-    screen_vecs = random_vectors(
-        len(current.inputs), 256, np.random.default_rng(cfg.seed + 7)
-    )
-    fsim = FaultSimulator(current, obs=estimator.obs)
-    survivors = []
-    for rep, members in classes.members.items():
-        d = fsim.differential(screen_vecs, [rep])
-        if not d.detected.any():
-            survivors.append((rep, members))
+    survivors = _prescreen_survivors(current, classes, cfg.seed, estimator.obs)
 
     podem = Podem(
         current, backtrack_limit=cfg.prepass_backtrack_limit, obs=estimator.obs
@@ -831,6 +819,43 @@ def _apply_redundancy_prepass(
     return current
 
 
+#: Vectors in the prepass's random-pattern screen.
+PRESCREEN_VECTORS = 256
+
+
+def _prescreen_survivors(
+    circuit: Circuit,
+    classes: FaultClasses,
+    seed: int,
+    obs: Instrumentation,
+) -> List[Tuple[StuckAtFault, List[StuckAtFault]]]:
+    """The ``(representative, members)`` fault classes that a batch of
+    :data:`PRESCREEN_VECTORS` random vectors does not detect, in class
+    order.
+
+    Any class the batch detects is provably testable.  One cone-replay
+    batch simulates every representative as a single fault against the
+    same baseline, for detection only (no value outputs); its cone
+    plans go with the simulator when this returns.
+    """
+    import numpy as np
+
+    from ..simulation.batchfaultsim import BatchFaultSimulator
+    from ..simulation.vectors import random_vectors
+
+    vectors = random_vectors(
+        len(circuit.inputs), PRESCREEN_VECTORS, np.random.default_rng(seed + 7)
+    )
+    bsim = BatchFaultSimulator(circuit, value_outputs=(), obs=obs)
+    bsim.load_batch(vectors)
+    reps = list(classes.members)
+    return [
+        (st.fault, classes.members[st.fault])
+        for st in bsim.evaluate(reps)
+        if st.detected_count == 0
+    ]
+
+
 def _safe_preview(circuit: Circuit, fault: StuckAtFault) -> int:
     try:
         return preview_area_reduction(circuit, fault)
@@ -850,7 +875,7 @@ def _candidate_faults(circuit: Circuit, cfg: GreedyConfig) -> List[StuckAtFault]
 
 
 def _reachable_weight(circuit: Circuit) -> Dict[str, int]:
-    """For every signal, the summed weight of data outputs it reaches.
+    """For every signal, the summed ``|weight|`` of data outputs it reaches.
 
     This is the structural upper bound on the ES any fault at that line
     can cause, computed in one reverse-topological sweep.
@@ -871,7 +896,7 @@ def _reachable_weight(circuit: Circuit) -> Dict[str, int]:
         for g, _pin in fan.get(pi, ()):
             m |= masks[g]
         masks[pi] = m
-    wlist = circuit.weights_of(value_outputs)
+    wlist = [abs(w) for w in circuit.weights_of(value_outputs)]
     out: Dict[str, int] = {}
     for s, m in masks.items():
         total = 0

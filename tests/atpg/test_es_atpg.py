@@ -145,3 +145,50 @@ def test_threshold_validation(adder4):
 def test_mismatched_circuits_rejected(adder4, c17):
     with pytest.raises(ValueError):
         EsAtpg(adder4, faulty=c17)
+
+
+def test_negative_weight_is_not_refuted():
+    """x = AND(a, b) at weight -4: ``x SA1`` moves the value by 4, so
+    every threshold up to 4 has a test, and RS_max counts |-4|."""
+    from repro.circuit import CircuitBuilder
+    from repro.metrics import rs_max
+
+    b = CircuitBuilder("signed")
+    a, c = b.input("a"), b.input("b")
+    b.output(b.AND(a, c, name="x"), weight=-4)
+    b.output(b.OR(a, c, name="y"), weight=1)
+    ckt = b.build()
+    atpg = EsAtpg(ckt, faults=[StuckAtFault.stem("x", 1)])
+    assert atpg.exact_max_deviation() == 4
+    assert atpg.max_weight_sum == 4
+    for t in (1, 4):
+        assert atpg.decide(t).is_sat, t
+        assert atpg.test_exists(t).is_sat, t
+    assert atpg.decide(5).status is EsStatus.UNSAT
+    assert atpg.test_exists(5).status is EsStatus.UNSAT
+    assert atpg.estimate_es() == 4
+    assert rs_max(ckt) == 5
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31))
+def test_signed_weights_thresholds_match_exact(seed):
+    """With weights of either sign, ``decide(T)`` and ``test_exists(T)``
+    are SAT exactly when the exact maximum deviation reaches T."""
+    rng = np.random.default_rng(seed)
+    ckt = random_circuit(
+        num_inputs=int(rng.integers(3, 6)),
+        num_gates=int(rng.integers(4, 18)),
+        rng=rng,
+    )
+    for o in ckt.outputs:
+        ckt.output_weights[o] = int(rng.choice([-1, 1])) * int(rng.integers(1, 9))
+    faults = pick_faults(ckt, rng, int(rng.integers(1, 4)))
+    atpg = EsAtpg(ckt, faults=faults, node_limit=10**6)
+    exact = atpg.exact_max_deviation()
+    assert exact == exact_es(ckt, faults)
+    for t in range(1, atpg.max_weight_sum + 2):
+        res = atpg.test_exists(t)
+        assert res.status is not EsStatus.ABORTED
+        assert res.is_sat == (exact >= t), (t, exact)
+        assert atpg.decide(t).is_sat == (exact >= t), (t, exact)

@@ -7,6 +7,12 @@ slices of the shortlist and every per-fault stat is independent of the
 rest of the batch.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -263,3 +269,81 @@ def test_parallel_run_emits_counters():
     assert snap["counters"]["parallel.faults_scored_remote"] > 0
     assert snap["counters"].get("parallel.shard_fallbacks", 0) == 0
     assert snap["gauges"]["parallel.workers"] == 2
+
+
+# ----------------------------------------------------------------------
+# workers die with their coordinator
+# ----------------------------------------------------------------------
+_KILLED_COORDINATOR = textwrap.dedent(
+    """
+    import sys
+    from repro import GreedyConfig, circuit_simplify
+    from repro.benchlib import ISCAS85_SUITE
+
+    cfg = GreedyConfig(num_vectors=1000, seed=0, candidate_limit=40,
+                       max_iterations=40, atpg_node_limit=400)
+    circuit_simplify(ISCAS85_SUITE["c880"].builder(), rs_pct_threshold=2.0,
+                     config=cfg, workers=2, journal=sys.argv[1])
+    """
+)
+
+
+def _children(pid):
+    """Live (non-zombie) processes whose parent is ``pid``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            found.append(int(entry))
+    return found
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_exit_when_coordinator_is_killed(tmp_path):
+    """SIGKILL a ``workers=2`` run mid-greedy: its scoring workers
+    notice and exit on their own instead of sleeping on forever."""
+    journal = tmp_path / "run.jsonl"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath("src"), env.get("PYTHONPATH")) if p
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_COORDINATOR, str(journal)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.time() + 300
+        while len(workers) < 2:
+            assert child.poll() is None, "the run ended before both workers started"
+            assert time.time() < deadline, "the scoring workers never started"
+            time.sleep(0.05)
+            workers = _children(child.pid)
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+        deadline = time.time() + 10
+        while any(_alive(w) for w in workers) and time.time() < deadline:
+            time.sleep(0.1)
+        assert not [w for w in workers if _alive(w)]
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait(timeout=30)
+        for w in workers:
+            if _alive(w):
+                os.kill(w, signal.SIGKILL)

@@ -137,3 +137,20 @@ def test_weights_preserved_through_run(adder6):
         res.simplified.outputs
     ) == len(adder6.outputs)
     assert rs_max(res.original) == 127
+
+
+def test_signed_weights_stay_within_budget():
+    """Negative output weights: RS_max counts |w|, the proxy ranking
+    does not divide by a zero reachable weight, and the exact RS of the
+    result stays within the budget."""
+    ckt = build_ripple_adder(4)
+    for i, o in enumerate(ckt.outputs):
+        ckt.output_weights[o] = (-1 if i % 2 == 0 else 1) << i
+    assert rs_max(ckt) == 31
+    res = circuit_simplify(
+        ckt, rs_pct_threshold=5.0, config=GreedyConfig(exhaustive=True, seed=0)
+    )
+    assert res.rs_threshold == pytest.approx(0.05 * 31)
+    assert res.faults
+    er, observed = MetricsEstimator(ckt, exhaustive=True).simulate(approx=res.simplified)
+    assert er * observed <= res.rs_threshold

@@ -68,3 +68,33 @@ def test_prepass_noop_on_irredundant(adder4):
     res = circuit_simplify(adder4, rs_threshold=0.0, config=cfg(exhaustive=True))
     assert res.area_reduction == 0
     assert not res.faults
+
+
+@pytest.mark.parametrize("name", ["gated_adder", "c880"])
+def test_prescreen_survivors_are_the_undetected_classes(name):
+    """The prepass runs PODEM on exactly the collapsed classes whose
+    representative no screen vector detects, judged here by the
+    per-gate reference simulator, in class order."""
+    from repro.benchlib import ISCAS85_SUITE
+    from repro.faults import enumerate_faults
+    from repro.faults.collapse import collapse_faults
+    from repro.obs.core import Instrumentation
+    from repro.simplify.greedy import PRESCREEN_VECTORS, _prescreen_survivors
+    from repro.simulation import random_vectors
+
+    ckt = gated_adder() if name == "gated_adder" else ISCAS85_SUITE[name].builder()
+    classes = collapse_faults(ckt, enumerate_faults(ckt, include_branches=True))
+    seed = 5
+    vectors = random_vectors(
+        len(ckt.inputs), PRESCREEN_VECTORS, np.random.default_rng(seed + 7)
+    )
+    ref = LogicSimulator(ckt)
+    good = ref.run(vectors).output_bits()
+    expected = [
+        (rep, members)
+        for rep, members in classes.members.items()
+        if not (ref.run(vectors, [rep]).output_bits() != good).any()
+    ]
+    got = _prescreen_survivors(ckt, classes, seed, Instrumentation())
+    assert got == expected
+    assert 0 < len(got) < len(classes)
