@@ -350,9 +350,12 @@ class EsAtpg:
         (non-support inputs cannot reach any affected output), so
         enumerating 2**|support| vectors with the bit-parallel
         simulator yields the *exact* ES.  Only the relevant cones are
-        simulated (extracted with :func:`~repro.circuit.structure.subcircuit`)
-        and memory is bounded by chunking the batch.  Intended for
-        supports of ~22 PIs or fewer.
+        simulated (extracted with :func:`~repro.circuit.structure.subcircuit`).
+        The counting patterns are born packed
+        (:func:`~repro.simulation.vectors.exhaustive_words`), one chunk
+        of ``chunk_vectors`` at a time to bound memory; chunks stay
+        word-aligned, so ``chunk_vectors`` must be a positive multiple
+        of 64.  Intended for supports of ~22 PIs or fewer.
         """
         import numpy as np
 
@@ -360,8 +363,12 @@ class EsAtpg:
         from ..obs.core import NULL
         from ..simulation.compiled import CompiledSimulator
         from ..simulation.deviation import WeightedDeviation
-        from ..simulation.vectors import pack_vectors
+        from ..simulation.vectors import exhaustive_words
 
+        if chunk_vectors <= 0 or chunk_vectors % 64:
+            raise ValueError(
+                f"chunk_vectors must be a positive multiple of 64, got {chunk_vectors}"
+            )
         s = len(self.support)
         if not self.affected_outputs:
             return 0
@@ -382,11 +389,7 @@ class EsAtpg:
         self.obs.incr("es_atpg.exact_vectors", total)
         for start in range(0, total, chunk_vectors):
             count = min(chunk_vectors, total - start)
-            ints = np.arange(start, start + count, dtype=np.uint64)
-            vecs = np.zeros((count, n_in), dtype=bool)
-            for bit, idx in enumerate(support_idx):
-                vecs[:, idx] = (ints >> np.uint64(bit)) & np.uint64(1)
-            packed = pack_vectors(vecs)
+            packed = exhaustive_words(support_idx, n_in, start, count)
             g = good_sim.run_packed(packed, count)
             f = faulty_sim.run_packed(packed, count, self.faults)
             gbits = g.output_bits(self.affected_outputs)

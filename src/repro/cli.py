@@ -70,7 +70,8 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from .circuit import dump_bench, dump_verilog, load_bench, load_verilog
+from .circuit import CircuitError, dump_bench, dump_verilog, load_bench, load_verilog
+from .core.errors import CompileError
 from .faults import datapath_faults, enumerate_faults
 from .metrics import rs_max
 from .obs import (
@@ -205,11 +206,23 @@ def _add_live_obs_options(p: argparse.ArgumentParser) -> None:
 
 
 def _load_weighted(path: str, weights: str):
-    """Load a netlist (.bench or .v, by extension) and weight outputs."""
-    if str(path).endswith((".v", ".sv")):
-        circuit = load_verilog(path)
-    else:
-        circuit = load_bench(path)
+    """Load a netlist (.bench or .v, by extension) and weight outputs.
+
+    A file that cannot be read or does not parse raises
+    :class:`~repro.core.errors.CompileError`, which :func:`main` reports
+    as ``compile_error: ...`` with exit code 2.
+    """
+    try:
+        if str(path).endswith((".v", ".sv")):
+            circuit = load_verilog(path)
+        else:
+            circuit = load_bench(path)
+    except OSError as exc:
+        raise CompileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CompileError(f"cannot read {path}: {exc}") from exc
+    except CircuitError as exc:  # BenchParseError, VerilogParseError
+        raise CompileError(f"netlist does not parse: {exc}") from exc
     if weights == "binary":
         for i, o in enumerate(circuit.outputs):
             circuit.output_weights[o] = 1 << i
@@ -1186,7 +1199,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     _configure_logging(args.verbose, args.quiet)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CompileError as exc:
+        logger.error(f"{exc.code}: {exc}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

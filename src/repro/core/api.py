@@ -41,11 +41,14 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 import os
 import re
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from ..circuit import Circuit, dump_bench, dumps_bench, loads_bench
 from ..metrics.errors import ErrorMetrics, rs_max
@@ -96,6 +99,47 @@ _RETIRED_FIELDS = ("engine", "use_batch_ranking")
 
 #: Correlation-id charset: URL- and filename-safe, boundable in logs.
 _TRACE_ID_RE = re.compile(r"^[A-Za-z0-9._\-]{1,128}$")
+
+#: Request fields by type, checked by :meth:`SimplifyRequest.__post_init__`.
+_INT_FIELDS = (
+    "num_vectors",
+    "seed",
+    "max_iterations",
+    "atpg_node_limit",
+    "prepass_backtrack_limit",
+)
+_OPTIONAL_INT_FIELDS = ("candidate_limit", "workers")
+_BOOL_FIELDS = (
+    "datapath_only",
+    "include_branches",
+    "exhaustive",
+    "pow2_es",
+    "redundancy_prepass",
+)
+
+
+def _int_field(name: str, value: Any) -> int:
+    """``value`` as a Python int; numpy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidRequestError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real_field(name: str, value: Any, positive: bool = False) -> Any:
+    """A finite real ``>= 0`` (``> 0`` when ``positive``), numpy scalars
+    as the Python number they equal; bools are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidRequestError(f"{name} must be a number, got {value!r}")
+    if not isinstance(value, (int, float)):
+        value = float(value)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite or value < 0 or (positive and value == 0):
+        kind = "positive" if positive else "non-negative"
+        raise InvalidRequestError(f"{name} must be a finite {kind} number, got {value!r}")
+    return value
 
 
 def _check_schema_version(what: str, version: Any) -> None:
@@ -300,6 +344,33 @@ class SimplifyRequest:
             raise InvalidRequestError(
                 "give exactly one of rs_threshold / rs_pct_threshold"
             )
+        # Field types, so a malformed payload fails here and not
+        # mid-run.  Numpy scalars become the Python values they equal;
+        # Python values are kept as given, so fingerprints do not move.
+        checked: Dict[str, Any] = {}
+        for name in ("rs_threshold", "rs_pct_threshold"):
+            if getattr(self, name) is not None:
+                checked[name] = _real_field(name, getattr(self, name))
+        for name in _INT_FIELDS:
+            checked[name] = _int_field(name, getattr(self, name))
+        for name in _OPTIONAL_INT_FIELDS:
+            if getattr(self, name) is not None:
+                checked[name] = _int_field(name, getattr(self, name))
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise InvalidRequestError(f"{name} must be true or false, got {value!r}")
+            checked[name] = bool(value)
+        if self.telemetry_interval is not None:
+            checked["telemetry_interval"] = _real_field(
+                "telemetry_interval", self.telemetry_interval, positive=True
+            )
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        if self.journal is not None and not isinstance(self.journal, (str, os.PathLike)):
+            raise InvalidRequestError(
+                f"journal must be a path string, got {self.journal!r}"
+            )
         if self.fom not in _FOMS:
             raise InvalidRequestError(
                 f"fom must be one of {_FOMS}, got {self.fom!r}"
@@ -314,8 +385,8 @@ class SimplifyRequest:
             )
         if self.num_vectors <= 0:
             raise InvalidRequestError("num_vectors must be positive")
-        if self.telemetry_interval is not None and self.telemetry_interval <= 0:
-            raise InvalidRequestError("telemetry_interval must be positive seconds")
+        if self.seed < 0:
+            raise InvalidRequestError("seed must be non-negative")
         if self.trace_id is not None and (
             not isinstance(self.trace_id, str)
             or not _TRACE_ID_RE.match(self.trace_id)

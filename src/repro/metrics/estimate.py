@@ -37,7 +37,13 @@ from ..simulation.batchfaultsim import BatchFaultSimulator, FaultBatchStats
 from ..simulation.compiled import CompiledSimulator
 from ..simulation.deviation import WeightedDeviation
 from ..simulation.logicsim import SimResult
-from ..simulation.vectors import exhaustive_vectors, pack_vectors, random_vectors
+from ..simulation.vectors import (
+    exhaustive_vectors,
+    pack_vectors,
+    popcount_words,
+    random_vectors,
+    tail_mask,
+)
 from .errors import ErrorMetrics, rs_max
 
 __all__ = ["MetricsEstimator"]
@@ -357,10 +363,7 @@ class MetricsEstimator:
             detect = diff if detect is None else np.bitwise_or(detect, diff)
         if detect is None:
             return 0.0, 0
-        from ..simulation.vectors import unpack_vectors
-
-        detected = unpack_vectors(detect[None, :], self.num_vectors)[:, 0]
-        er = float(np.count_nonzero(detected)) / self.num_vectors
+        er = popcount_words(detect & tail_mask(self.num_vectors)) / self.num_vectors
 
         value_names = [target.outputs[p] for p in self._value_pos]
         fbits = res.output_bits(value_names)

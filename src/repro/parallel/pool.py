@@ -104,19 +104,21 @@ _WORKER_TELEMETRY: bool = False
 _PARENT_POLL_S = 0.5
 
 
-def _watch_coordinator() -> None:
+def _watch_coordinator(coordinator: int) -> None:
     """Exit this worker once its coordinator has died.
 
     A worker blocks reading the executor's call queue, and it holds a
     write end of that pipe itself, so a SIGKILLed coordinator never
     gives it EOF.  A daemon thread notices the reparenting instead.
+    ``coordinator`` is the PID the coordinator passed in, not this
+    process's parent at start-up: a coordinator killed before the
+    initializer ran has already been replaced as parent, so the worker
+    exits at once.
     """
     import threading
 
-    parent = os.getppid()
-
     def watch() -> None:
-        while os.getppid() == parent:
+        while os.getppid() == coordinator:
             time.sleep(_PARENT_POLL_S)
         os._exit(1)
 
@@ -124,6 +126,7 @@ def _watch_coordinator() -> None:
 
 
 def _init_worker(
+    coordinator: int,
     circuit: Circuit,
     vectors: Optional[np.ndarray],
     shm_spec: Optional[Tuple[str, Tuple[int, int]]],
@@ -133,7 +136,7 @@ def _init_worker(
 ) -> None:
     """Build the per-worker estimator once (the pickle-once shipment)."""
     global _WORKER_EST, _WORKER_SHM, _WORKER_OBS, _WORKER_TELEMETRY
-    _watch_coordinator()
+    _watch_coordinator(coordinator)
     _WORKER_TELEMETRY = bool(telemetry)
     if shm_spec is not None:
         from multiprocessing import shared_memory
@@ -378,6 +381,7 @@ class ScoringPool:
                 mp_context=self._ctx,
                 initializer=_init_worker,
                 initargs=(
+                    os.getpid(),
                     est.circuit,
                     vectors,
                     shm_spec,

@@ -245,8 +245,6 @@ class BatchFaultSimulator:
         self._ref_out: Optional[np.ndarray] = None
         self._base_diff: Optional[np.ndarray] = None
         self._dirty: Tuple[int, ...] = ()
-        self._ref_val_bits: Optional[np.ndarray] = None
-        self._base_delta: Optional[np.ndarray] = None
         self._base_dev: Optional[np.ndarray] = None
         self._base_dev_zero = False
 
@@ -269,6 +267,8 @@ class BatchFaultSimulator:
         position) and ``reference_value_bits`` (bool matrix, vectors x
         value outputs) name the *good machine* the per-fault stats are
         measured against; both default to this circuit's own baseline.
+        The value bits only set the baseline's per-vector deviation;
+        cones are then corrected against the baseline itself.
         Returns the baseline :class:`SimResult`.
         """
         if packed is None:
@@ -317,9 +317,7 @@ class BatchFaultSimulator:
             ref_bits = np.asarray(reference_value_bits).astype(np.int8)
             if ref_bits.shape != host_bits.shape:
                 raise ValueError("reference_value_bits shape mismatch")
-        self._ref_val_bits = ref_bits
-        self._base_delta = host_bits - ref_bits
-        self._base_dev = self.deviation.signed(self._base_delta)
+        self._base_dev = self.deviation.signed(host_bits - ref_bits)
         self._base_dev_zero = not self._base_dev.any()
         return good
 
@@ -563,7 +561,9 @@ class BatchFaultSimulator:
         """Max/sum of absolute weighted deviations on one word chunk.
 
         The per-vector deviation is the baseline's deviation against the
-        reference, corrected on the cone value-outputs only.
+        reference, corrected on the cone value-outputs only.  The
+        correction ``(new - ref) - (host - ref)`` is ``new - host``, so
+        it reads the replayed and the baseline words directly.
         """
         nrows = r1 - r0
         if nrows <= 0:
@@ -573,12 +573,10 @@ class BatchFaultSimulator:
                 return 0, 0, [0] * nrows if detailed else []
             dev = self._base_dev[r0:r1]
         else:
-            new_bits = unpack_vectors(self._work[plan.val_rows, sl], nrows).astype(
-                np.int8
-            )
-            delta_new = new_bits - self._ref_val_bits[r0:r1][:, plan.val_idx]
+            new_bits = unpack_vectors(self._work[plan.val_rows, sl], nrows)
+            host_bits = unpack_vectors(self._base[plan.val_rows, sl], nrows)
             adj = self.deviation.signed(
-                delta_new - self._base_delta[r0:r1][:, plan.val_idx], plan.val_idx
+                new_bits.view(np.int8) - host_bits.view(np.int8), plan.val_idx
             )
             dev = self._base_dev[r0:r1] + adj
         abs_dev = np.abs(dev)

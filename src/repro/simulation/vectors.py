@@ -3,11 +3,18 @@
 The simulators in this package are 64-way bit-parallel: a batch of N
 input vectors is stored as, per signal, an array of ``ceil(N/64)``
 ``uint64`` words whose bit *k* of word *w* holds the signal value under
-vector ``64*w + k``.  This module converts between that packed layout
-and plain boolean/integer vector representations, and generates the
-random and exhaustive vector sets used for ER estimation (the paper
-simulates 10,000 random vectors; exhaustive 2**n enumeration is used
-for small circuits in tests).
+vector ``64*w + k``.  This module is the one owner of that packed
+layout: it converts between it and plain boolean/integer vector
+representations, writes exhaustive counting patterns straight into it,
+and generates the random and exhaustive vector sets used for ER
+estimation (the paper simulates 10,000 random vectors; exhaustive 2**n
+enumeration is used for small circuits in tests).
+
+The layout is :func:`numpy.packbits` with ``bitorder="little"`` along
+the vector axis, eight bytes per word read as little-endian ``uint64``
+(``"<u8"``): vector ``8*j + i`` is bit *i* of byte *j*, and byte *j* is
+bits ``8*(j % 8)`` and up of word ``j // 8``.  The byte order is spelled
+out, so the words are the same on any host.
 """
 
 from __future__ import annotations
@@ -16,12 +23,15 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from ..circuit.gates import ALL_ONES
+
 __all__ = [
     "pack_vectors",
     "unpack_vectors",
     "popcount_words",
     "random_vectors",
     "exhaustive_vectors",
+    "exhaustive_words",
     "vectors_from_ints",
     "ints_from_vectors",
     "num_words",
@@ -37,7 +47,7 @@ def num_words(num_vectors: int) -> int:
 def tail_mask(num_vectors: int) -> np.ndarray:
     """Per-word mask selecting only the valid (first ``num_vectors``) bits."""
     w = num_words(num_vectors)
-    mask = np.full(w, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
+    mask = np.full(w, ALL_ONES, dtype=np.uint64)
     rem = num_vectors % 64
     if rem:
         mask[-1] = np.uint64((1 << rem) - 1)
@@ -48,32 +58,34 @@ def pack_vectors(vectors: np.ndarray) -> np.ndarray:
     """Pack a boolean matrix (N vectors x n signals) into words.
 
     Returns an array of shape ``(n, ceil(N/64))`` and dtype ``uint64``;
-    row *i* holds the packed values of signal *i*.
+    row *i* holds the packed values of signal *i*, tail bits zero.
     """
     vecs = np.asarray(vectors, dtype=bool)
     if vecs.ndim != 2:
         raise ValueError(f"expected 2-D (N, n) vector matrix, got shape {vecs.shape}")
     n_vec, n_sig = vecs.shape
-    w = num_words(n_vec)
-    padded = np.zeros((w * 64, n_sig), dtype=bool)
-    padded[:n_vec] = vecs
-    # bit k of word w = vector 64*w + k  -> little-endian within each word
-    by_word = padded.reshape(w, 64, n_sig)
-    weights = (np.uint64(1) << np.arange(64, dtype=np.uint64))[None, :, None]
-    packed = (by_word.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
-    return np.ascontiguousarray(packed.T)
+    padded = np.zeros((n_sig, 64 * num_words(n_vec)), dtype=bool)
+    padded[:, :n_vec] = vecs.T
+    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    return packed.astype(np.uint64, copy=False)
 
 
 def unpack_vectors(words: np.ndarray, num_vectors: int) -> np.ndarray:
-    """Inverse of :func:`pack_vectors`: returns bool matrix (N, n)."""
-    words = np.asarray(words, dtype=np.uint64)
+    """Inverse of :func:`pack_vectors`: returns bool matrix (N, n).
+
+    ``words`` is ``(n, W)`` or a single row ``(W,)``; bits past
+    ``num_vectors`` are ignored.
+    """
+    words = np.ascontiguousarray(words, dtype="<u8")
     if words.ndim == 1:
         words = words[None, :]
-    n_sig, w = words.shape
-    shifts = np.arange(64, dtype=np.uint64)
-    bits = (words[:, :, None] >> shifts[None, None, :]) & np.uint64(1)
-    flat = bits.reshape(n_sig, w * 64).astype(bool)
-    return flat[:, :num_vectors].T
+    bits = np.unpackbits(
+        words.view(np.uint8),
+        axis=1,
+        count=min(num_vectors, 64 * words.shape[1]),
+        bitorder="little",
+    )
+    return bits.view(bool).T
 
 
 _POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint64)
@@ -109,6 +121,40 @@ def exhaustive_vectors(num_inputs: int, limit: int = 1 << 22) -> np.ndarray:
     ints = np.arange(total, dtype=np.uint64)
     shifts = np.arange(num_inputs, dtype=np.uint64)
     return ((ints[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool)
+
+
+# Bit b < 6 of the vector index across the 64 vectors of one word:
+# 0xAAAA..., 0xCCCC..., 0xF0F0..., 0xFF00..., 0xFFFF0000..., 0xFFFFFFFF00000000.
+_COUNTING_WORDS = tuple(
+    np.uint64(sum(1 << k for k in range(64) if k >> b & 1)) for b in range(6)
+)
+
+
+def exhaustive_words(
+    rows: Sequence[int], num_rows: int, start: int, count: int
+) -> np.ndarray:
+    """Packed words of vectors ``start .. start+count-1`` of a binary count.
+
+    Vector *v* drives ``rows[b]`` with bit *b* of *v*; every other of
+    the ``num_rows`` rows stays zero.  This equals :func:`pack_vectors` of
+    the matching bool matrix, without building it: bit ``b < 6`` is a
+    constant word, and for ``b >= 6`` word *j* is all ones exactly when
+    bit ``b - 6`` of its global word index is set.  ``start`` must be
+    word-aligned (a multiple of 64); bits past ``count`` are zero.
+    """
+    if start % 64:
+        raise ValueError(f"start must be a multiple of 64, got {start}")
+    w = num_words(count)
+    out = np.zeros((num_rows, w), dtype=np.uint64)
+    word_index = np.arange(start // 64, start // 64 + w, dtype=np.uint64)
+    for b, row in enumerate(rows):
+        if b < 6:
+            out[row] = _COUNTING_WORDS[b]
+        else:
+            out[row] = ((word_index >> np.uint64(b - 6)) & np.uint64(1)) * ALL_ONES
+    if count % 64:
+        out &= tail_mask(count)
+    return out
 
 
 def vectors_from_ints(values: Sequence[int], num_inputs: int) -> np.ndarray:

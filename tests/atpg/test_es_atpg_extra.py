@@ -21,6 +21,14 @@ def test_exact_max_deviation_chunking(adder8):
     assert full == chunked
 
 
+@pytest.mark.parametrize("chunk", [100, 0, -64])
+def test_exact_max_deviation_needs_word_aligned_chunks(adder8, chunk):
+    carry = [n for n in adder8.gates if adder8.gates[n].gtype.name == "OR"][3]
+    atpg = EsAtpg(adder8, faults=[StuckAtFault.stem(carry, 1)])
+    with pytest.raises(ValueError, match="multiple of 64"):
+        atpg.exact_max_deviation(chunk_vectors=chunk)
+
+
 def test_support_set_is_minimal(adder8):
     s0 = adder8.outputs[0]
     atpg = EsAtpg(adder8, faults=[StuckAtFault.stem(s0, 0)])

@@ -1,9 +1,13 @@
 """ISCAS85 .bench format parsing and serialization."""
 
+import random
+import re
+
 import pytest
 
 from repro.circuit import (
     BenchParseError,
+    CircuitError,
     GateType,
     dumps_bench,
     loads_bench,
@@ -88,3 +92,53 @@ def test_roundtrip_file(tmp_path, c17):
     back = load_bench(path)
     assert back.name == "c17"
     assert back.num_gates == c17.num_gates
+
+
+_FUZZ_TOKENS = [
+    "(", ")", "=", ",", "#", " ", "\n", "INPUT", "OUTPUT", "NAND", "AND", "NOT",
+    "BUFF", "XOR", "DFF", "CONST0", "CONST1", "FOO", "G1", "G10", "G22", "G99", "",
+]
+
+
+def _mutate(text, rng):
+    """One random edit of ``text``: a character, a token or a line."""
+    lines = text.split("\n")
+    op = rng.randrange(6)
+    if op == 0 and text:  # delete a character
+        i = rng.randrange(len(text))
+        return text[:i] + text[i + 1:]
+    if op == 1:  # insert a token
+        i = rng.randrange(len(text) + 1)
+        return text[:i] + rng.choice(_FUZZ_TOKENS) + text[i:]
+    if op == 2:  # replace one word with a token
+        words = list(re.finditer(r"[A-Za-z0-9_]+", text))
+        if words:
+            m = rng.choice(words)
+            return text[: m.start()] + rng.choice(_FUZZ_TOKENS) + text[m.end():]
+    if op == 3:  # duplicate a line
+        i = rng.randrange(len(lines))
+        lines.insert(i, lines[i])
+    elif op == 4 and len(lines) > 1:  # delete a line
+        del lines[rng.randrange(len(lines))]
+    elif op == 5 and len(lines) > 1:  # swap two lines
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
+def test_mutated_bench_text_fails_only_with_typed_errors():
+    """Perturbed c17 text parses or raises a netlist error; no other
+    exception type escapes the parser."""
+    rng = random.Random(16)
+    parsed = rejected = 0
+    for _ in range(3000):
+        text = C17_BENCH
+        for _ in range(rng.randint(1, 4)):
+            text = _mutate(text, rng)
+        try:
+            loads_bench(text)
+        except (BenchParseError, CircuitError):
+            rejected += 1
+        else:
+            parsed += 1
+    assert parsed and rejected  # the mutations reach both outcomes

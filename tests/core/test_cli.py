@@ -1,5 +1,9 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.circuit import dump_bench
@@ -541,3 +545,50 @@ def test_errors_offline_dir_and_saved_scrape(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "feed" * 4 in out
     assert "wedged in kernel" in out
+
+
+_MALFORMED_NETLISTS = [
+    ("gate.bench", "INPUT(a)\nOUTPUT(z)\nz = FOO(a)\n", "unknown gate type"),
+    ("undefined.bench", "INPUT(a)\nOUTPUT(z)\nz = AND(a, q)\n", "not a known signal"),
+    (
+        "statement.v",
+        "module m(a, z);\ninput a;\noutput z;\nalways @(a) z = a;\nendmodule\n",
+        "unsupported statement",
+    ),
+    ("missing.bench", None, "cannot read"),
+]
+
+
+@pytest.mark.parametrize("name,text,reason", _MALFORMED_NETLISTS)
+def test_malformed_netlist_is_a_compile_error(tmp_path, capsys, name, text, reason):
+    """Every verb that loads a netlist reports a bad one as a typed
+    ``compile_error`` and exits 2."""
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    for argv in (
+        ["simplify", str(path), "--rs-pct", "5"],
+        ["stats", str(path)],
+        ["redundancy", str(path)],
+        ["er-tests", str(path)],
+        ["yield", str(path)],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "compile_error" in err and reason in err, (argv, err)
+
+
+def test_malformed_netlist_prints_no_traceback(tmp_path):
+    path = tmp_path / "gate.bench"
+    path.write_text(_MALFORMED_NETLISTS[0][1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath("src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "simplify", str(path), "--rs-pct", "5"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "compile_error: netlist does not parse" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr

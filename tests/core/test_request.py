@@ -1,9 +1,12 @@
 """SimplifyRequest: construction, serialization, config derivation."""
 
 import argparse
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     SCHEMA_VERSION,
@@ -228,3 +231,135 @@ def test_replace_revalidates():
     assert req.replace(seed=42).seed == 42
     with pytest.raises(ValueError):
         req.replace(fom="bogus")
+
+
+# ----------------------------------------------------------------------
+# field types: malformed payloads fail at construction, typed
+# ----------------------------------------------------------------------
+_BASE = {"rs_pct_threshold": 2.0}
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("rs_pct_threshold", "abc"),
+        ("rs_pct_threshold", float("nan")),
+        ("rs_pct_threshold", float("inf")),
+        ("rs_pct_threshold", -1.0),
+        ("rs_pct_threshold", True),
+        ("rs_pct_threshold", [1.0]),
+        ("rs_pct_threshold", 10**400),
+        ("workers", "two"),
+        ("workers", 2.0),
+        ("workers", True),
+        ("candidate_limit", "200"),
+        ("journal", 5),
+        ("journal", ["run.jsonl"]),
+        ("num_vectors", "10000"),
+        ("num_vectors", 1e4),
+        ("num_vectors", False),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("max_iterations", None),
+        ("atpg_node_limit", "4000"),
+        ("prepass_backtrack_limit", 0.5),
+        ("exhaustive", "yes"),
+        ("pow2_es", 1),
+        ("redundancy_prepass", None),
+        ("datapath_only", 0),
+        ("include_branches", "false"),
+        ("telemetry_interval", 0),
+        ("telemetry_interval", float("nan")),
+        ("telemetry_interval", "1"),
+    ],
+)
+def test_malformed_fields_are_invalid_requests(field, value):
+    with pytest.raises(InvalidRequestError, match=field):
+        SimplifyRequest.from_dict({**_BASE, field: value})
+
+
+def test_malformed_json_numbers_are_invalid_requests():
+    for literal in ("NaN", "Infinity", "-Infinity", '"abc"'):
+        with pytest.raises(InvalidRequestError, match="rs_pct_threshold"):
+            SimplifyRequest.from_json('{"rs_pct_threshold": %s}' % literal)
+    with pytest.raises(InvalidRequestError, match="rs_threshold"):
+        SimplifyRequest.from_json('{"rs_threshold": NaN}')
+
+
+def test_numpy_scalars_become_python_values():
+    req = SimplifyRequest(
+        rs_pct_threshold=np.float32(2.0),
+        num_vectors=np.int64(900),
+        seed=np.int32(3),
+        workers=np.int64(2),
+        exhaustive=np.bool_(False),
+        telemetry_interval=np.float64(0.5),
+    )
+    assert req == SimplifyRequest(
+        rs_pct_threshold=2.0,
+        num_vectors=900,
+        seed=3,
+        workers=2,
+        exhaustive=False,
+        telemetry_interval=0.5,
+    )
+    assert type(req.num_vectors) is int and type(req.exhaustive) is bool
+    assert type(req.rs_pct_threshold) is float
+    assert req.fingerprint() == SimplifyRequest(
+        rs_pct_threshold=2.0, num_vectors=900, seed=3
+    ).fingerprint()
+    assert SimplifyRequest.from_json(req.to_json()) == req
+
+
+def test_valid_request_fingerprints_are_unchanged():
+    """Result-cache keys recorded before field typing still hold."""
+    assert (
+        SimplifyRequest(rs_pct_threshold=2.5, fom="area", seed=7).fingerprint()
+        == "da985380ca60f52112fb78dd48bc8afee602903f0eda6fb8cedb5a5ed962a6d5"
+    )
+    assert (
+        SimplifyRequest(
+            rs_threshold=3,
+            candidate_limit=None,
+            redundancy_prepass=True,
+            pow2_es=True,
+            weights="binary",
+        ).fingerprint()
+        == "ecfd842897ae27bab44b6882a8ca1134e63c2514db37c266aa6c88d3567cff69"
+    )
+    assert (
+        SimplifyRequest(
+            rs_pct_threshold=0.0, num_vectors=900, max_iterations=5, atpg_node_limit=100
+        ).fingerprint()
+        == "b12823cee0a98609149f671827273f11774fa4c33e14dc6c364342e76f0330b0"
+    )
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["best", "area", "hybrid", "netlist", "binary", "run.jsonl"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_FIELD_NAMES = sorted(f.name for f in dataclasses.fields(SimplifyRequest))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(_FIELD_NAMES + ["schema_version"]), value=_JSON_VALUES)
+def test_any_json_field_value_builds_or_is_invalid(field, value):
+    """One field set to any JSON value: a request (whose fingerprint
+    and JSON form work) or an InvalidRequestError, never another error."""
+    payload = {"rs_pct_threshold": 2.0, "seed": 1}
+    payload[field] = value
+    text = json.dumps(payload)
+    try:
+        req = SimplifyRequest.from_json(text)
+    except InvalidRequestError:
+        return
+    req.fingerprint()
+    assert SimplifyRequest.from_json(req.to_json()) == req

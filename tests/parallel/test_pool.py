@@ -347,3 +347,38 @@ def test_workers_exit_when_coordinator_is_killed(tmp_path):
         for w in workers:
             if _alive(w):
                 os.kill(w, signal.SIGKILL)
+
+
+def _watch_then_sleep(coordinator):
+    from repro.parallel.pool import _watch_coordinator
+
+    try:
+        _watch_coordinator(coordinator)
+    except Exception:
+        os._exit(3)  # not the watcher's exit code
+    time.sleep(30)
+    os._exit(0)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_worker_exits_when_coordinator_died_before_its_initializer():
+    """A worker whose coordinator is already gone when the watcher
+    starts (it has been reparented) exits at once: the watcher compares
+    against the coordinator PID it was handed, not the current parent."""
+    import multiprocessing
+
+    gone = subprocess.Popen([sys.executable, "-c", "pass"])
+    gone.wait(timeout=30)
+    proc = multiprocessing.get_context("fork").Process(
+        target=_watch_then_sleep, args=(gone.pid,)
+    )
+    t0 = time.monotonic()
+    proc.start()
+    proc.join(timeout=10)
+    elapsed = time.monotonic() - t0
+    if proc.is_alive():
+        proc.kill()
+        proc.join(timeout=10)
+        pytest.fail("the worker outlived a coordinator that was already gone")
+    assert proc.exitcode == 1
+    assert elapsed < 1.5

@@ -156,6 +156,33 @@ def test_invalid_request_is_400(server, adder_bench):
         client.submit({"rs_pct_threshold": 1.0})
 
 
+def test_malformed_field_is_400_and_creates_no_job(server, adder_bench):
+    """A threshold of the wrong type answers 400 ``invalid_request`` at
+    submit time instead of queueing a job that crashes in the runner."""
+    import urllib.error
+    import urllib.request
+
+    client, _service = server
+    before = len(client.jobs())
+    body = json.dumps({
+        "request": dict(FAST, seed=30, rs_pct_threshold="abc"),
+        "netlist": adder_bench,
+    }).encode("utf-8")
+    post = urllib.request.Request(
+        f"{client.base_url}/v1/jobs", data=body, method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as info:
+        urllib.request.urlopen(post, timeout=30)
+    assert info.value.code == 400
+    error = json.loads(info.value.read())["error"]
+    assert error["code"] == "invalid_request"
+    assert "rs_pct_threshold" in error["message"]
+    with pytest.raises(InvalidRequestError):
+        client.submit(dict(FAST, seed=30, workers="two"), netlist=adder_bench)
+    assert len(client.jobs()) == before
+
+
 def test_newer_schema_version_is_rejected(server, adder_bench):
     client, _service = server
     from repro import SCHEMA_VERSION
