@@ -109,7 +109,7 @@ def collect_gauges(events: Sequence[Dict]) -> Dict[str, float]:
 _CACHE_PAIRS = (
     ("estimator.batchsim_cache_hits", "estimator.batchsim_cache_misses"),
     ("estimator.sim_cache_hits", "estimator.sim_cache_misses"),
-    ("batchsim.plan_cache_hits", "batchsim.plan_cache_misses"),
+    ("greedy.preview_memo_hits", "greedy.preview_memo_misses"),
 )
 
 

@@ -20,6 +20,12 @@ base circuit.  That makes *previewing* the area reduction of a
 candidate fault cheap (no netlist copy), which the greedy heuristic of
 Section IV exploits heavily; committing a selection is a
 :meth:`Overlay.materialize` call that builds the simplified circuit.
+
+An overlay records the names whose netlist facts it consulted
+(:attr:`Overlay.reads`) and can name the ones its edits change
+(:meth:`Overlay.writes`).  A preview that read none of the names a
+committed overlay wrote gives the same value on the committed netlist,
+which lets the greedy loop keep previews across iterations.
 """
 
 from __future__ import annotations
@@ -43,11 +49,14 @@ class Overlay:
 
     One overlay accepts any number of fault injections via
     :meth:`apply`; edits accumulate.  The base circuit is never
-    modified.
+    modified.  ``reads`` (a fresh set by default) collects every name
+    whose netlist facts the overlay consults: a gate's type or inputs,
+    a signal's consumers, or whether it is a primary input.
     """
 
-    def __init__(self, circuit: Circuit) -> None:
+    def __init__(self, circuit: Circuit, reads: Optional[Set[str]] = None) -> None:
         self.circuit = circuit
+        self.reads: Set[str] = set() if reads is None else reads
         self._fanout = circuit.fanout_map()
         self._po_count: Dict[str, int] = {}
         for o in circuit.outputs:
@@ -69,15 +78,18 @@ class Overlay:
     # ------------------------------------------------------------------
     def gtype_of(self, name: str) -> GateType:
         """Current (possibly rewritten) type of a gate."""
+        self.reads.add(name)
         return self.retype.get(name, self.circuit.gates[name].gtype)
 
     def consumers(self, signal: str) -> int:
         """Current consumer count (gate pins + PO references)."""
+        self.reads.add(signal)
         base = len(self._fanout.get(signal, ())) + self._po_count.get(signal, 0)
         return base + self._consumer_delta.get(signal, 0)
 
     def live_pins(self, name: str) -> List[Tuple[int, str]]:
         """Remaining (pin, source) connections of a live gate."""
+        self.reads.add(name)
         drops = self.dropped.get(name, ())
         return [
             (pin, src)
@@ -109,9 +121,11 @@ class Overlay:
         branches: List[StuckAtFault] = []
         for f in faults:
             line = f.line
+            self.reads.add(line.signal)
             if not self.circuit.has_signal(line.signal):
                 raise CircuitError(f"fault site {line} not in circuit")
             if line.is_branch:
+                self.reads.add(line.gate)
                 gate = self.circuit.gates.get(line.gate)
                 if gate is None:
                     raise CircuitError(f"fault {f}: gate {line.gate!r} not in circuit")
@@ -235,6 +249,7 @@ class Overlay:
                 )
             return
         self.const_of[signal] = value
+        self.reads.add(signal)
         for gate, pin in self._fanout.get(signal, ()):
             if gate in self.dead:
                 continue
@@ -272,6 +287,14 @@ class Overlay:
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
+    def writes(self) -> Set[str]:
+        """Names whose netlist facts :meth:`materialize` changes: dead,
+        retyped and pin-dropping gates, signals turned constant, and
+        signals that lost consumers."""
+        return self.dead.union(
+            self.retype, self.dropped, self.const_of, self._consumer_delta
+        )
+
     def area_delta(self) -> int:
         """Total area removed so far (positive = smaller circuit)."""
         delta = 0
@@ -370,8 +393,14 @@ def simplify_with_faults(
     return overlay.materialize(name)
 
 
-def preview_area_reduction(circuit: Circuit, fault: StuckAtFault) -> int:
-    """Area saved by injecting ``fault``, without building the netlist."""
-    overlay = Overlay(circuit)
+def preview_area_reduction(
+    circuit: Circuit, fault: StuckAtFault, reads: Optional[Set[str]] = None
+) -> int:
+    """Area saved by injecting ``fault``, without building the netlist.
+
+    ``reads``, when given, receives the names the preview consulted
+    (:attr:`Overlay.reads`), also when the injection raises.
+    """
+    overlay = Overlay(circuit, reads=reads)
     overlay.apply(fault)
     return overlay.area_delta()

@@ -21,6 +21,13 @@ iteration otherwise), and each iteration evaluates the
 ``candidate_limit`` most promising candidates, pre-ranked by a cheap
 structural proxy (previewed area gain over the reachable-output weight
 bound).  Set ``candidate_limit=None`` for the paper's full O(kp) scan.
+
+A run keeps each candidate's area preview across iterations
+(:class:`_PreviewMemo`): a commit drops only the previews that read a
+name the committed overlay wrote, and every kept preview equals a fresh
+one on the new netlist.  Only :class:`~repro.circuit.netlist.CircuitError`
+counts as a failed injection (a skipped candidate); any other exception
+propagates.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..circuit import Circuit
+from ..circuit.netlist import CircuitError
 from ..circuit.structure import datapath_signals
 from ..faults.collapse import FaultClasses
 from ..faults.model import StuckAtFault, datapath_faults, enumerate_faults
@@ -500,6 +508,7 @@ def _run_greedy(
         prev.er, prev.es, prev.rs = replay.prev_metrics
     current = result.simplified
     use_atpg = cfg.es_mode != "simulated"
+    memo = _PreviewMemo(obs)
 
     if cfg.redundancy_prepass and replay is None:
         with obs.span("prepass"):
@@ -545,7 +554,7 @@ def _run_greedy(
             with obs.span("rank"):
                 scored = _rank_candidates(
                     current, candidates, cfg, estimator, threshold, current_rs,
-                    pool=pool,
+                    pool=pool, memo=memo,
                 )
             t_rank = time.perf_counter() - t0
             committed = False
@@ -558,7 +567,7 @@ def _run_greedy(
                     overlay = Overlay(current)
                     try:
                         overlay.apply(fault)
-                    except Exception:
+                    except CircuitError:
                         banned.add(_fault_key(fault))
                         _emit_rejection(journal, iteration, fault, "apply_failed")
                         continue
@@ -592,6 +601,7 @@ def _run_greedy(
                     )
                     result.iterations.append(rec)
                     result.faults.append(fault)
+                    memo.commit(overlay)
                     current = tentative
                     result.simplified = current
                     current_rs = metrics.rs
@@ -771,7 +781,7 @@ def _apply_redundancy_prepass(
         overlay = Overlay(current)
         try:
             overlay.apply(fault)
-        except Exception:
+        except CircuitError:
             continue
         if overlay.area_delta() <= 0:
             continue
@@ -859,8 +869,48 @@ def _prescreen_survivors(
 def _safe_preview(circuit: Circuit, fault: StuckAtFault) -> int:
     try:
         return preview_area_reduction(circuit, fault)
-    except Exception:
+    except CircuitError:
         return -1
+
+
+class _PreviewMemo:
+    """Area previews of one run, kept across greedy iterations.
+
+    An entry is a fault's :func:`preview_area_reduction` on the current
+    netlist (``None`` when the injection fails) with the names the
+    preview read.  A commit changes exactly the names its overlay wrote
+    (:meth:`Overlay.writes`), so :meth:`commit` drops the entries whose
+    reads meet them and keeps the rest: a kept preview would compute the
+    same value on the committed netlist.  Hits and misses count into
+    ``obs`` (``greedy.preview_memo_hits``/``misses``).
+    """
+
+    def __init__(self, obs: Optional[Instrumentation] = None) -> None:
+        self.obs = obs if obs is not None else get_active()
+        self._entries: Dict[Tuple, Tuple[Optional[int], Tuple[str, ...]]] = {}
+
+    def preview(self, circuit: Circuit, fault: StuckAtFault) -> Optional[int]:
+        key = _fault_key(fault)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.obs.incr("greedy.preview_memo_hits")
+            return entry[0]
+        self.obs.incr("greedy.preview_memo_misses")
+        reads: Set[str] = set()
+        try:
+            delta: Optional[int] = preview_area_reduction(circuit, fault, reads=reads)
+        except CircuitError:
+            delta = None  # e.g. a stem fault contradicting an existing constant
+        self._entries[key] = (delta, tuple(reads))
+        return delta
+
+    def commit(self, overlay: Overlay) -> None:
+        """Forget the previews the committed ``overlay`` can change."""
+        written = overlay.writes()
+        self._entries = {
+            key: entry for key, entry in self._entries.items()
+            if written.isdisjoint(entry[1])
+        }
 
 
 def _fault_key(fault: StuckAtFault) -> Tuple:
@@ -918,24 +968,24 @@ def _rank_candidates(
     threshold: float,
     current_rs: float,
     pool=None,
+    memo: Optional[_PreviewMemo] = None,
 ) -> List[Tuple[float, StuckAtFault, float, float, int, int]]:
     """Score candidates; sorted best first.
 
     Each entry is ``(fom, fault, simulated_rs, er, observed_es,
     area_delta)`` -- the trailing triple is the selection-time
     *prediction* the calibration events pair with the realized commit
-    measurement.
+    measurement.  ``memo`` carries the run's area previews of
+    ``current`` (a fresh one by default).
     """
+    memo = memo if memo is not None else _PreviewMemo(estimator.obs)
     # Phase 1: structural proxy ranking (cheap) to pick the shortlist.
     with estimator.obs.span("proxy"):
         reach = _reachable_weight(current)
         proxied: List[Tuple[float, int, StuckAtFault]] = []
         for f in candidates:
-            try:
-                delta = preview_area_reduction(current, f)
-            except Exception:
-                continue  # e.g. a stem fault contradicting an existing constant
-            if delta <= 0:
+            delta = memo.preview(current, f)
+            if delta is None or delta <= 0:
                 continue
             wbound = reach.get(f.line.signal, 0)
             if cfg.fom == "area":

@@ -1,5 +1,5 @@
 """Fault-parallel batch fault simulation with cone-restricted
-incremental propagation (PPSFP-style).
+incremental propagation (PPSFP-style), replayed along a fault axis.
 
 The full :class:`~repro.simulation.faultsim.FaultSimulator` walks the
 entire gate schedule once per fault set, so the greedy loop's candidate
@@ -9,22 +9,39 @@ perturbs its fanout cone.  :class:`BatchFaultSimulator` removes that
 waste:
 
 * the fault-free baseline is simulated **once per vector batch**;
-* each candidate fault replays only the precomputed *cone schedule* of
-  its line (the gates in the line's transitive fanout, in topological
-  order, from :func:`repro.circuit.structure.fanout_cone_gates`),
-  reading undisturbed signals straight from the baseline; the cone is
-  lowered into level groups -- same-level gates sharing a bitwise core
-  of the compiled program evaluate in a single vectorized numpy call;
-* only the primary outputs inside the cone are compared against the
+* each candidate fault replays only its *cone* (the gates in the
+  line's transitive fanout, from
+  :func:`repro.circuit.structure.fanout_cone_gates`), reading undisturbed
+  signals from the baseline;
+* the faults of one call replay **together**, along a fault axis: each
+  fault gets a private copy of its cone rows in one value matrix (the
+  *slab*) that also holds the baseline rows the cones read, and every
+  fault's gates that share a topological level and a bitwise core of
+  the compiled program evaluate in one vectorized numpy call;
+* only the primary outputs inside a cone are compared against the
   reference machine -- every other output is known to still match the
   baseline -- and only cone value-outputs enter the weighted-deviation
-  update;
+  update, one segmented sum for all faults
+  (:meth:`~repro.simulation.deviation.WeightedDeviation.segmented`);
 * a fault can be **dropped** early: with ``rs_drop_threshold`` set, the
-  vector words are processed in chunks, and once the running
+  vector words are split into chunks, and once the running
   detection-count/deviation lower bounds already prove
-  ``ER * ES > threshold`` the remaining words are skipped (the fault is
-  disqualified for ranking purposes no matter how the rest of the batch
-  turns out).
+  ``ER * ES > threshold`` the fault's remaining chunks do not count (the
+  fault is disqualified for ranking purposes no matter how the rest of
+  the batch turns out).  Every chunk is simulated and summarized per
+  fault (detection count, deviation max and sum); the drop rule runs
+  once per chunk, for all faults, on their summaries so far, and each
+  fault's statistics and ``words_simulated`` cover the chunks up to its
+  drop -- those of a fault simulated chunk by chunk and stopped there.
+
+Memory stays within a few baseline-sized arrays.  A slab holds at most
+as many rows as the baseline (the faults are taken in blocks that fit,
+so a block never has more faults than the baseline has rows).
+Detection adds the gathered cone observe rows (no more than the slab's
+private rows) and up to three (faults in block x words) arrays: the
+detection words, the residual gather and the per-word popcounts.  The
+deviation step unpacks at most :data:`DEVIATION_CELLS` (value-output
+row x vector) cells at a time.
 
 The reference machine defaults to the simulated circuit's own baseline
 (classical single-fault differential simulation).  The greedy loop
@@ -43,8 +60,9 @@ faults (Section III.C), so overlay/commit decisions keep using the full
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import accumulate, chain
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,14 +78,21 @@ from .compiled import (
     ROW_ZERO,
     CompiledSimulator,
     eval_core_group,
-    eval_core_row,
     lower_entry,
 )
 from .deviation import WeightedDeviation
 from .logicsim import SimResult
-from .vectors import pack_vectors, popcount_words, tail_mask, unpack_vectors
+from .vectors import pack_vectors, tail_mask, unpack_vectors, word_popcounts
 
 __all__ = ["FaultBatchStats", "BatchFaultSimulator"]
+
+#: Most (value-output row x vector) cells the deviation step unpacks at
+#: once, in ``evaluate`` and in ``load_batch``: it bounds that step's
+#: working set (about 11 bytes per cell).
+DEVIATION_CELLS = 1 << 18
+
+# Columns of a cone's gate code (see :class:`_Cone`).
+_KEY, _OUT, _INV, _ARITY, _INS = range(5)
 
 
 @dataclass
@@ -136,47 +161,37 @@ class FaultBatchStats:
         return self.error_rate * self.max_abs_deviation
 
 
-class _ConePlan:
-    """Precomputed replay schedule for one fault site.
 
-    ``first`` is the faulted gate itself for branch faults, lowered to
-    ``(core, out_row, input_rows, invert)`` (its pin override makes it
-    the one gate evaluated on its own); ``groups`` is the rest of the
-    cone, level-grouped: gates on the same topological level never feed
-    each other, so all gates of a level that share a core evaluate in a
-    single vectorized numpy call.
+
+class _Cone:
+    """One fault site's fanout cone, coded for replay in a slab.
+
+    ``rows`` are the cone's baseline rows in local order: the forced
+    signal (stem fault) or the faulted gate (branch fault) first, then
+    the cone gates in topological order.  ``code`` is flat, one record
+    per gate to replay: its ``(level, core)`` group key, local output
+    row, inversion flag and arity, then its inputs padded to the
+    circuit's widest gate with the core's identity row.  An input inside
+    the cone is coded as its local row (>= 0), any other baseline row
+    ``r`` as ``-1 - r``; ``boundary`` holds those other rows (constants
+    aside).  ``obs_*``/``val_*`` are the observe/value-output positions
+    the cone drives and the local rows driving them (``val_rows`` are
+    their baseline rows); ``dirty`` is the set of observe positions that
+    already differ from the reference and that the cone can change.
     """
 
     __slots__ = (
-        "first",
-        "groups",
         "rows",
-        "obs",
-        "obs_set",
+        "code",
+        "gates",
+        "boundary",
         "obs_pos",
-        "obs_rows",
-        "val_idx",
+        "obs_local",
+        "val_pos",
+        "val_local",
         "val_rows",
+        "dirty",
     )
-
-    def __init__(
-        self,
-        first: Optional[Tuple],
-        groups: Tuple[Tuple, ...],
-        rows: np.ndarray,
-        obs: Tuple[Tuple[int, int], ...],
-        val_idx: np.ndarray,
-        val_rows: np.ndarray,
-    ) -> None:
-        self.first = first
-        self.groups = groups
-        self.rows = rows
-        self.obs = obs
-        self.obs_set = frozenset(p for p, _r in obs)
-        self.obs_pos = np.asarray([p for p, _r in obs], dtype=np.intp)
-        self.obs_rows = np.asarray([r for _p, r in obs], dtype=np.intp)
-        self.val_idx = val_idx
-        self.val_rows = val_rows
 
 
 class BatchFaultSimulator:
@@ -191,11 +206,11 @@ class BatchFaultSimulator:
     pair a simplified netlist's outputs positionally with the original's
     weights.
 
-    The baseline runs through the whole-netlist compiled program, and
-    cones replay as level-sliced core groups -- same-level gates of
-    *any* type merge into at most three padded bitwise passes on the
-    shared value matrix, whose constant rows also serve the stuck pin
-    of a branch fault.
+    The baseline runs through the whole-netlist compiled program.  Cones
+    replay in slabs: rows 0 and 1 are the compiled program's constant
+    rows (the padding identities and the stuck pin of a branch fault),
+    then every fault's private cone rows, then the baseline rows the
+    cones read.
     """
 
     def __init__(
@@ -219,32 +234,42 @@ class BatchFaultSimulator:
             self.weights = [int(w) for w in weights]
         else:
             self.weights = circuit.weights_of(self.value_outputs)
-        self._obs_rows = [self.sim.index_of(o) for o in self.observe_outputs]
+        self._obs_rows = np.asarray(
+            [self.sim.index_of(o) for o in self.observe_outputs], dtype=np.intp
+        )
         self._val_rows = np.asarray(
             [self.sim.index_of(o) for o in self.value_outputs], dtype=np.intp
         )
+        self._obs_of_row: Dict[int, List[int]] = {}
+        for pos, row in enumerate(self._obs_rows.tolist()):
+            self._obs_of_row.setdefault(row, []).append(pos)
+        self._val_of_row: Dict[int, List[int]] = {}
+        for pos, row in enumerate(self._val_rows.tolist()):
+            self._val_of_row.setdefault(row, []).append(pos)
         # lowered schedule entries keyed by the driven signal (the
-        # compiled schedule is in topological_order(), one entry per gate)
+        # compiled schedule is in topological_order(), one entry per gate):
+        # (level * 3 + core, core, out_row, input_rows, invert)
         order = circuit.topological_order()
-        self._entry_of: Dict[str, Tuple[int, int, Tuple[int, ...], bool]] = {}
+        level_of_row = self.sim.program.level_of_row
+        self._entry_of: Dict[str, Tuple[int, int, int, Tuple[int, ...], bool]] = {}
         for name, (gtype, out_row, in_rows) in zip(order, self.sim._schedule):
             core, invert, ins = lower_entry(gtype, in_rows)
-            self._entry_of[name] = (core, out_row, tuple(ins), invert)
+            key = 3 * level_of_row[out_row] + core
+            self._entry_of[name] = (key, core, out_row, tuple(ins), invert)
+        self._arity = max((len(e[3]) for e in self._entry_of.values()), default=1)
         self._topo_pos = {n: i for i, n in enumerate(order)}
-        self._plan_cache: Dict[Tuple[str, str], _ConePlan] = {}
 
         self.deviation = WeightedDeviation(self.weights)
 
         # batch state (populated by load_batch)
         self._base: Optional[np.ndarray] = None
-        self._work: Optional[np.ndarray] = None
-        self._good: Optional[SimResult] = None
         self._n = 0
         self._w = 0
         self._tail: Optional[np.ndarray] = None
         self._ref_out: Optional[np.ndarray] = None
         self._base_diff: Optional[np.ndarray] = None
-        self._dirty: Tuple[int, ...] = ()
+        self._dirty: FrozenSet[int] = frozenset()
+        self._residuals: Dict[FrozenSet[int], np.ndarray] = {}
         self._base_dev: Optional[np.ndarray] = None
         self._base_dev_zero = False
 
@@ -281,14 +306,12 @@ class BatchFaultSimulator:
             raise ValueError("packed input needs an explicit num_vectors")
 
         good = self.sim.run_packed(packed, num_vectors, ())
-        self._good = good
         self._base = good._words
-        self._work = self._base.copy()
         self._n = int(num_vectors)
         self._w = self._base.shape[1]
         self._tail = tail_mask(self._n)
 
-        host_out = self._base[np.asarray(self._obs_rows, dtype=np.intp)]
+        host_out = self._base[self._obs_rows]
         if reference_outputs is None:
             ref = host_out
         else:
@@ -300,110 +323,119 @@ class BatchFaultSimulator:
                 )
         self._ref_out = ref
         self._base_diff = (host_out ^ ref) & self._tail[None, :]
-        self._dirty = tuple(
-            int(p) for p in np.nonzero(self._base_diff.any(axis=1))[0]
-        )
-
-        m = len(self.value_outputs)
-        if m:
-            host_bits = unpack_vectors(self._base[self._val_rows], self._n).astype(
-                np.int8
-            )
-        else:
-            host_bits = np.zeros((self._n, 0), dtype=np.int8)
-        if reference_value_bits is None:
-            ref_bits = host_bits
-        else:
-            ref_bits = np.asarray(reference_value_bits).astype(np.int8)
-            if ref_bits.shape != host_bits.shape:
-                raise ValueError("reference_value_bits shape mismatch")
-        self._base_dev = self.deviation.signed(host_bits - ref_bits)
+        self._dirty = frozenset(np.nonzero(self._base_diff.any(axis=1))[0].tolist())
+        self._residuals = {}
+        self._base_dev = self._baseline_deviation(reference_value_bits)
         self._base_dev_zero = not self._base_dev.any()
         return good
 
+    def _baseline_deviation(self, reference_value_bits: Optional[np.ndarray]) -> np.ndarray:
+        """The baseline's signed deviation from the reference, per vector.
+
+        Rows are independent, so it is computed a few vectors at a time
+        to keep the (vectors x value outputs) working set within
+        :data:`DEVIATION_CELLS`.
+        """
+        n, m = self._n, len(self.value_outputs)
+        dev = np.zeros(n, dtype=np.float64 if self.deviation.narrow else object)
+        if reference_value_bits is None or m == 0:
+            return dev
+        ref = np.asarray(reference_value_bits)
+        if ref.shape != (n, m):
+            raise ValueError("reference_value_bits shape mismatch")
+        step = max(64, DEVIATION_CELLS // m // 64 * 64)
+        for v0 in range(0, n, step):
+            v1 = min(n, v0 + step)
+            host = unpack_vectors(self._base[self._val_rows, v0 // 64 : -(-v1 // 64)], v1 - v0)
+            dev[v0:v1] = self.deviation.signed(host.view(np.int8) - ref[v0:v1].astype(np.int8))
+        return dev
+
     # ------------------------------------------------------------------
-    # cone plans
+    # cones
     # ------------------------------------------------------------------
-    def _plan_for_line(self, line: Line) -> _ConePlan:
-        key = ("stem", line.signal) if line.is_stem else ("branch", line.gate)
-        plan = self._plan_cache.get(key)
-        if plan is not None:
-            self.obs.incr("batchsim.plan_cache_hits")
-            return plan
-        self.obs.incr("batchsim.plan_cache_misses")
+    def _cone(self, line: Line) -> _Cone:
+        """Code the cone a fault on ``line`` disturbs (see :class:`_Cone`)."""
+        if not self.circuit.has_signal(line.signal):
+            raise CircuitError(f"fault site {line} not in circuit")
         if line.is_stem:
             gates = fanout_cone_gates(self.circuit, line.signal, self._topo_pos)
             rows = [self.sim.index_of(line.signal)]
-            first = None
-            grouped = gates
         else:
-            gates = (line.gate,) + fanout_cone_gates(
-                self.circuit, line.gate, self._topo_pos
-            )
+            gate = self.circuit.gates.get(line.gate)
+            if gate is None:
+                raise CircuitError(f"fault site {line}: gate {line.gate!r} not in circuit")
+            if line.pin >= len(gate.inputs) or gate.inputs[line.pin] != line.signal:
+                raise CircuitError(f"fault site {line}: pin does not match netlist")
+            gates = (line.gate,) + fanout_cone_gates(self.circuit, line.gate, self._topo_pos)
             rows = []
-            first = self._entry_of[line.gate]
-            grouped = gates[1:]
-        rows.extend(self.sim.index_of(g) for g in gates)
-        rowset = set(rows)
-        obs = tuple(
-            (pos, row) for pos, row in enumerate(self._obs_rows) if row in rowset
-        )
-        val_idx = np.asarray(
-            [j for j, row in enumerate(self._val_rows) if int(row) in rowset],
-            dtype=np.intp,
-        )
-        val_rows = self._val_rows[val_idx]
-        plan = _ConePlan(
-            first=first,
-            groups=self._group_entries(grouped),
-            rows=np.asarray(rows, dtype=np.intp),
-            obs=obs,
-            val_idx=val_idx,
-            val_rows=val_rows,
-        )
-        self._plan_cache[key] = plan
-        self.obs.incr("batchsim.cone_gates_compiled", len(gates))
-        self.obs.gauge_max("batchsim.cone_gates_max", len(gates))
-        return plan
+        entries = [self._entry_of[g] for g in gates]
+        rows.extend(e[2] for e in entries)
+        local = {row: i for i, row in enumerate(rows)}
+        code: List[int] = []
+        boundary = set()
+        for key, core, out_row, ins, invert in entries:
+            code += (key, local[out_row], invert, len(ins))
+            for r in ins:
+                i = local.get(r)
+                if i is None:
+                    code.append(-1 - r)
+                    boundary.add(r)
+                else:
+                    code.append(i)
+            code += [-1 - CORE_PAD[core]] * (self._arity - len(ins))
+        boundary.discard(ROW_ZERO)
+        boundary.discard(ROW_ONE)
+        cone = _Cone()
+        cone.rows = rows
+        cone.code = code
+        cone.gates = len(entries)
+        cone.boundary = frozenset(boundary)
+        obs = sorted((p, i) for i, r in enumerate(rows) for p in self._obs_of_row.get(r, ()))
+        val = sorted((p, i) for i, r in enumerate(rows) for p in self._val_of_row.get(r, ()))
+        cone.obs_pos = [p for p, _i in obs]
+        cone.obs_local = [i for _p, i in obs]
+        cone.val_pos = [p for p, _i in val]
+        cone.val_local = [i for _p, i in val]
+        cone.val_rows = [rows[i] for _p, i in val]
+        cone.dirty = frozenset(p for p, _i in obs if p in self._dirty)
+        self.obs.gauge_max("batchsim.cone_gates_max", len(entries))
+        return cone
 
-    def _group_entries(self, gates: Sequence[str]) -> Tuple[Tuple, ...]:
-        """Bucket cone gates into vectorized replay groups.
+    def _blocks(
+        self, faults: Sequence[StuckAtFault]
+    ) -> Iterator[Tuple[List[Tuple[StuckAtFault, _Cone]], set]]:
+        """Consecutive runs of faults, with their cones, whose slab fits
+        the baseline's rows, each with the union of its cones' boundary
+        rows.
 
-        Gates bucket by ``(level, core)``: all same-level gates lowering
-        to the same bitwise core merge into one group padded to its
-        widest fan-in with the core's identity row, executed by
-        :func:`repro.simulation.compiled.eval_core_group`.  A singleton
-        bucket stays a scalar ``(core, out_row, input_rows, invert)``
-        entry for :func:`repro.simulation.compiled.eval_core_row`.
+        A slab holds the two constant rows, every fault's private cone
+        rows and the union of the rows the cones read; one fault's cone
+        and boundary are distinct baseline rows, so it always fits.
+        Cones are built as the runs fill and shared within a run (both
+        polarities of a line, repeated faults).
         """
-        level_of_row = self.sim.program.level_of_row
-        buckets: Dict[Tuple[int, int], List[Tuple]] = {}
-        for g in gates:
-            entry = self._entry_of[g]
-            buckets.setdefault((level_of_row[entry[1]], entry[0]), []).append(entry)
-        groups: List[Tuple] = []
-        for key in sorted(buckets):
-            ents = buckets[key]
-            if len(ents) == 1:
-                groups.append(ents[0])
-                continue
-            core = key[1]
-            arity = max(len(ins) for _c, _o, ins, _v in ents)
-            pad = CORE_PAD[core]
-            out_rows = np.asarray([o for _c, o, _ins, _v in ents], dtype=np.intp)
-            in_rows = np.empty((arity, len(ents)), dtype=np.intp)
-            for col, (_c, _o, ins, _v) in enumerate(ents):
-                for j in range(arity):
-                    in_rows[j, col] = ins[j] if j < len(ins) else pad
-            if any(v for _c, _o, _ins, v in ents):
-                inv = np.asarray(
-                    [[ALL_ONES if v else 0] for _c, _o, _ins, v in ents],
-                    dtype=np.uint64,
-                )
-            else:
-                inv = None
-            groups.append((core, out_rows, in_rows, inv))
-        return tuple(groups)
+        cap = self.sim.program.num_rows - 2
+        block: List[Tuple[StuckAtFault, _Cone]] = []
+        cones: Dict[Tuple, _Cone] = {}
+        private = 0
+        boundary: set = set()
+        for fault in faults:
+            line = fault.line
+            key = (line.signal, line.gate, line.pin)
+            cone = cones.get(key)
+            if cone is None:
+                cone = self._cone(line)
+            fresh = cone.boundary - boundary
+            if block and private + len(cone.rows) + len(boundary) + len(fresh) > cap:
+                yield block, boundary
+                block, cones, private, boundary = [], {}, 0, set()
+                fresh = cone.boundary
+            cones[key] = cone
+            block.append((fault, cone))
+            private += len(cone.rows)
+            boundary |= fresh
+        if block:
+            yield block, boundary
 
     # ------------------------------------------------------------------
     # evaluation
@@ -419,168 +451,288 @@ class BatchFaultSimulator:
         """Evaluate many single-fault candidates against the loaded batch.
 
         Each fault is simulated independently (single-fault semantics).
-        With ``rs_drop_threshold`` set, words are processed in chunks
-        and a fault is dropped as soon as its running lower bound on
-        ``ER * max|deviation|`` exceeds the threshold.  ``detailed``
+        With ``rs_drop_threshold`` set, words are split into chunks of
+        ``chunk_words`` and a fault is dropped at the end of the first
+        chunk after which its running lower bound on
+        ``ER * max|deviation|`` exceeds the threshold; its statistics
+        then cover only the chunks up to that one.  ``detailed``
         additionally materializes the per-vector ``detected`` array and
         ``deviations`` list (as :class:`DifferentialResult` holds them);
         it is intended for cross-validation tests, not for the hot path.
         """
         if self._base is None:
             raise RuntimeError("call load_batch() before evaluate()")
+        w = self._w
         if chunk_words is None:
-            if rs_drop_threshold is None:
-                chunk_words = self._w
-            else:
-                chunk_words = max(8, -(-self._w // 8))
+            chunk_words = w if rs_drop_threshold is None else max(8, -(-w // 8))
         chunk_words = max(1, int(chunk_words))
+        # the word index each chunk ends at
+        ends = list(range(chunk_words, w, chunk_words)) + [w] if w else []
         with self.obs.span("batchsim.evaluate"):
-            stats = [
-                self._evaluate_one(f, rs_drop_threshold, chunk_words, detailed)
-                for f in faults
-            ]
+            stats: List[FaultBatchStats] = []
+            for block, boundary in self._blocks(faults):
+                if ends:
+                    stats.extend(
+                        self._replay(block, boundary, ends, rs_drop_threshold, detailed)
+                    )
+                else:  # an empty batch
+                    stats.extend(
+                        FaultBatchStats(
+                            f, 0, 0, 0, 0,
+                            detected=np.zeros(0, dtype=bool) if detailed else None,
+                            deviations=[] if detailed else None,
+                        )
+                        for f, _cone in block
+                    )
         self.obs.incr("batchsim.faults_evaluated", len(stats))
+        if stats:
+            self.obs.incr("batchsim.words_simulated", sum(st.words_simulated for st in stats))
+        skipped = [w - st.words_simulated for st in stats if st.dropped]
+        if skipped:
+            self.obs.incr("batchsim.faults_dropped", len(skipped))
+            self.obs.incr("batchsim.words_skipped", sum(skipped))
         return stats
 
-    def _evaluate_one(
+    def _replay(
         self,
-        fault: StuckAtFault,
-        rs_drop_threshold: Optional[float],
-        chunk_words: int,
+        block: List[Tuple[StuckAtFault, _Cone]],
+        boundary_rows: set,
+        ends: List[int],
+        threshold: Optional[float],
         detailed: bool,
-    ) -> FaultBatchStats:
-        line = fault.line
-        if not self.circuit.has_signal(line.signal):
-            raise CircuitError(f"fault site {line} not in circuit")
-        forced_row: Optional[int] = None
-        if line.is_stem:
-            forced_row = self.sim.index_of(line.signal)
-        else:
-            gate = self.circuit.gates.get(line.gate)
-            if gate is None:
-                raise CircuitError(f"fault {fault}: gate {line.gate!r} not in circuit")
-            if line.pin >= len(gate.inputs) or gate.inputs[line.pin] != line.signal:
-                raise CircuitError(f"fault {fault}: pin does not match netlist")
-        plan = self._plan_for_line(line)
-        word = ALL_ONES if fault.value else np.uint64(0)
-        first = plan.first
-        if first is not None:
-            # the stuck pin reads the matching constant row
-            core, out_row, ins, invert = first
-            ins = list(ins)
-            ins[line.pin] = ROW_ONE if fault.value else ROW_ZERO
-            first = (core, out_row, tuple(ins), invert)
-        other_diff = [p for p in self._dirty if p not in plan.obs_set]
+    ) -> List[FaultBatchStats]:
+        """Replay one block of faults in one slab; stats in block order.
 
-        work, base, tail, ref = self._work, self._base, self._tail, self._ref_out
-        n = self._n
-        detected_count = 0
-        max_dev = 0
-        sum_dev = 0
-        words_done = 0
-        det_chunks: List[np.ndarray] = []
-        dev_chunks: List[List[int]] = []
+        ``boundary_rows`` holds every baseline row the cones read (a
+        superset when a branch fault's stuck pin no longer reads its
+        stem).
+        """
+        n, w = self._n, self._w
+        cones = [cone for _f, cone in block]
+        sizes = [len(cone.rows) for cone in cones]
+        offs = [2 + o for o in accumulate([0] + sizes[:-1])]
+        private = sum(sizes)
 
-        lo = 0
-        while lo < self._w:
-            hi = min(self._w, lo + chunk_words)
-            sl = slice(lo, hi)
-            wlen = hi - lo
-            if forced_row is not None:
-                work[forced_row, sl] = word
-            if first is not None:
-                eval_core_row(*first, work, sl)
-            for core, out, ins, inv in plan.groups:
-                if type(out) is int:
-                    eval_core_row(core, out, ins, inv, work, sl)
-                else:
-                    eval_core_group(core, out, ins, inv, work, sl)
+        # Code every fault's cone into slab rows: private rows follow the
+        # two constant rows, the baseline rows read follow the private ones.
+        code = np.fromiter(
+            chain.from_iterable(cone.code for cone in cones), dtype=np.intp
+        ).reshape(-1, _INS + self._arity)
+        gate_counts = [cone.gates for cone in cones]
+        gate_off = np.repeat(np.asarray(offs, dtype=np.intp), gate_counts)
+        forced: Tuple[List[int], List[int]] = ([], [])
+        for (fault, _cone), off, first in zip(block, offs, accumulate([0] + gate_counts)):
+            if fault.line.is_stem:
+                forced[fault.value].append(off)
+            else:  # the stuck pin reads the matching constant row
+                stuck = ROW_ONE if fault.value else ROW_ZERO
+                code[first, _INS + fault.line.pin] = -1 - stuck
+        ins = code[:, _INS:]
+        inside = ins >= 0
+        rows = np.where(inside, ins + gate_off[:, None], -1 - ins)
+        outside = ~inside & (rows > ROW_ONE)
+        boundary = np.fromiter(sorted(boundary_rows), dtype=np.intp, count=len(boundary_rows))
+        rows[outside] = 2 + private + np.searchsorted(boundary, rows[outside])
 
-            if plan.obs_pos.size:
-                d = ref[plan.obs_pos, sl] ^ work[plan.obs_rows, sl]
-                detect: Optional[np.ndarray] = np.bitwise_or.reduce(d, axis=0)
-            else:
-                detect = None
-            for p in other_diff:
-                d = self._base_diff[p, sl]
-                detect = d.copy() if detect is None else (detect | d)
-            if detect is None:
-                detect = np.zeros(wlen, dtype=np.uint64)
-            else:
-                detect &= tail[sl]
-            detected_count += popcount_words(detect)
+        slab = np.empty((2 + private + boundary.size, w), dtype=np.uint64)
+        slab[ROW_ZERO] = 0
+        slab[ROW_ONE] = ALL_ONES
+        slab[2 + private :] = self._base[boundary]
+        slab[forced[0]] = 0
+        slab[forced[1]] = ALL_ONES
+        self.obs.incr("batchsim.slabs")
+        self.obs.gauge_max("batchsim.slab_rows_max", slab.shape[0])
 
-            r0, r1 = lo * 64, min(n, hi * 64)
-            chunk_max, chunk_sum, dev_list = self._chunk_deviation(
-                plan, sl, r0, r1, detailed
-            )
-            if chunk_max > max_dev:
-                max_dev = chunk_max
-            sum_dev += chunk_sum
-            if detailed:
-                det_chunks.append(unpack_vectors(detect[None, :], r1 - r0)[:, 0])
-                dev_chunks.append(dev_list)
-
-            words_done = hi
-            lo = hi
-            if (
-                rs_drop_threshold is not None
-                and (detected_count / n) * max_dev > rs_drop_threshold
+        # One vectorized pass per (level, core) group across all faults.
+        if code.shape[0]:
+            order = np.argsort(code[:, _KEY], kind="stable")
+            keys = code[order, _KEY]
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            stops = np.r_[starts[1:], keys.size]
+            arity = np.maximum.reduceat(code[order, _ARITY], starts)
+            inverted = code[order, _INV] != 0
+            any_inv = np.logical_or.reduceat(inverted, starts)
+            inv_words = np.where(inverted, ALL_ONES, np.uint64(0))[:, None]
+            outs = code[order, _OUT] + gate_off[order]
+            ins_t = np.ascontiguousarray(rows[order].T)
+            everything = slice(None)
+            for s, e, a, has_inv, key in zip(
+                starts.tolist(), stops.tolist(), arity.tolist(),
+                any_inv.tolist(), keys[starts].tolist(),
             ):
-                break
+                eval_core_group(
+                    key % 3, outs[s:e], ins_t[:a, s:e],
+                    inv_words[s:e] if has_inv else None, slab, everything,
+                )
 
-        # restore the disturbed rows so the work array equals the
-        # baseline again for the next fault
-        work[plan.rows] = base[plan.rows]
-
-        self.obs.incr("batchsim.words_simulated", words_done)
-        if words_done < self._w:
-            self.obs.incr("batchsim.faults_dropped")
-            self.obs.incr("batchsim.words_skipped", self._w - words_done)
-
-        return FaultBatchStats(
-            fault=fault,
-            num_vectors=n,
-            detected_count=detected_count,
-            max_abs_deviation=max_dev,
-            sum_abs_deviation=sum_dev,
-            dropped=words_done < self._w,
-            words_simulated=words_done,
-            detected=np.concatenate(det_chunks) if detailed else None,
-            deviations=[d for chunk in dev_chunks for d in chunk] if detailed else None,
+        # Detection: cone outputs against the reference, every other
+        # observe output as the baseline already differs.
+        detect = np.zeros((len(block), w), dtype=np.uint64)
+        owners = [i for i, cone in enumerate(cones) if cone.obs_pos]
+        if owners:
+            obs_rows = np.fromiter(
+                (offs[i] + j for i in owners for j in cones[i].obs_local), dtype=np.intp
+            )
+            obs_pos = np.fromiter((p for i in owners for p in cones[i].obs_pos), dtype=np.intp)
+            seg = list(accumulate([0] + [len(cones[i].obs_pos) for i in owners[:-1]]))
+            diff = slab[obs_rows] ^ self._ref_out[obs_pos]
+            detect[owners] = np.bitwise_or.reduceat(diff, seg, axis=0)
+        if self._dirty:
+            keys_of: Dict[FrozenSet[int], int] = {}
+            which = [keys_of.setdefault(cone.dirty, len(keys_of)) for cone in cones]
+            detect |= np.stack([self._residual(k) for k in keys_of])[which]
+        detect &= self._tail
+        counts = np.add.reduceat(
+            word_popcounts(detect), [0] + ends[:-1], axis=1, dtype=np.int64
         )
 
-    def _chunk_deviation(
+        maxes, sums, taken, devs = self._deviation_chunks(
+            cones, offs, slab, ends, counts, threshold, detailed
+        )
+
+        # Each fault's totals over the chunks the drop rule let it count.
+        out: List[FaultBatchStats] = []
+        summaries = zip(taken.tolist(), counts.tolist(), maxes.tolist(), sums.tolist())
+        for i, ((fault, _cone), (c, count_i, max_i, sum_i)) in enumerate(zip(block, summaries)):
+            hi = ends[c - 1]
+            r_end = min(n, 64 * hi)
+            out.append(
+                FaultBatchStats(
+                    fault=fault,
+                    num_vectors=n,
+                    detected_count=sum(count_i[:c]),
+                    max_abs_deviation=int(max(max_i[:c])),
+                    sum_abs_deviation=sum(int(v) for v in sum_i[:c]),
+                    dropped=hi < w,
+                    words_simulated=hi,
+                    detected=unpack_vectors(detect[i, :hi], r_end)[:, 0] if detailed else None,
+                    deviations=[int(v) for v in devs[i][:r_end]] if detailed else None,
+                )
+            )
+        return out
+
+    def _residual(self, cone_dirty: FrozenSet[int]) -> np.ndarray:
+        """Detection words of the already-differing observe outputs a
+        cone cannot change: those outside ``cone_dirty``."""
+        words = self._residuals.get(cone_dirty)
+        if words is None:
+            keep = sorted(self._dirty - cone_dirty)
+            if keep:
+                words = np.bitwise_or.reduce(self._base_diff[keep], axis=0)
+            else:
+                words = np.zeros(self._w, dtype=np.uint64)
+            self._residuals[cone_dirty] = words
+        return words
+
+    def _deviation_chunks(
         self,
-        plan: _ConePlan,
-        sl: slice,
+        cones: List[_Cone],
+        offs: List[int],
+        slab: np.ndarray,
+        ends: List[int],
+        counts: np.ndarray,
+        threshold: Optional[float],
+        detailed: bool,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]]:
+        """Per-chunk max and sum of every fault's absolute deviation, and
+        how many chunks each fault counts.
+
+        A fault's per-vector deviation is the baseline's deviation
+        against the reference, corrected on its cone value-outputs only:
+        ``(new - ref) - (host - ref)`` is ``new - host``, read from the
+        slab's private rows and the baseline rows.  Sums run along one
+        contiguous per-fault row per chunk, as a fault replayed alone
+        sums them.  Chunks are taken in order; after each one the drop
+        rule runs for every fault on its ``counts`` and maxima so far,
+        and a fault it fires for counts no further chunk and is no
+        longer corrected.  With ``detailed``, the signed per-vector
+        deviations are returned as well.
+        """
+        n, base = self._n, self._base_dev
+        bounds = [(64 * lo, min(n, 64 * hi)) for lo, hi in zip([0] + ends[:-1], ends)]
+        if self._base_dev_zero:
+            base_max = base_sum = np.zeros(len(ends), dtype=base.dtype)
+        else:
+            parts = [np.abs(base[r0:r1]) for r0, r1 in bounds]
+            base_max = np.array([p.max() for p in parts], dtype=base.dtype)
+            base_sum = np.array([p.sum() for p in parts], dtype=base.dtype)
+        k = len(cones)
+        maxes = np.empty((k, len(ends)), dtype=base.dtype)
+        sums = np.empty((k, len(ends)), dtype=base.dtype)
+        maxes[:] = base_max
+        sums[:] = base_sum
+        devs: List = [base] * k if detailed else []
+
+        valued = np.asarray([i for i, cone in enumerate(cones) if cone.val_pos], dtype=np.intp)
+        # one row per (valued fault, cone value output), fault by fault
+        owner = np.repeat(valued, [len(cones[i].val_pos) for i in valued])
+        new_rows = np.fromiter(
+            (offs[i] + j for i in valued.tolist() for j in cones[i].val_local), dtype=np.intp
+        )
+        host_rows = np.fromiter((r for i in valued.tolist() for r in cones[i].val_rows), np.intp)
+        cols = np.fromiter((p for i in valued.tolist() for p in cones[i].val_pos), np.intp)
+        heads = np.diff(owner, prepend=-1) != 0
+        parts_of: Dict[int, List[np.ndarray]] = {int(i): [] for i in valued} if detailed else {}
+        # the drop rule's state: live faults, running detections and max
+        live = np.ones(k, dtype=bool)
+        taken = np.full(k, len(ends), dtype=np.intp)
+        detections = np.cumsum(counts, axis=1)
+        run_max = np.zeros(k, dtype=base.dtype)
+        for c, (r0, r1) in enumerate(bounds):
+            at = np.flatnonzero(live[owner])
+            # pieces of whole faults, about DEVIATION_CELLS cells each
+            seg = np.flatnonzero(heads[at])
+            cuts = seg[np.flatnonzero(np.diff(seg // max(1, DEVIATION_CELLS // (r1 - r0)))) + 1]
+            pieces = zip([0, *cuts.tolist()], [*cuts.tolist(), at.size]) if at.size else ()
+            for lo, hi in pieces:
+                rows = at[lo:hi]
+                starts = seg[(seg >= lo) & (seg < hi)] - lo
+                who = owner[rows[starts]]
+                dev = self._piece_deviation(
+                    slab, new_rows[rows], host_rows[rows], cols[rows], starts, r0, r1
+                )
+                for i, row in zip(who.tolist(), dev if detailed else ()):
+                    parts_of[i].append(row.copy())
+                np.abs(dev, out=dev)
+                maxes[who, c] = dev.max(axis=1)
+                sums[who, c] = dev.sum(axis=1)
+            if threshold is None:
+                continue
+            run_max = np.maximum(run_max, maxes[:, c])
+            fired = live & ((detections[:, c] / n) * run_max > threshold)
+            taken[fired] = c + 1
+            live &= ~fired
+            if not live.any():
+                break
+        for i, parts in parts_of.items():
+            devs[i] = np.concatenate(parts)
+        return maxes, sums, taken, devs
+
+    def _piece_deviation(
+        self,
+        slab: np.ndarray,
+        new_rows: np.ndarray,
+        host_rows: np.ndarray,
+        cols: np.ndarray,
+        starts: np.ndarray,
         r0: int,
         r1: int,
-        detailed: bool,
-    ) -> Tuple[int, int, List[int]]:
-        """Max/sum of absolute weighted deviations on one word chunk.
-
-        The per-vector deviation is the baseline's deviation against the
-        reference, corrected on the cone value-outputs only.  The
-        correction ``(new - ref) - (host - ref)`` is ``new - host``, so
-        it reads the replayed and the baseline words directly.
-        """
-        nrows = r1 - r0
-        if nrows <= 0:
-            return 0, 0, []
-        if plan.val_idx.size == 0:
-            if self._base_dev_zero:
-                return 0, 0, [0] * nrows if detailed else []
-            dev = self._base_dev[r0:r1]
-        else:
-            new_bits = unpack_vectors(self._work[plan.val_rows, sl], nrows)
-            host_bits = unpack_vectors(self._base[plan.val_rows, sl], nrows)
-            adj = self.deviation.signed(
-                new_bits.view(np.int8) - host_bits.view(np.int8), plan.val_idx
+    ) -> np.ndarray:
+        """Signed deviations, vectors ``r0:r1``, of the faults whose cone
+        value outputs are the slab rows ``new_rows`` (baseline rows
+        ``host_rows``, value positions ``cols``) in segments at
+        ``starts``, unpacking at most :data:`DEVIATION_CELLS` cells at a
+        time."""
+        step = max(64, DEVIATION_CELLS // cols.size // 64 * 64)
+        pieces = []
+        for s0 in range(r0, r1, step):
+            s1 = min(r1, s0 + step)
+            words = slice(s0 // 64, -(-s1 // 64))
+            new = unpack_vectors(slab[new_rows, words], s1 - s0)
+            host = unpack_vectors(self._base[host_rows, words], s1 - s0)
+            pieces.append(
+                self.deviation.segmented(new.view(np.int8) - host.view(np.int8), cols, starts)
             )
-            dev = self._base_dev[r0:r1] + adj
-        abs_dev = np.abs(dev)
-        chunk_max = int(abs_dev.max())
-        chunk_sum = int(abs_dev.sum())
-        dev_list = [int(v) for v in dev] if detailed else []
-        return chunk_max, chunk_sum, dev_list
+        dev = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+        dev += self._base_dev[r0:r1]
+        return dev

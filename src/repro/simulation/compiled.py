@@ -134,32 +134,6 @@ def eval_core_group(
     work[out_rows, sl] = acc
 
 
-def eval_core_row(
-    core: int,
-    out_row: int,
-    in_rows: Tuple[int, ...],
-    invert: bool,
-    work: np.ndarray,
-    sl: slice,
-) -> None:
-    """Evaluate one lowered gate on a word slice of the matrix.
-
-    The single-gate counterpart of :func:`eval_core_group`: basic row
-    slicing writes straight into the output row, which beats the fancy
-    gather/scatter machinery when a group would hold one gate.
-    """
-    out = work[out_row, sl]
-    if len(in_rows) == 1:
-        np.copyto(out, work[in_rows[0], sl])
-    else:
-        op = _CORE_OPS[core]
-        op(work[in_rows[0], sl], work[in_rows[1], sl], out=out)
-        for row in in_rows[2:]:
-            op(out, work[row, sl], out=out)
-    if invert:
-        np.bitwise_not(out, out=out)
-
-
 class CompiledProgram:
     """The flat struct-of-arrays form of one circuit.
 
@@ -416,7 +390,7 @@ class CompiledSimulator:
             program if program is not None else compile_program(circuit, self.obs)
         )
         # The reference simulator's surface (BatchFaultSimulator reads
-        # the schedule to build its cone plans).
+        # the schedule to code its cones).
         self._schedule = self.program.schedule
         self.num_signals = len(self.program.row_of)
 

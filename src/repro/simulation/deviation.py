@@ -15,7 +15,9 @@ The products run as float64 matrix-vector products, which are exact
 while every partial sum stays below ``2**53``.  Weights that are too
 wide for that (e.g. ``2**i`` weights on more than ~50 outputs) are
 split into limbs narrow enough that each limb's product is exact; the
-limb products are recombined as Python integers.
+limb products are recombined as Python integers.  The batch fault
+simulator sums many faults' cone outputs in one call
+(:meth:`WeightedDeviation.segmented`), each fault a segment of columns.
 """
 
 from __future__ import annotations
@@ -74,8 +76,48 @@ class WeightedDeviation:
             total = total + part * (1 << (k * self._bits))
         return total
 
+    def segmented(
+        self, delta: np.ndarray, cols: np.ndarray, starts: np.ndarray
+    ) -> np.ndarray:
+        """Signed weighted deviations of several column sets at once.
+
+        The columns of ``delta`` (vectors x rows) form consecutive
+        non-empty segments beginning at ``starts``; column *r* carries
+        the weight of value-output position ``cols[r]``.  Returns a
+        (segments x vectors) array whose row *s* equals
+        ``signed(delta[:, seg], cols[seg])`` for the columns ``seg`` of
+        segment *s*.  Every partial sum of a limb stays exact, so the
+        summation order does not change a value.  The work runs along
+        ``delta.T``, so pass the transpose of a row-major (rows x
+        vectors) array, as :func:`~repro.simulation.vectors.unpack_vectors`
+        returns it.
+        """
+        coeffs = np.asarray(delta).T
+        limbs = self._limbs[:, cols, None]
+        if self.narrow:
+            return _segment_sums(coeffs * limbs[0], starts)
+        total = 0
+        for k, limb in enumerate(limbs):
+            part = _segment_sums(coeffs * limb, starts)
+            total = total + part.astype(np.int64).astype(object) * (1 << (k * self._bits))
+        return total
+
     def max_abs(self, delta: np.ndarray) -> int:
         """Largest ``|deviation|`` over the rows of ``delta`` (0 if none)."""
         if delta.shape[0] == 0:
             return 0
         return int(np.abs(self.signed(delta)).max())
+
+
+def _segment_sums(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sums of the consecutive non-empty row segments beginning at
+    ``starts`` (``np.add.reduceat`` along axis 0, which numpy runs
+    element by element)."""
+    if rows.shape[0] == len(starts):
+        return rows  # every segment is one row
+    lengths = np.diff(np.append(starts, rows.shape[0]))
+    out = rows[starts]
+    for j in range(1, int(lengths.max())):
+        longer = np.flatnonzero(lengths > j)
+        out[longer] += rows[starts[longer] + j]
+    return out

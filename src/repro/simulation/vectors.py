@@ -29,6 +29,7 @@ __all__ = [
     "pack_vectors",
     "unpack_vectors",
     "popcount_words",
+    "word_popcounts",
     "random_vectors",
     "exhaustive_vectors",
     "exhaustive_words",
@@ -91,12 +92,17 @@ def unpack_vectors(words: np.ndarray, num_vectors: int) -> np.ndarray:
 _POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint64)
 
 
-def popcount_words(words: np.ndarray) -> int:
-    """Total number of set bits across an array of packed words."""
+def word_popcounts(words: np.ndarray) -> np.ndarray:
+    """Number of set bits of every packed word (same shape as ``words``)."""
     words = np.ascontiguousarray(words, dtype=np.uint64)
     if hasattr(np, "bitwise_count"):
-        return int(np.bitwise_count(words).sum())
-    return int(_POPCOUNT8[words.view(np.uint8)].sum())
+        return np.bitwise_count(words)
+    return _POPCOUNT8[words.view(np.uint8)].reshape(words.shape + (8,)).sum(axis=-1)
+
+
+def popcount_words(words: np.ndarray) -> int:
+    """Total number of set bits across an array of packed words."""
+    return int(word_popcounts(words).sum())
 
 
 def random_vectors(

@@ -153,13 +153,17 @@ def test_derived_cache_hit_rate_rows():
     counters = {
         "estimator.batchsim_cache_hits": 30,
         "estimator.batchsim_cache_misses": 10,
-        "batchsim.plan_cache_hits": 0,
-        "batchsim.plan_cache_misses": 0,  # zero total: no row
+        "estimator.sim_cache_hits": 0,
+        "estimator.sim_cache_misses": 0,  # zero total: no row
+        "greedy.preview_memo_hits": 27691,
+        "greedy.preview_memo_misses": 4763,
     }
     out = render_report([_header(), _summary(counters=counters)])
     assert "estimator.batchsim_cache_hit_rate" in out
     assert "75.0%  (30/40)" in out
-    assert "batchsim.plan_cache_hit_rate" not in out
+    assert "greedy.preview_memo_hit_rate" in out
+    assert "85.3%  (27691/32454)" in out
+    assert "estimator.sim_cache_hit_rate" not in out
 
 
 # ----------------------------------------------------------------------

@@ -10,21 +10,31 @@ simulation per candidate selects (the seed implementation):
   figures of merit, area trajectory, final netlist and final ER/RS on a
   fixed-seed c432-scale circuit;
 * ``_rank_candidates`` is checked directly against per-candidate
-  ``MetricsEstimator.simulate`` calls on a partly simplified netlist.
+  ``MetricsEstimator.simulate`` calls on a partly simplified netlist;
+* the area previews a run keeps across commits (``_PreviewMemo``) equal
+  fresh previews of each committed netlist, on random circuits and
+  along a c880 trajectory.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.benchlib import random_circuit
+from repro.benchlib import ISCAS85_SUITE, random_circuit
 from repro.circuit.bench import dumps_bench
+from repro.circuit.netlist import CircuitError
+from repro.faults import enumerate_faults
 from repro.metrics.estimate import MetricsEstimator
-from repro.simplify import GreedyConfig, circuit_simplify
-from repro.simplify.engine import preview_area_reduction
+from repro.obs import Instrumentation
+from repro.simplify import GreedyConfig, circuit_simplify, greedy
+from repro.simplify.engine import Overlay, preview_area_reduction
 from repro.simplify.greedy import (
     _candidate_faults,
+    _fault_key,
+    _PreviewMemo,
     _rank_candidates,
     _reachable_weight,
 )
@@ -129,3 +139,88 @@ def test_ranking_matches_per_candidate_simulation(c432_scale, fom):
     assert [(v, str(f), r, e, o, d) for v, f, r, e, o, d in scored] == [
         (v, str(f), r, e, o, d) for v, f, r, e, o, d in expected
     ]
+
+
+# ----------------------------------------------------------------------
+# the preview memo
+# ----------------------------------------------------------------------
+def _fresh_preview(circuit, fault):
+    try:
+        return preview_area_reduction(circuit, fault)
+    except CircuitError:
+        return None
+
+
+def _assert_memo_is_fresh(memo, circuit, faults):
+    """Every kept entry equals a fresh preview on ``circuit``; returns
+    how many entries were kept."""
+    for key, (delta, _reads) in memo._entries.items():
+        assert delta == _fresh_preview(circuit, faults[key]), faults[key]
+    return len(memo._entries)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_preview_memo_keeps_only_unchanged_previews(seed):
+    """Commit random faults one at a time: after each commit, every
+    preview the memo keeps equals a fresh one on the new netlist."""
+    rng = np.random.default_rng(seed)
+    current = random_circuit(num_inputs=6, num_gates=40, rng=rng)
+    memo = _PreviewMemo()
+    faults = {}
+    for _step in range(6):
+        candidates = enumerate_faults(current, include_branches=True)
+        faults.update((_fault_key(f), f) for f in candidates)
+        usable = [f for f in candidates if (memo.preview(current, f) or 0) > 0]
+        if not usable:
+            break
+        overlay = Overlay(current)
+        overlay.apply(usable[rng.integers(len(usable))])
+        memo.commit(overlay)
+        current = overlay.materialize(current.name)
+        _assert_memo_is_fresh(memo, current, faults)
+
+
+def test_preview_memo_on_c880_trajectory(monkeypatch):
+    """Along a c880 greedy run, every preview the memo keeps after a
+    commit equals a fresh preview of the committed netlist, and the
+    memo does serve previews."""
+    kept = []
+    commit = _PreviewMemo.commit
+
+    def checked_commit(memo, overlay):
+        commit(memo, overlay)
+        faults = {
+            _fault_key(f): f
+            for f in enumerate_faults(overlay.circuit, include_branches=True)
+        }
+        new = overlay.materialize(overlay.circuit.name)
+        kept.append(_assert_memo_is_fresh(memo, new, faults))
+
+    monkeypatch.setattr(_PreviewMemo, "commit", checked_commit)
+    obs = Instrumentation()
+    result = circuit_simplify(
+        ISCAS85_SUITE["c880"].builder(),
+        rs_pct_threshold=1.0,
+        config=GreedyConfig(num_vectors=400, seed=0, es_mode="simulated", max_iterations=10),
+        obs=obs,
+    )
+    assert len(kept) == len(result.iterations) >= 5
+    assert sum(kept) > 0
+    assert obs.counters["greedy.preview_memo_hits"] > 0
+    assert obs.counters["greedy.preview_memo_misses"] > 0
+
+
+def test_unexpected_preview_error_propagates(c432_scale, monkeypatch):
+    """Only a CircuitError marks a candidate whose injection fails (and
+    the memo keeps that verdict); any other exception surfaces."""
+
+    def broken(circuit, fault, reads=None):
+        raise KeyError(fault.line.signal)
+
+    monkeypatch.setattr(greedy, "preview_area_reduction", broken)
+    cfg = config()
+    estimator = MetricsEstimator(c432_scale, num_vectors=1000, seed=3)
+    candidates = _candidate_faults(c432_scale, cfg)
+    with pytest.raises(KeyError):
+        _rank_candidates(c432_scale, candidates, cfg, estimator, 1.0, 0.0)

@@ -214,3 +214,75 @@ def test_default_chunking_drops_hot_fault_and_counts_it():
     assert obs.counters["batchsim.words_simulated"] == 8 + w
     assert obs.counters["batchsim.faults_evaluated"] == 2
     assert "batchsim.evaluate" in obs.timers
+
+
+def _stat_values(stats):
+    return [
+        (s.num_vectors, s.detected_count, s.max_abs_deviation, s.sum_abs_deviation,
+         s.dropped, s.words_simulated)
+        for s in stats
+    ]
+
+
+def test_stats_are_python_scalars(adder4):
+    """Counts are Python ints and ``dropped`` a bool on every path (the
+    float and the wide-weight deviation, with and without dropping), so
+    stats serialize with ``json.dumps``."""
+    import json
+
+    from repro.circuit import CircuitBuilder
+
+    b = CircuitBuilder("wide")
+    for i, s in enumerate(b.input_bus("d", 4)):
+        b.output(b.BUF(s), weight=1 << (60 + i))
+    for circuit in (adder4, b.build()):
+        batch = BatchFaultSimulator(circuit)
+        batch.load_batch(random_vectors(len(circuit.inputs), 300, np.random.default_rng(2)))
+        faults = enumerate_faults(circuit)
+        for stats in (
+            batch.evaluate(faults),
+            batch.evaluate(faults, rs_drop_threshold=0.01, chunk_words=1),
+        ):
+            for row in _stat_values(stats):
+                assert [type(v) for v in row] == [int, int, int, int, bool, int]
+            json.dumps(_stat_values(stats))
+
+
+def test_deviation_working_set_bound_changes_nothing(adder4, monkeypatch):
+    """Splitting the deviation step into the smallest pieces (one fault
+    and 64 vectors at a time, also in load_batch) leaves every stat and
+    every per-vector deviation unchanged."""
+    from repro.simulation import batchfaultsim
+
+    current = simplify_with_fault(adder4, StuckAtFault.stem(adder4.outputs[1], 0))
+    faults = enumerate_faults(current)
+
+    def run():
+        est = MetricsEstimator(adder4, num_vectors=700, seed=2)
+        bsim = est._batch_simulator_for(current)
+        assert bsim._base_dev.any()  # the baseline already deviates
+        return (
+            _stat_values(est.simulate_faults(faults, approx=current)),
+            _stat_values(est.simulate_faults(faults, approx=current, rs_drop_threshold=0.2)),
+            [s.deviations for s in bsim.evaluate(faults, chunk_words=3, detailed=True)],
+        )
+
+    expected = run()
+    assert any(s[4] for s in expected[1])  # the drop rule fires
+    monkeypatch.setattr(batchfaultsim, "DEVIATION_CELLS", 64)
+    assert run() == expected
+
+
+def test_empty_batch_gives_zero_stats(adder4):
+    """A zero-vector batch still validates every fault and reports zero
+    statistics with nothing simulated."""
+    from repro.circuit import CircuitError
+
+    batch = BatchFaultSimulator(adder4)
+    batch.load_batch(np.zeros((0, len(adder4.inputs)), dtype=bool))
+    faults = enumerate_faults(adder4)[:6]
+    for st in batch.evaluate(faults, rs_drop_threshold=0.1, detailed=True):
+        assert _stat_values([st]) == [(0, 0, 0, 0, False, 0)]
+        assert st.detected.shape == (0,) and st.deviations == []
+    with pytest.raises(CircuitError):
+        batch.evaluate([StuckAtFault.stem("no_such_signal", 0)])

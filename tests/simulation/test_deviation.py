@@ -55,6 +55,36 @@ def test_signed_matches_exact_integers(weights, rows, seed):
         assert got == brute(delta[:, cols], sub)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(
+        st.integers(min_value=-(1 << 90), max_value=1 << 90), min_size=1, max_size=30
+    ),
+    sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8),
+    vectors=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_segmented_matches_signed_per_segment(weights, sizes, vectors, seed):
+    """Each segment of a segmented sum equals ``signed`` on its columns
+    and the exact Python-int sum, on narrow and wide weights alike."""
+    rng = np.random.default_rng(seed)
+    sizes = [min(k, len(weights)) for k in sizes]
+    cols = np.concatenate(
+        [rng.choice(len(weights), size=k, replace=False) for k in sizes]
+    ).astype(np.intp)
+    starts = np.cumsum([0] + sizes[:-1])
+    # laid out as the batch simulator lays it out: (rows x vectors), transposed
+    delta = np.ascontiguousarray(rng.integers(-1, 2, size=(cols.size, vectors)).astype(np.int8)).T
+    kernel = WeightedDeviation(weights)
+    got = kernel.segmented(delta, cols, starts)
+    assert got.shape == (len(sizes), vectors)
+    for s, (lo, k) in enumerate(zip(starts, sizes)):
+        seg = cols[lo : lo + k]
+        expected = brute(delta[:, lo : lo + k], [weights[c] for c in seg])
+        assert [int(v) for v in got[s]] == expected
+        assert [int(v) for v in kernel.signed(delta[:, lo : lo + k], seg)] == expected
+
+
 def test_narrow_weights_stay_on_the_float_path():
     kernel = WeightedDeviation([1 << i for i in range(26)])
     assert kernel.narrow

@@ -23,7 +23,9 @@ import pytest
 
 from repro import GreedyConfig, SimplifyRequest, circuit_simplify, dumps_bench
 from repro.benchlib import ISCAS85_SUITE
-from repro.faults import enumerate_faults
+from repro.circuit import GateType
+from repro.faults import StuckAtFault, enumerate_faults
+from repro.obs import Instrumentation
 from repro.simulation import (
     BatchFaultSimulator,
     CompiledSimulator,
@@ -63,11 +65,12 @@ def _sample_faults(circuit, rng, limit=60):
     return sample
 
 
-def _reference_differential(circuit, vectors, faults):
+def _reference_differential(circuit, vectors, faults, good=None):
     """Per-vector detection mask and weighted deviation, derived from
-    two LogicSimulator runs with exact integer arithmetic."""
+    two LogicSimulator runs with exact integer arithmetic (``good`` may
+    hand in the fault-free run)."""
     ref = LogicSimulator(circuit)
-    good = ref.run(vectors)
+    good = good if good is not None else ref.run(vectors)
     bad = ref.run(vectors, faults)
     detected = np.zeros(vectors.shape[0], dtype=bool)
     for o in circuit.outputs:
@@ -178,6 +181,88 @@ def test_batch_fault_dropping_identical(bench):
         assert st.words_simulated == words, f
         assert st.detected_count == count, f
         assert st.max_abs_deviation == max_dev, f
+
+
+def _with_unobserved_gate(circuit):
+    """A copy of ``circuit`` with one extra gate that drives nothing."""
+    out = circuit.copy()
+    out.add_gate("unobserved", GateType.NAND, circuit.inputs[:2])
+    return out
+
+
+def _mixed_batch(circuit, rng):
+    """A shuffled sample that also holds a duplicate fault, a stem and a
+    branch fault on one line, a PI stem fault and two faults whose cones
+    reach no output."""
+    faults = _sample_faults(circuit, rng, limit=40)
+    branch = next(f for f in enumerate_faults(circuit, include_branches=True)
+                  if f.line.is_branch and f.line.gate != "unobserved")
+    batch = faults + [
+        faults[0],
+        branch,
+        StuckAtFault.stem(branch.line.signal, 1 - branch.value),
+        StuckAtFault.stem(circuit.inputs[-1], 1),
+        StuckAtFault.stem("unobserved", 0),
+        StuckAtFault.branch(circuit.inputs[0], "unobserved", 0, 1),
+    ]
+    return [batch[i] for i in rng.permutation(len(batch))]
+
+
+def _assert_batch_matches_reference(circuit, vectors, faults, full, dropping):
+    """Full stats and the one-word-chunk drop rule at every threshold of
+    ``dropping`` (threshold -> stats), fault by fault."""
+    good = LogicSimulator(circuit).run(vectors)
+    words = -(-vectors.shape[0] // 64)
+    for i, (f, st) in enumerate(zip(faults, full)):
+        detected, deviations = _reference_differential(circuit, vectors, [f], good)
+        assert np.array_equal(st.detected, detected), f
+        assert st.deviations == deviations, f
+        assert st.detected_count == np.count_nonzero(detected), f
+        assert st.max_abs_deviation == max(abs(d) for d in deviations), f
+        assert st.sum_abs_deviation == sum(abs(d) for d in deviations), f
+        assert not st.dropped and st.words_simulated == words, f
+        for threshold, stats in dropping.items():
+            quick = stats[i]
+            dropped, done, count, max_dev = _expected_drop(detected, deviations, threshold)
+            assert (quick.dropped, quick.words_simulated) == (dropped, done), (f, threshold)
+            assert (quick.detected_count, quick.max_abs_deviation) == (count, max_dev), f
+            seen = deviations[: 64 * done]
+            assert quick.sum_abs_deviation == sum(abs(d) for d in seen), f
+
+
+def test_batch_shuffled_mixed_identical(bench):
+    """One shuffled batch mixing every kind of fault site: each fault's
+    stats equal its own reference, wherever it sits in the batch."""
+    circuit = _with_unobserved_gate(bench)
+    rng = np.random.default_rng(29)
+    vectors = random_vectors(len(circuit.inputs), 300, rng)
+    faults = _mixed_batch(circuit, rng)
+    batch = BatchFaultSimulator(circuit)
+    batch.load_batch(vectors)
+    full = batch.evaluate(faults, detailed=True)
+    dropping = batch.evaluate(faults, rs_drop_threshold=0.5, chunk_words=1)
+    _assert_batch_matches_reference(circuit, vectors, faults, full, {0.5: dropping})
+
+
+def test_every_c880_fault_in_one_call():
+    """Every c880 fault in one evaluate call, replayed in several slabs,
+    equals the per-fault reference, drop rule included."""
+    circuit = _build("c880")
+    rng = np.random.default_rng(31)
+    vectors = random_vectors(len(circuit.inputs), 130, rng)
+    faults = enumerate_faults(circuit, include_branches=True)
+    obs = Instrumentation()
+    batch = BatchFaultSimulator(circuit, obs=obs)
+    batch.load_batch(vectors)
+    full = batch.evaluate(faults, detailed=True)
+    assert obs.counters["batchsim.slabs"] > 1
+    # a higher threshold drops faults later, where the running maximum
+    # of earlier chunks decides
+    dropping = {
+        t: batch.evaluate(faults, rs_drop_threshold=t, chunk_words=1) for t in (0.5, 16.0)
+    }
+    assert all(any(st.dropped for st in stats) for stats in dropping.values())
+    _assert_batch_matches_reference(circuit, vectors, faults, full, dropping)
 
 
 # ----------------------------------------------------------------------

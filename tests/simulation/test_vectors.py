@@ -15,7 +15,7 @@ from repro.simulation import (
     unpack_vectors,
     vectors_from_ints,
 )
-from repro.simulation.vectors import exhaustive_words
+from repro.simulation.vectors import exhaustive_words, word_popcounts
 
 
 def test_num_words():
@@ -175,10 +175,14 @@ def test_popcount_fallback_matches_bitwise_count(monkeypatch):
     rng = np.random.default_rng(3)
     words = rng.integers(0, 2**63, size=(5, 33), dtype=np.uint64) * np.uint64(3)
     expected = sum(bin(int(w)).count("1") for w in words.ravel())
+    per_word = [[bin(int(w)).count("1") for w in row] for row in words]
     assert popcount_words(words) == expected
+    assert word_popcounts(words).tolist() == per_word
     monkeypatch.delattr(np, "bitwise_count", raising=False)
     assert not hasattr(np, "bitwise_count")
     assert popcount_words(words) == expected
+    assert word_popcounts(words).tolist() == per_word
+    assert word_popcounts(words[2]).tolist() == per_word[2]
     assert popcount_words(words[:, 3:9]) == sum(
         bin(int(w)).count("1") for w in words[:, 3:9].ravel()
     )
