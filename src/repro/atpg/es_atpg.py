@@ -350,7 +350,10 @@ class EsAtpg:
         (non-support inputs cannot reach any affected output), so
         enumerating 2**|support| vectors with the bit-parallel
         simulator yields the *exact* ES.  Only the relevant cones are
-        simulated (extracted with :func:`~repro.circuit.structure.subcircuit`).
+        simulated (extracted with :func:`~repro.circuit.structure.subcircuit`);
+        the good machine's cone simulator is a view of ``good``, kept
+        per affected-output set, since the structural reference stays
+        fixed while the greedy loop asks about many tentatives.
         The counting patterns are born packed
         (:func:`~repro.simulation.vectors.exhaustive_words`), one chunk
         of ``chunk_vectors`` at a time to bound memory; chunks stay
@@ -374,11 +377,14 @@ class EsAtpg:
             return 0
         faulty_names = [self._pair[o] for o in self.affected_outputs]
         fault_signals = [f.line.signal for f in self.faults]
-        good_cone = subcircuit(self.good, self.affected_outputs)
-        faulty_cone = subcircuit(self.faulty, list(faulty_names) + fault_signals)
         # Kernel counters describe the estimator's simulations; this
         # query reports its own effort as es_atpg.exact_vectors.
-        good_sim = CompiledSimulator(good_cone, obs=NULL)
+        cone_key = ("es_good_cone", self.affected_outputs)
+        good_sim = self.good.views.get(cone_key)
+        if good_sim is None:
+            good_sim = CompiledSimulator(subcircuit(self.good, self.affected_outputs), obs=NULL)
+            self.good.views[cone_key] = good_sim
+        faulty_cone = subcircuit(self.faulty, list(faulty_names) + fault_signals)
         faulty_sim = CompiledSimulator(faulty_cone, obs=NULL)
         pi_index = {pi: k for k, pi in enumerate(self.good.inputs)}
         support_idx = [pi_index[pi] for pi in self.support]

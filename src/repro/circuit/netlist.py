@@ -8,8 +8,17 @@ signal it drives).  Primary outputs are references to signals.
 The representation is deliberately mutation-friendly: the
 simplification engine of the paper (Section III.A) rewrites gates,
 disconnects inputs, ties signals to constants and deletes dead logic,
-so the class provides those operations directly and keeps its derived
-views (fanout map, topological order, levels) cached-but-invalidatable.
+so the class provides those operations directly.
+
+Derived structure is held in one cache of *views* on the circuit
+(:attr:`Circuit.views`): the topological order, the fanout map, the
+primary-output reference counts, the area, and the compiled simulation
+program (:func:`repro.simulation.compiled.compile_program`).  Each view
+is built on first use and every mutator empties the cache.  A view is
+computed from the inputs, the gates and the output list only -- never
+from ``output_weights`` or ``data_outputs``, which callers may assign
+directly without a mutator.  A pickled circuit carries no views; the
+unpickled copy rebuilds them on demand.
 
 Signal/"line" terminology follows classical ATPG: a gate output is a
 *stem*; each individual gate-input connection fed by a stem with more
@@ -87,8 +96,7 @@ class Circuit:
         self._input_set: set[str] = set()
         self.output_weights: Dict[str, int] = {}
         self.data_outputs: List[str] = []
-        self._topo_cache: Optional[List[str]] = None
-        self._fanout_cache: Optional[Dict[str, List[Tuple[str, int]]]] = None
+        self._views: Dict[object, object] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -163,7 +171,7 @@ class Circuit:
 
     def is_output(self, signal: str) -> bool:
         """True when ``signal`` is a primary output."""
-        return signal in set(self._outputs)
+        return signal in self.output_refs()
 
     def has_signal(self, signal: str) -> bool:
         """True when ``signal`` is driven by a PI or a gate."""
@@ -202,9 +210,24 @@ class Circuit:
     # ------------------------------------------------------------------
     # derived structure (cached)
     # ------------------------------------------------------------------
+    @property
+    def views(self) -> Dict[object, object]:
+        """The cache of derived views, keyed by view name.
+
+        Every mutator empties it.  An entry must be computed from the
+        inputs, the gates and the output list only, so it stays valid
+        until the next mutation.
+        """
+        return self._views
+
     def _invalidate(self) -> None:
-        self._topo_cache = None
-        self._fanout_cache = None
+        self._views.clear()
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Views are rebuilt on demand; a pickle carries the netlist only.
+        state = self.__dict__.copy()
+        state["_views"] = {}
+        return state
 
     def fanout_map(self) -> Dict[str, List[Tuple[str, int]]]:
         """Map each signal to its consumer pins ``(gate_name, pin_index)``.
@@ -212,8 +235,9 @@ class Circuit:
         Primary-output uses are not included; use :meth:`consumer_count`
         for a count that includes PO references.
         """
-        if self._fanout_cache is None:
-            fan: Dict[str, List[Tuple[str, int]]] = {s: [] for s in self.signals()}
+        fan = self._views.get("fanout")
+        if fan is None:
+            fan = {s: [] for s in self.signals()}
             for g in self._gates.values():
                 for pin, src in enumerate(g.inputs):
                     if src not in fan:
@@ -221,14 +245,22 @@ class Circuit:
                             f"gate {g.name!r} input {src!r} is not a known signal"
                         )
                     fan[src].append((g.name, pin))
-            self._fanout_cache = fan
-        return self._fanout_cache
+            self._views["fanout"] = fan
+        return fan
+
+    def output_refs(self) -> Dict[str, int]:
+        """Map each primary-output signal to its number of PO references."""
+        refs = self._views.get("output_refs")
+        if refs is None:
+            refs = {}
+            for o in self._outputs:
+                refs[o] = refs.get(o, 0) + 1
+            self._views["output_refs"] = refs
+        return refs
 
     def consumer_count(self, signal: str) -> int:
         """Total number of uses of ``signal``: gate pins + PO references."""
-        n = len(self.fanout_map().get(signal, ()))
-        n += sum(1 for o in self._outputs if o == signal)
-        return n
+        return len(self.fanout_map().get(signal, ())) + self.output_refs().get(signal, 0)
 
     def is_stem(self, signal: str) -> bool:
         """True when ``signal`` fans out to more than one consumer."""
@@ -240,33 +272,28 @@ class Circuit:
         Raises :class:`CircuitError` if the netlist contains a
         combinational cycle or an undriven signal.
         """
-        if self._topo_cache is not None:
-            return self._topo_cache
-        indeg: Dict[str, int] = {}
-        dependents: Dict[str, List[str]] = {}
-        for g in self._gates.values():
-            count = 0
-            for src in g.inputs:
-                if src in self._gates:
-                    count += 1
-                    dependents.setdefault(src, []).append(g.name)
-                elif src not in self._input_set:
-                    raise CircuitError(
-                        f"gate {g.name!r} input {src!r} is not a known signal"
-                    )
-            indeg[g.name] = count
+        order = self._views.get("topo")
+        if order is not None:
+            return order
+        # Kahn's algorithm over the fanout map: a gate is ready once all
+        # its gate-driven pins are, and PI pins are ready from the start.
+        fan = self.fanout_map()
+        indeg = {name: len(g.inputs) for name, g in self._gates.items()}
+        for pi in self._inputs:
+            for dep, _pin in fan[pi]:
+                indeg[dep] -= 1
         ready = [n for n, d in indeg.items() if d == 0]
-        order: List[str] = []
+        order = []
         while ready:
             n = ready.pop()
             order.append(n)
-            for dep in dependents.get(n, ()):
+            for dep, _pin in fan[n]:
                 indeg[dep] -= 1
                 if indeg[dep] == 0:
                     ready.append(dep)
         if len(order) != len(self._gates):
             raise CircuitError(f"circuit {self.name!r} contains a combinational cycle")
-        self._topo_cache = order
+        self._views["topo"] = order
         return order
 
     def levels(self) -> Dict[str, int]:
@@ -299,8 +326,9 @@ class Circuit:
         for o in self._outputs:
             if not self.has_signal(o):
                 raise CircuitError(f"primary output {o!r} is not a driven signal")
+        refs = self.output_refs()
         for o in self.data_outputs:
-            if o not in set(self._outputs):
+            if o not in refs:
                 raise CircuitError(f"data output {o!r} is not a primary output")
 
     # ------------------------------------------------------------------
@@ -312,9 +340,9 @@ class Circuit:
         Each n-input logic gate costs n units; inverters cost 1;
         buffers and constant drivers are wires and cost 0.
         """
-        total = 0
-        for g in self._gates.values():
-            total += gate_area(g)
+        total = self._views.get("area")
+        if total is None:
+            total = self._views["area"] = sum(map(gate_area, self._gates.values()))
         return total
 
     # ------------------------------------------------------------------
@@ -335,7 +363,7 @@ class Circuit:
         fan = self.fanout_map().get(name)
         if fan:
             raise CircuitError(f"cannot remove {name!r}: still feeds {fan[:3]}")
-        if name in set(self._outputs):
+        if self.is_output(name):
             raise CircuitError(f"cannot remove {name!r}: it is a primary output")
         del self._gates[name]
         self._invalidate()
@@ -366,7 +394,7 @@ class Circuit:
         Weight and data/control classification carry over.  The ``new``
         signal must already be driven.
         """
-        if old not in set(self._outputs):
+        if not self.is_output(old):
             raise CircuitError(f"{old!r} is not a primary output")
         if not self.has_signal(new):
             raise CircuitError(f"replacement signal {new!r} is not driven")
@@ -386,8 +414,29 @@ class Circuit:
     # ------------------------------------------------------------------
     # copying
     # ------------------------------------------------------------------
+    @classmethod
+    def from_gates(
+        cls, name: str, inputs: Sequence[str], gates: Dict[str, Gate]
+    ) -> "Circuit":
+        """A circuit of ``inputs`` and the gate map ``gates``, no outputs.
+
+        The map is adopted as is, in its order, and its records are
+        shared (gates are immutable records, as in :meth:`copy`); gate
+        inputs are checked by :meth:`validate`, not here.
+        """
+        c = cls(name)
+        c._inputs = list(inputs)
+        c._input_set = set(c._inputs)
+        if len(c._input_set) != len(c._inputs) or not c._input_set.isdisjoint(gates):
+            raise CircuitError(f"circuit {name!r} declares a signal twice")
+        c._gates = gates
+        return c
+
     def copy(self, name: Optional[str] = None) -> "Circuit":
-        """Deep copy (gates are immutable records, so this is cheap)."""
+        """Deep copy (gates are immutable records, so this is cheap).
+
+        The copy starts with no views and builds its own on demand.
+        """
         c = Circuit(name or self.name)
         c._inputs = list(self._inputs)
         c._input_set = set(self._input_set)

@@ -31,18 +31,26 @@ def transitive_fanin(circuit: Circuit, signal: str, include_self: bool = True) -
     Includes primary inputs encountered; includes ``signal`` itself when
     ``include_self`` is set.
     """
+    seen = _fanin_closure(circuit, (signal,))
+    if not include_self:
+        seen.discard(signal)
+    return seen
+
+
+def _fanin_closure(circuit: Circuit, roots: Iterable[str]) -> Set[str]:
+    """The roots and every signal in their transitive fanin, found in
+    one walk that visits each signal once."""
+    gates = circuit.gates
     seen: Set[str] = set()
-    stack = [signal]
+    stack = list(roots)
     while stack:
         s = stack.pop()
         if s in seen:
             continue
         seen.add(s)
-        g = circuit.driver(s)
+        g = gates.get(s)
         if g is not None:
             stack.extend(src for src in g.inputs if src not in seen)
-    if not include_self:
-        seen.discard(signal)
     return seen
 
 
@@ -128,16 +136,13 @@ def subcircuit(circuit: Circuit, outputs: Iterable[str], name: str | None = None
     are primary outputs of the original.
     """
     roots = list(outputs)
-    keep: Set[str] = set()
-    for r in roots:
-        keep |= transitive_fanin(circuit, r, include_self=True)
-    sub = Circuit(name or f"{circuit.name}_cone")
-    for pi in circuit.inputs:
-        sub.add_input(pi)
-    for gname in circuit.topological_order():
-        if gname in keep:
-            g = circuit.gates[gname]
-            sub.add_gate(gname, g.gtype, g.inputs)
+    keep = _fanin_closure(circuit, roots)
+    gates = circuit.gates
+    sub = Circuit.from_gates(
+        name or f"{circuit.name}_cone",
+        circuit.inputs,
+        {g: gates[g] for g in circuit.topological_order() if g in keep},
+    )
     data = set(circuit.data_outputs)
     for r in roots:
         sub.add_output(
@@ -159,12 +164,8 @@ def classify_signals(circuit: Circuit) -> Dict[str, Set[str]]:
       control and a data output are excluded"),
     * ``dead``    -- feeds no primary output at all.
     """
-    data_cone: Set[str] = set()
-    for o in circuit.data_outputs:
-        data_cone |= output_cone(circuit, o)
-    control_cone: Set[str] = set()
-    for o in circuit.control_outputs:
-        control_cone |= output_cone(circuit, o)
+    data_cone = _fanin_closure(circuit, circuit.data_outputs)
+    control_cone = _fanin_closure(circuit, circuit.control_outputs)
     all_signals = set(circuit.signals())
     data_only = data_cone - control_cone
     control_only = control_cone - data_cone

@@ -98,15 +98,34 @@ def enumerate_lines(circuit: Circuit, include_branches: bool = True) -> List[Lin
     single-consumer signal is electrically identical to its stem and is
     skipped, as in standard fault-list construction).
     """
-    lines: List[Line] = [Line(s) for s in circuit.signals()]
+    return _lines(circuit, include_branches)
+
+
+def _lines(
+    circuit: Circuit,
+    include_branches: bool,
+    signals: Optional[Set[str]] = None,
+    gates: Optional[Set[str]] = None,
+) -> List[Line]:
+    """The lines of :func:`enumerate_lines`, in its order, whose signal
+    is in ``signals`` and, for a branch, whose consuming gate is in
+    ``gates`` (``None``: no restriction).  Only kept lines are built."""
+    lines = [Line(s) for s in circuit.signals() if signals is None or s in signals]
     if include_branches:
-        fan = circuit.fanout_map()
-        for signal, consumers in fan.items():
-            if circuit.consumer_count(signal) <= 1:
+        refs = circuit.output_refs()
+        for signal, consumers in circuit.fanout_map().items():
+            if len(consumers) + refs.get(signal, 0) <= 1:
+                continue
+            if signals is not None and signal not in signals:
                 continue
             for gate_name, pin in consumers:
-                lines.append(Line(signal, gate_name, pin))
+                if gates is None or gate_name in gates:
+                    lines.append(Line(signal, gate_name, pin))
     return lines
+
+
+def _both_polarities(lines: Iterable[Line]) -> List[StuckAtFault]:
+    return [StuckAtFault(line, value) for line in lines for value in (0, 1)]
 
 
 def enumerate_faults(
@@ -119,13 +138,7 @@ def enumerate_faults(
     ``signals`` optionally restricts fault sites to lines whose driving
     signal is in the given set (used for datapath-only fault lists).
     """
-    faults: List[StuckAtFault] = []
-    for line in enumerate_lines(circuit, include_branches=include_branches):
-        if signals is not None and line.signal not in signals:
-            continue
-        faults.append(StuckAtFault(line, 0))
-        faults.append(StuckAtFault(line, 1))
-    return faults
+    return _both_polarities(_lines(circuit, include_branches, signals))
 
 
 def datapath_faults(circuit: Circuit, include_branches: bool = True) -> List[StuckAtFault]:
@@ -138,12 +151,4 @@ def datapath_faults(circuit: Circuit, include_branches: bool = True) -> List[Stu
     is excluded even when its stem is datapath-only.
     """
     allowed = datapath_signals(circuit)
-    faults: List[StuckAtFault] = []
-    for line in enumerate_lines(circuit, include_branches=include_branches):
-        if line.signal not in allowed:
-            continue
-        if line.is_branch and line.gate not in allowed:
-            continue
-        faults.append(StuckAtFault(line, 0))
-        faults.append(StuckAtFault(line, 1))
-    return faults
+    return _both_polarities(_lines(circuit, include_branches, allowed, allowed))

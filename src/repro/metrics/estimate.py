@@ -347,8 +347,8 @@ class MetricsEstimator:
 
     def _simulator_for(self, target: Circuit) -> CompiledSimulator:
         # Every other netlist is measured once (the greedy loop builds a
-        # fresh tentative netlist per decision); the program cache
-        # already dedups the compile by content.
+        # fresh tentative netlist per decision); its program is a view
+        # of the netlist, so a committed tentative's next ranking reuses it.
         if target is self.circuit:
             return self._good_sim
         return CompiledSimulator(target, obs=self.obs)

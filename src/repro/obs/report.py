@@ -110,11 +110,12 @@ _CACHE_PAIRS = (
     ("estimator.batchsim_cache_hits", "estimator.batchsim_cache_misses"),
     ("estimator.sim_cache_hits", "estimator.sim_cache_misses"),
     ("greedy.preview_memo_hits", "greedy.preview_memo_misses"),
+    ("compile.cache_hits", "compile.cache_misses"),
 )
 
 
 def derived_counter_rows(counters: Dict[str, int]) -> List[Tuple[str, str]]:
-    """Derived (name, rendered value) rows: estimator cache hit-rates."""
+    """Derived (name, rendered value) rows: cache hit-rates."""
     rows: List[Tuple[str, str]] = []
     for hits_key, misses_key in _CACHE_PAIRS:
         hits = counters.get(hits_key, 0)

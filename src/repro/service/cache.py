@@ -4,8 +4,7 @@ The cache key is the pair of content digests
 ``sha256(circuit_fingerprint + ":" + request.fingerprint())``:
 
 * :func:`~repro.simulation.compiled.circuit_fingerprint` digests the
-  simulated *structure* (inputs + gates) -- the same digest the
-  compiled-kernel program cache uses -- extended here with the output
+  simulated *structure* (inputs + gates), extended here with the output
   list, weights and data flags, because two structurally identical
   netlists with different output weighting have different RS budgets
   and therefore different outcomes;

@@ -58,9 +58,7 @@ class Overlay:
         self.circuit = circuit
         self.reads: Set[str] = set() if reads is None else reads
         self._fanout = circuit.fanout_map()
-        self._po_count: Dict[str, int] = {}
-        for o in circuit.outputs:
-            self._po_count[o] = self._po_count.get(o, 0) + 1
+        self._po_refs = circuit.output_refs()
         self.const_of: Dict[str, int] = {}
         self.dead: Set[str] = set()
         self.dropped: Dict[str, Set[int]] = {}
@@ -84,7 +82,7 @@ class Overlay:
     def consumers(self, signal: str) -> int:
         """Current consumer count (gate pins + PO references)."""
         self.reads.add(signal)
-        base = len(self._fanout.get(signal, ())) + self._po_count.get(signal, 0)
+        base = len(self._fanout.get(signal, ())) + self._po_refs.get(signal, 0)
         return base + self._consumer_delta.get(signal, 0)
 
     def live_pins(self, name: str) -> List[Tuple[int, str]]:
@@ -273,7 +271,7 @@ class Overlay:
             self._consumer_delta[s] = self._consumer_delta.get(s, 0) - 1
             if self.consumers(s) > 0:
                 continue  # still a stem with other consumers
-            if self._po_count.get(s):
+            if self._po_refs.get(s):
                 continue
             if self.circuit.is_input(s):
                 continue  # primary inputs are never removed
@@ -319,27 +317,37 @@ class Overlay:
         return max(1, n)
 
     def materialize(self, name: Optional[str] = None) -> Circuit:
-        """Build the simplified circuit described by this overlay."""
-        out = Circuit(name or f"{self.circuit.name}_simplified")
-        for pi in self.circuit.inputs:
-            out.add_input(pi)
-        const_alias: Dict[int, str] = {}
+        """Build the simplified circuit described by this overlay.
 
-        for gname in self.circuit.topological_order():
+        Gates keep the base circuit's topological order; a gate the
+        overlay did not edit keeps its record.  It records no
+        :attr:`reads`.
+        """
+        base = self.circuit
+        gates: Dict[str, Gate] = {}
+        for gname in base.topological_order():
             if gname in self.dead:
                 continue
-            gate = self.circuit.gates[gname]
-            gt = self.gtype_of(gname)
-            if gt in _CONST_TYPES:
-                out.add_gate(gname, gt, ())
-                continue
-            pins = [src for _pin, src in self.live_pins(gname)]
-            out.add_gate(gname, gt, pins)
+            gate = base.gates[gname]
+            gt = self.retype.get(gname)
+            drops = self.dropped.get(gname)
+            if gt is None and drops is None:
+                gates[gname] = gate
+            elif gt in _CONST_TYPES:
+                gates[gname] = Gate(gname, gt, ())
+            else:
+                pins = tuple(
+                    src for pin, src in enumerate(gate.inputs) if not drops or pin not in drops
+                )
+                gates[gname] = Gate(gname, gate.gtype if gt is None else gt, pins)
+        out = Circuit.from_gates(name or f"{base.name}_simplified", base.inputs, gates)
 
-        for o in self.circuit.outputs:
-            weight = self.circuit.output_weights.get(o, 1)
-            is_data = o in set(self.circuit.data_outputs)
-            pi_stuck = self.circuit.is_input(o) and o in self.const_of
+        const_alias: Dict[int, str] = {}
+        data = set(base.data_outputs)
+        for o in base.outputs:
+            weight = base.output_weights.get(o, 1)
+            is_data = o in data
+            pi_stuck = base.is_input(o) and o in self.const_of
             if out.has_signal(o) and not pi_stuck:
                 out.add_output(o, weight=weight, is_data=is_data)
                 continue

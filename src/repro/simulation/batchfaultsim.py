@@ -78,7 +78,6 @@ from .compiled import (
     ROW_ZERO,
     CompiledSimulator,
     eval_core_group,
-    lower_entry,
 )
 from .deviation import WeightedDeviation
 from .logicsim import SimResult
@@ -246,18 +245,15 @@ class BatchFaultSimulator:
         self._val_of_row: Dict[int, List[int]] = {}
         for pos, row in enumerate(self._val_rows.tolist()):
             self._val_of_row.setdefault(row, []).append(pos)
-        # lowered schedule entries keyed by the driven signal (the
-        # compiled schedule is in topological_order(), one entry per gate):
-        # (level * 3 + core, core, out_row, input_rows, invert)
-        order = circuit.topological_order()
-        level_of_row = self.sim.program.level_of_row
-        self._entry_of: Dict[str, Tuple[int, int, int, Tuple[int, ...], bool]] = {}
-        for name, (gtype, out_row, in_rows) in zip(order, self.sim._schedule):
-            core, invert, ins = lower_entry(gtype, in_rows)
-            key = 3 * level_of_row[out_row] + core
-            self._entry_of[name] = (key, core, out_row, tuple(ins), invert)
-        self._arity = max((len(e[3]) for e in self._entry_of.values()), default=1)
-        self._topo_pos = {n: i for i, n in enumerate(order)}
+        # The program's lowered gates (see CompiledProgram.entry_of); its
+        # rows number the gates in topological order, so ``row_of`` also
+        # orders cone gates.
+        program = self.sim.program
+        self._entry_of = program.entry_of
+        self._row_of = program.row_of
+        self._arity = max(
+            (grp[2].shape[0] for groups in program.levels for grp in groups), default=1
+        )
 
         self.deviation = WeightedDeviation(self.weights)
 
@@ -358,15 +354,15 @@ class BatchFaultSimulator:
         if not self.circuit.has_signal(line.signal):
             raise CircuitError(f"fault site {line} not in circuit")
         if line.is_stem:
-            gates = fanout_cone_gates(self.circuit, line.signal, self._topo_pos)
-            rows = [self.sim.index_of(line.signal)]
+            gates = fanout_cone_gates(self.circuit, line.signal, self._row_of)
+            rows = [self._row_of[line.signal]]
         else:
             gate = self.circuit.gates.get(line.gate)
             if gate is None:
                 raise CircuitError(f"fault site {line}: gate {line.gate!r} not in circuit")
             if line.pin >= len(gate.inputs) or gate.inputs[line.pin] != line.signal:
                 raise CircuitError(f"fault site {line}: pin does not match netlist")
-            gates = (line.gate,) + fanout_cone_gates(self.circuit, line.gate, self._topo_pos)
+            gates = (line.gate,) + fanout_cone_gates(self.circuit, line.gate, self._row_of)
             rows = []
         entries = [self._entry_of[g] for g in gates]
         rows.extend(e[2] for e in entries)

@@ -28,13 +28,18 @@ no per-gate Python in the inner loop:
   its true value, exactly the line semantics of
   :mod:`repro.faults.model`.
 
-Programs are cached content-keyed by a netlist fingerprint
-(:func:`circuit_fingerprint`), so re-materialized but structurally
-identical netlists (e.g. the two FOM runs of ``fom="best"``) compile
-once.  :class:`CompiledSimulator` is the only simulator production code
-builds; it keeps the run surface of the per-gate reference
-:class:`~repro.simulation.logicsim.LogicSimulator` (``run`` /
-``run_packed`` / ``index_of`` / ``_schedule``, same :class:`SimResult`)
+A program is a view of its :class:`~repro.circuit.Circuit`
+(:attr:`~repro.circuit.Circuit.views`): :func:`compile_program` lowers a
+circuit on first use and keeps the program in the circuit's view cache,
+which every netlist mutation empties.  There is no global cache, so a
+program lives exactly as long as its netlist, and a structurally equal
+rebuild lowers anew.  The program also keeps each gate's lowered entry
+(:attr:`CompiledProgram.entry_of`), which the cone replay of
+:class:`~repro.simulation.batchfaultsim.BatchFaultSimulator` reads
+instead of lowering the gates again.  :class:`CompiledSimulator` is the
+only simulator production code builds; it keeps the run surface of the
+per-gate reference :class:`~repro.simulation.logicsim.LogicSimulator`
+(``run`` / ``run_packed`` / ``index_of``, same :class:`SimResult`)
 and is bit-identical to it -- pinned by the reference suite in
 ``tests/simulation/test_engine_equivalence.py`` and the property tests
 in ``tests/simulation/test_compiled.py``.
@@ -43,7 +48,6 @@ in ``tests/simulation/test_compiled.py``.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -143,11 +147,10 @@ class CompiledProgram:
     """
 
     __slots__ = (
-        "fingerprint",
         "num_inputs",
         "num_rows",
         "row_of",
-        "schedule",
+        "entry_of",
         "levels",
         "loc",
         "level_of_row",
@@ -156,23 +159,28 @@ class CompiledProgram:
 
     def __init__(
         self,
-        fingerprint: str,
         num_inputs: int,
         num_rows: int,
         row_of: Dict[str, int],
-        schedule: List[Tuple[GateType, int, Tuple[int, ...]]],
+        entry_of: Dict[str, Tuple[int, int, int, Tuple[int, ...], bool]],
         levels: Tuple[Tuple[Tuple, ...], ...],
         loc: Dict[int, Tuple[int, int, int]],
-        level_of_row: Dict[int, int],
+        level_of_row: List[int],
         pass_counters: Tuple[Tuple[str, int, bool], ...] = (),
     ) -> None:
-        self.fingerprint = fingerprint
         self.num_inputs = num_inputs
         self.num_rows = num_rows
         self.row_of = row_of
-        self.schedule = schedule
+        #: Each gate's lowered entry, keyed by gate name and in
+        #: topological order: ``(3 * level + core, core, out_row,
+        #: input_rows, invert)``, with ``level`` the index into
+        #: :attr:`levels` and ``input_rows`` as :func:`lower_entry`
+        #: gives them.
+        self.entry_of = entry_of
         self.levels = levels
         self.loc = loc
+        #: The level index of every row; -1 for the constant and input
+        #: rows, which hold their values before any level runs.
         self.level_of_row = level_of_row
         #: Pass-attribution amounts, precomputed at compile time so
         #: ``run_packed`` pays a handful of ``incr`` calls per *run*
@@ -210,9 +218,8 @@ class CompiledProgram:
 def circuit_fingerprint(circuit: Circuit) -> str:
     """Content digest of the simulated structure (inputs + gates).
 
-    Outputs, weights and data-flags do not change the compiled program
-    (they only select rows from the finished matrix), so two netlists
-    differing only in output annotations share one cache entry.
+    The service's result cache keys on it (extended with the output
+    annotations, :func:`repro.service.cache.circuit_cache_fingerprint`).
     """
     h = hashlib.sha1()
     for s in circuit.inputs:
@@ -234,68 +241,57 @@ def circuit_fingerprint(circuit: Circuit) -> str:
 
 def _build_program(circuit: Circuit) -> CompiledProgram:
     order = circuit.topological_order()
-    row_of: Dict[str, int] = {}
-    for s in circuit.inputs:
-        row_of[s] = 2 + len(row_of)
-    for name in order:
-        row_of[name] = 2 + len(row_of)
+    gates = circuit.gates
+    row_of: Dict[str, int] = {s: 2 + i for i, s in enumerate(circuit.inputs)}
+    first_gate_row = 2 + len(row_of)
+    row_of.update((name, first_gate_row + i) for i, name in enumerate(order))
 
-    level: Dict[str, int] = {s: 0 for s in circuit.inputs}
-    schedule: List[Tuple[GateType, int, Tuple[int, ...]]] = []
+    # Level of every row: -1 for the constant and input rows, so a
+    # gate's level (1 + its deepest input's) counts from 0 and is the
+    # index of its level in ``levels``.
+    level = [-1] * (first_gate_row + len(order))
+    entry_of: Dict[str, Tuple[int, int, int, Tuple[int, ...], bool]] = {}
     # (level, core) -> [(out_row, lowered_input_rows, invert)]
-    buckets: "OrderedDict[Tuple[int, int], List[Tuple[int, List[int], bool]]]"
-    buckets = OrderedDict()
+    buckets: Dict[Tuple[int, int], List[Tuple[int, Tuple[int, ...], bool]]] = {}
     for name in order:
-        g = circuit.gates[name]
-        level[name] = 1 + max((level[s] for s in g.inputs), default=0)
-        in_rows = tuple(row_of[s] for s in g.inputs)
-        schedule.append((g.gtype, row_of[name], in_rows))
-        core, invert, ins = lower_entry(g.gtype, in_rows)
-        buckets.setdefault((level[name], core), []).append(
-            (row_of[name], ins, invert)
-        )
+        g = gates[name]
+        out_row = row_of[name]
+        core, invert, ins = lower_entry(g.gtype, tuple(map(row_of.__getitem__, g.inputs)))
+        ins = tuple(ins)
+        lvl = level[out_row] = 1 + max(map(level.__getitem__, ins))
+        entry_of[name] = (3 * lvl + core, core, out_row, ins, invert)
+        buckets.setdefault((lvl, core), []).append((out_row, ins, invert))
 
-    level_groups: Dict[int, List[Tuple]] = {}
+    level_groups: List[List[Tuple]] = [[] for _ in range(1 + max(level))]
     loc: Dict[int, Tuple[int, int, int]] = {}
-    level_of_row: Dict[int, int] = {}
-    lvl_index = {
-        lvl: i for i, lvl in enumerate(sorted({k[0] for k in buckets}))
-    }
     for (lvl, core), ents in sorted(buckets.items()):
         arity = max(len(ins) for _o, ins, _v in ents)
-        pad = CORE_PAD[core]
-        k = len(ents)
-        out_rows = np.asarray([o for o, _ins, _v in ents], dtype=np.intp)
-        in_rows = np.empty((arity, k), dtype=np.intp)
-        for col, (_o, ins, _v) in enumerate(ents):
-            for j in range(arity):
-                in_rows[j, col] = ins[j] if j < len(ins) else pad
-        if any(v for _o, _ins, v in ents):
-            inv = np.asarray(
-                [[ALL_ONES if v else 0] for _o, _ins, v in ents],
-                dtype=np.uint64,
-            )
+        pad = (CORE_PAD[core],)
+        out_rows = np.fromiter((o for o, _ins, _v in ents), dtype=np.intp, count=len(ents))
+        in_rows = np.array(
+            [ins + pad * (arity - len(ins)) for _o, ins, _v in ents], dtype=np.intp
+        ).T.copy()
+        flags = [v for _o, _ins, v in ents]
+        if any(flags):
+            inv = np.zeros((len(ents), 1), dtype=np.uint64)
+            inv[flags] = ALL_ONES
         else:
             inv = None
-        li = lvl_index[lvl]
-        grp_idx = len(level_groups.setdefault(li, []))
-        level_groups[li].append((core, out_rows, in_rows, inv))
+        groups = level_groups[lvl]
+        grp_idx = len(groups)
+        groups.append((core, out_rows, in_rows, inv))
         for col, (out_row, _ins, _v) in enumerate(ents):
-            loc[out_row] = (li, grp_idx, col)
-            level_of_row[out_row] = li
+            loc[out_row] = (lvl, grp_idx, col)
 
-    levels = tuple(
-        tuple(level_groups[li]) for li in range(len(lvl_index))
-    )
+    levels = tuple(tuple(groups) for groups in level_groups)
     return CompiledProgram(
-        fingerprint="",  # filled by compile_program
         num_inputs=len(circuit.inputs),
-        num_rows=2 + len(row_of),
+        num_rows=first_gate_row + len(order),
         row_of=row_of,
-        schedule=schedule,
+        entry_of=entry_of,
         levels=levels,
         loc=loc,
-        level_of_row=level_of_row,
+        level_of_row=level,
         pass_counters=_build_pass_counters(levels),
     )
 
@@ -338,33 +334,23 @@ def _build_pass_counters(
     return tuple(entries)
 
 
-#: Content-keyed program cache (per process).  Bounded: the greedy loop
-#: touches at most a handful of distinct netlist structures at a time.
-_PROGRAM_CACHE: "OrderedDict[str, CompiledProgram]" = OrderedDict()
-_PROGRAM_CACHE_MAX = 64
-
-
 def compile_program(
     circuit: Circuit, obs: Optional[Instrumentation] = None
 ) -> CompiledProgram:
-    """Lower a circuit to its :class:`CompiledProgram` (content-cached)."""
+    """The circuit's :class:`CompiledProgram`, lowered on first use and
+    kept as a view of the circuit (``circuit.views["program"]``)."""
     obs = obs if obs is not None else get_active()
-    key = circuit_fingerprint(circuit)
-    program = _PROGRAM_CACHE.get(key)
+    views = circuit.views
+    program = views.get("program")
     if program is not None:
-        _PROGRAM_CACHE.move_to_end(key)
         obs.incr("compile.cache_hits")
         return program
     obs.incr("compile.cache_misses")
     with obs.span("compile.lower"):
         program = _build_program(circuit)
-        program.fingerprint = key
-    obs.incr("compile.gates_lowered", len(program.schedule))
+    obs.incr("compile.gates_lowered", len(program.entry_of))
     obs.incr("compile.levels", len(program.levels))
-    _PROGRAM_CACHE[key] = program
-    while len(_PROGRAM_CACHE) > _PROGRAM_CACHE_MAX:
-        _PROGRAM_CACHE.popitem(last=False)
-        obs.incr("compile.cache_evictions")
+    views["program"] = program
     return program
 
 
@@ -389,9 +375,6 @@ class CompiledSimulator:
         self.program = (
             program if program is not None else compile_program(circuit, self.obs)
         )
-        # The reference simulator's surface (BatchFaultSimulator reads
-        # the schedule to code its cones).
-        self._schedule = self.program.schedule
         self.num_signals = len(self.program.row_of)
 
     def index_of(self, signal: str) -> int:
@@ -445,7 +428,7 @@ class CompiledSimulator:
             word = ALL_ONES if f.value else np.uint64(0)
             if f.line.is_stem:
                 row = p.row_of[f.line.signal]
-                lvl = p.level_of_row.get(row, -1)
+                lvl = p.level_of_row[row]
                 stem_by_level.setdefault(lvl, []).append((row, word))
             else:
                 gate_row = p.row_of[f.line.gate]

@@ -1,7 +1,12 @@
 """Circuit construction, validation, derived structure, mutation."""
 
-import pytest
+import pickle
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.benchlib import random_circuit
 from repro.circuit import Circuit, CircuitError, GateType, gate_area
 from repro.circuit.netlist import Gate
 
@@ -172,3 +177,171 @@ def test_control_outputs(adder4_ctl):
     assert set(adder4_ctl.data_outputs) | set(adder4_ctl.control_outputs) == set(
         adder4_ctl.outputs
     )
+
+
+# ----------------------------------------------------------------------
+# cached views: invalidation and pickling
+# ----------------------------------------------------------------------
+_LOGIC_TYPES = (
+    GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+    GateType.XOR, GateType.XNOR, GateType.NOT, GateType.BUF,
+)
+
+
+def _program_facts(program):
+    groups = [
+        (core, out.tolist(), ins.tolist(), None if inv is None else inv.tolist())
+        for level in program.levels
+        for core, out, ins, inv in level
+    ]
+    return (
+        program.num_inputs,
+        program.num_rows,
+        list(program.row_of.items()),
+        list(program.entry_of.items()),
+        groups,
+        program.loc,
+        program.level_of_row,
+        program.pass_counters,
+    )
+
+
+def _ref_topological_order(c):
+    """Kahn's algorithm over a dependents map, as the order was first
+    computed (the view now walks the fanout map)."""
+    indeg, dependents = {}, {}
+    for g in c.gates.values():
+        indeg[g.name] = 0
+        for src in g.inputs:
+            if src in c.gates:
+                indeg[g.name] += 1
+                dependents.setdefault(src, []).append(g.name)
+    ready = [n for n, d in indeg.items() if d == 0]
+    order = []
+    while ready:
+        n = ready.pop()
+        order.append(n)
+        for dep in dependents.get(n, ()):
+            indeg[dep] -= 1
+            if indeg[dep] == 0:
+                ready.append(dep)
+    return order
+
+
+def _view_facts(c):
+    """Every cached view of ``c``, read through the public accessors."""
+    from repro.simulation import compile_program
+
+    fan = c.fanout_map()
+    return (
+        list(c.topological_order()),
+        [(s, list(pins)) for s, pins in fan.items()],
+        list(c.output_refs().items()),
+        [c.consumer_count(s) for s in c.signals()],
+        [c.is_output(s) for s in c.signals()],
+        c.area(),
+        _program_facts(compile_program(c)),
+    )
+
+
+def _random_operands(rng, pool, gtype):
+    if gtype in (GateType.CONST0, GateType.CONST1):
+        return ()
+    arity = 1 if gtype in (GateType.NOT, GateType.BUF) else int(rng.integers(2, 4))
+    return tuple(pool[int(rng.integers(0, len(pool)))] for _ in range(arity))
+
+
+def _mutate(c, rng, step):
+    """Apply one random mutator to ``c`` (acyclic by construction)."""
+    order = c.topological_order()
+    signals = list(c.signals())
+    gates = list(order)
+    kind = int(rng.integers(0, 8))
+    if kind == 0:
+        c.add_input(f"in{step}")
+    elif kind == 1:
+        gtype = (_LOGIC_TYPES + (GateType.CONST0, GateType.CONST1))[int(rng.integers(0, 10))]
+        c.add_gate(f"new{step}", gtype, _random_operands(rng, signals, gtype))
+    elif kind == 2:
+        c.add_output(
+            signals[int(rng.integers(0, len(signals)))],
+            weight=int(rng.integers(1, 9)),
+            is_data=bool(rng.integers(0, 2)),
+        )
+    elif kind == 3 and gates:
+        i = int(rng.integers(0, len(gates)))
+        gtype = _LOGIC_TYPES[int(rng.integers(0, len(_LOGIC_TYPES)))]
+        earlier = list(c.inputs) + gates[:i]
+        c.replace_gate(gates[i], gtype, _random_operands(rng, earlier, gtype))
+    elif kind == 4 and gates:
+        name = gates[int(rng.integers(0, len(gates)))]
+        if c.consumer_count(name):
+            with pytest.raises(CircuitError):
+                c.remove_gate(name)
+        else:
+            c.remove_gate(name)
+    elif kind == 5 and gates:
+        c.tie_constant(gates[int(rng.integers(0, len(gates)))], int(rng.integers(0, 2)))
+    elif kind == 6:
+        wired = [i for i, g in enumerate(gates) if c.gates[g].inputs]
+        if wired:
+            i = wired[int(rng.integers(0, len(wired)))]
+            g = c.gates[gates[i]]
+            earlier = list(c.inputs) + gates[:i]
+            c.rewire_pin(
+                g.name,
+                int(rng.integers(0, len(g.inputs))),
+                earlier[int(rng.integers(0, len(earlier)))],
+            )
+    elif kind == 7 and c.outputs:
+        c.rename_output(
+            c.outputs[int(rng.integers(0, len(c.outputs)))],
+            signals[int(rng.integers(0, len(signals)))],
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_mutator_invalidates_every_view(seed):
+    """After every mutation each cached view equals the one a fresh copy
+    builds; the views are read (so cached) before every next mutation."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(
+        num_inputs=int(rng.integers(2, 6)), num_gates=int(rng.integers(3, 16)), rng=rng
+    )
+    c.data_outputs = [o for o in c.outputs if rng.random() < 0.6]  # the rest: control
+    c.add_output(c.outputs[0], weight=2)  # one output referenced twice
+    assert _view_facts(c) == _view_facts(c.copy())
+    for step in range(12):
+        _mutate(c, rng, step)
+        assert _view_facts(c) == _view_facts(c.copy()), step
+        assert c.topological_order() == _ref_topological_order(c)
+
+
+def test_topological_order_matches_reference_on_iscas85_like():
+    from repro.benchlib import ISCAS85_SUITE
+
+    for spec in ISCAS85_SUITE.values():
+        c = spec.builder()
+        assert c.topological_order() == _ref_topological_order(c)
+
+
+def test_pickle_carries_no_views():
+    from repro.benchlib import ISCAS85_SUITE
+    from repro.simulation import compile_program
+
+    c = ISCAS85_SUITE["c5315"].builder()
+    never_queried = c.copy()
+    compile_program(c)
+    c.fanout_map(), c.output_refs(), c.area()
+    assert {"topo", "fanout", "output_refs", "area", "program"} <= set(c.views)
+    blob = pickle.dumps(c)
+    back = pickle.loads(blob)
+    assert not back.views
+    assert (back.name, back.inputs, back.outputs, back.output_weights, back.data_outputs) == (
+        c.name, c.inputs, c.outputs, c.output_weights, c.data_outputs
+    )
+    assert list(back.gates.items()) == list(c.gates.items())
+    assert len(blob) <= len(pickle.dumps(never_queried))
+    assert c.views  # pickling leaves the source's views alone
+    assert _program_facts(compile_program(back)) == _program_facts(compile_program(c))

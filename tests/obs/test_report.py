@@ -157,12 +157,16 @@ def test_derived_cache_hit_rate_rows():
         "estimator.sim_cache_misses": 0,  # zero total: no row
         "greedy.preview_memo_hits": 27691,
         "greedy.preview_memo_misses": 4763,
+        "compile.cache_hits": 25,
+        "compile.cache_misses": 26,
     }
     out = render_report([_header(), _summary(counters=counters)])
     assert "estimator.batchsim_cache_hit_rate" in out
     assert "75.0%  (30/40)" in out
     assert "greedy.preview_memo_hit_rate" in out
     assert "85.3%  (27691/32454)" in out
+    assert "compile.cache_hit_rate" in out
+    assert "49.0%  (25/51)" in out
     assert "estimator.sim_cache_hit_rate" not in out
 
 

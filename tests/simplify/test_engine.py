@@ -206,3 +206,91 @@ def test_outputs_and_weights_preserved(adder4):
     assert simp.outputs == adder4.outputs
     assert simp.output_weights == adder4.output_weights
     assert simp.inputs == adder4.inputs
+
+
+# ----------------------------------------------------------------------
+# Overlay.materialize against the add_gate-based body it replaced (kept
+# here as the reference)
+# ----------------------------------------------------------------------
+def _ref_materialize(overlay, name=None):
+    from repro.circuit import Circuit
+
+    base = overlay.circuit
+    out = Circuit(name or f"{base.name}_simplified")
+    for pi in base.inputs:
+        out.add_input(pi)
+    const_alias = {}
+    for gname in base.topological_order():
+        if gname in overlay.dead:
+            continue
+        gt = overlay.gtype_of(gname)
+        if gt in (GateType.CONST0, GateType.CONST1):
+            out.add_gate(gname, gt, ())
+            continue
+        out.add_gate(gname, gt, [src for _pin, src in overlay.live_pins(gname)])
+    for o in base.outputs:
+        weight = base.output_weights.get(o, 1)
+        is_data = o in set(base.data_outputs)
+        pi_stuck = base.is_input(o) and o in overlay.const_of
+        if out.has_signal(o) and not pi_stuck:
+            out.add_output(o, weight=weight, is_data=is_data)
+            continue
+        value = overlay.const_of.get(o)
+        if value is None:
+            raise CircuitError(f"output {o!r} lost its driver without a constant")
+        if value not in const_alias:
+            cname = f"__const{value}"
+            k = 0
+            while out.has_signal(cname):
+                cname = f"__const{value}_{k}"
+                k += 1
+            out.add_gate(cname, GateType.CONST1 if value else GateType.CONST0, ())
+            const_alias[value] = cname
+        alias = f"{o}__tied"
+        k = 0
+        while out.has_signal(alias):
+            alias = f"{o}__tied_{k}"
+            k += 1
+        out.add_gate(alias, GateType.BUF, (const_alias[value],))
+        out.add_output(alias, weight=weight, is_data=is_data)
+    out.validate()
+    return out
+
+
+def _netlist_facts(c):
+    return (
+        c.name,
+        c.inputs,
+        [(g.name, g.gtype, g.inputs) for g in c.gates.values()],
+        c.outputs,
+        list(c.output_weights.items()),
+        c.data_outputs,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31))
+def test_materialize_matches_add_gate_reference(seed):
+    rng = np.random.default_rng(seed)
+    ckt = random_circuit(
+        num_inputs=int(rng.integers(2, 7)), num_gates=int(rng.integers(3, 25)), rng=rng
+    )
+    ckt.data_outputs = [o for o in ckt.outputs if rng.random() < 0.7]
+    ckt.add_output(ckt.inputs[0], weight=8)  # a PI on a primary output
+    ckt.add_output(ckt.outputs[0], weight=2, is_data=False)  # referenced twice
+    if rng.random() < 0.5:
+        ckt.add_gate("__const1", GateType.CONST1)  # a name the alias must skip
+    faults = pick_faults(ckt, rng, int(rng.integers(1, 6)))
+    if rng.random() < 0.5:
+        pi_stem = StuckAtFault.stem(ckt.inputs[0], int(rng.integers(0, 2)))
+        faults = [f for f in faults if f.line.signal != pi_stem.signal] + [pi_stem]
+    overlay = Overlay(ckt)
+    try:
+        overlay.apply_all(faults)
+    except CircuitError:
+        return
+    reads = set(overlay.reads)
+    got = overlay.materialize("m")
+    assert overlay.reads == reads  # materialize records no reads
+    assert _netlist_facts(got) == _netlist_facts(_ref_materialize(overlay, "m"))
+    assert _netlist_facts(overlay.materialize()) == _netlist_facts(_ref_materialize(overlay))

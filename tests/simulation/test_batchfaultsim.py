@@ -286,3 +286,46 @@ def test_empty_batch_gives_zero_stats(adder4):
         assert st.detected.shape == (0,) and st.deviations == []
     with pytest.raises(CircuitError):
         batch.evaluate([StuckAtFault.stem("no_such_signal", 0)])
+
+
+def _lowering_circuits():
+    from repro.benchlib import ISCAS85_SUITE
+    from repro.circuit import CircuitBuilder, GateType
+
+    b = CircuitBuilder("consts")
+    x, y = b.input("x"), b.input("y")
+    one = b.gate(GateType.CONST1, (), name="one")
+    zero = b.gate(GateType.CONST0, (), name="zero")
+    b.output(b.NAND(x, one, b.BUF(y)), weight=2)
+    b.output(b.XNOR(zero, b.NOT(x), y))
+    yield b.build()
+    yield ISCAS85_SUITE["c880"].builder()
+    rng = np.random.default_rng(77)
+    for _ in range(5):
+        yield random_circuit(num_inputs=5, num_gates=30, rng=rng)
+
+
+@pytest.mark.parametrize("ckt", list(_lowering_circuits()), ids=lambda c: c.name)
+def test_batch_simulator_shares_the_circuits_lowering(ckt):
+    """The batch simulator reads the circuit's one program, and each of
+    its lowered entries is what ``lower_entry`` gives for the gate, at
+    the gate's place in the padded group matrices."""
+    from repro.simulation import CompiledSimulator
+    from repro.simulation.compiled import CORE_PAD, lower_entry
+
+    bsim = BatchFaultSimulator(ckt)
+    program = bsim.sim.program
+    assert program is CompiledSimulator(ckt).program
+    assert list(program.entry_of) == ckt.topological_order()
+    for name, (key, core, out_row, ins, invert) in program.entry_of.items():
+        gate = ckt.gates[name]
+        in_rows = tuple(program.row_of[s] for s in gate.inputs)
+        assert (core, invert, list(ins)) == lower_entry(gate.gtype, in_rows)
+        assert out_row == program.row_of[name]
+        li, gi, col = program.loc[out_row]
+        assert key == 3 * li + core
+        g_core, out_rows, group_ins, inv = program.levels[li][gi]
+        assert g_core == core and out_rows[col] == out_row
+        pad = [CORE_PAD[core]] * (group_ins.shape[0] - len(ins))
+        assert group_ins[:, col].tolist() == list(ins) + pad
+        assert bool(inv is not None and inv[col, 0]) == invert
