@@ -8,11 +8,6 @@ and warm (every job identical -> one run, the rest served from the
 content-addressed result cache).  The warm/cold ratio is the value of
 the cache; the p99 latency is what a queued client actually waits.
 
-Besides client-side wall latency, each row scrapes the server's own
-SLO histograms (``/v1/metrics``): queue-wait and end-to-end p50/p99 as
-the *service* measured them, which separates time-in-queue from
-time-on-wire.
-
 Rows land in ``BENCH_service_throughput.json`` (via the shared
 ``bench_json`` fixture), which ``repro trends`` tracks across PRs.
 """
@@ -25,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import SimplifyRequest, dumps_bench
-from repro.obs.slo import parse_openmetrics_histograms, quantile_from_buckets
 from repro.service import ServiceClient, serve_in_thread
 from tests.conftest import build_ripple_adder
 
@@ -118,20 +112,6 @@ def test_service_throughput(service, bench_rows, bench_json, concurrency):
         "warm_p99_ms": 1000 * _percentile(warm_lat, 99),
         "speedup_warm_vs_cold": cold_s / warm_s,
     }
-    # Server-side SLO quantiles from /v1/metrics.  The module-scoped
-    # server accumulates across concurrency levels, so these quantiles
-    # cover all jobs up to and including this level -- still
-    # trend-stable because the level sequence is fixed.
-    families = parse_openmetrics_histograms(client.metrics())
-    for family, prefix in (
-        ("repro_slo_queue_wait_seconds", "svc_queue_wait"),
-        ("repro_slo_e2e_seconds", "svc_e2e"),
-    ):
-        buckets = families.get(family, {}).get("buckets") or []
-        for q, qname in ((0.5, "p50"), (0.99, "p99")):
-            value = quantile_from_buckets(buckets, q)
-            if value is not None:
-                row[f"{prefix}_{qname}_ms"] = 1000 * value
     bench_json["service_throughput"].append(row)
     bench_rows.append(
         f"SERVICE throughput c={concurrency}: "
@@ -139,8 +119,7 @@ def test_service_throughput(service, bench_rows, bench_json, concurrency):
         f"(p99 {row['cold_p99_ms']:.0f}ms), "
         f"warm {_JOBS_PER_LEVEL / warm_s:.2f} jobs/s "
         f"(p99 {row['warm_p99_ms']:.0f}ms), "
-        f"cache speedup {row['speedup_warm_vs_cold']:.0f}x, "
-        f"svc queue-wait p99 {row.get('svc_queue_wait_p99_ms', 0):.0f}ms"
+        f"cache speedup {row['speedup_warm_vs_cold']:.0f}x"
     )
     # the cache must make warm submissions far cheaper than cold ones
     assert row["speedup_warm_vs_cold"] > 1.0

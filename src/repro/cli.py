@@ -29,13 +29,6 @@ file extension) and on the built-in benchmark suite:
   ``--wait`` polls to completion and renders the report, with
   ``--trace-id`` stamps a correlation id through the whole lifetime
 * ``jobs``       -- list/inspect/cancel jobs on a running server
-* ``slo``        -- latency quantiles (p50/p90/p99) from a server's
-  OpenMetrics histograms, with ``--fail-over`` CI gates (exit 3)
-* ``top``        -- live fleet view of a running job server (one
-  refreshing TTY table; ``--once`` prints a single snapshot)
-* ``errors``     -- fleet error clusters (normalized-traceback
-  fingerprints) from a live server's ``/v1/errors``, a saved scrape,
-  or a service data dir offline
 * ``postmortem`` -- human crash report from a job's ``crash/`` bundle
   (stack dump, journal tail, fingerprint) or a bare run journal
 
@@ -64,7 +57,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -611,8 +603,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         max_attempts=args.max_retries,
         hang_timeout_s=args.hang_timeout or None,
-        log_max_bytes=args.log_max_bytes or None,
-        log_keep=args.log_keep,
     )
     return 0
 
@@ -665,141 +655,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         outcome.save(args.output)
         logger.info(f"approximate netlist written to {args.output}")
     return 0
-
-
-def cmd_slo(args: argparse.Namespace) -> int:
-    from .core import ReproError
-    from .obs.slo import (
-        check_fail_over,
-        parse_fail_over,
-        parse_openmetrics_histograms,
-        render_slo,
-        summarize_histograms,
-    )
-
-    try:
-        gates = parse_fail_over(args.fail_over or [])
-    except ValueError as exc:
-        logger.error(str(exc))
-        return 2
-    if "://" in args.source:
-        from .service import ServiceClient
-
-        try:
-            text = ServiceClient(args.source, timeout=args.timeout).metrics()
-        except ReproError as exc:
-            logger.error(f"{exc.code}: {exc}")
-            return 2
-    else:
-        try:
-            with open(args.source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError, ValueError) as exc:
-            # UnicodeDecodeError: a binary/torn scrape file must exit
-            # cleanly, not traceback.
-            logger.error(f"cannot read {args.source}: {exc}")
-            return 2
-    try:
-        families = parse_openmetrics_histograms(text)
-    except (ValueError, KeyError) as exc:
-        logger.error(f"{args.source}: not a parseable OpenMetrics "
-                     f"exposition: {exc}")
-        return 2
-    if not families:
-        logger.error(f"{args.source}: no histogram families in the exposition "
-                     f"(is the server new enough to export SLO histograms?)")
-        return 2
-    summary = summarize_histograms(families)
-    if args.format == "json":
-        logger.info(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        logger.info(render_slo(summary))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        logger.info(f"SLO summary written to {args.output}")
-    violations = check_fail_over(families, gates)
-    for v in violations:
-        logger.error(f"SLO violation: {v}")
-    return 3 if violations else 0
-
-
-def _top_lines(health, jobs, url: str, limit: int) -> List[str]:
-    """Render one fleet-view frame as plain lines."""
-    states = {}
-    for j in jobs:
-        states[j["state"]] = states.get(j["state"], 0) + 1
-    lines = [
-        f"repro fleet @ {url} -- v{health.get('version', '?')}, "
-        f"{health.get('workers', '?')} workers, "
-        f"queue depth {health.get('queue_depth', '?')}, "
-        f"uptime {health.get('uptime_s', 0.0):.0f}s",
-        "  ".join(f"{s}:{states.get(s, 0)}"
-                  for s in ("queued", "running", "done", "failed", "cancelled")),
-        "",
-        f"{'JOB':<12} {'STATE':<9} {'CIRCUIT':<10} {'ATT':>3} "
-        f"{'ITER':>5} {'AREA':>6} {'RS':>9} {'AGE':>6}  TRACE",
-    ]
-    # Active work floats to the top; within a band, newest first
-    # (ids are zero-padded, so reverse-id order is reverse-submit order).
-    order = {"running": 0, "queued": 1, "done": 2, "failed": 3, "cancelled": 4}
-    ranked = sorted(jobs, key=lambda j: j["job_id"], reverse=True)
-    ranked.sort(key=lambda j: order.get(j["state"], 9))
-    now = time.time()
-    for j in ranked[:limit]:
-        progress = j.get("progress") or {}
-        iteration = progress.get("iteration")
-        area = progress.get("area")
-        rs = progress.get("rs")
-        age = now - (j.get("submitted_unix") or now)
-        trace = (j.get("trace_id") or "")[:16]
-        lines.append(
-            f"{j['job_id']:<12} {j['state']:<9} {j.get('circuit', '?'):<10} "
-            f"{j.get('attempts', 0):>3} "
-            f"{iteration if iteration is not None else '-':>5} "
-            f"{area if area is not None else '-':>6} "
-            f"{f'{rs:.3g}' if isinstance(rs, (int, float)) else '-':>9} "
-            f"{age:>5.0f}s  {trace}"
-        )
-    if len(ranked) > limit:
-        lines.append(f"... and {len(ranked) - limit} more")
-    return lines
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    from .core import ReproError
-    from .service import ServiceClient
-
-    client = ServiceClient(args.url, timeout=args.timeout)
-
-    def frame() -> List[str]:
-        return _top_lines(client.healthz(), client.jobs(), args.url, args.limit)
-
-    if args.once or not sys.stdout.isatty():
-        # One snapshot through the logging tree (the CI/pipe shape).
-        try:
-            for line in frame():
-                logger.info(line)
-        except ReproError as exc:
-            logger.error(f"{exc.code}: {exc}")
-            return 2
-        return 0
-    # Live TTY mode repaints the screen in place; raw terminal control
-    # is deliberately outside the logging tree (same rationale as the
-    # progress heartbeat).
-    try:
-        while True:
-            try:
-                lines = frame()
-            except ReproError as exc:
-                lines = [f"{args.url}: {exc.code}: {exc}"]
-            sys.stdout.write("\x1b[H\x1b[2J")  # home + clear
-            sys.stdout.write("\n".join(lines) + "\n")
-            sys.stdout.flush()
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
 
 
 def cmd_jobs(args: argparse.Namespace) -> int:
@@ -857,73 +712,6 @@ def cmd_jobs(args: argparse.Namespace) -> int:
     except ReproError as exc:
         logger.error(f"{exc.code}: {exc}")
         return 2
-    return 0
-
-
-def cmd_errors(args: argparse.Namespace) -> int:
-    from .core import ReproError
-    from .obs.flight import cluster_errors, render_error_clusters, scan_job_errors
-
-    source = args.source
-    if "://" in source:
-        from .service import ServiceClient
-
-        try:
-            body = ServiceClient(source, timeout=args.timeout).errors(
-                limit=args.limit
-            )
-        except ReproError as exc:
-            logger.error(f"{exc.code}: {exc}")
-            return 2
-    elif os.path.isdir(source):
-        # Offline mode: a service data dir (jobs/ + logs/) or a bare
-        # jobs dir.  Torn bundles surface as `unreadable` clusters,
-        # never as tracebacks.
-        jobs_dir = source
-        if os.path.isdir(os.path.join(source, "jobs")):
-            jobs_dir = os.path.join(source, "jobs")
-        records = scan_job_errors(jobs_dir)
-        body = {
-            "clusters": cluster_errors(records, limit=args.limit),
-            "errors_total": len(records),
-        }
-        events_path = os.path.join(source, "logs", "events.jsonl")
-        from .service.slog import log_segments, read_log_records
-
-        if log_segments(events_path):
-            body["hung_attempts"] = sum(
-                1
-                for record in read_log_records(events_path)
-                if record.get("kind") == "attempt"
-                and record.get("outcome") == "hung"
-            )
-    elif os.path.isfile(source):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                body = json.load(fh)
-        except (OSError, ValueError) as exc:
-            logger.error(f"cannot read error scrape {source}: {exc}")
-            return 2
-        if not isinstance(body, dict) or "clusters" not in body:
-            logger.error(f"{source}: not a saved /v1/errors scrape "
-                         f"(no 'clusters' key)")
-            return 2
-    else:
-        logger.error(f"{source}: not a URL, directory, or file")
-        return 2
-    if args.format == "json":
-        logger.info(json.dumps(body, indent=2, sort_keys=True))
-    else:
-        logger.info(render_error_clusters(body))
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(body, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            logger.error(f"cannot write {args.output}: {exc}")
-            return 2
-        logger.info(f"error summary written to {args.output}")
     return 0
 
 
@@ -1102,11 +890,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="kill a running attempt whose journal/progress "
                         "stops advancing for S seconds (after a SIGUSR1 "
                         "stack dump) and requeue it; 0 disables (default)")
-    p.add_argument("--log-max-bytes", type=int, default=0, metavar="N",
-                   help="rotate logs/access.jsonl and logs/events.jsonl "
-                        "at N bytes; 0 means unbounded (default)")
-    p.add_argument("--log-keep", type=int, default=3, metavar="K",
-                   help="rotated .1..K segments kept per log (default 3)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("submit", help="submit a netlist to a job server")
@@ -1139,53 +922,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--timeout", type=float, default=30.0,
                    help="per-request HTTP timeout in seconds (default 30)")
     p.set_defaults(func=cmd_jobs)
-
-    p = sub.add_parser("slo",
-                       help="latency quantiles + CI gates from OpenMetrics "
-                            "histograms")
-    p.add_argument("source",
-                   help="a job server base URL (http://...) or a saved "
-                        "OpenMetrics exposition file")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("-o", "--output", default=None, metavar="PATH",
-                   help="also write the summary as JSON here")
-    p.add_argument("--fail-over", action="append", default=[],
-                   metavar="METRIC_pPCT=SECONDS",
-                   help="exit 3 when the quantile exceeds the bound, e.g. "
-                        "--fail-over e2e_p99=2.5 (substring-matches the "
-                        "histogram family name; repeatable)")
-    p.add_argument("--timeout", type=float, default=30.0,
-                   help="per-request HTTP timeout in seconds (default 30)")
-    p.set_defaults(func=cmd_slo)
-
-    p = sub.add_parser("top", help="live fleet view of a running job server")
-    p.add_argument("--url", default="http://127.0.0.1:8765")
-    p.add_argument("--interval", type=float, default=2.0,
-                   help="seconds between refreshes (default 2)")
-    p.add_argument("--once", action="store_true",
-                   help="print one snapshot and exit (also the automatic "
-                        "behaviour when stdout is not a terminal)")
-    p.add_argument("--limit", type=int, default=20,
-                   help="job rows to show (default 20)")
-    p.add_argument("--timeout", type=float, default=30.0,
-                   help="per-request HTTP timeout in seconds (default 30)")
-    p.set_defaults(func=cmd_top)
-
-    p = sub.add_parser("errors",
-                       help="fleet error-fingerprint clusters (live server, "
-                            "service data dir, or saved scrape)")
-    p.add_argument("source",
-                   help="a job server base URL (http://...), a service "
-                        "data dir (or bare jobs dir), or a saved "
-                        "/v1/errors JSON scrape")
-    p.add_argument("--limit", type=int, default=10,
-                   help="clusters to show (default 10)")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("-o", "--output", default=None, metavar="PATH",
-                   help="also write the summary as JSON here")
-    p.add_argument("--timeout", type=float, default=30.0,
-                   help="per-request HTTP timeout in seconds (default 30)")
-    p.set_defaults(func=cmd_errors)
 
     p = sub.add_parser("postmortem",
                        help="render a crash bundle (or a bare run journal) "

@@ -19,16 +19,12 @@ tracks); ``repro.obs.profile`` renders the ``repro profile`` self-time
 attribution view; ``repro.obs.metrics_export`` is the
 OpenMetrics/Prometheus text surface (``repro report --format
 openmetrics`` and the heartbeat's ``telemetry.prom``).
-``repro.obs.slo`` (DESIGN.md §14) is the latency-SLO layer: the
-mergeable log-bucketed :class:`~repro.obs.slo.LatencyHistogram`, the
-OpenMetrics histogram parser, and the quantile summary / ``--fail-over``
-gate logic behind ``repro slo``.  ``repro.obs.flight`` (DESIGN.md §15)
-is the failure-mode layer: the :class:`~repro.obs.flight.FlightRecorder`
-crash hooks and the one atomic crash-bundle writer
-:func:`~repro.obs.flight.package_bundle`, whose journal tail is read
-from the run journal itself, normalized-traceback error fingerprints,
-and the postmortem / fleet error-cluster renderers behind
-``repro postmortem`` / ``repro errors``.
+``repro.obs.flight`` (DESIGN.md §15) is the failure-mode layer: the
+:class:`~repro.obs.flight.FlightRecorder` crash hooks and the one
+atomic crash-bundle writer :func:`~repro.obs.flight.package_bundle`,
+whose journal tail is read from the run journal itself,
+normalized-traceback error fingerprints, and the postmortem renderer
+behind ``repro postmortem``.
 """
 
 from .compare import compare_files, compare_runs, render_compare
@@ -37,17 +33,13 @@ from .flight import (
     STACKS_FILENAME,
     TAIL_EVENTS,
     FlightRecorder,
-    cluster_errors,
     error_fingerprint,
     fingerprint_key,
     fingerprint_text,
-    job_dir_error_record,
     load_bundle,
     normalize_traceback,
     package_bundle,
-    render_error_clusters,
     render_postmortem,
-    scan_job_errors,
 )
 from .core import (
     NULL,
@@ -98,17 +90,6 @@ from .report import (
     report_as_dict,
     report_from_file,
 )
-from .slo import (
-    DEFAULT_BUCKET_BOUNDS,
-    DEFAULT_QUANTILES,
-    LatencyHistogram,
-    check_fail_over,
-    parse_fail_over,
-    parse_openmetrics_histograms,
-    quantile_from_buckets,
-    render_slo,
-    summarize_histograms,
-)
 from .telemetry import (
     TelemetryMonitor,
     cpu_seconds,
@@ -155,15 +136,6 @@ __all__ = [
     "chrome_trace_from_spans",
     "to_chrome_trace",
     "write_chrome_trace",
-    "DEFAULT_BUCKET_BOUNDS",
-    "DEFAULT_QUANTILES",
-    "LatencyHistogram",
-    "quantile_from_buckets",
-    "parse_openmetrics_histograms",
-    "summarize_histograms",
-    "render_slo",
-    "parse_fail_over",
-    "check_fail_over",
     "ProgressReporter",
     "TelemetryMonitor",
     "sample_rss_bytes",
@@ -196,15 +168,11 @@ __all__ = [
     "STACKS_FILENAME",
     "TAIL_EVENTS",
     "FlightRecorder",
-    "cluster_errors",
     "error_fingerprint",
     "fingerprint_key",
     "fingerprint_text",
-    "job_dir_error_record",
     "load_bundle",
     "normalize_traceback",
     "package_bundle",
-    "render_error_clusters",
     "render_postmortem",
-    "scan_job_errors",
 ]

@@ -10,10 +10,7 @@ simplification run.  Hot paths record into it through three primitives:
 * ``incr(name, n)`` -- monotonic counters (vectors simulated, faults
   dropped, cache hits, PODEM backtracks, ...);
 * ``gauge(name, value)`` / ``gauge_max(name, value)`` -- last-value and
-  high-watermark readings (cone sizes, shortlist lengths);
-* ``observe_latency(name, seconds)`` -- fixed-bucket latency
-  histograms (:mod:`repro.obs.slo`), the job server's queue-wait and
-  end-to-end latency distributions.
+  high-watermark readings (cone sizes, shortlist lengths).
 
 Instrumented code never checks an "am I enabled" flag: it records into
 whichever instance it was handed, and the disabled path is the shared
@@ -129,7 +126,6 @@ class Instrumentation:
         self.timers: Dict[str, TimerStat] = {}
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, object] = {}
         self._stack: List[str] = []
 
     # -- recording primitives -----------------------------------------
@@ -150,39 +146,14 @@ class Instrumentation:
         if value > self.gauges.get(name, float("-inf")):
             self.gauges[name] = value
 
-    def observe_latency(self, name: str, seconds: float) -> None:
-        """Record one observation into a named latency histogram.
-
-        Histograms are created lazily on first observation
-        (:class:`~repro.obs.slo.LatencyHistogram`, default log-spaced
-        buckets) and are thread-safe, so server handler threads can
-        share one registry.
-        """
-        hist = self.histograms.get(name)
-        if hist is None:
-            from .slo import LatencyHistogram
-
-            hist = self.histograms.setdefault(name, LatencyHistogram())
-        hist.observe(seconds)  # type: ignore[attr-defined]
-
     # -- reading ------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict]:
-        """Plain-dict view of everything recorded so far (JSON-ready).
-
-        The ``histograms`` key appears only when at least one latency
-        observation was recorded, so snapshots of runs that never
-        touch :meth:`observe_latency` keep their historical shape.
-        """
-        snap = {
+        """Plain-dict view of everything recorded so far (JSON-ready)."""
+        return {
             "timers": {k: v.as_dict() for k, v in self.timers.items()},
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
         }
-        if self.histograms:
-            snap["histograms"] = {
-                k: v.snapshot() for k, v in self.histograms.items()  # type: ignore[attr-defined]
-            }
-        return snap
 
     def counters_since(self, baseline: Dict[str, int]) -> Dict[str, int]:
         """Counter deltas against an earlier ``dict(self.counters)`` copy."""
@@ -196,7 +167,6 @@ class Instrumentation:
         self.timers.clear()
         self.counters.clear()
         self.gauges.clear()
-        self.histograms.clear()
         self._stack.clear()
 
 
@@ -230,9 +200,6 @@ class NullInstrumentation(Instrumentation):
         pass
 
     def gauge_max(self, name: str, value: float) -> None:
-        pass
-
-    def observe_latency(self, name: str, seconds: float) -> None:
         pass
 
 

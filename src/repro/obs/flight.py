@@ -15,10 +15,9 @@ this module answers "why is it stuck or dead?".  Three pieces:
   journal files: the run journal is the crash record.
 * Fingerprinting + forensics readers -- :func:`normalize_traceback`
   collapses a Python traceback (or a faulthandler dump) to its stable
-  shape so :func:`fingerprint_text` clusters "the same failure" across
-  jobs and hosts; :func:`load_bundle` / :func:`render_postmortem` back
-  ``repro postmortem`` and :func:`scan_job_errors` /
-  :func:`cluster_errors` back ``repro errors`` and ``GET /v1/errors``.
+  shape so :func:`fingerprint_text` gives "the same failure" the same
+  fingerprint across jobs and hosts; :func:`load_bundle` /
+  :func:`render_postmortem` back ``repro postmortem``.
 
 Bundle layout (all files best-effort except ``crash.json``)::
 
@@ -48,7 +47,7 @@ import sys
 import tempfile
 import time
 import traceback
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .journal import journal_events, load_journal
 
@@ -62,10 +61,6 @@ __all__ = [
     "fingerprint_text",
     "fingerprint_key",
     "package_bundle",
-    "job_dir_error_record",
-    "scan_job_errors",
-    "cluster_errors",
-    "render_error_clusters",
     "load_bundle",
     "render_postmortem",
 ]
@@ -356,189 +351,6 @@ def _publish_dir(tmp: str, final: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# fleet aggregation (``GET /v1/errors`` / ``repro errors``)
-# ---------------------------------------------------------------------------
-
-
-def job_dir_error_record(job_dir: str) -> Optional[Dict]:
-    """One fingerprint record for a job directory, or ``None``.
-
-    Prefers a crash bundle (richest identity); falls back to a typed
-    ``error.json`` (fingerprinted by its stable code + normalized
-    message).  An unreadable/torn artifact yields an ``unreadable``
-    record rather than a traceback -- corrupt forensics are themselves
-    a signal worth clustering.
-    """
-    crash_path = os.path.join(job_dir, BUNDLE_DIRNAME, "crash.json")
-    if os.path.isfile(crash_path):
-        try:
-            with open(crash_path, "r", encoding="utf-8") as fh:
-                crash = json.load(fh)
-            if not isinstance(crash, dict):
-                raise ValueError("crash.json is not an object")
-            error = crash.get("error") or {}
-            message = (
-                error.get("message")
-                or crash.get("note")
-                or crash.get("kind")
-                or "crash"
-            )
-            return {
-                "fingerprint": crash.get("fingerprint") or "unknown",
-                "kind": crash.get("kind") or "crash",
-                "message": str(message),
-                "ts_unix": float(crash.get("ts_unix") or _mtime(crash_path)),
-                "trace_id": crash.get("trace_id"),
-            }
-        except (OSError, ValueError, TypeError):
-            return {
-                "fingerprint": fingerprint_key("unreadable", "crash.json"),
-                "kind": "unreadable",
-                "message": "crash bundle present but crash.json is unreadable",
-                "ts_unix": _mtime(crash_path),
-                "trace_id": None,
-            }
-    error_path = os.path.join(job_dir, "error.json")
-    if os.path.isfile(error_path):
-        try:
-            with open(error_path, "r", encoding="utf-8") as fh:
-                body = json.load(fh)
-            err = (body or {}).get("error") or {}
-            code = err.get("code") or "unknown"
-            message = err.get("message") or ""
-            return {
-                "fingerprint": fingerprint_text(f"{code}: {message}"),
-                "kind": "error",
-                "message": f"{code}: {message}",
-                "ts_unix": _mtime(error_path),
-                "trace_id": None,
-            }
-        except (OSError, ValueError, TypeError, AttributeError):
-            return {
-                "fingerprint": fingerprint_key("unreadable", "error.json"),
-                "kind": "unreadable",
-                "message": "error.json is unreadable",
-                "ts_unix": _mtime(error_path),
-                "trace_id": None,
-            }
-    return None
-
-
-def _mtime(path: str) -> float:
-    try:
-        return os.path.getmtime(path)
-    except OSError:
-        return 0.0
-
-
-def scan_job_errors(jobs_dir: str) -> List[Dict]:
-    """All error records under a jobs directory (offline fleet view)."""
-    records: List[Dict] = []
-    try:
-        entries = sorted(os.listdir(jobs_dir))
-    except OSError:
-        return records
-    for entry in entries:
-        job_dir = os.path.join(jobs_dir, entry)
-        if not os.path.isdir(job_dir):
-            continue
-        record = job_dir_error_record(job_dir)
-        if record is not None:
-            record.setdefault("job_id", entry)
-            records.append(record)
-    return records
-
-
-def cluster_errors(records: Iterable[Dict], limit: int = 10) -> List[Dict]:
-    """Group error records by fingerprint; top-``limit`` by count.
-
-    Each cluster carries first/last seen timestamps, a sample message
-    (from the most recent record), and up to a few sample trace/job
-    ids -- enough to pivot from the fleet view into one job's bundle.
-    """
-    clusters: Dict[str, Dict] = {}
-    for record in records:
-        if not record:
-            continue
-        fingerprint = record.get("fingerprint") or "unknown"
-        ts = float(record.get("ts_unix") or 0.0)
-        cluster = clusters.get(fingerprint)
-        if cluster is None:
-            cluster = clusters[fingerprint] = {
-                "fingerprint": fingerprint,
-                "count": 0,
-                "kind": record.get("kind") or "crash",
-                "message": str(record.get("message") or ""),
-                "first_seen_unix": ts,
-                "last_seen_unix": ts,
-                "trace_ids": [],
-                "job_ids": [],
-            }
-        cluster["count"] += 1
-        if ts and (not cluster["first_seen_unix"] or ts < cluster["first_seen_unix"]):
-            cluster["first_seen_unix"] = ts
-        if ts >= cluster["last_seen_unix"]:
-            cluster["last_seen_unix"] = ts
-            cluster["message"] = str(record.get("message") or cluster["message"])
-            cluster["kind"] = record.get("kind") or cluster["kind"]
-        trace_id = record.get("trace_id")
-        if trace_id and trace_id not in cluster["trace_ids"] and len(cluster["trace_ids"]) < 3:
-            cluster["trace_ids"].append(trace_id)
-        job_id = record.get("job_id")
-        if job_id and job_id not in cluster["job_ids"] and len(cluster["job_ids"]) < 5:
-            cluster["job_ids"].append(job_id)
-    ranked = sorted(
-        clusters.values(),
-        key=lambda c: (-c["count"], -c["last_seen_unix"], c["fingerprint"]),
-    )
-    return ranked[: max(0, int(limit))] if limit else ranked
-
-
-def _fmt_ts(ts: float) -> str:
-    if not ts:
-        return "-"
-    return time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(ts))
-
-
-def render_error_clusters(body: Dict) -> str:
-    """Human table for an errors summary (live or saved scrape)."""
-    clusters = body.get("clusters") or []
-    lines = [
-        f"{len(clusters)} error cluster(s), "
-        f"{body.get('errors_total', sum(c.get('count', 0) for c in clusters))} "
-        f"failing record(s)"
-    ]
-    if body.get("hung_attempts"):
-        lines.append(f"watchdog-killed attempts in events log: {body['hung_attempts']}")
-    if not clusters:
-        lines.append("no errors recorded -- the fleet is clean")
-        return "\n".join(lines)
-    lines.append("")
-    lines.append(
-        f"{'FINGERPRINT':<18} {'COUNT':>5} {'KIND':<10} "
-        f"{'LAST SEEN':<19}  MESSAGE"
-    )
-    for cluster in clusters:
-        message = (cluster.get("message") or "").replace("\n", " ")
-        if len(message) > 60:
-            message = message[:57] + "..."
-        lines.append(
-            f"{cluster.get('fingerprint', '?'):<18} "
-            f"{cluster.get('count', 0):>5} "
-            f"{cluster.get('kind', '?'):<10} "
-            f"{_fmt_ts(cluster.get('last_seen_unix', 0)):<19}  {message}"
-        )
-        samples = []
-        if cluster.get("job_ids"):
-            samples.append("jobs: " + ", ".join(cluster["job_ids"]))
-        if cluster.get("trace_ids"):
-            samples.append("traces: " + ", ".join(cluster["trace_ids"]))
-        if samples:
-            lines.append(" " * 4 + "; ".join(samples))
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # postmortem rendering (``repro postmortem``)
 # ---------------------------------------------------------------------------
 
@@ -611,6 +423,12 @@ def _compact_event(event: Dict) -> str:
                 value = f"{value:.4g}"
             detail.append(f"{key}={value}")
     return f"  {kind:<12} " + "  ".join(str(d) for d in detail)
+
+
+def _fmt_ts(ts: float) -> str:
+    if not ts:
+        return "-"
+    return time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(ts))
 
 
 def render_postmortem(bundle: Dict) -> str:

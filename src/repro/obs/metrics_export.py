@@ -1,12 +1,13 @@
 """OpenMetrics/Prometheus text rendering of instrumentation state.
 
-The future job server needs a scrape endpoint; this module is its
-payload, available today from three places:
+One renderer serves every scrape surface:
 
 * ``repro report RUN.jsonl --format openmetrics`` renders a finished
   (or interrupted) journal;
 * the live heartbeat drops ``telemetry.prom`` next to ``progress.json``
   on every snapshot write (:class:`~repro.obs.progress.ProgressReporter`);
+* the job server's ``GET /v1/metrics`` renders its service counters
+  and gauges;
 * :func:`render_openmetrics` renders any
   :meth:`~repro.obs.core.Instrumentation.snapshot` directly.
 
@@ -15,9 +16,6 @@ underscores):
 
 * counters -> one ``counter`` family each, sample ``<name>_total``;
 * gauges   -> one ``gauge`` family each;
-* latency histograms (:class:`~repro.obs.slo.LatencyHistogram`) -> one
-  ``histogram`` family each: cumulative ``_bucket{le="..."}`` samples
-  ending at ``le="+Inf"``, plus ``_count`` and ``_sum``;
 * span timers -> two label-indexed counter families,
   ``repro_phase_seconds_total{phase="..."}`` and
   ``repro_phase_calls_total{phase="..."}``;
@@ -104,8 +102,7 @@ def render_openmetrics(
     """Render an instrumentation snapshot as OpenMetrics text.
 
     ``snapshot`` is the :meth:`Instrumentation.snapshot` shape
-    (``timers``/``counters``/``gauges``/``histograms``, any subset);
-    ``info`` adds a
+    (``timers``/``counters``/``gauges``, any subset); ``info`` adds a
     ``repro_run_info`` identity family (circuit, status, ...).  The
     output always terminates with ``# EOF`` and passes
     :func:`validate_openmetrics`.
@@ -128,24 +125,6 @@ def render_openmetrics(
         name = _metric_name(raw, prefix="repro_gauge_")
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name} {_fmt_value(gauges[raw])}")
-
-    # Histograms arrive either as LatencyHistogram objects (a live
-    # Instrumentation snapshot embeds them pre-snapshotted) or as their
-    # cumulative-bucket dict form; both expose the same keys.
-    histograms = snapshot.get("histograms") or {}
-    for raw in sorted(histograms):
-        data = histograms[raw]
-        if hasattr(data, "snapshot"):
-            data = data.snapshot()
-        name = _metric_name(raw)
-        lines.append(f"# TYPE {name} histogram")
-        for bound, cumulative in data.get("buckets") or ():
-            lines.append(
-                f'{name}_bucket{{le="{_fmt_value(float(bound))}"}} '
-                f"{_fmt_value(cumulative)}"
-            )
-        lines.append(f"{name}_count {_fmt_value(data.get('count', 0))}")
-        lines.append(f"{name}_sum {_fmt_value(data.get('sum', 0.0))}")
 
     timers = snapshot.get("timers") or {}
     if timers:

@@ -8,10 +8,10 @@ drive it through :class:`~repro.service.client.ServiceClient`.
 
 See DESIGN.md §13 for the architecture (cache keying, crash-resume
 semantics, API versioning and the error-code table), §14 for the
-observability surface (correlation ids, structured service logs, SLO
-latency histograms, the event stream and the per-job Chrome trace) and
-§15 for failure forensics (the worker pool's hang watchdog, crash
-bundles, and the ``/v1/errors`` fingerprint clusters).
+observability surface (correlation ids, structured service logs, the
+event stream and the per-job Chrome trace) and §15 for failure
+forensics (the worker pool's hang watchdog and fingerprinted crash
+bundles).
 """
 
 from .cache import ResultCache, cache_key
@@ -23,11 +23,10 @@ from .jobs import (
     JobStore,
     job_activity_paths,
     job_chrome_trace,
-    job_error_record,
     job_journal_events,
 )
 from .server import SimplifyService, create_server, serve, serve_in_thread
-from .slog import ServiceLog, log_segments, read_log_records
+from .slog import ServiceLog
 from .workers import WorkerPool
 
 __all__ = [
@@ -44,10 +43,7 @@ __all__ = [
     "create_server",
     "job_activity_paths",
     "job_chrome_trace",
-    "job_error_record",
     "job_journal_events",
-    "log_segments",
-    "read_log_records",
     "serve",
     "serve_in_thread",
 ]

@@ -117,15 +117,6 @@ class ServiceClient:
         """The raw OpenMetrics exposition text."""
         return self._call("GET", "/v1/metrics", parse=False, timeout=timeout)
 
-    def errors(
-        self, limit: int = 10, timeout: Optional[float] = None
-    ) -> Dict:
-        """Fleet error clusters (``GET /v1/errors``): top-``limit``
-        fingerprint groups with first/last seen and sample ids."""
-        return self._call(
-            "GET", f"/v1/errors?limit={int(limit)}", timeout=timeout
-        )
-
     def upload_netlist(
         self, bench_text: str, timeout: Optional[float] = None
     ) -> str:

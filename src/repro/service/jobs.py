@@ -53,7 +53,6 @@ __all__ = [
     "TERMINAL_STATES",
     "job_activity_paths",
     "job_chrome_trace",
-    "job_error_record",
     "job_journal_events",
     "job_journal_paths",
 ]
@@ -189,9 +188,9 @@ class JobStore:
     ``(kind, job)`` fired *after* the lock is released on every
     lifecycle edge (``submitted``/``deduplicated``/``cached``/
     ``started``/``requeued``/``cancel_requested``/``done``/``failed``/
-    ``cancelled``).  The service wires it to the lifecycle log and the
-    latency histograms; an observer that raises is logged and dropped,
-    never allowed to corrupt store state.
+    ``cancelled``).  The service wires it to the lifecycle log; an
+    observer that raises is logged and dropped, never allowed to
+    corrupt store state.
     """
 
     def __init__(
@@ -430,26 +429,6 @@ def job_activity_paths(job: Job) -> List[str]:
     Paths that don't exist yet are included (callers skip them).
     """
     return job_journal_paths(job) + [job.progress_path]
-
-
-def job_error_record(job: Job) -> Optional[Dict]:
-    """The job's error-fingerprint record, or ``None`` when healthy.
-
-    Path-level extraction lives in
-    :func:`repro.obs.flight.job_dir_error_record`; this wrapper adds
-    the identity the store holds in memory (job id, state, the
-    submit-time trace id when the bundle predates one).
-    """
-    from ..obs.flight import job_dir_error_record
-
-    record = job_dir_error_record(job.dir)
-    if record is None:
-        return None
-    if not record.get("trace_id") and job.trace_id:
-        record["trace_id"] = job.trace_id
-    record["job_id"] = job.id
-    record["state"] = job.state
-    return record
 
 
 def job_journal_events(job: Job) -> List[Dict]:

@@ -60,8 +60,8 @@ class _FaultInjector:
       in the job dir marks the hang as spent, so the post-kill resume
       attempt runs clean and the bit-identity contract is testable);
     * ``REPRO_TEST_CRASH_AFTER_ITERS=N`` -- raise at the N-th iteration
-      on *every* attempt (no sentinel: the job burns its retry budget,
-      the shape ``/v1/errors`` clusters);
+      on *every* attempt (no sentinel: the job burns its retry budget
+      and fails with a crash bundle);
     * ``REPRO_TEST_CRASH_KIND=runtime|value`` -- the exception type,
       so two injected failure modes yield two fingerprints.
     """

@@ -25,17 +25,15 @@ API (version prefix ``/v1``; bodies are JSON unless noted):
                            ``?offset=N&wait=S`` returns events past
                            the cursor (or waits up to ``S`` seconds
                            for new ones); the streaming feed behind
-                           ``ServiceClient.stream()`` / ``repro top``.
+                           ``ServiceClient.stream()``.
 ``GET /v1/jobs/<id>/trace`` the job's assembled Chrome trace
                            (queue-wait + attempt spans + runner
                            iteration spans; Perfetto-loadable).
 ``DELETE /v1/jobs/<id>``   request cancellation (cooperative).
 ``POST /v1/netlists``      upload a netlist once; returns its sha256
                            for hash-only submissions.
-``GET /v1/metrics``        OpenMetrics exposition (service counters,
-                           queue/cache gauges, and the SLO latency
-                           histograms -- queue-wait, attempt,
-                           end-to-end, cache-hit).
+``GET /v1/metrics``        OpenMetrics exposition (service counters
+                           and queue/cache gauges).
 ``GET /v1/healthz``        liveness + version/schema info.
 ========================== ============================================
 
@@ -60,6 +58,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -82,7 +81,6 @@ from ..core.errors import (
     error_from_body,
 )
 from ..obs.core import Instrumentation
-from ..obs.flight import cluster_errors
 from ..obs.metrics_export import render_openmetrics
 from .cache import ResultCache, cache_key
 from .jobs import (
@@ -91,7 +89,6 @@ from .jobs import (
     Job,
     JobStore,
     job_chrome_trace,
-    job_error_record,
     job_journal_events,
 )
 from .runner import _bench_name
@@ -132,16 +129,10 @@ class SimplifyService:
         max_attempts: int = 3,
         obs: Optional[Instrumentation] = None,
         hang_timeout_s: Optional[float] = None,
-        log_max_bytes: Optional[int] = None,
-        log_keep: int = 3,
     ) -> None:
         self.data_dir = os.path.abspath(data_dir)
         self.obs = obs if obs is not None else Instrumentation()
-        self.log = ServiceLog(
-            os.path.join(self.data_dir, "logs"),
-            max_bytes=log_max_bytes,
-            keep=log_keep,
-        )
+        self.log = ServiceLog(os.path.join(self.data_dir, "logs"))
         self.store = JobStore(
             self.data_dir,
             queue_limit=queue_limit,
@@ -171,21 +162,8 @@ class SimplifyService:
 
     # -- observability hooks ---------------------------------------------
     def _on_job_transition(self, kind: str, job: Job) -> None:
-        """Lifecycle observer: structured log line + SLO histograms.
-
-        Fired by the job store after every state edge (outside its
-        lock).  ``started`` on the first attempt closes the queue-wait
-        window; any terminal edge closes the end-to-end window."""
-        now = time.time()
-        if kind == "started" and job.attempts == 1:
-            self.obs.observe_latency(
-                "slo.queue_wait_seconds", now - job.submitted_unix
-            )
-        elif kind in TERMINAL_STATES:
-            finished = job.finished_unix if job.finished_unix is not None else now
-            self.obs.observe_latency(
-                "slo.e2e_seconds", finished - job.submitted_unix
-            )
+        """Lifecycle observer: one ``events.jsonl`` line per state edge,
+        fired by the job store outside its lock."""
         self.log.event(
             kind,
             job_id=job.id,
@@ -197,9 +175,6 @@ class SimplifyService:
 
     def _on_attempt(self, job: Job, record: Dict) -> None:
         """Per-attempt observer from the worker pool."""
-        self.obs.observe_latency(
-            "slo.attempt_seconds", record["ended_unix"] - record["started_unix"]
-        )
         self.log.event(
             "attempt",
             job_id=job.id,
@@ -215,7 +190,9 @@ class SimplifyService:
         sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
         path = os.path.join(self.netlists_dir, f"{sha}.bench")
         if not os.path.exists(path):
-            tmp = f"{path}.tmp.{os.getpid()}"
+            # One temp file per handler thread: concurrent uploads of
+            # the same text must not rename each other's file away.
+            tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, path)
@@ -244,7 +221,6 @@ class SimplifyService:
         every job has one."""
         if not isinstance(payload, dict):
             raise InvalidRequestError("submit body must be a JSON object")
-        t0 = time.perf_counter()
         request = SimplifyRequest.from_dict(payload.get("request") or {})
         if trace_id is not None and not _TRACE_ID_RE.match(trace_id):
             raise InvalidRequestError(
@@ -275,9 +251,6 @@ class SimplifyService:
         if key in self.cache:
             job = self.store.complete_from_cache(request, key, circuit.name)
             self.obs.incr("service.cache_hits")
-            self.obs.observe_latency(
-                "slo.cache_hit_seconds", time.perf_counter() - t0
-            )
             logger.info("%s served from cache (%s)", job.id, circuit.name)
             status = 200
         else:
@@ -380,32 +353,9 @@ class SimplifyService:
                 "timers": snap.get("timers") or {},
                 "counters": snap.get("counters") or {},
                 "gauges": gauges,
-                "histograms": snap.get("histograms") or {},
             },
             info={"service": "repro-simplify", "version": __version__},
         )
-
-    def errors_summary(self, limit: int = 10) -> Dict:
-        """Fleet-wide error clusters (``GET /v1/errors``).
-
-        Scans every known job for a crash bundle or typed error.json,
-        groups by fingerprint (:mod:`repro.obs.flight`) and returns the
-        top-``limit`` clusters with first/last seen and sample
-        trace/job ids.  Bundles from since-recovered jobs count too: a
-        hang that resumed successfully is still an incident.
-        """
-        jobs = self.store.list()
-        records = []
-        for job in jobs:
-            record = job_error_record(job)
-            if record is not None:
-                records.append(record)
-        return {
-            "clusters": cluster_errors(records, limit=limit),
-            "errors_total": len(records),
-            "jobs_scanned": len(jobs),
-            "generated_unix": time.time(),
-        }
 
     def health(self) -> Dict:
         return {
@@ -482,7 +432,16 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length")
+        try:
+            length = int(header or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Where the body ends is unknown, so nothing after it on
+            # this connection can be parsed: answer, then hang up.
+            self.close_connection = True
+            raise InvalidRequestError(f"bad Content-Length header: {header!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise InvalidRequestError("request body is empty")
@@ -509,8 +468,8 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 self._send_error_obj(ReproError(f"internal error: {exc}"))
         except (BrokenPipeError, ConnectionResetError):
-            # The peer hung up mid-response (a poller that timed out, a
-            # killed `repro top`).  Routine, not an error: count it,
+            # The peer hung up mid-response (a poller that timed out or
+            # was killed).  Routine, not an error: count it,
             # drop the connection, no stack-trace spam.
             svc.obs.incr("service.client_disconnects")
             logger.debug(
@@ -562,13 +521,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, svc.health())
         elif path == "/v1/metrics":
             self._send(200, svc.metrics_text(), content_type=_OPENMETRICS)
-        elif path == "/v1/errors":
-            params = self._query_params(query)
-            try:
-                limit = int(params.get("limit") or 10)
-            except ValueError as exc:
-                raise InvalidRequestError(f"limit must be an integer: {exc}") from exc
-            self._send_json(200, svc.errors_summary(limit=limit))
         elif path == "/v1/jobs":
             self._send_json(
                 200, {"jobs": [j.snapshot() for j in svc.store.list()]}
@@ -586,6 +538,8 @@ class _Handler(BaseHTTPRequestHandler):
                 raise InvalidRequestError(
                     f"offset/wait must be numeric: {exc}"
                 ) from exc
+            if math.isnan(wait):
+                raise InvalidRequestError("wait must be a number, not NaN")
             self._send_json(200, svc.job_events(job_id, offset=offset, wait=wait))
         elif path.startswith("/v1/jobs/") and path.endswith("/trace"):
             job_id = path[len("/v1/jobs/") : -len("/trace")]
@@ -641,8 +595,6 @@ def create_server(
     max_attempts: int = 3,
     obs: Optional[Instrumentation] = None,
     hang_timeout_s: Optional[float] = None,
-    log_max_bytes: Optional[int] = None,
-    log_keep: int = 3,
 ) -> Tuple[ThreadingHTTPServer, SimplifyService]:
     """Build a bound (not yet serving) server + its started service.
 
@@ -658,8 +610,6 @@ def create_server(
         max_attempts=max_attempts,
         obs=obs,
         hang_timeout_s=hang_timeout_s,
-        log_max_bytes=log_max_bytes,
-        log_keep=log_keep,
     )
     httpd = ThreadingHTTPServer((host, port), _Handler)
     httpd.daemon_threads = True
@@ -676,8 +626,6 @@ def serve(
     queue_limit: int = 64,
     max_attempts: int = 3,
     hang_timeout_s: Optional[float] = None,
-    log_max_bytes: Optional[int] = None,
-    log_keep: int = 3,
 ) -> None:
     """Run the job server until interrupted (the ``repro serve`` body)."""
     httpd, service = create_server(
@@ -688,8 +636,6 @@ def serve(
         queue_limit=queue_limit,
         max_attempts=max_attempts,
         hang_timeout_s=hang_timeout_s,
-        log_max_bytes=log_max_bytes,
-        log_keep=log_keep,
     )
     bound = httpd.server_address
     logger.info(

@@ -1,8 +1,8 @@
 """Structured JSONL service logs: one access log, one lifecycle log.
 
-``logging``'s debug lines are for humans tailing a terminal; a fleet
-needs logs a pipeline can join on.  :class:`ServiceLog` writes two
-append-only JSONL files under ``<data_dir>/logs/``:
+``logging``'s debug lines are for humans tailing a terminal; the
+service also keeps logs a script can join on.  :class:`ServiceLog`
+writes two append-only JSONL files under ``<data_dir>/logs/``:
 
 * ``access.jsonl`` -- one record per HTTP request (method, path,
   status, duration, client, trace id).  This replaces the handler's
@@ -16,14 +16,9 @@ append-only JSONL files under ``<data_dir>/logs/``:
 Records are single JSON lines flushed under a lock -- the same
 readable-prefix durability story as the run journal: a crash loses at
 most the line being written.  Timestamps are ``time.time()`` floats
-(``ts``); every record carries a ``kind``.
-
-Rotation: pass ``max_bytes`` to cap each file.  When a write pushes a
-file past the cap it is rotated to ``<name>.1`` (older segments shift
-to ``.2`` ... ``.keep``; the oldest falls off), so a long-lived server
-holds at most ``(keep + 1) * max_bytes`` per stream.  Readers use
-:func:`log_segments` / :func:`read_log_records` to see the rotated
-history oldest-first as one stream.
+(``ts``); every record carries a ``kind``.  Both files grow without
+bound; the files are opened in append mode, so an external rotator
+that truncates them in place (``logrotate``'s ``copytruncate``) is safe.
 """
 
 from __future__ import annotations
@@ -33,9 +28,9 @@ import logging
 import os
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, TextIO
+from typing import Dict, Optional, TextIO
 
-__all__ = ["ServiceLog", "log_segments", "read_log_records"]
+__all__ = ["ServiceLog"]
 
 logger = logging.getLogger("repro.service.slog")
 
@@ -43,28 +38,17 @@ logger = logging.getLogger("repro.service.slog")
 class ServiceLog:
     """Append-only JSONL access + lifecycle logs for one service."""
 
-    def __init__(
-        self,
-        log_dir: str,
-        max_bytes: Optional[int] = None,
-        keep: int = 3,
-    ) -> None:
+    def __init__(self, log_dir: str) -> None:
         self.log_dir = os.path.abspath(log_dir)
         os.makedirs(self.log_dir, exist_ok=True)
         self.access_path = os.path.join(self.log_dir, "access.jsonl")
         self.events_path = os.path.join(self.log_dir, "events.jsonl")
-        #: Rotation threshold per file; ``None`` = unbounded (the
-        #: pre-rotation behaviour).
-        self.max_bytes = int(max_bytes) if max_bytes else None
-        #: Rotated segments retained per file (``.1`` newest).
-        self.keep = max(1, int(keep))
         self._lock = threading.Lock()
-        self._paths = {"access": self.access_path, "events": self.events_path}
         # Append mode: a restarted service continues the same files,
         # so one log covers the data dir's whole history.
         self._fh: Dict[str, Optional[TextIO]] = {
-            name: open(path, "a", encoding="utf-8")
-            for name, path in self._paths.items()
+            "access": open(self.access_path, "a", encoding="utf-8"),
+            "events": open(self.events_path, "a", encoding="utf-8"),
         }
 
     # ------------------------------------------------------------------
@@ -117,28 +101,9 @@ class ServiceLog:
                     return
                 fh.write(line + "\n")
                 fh.flush()
-                if self.max_bytes is not None and fh.tell() >= self.max_bytes:
-                    self._rotate(name)
         except (OSError, ValueError):  # pragma: no cover - disk full/closed
             # Losing a log line must never take a request down with it.
             logger.debug("service log write failed", exc_info=True)
-
-    def _rotate(self, name: str) -> None:
-        """Shift ``path -> path.1 -> ... -> path.keep`` (caller holds
-        the lock); the oldest segment falls off the end."""
-        fh = self._fh[name]
-        path = self._paths[name]
-        if fh is not None:
-            fh.close()
-        oldest = f"{path}.{self.keep}"
-        if os.path.exists(oldest):
-            os.remove(oldest)
-        for i in range(self.keep - 1, 0, -1):
-            src = f"{path}.{i}"
-            if os.path.exists(src):
-                os.replace(src, f"{path}.{i + 1}")
-        os.replace(path, f"{path}.1")
-        self._fh[name] = open(path, "a", encoding="utf-8")
 
     def close(self) -> None:
         with self._lock:
@@ -150,49 +115,3 @@ class ServiceLog:
                         pass
                 self._fh[name] = None
 
-
-# ---------------------------------------------------------------------------
-# rotation-aware readers
-# ---------------------------------------------------------------------------
-
-
-def log_segments(path: str) -> List[str]:
-    """Existing segments of a (possibly rotated) log, oldest first.
-
-    ``path.K ... path.1, path`` -- concatenating them reads the
-    retained history in write order.
-    """
-    rotated: List[str] = []
-    i = 1
-    while os.path.exists(f"{path}.{i}"):
-        rotated.append(f"{path}.{i}")
-        i += 1
-    segments = list(reversed(rotated))
-    if os.path.exists(path):
-        segments.append(path)
-    return segments
-
-
-def read_log_records(path: str) -> Iterator[Dict]:
-    """Yield every JSON record across the log's rotated segments.
-
-    Oldest first; unreadable segments and corrupt/torn lines are
-    skipped (the readable-prefix contract: a crash mid-write must not
-    poison the whole history for readers).
-    """
-    for segment in log_segments(path):
-        try:
-            fh = open(segment, "r", encoding="utf-8")
-        except OSError:
-            continue
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict):
-                    yield record

@@ -25,8 +25,8 @@ runner's ``faulthandler`` answers with an all-thread stack dump into
 grace period for the dump to land, then SIGKILLs and re-queues.  The
 evidence is packaged as a ``crash/`` bundle
 (:func:`repro.obs.flight.package_bundle`) fingerprinted by the stack
-dump's normalized shape, so identical wedge points cluster at
-``GET /v1/errors``.
+dump's normalized shape, so identical wedge points share one
+fingerprint.
 
 Service counters recorded into the shared registry:
 ``service.jobs_completed`` / ``jobs_failed`` / ``jobs_cancelled`` /

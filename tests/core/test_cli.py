@@ -486,19 +486,6 @@ def test_report_format_openmetrics_cli(netlist, tmp_path, capsys):
     assert 'status="complete"' in text
 
 
-def test_slo_corrupt_scrape_exits_2(tmp_path, capsys):
-    """A binary/torn scrape file is a clean exit 2, never a traceback."""
-    garbage = tmp_path / "scrape.prom"
-    garbage.write_bytes(b"\x00\x89PNG\xff\xfe not metrics \x00\x01")
-    assert main(["slo", str(garbage)]) == 2
-    assert main(["slo", str(tmp_path / "missing.prom")]) == 2
-    # text that reads fine but holds no histogram families
-    empty = tmp_path / "empty.prom"
-    empty.write_text("# just a comment\n")
-    assert main(["slo", str(empty)]) == 2
-    capsys.readouterr()
-
-
 def test_postmortem_bad_paths_exit_2(tmp_path, capsys):
     assert main(["postmortem", str(tmp_path / "nope")]) == 2
     healthy = tmp_path / "healthy-job"
@@ -506,45 +493,6 @@ def test_postmortem_bad_paths_exit_2(tmp_path, capsys):
     assert main(["postmortem", str(healthy)]) == 2
     err = capsys.readouterr().err
     assert "no crash bundle" in err
-
-
-def test_errors_bad_sources_exit_2(tmp_path, capsys):
-    assert main(["errors", str(tmp_path / "nowhere")]) == 2
-    # a JSON file that is not a saved /v1/errors scrape
-    not_scrape = tmp_path / "other.json"
-    not_scrape.write_text('{"jobs": []}')
-    assert main(["errors", str(not_scrape)]) == 2
-    torn = tmp_path / "torn.json"
-    torn.write_text('{"clusters": [')
-    assert main(["errors", str(torn)]) == 2
-    capsys.readouterr()
-
-
-def test_errors_offline_dir_and_saved_scrape(tmp_path, capsys):
-    import json as _json
-
-    # an empty jobs dir is a clean fleet, exit 0
-    jobs = tmp_path / "jobs"
-    jobs.mkdir()
-    assert main(["errors", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "clean" in out
-
-    # round-trip: render from dir, save with -o, re-render the scrape
-    crash = jobs / "job-000001" / "crash"
-    crash.mkdir(parents=True)
-    (crash / "crash.json").write_text(
-        _json.dumps({"kind": "hung", "fingerprint": "feed" * 4,
-                     "error": None, "note": "wedged in kernel",
-                     "ts_unix": 1000.0, "trace_id": "t-1"})
-    )
-    saved = tmp_path / "scrape.json"
-    assert main(["errors", str(tmp_path), "-o", str(saved)]) == 0
-    capsys.readouterr()
-    assert main(["errors", str(saved)]) == 0
-    out = capsys.readouterr().out
-    assert "feed" * 4 in out
-    assert "wedged in kernel" in out
 
 
 _MALFORMED_NETLISTS = [

@@ -3,7 +3,7 @@
 Unit layer of DESIGN.md §15: the normalization contract that makes
 fingerprints stable across hosts and line-number churn, bundle
 writing/loading (the journal tail read from the run journal), and the
-fleet aggregation helpers behind ``repro errors``.
+postmortem renderer.
 """
 
 import json
@@ -16,16 +16,12 @@ from repro.obs.flight import (
     BUNDLE_DIRNAME,
     TAIL_EVENTS,
     FlightRecorder,
-    cluster_errors,
     fingerprint_key,
     fingerprint_text,
-    job_dir_error_record,
     load_bundle,
     normalize_traceback,
     package_bundle,
-    render_error_clusters,
     render_postmortem,
-    scan_job_errors,
 )
 
 TB_A = '''Traceback (most recent call last):
@@ -228,78 +224,3 @@ def test_load_bundle_errors_are_readable(tmp_path):
     empty.mkdir()
     with pytest.raises(ValueError, match="no crash bundle"):
         load_bundle(str(empty))
-
-
-def test_job_dir_error_record_sources(tmp_path):
-    # 1) crash bundle wins
-    a = tmp_path / "a"
-    (a / BUNDLE_DIRNAME).mkdir(parents=True)
-    (a / BUNDLE_DIRNAME / "crash.json").write_text(
-        json.dumps(
-            {
-                "kind": "crash",
-                "fingerprint": "abcd" * 4,
-                "error": {"type": "KeyError", "message": "boom"},
-                "ts_unix": 1000.0,
-                "trace_id": "t-a",
-            }
-        )
-    )
-    rec = job_dir_error_record(str(a))
-    assert rec["fingerprint"] == "abcd" * 4
-    assert rec["message"] == "boom"
-
-    # 2) typed error.json fallback
-    b = tmp_path / "b"
-    b.mkdir()
-    (b / "error.json").write_text(
-        json.dumps({"error": {"code": "compile_error", "message": "bad gate"}})
-    )
-    rec = job_dir_error_record(str(b))
-    assert rec["kind"] == "error"
-    assert rec["message"] == "compile_error: bad gate"
-
-    # 3) torn crash.json -> an `unreadable` record, not a traceback
-    c = tmp_path / "c"
-    (c / BUNDLE_DIRNAME).mkdir(parents=True)
-    (c / BUNDLE_DIRNAME / "crash.json").write_text('{"kind": "cra')
-    rec = job_dir_error_record(str(c))
-    assert rec["kind"] == "unreadable"
-
-    # 4) healthy job -> no record
-    d = tmp_path / "d"
-    d.mkdir()
-    (d / "outcome.json").write_text("{}")
-    assert job_dir_error_record(str(d)) is None
-
-    records = scan_job_errors(str(tmp_path))
-    assert {r["job_id"] for r in records} == {"a", "b", "c"}
-
-
-def test_cluster_errors_ranking_and_samples():
-    records = [
-        {"fingerprint": "f1", "kind": "crash", "message": "boom 1",
-         "ts_unix": 10.0, "trace_id": "t1", "job_id": "j1"},
-        {"fingerprint": "f1", "kind": "crash", "message": "boom 2",
-         "ts_unix": 30.0, "trace_id": "t2", "job_id": "j2"},
-        {"fingerprint": "f2", "kind": "hung", "message": "wedged",
-         "ts_unix": 20.0, "trace_id": "t3", "job_id": "j3"},
-    ]
-    clusters = cluster_errors(records)
-    assert [c["fingerprint"] for c in clusters] == ["f1", "f2"]
-    top = clusters[0]
-    assert top["count"] == 2
-    assert top["first_seen_unix"] == 10.0
-    assert top["last_seen_unix"] == 30.0
-    assert top["message"] == "boom 2"  # most recent wins
-    assert top["trace_ids"] == ["t1", "t2"]
-    assert top["job_ids"] == ["j1", "j2"]
-
-    assert len(cluster_errors(records, limit=1)) == 1
-
-    text = render_error_clusters(
-        {"clusters": clusters, "errors_total": 3, "hung_attempts": 1}
-    )
-    assert "f1" in text and "wedged" in text
-    assert "watchdog-killed attempts" in text
-    assert "clean" in render_error_clusters({"clusters": []})

@@ -77,38 +77,6 @@ def test_render_special_float_values():
     assert "repro_gauge_flt 0.25" in text
 
 
-def test_render_histograms():
-    obs = Instrumentation()
-    obs.observe_latency("slo.queue_wait_seconds", 0.003)
-    obs.observe_latency("slo.queue_wait_seconds", 1e9)  # overflow bucket
-    text = render_openmetrics(obs.snapshot())
-    validate_openmetrics(text)
-    assert "# TYPE repro_slo_queue_wait_seconds histogram" in text
-    assert 'repro_slo_queue_wait_seconds_bucket{le="+Inf"} 2' in text
-    assert "repro_slo_queue_wait_seconds_count 2" in text
-    assert "repro_slo_queue_wait_seconds_sum 1000000000.003" in text
-    # Buckets are cumulative: the le="+Inf" line is the last and largest.
-    bucket_counts = [
-        float(line.rsplit(" ", 1)[1])
-        for line in text.splitlines()
-        if line.startswith("repro_slo_queue_wait_seconds_bucket")
-    ]
-    assert bucket_counts == sorted(bucket_counts)
-
-
-def test_render_histogram_snapshot_objects():
-    # render_openmetrics accepts a LatencyHistogram directly (it calls
-    # .snapshot()) as well as the already-snapshotted dict shape.
-    from repro.obs.slo import LatencyHistogram
-
-    h = LatencyHistogram(bounds=[0.1, 1.0])
-    h.observe(0.05)
-    for data in (h, h.snapshot()):
-        text = render_openmetrics({"histograms": {"slo.x_seconds": data}})
-        validate_openmetrics(text)
-        assert 'repro_slo_x_seconds_bucket{le="0.1"} 1' in text
-
-
 def test_validator_rejects_bare_histogram_sample():
     # histogram samples must carry one of the histogram suffixes
     text = "# TYPE repro_x histogram\nrepro_x 1\n# EOF\n"

@@ -1,4 +1,4 @@
-"""Failure forensics end-to-end: hang watchdog, crash bundles, clusters.
+"""Failure forensics end-to-end: hang watchdog, crash bundles, fingerprints.
 
 The DESIGN.md §15 contract, exercised against a real server with a
 deliberately sabotaged runner (``REPRO_TEST_*`` fault hooks in
@@ -7,12 +7,11 @@ deliberately sabotaged runner (``REPRO_TEST_*`` fault hooks in
 * a *hung* runner is detected by artifact-mtime liveness, stack-dumped
   via SIGUSR1, SIGKILLed, and re-queued -- and the resumed attempt
   finishes **bit-identical** to an uninterrupted run;
-* crashing runners leave fingerprinted crash bundles that
-  ``GET /v1/errors`` clusters: identical failures share a fingerprint,
-  distinct failure modes split, and each bundle's journal tail is the
-  tail of the job's own journal;
-* ``repro postmortem`` / ``repro errors`` render it all offline from
-  the data dir after the server is gone.
+* crashing runners leave fingerprinted crash bundles: identical
+  failures share a fingerprint, distinct failure modes split, and each
+  bundle's journal tail is the tail of the job's own journal;
+* ``repro postmortem`` renders a bundle offline after the server is
+  gone.
 """
 
 import json
@@ -104,15 +103,6 @@ def test_hung_runner_is_dumped_killed_and_resumes_bit_identically(
         assert bundle["stacks"] and 'File "' in bundle["stacks"]
         assert any(e.get("event") == "iteration" for e in bundle["tail"])
 
-        # ...and the incident surfaces at /v1/errors even though the
-        # job itself recovered
-        errors = client.errors()
-        assert errors["errors_total"] == 1
-        cluster = errors["clusters"][0]
-        assert cluster["kind"] == "hung"
-        assert cluster["count"] == 1
-        assert snap["job_id"] in cluster["job_ids"]
-
         # the recovered result is bit-identical to the uninterrupted run
         remote = client.result(snap["job_id"])
         ref_wire = SimplifyOutcome.from_json(reference.to_json())
@@ -178,18 +168,22 @@ def test_crash_fingerprints_cluster_by_failure_mode(
         job_ids.append(snap["job_id"])
         assert client.wait(snap["job_id"], timeout=300)["state"] == "failed"
 
-        errors = client.errors()
-        assert errors["errors_total"] == 4
-        assert len(errors["clusters"]) == 2, (
-            "two failure modes must yield exactly two fingerprints"
+        # every job left a bundle; the three runtime faults share one
+        # fingerprint and the value fault, a different failure mode,
+        # has its own
+        crashes = [
+            load_bundle(service.store.get(job_id).dir)["crash"]
+            for job_id in job_ids
+        ]
+        runtime = [crashes[i] for i in (0, 1, 3)]
+        value = crashes[2]
+        assert all("runtime" in c["error"]["message"] for c in runtime)
+        assert "value" in value["error"]["message"]
+        assert len({c["fingerprint"] for c in runtime}) == 1, (
+            "identical failures must share one fingerprint"
         )
-        by_count = {c["count"]: c for c in errors["clusters"]}
-        assert set(by_count) == {3, 1}
-        assert "runtime" in by_count[3]["message"]
-        assert "value" in by_count[1]["message"]
-        assert (
-            by_count[3]["fingerprint"] != by_count[1]["fingerprint"]
-        )
+        assert runtime[0]["fingerprint"]
+        assert value["fingerprint"] != runtime[0]["fingerprint"]
 
         # every bundle's tail is the last <= 64 events of the job's
         # journal -- the journal is the crash record, not a copy of it
@@ -216,14 +210,7 @@ def test_crash_fingerprints_cluster_by_failure_mode(
         httpd.shutdown()
         httpd.server_close()
 
-    # offline fleet view over the dead server's data dir, via the CLI
-    assert main(["errors", str(tmp_path), "--format", "json"]) == 0
-    body = json.loads(capsys.readouterr().out)
-    assert body["errors_total"] == 4
-    assert len(body["clusters"]) == 2
-    assert {c["count"] for c in body["clusters"]} == {3, 1}
-
-    # and the postmortem CLI renders one of the bundles
+    # the postmortem CLI renders one of the bundles offline
     job_dir = os.path.join(str(tmp_path), "jobs", job_ids[0])
     if not os.path.isdir(job_dir):
         job_dir = None

@@ -8,7 +8,10 @@ never couples two tests by accident -- except the test that couples
 them on purpose.
 """
 
+import concurrent.futures
 import json
+import os
+import threading
 
 import pytest
 
@@ -136,6 +139,25 @@ def test_submit_by_content_hash(server, adder_bench):
     assert again["cached"]
 
 
+def test_concurrent_uploads_of_one_netlist(server, adder_bench):
+    """Threads storing the same new netlist at once all get its hash
+    and leave exactly one file behind."""
+    _client, service = server
+    for round_ in range(5):
+        text = f"# concurrent upload {round_}\n" + adder_bench
+        barrier = threading.Barrier(8, timeout=30)
+
+        def store(_):
+            barrier.wait()
+            return service.store_netlist(text)
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            shas = set(pool.map(store, range(8)))
+        assert len(shas) == 1
+        assert service.netlist_text(shas.pop()) == text
+    assert not [n for n in os.listdir(service.netlists_dir) if ".tmp." in n]
+
+
 def test_unknown_content_hash_is_404(server):
     client, _service = server
     with pytest.raises(UnknownNetlistError):
@@ -212,11 +234,12 @@ def test_unknown_route_is_404(server):
     import urllib.error
     import urllib.request
 
-    with pytest.raises(urllib.error.HTTPError) as exc_info:
-        urllib.request.urlopen(f"{client.base_url}/v2/jobs")
-    assert exc_info.value.code == 404
-    body = json.loads(exc_info.value.read())
-    assert body["error"]["code"] == "not_found"
+    for path in ("/v2/jobs", "/v1/errors"):
+        with pytest.raises(urllib.error.HTTPError) as exc_info:
+            urllib.request.urlopen(f"{client.base_url}{path}")
+        assert exc_info.value.code == 404
+        body = json.loads(exc_info.value.read())
+        assert body["error"]["code"] == "not_found"
 
 
 def test_metrics_endpoint_validates(server):
