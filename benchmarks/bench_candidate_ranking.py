@@ -90,69 +90,3 @@ def test_candidate_ranking_speedup(name, benchmark, bench_rows, bench_json):
         }
     )
     assert speedup > 1.0
-
-
-@pytest.mark.parametrize("name", ["c880", "c1908"])
-def test_parallel_scaling(name, benchmark, bench_rows, bench_json):
-    """Phase-2 scoring through the ScoringPool at 1/2/4 workers.
-
-    Asserts only stat equality with the serial path -- wall-clock
-    scaling depends on the runner's core count (CI may pin one core),
-    so the speedups are *recorded* in BENCH_parallel_scaling.json for
-    trend tracking rather than gated here.
-    """
-    from repro.obs import Instrumentation
-    from repro.parallel import ScoringPool
-
-    circuit = ISCAS85_SUITE[name].builder()
-    estimator = MetricsEstimator(circuit, num_vectors=NUM_VECTORS, seed=0)
-    faults = greedy_shortlist(circuit, SHORTLIST)
-
-    serial_stats = estimator.simulate_faults(faults, approx=circuit)  # warm
-    t0 = time.perf_counter()
-    for _ in range(NEW_ROUNDS):
-        estimator.simulate_faults(faults, approx=circuit)
-    t_serial = (time.perf_counter() - t0) / NEW_ROUNDS
-
-    def key(stats):
-        return [
-            (st.detected_count, st.max_abs_deviation, st.sum_abs_deviation)
-            for st in stats
-        ]
-
-    row = {
-        "circuit": name,
-        "candidates": len(faults),
-        "num_vectors": NUM_VECTORS,
-        "full_profile": FULL,
-        "cpus": os.cpu_count(),
-        "t_serial_ms": round(t_serial * 1e3, 3),
-    }
-    speedups = []
-    for workers in (1, 2, 4):
-        obs = Instrumentation()
-        with ScoringPool(estimator, workers, obs=obs) as pool:
-            stats = pool.simulate_faults(faults, approx=circuit)  # warm pool
-            assert key(stats) == key(serial_stats)
-            t0 = time.perf_counter()
-            for _ in range(NEW_ROUNDS):
-                pool.simulate_faults(faults, approx=circuit)
-            t_par = (time.perf_counter() - t0) / NEW_ROUNDS
-        counters = obs.snapshot()["counters"]
-        assert counters.get("parallel.shard_fallbacks", 0) == 0
-        speedup = t_serial / t_par
-        speedups.append(speedup)
-        row[f"t_workers{workers}_ms"] = round(t_par * 1e3, 3)
-        row[f"speedup_workers{workers}"] = round(speedup, 2)
-
-    benchmark.pedantic(
-        lambda: estimator.simulate_faults(faults, approx=circuit),
-        rounds=1,
-        iterations=1,
-    )
-    bench_rows.append(
-        f"PARALLEL {name:<6} {len(faults)} candidates x {NUM_VECTORS} vectors "
-        f"({os.cpu_count()} cpus): serial={t_serial * 1e3:7.1f}ms  "
-        + "  ".join(f"w{w}={s:.2f}x" for w, s in zip((1, 2, 4), speedups))
-    )
-    bench_json["parallel_scaling"].append(row)

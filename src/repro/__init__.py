@@ -43,7 +43,7 @@ from .core import (
     format_report,
     verify_simplification,
 )
-from .parallel import CheckpointError, ScoringPool, resolve_workers, resume_from
+from .parallel import CheckpointError, resume_from
 
 __version__ = "1.1.0"
 
@@ -83,8 +83,6 @@ __all__ = [
     "UnsupportedSchemaVersionError",
     "CompileError",
     "BudgetExhaustedError",
-    "ScoringPool",
-    "resolve_workers",
     "resume_from",
     "CheckpointError",
     "Instrumentation",

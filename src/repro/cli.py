@@ -10,8 +10,8 @@ file extension) and on the built-in benchmark suite:
   OpenMetrics/Prometheus exposition via ``--format openmetrics``)
 * ``profile``    -- self-time attribution over a run journal: exclusive
   time per span, wall-clock attribution coverage (flags unattributed
-  time), kernel bytes-moved throughput, the sampled peak-RSS timeline
-  and per-worker utilization (needs a run with ``--telemetry-interval``)
+  time), kernel bytes-moved throughput and the sampled peak-RSS
+  timeline (needs a run with ``--telemetry-interval``)
 * ``compare``    -- iteration-by-iteration diff of two run journals
 * ``audit``      -- estimator-calibration / RS-budget audit of a run
   journal: predicted vs. realized deltas per committed fault, Wilson
@@ -40,7 +40,7 @@ genuinely silences everything below WARNING.  ``simplify`` and
 ``table2`` accept ``--journal PATH`` to stream a structured JSONL run
 journal and ``--profile`` to dump the phase-time / counter breakdown
 after the run; ``simplify`` additionally takes ``--trace PATH`` (Chrome
-trace export, Perfetto-loadable, per-worker lanes),
+trace export, Perfetto-loadable),
 ``--progress PATH`` (atomic machine-readable heartbeat plus a
 ``telemetry.prom`` OpenMetrics drop next to it; a live TTY stderr line
 appears automatically when stderr is a terminal and ``--quiet`` is not
@@ -81,7 +81,7 @@ from .obs import (
     report_from_file,
     write_chrome_trace,
 )
-from .simplify import GreedyConfig, circuit_simplify, remove_redundancies
+from .simplify import remove_redundancies
 
 __all__ = ["main"]
 
@@ -155,13 +155,23 @@ def _add_greedy_options(p: argparse.ArgumentParser) -> None:
                    help="skip the redundancy-removal prepass")
     p.add_argument("--pow2-es", action="store_true",
                    help="paper-conservative power-of-two ES in commit checks")
+
+
+def _add_weights_option(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weights", choices=["unit", "binary"], default="binary",
                    help="output weights when the netlist has none "
                         "(binary: bit i of the output list weighs 2**i)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="processes for candidate scoring (0: one per CPU; "
-                        "default: the REPRO_WORKERS env var, else serial); "
-                        "parallel runs pick the same faults as serial runs")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_obs_options(p: argparse.ArgumentParser) -> None:
@@ -178,8 +188,7 @@ def _add_obs_options(p: argparse.ArgumentParser) -> None:
 def _add_live_obs_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="export a Chrome trace (Perfetto/chrome://tracing "
-                        "loadable) of the run's spans here, with one lane "
-                        "per scoring worker process")
+                        "loadable) of the run's spans here")
     p.add_argument("--progress", default=None, metavar="PATH",
                    help="write a machine-readable progress snapshot here "
                         "(atomic replace) every few seconds; a live stderr "
@@ -191,8 +200,7 @@ def _add_live_obs_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--telemetry-interval", type=float, default=None,
                    metavar="SECONDS",
                    help="sample RSS/CPU/throughput every SECONDS into the "
-                        "journal (v4 telemetry events; workers report one "
-                        "sample per scored shard); render with "
+                        "journal (v4 telemetry events); render with "
                         "`repro profile` or `repro report --format "
                         "openmetrics`")
 
@@ -227,18 +235,6 @@ def _dump(circuit, path: str) -> None:
         dump_verilog(circuit, path)
     else:
         dump_bench(circuit, path)
-
-
-def _config(args: argparse.Namespace) -> GreedyConfig:
-    return GreedyConfig(
-        num_vectors=args.vectors,
-        seed=args.seed,
-        fom=args.fom,
-        candidate_limit=args.candidate_limit,
-        exhaustive=args.exhaustive,
-        redundancy_prepass=not args.no_prepass,
-        pow2_es=args.pow2_es,
-    )
 
 
 def _instrumentation(args: argparse.Namespace) -> Optional[Instrumentation]:
@@ -494,23 +490,30 @@ def cmd_redundancy(args: argparse.Namespace) -> int:
 
 def cmd_table2(args: argparse.Namespace) -> int:
     from .benchlib import ISCAS85_SUITE
+    from .core import ReproError, SimplifyRequest
 
     profile = ISCAS85_SUITE[args.circuit]
     circuit = profile.builder()
     logger.info(f"{args.circuit}-like: area {circuit.area()} (paper {profile.paper_area})")
-    config = _config(args)
     obs = _instrumentation(args)
     sweep = [args.rs_pct] if args.rs_pct is not None else list(profile.rs_pct_sweep)
-    for i, pct in enumerate(sweep):
+    for pct in sweep:
         t0 = time.time()
         # one journal path serves one run: suffix additional sweep points
         journal = args.journal
         if journal and len(sweep) > 1:
             journal = f"{journal}.{pct:g}"
-        res = circuit_simplify(
-            circuit, rs_pct_threshold=pct, config=config, journal=journal,
-            obs=obs, workers=args.workers,
-        )
+        try:
+            # The sweep point is the budget, and the built-in circuits
+            # carry their own output weights.
+            request = SimplifyRequest.from_cli_args(
+                args, rs_threshold=None, rs_pct_threshold=pct,
+                weights="netlist", journal=journal,
+            )
+            outcome = request.run(circuit, obs=obs)
+        except ReproError as exc:
+            logger.error(f"{exc.code}: {exc}")
+            return 2
         idx = (
             profile.rs_pct_sweep.index(pct)
             if pct in profile.rs_pct_sweep
@@ -519,8 +522,8 @@ def cmd_table2(args: argparse.Namespace) -> int:
         paper = (
             f"{profile.paper_area_reduction_pct[idx]:.2f}%" if idx is not None else "n/a"
         )
-        logger.info(f"  %RS={pct:g}: ours {res.area_reduction_pct:.2f}%  paper {paper}  "
-                    f"({len(res.faults)} faults, {time.time() - t0:.1f}s)")
+        logger.info(f"  %RS={pct:g}: ours {outcome.area_reduction_pct:.2f}%  paper {paper}  "
+                    f"({len(outcome.faults)} faults, {time.time() - t0:.1f}s)")
     if args.profile and obs is not None:
         logger.info("\n" + render_snapshot(obs.snapshot()))
     return 0
@@ -758,13 +761,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("netlist")
     p.add_argument("-o", "--output", default=None, help="write .bench here")
     _add_greedy_options(p)
+    _add_weights_option(p)
     _add_obs_options(p)
     _add_live_obs_options(p)
     p.set_defaults(func=cmd_simplify)
 
     p = sub.add_parser("report", help="profiling view over a run journal")
     p.add_argument("journal", help="journal JSONL path from --journal")
-    p.add_argument("--top", type=int, default=12,
+    p.add_argument("--top", type=_positive_int, default=12,
                    help="counters to show in the hotspot table (default 12)")
     p.add_argument("--format", choices=["text", "json", "openmetrics"],
                    default="text",
@@ -775,10 +779,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("profile",
                        help="self-time attribution over a run journal "
                             "(exclusive span times, wall-clock coverage, "
-                            "kernel throughput, RSS timeline, worker "
-                            "utilization)")
+                            "kernel throughput, RSS timeline)")
     p.add_argument("journal", help="journal JSONL path from --journal")
-    p.add_argument("--top", type=int, default=12,
+    p.add_argument("--top", type=_positive_int, default=12,
                    help="span rows in the self-time table (default 12)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--fail-on-unattributed", action="store_true",
@@ -790,7 +793,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="diff two run journals iteration-by-iteration")
     p.add_argument("journal_a", help="baseline run journal (A)")
     p.add_argument("journal_b", help="candidate run journal (B)")
-    p.add_argument("--top", type=int, default=12,
+    p.add_argument("--top", type=_positive_int, default=12,
                    help="rows in the phase-time/counter delta tables")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--fail-on-divergence", action="store_true",
@@ -897,6 +900,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--url", default="http://127.0.0.1:8765",
                    help="job server base URL (default http://127.0.0.1:8765)")
     _add_greedy_options(p)
+    _add_weights_option(p)
     p.add_argument("--wait", action="store_true",
                    help="poll until the job finishes and print the report")
     p.add_argument("--timeout", type=float, default=600.0,

@@ -2,7 +2,7 @@
 
 The one-call entry point is a :class:`SimplifyRequest` -- a frozen,
 JSON-serializable description of *everything* a simplification run
-needs (budget, estimator knobs, FOM policy, parallelism, durability) --
+needs (budget, estimator knobs, FOM policy, durability) --
 whose :meth:`~SimplifyRequest.run` method returns a
 :class:`SimplifyOutcome` wrapping the winning
 :class:`~repro.simplify.greedy.GreedyResult` with report / verify /
@@ -79,10 +79,11 @@ __all__ = [
 SCHEMA_VERSION = 2
 
 #: Request fields that do not change the mathematical outcome of a run
-#: -- the journal path, parallelism/sampling knobs (parallel runs are
-#: bit-identical to serial ones) and the correlation id.  They are
-#: excluded from :meth:`SimplifyRequest.fingerprint`, so two
-#: submissions differing only here share one result-cache entry.
+#: -- the retired ``workers`` count (accepted and type-checked, read by
+#: nothing: every run scores in one process), the journal path, the
+#: sampling interval and the correlation id.  They are excluded from
+#: :meth:`SimplifyRequest.fingerprint`, so two submissions differing
+#: only here share one result-cache entry.
 _NON_SEMANTIC_FIELDS = (
     "workers",
     "journal",
@@ -109,6 +110,14 @@ _INT_FIELDS = (
     "prepass_backtrack_limit",
 )
 _OPTIONAL_INT_FIELDS = ("candidate_limit", "workers")
+#: Count fields a negative value would silently misread (a negative
+#: ``candidate_limit`` slices off the end of the shortlist).
+_COUNT_FIELDS = (
+    "candidate_limit",
+    "max_iterations",
+    "atpg_node_limit",
+    "prepass_backtrack_limit",
+)
 _BOOL_FIELDS = (
     "datapath_only",
     "include_branches",
@@ -297,9 +306,9 @@ class SimplifyRequest:
     circuit as given, ``"unit"`` forces every data output to weight 1,
     ``"binary"`` weighs output bit *i* as ``2**i``.
 
-    ``workers`` shards phase-2 candidate scoring across processes
-    (``None`` consults ``REPRO_WORKERS``; see
-    :func:`repro.parallel.resolve_workers`); ``journal`` streams every
+    ``workers`` is retired: it is accepted and type-checked so stored
+    requests still load, but every run scores in one process and
+    nothing reads it.  ``journal`` streams every
     event of the run to a JSONL file that is also its checkpoint: a
     rerun on the same path resumes a killed run bit-identically
     (:mod:`repro.parallel.checkpoint`; ``fom="best"`` writes one file
@@ -367,6 +376,12 @@ class SimplifyRequest:
             )
         for name, value in checked.items():
             object.__setattr__(self, name, value)
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise InvalidRequestError(
+                    f"{name} must be non-negative, got {value!r}"
+                )
         if self.journal is not None and not isinstance(self.journal, (str, os.PathLike)):
             raise InvalidRequestError(
                 f"journal must be a path string, got {self.journal!r}"
@@ -414,9 +429,11 @@ class SimplifyRequest:
         return cls(**fields)
 
     @classmethod
-    def from_cli_args(cls, args: Any) -> "SimplifyRequest":
-        """Build a request from the ``repro simplify`` argparse namespace."""
-        return cls(
+    def from_cli_args(cls, args: Any, **overrides: Any) -> "SimplifyRequest":
+        """Build a request from the greedy options of an argparse
+        namespace (``repro simplify``, ``submit`` and ``table2``);
+        ``overrides`` win, as in :meth:`from_config`."""
+        fields: Dict[str, Any] = dict(
             rs_threshold=getattr(args, "rs", None),
             rs_pct_threshold=getattr(args, "rs_pct", None),
             fom=getattr(args, "fom", "best"),
@@ -427,11 +444,12 @@ class SimplifyRequest:
             redundancy_prepass=not getattr(args, "no_prepass", False),
             pow2_es=getattr(args, "pow2_es", False),
             weights=getattr(args, "weights", "netlist"),
-            workers=getattr(args, "workers", None),
             journal=getattr(args, "journal", None),
             telemetry_interval=getattr(args, "telemetry_interval", None),
             trace_id=getattr(args, "trace_id", None),
         )
+        fields.update(overrides)
+        return cls(**fields)
 
     @classmethod
     def from_json(cls, text: str) -> "SimplifyRequest":
@@ -516,11 +534,11 @@ class SimplifyRequest:
     def fingerprint(self) -> str:
         """Content digest of the *semantic* request fields.
 
-        The journal path and parallelism knobs
-        (:data:`_NON_SEMANTIC_FIELDS`) are excluded: parallel scoring
-        is bit-identical to serial scoring and journal paths do not
-        change the result, so requests differing only there share one
-        result-cache entry.  ``schema_version`` is excluded too -- the
+        The :data:`_NON_SEMANTIC_FIELDS` (the retired ``workers``
+        count, the journal path, the sampling interval and the
+        correlation id) are excluded: none of them changes the result,
+        so requests differing only there share one result-cache
+        entry.  ``schema_version`` is excluded too -- the
         digest covers run semantics, not wire framing.
         """
         data = dataclasses.asdict(self)
@@ -758,7 +776,6 @@ def simplify(
             config=cfg,
             journal=journal,
             obs=obs,
-            workers=request.workers,
             progress=progress,
             telemetry_interval=request.telemetry_interval,
             trace_id=request.trace_id,

@@ -61,24 +61,12 @@ class MetricsEstimator:
         exhaustive: bool = False,
         atpg_node_limit: int = 20_000,
         obs: Optional[Instrumentation] = None,
-        vectors: Optional[np.ndarray] = None,
     ) -> None:
         circuit.validate()
         self.circuit = circuit
         self.obs = obs if obs is not None else get_active()
         self.exhaustive = exhaustive
-        if vectors is not None:
-            # A pre-built batch (vectors x inputs, bool).  The parallel
-            # scoring workers use this to measure against the *same*
-            # batch the coordinating process holds -- fork-shared or
-            # shipped once per worker -- instead of regenerating it.
-            self.vectors = np.asarray(vectors, dtype=bool)
-            if self.vectors.ndim != 2 or self.vectors.shape[1] != len(circuit.inputs):
-                raise ValueError(
-                    f"vectors shape {self.vectors.shape} does not match "
-                    f"{len(circuit.inputs)} circuit inputs"
-                )
-        elif exhaustive:
+        if exhaustive:
             self.vectors = exhaustive_vectors(len(circuit.inputs))
         else:
             rng = np.random.default_rng(seed)

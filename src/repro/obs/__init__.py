@@ -5,7 +5,7 @@ span/counter/gauge registry the hot paths record into;
 ``repro.obs.journal`` is the per-run JSONL event stream;
 ``repro.obs.report`` renders the ``repro report`` profiling view from a
 journal.  ``repro.obs.trace`` exports span activity as a Chrome trace
-(Perfetto-loadable, per-worker lanes); ``repro.obs.progress`` is the
+(Perfetto-loadable); ``repro.obs.progress`` is the
 live heartbeat (TTY line + atomic ``progress.json``);
 ``repro.obs.compare`` diffs two run journals iteration-by-iteration and
 ``repro.obs.trends`` tracks benchmark history with a trailing-median
@@ -14,7 +14,7 @@ statistical-quality layer: Wilson-score confidence intervals for
 sampled ER estimates, per-iteration estimator-calibration events, and
 the ``repro audit`` provenance trail.  ``repro.obs.telemetry``
 (DESIGN.md §12) is the background resource sampler (RSS/CPU/throughput
-lanes feeding journal-v4 ``telemetry`` events and trace counter
+samples feeding journal-v4 ``telemetry`` events and trace counter
 tracks); ``repro.obs.profile`` renders the ``repro profile`` self-time
 attribution view; ``repro.obs.metrics_export`` is the
 OpenMetrics/Prometheus text surface (``repro report --format
@@ -94,7 +94,6 @@ from .telemetry import (
     TelemetryMonitor,
     cpu_seconds,
     sample_rss_bytes,
-    worker_sample,
 )
 from .trace import (
     TraceRecorder,
@@ -140,7 +139,6 @@ __all__ = [
     "TelemetryMonitor",
     "sample_rss_bytes",
     "cpu_seconds",
-    "worker_sample",
     "render_openmetrics",
     "journal_openmetrics",
     "validate_openmetrics",

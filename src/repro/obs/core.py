@@ -116,12 +116,6 @@ class Instrumentation:
     #: of its own.
     tracer = None
 
-    #: Optional :class:`~repro.obs.telemetry.TelemetryMonitor`.  Same
-    #: class-level-None pattern as ``tracer``: the scoring pool checks
-    #: this attribute to decide whether workers sample RSS/CPU per
-    #: shard, and the monitor merges their series into worker lanes.
-    telemetry = None
-
     def __init__(self) -> None:
         self.timers: Dict[str, TimerStat] = {}
         self.counters: Dict[str, int] = {}

@@ -52,10 +52,11 @@ ER and batch size.
 Version 4 adds resource telemetry (:mod:`repro.obs.telemetry`):
 ``telemetry`` events are periodic samples -- RSS bytes, cumulative CPU
 seconds, and derived throughput gauges -- recorded by a background
-monitor thread into the same stream (coordinator lane) and merged from
-the scoring workers (one lane per worker pid).  Because the sampler is
-a thread, :meth:`RunJournal.emit` serializes concurrent emitters under
-a lock; the one-write-per-line durability contract is unchanged.
+monitor thread into the same stream (``lane="coordinator"``; journals
+written before candidate scoring became single-process may also hold
+``worker-<pid>`` lanes).  Because the sampler is a thread,
+:meth:`RunJournal.emit` serializes concurrent emitters under a lock;
+the one-write-per-line durability contract is unchanged.
 Readers that only understand older event sets pass
 ``skip_unknown=True`` to :func:`read_journal` / :func:`load_journal`
 (``report``/``compare``/``audit`` do), so future event types degrade

@@ -17,9 +17,7 @@ questions those totals obscure:
   counters (:mod:`repro.simulation.compiled`) reduced to bytes moved
   (uint64 words x 8) and bytes/second against the scoring span time;
 * **peak-RSS timeline** -- the coordinator-lane ``telemetry`` samples
-  as a time/RSS table with the peak marked;
-* **per-worker utilization** -- CPU-seconds over wall-seconds between
-  each worker's consecutive shipped samples, averaged per lane.
+  as a time/RSS table with the peak marked.
 
 Everything reads from journal events alone (``skip_unknown`` load), so
 a dead run's journal profiles exactly like a live one's.
@@ -80,7 +78,6 @@ def profile_events(events: Sequence[Dict], top: int = 12) -> Dict:
         },
         "kernel": _kernel_stats(counters, timers, elapsed),
         "rss_timeline": _rss_timeline(telemetry),
-        "workers": _worker_utilization(telemetry),
     }
 
 
@@ -154,22 +151,6 @@ def render_profile(profile: Dict) -> str:
             f"peak {timeline['peak_bytes'] / 1e6:.1f} MB over "
             f"{timeline['samples']} sample(s)"
         )
-
-    workers = profile["workers"]
-    if workers:
-        out.append("")
-        out.append("--- worker utilization ---")
-        for w in workers:
-            util = (
-                f"{100.0 * w['utilization']:.0f}%"
-                if w["utilization"] is not None
-                else "n/a"
-            )
-            out.append(
-                f"{w['lane']:<16}  util {util:>5}  "
-                f"peak {w['peak_rss_bytes'] / 1e6:8.1f} MB  "
-                f"samples {w['samples']}"
-            )
 
     return "\n".join(out)
 
@@ -267,31 +248,6 @@ def _rss_timeline(telemetry: List[Dict], max_points: int = 16) -> Dict:
         "samples": len(points),
         "peak_bytes": max((rss for _t, rss in points), default=0),
     }
-
-
-def _worker_utilization(telemetry: List[Dict]) -> List[Dict]:
-    lanes: Dict[str, List[Dict]] = {}
-    for e in telemetry:
-        lane = e.get("lane", "")
-        if isinstance(lane, str) and lane.startswith("worker-"):
-            lanes.setdefault(lane, []).append(e)
-    rows = []
-    for lane in sorted(lanes):
-        samples = lanes[lane]
-        utils = [
-            float(e["utilization"]) for e in samples if "utilization" in e
-        ]
-        rows.append(
-            {
-                "lane": lane,
-                "samples": len(samples),
-                "peak_rss_bytes": max(
-                    (int(e.get("rss_bytes", 0)) for e in samples), default=0
-                ),
-                "utilization": sum(utils) / len(utils) if utils else None,
-            }
-        )
-    return rows
 
 
 def _fmt_s(seconds: float) -> str:

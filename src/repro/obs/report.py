@@ -11,8 +11,8 @@ Renders three sections from the JSONL event stream of one run:
   per committed step;
 * **top-k hotspot counters** -- the largest monotonic counters
   (vectors simulated, cache hits/misses, ATPG backtracks, ...),
-  followed by the pinned ``parallel.*`` fallback/dispatch counters and
-  the derived estimator cache hit-rates (never crowded out of the
+  followed by the pinned ``quality.*`` budget-risk/zero-pattern
+  counters and the derived cache hit-rates (never crowded out of the
   top-k window by bigger raw counts).
 
 ``report_as_dict`` is the machine-readable twin (``repro report
@@ -130,15 +130,15 @@ def derived_counter_rows(counters: Dict[str, int]) -> List[Tuple[str, str]]:
 def _counter_table(
     counters: Dict[str, int], top_k: int
 ) -> List[Tuple[str, int]]:
-    """Top-k counters by magnitude, with every ``parallel.*`` and
-    ``quality.*`` counter pinned into the table regardless of rank
-    (a nonzero budget-risk or zero-pattern count must never be crowded
-    out by bigger raw numbers)."""
+    """Top-k counters by magnitude, with every ``quality.*`` counter
+    pinned into the table regardless of rank (a nonzero budget-risk or
+    zero-pattern count must never be crowded out by bigger raw
+    numbers)."""
     ranked = sorted(counters.items(), key=lambda kv: -abs(kv[1]))
     table = ranked[:top_k]
     shown = {name for name, _n in table}
     for name, n in ranked[top_k:]:
-        if name.startswith(("parallel.", "quality.")) and name not in shown:
+        if name.startswith("quality.") and name not in shown:
             table.append((name, n))
     return table
 
@@ -201,7 +201,7 @@ def report_as_dict(events: Sequence[Dict], top_k: int = 12) -> Dict:
 
     Mirrors the text sections: run header/status, phase times (with
     share against the top-level basis), the iteration table, the top-k
-    counter table with the pinned ``parallel.*`` rows, and the derived
+    counter table with the pinned ``quality.*`` rows, and the derived
     cache hit-rates as exact ``hits``/``total`` integers.
     """
     header = next((e for e in events if e.get("event") == "run_start"), None)

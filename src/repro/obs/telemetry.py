@@ -1,10 +1,9 @@
-"""Background resource telemetry: sampled RSS, CPU and throughput lanes.
+"""Background resource telemetry: sampled RSS, CPU and throughput.
 
-A :class:`TelemetryMonitor` is a daemon sampling thread attached to one
-:class:`~repro.obs.core.Instrumentation` registry
-(``obs.telemetry = monitor``).  On a configurable interval -- plus once
-at start and once at stop, so even sub-interval runs record a usable
-series -- it reads, with stdlib primitives only:
+A :class:`TelemetryMonitor` is a daemon sampling thread reading one
+:class:`~repro.obs.core.Instrumentation` registry.  On a configurable
+interval -- plus once at start and once at stop, so even sub-interval
+runs record a usable series -- it reads, with stdlib primitives only:
 
 * **RSS bytes** from ``/proc/self/statm`` (pages x page size), falling
   back to ``resource.getrusage(...).ru_maxrss`` where procfs is absent
@@ -13,9 +12,9 @@ series -- it reads, with stdlib primitives only:
 * **CPU seconds** from ``os.times()`` (user + system of this process);
 * **throughput gauges** derived from counter deltas between samples:
   ``patterns_per_s`` (vectors through the good/fault simulators),
-  ``faults_per_s`` (candidate faults scored, local batch + remote
-  shards) and ``candidates_per_s`` (shortlist entries ranked by the
-  greedy loop).
+  ``faults_per_s`` (candidate faults scored by batch fault simulation)
+  and ``candidates_per_s`` (shortlist entries ranked by the greedy
+  loop).
 
 Each sample lands in three places at once: the instrumentation gauges
 (``telemetry.rss_bytes``, high-watermark ``telemetry.rss_peak_bytes``,
@@ -25,14 +24,7 @@ through the run's sink tee (so ``repro profile`` can render the RSS
 timeline of a dead run from its journal alone), and -- when a
 :class:`~repro.obs.trace.TraceRecorder` is attached -- Chrome-trace
 counter tracks (``"ph": "C"``), so Perfetto draws RSS/throughput under
-the existing span lanes.
-
-Worker processes do not run monitor threads: :mod:`repro.parallel.pool`
-samples once per scored shard (:func:`worker_sample`) and ships the
-samples back with the shard result; :meth:`TelemetryMonitor.add_worker_samples`
-merges them into per-worker lanes (``lane="worker-<pid>"``), keyed by
-pid in the trace.  ``perf_counter`` is a system-wide monotonic clock on
-Linux, so worker instants rebase onto the coordinator epoch directly.
+the run's span lane.
 
 The monitor emits journal events from its thread while the greedy loop
 emits from the main thread; :class:`~repro.obs.journal.RunJournal` and
@@ -45,20 +37,13 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "TelemetryMonitor",
-    "WorkerSample",
     "cpu_seconds",
     "sample_rss_bytes",
-    "worker_sample",
 ]
-
-#: One worker-side reading: (pid, perf_counter instant, RSS bytes,
-#: cumulative CPU seconds).  A plain tuple so shard results pickle
-#: compactly, mirroring :data:`repro.obs.trace.SpanEvent`.
-WorkerSample = Tuple[int, float, int, float]
 
 try:
     _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
@@ -103,25 +88,13 @@ def cpu_seconds() -> float:
     return t.user + t.system
 
 
-def worker_sample() -> WorkerSample:
-    """One telemetry reading of the calling (worker) process."""
-    return (os.getpid(), time.perf_counter(), sample_rss_bytes(), cpu_seconds())
-
-
 #: rate gauge -> the monotonic counters whose summed delta feeds it.
-#: The fault-rate pair is disjoint by construction: serial scoring
-#: increments ``batchsim.faults_evaluated`` in-process, pool scoring
-#: increments ``parallel.faults_scored_remote`` on the coordinator
-#: (the workers' batchsim counters live in other processes).
 THROUGHPUT_SOURCES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (
         "patterns_per_s",
         ("estimator.vectors_simulated", "faultsim.vectors_simulated"),
     ),
-    (
-        "faults_per_s",
-        ("batchsim.faults_evaluated", "parallel.faults_scored_remote"),
-    ),
+    ("faults_per_s", ("batchsim.faults_evaluated",)),
     ("candidates_per_s", ("greedy.candidates_scored",)),
 )
 
@@ -142,8 +115,8 @@ class TelemetryMonitor:
         Seconds between samples (clamped to >= 10 ms).
     trace_id:
         Optional correlation id stamped into every emitted telemetry
-        event (coordinator and worker lanes), linking the samples to
-        the service submission that started this run.
+        event, linking the samples to the service submission that
+        started this run.
     """
 
     def __init__(
@@ -165,7 +138,6 @@ class TelemetryMonitor:
         self._lock = threading.Lock()
         self._prev_t: Optional[float] = None
         self._prev_counters: Dict[str, int] = {}
-        self._worker_cursor: Dict[int, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     def start(self) -> "TelemetryMonitor":
@@ -207,7 +179,7 @@ class TelemetryMonitor:
 
     # ------------------------------------------------------------------
     def sample(self) -> Dict:
-        """Take one coordinator sample; record, journal and trace it."""
+        """Take one sample; record, journal and trace it."""
         now = time.perf_counter()
         rss = sample_rss_bytes()
         cpu = cpu_seconds()
@@ -239,9 +211,9 @@ class TelemetryMonitor:
                 self.obs.gauge(f"telemetry.{name}", rate)
             tracer = self.obs.tracer
             if tracer is not None:
-                tracer.add_counter("rss_mb", now, rss / 1e6, self.pid)
+                tracer.add_counter("rss_mb", now, rss / 1e6)
                 for name, rate in rates.items():
-                    tracer.add_counter(name, now, rate, self.pid)
+                    tracer.add_counter(name, now, rate)
             if self.sink is not None:
                 self.sink.emit(event)
         return event
@@ -261,46 +233,3 @@ class TelemetryMonitor:
             )
             rates[name] = round(delta / dt, 3)
         return rates
-
-    # ------------------------------------------------------------------
-    def add_worker_samples(self, samples: Iterable[WorkerSample]) -> int:
-        """Merge shard-shipped worker readings into per-worker lanes.
-
-        Each reading becomes one journal ``telemetry`` event
-        (``lane="worker-<pid>"``), a worker utilization gauge (CPU
-        seconds over wall seconds between that worker's consecutive
-        readings), and -- when tracing -- counter tracks on the
-        worker's existing trace lane.  Returns the number merged.
-        """
-        merged = 0
-        with self._lock:
-            epoch = self.epoch if self.epoch is not None else time.perf_counter()
-            tracer = self.obs.tracer
-            for pid, instant, rss, cpu in samples:
-                t_s = instant - epoch
-                lane = f"worker-{pid}"
-                event = {
-                    "event": "telemetry",
-                    "t_s": round(t_s, 6),
-                    "pid": int(pid),
-                    "lane": lane,
-                    "rss_bytes": int(rss),
-                    "cpu_s": round(float(cpu), 6),
-                }
-                if self.trace_id is not None:
-                    event["trace_id"] = self.trace_id
-                previous = self._worker_cursor.get(pid)
-                if previous is not None:
-                    dt = t_s - previous[0]
-                    dcpu = cpu - previous[1]
-                    if dt > 0:
-                        event["utilization"] = round(min(dcpu / dt, 1.0), 4)
-                self._worker_cursor[pid] = (t_s, float(cpu))
-                self.samples.append(event)
-                self.obs.gauge_max("telemetry.worker_rss_peak_bytes", int(rss))
-                if tracer is not None:
-                    tracer.add_counter("rss_mb", instant, rss / 1e6, pid)
-                if self.sink is not None:
-                    self.sink.emit(event)
-                merged += 1
-        return merged

@@ -3,37 +3,24 @@
 A :class:`TraceRecorder` attached to an
 :class:`~repro.obs.core.Instrumentation` (``obs.tracer = recorder``)
 turns every span into one *trace event*: the span's hierarchical path,
-its begin/end wall-clock instants, and an explicit parent id derived
-from the recorder's open-span stack (spans are context managers, so
-they close strictly LIFO and the stack *is* the parent chain).
+its begin/end :func:`time.perf_counter` readings, and an explicit
+parent id derived from the recorder's open-span stack (spans are
+context managers, so they close strictly LIFO and the stack *is* the
+parent chain).
 
-Events live in two coordinate systems:
-
-* **in process**, timestamps are raw :func:`time.perf_counter` readings
-  -- on Linux a system-wide monotonic clock, so readings taken in the
-  scoring worker processes are directly comparable to the
-  coordinator's.  Worker-side recorders
-  (:mod:`repro.parallel.pool`) drain their event buffers into each
-  shard result; the coordinator merges them with :meth:`add_remote`
-  in shard order, which makes the merged stream deterministic for a
-  fixed shard-to-worker assignment;
-* **on export**, :func:`to_chrome_trace` rebases everything against the
-  coordinator recorder's epoch and renders the Chrome trace event
-  format (the ``traceEvents`` array of ``"ph": "X"`` complete events
-  that ``chrome://tracing``, Perfetto and catapult load directly).
-  Each OS process becomes one pid lane with a ``process_name`` metadata
-  record -- the coordinator plus one ``scoring worker N`` lane per
-  worker pid -- so phase-2 shard parallelism and stragglers are visible
-  as parallel tracks.
-
-Span ids are namespaced by pid (``"<pid>:<n>"``), so merged worker
-events can never collide with coordinator ids.
+On export, :func:`to_chrome_trace` rebases the readings against the
+recorder's epoch and hands them to :func:`chrome_trace_from_spans`, the
+one renderer of the Chrome trace event format (the ``traceEvents``
+array of ``"ph": "X"`` complete events that ``chrome://tracing``,
+Perfetto and catapult load directly), which the job server's
+``/trace`` route uses too.  A run is one ``repro coordinator`` lane;
+span ids are namespaced by pid (``"<pid>:<n>"``).
 
 Besides spans, a recorder carries **counter events** (``add_counter``):
 sampled series -- RSS, CPU, throughput rates from
 :mod:`repro.obs.telemetry` -- exported as Chrome-trace counter records
-(``"ph": "C"``), which Perfetto renders as one counter track per
-``(pid, name)`` under that pid's span lane.
+(``"ph": "C"``), which Perfetto renders as one counter track per name
+under the span lane.
 """
 
 from __future__ import annotations
@@ -53,22 +40,19 @@ __all__ = [
 ]
 
 #: One completed span: (span id, parent id or None, hierarchical path,
-#: begin perf_counter, end perf_counter, recording pid).  A plain tuple
-#: so worker buffers pickle compactly.
-SpanEvent = Tuple[int, Optional[int], str, float, float, int]
+#: begin perf_counter, end perf_counter).
+SpanEvent = Tuple[int, Optional[int], str, float, float]
 
-#: One sampled counter reading: (track name, perf_counter instant,
-#: value, recording pid).
-CounterEvent = Tuple[str, float, float, int]
+#: One sampled counter reading: (track name, perf_counter instant, value).
+CounterEvent = Tuple[str, float, float]
 
 
 class TraceRecorder:
-    """Per-process buffer of completed span events.
+    """Buffer of one process's completed span events.
 
-    One recorder belongs to one process (``pid``); remote events merged
-    with :meth:`add_remote` keep the pid they were recorded under.  The
-    ``epoch`` -- the coordinator's construction instant -- is the zero
-    point of the exported timeline.
+    ``pid`` names the exported lane and namespaces span ids; the
+    ``epoch`` -- the construction instant -- is the zero point of the
+    exported timeline.
     """
 
     def __init__(self, pid: Optional[int] = None) -> None:
@@ -89,112 +73,48 @@ class TraceRecorder:
     def end(self, path: str, t0: float, t1: float) -> None:
         """Close the innermost open span into a completed event."""
         span_id, parent = self._open.pop()
-        self.events.append((span_id, parent, path, t0, t1, self.pid))
+        self.events.append((span_id, parent, path, t0, t1))
 
-    def add_counter(
-        self, name: str, instant: float, value: float, pid: Optional[int] = None
-    ) -> None:
+    def add_counter(self, name: str, instant: float, value: float) -> None:
         """Record one sampled counter reading (a ``"ph": "C"`` track
-        point on export).  ``pid`` defaults to this recorder's lane;
-        the telemetry monitor passes worker pids for shipped samples."""
-        self.counter_events.append(
-            (name, float(instant), float(value), self.pid if pid is None else int(pid))
-        )
-
-    # -- merging --------------------------------------------------------
-    def drain(self) -> List[SpanEvent]:
-        """Hand over (and clear) the completed-event buffer.
-
-        The worker side of the shard protocol: completed events ship
-        back with each shard result, so a worker that scores many
-        shards never re-sends old events.
-        """
-        events, self.events = self.events, []
-        return events
-
-    def add_remote(self, events: Iterable[SpanEvent]) -> None:
-        """Merge a drained worker buffer (events keep their worker pid)."""
-        self.events.extend(tuple(ev) for ev in events)
+        point on export)."""
+        self.counter_events.append((name, float(instant), float(value)))
 
 
 def to_chrome_trace(recorder: TraceRecorder) -> Dict:
     """Render a recorder's events as a Chrome trace-format object.
 
     Every span becomes a complete (``"ph": "X"``) slice with
-    microsecond timestamps relative to the recorder's epoch; ``args``
-    carries the full span path and the explicit ``id``/``parent`` pair
-    (ids namespaced ``"<pid>:<n>"``).  Sampled counter readings become
-    ``"ph": "C"`` records -- Perfetto draws one counter track per
-    ``(pid, name)``.  Lanes: the coordinator pid first, then worker
-    pids in ascending order, each named by a ``process_name`` metadata
-    record.
+    microsecond timestamps relative to the recorder's epoch, in
+    begin-time order (a parent before the children it contains);
+    ``args`` carries the full span path and the explicit
+    ``id``/``parent`` pair (ids namespaced ``"<pid>:<n>"``).  Sampled
+    counter readings become ``"ph": "C"`` records.  The one lane is
+    named ``repro coordinator`` by a ``process_name`` metadata record.
     """
-    pids = sorted(
-        {ev[5] for ev in recorder.events}
-        | {ev[3] for ev in recorder.counter_events}
-    )
-    if recorder.pid in pids:  # coordinator lane leads
-        pids.remove(recorder.pid)
-        pids.insert(0, recorder.pid)
-    lane_names = {}
-    worker_no = 0
-    for pid in pids:
-        if pid == recorder.pid:
-            lane_names[pid] = "repro coordinator"
-        else:
-            worker_no += 1
-            lane_names[pid] = f"scoring worker {worker_no}"
-
-    trace_events: List[Dict] = []
-    for pid in pids:
-        trace_events.append(
+    pid, epoch = recorder.pid, recorder.epoch
+    spans = sorted(recorder.events, key=lambda ev: (ev[3], -(ev[4] - ev[3]), ev[0]))
+    return chrome_trace_from_spans(
+        (
             {
-                "name": "process_name",
-                "ph": "M",
                 "pid": pid,
-                "tid": 0,
-                "args": {"name": lane_names[pid]},
+                "name": path.rsplit("/", 1)[-1],
+                "t0_s": t0 - epoch,
+                "t1_s": t1 - epoch,
+                "args": {
+                    "path": path,
+                    "id": f"{pid}:{span_id}",
+                    "parent": None if parent is None else f"{pid}:{parent}",
+                },
             }
-        )
-    # Deterministic export order: lane by lane, each lane in recording
-    # order (begin-time order within a lane, since spans close LIFO and
-    # are appended on close -- re-sorted by t0 for the nesting readers).
-    for pid in pids:
-        lane = [ev for ev in recorder.events if ev[5] == pid]
-        lane.sort(key=lambda ev: (ev[3], -(ev[4] - ev[3]), ev[0]))
-        for span_id, parent, path, t0, t1, _pid in lane:
-            trace_events.append(
-                {
-                    "name": path.rsplit("/", 1)[-1],
-                    "cat": "span",
-                    "ph": "X",
-                    "ts": (t0 - recorder.epoch) * 1e6,
-                    "dur": (t1 - t0) * 1e6,
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {
-                        "path": path,
-                        "id": f"{pid}:{span_id}",
-                        "parent": None if parent is None else f"{pid}:{parent}",
-                    },
-                }
-            )
-    for pid in pids:
-        track = [ev for ev in recorder.counter_events if ev[3] == pid]
-        track.sort(key=lambda ev: (ev[0], ev[1]))
-        for name, instant, value, _pid in track:
-            trace_events.append(
-                {
-                    "name": name,
-                    "cat": "telemetry",
-                    "ph": "C",
-                    "ts": (instant - recorder.epoch) * 1e6,
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"value": value},
-                }
-            )
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
+            for span_id, parent, path, t0, t1 in spans
+        ),
+        counters=(
+            {"pid": pid, "name": name, "t_s": instant - epoch, "value": value}
+            for name, instant, value in recorder.counter_events
+        ),
+        lane_names={pid: "repro coordinator"},
+    )
 
 
 def chrome_trace_from_spans(
@@ -205,11 +125,11 @@ def chrome_trace_from_spans(
 ) -> Dict:
     """Build a Chrome trace object from explicit span/counter dicts.
 
-    The generic sibling of :func:`to_chrome_trace` for callers that
-    synthesize a timeline rather than record one -- the job server's
-    ``GET /v1/jobs/<id>/trace`` assembles queue-wait and attempt spans
-    from service-side timestamps and runner spans from the job's
-    journal, all on one shared zero-based clock.
+    The one Chrome-trace renderer: :func:`to_chrome_trace` feeds it a
+    recorder's spans, and the job server's ``GET /v1/jobs/<id>/trace``
+    assembles queue-wait and attempt spans from service-side timestamps
+    and runner spans from the job's journal, all on one shared
+    zero-based clock.
 
     * ``spans``: ``{"pid", "name", "t0_s", "t1_s", "args"?}`` -- one
       complete (``"ph": "X"``) slice each, times in seconds;

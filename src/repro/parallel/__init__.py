@@ -1,10 +1,7 @@
-"""Parallel execution and run-level robustness for the greedy loop.
+"""Run-level robustness for the greedy loop.
 
-``repro.parallel.pool`` shards phase-2 candidate scoring across worker
-processes with a deterministic merge (parallel runs select the same
-fault sequence as serial runs); ``repro.parallel.checkpoint`` resumes
-a killed run bit-identically from its run journal.
-See DESIGN.md §8.
+``repro.parallel.checkpoint`` resumes a killed run bit-identically
+from its run journal.  See DESIGN.md §8.
 """
 
 from .checkpoint import (
@@ -18,11 +15,8 @@ from .checkpoint import (
     replay_checkpoint,
     resume_from,
 )
-from .pool import ScoringPool, resolve_workers
 
 __all__ = [
-    "ScoringPool",
-    "resolve_workers",
     "CheckpointError",
     "CheckpointState",
     "ReplayedRun",

@@ -395,7 +395,6 @@ def greedy_config_from(config: Dict):
 def resume_from(
     circuit: Circuit,
     checkpoint: Union[str, os.PathLike],
-    workers: Optional[int] = None,
     obs=None,
 ):
     """Continue (or finish reconstructing) a journaled run.
@@ -416,5 +415,4 @@ def resume_from(
         config=greedy_config_from(state.config),
         journal=checkpoint,
         obs=obs,
-        workers=workers,
     )

@@ -7,7 +7,7 @@ simplification against the *original* circuit, and repeat until the RS
 threshold would be violated.  Exactly as in Section IV:
 
 * ER is re-estimated for the whole accumulated change by differential
-  parallel fault simulation (never composed from single-fault ERs);
+  bit-parallel fault simulation (never composed from single-fault ERs);
 * ES is re-estimated against the original circuit -- by observed
   deviation for candidate ranking, and by the conservative threshold
   ATPG for the commit decision (``es_mode="hybrid"``, the default);
@@ -184,7 +184,6 @@ def circuit_simplify(
     config: Optional[GreedyConfig] = None,
     journal: Optional[Union[str, os.PathLike]] = None,
     obs: Optional[Instrumentation] = None,
-    workers: Optional[int] = None,
     progress=None,
     telemetry_interval: Optional[float] = None,
     trace_id: Optional[str] = None,
@@ -208,11 +207,6 @@ def circuit_simplify(
     journal is requested and instrumentation is off, a private registry
     is switched on so the journal always carries real phase timings.
 
-    ``workers`` shards phase-2 candidate scoring across a process pool
-    (:class:`~repro.parallel.pool.ScoringPool`); ``None`` consults the
-    ``REPRO_WORKERS`` environment variable, ``0`` means one per CPU.
-    Parallel runs select the same fault sequence as serial runs.
-
     ``progress`` attaches a live sink (usually a
     :class:`~repro.obs.progress.ProgressReporter`) that receives the
     same event stream as the journal -- the heartbeat can never
@@ -223,17 +217,14 @@ def circuit_simplify(
     ``telemetry_interval`` switches on the background resource sampler
     (:class:`~repro.obs.telemetry.TelemetryMonitor`): RSS/CPU/throughput
     samples every that-many seconds, journaled as v4 ``telemetry``
-    events (coordinator lane plus one lane per scoring-worker pid) and
-    mirrored into gauges and -- when tracing -- Chrome-trace counter
-    tracks.  ``None`` (the default) runs no sampler thread.
+    events and mirrored into gauges and -- when tracing -- Chrome-trace
+    counter tracks.  ``None`` (the default) runs no sampler thread.
 
     ``trace_id`` is an opaque correlation id stamped into the journal
     header (``run_start``/``resume``) and every telemetry event; the
     job server uses it to link a client submission to this run's
     artifacts.  ``None`` (the default) leaves the events untouched.
     """
-    from ..parallel.pool import resolve_workers
-
     cfg = config or GreedyConfig()
     if (rs_threshold is None) == (rs_pct_threshold is None):
         raise ValueError("give exactly one of rs_threshold / rs_pct_threshold")
@@ -243,7 +234,6 @@ def circuit_simplify(
         if rs_threshold is not None
         else float(rs_pct_threshold) * maximum / 100.0
     )
-    num_workers = resolve_workers(workers)
 
     # ------------------------------------------------------------------
     # the journal: load an existing prefix of this run and replay it
@@ -311,9 +301,6 @@ def circuit_simplify(
         obs.incr("checkpoint.resumes")
         obs.incr("checkpoint.replayed_iterations", len(replay.iterations))
 
-    # The monitor attaches to the registry *before* the pool is built:
-    # the pool's executor reads ``obs.telemetry`` to decide whether
-    # workers sample RSS/CPU per shard.
     monitor = None
     if telemetry_interval is not None:
         from ..obs.telemetry import TelemetryMonitor
@@ -321,16 +308,12 @@ def circuit_simplify(
         monitor = TelemetryMonitor(
             obs, sink=tee, interval_s=telemetry_interval, trace_id=trace_id
         )
-        obs.telemetry = monitor
-
-    pool = None
-    if num_workers > 1:
-        from ..parallel.pool import ScoringPool
-
-        pool = ScoringPool(estimator, num_workers, obs=obs)
 
     t_run = time.perf_counter()
     if tee is not None:
+        # Scoring runs in one process; both headers keep their count of
+        # scoring processes (1) so journals and checkpoints keep their
+        # shape.
         if replay is None:
             header = {
                 "event": "run_start",
@@ -343,7 +326,7 @@ def circuit_simplify(
                 "rs_max": float(maximum),
                 "seed": cfg.seed,
                 "num_vectors": estimator.num_vectors,
-                "workers": num_workers,
+                "workers": 1,
                 "config": asdict(cfg),
             }
         else:
@@ -354,7 +337,7 @@ def circuit_simplify(
                 "replayed_iterations": len(replay.iterations),
                 "area": replay.current.area(),
                 "rs": replay.current_rs,
-                "workers": num_workers,
+                "workers": 1,
             }
         # Only stamped when present, so journals of untraced runs (and
         # the golden fixtures) keep their historical shape.
@@ -374,14 +357,12 @@ def circuit_simplify(
             threshold,
             obs,
             tee,
-            pool=pool,
             replay=replay,
         )
         # Stop sampling before the summary snapshot: the final sample's
         # gauges land in the summary, and the journal still ends with it.
         if monitor is not None:
             monitor.stop()
-            obs.telemetry = None
             monitor = None
         if tee is not None:
             snap = obs.snapshot()
@@ -405,9 +386,6 @@ def circuit_simplify(
     finally:
         if monitor is not None:
             monitor.stop()
-            obs.telemetry = None
-        if pool is not None:
-            pool.close()
         if run_journal is not None:
             run_journal.close()
     return result
@@ -471,7 +449,6 @@ def _run_greedy(
     threshold: float,
     obs: Instrumentation,
     journal: Optional[JournalTee],
-    pool=None,
     replay=None,
 ) -> None:
     """The prepass + greedy loop proper, instrumented and journaled.
@@ -554,7 +531,7 @@ def _run_greedy(
             with obs.span("rank"):
                 scored = _rank_candidates(
                     current, candidates, cfg, estimator, threshold, current_rs,
-                    pool=pool, memo=memo,
+                    memo=memo,
                 )
             t_rank = time.perf_counter() - t0
             committed = False
@@ -967,7 +944,6 @@ def _rank_candidates(
     estimator: MetricsEstimator,
     threshold: float,
     current_rs: float,
-    pool=None,
     memo: Optional[_PreviewMemo] = None,
 ) -> List[Tuple[float, StuckAtFault, float, float, int, int]]:
     """Score candidates; sorted best first.
@@ -1003,8 +979,7 @@ def _rank_candidates(
     # threshold are dropped mid-batch (they would be skipped below
     # anyway).
     eps = max(estimator.rs_maximum * 1e-15, 1e-12)
-    scorer = pool if pool is not None else estimator
-    stats = scorer.simulate_faults(
+    stats = estimator.simulate_faults(
         [f for _proxy, _delta, f in shortlist],
         approx=current,
         rs_drop_threshold=threshold,

@@ -54,13 +54,39 @@ def test_simplify_requires_one_threshold(netlist, capsys):
     assert main(["simplify", netlist, "--rs", "1", "--rs-pct", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "verb", [["simplify", "x.bench"], ["table2", "c880"], ["submit", "x.bench"]]
+)
+def test_workers_option_is_gone(verb, capsys):
+    """Scoring runs in one process: --workers is a usage error (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(verb + ["--rs-pct", "1", "--workers", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "unrecognized arguments: --workers 2" in err
+
+
+@pytest.mark.parametrize("top", ["0", "-2"])
+@pytest.mark.parametrize(
+    "verb", [["report", "r.jsonl"], ["profile", "r.jsonl"],
+             ["compare", "a.jsonl", "b.jsonl"]]
+)
+def test_top_below_one_is_a_usage_error(verb, top, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(verb + ["--top", top])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--top: must be at least 1" in err
+
+
 def test_redundancy_command(netlist, capsys):
     assert main(["redundancy", netlist]) == 0
     out = capsys.readouterr().out
     assert "removed 0 redundant" in out  # the adder is irredundant
 
 
-def test_table2_single_row(capsys):
+@pytest.mark.parametrize("fom", ["area_per_rs", "best"])
+def test_table2_single_row(fom, capsys):
     rc = main(
         [
             "table2",
@@ -71,6 +97,8 @@ def test_table2_single_row(capsys):
             "800",
             "--candidate-limit",
             "40",
+            "--fom",
+            fom,
         ]
     )
     assert rc == 0
@@ -129,17 +157,6 @@ def test_simplify_journal_and_report_roundtrip(netlist, tmp_path, capsys):
     assert "status: complete" in out
     assert "=== phase times ===" in out
     assert "greedy" in out
-
-
-def test_simplify_workers_matches_serial(netlist, tmp_path, capsys):
-    """--workers N writes the same netlist as the serial run."""
-    serial_path = tmp_path / "serial.bench"
-    par_path = tmp_path / "par.bench"
-    common = ["simplify", netlist, "--rs-pct", "5", "--vectors", "1000"]
-    assert main(common + ["-o", str(serial_path)]) == 0
-    assert main(common + ["-o", str(par_path), "--workers", "2"]) == 0
-    capsys.readouterr()
-    assert par_path.read_text() == serial_path.read_text()
 
 
 def test_simplify_checkpoint_resume_cli(netlist, tmp_path, capsys):
@@ -248,26 +265,24 @@ def test_quiet_simplify_is_fully_silent(netlist, tmp_path, capsys):
 
 
 def test_simplify_trace_export(netlist, tmp_path, capsys):
-    """--trace writes Chrome-trace JSON; with --workers 2 the export
-    carries the coordinator lane plus two worker lanes."""
+    """--trace writes Chrome-trace JSON with one coordinator lane."""
     import json
 
     trace = tmp_path / "trace.json"
     rc = main(["simplify", netlist, "--rs-pct", "5", "--vectors", "1000",
-               "--workers", "2", "--trace", str(trace)])
+               "--trace", str(trace)])
     assert rc == 0
     assert "chrome trace written to" in capsys.readouterr().out
     with open(trace) as fh:
         payload = json.load(fh)
     lanes = [ev["args"]["name"] for ev in payload["traceEvents"]
              if ev["ph"] == "M"]
-    assert lanes[0] == "repro coordinator"
-    assert "scoring worker 1" in lanes and "scoring worker 2" in lanes
+    assert lanes == ["repro coordinator"]
     spans = [ev for ev in payload["traceEvents"] if ev["ph"] == "X"]
     assert spans and all(ev["dur"] >= 0 for ev in spans)
+    assert {ev["pid"] for ev in spans} == {os.getpid()}
     paths = {ev["args"]["path"] for ev in spans}
     assert any(p.startswith("greedy") for p in paths)
-    assert "shard" in paths  # worker-side spans merged in
 
 
 def test_simplify_trace_does_not_change_result(netlist, tmp_path, capsys):

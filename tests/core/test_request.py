@@ -176,8 +176,11 @@ def test_from_cli_args():
     assert req.fom == "best"
     assert req.num_vectors == 2048
     assert req.redundancy_prepass is False  # --no-prepass
-    assert req.workers == 2
+    assert req.workers is None  # a namespace's worker count is not read
     assert req.journal == "ck.jsonl"
+    # overrides win, as in from_config
+    swept = SimplifyRequest.from_cli_args(ns, rs_pct_threshold=2.0, weights="netlist")
+    assert swept.rs_pct_threshold == 2.0 and swept.weights == "netlist"
 
 
 def test_schema_version_in_wire_form():
@@ -260,6 +263,10 @@ _BASE = {"rs_pct_threshold": 2.0}
         ("num_vectors", False),
         ("seed", 1.5),
         ("seed", -1),
+        ("candidate_limit", -1),
+        ("max_iterations", -1),
+        ("atpg_node_limit", -1),
+        ("prepass_backtrack_limit", -1),
         ("max_iterations", None),
         ("atpg_node_limit", "4000"),
         ("prepass_backtrack_limit", 0.5),
@@ -276,6 +283,20 @@ _BASE = {"rs_pct_threshold": 2.0}
 def test_malformed_fields_are_invalid_requests(field, value):
     with pytest.raises(InvalidRequestError, match=field):
         SimplifyRequest.from_dict({**_BASE, field: value})
+
+
+def test_retired_workers_field_changes_nothing():
+    """``workers`` is accepted and type-checked but read by nothing:
+    a request carrying it commits the same faults as the default."""
+    from tests.conftest import build_ripple_adder
+
+    base = SimplifyRequest(rs_pct_threshold=5.0, fom="area_per_rs", exhaustive=True)
+    plain = base.run(build_ripple_adder(4))
+    retired = base.replace(workers=2).run(build_ripple_adder(4))
+    assert plain.faults
+    assert [str(f) for f in retired.faults] == [str(f) for f in plain.faults]
+    assert retired.area_reduction == plain.area_reduction
+    assert retired.request.fingerprint() == plain.request.fingerprint()
 
 
 def test_malformed_json_numbers_are_invalid_requests():

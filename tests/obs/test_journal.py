@@ -207,10 +207,8 @@ def _run_c17(tmp_path):
         datapath_only=False,
         redundancy_prepass=True,
     )
-    # The golden records a serial run (its header says ``workers: 1``),
-    # so pin it against a REPRO_WORKERS setting in the environment.
     result = circuit_simplify(
-        build_c17(), rs_pct_threshold=10.0, config=cfg, journal=path, workers=1
+        build_c17(), rs_pct_threshold=10.0, config=cfg, journal=path
     )
     return path, result
 

@@ -119,7 +119,7 @@ def test_kernel_stats_absent_without_pass_counters():
 
 
 # ----------------------------------------------------------------------
-# timelines and workers
+# timelines
 # ----------------------------------------------------------------------
 def _tel(t_s, rss, lane="coordinator", pid=1, **over):
     ev = {
@@ -148,23 +148,6 @@ def test_rss_timeline_thins_but_keeps_first_last_peak():
     assert 37.0 in times
     assert timeline["peak_bytes"] == 999_999
     assert "<-- peak" in render_profile(profile)
-
-
-def test_worker_utilization_averaged_per_lane():
-    telemetry = [
-        _tel(1.0, 10, lane="worker-5", pid=5),
-        _tel(2.0, 30, lane="worker-5", pid=5, utilization=0.8),
-        _tel(3.0, 20, lane="worker-5", pid=5, utilization=0.4),
-        _tel(1.5, 40, lane="worker-9", pid=9),
-    ]
-    profile = profile_events(
-        _events({"greedy": (3.0, 1)}, elapsed=3.0, telemetry=telemetry)
-    )
-    workers = {w["lane"]: w for w in profile["workers"]}
-    assert workers["worker-5"]["utilization"] == pytest.approx(0.6)
-    assert workers["worker-5"]["peak_rss_bytes"] == 30
-    assert workers["worker-9"]["utilization"] is None
-    assert "worker utilization" in render_profile(profile)
 
 
 def test_elapsed_falls_back_to_telemetry_then_timers():

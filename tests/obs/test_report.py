@@ -137,16 +137,16 @@ def test_fmt_s_scales_units():
 
 
 # ----------------------------------------------------------------------
-# pinned parallel counters + derived cache hit-rates
+# pinned quality counters + derived cache hit-rates
 # ----------------------------------------------------------------------
-def test_parallel_counters_pinned_into_top_k():
+def test_quality_counters_pinned_into_top_k():
     counters = {f"c{i:02d}": 1000 - i for i in range(10)}
-    counters["parallel.shard_fallbacks"] = 2  # far below every c* row
-    counters["parallel.pool_failures"] = 1
+    counters["quality.budget_risk_accepts"] = 2  # far below every c* row
+    counters["quality.zero_pattern_estimates"] = 1
     out = render_report([_header(), _summary(counters=counters)], top_k=3)
     assert "c00" in out and "c03" not in out
-    assert "parallel.shard_fallbacks" in out
-    assert "parallel.pool_failures" in out
+    assert "quality.budget_risk_accepts" in out
+    assert "quality.zero_pattern_estimates" in out
 
 
 def test_derived_cache_hit_rate_rows():
@@ -207,13 +207,13 @@ def test_report_as_dict_interrupted_and_derived():
     }
 
 
-def test_report_as_dict_pins_parallel_counters():
+def test_report_as_dict_pins_quality_counters():
     from repro.obs import report_as_dict
 
     counters = {f"c{i:02d}": 1000 - i for i in range(10)}
-    counters["parallel.shard_fallbacks"] = 2
+    counters["quality.budget_risk_accepts"] = 2
     d = report_as_dict([_header(), _summary(counters=counters)], top_k=3)
-    assert "parallel.shard_fallbacks" in d["counters"]
+    assert "quality.budget_risk_accepts" in d["counters"]
     assert len([k for k in d["counters"] if k.startswith("c")]) == 3
 
 

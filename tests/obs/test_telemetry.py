@@ -1,4 +1,4 @@
-"""Background telemetry: sampler lifecycle, rates, worker lanes, e2e."""
+"""Background telemetry: sampler lifecycle, rates, trace tracks, e2e."""
 
 import json
 import time
@@ -14,7 +14,6 @@ from repro.obs import (
     load_journal,
     sample_rss_bytes,
     validate_event,
-    worker_sample,
 )
 from repro.obs.telemetry import THROUGHPUT_SOURCES
 from repro.simplify import GreedyConfig, circuit_simplify
@@ -28,8 +27,6 @@ from tests.conftest import build_c17
 def test_rss_and_cpu_primitives_read_positive():
     assert sample_rss_bytes() > 1_000_000  # a python process is >1 MB
     assert cpu_seconds() > 0.0
-    pid, instant, rss, cpu = worker_sample()
-    assert pid > 0 and instant > 0 and rss > 1_000_000 and cpu > 0
 
 
 # ----------------------------------------------------------------------
@@ -73,8 +70,7 @@ def test_rates_derive_from_counter_deltas():
     assert first["gauges"] == {name: 0.0 for name, _ in THROUGHPUT_SOURCES}
     obs.incr("estimator.vectors_simulated", 500)
     obs.incr("faultsim.vectors_simulated", 500)
-    obs.incr("batchsim.faults_evaluated", 30)
-    obs.incr("parallel.faults_scored_remote", 10)
+    obs.incr("batchsim.faults_evaluated", 40)
     obs.incr("greedy.candidates_scored", 20)
     time.sleep(0.05)
     second = mon.sample()
@@ -96,49 +92,6 @@ def test_sink_receives_every_sample(tmp_path):
             pass
     events = load_journal(path, strict=True)
     assert events == mon.samples
-
-
-# ----------------------------------------------------------------------
-# worker lanes
-# ----------------------------------------------------------------------
-def test_add_worker_samples_builds_lanes_and_utilization():
-    obs = Instrumentation()
-    mon = TelemetryMonitor(obs, interval_s=60.0)
-    mon.start()
-    epoch = mon.epoch
-    merged = mon.add_worker_samples(
-        [
-            (4242, epoch + 1.0, 50_000_000, 1.0),
-            (4242, epoch + 3.0, 60_000_000, 2.0),  # 1 cpu-s over 2 wall-s
-            (7777, epoch + 2.0, 40_000_000, 0.5),
-        ]
-    )
-    mon.stop()
-    assert merged == 3
-    workers = [ev for ev in mon.samples if ev["lane"].startswith("worker-")]
-    assert [ev["lane"] for ev in workers] == [
-        "worker-4242",
-        "worker-4242",
-        "worker-7777",
-    ]
-    for ev in workers:
-        validate_event(ev)
-    assert "utilization" not in workers[0]  # no prior cursor for the pid
-    assert workers[1]["utilization"] == pytest.approx(0.5)
-    assert obs.snapshot()["gauges"]["telemetry.worker_rss_peak_bytes"] == 60_000_000
-
-
-def test_worker_utilization_capped_at_one():
-    obs = Instrumentation()
-    mon = TelemetryMonitor(obs, interval_s=60.0)
-    mon.start()
-    epoch = mon.epoch
-    mon.add_worker_samples(
-        [(1, epoch + 1.0, 1, 0.0), (1, epoch + 2.0, 1, 50.0)]
-    )
-    mon.stop()
-    workers = [ev for ev in mon.samples if ev["lane"] == "worker-1"]
-    assert workers[1]["utilization"] == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -180,36 +133,15 @@ def test_simplify_with_telemetry_journals_both_lanes(tmp_path):
     assert events[0]["event"] == "run_start"  # header stays first
     tel = [e for e in events if e["event"] == "telemetry"]
     coord = [e for e in tel if e["lane"] == "coordinator"]
-    # REPRO_WORKERS>1 (the parallel CI job) adds worker lanes on top.
     assert len(coord) >= 2
     summary = events[-1]
     assert summary["event"] == "summary"
     assert summary["gauges"]["telemetry.rss_peak_bytes"] >= max(
         e["rss_bytes"] for e in coord
     )
-    # the samples gauge counts every lane; the final coordinator sample
-    # is taken after the last worker merge, so it equals the event count
+    # the final sample lands before the summary, so the samples gauge
+    # equals the journaled event count
     assert summary["gauges"]["telemetry.samples"] == len(tel)
-
-
-def test_simplify_with_workers_ships_worker_lanes(tmp_path):
-    path = tmp_path / "run.jsonl"
-    circuit_simplify(
-        build_c17(),
-        rs_pct_threshold=10.0,
-        config=GreedyConfig(num_vectors=32, seed=0, exhaustive=True),
-        workers=2,
-        journal=path,
-        telemetry_interval=0.02,
-    )
-    tel = [
-        e
-        for e in load_journal(path, strict=True)
-        if e["event"] == "telemetry"
-    ]
-    lanes = {e["lane"] for e in tel}
-    assert "coordinator" in lanes
-    assert any(lane.startswith("worker-") for lane in lanes)
 
 
 def test_telemetry_interval_validation():
