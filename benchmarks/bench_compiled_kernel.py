@@ -8,17 +8,18 @@ Four measurements on the big Table II circuits (c5315, c7552):
 * greedy phase-2 candidate ranking (``MetricsEstimator.simulate_faults``
   over the real greedy shortlist),
 * an end-to-end ``circuit_simplify`` run,
-* background-telemetry sampling overhead on an end-to-end run.
+* run-journal overhead on an end-to-end run.
 
 Every row also records process RSS after the timed runs plus the
-run-wide peak, so ``repro trends`` can flag memory regressions
-alongside the timing ones.
+run-wide peak, so memory moves show next to the timing ones.
 
 Rows land in ``bench_results.txt`` and machine-readably in
-``BENCH_compiled_kernel.json`` (consumed by ``repro trends`` in CI).
+``BENCH_compiled_kernel.json``.
 """
 
+import itertools
 import os
+import resource
 import time
 
 import numpy as np
@@ -27,7 +28,6 @@ import pytest
 from repro.benchlib import ISCAS85_SUITE
 from repro.faults import enumerate_faults
 from repro.metrics import MetricsEstimator
-from repro.obs.telemetry import peak_rss_bytes, sample_rss_bytes
 from repro.simplify import GreedyConfig, circuit_simplify, preview_area_reduction
 from repro.simulation import CompiledSimulator, LogicSimulator, random_vectors
 
@@ -46,14 +46,25 @@ def _timeit(fn, rounds=ROUNDS):
     return (time.perf_counter() - t0) / rounds
 
 
+def _peak_rss_mb():
+    """Process-lifetime peak RSS (``ru_maxrss`` is in kilobytes on Linux)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6, 1)
+
+
 def _rss_mb():
-    return round(sample_rss_bytes() / 1e6, 1)
+    """Current RSS: resident pages from ``/proc/self/statm``, else the peak."""
+    try:
+        with open("/proc/self/statm", "rb") as fh:
+            pages = int(fh.read().split()[1])
+    except OSError:
+        return _peak_rss_mb()
+    return round(pages * os.sysconf("SC_PAGE_SIZE") / 1e6, 1)
 
 
 def _rss_fields(rss_compiled_mb, rss_python_mb=None):
     fields = {
         "rss_compiled_mb": rss_compiled_mb,
-        "rss_peak_mb": round(peak_rss_bytes() / 1e6, 1),
+        "rss_peak_mb": _peak_rss_mb(),
     }
     if rss_python_mb is not None:
         fields["rss_python_mb"] = rss_python_mb
@@ -180,18 +191,21 @@ def test_end_to_end_simplify(name, benchmark, bench_rows, bench_json):
     )
 
 
-def test_telemetry_overhead(benchmark, bench_rows, bench_json):
-    """Sampled RSS/CPU telemetry must stay in the noise (<2% target).
+def test_journal_overhead(tmp_path, benchmark, bench_rows, bench_json):
+    """Journaling a run must stay in the noise (<2% target).
 
-    Times a bounded ``circuit_simplify`` on c5315 with
-    and without a 50ms background sampler.  The assertion bound is
-    deliberately loose (10%) so CI jitter can't flake the job; the
-    measured number lands in the bench JSON for ``repro trends``.
+    Times a bounded ``circuit_simplify`` on c5315 with and without
+    ``journal=`` (a journal also switches the run's instrumentation
+    on).  Every journaled run writes a fresh file: a complete journal
+    would be rebuilt, not re-run.  The assertion bound is deliberately
+    loose (10%) so CI jitter can't flake the job; the measured number
+    lands in the bench JSON.
     """
     circuit = ISCAS85_SUITE["c5315"].builder()
     iters = 10 if FULL else 6
+    run_ids = itertools.count()
 
-    def run(telemetry_interval):
+    def run(journaled):
         cfg = GreedyConfig(
             num_vectors=NUM_VECTORS,
             seed=0,
@@ -199,42 +213,39 @@ def test_telemetry_overhead(benchmark, bench_rows, bench_json):
             max_iterations=iters,
             atpg_node_limit=400,
         )
+        journal = tmp_path / f"run{next(run_ids)}.jsonl" if journaled else None
         t0 = time.perf_counter()
         circuit_simplify(
-            circuit,
-            rs_pct_threshold=2.0,
-            config=cfg,
-            telemetry_interval=telemetry_interval,
+            circuit, rs_pct_threshold=2.0, config=cfg, journal=journal
         )
         return time.perf_counter() - t0
 
-    run(None)  # warm caches so both timed variants see the same state
+    run(False)  # warm caches so both timed variants see the same state
     # Interleave the variants: run-to-run drift (allocator growth, cache
     # state) then lands on both sides instead of being read as overhead.
-    plain_times, tel_times = [], []
+    plain_times, journal_times = [], []
     for _ in range(ROUNDS + 1):
-        plain_times.append(run(None))
-        tel_times.append(run(0.05))
+        plain_times.append(run(False))
+        journal_times.append(run(True))
     t_plain = sorted(plain_times)[len(plain_times) // 2]
-    t_tel = sorted(tel_times)[len(tel_times) // 2]
-    benchmark.pedantic(lambda: run(0.05), rounds=1, iterations=1)
-    overhead_pct = (t_tel / t_plain - 1.0) * 100.0
+    t_journal = sorted(journal_times)[len(journal_times) // 2]
+    benchmark.pedantic(lambda: run(True), rounds=1, iterations=1)
+    overhead_pct = (t_journal / t_plain - 1.0) * 100.0
     bench_rows.append(
-        f"KERNEL-TEL c5315  50ms sampler: plain={t_plain:6.2f}s  "
-        f"telemetry={t_tel:6.2f}s  overhead={overhead_pct:+.1f}%"
+        f"KERNEL-JOURNAL c5315  plain={t_plain:6.2f}s  "
+        f"journal={t_journal:6.2f}s  overhead={overhead_pct:+.1f}%"
     )
     bench_json["compiled_kernel"].append(
         {
-            "bench": "telemetry_overhead",
+            "bench": "journal_overhead",
             "circuit": "c5315",
             "iterations": iters,
             "num_vectors": NUM_VECTORS,
             "full_profile": FULL,
-            "interval_s": 0.05,
             "t_plain_s": round(t_plain, 3),
-            "t_telemetry_s": round(t_tel, 3),
+            "t_journal_s": round(t_journal, 3),
             "overhead_pct": round(overhead_pct, 2),
-            "rss_peak_mb": round(peak_rss_bytes() / 1e6, 1),
+            "rss_peak_mb": _peak_rss_mb(),
         }
     )
     assert overhead_pct < 10.0

@@ -9,7 +9,7 @@ content-addressed result cache).  The warm/cold ratio is the value of
 the cache; the p99 latency is what a queued client actually waits.
 
 Rows land in ``BENCH_service_throughput.json`` (via the shared
-``bench_json`` fixture), which ``repro trends`` tracks across PRs.
+``bench_json`` fixture).
 """
 
 import os
@@ -97,10 +97,9 @@ def test_service_throughput(service, bench_rows, bench_json, concurrency):
         client, [warm_req] * _JOBS_PER_LEVEL, concurrency
     )
 
-    # Metric names follow the trends direction conventions: ``t_*_ms``
-    # and ``*_p99_ms`` are lower-is-better, ``speedup*`` is
-    # higher-is-better.  (Raw jobs/s would end in ``_s`` and be
-    # misread as a time.)
+    # Metric names carry their direction: ``t_*_ms`` and ``*_p99_ms``
+    # are lower-is-better, ``speedup*`` is higher-is-better.  (Raw
+    # jobs/s would end in ``_s`` and be misread as a time.)
     row = {
         "concurrency": concurrency,
         "jobs": _JOBS_PER_LEVEL,

@@ -58,9 +58,8 @@ def bench_json():
     Benches append dict rows under a bench name
     (``bench_json["candidate_ranking"].append({...})``); at teardown
     each name is written to ``BENCH_<name>.json`` next to
-    ``bench_results.txt``, so the perf trajectory is trackable across
-    PRs (and uploadable as a CI artifact) without parsing the human
-    text rows.
+    ``bench_results.txt``, so a run's numbers can be read (and uploaded
+    as a CI artifact) without parsing the human text rows.
     """
     tables: dict[str, list[dict]] = {}
 

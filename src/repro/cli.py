@@ -10,14 +10,12 @@ file extension) and on the built-in benchmark suite:
   OpenMetrics/Prometheus exposition via ``--format openmetrics``)
 * ``profile``    -- self-time attribution over a run journal: exclusive
   time per span, wall-clock attribution coverage (flags unattributed
-  time), kernel bytes-moved throughput and the sampled peak-RSS
-  timeline (needs a run with ``--telemetry-interval``)
+  time) and kernel bytes-moved throughput
 * ``compare``    -- iteration-by-iteration diff of two run journals
 * ``audit``      -- estimator-calibration / RS-budget audit of a run
   journal: predicted vs. realized deltas per committed fault, Wilson
   ER confidence intervals, budget-risk flags (exit 3 when any fire),
   and ``--exact`` BDD cross-check of the final ER on small circuits
-* ``trends``     -- benchmark history + trailing-median regression gate
 * ``redundancy`` -- classical redundancy removal only
 * ``table2``     -- one Table II row on a built-in ISCAS85-like circuit
 * ``dct-study``  -- the Section II JPEG/DCT application study
@@ -40,13 +38,10 @@ genuinely silences everything below WARNING.  ``simplify`` and
 ``table2`` accept ``--journal PATH`` to stream a structured JSONL run
 journal and ``--profile`` to dump the phase-time / counter breakdown
 after the run; ``simplify`` additionally takes ``--trace PATH`` (Chrome
-trace export, Perfetto-loadable),
-``--progress PATH`` (atomic machine-readable heartbeat plus a
-``telemetry.prom`` OpenMetrics drop next to it; a live TTY stderr line
-appears automatically when stderr is a terminal and ``--quiet`` is not
-set) and ``--telemetry-interval SECONDS`` (background RSS/CPU/
-throughput sampling into the journal); ``report`` and ``profile``
-render the journal views later.
+trace export, Perfetto-loadable) and ``--progress PATH`` (atomic
+machine-readable heartbeat; a live TTY stderr line appears
+automatically when stderr is a terminal and ``--quiet`` is not set);
+``report`` and ``profile`` render the journal views later.
 
 Output netlists are written in the format implied by the output path's
 extension.
@@ -71,11 +66,7 @@ from .obs import (
     JournalError,
     ProgressReporter,
     TraceRecorder,
-    append_history,
     compare_files,
-    detect_regressions,
-    load_bench_file,
-    read_history,
     render_compare,
     render_snapshot,
     report_from_file,
@@ -137,8 +128,6 @@ def _configure_logging(verbose: bool, quiet: bool) -> None:
 def _add_greedy_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rs-pct", type=float, default=None,
                    help="RS threshold as percent of the circuit's maximum RS")
-    p.add_argument("--rs", type=float, default=None,
-                   help="absolute RS threshold")
     p.add_argument("--vectors", type=int, default=10_000,
                    help="simulation vectors for ER estimation (default 10000)")
     p.add_argument("--seed", type=int, default=0)
@@ -155,6 +144,11 @@ def _add_greedy_options(p: argparse.ArgumentParser) -> None:
                    help="skip the redundancy-removal prepass")
     p.add_argument("--pow2-es", action="store_true",
                    help="paper-conservative power-of-two ES in commit checks")
+
+
+def _add_rs_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rs", type=float, default=None,
+                   help="absolute RS threshold")
 
 
 def _add_weights_option(p: argparse.ArgumentParser) -> None:
@@ -197,12 +191,6 @@ def _add_live_obs_options(p: argparse.ArgumentParser) -> None:
                    metavar="SECONDS",
                    help="minimum seconds between progress snapshots "
                         "(default 2)")
-    p.add_argument("--telemetry-interval", type=float, default=None,
-                   metavar="SECONDS",
-                   help="sample RSS/CPU/throughput every SECONDS into the "
-                        "journal (v4 telemetry events); render with "
-                        "`repro profile` or `repro report --format "
-                        "openmetrics`")
 
 
 def _load_weighted(path: str, weights: str):
@@ -275,17 +263,11 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     # snapshot is machine-facing and is written either way.
     heartbeat = sys.stderr.isatty() and not args.quiet
     progress = None
-    prom_path = None
-    if args.progress:
-        # The OpenMetrics drop lives next to progress.json so a
-        # textfile collector scrapes one directory.
-        prom_path = str(Path(args.progress).absolute().with_name("telemetry.prom"))
     if args.progress or heartbeat:
         progress = ProgressReporter(
             stream=sys.stderr if heartbeat else None,
             json_path=args.progress,
             interval_s=args.progress_interval,
-            prom_path=prom_path,
         )
     try:
         request = SimplifyRequest.from_cli_args(args)
@@ -313,7 +295,6 @@ def cmd_simplify(args: argparse.Namespace) -> int:
         logger.info(f"chrome trace written to {args.trace} ({spans} spans)")
     if args.progress:
         logger.info(f"progress snapshot written to {args.progress}")
-        logger.info(f"openmetrics snapshot written to {prom_path}")
     if args.profile and obs is not None:
         logger.info("\n" + render_snapshot(obs.snapshot()))
     if args.output:
@@ -435,45 +416,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trends(args: argparse.Namespace) -> int:
-    try:
-        history = read_history(args.history)
-    except ValueError as exc:
-        logger.error(str(exc))
-        return 2
-    regressions = []
-    for path in args.bench:
-        try:
-            name, rows = load_bench_file(path)
-        except FileNotFoundError:
-            logger.warning(f"trends: no such bench snapshot: {path}")
-            continue
-        except (ValueError, json.JSONDecodeError) as exc:
-            logger.warning(f"trends: skipping {path}: {exc}")
-            continue
-        flagged = detect_regressions(
-            history, name, rows,
-            threshold=args.threshold / 100.0, window=args.window,
-        )
-        for reg in flagged:
-            logger.warning(reg.describe())
-        logger.info(
-            f"TREND {name}: {len(rows)} row(s), "
-            f"{len(flagged)} regression(s) vs trailing median "
-            f"(window {args.window}, threshold {args.threshold:g}%)"
-        )
-        if not args.no_append:
-            try:
-                history.extend(append_history(args.history, name, rows))
-            except OSError as exc:
-                logger.error(f"trends: cannot write history {args.history}: {exc}")
-                return 2
-        regressions.extend(flagged)
-    if regressions and args.fail_on_regression:
-        return 3
-    return 0
-
-
 def cmd_redundancy(args: argparse.Namespace) -> int:
     circuit = _load_weighted(args.netlist, args.weights)
     res = remove_redundancies(circuit)
@@ -507,8 +449,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
             # The sweep point is the budget, and the built-in circuits
             # carry their own output weights.
             request = SimplifyRequest.from_cli_args(
-                args, rs_threshold=None, rs_pct_threshold=pct,
-                weights="netlist", journal=journal,
+                args, rs_pct_threshold=pct, weights="netlist", journal=journal,
             )
             outcome = request.run(circuit, obs=obs)
         except ReproError as exc:
@@ -761,6 +702,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("netlist")
     p.add_argument("-o", "--output", default=None, help="write .bench here")
     _add_greedy_options(p)
+    _add_rs_option(p)
     _add_weights_option(p)
     _add_obs_options(p)
     _add_live_obs_options(p)
@@ -779,7 +721,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("profile",
                        help="self-time attribution over a run journal "
                             "(exclusive span times, wall-clock coverage, "
-                            "kernel throughput, RSS timeline)")
+                            "kernel throughput)")
     p.add_argument("journal", help="journal JSONL path from --journal")
     p.add_argument("--top", type=_positive_int, default=12,
                    help="span rows in the self-time table (default 12)")
@@ -822,30 +764,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--weights", choices=["unit", "binary"], default="binary")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("trends",
-                       help="append BENCH_*.json rows to a history file and "
-                            "flag regressions vs the trailing median")
-    p.add_argument("bench", nargs="+", help="BENCH_<name>.json snapshot(s)")
-    p.add_argument("--history", default="BENCH_history.jsonl", metavar="PATH",
-                   help="JSONL history file (default BENCH_history.jsonl)")
-    p.add_argument("--threshold", type=float, default=15.0, metavar="PCT",
-                   help="regression threshold in percent (default 15)")
-    p.add_argument("--window", type=int, default=5,
-                   help="trailing history entries per median (default 5)")
-    p.add_argument("--no-append", action="store_true",
-                   help="only check; do not record the new rows")
-    p.add_argument("--fail-on-regression", action="store_true",
-                   help="exit 3 when any metric regresses (CI wraps this "
-                        "in a soft-fail step)")
-    p.set_defaults(func=cmd_trends)
-
     p = sub.add_parser("redundancy", help="classical redundancy removal")
     p.add_argument("netlist")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--weights", choices=["unit", "binary"], default="binary")
     p.set_defaults(func=cmd_redundancy)
 
-    p = sub.add_parser("table2", help="Table II row on a built-in benchmark")
+    # No abbreviations: table2 takes no --rs, which would otherwise
+    # silently abbreviate --rs-pct.
+    p = sub.add_parser("table2", help="Table II row on a built-in benchmark",
+                       allow_abbrev=False)
     p.add_argument("circuit", choices=["c880", "c1908", "c3540", "c5315", "c7552"])
     _add_greedy_options(p)
     _add_obs_options(p)
@@ -859,7 +787,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("netlist")
     p.add_argument("--er", type=float, default=0.0,
                    help="test only faults with ER above this (default 0: all)")
-    p.add_argument("--candidates", type=int, default=2048)
+    p.add_argument("--candidates", type=_positive_int, default=2048)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None, help="write vectors here")
     p.add_argument("--weights", choices=["unit", "binary"], default="binary")
@@ -867,12 +795,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser("yield", help="effective-yield analysis on a defect population")
     p.add_argument("netlist")
-    p.add_argument("--chips", type=int, default=300)
+    p.add_argument("--chips", type=_positive_int, default=300)
     p.add_argument("--density", type=float, default=0.8,
                    help="expected defects per chip (Poisson lambda)")
     p.add_argument("--rs", type=float, default=None, help="absolute RS budget")
     p.add_argument("--rs-pct", type=float, default=None, help="RS budget in %% of RS_max")
-    p.add_argument("--vectors", type=int, default=5000)
+    p.add_argument("--vectors", type=_positive_int, default=5000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weights", choices=["unit", "binary"], default="binary")
     p.set_defaults(func=cmd_yield)
@@ -880,7 +808,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("serve", help="run the simplification job server")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765)
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=_positive_int, default=2,
                    help="concurrent job runner processes (default 2)")
     p.add_argument("--queue-limit", type=int, default=64,
                    help="pending-job bound; further submits get HTTP 429")
@@ -900,6 +828,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--url", default="http://127.0.0.1:8765",
                    help="job server base URL (default http://127.0.0.1:8765)")
     _add_greedy_options(p)
+    _add_rs_option(p)
     _add_weights_option(p)
     p.add_argument("--wait", action="store_true",
                    help="poll until the job finishes and print the report")

@@ -80,23 +80,24 @@ SCHEMA_VERSION = 2
 
 #: Request fields that do not change the mathematical outcome of a run
 #: -- the retired ``workers`` count (accepted and type-checked, read by
-#: nothing: every run scores in one process), the journal path, the
-#: sampling interval and the correlation id.  They are excluded from
+#: nothing: every run scores in one process), the journal path and the
+#: correlation id.  They are excluded from
 #: :meth:`SimplifyRequest.fingerprint`, so two submissions differing
 #: only here share one result-cache entry.
 _NON_SEMANTIC_FIELDS = (
     "workers",
     "journal",
-    "telemetry_interval",
     "trace_id",
 )
 
-#: Retired request fields.  Each chose between two bit-identical code
-#: paths that no longer both exist (``engine``: the per-gate or compiled
-#: simulator; ``use_batch_ranking``: per-candidate or batch fault
-#: simulation for ranking), so stored payloads carrying them still load
-#: and the value is ignored.
-_RETIRED_FIELDS = ("engine", "use_batch_ranking")
+#: Retired request fields, dropped on load so stored payloads carrying
+#: them still load and the value is ignored.  ``engine`` and
+#: ``use_batch_ranking`` each chose between two bit-identical code paths
+#: that no longer both exist (the per-gate or compiled simulator;
+#: per-candidate or batch fault simulation for ranking); the third set
+#: the period of a resource sampler that no longer exists.  None of
+#: them changed a result, so fingerprints do not move.
+_RETIRED_FIELDS = ("engine", "use_batch_ranking", "telemetry_interval")
 
 #: Correlation-id charset: URL- and filename-safe, boundable in logs.
 _TRACE_ID_RE = re.compile(r"^[A-Za-z0-9._\-]{1,128}$")
@@ -134,9 +135,9 @@ def _int_field(name: str, value: Any) -> int:
     return int(value)
 
 
-def _real_field(name: str, value: Any, positive: bool = False) -> Any:
-    """A finite real ``>= 0`` (``> 0`` when ``positive``), numpy scalars
-    as the Python number they equal; bools are not numbers here."""
+def _real_field(name: str, value: Any) -> Any:
+    """A finite real ``>= 0``, numpy scalars as the Python number they
+    equal; bools are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidRequestError(f"{name} must be a number, got {value!r}")
     if not isinstance(value, (int, float)):
@@ -145,9 +146,10 @@ def _real_field(name: str, value: Any, positive: bool = False) -> Any:
         finite = math.isfinite(value)
     except OverflowError:  # an int too large for a float
         finite = False
-    if not finite or value < 0 or (positive and value == 0):
-        kind = "positive" if positive else "non-negative"
-        raise InvalidRequestError(f"{name} must be a finite {kind} number, got {value!r}")
+    if not finite or value < 0:
+        raise InvalidRequestError(
+            f"{name} must be a finite non-negative number, got {value!r}"
+        )
     return value
 
 
@@ -312,13 +314,11 @@ class SimplifyRequest:
     event of the run to a JSONL file that is also its checkpoint: a
     rerun on the same path resumes a killed run bit-identically
     (:mod:`repro.parallel.checkpoint`; ``fom="best"`` writes one file
-    per FOM, see :func:`journal_paths`); ``telemetry_interval``
-    switches on the background RSS/CPU/throughput sampler
-    (:mod:`repro.obs.telemetry`) at that many seconds per sample.
+    per FOM, see :func:`journal_paths`).
 
     ``trace_id`` is an opaque correlation id stamped into the run's
-    journal header and telemetry events so a service submission can be
-    traced into the runner subprocess that executed it.  Like the
+    journal header so a service submission can be traced into the
+    runner subprocess that executed it.  Like the
     journal path it is non-semantic: two requests differing only in
     ``trace_id`` share one result-cache entry.
 
@@ -345,7 +345,6 @@ class SimplifyRequest:
     weights: str = "netlist"
     workers: Optional[int] = None
     journal: Optional[str] = None
-    telemetry_interval: Optional[float] = None
     trace_id: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -370,10 +369,6 @@ class SimplifyRequest:
             if not isinstance(value, (bool, np.bool_)):
                 raise InvalidRequestError(f"{name} must be true or false, got {value!r}")
             checked[name] = bool(value)
-        if self.telemetry_interval is not None:
-            checked["telemetry_interval"] = _real_field(
-                "telemetry_interval", self.telemetry_interval, positive=True
-            )
         for name, value in checked.items():
             object.__setattr__(self, name, value)
         for name in _COUNT_FIELDS:
@@ -445,7 +440,6 @@ class SimplifyRequest:
             pow2_es=getattr(args, "pow2_es", False),
             weights=getattr(args, "weights", "netlist"),
             journal=getattr(args, "journal", None),
-            telemetry_interval=getattr(args, "telemetry_interval", None),
             trace_id=getattr(args, "trace_id", None),
         )
         fields.update(overrides)
@@ -535,11 +529,11 @@ class SimplifyRequest:
         """Content digest of the *semantic* request fields.
 
         The :data:`_NON_SEMANTIC_FIELDS` (the retired ``workers``
-        count, the journal path, the sampling interval and the
-        correlation id) are excluded: none of them changes the result,
-        so requests differing only there share one result-cache
-        entry.  ``schema_version`` is excluded too -- the
-        digest covers run semantics, not wire framing.
+        count, the journal path and the correlation id) are excluded:
+        none of them changes the result, so requests differing only
+        there share one result-cache entry.  ``schema_version`` is
+        excluded too -- the digest covers run semantics, not wire
+        framing.
         """
         data = dataclasses.asdict(self)
         for key in _NON_SEMANTIC_FIELDS:
@@ -777,7 +771,6 @@ def simplify(
             journal=journal,
             obs=obs,
             progress=progress,
-            telemetry_interval=request.telemetry_interval,
             trace_id=request.trace_id,
         )
         runs.append((fom, result))

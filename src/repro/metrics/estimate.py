@@ -25,7 +25,7 @@ positionally, so renamed constant-tied outputs keep contributing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,7 +93,6 @@ class MetricsEstimator:
             if self._good_words
             else np.zeros((0, self.packed.shape[1]), dtype=np.uint64)
         )
-        self._batch_cache: Dict[int, BatchFaultSimulator] = {}
 
     # ------------------------------------------------------------------
     def measure(
@@ -292,9 +291,10 @@ class MetricsEstimator:
         The fault-parallel counterpart of calling :meth:`simulate` once
         per single fault: every fault is measured against the *original*
         circuit's good outputs, but its propagation replays only the
-        fault's fanout cone on top of the (cached) fault-free baseline
-        of ``approx``.  Results are bit-identical to :meth:`simulate`;
-        with ``rs_drop_threshold`` set, faults whose running
+        fault's fanout cone on top of the fault-free baseline of
+        ``approx``, simulated once per call.  Results are bit-identical
+        to :meth:`simulate`; with ``rs_drop_threshold`` set, faults
+        whose running
         ``ER * max|deviation|`` lower bound already exceeds the
         threshold are dropped early (``stats.dropped``), which is sound
         for candidate *rejection* but leaves their stats as lower
@@ -307,12 +307,6 @@ class MetricsEstimator:
         return bsim.evaluate(faults, rs_drop_threshold=rs_drop_threshold)
 
     def _batch_simulator_for(self, target: Circuit) -> BatchFaultSimulator:
-        key = id(target)
-        bsim = self._batch_cache.get(key)
-        if bsim is not None and bsim.circuit is target:
-            self.obs.incr("estimator.batchsim_cache_hits")
-            return bsim
-        self.obs.incr("estimator.batchsim_cache_misses")
         if len(target.outputs) != len(self.circuit.outputs):
             raise ValueError("approximate circuit must preserve the output count")
         value_names = [target.outputs[p] for p in self._value_pos]
@@ -330,7 +324,6 @@ class MetricsEstimator:
                 reference_outputs=self._good_words_arr,
                 reference_value_bits=self._good_value_bits,
             )
-        self._batch_cache = {key: bsim}  # keep only the latest netlist
         return bsim
 
     def _simulator_for(self, target: Circuit) -> CompiledSimulator:

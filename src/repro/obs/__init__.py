@@ -6,19 +6,16 @@ span/counter/gauge registry the hot paths record into;
 ``repro.obs.report`` renders the ``repro report`` profiling view from a
 journal.  ``repro.obs.trace`` exports span activity as a Chrome trace
 (Perfetto-loadable); ``repro.obs.progress`` is the
-live heartbeat (TTY line + atomic ``progress.json``);
-``repro.obs.compare`` diffs two run journals iteration-by-iteration and
-``repro.obs.trends`` tracks benchmark history with a trailing-median
-regression gate.  ``repro.obs.quality`` (DESIGN.md §10) is the
+live heartbeat (TTY line + atomic ``progress.json``) and
+``repro.obs.compare`` diffs two run journals iteration-by-iteration.
+``repro.obs.quality`` (DESIGN.md §10) is the
 statistical-quality layer: Wilson-score confidence intervals for
 sampled ER estimates, per-iteration estimator-calibration events, and
-the ``repro audit`` provenance trail.  ``repro.obs.telemetry``
-(DESIGN.md §12) is the background resource sampler (RSS/CPU/throughput
-samples feeding journal-v4 ``telemetry`` events and trace counter
-tracks); ``repro.obs.profile`` renders the ``repro profile`` self-time
-attribution view; ``repro.obs.metrics_export`` is the
-OpenMetrics/Prometheus text surface (``repro report --format
-openmetrics`` and the heartbeat's ``telemetry.prom``).
+the ``repro audit`` provenance trail.  ``repro.obs.profile``
+(DESIGN.md §12) renders the ``repro profile`` self-time attribution
+view; ``repro.obs.metrics_export`` is the OpenMetrics/Prometheus text
+surface (``repro report --format openmetrics`` and the job server's
+``/v1/metrics``).
 ``repro.obs.flight`` (DESIGN.md §15) is the failure-mode layer: the
 :class:`~repro.obs.flight.FlightRecorder` crash hooks and the one
 atomic crash-bundle writer :func:`~repro.obs.flight.package_bundle`,
@@ -90,23 +87,11 @@ from .report import (
     report_as_dict,
     report_from_file,
 )
-from .telemetry import (
-    TelemetryMonitor,
-    cpu_seconds,
-    sample_rss_bytes,
-)
 from .trace import (
     TraceRecorder,
     chrome_trace_from_spans,
     to_chrome_trace,
     write_chrome_trace,
-)
-from .trends import (
-    TrendRegression,
-    append_history,
-    detect_regressions,
-    load_bench_file,
-    read_history,
 )
 
 __all__ = [
@@ -136,9 +121,6 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "ProgressReporter",
-    "TelemetryMonitor",
-    "sample_rss_bytes",
-    "cpu_seconds",
     "render_openmetrics",
     "journal_openmetrics",
     "validate_openmetrics",
@@ -149,11 +131,6 @@ __all__ = [
     "compare_runs",
     "compare_files",
     "render_compare",
-    "TrendRegression",
-    "load_bench_file",
-    "read_history",
-    "append_history",
-    "detect_regressions",
     "DEFAULT_Z",
     "wilson_interval",
     "er_interval",

@@ -9,8 +9,8 @@ simplification run.  Hot paths record into it through three primitives:
   breakdown without any explicit parent bookkeeping;
 * ``incr(name, n)`` -- monotonic counters (vectors simulated, faults
   dropped, cache hits, PODEM backtracks, ...);
-* ``gauge(name, value)`` / ``gauge_max(name, value)`` -- last-value and
-  high-watermark readings (cone sizes, shortlist lengths).
+* ``gauge_max(name, value)`` -- high-watermark readings (cone and slab
+  sizes).
 
 Instrumented code never checks an "am I enabled" flag: it records into
 whichever instance it was handed, and the disabled path is the shared
@@ -131,10 +131,6 @@ class Instrumentation:
         """Add ``n`` to a monotonic counter."""
         self.counters[name] = self.counters.get(name, 0) + n
 
-    def gauge(self, name: str, value: float) -> None:
-        """Record a last-value gauge."""
-        self.gauges[name] = value
-
     def gauge_max(self, name: str, value: float) -> None:
         """Record a high-watermark gauge."""
         if value > self.gauges.get(name, float("-inf")):
@@ -188,9 +184,6 @@ class NullInstrumentation(Instrumentation):
         return _NULL_SPAN
 
     def incr(self, name: str, n: int = 1) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
         pass
 
     def gauge_max(self, name: str, value: float) -> None:

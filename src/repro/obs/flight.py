@@ -416,7 +416,7 @@ def _compact_event(event: Dict) -> str:
     kind = event.get("event", "?")
     detail = []
     for key in ("index", "iteration", "fault", "area_after", "rs", "reason",
-                "replayed", "rss_bytes", "circuit"):
+                "replayed", "circuit"):
         if key in event:
             value = event[key]
             if isinstance(value, float):

@@ -49,14 +49,13 @@ v2 journals (no calibration events) still load everywhere, with the
 calibration view degrading to CI bands recomputed from the journaled
 ER and batch size.
 
-Version 4 adds resource telemetry (:mod:`repro.obs.telemetry`):
-``telemetry`` events are periodic samples -- RSS bytes, cumulative CPU
-seconds, and derived throughput gauges -- recorded by a background
-monitor thread into the same stream (``lane="coordinator"``; journals
-written before candidate scoring became single-process may also hold
-``worker-<pid>`` lanes).  Because the sampler is a thread,
-:meth:`RunJournal.emit` serializes concurrent emitters under a lock;
-the one-write-per-line durability contract is unchanged.
+Version 4 added ``telemetry`` events (periodic RSS/CPU/throughput
+samples).  This build writes none but still reads them: ``telemetry``
+stays in :data:`REQUIRED_KEYS`, so stored journals and checkpoints that
+hold samples load, resume and render, and every reader ignores the
+samples.  :meth:`RunJournal.emit` serializes
+concurrent emitters under a lock; the one-write-per-line durability
+contract is unchanged.
 Readers that only understand older event sets pass
 ``skip_unknown=True`` to :func:`read_journal` / :func:`load_journal`
 (``report``/``compare``/``audit`` do), so future event types degrade
@@ -215,9 +214,8 @@ class RunJournal:
         mode = "a" if append else "w"
         self._fh: Optional[IO[str]] = open(self.path, mode, encoding="utf-8")
         self.events_written = 0
-        # The telemetry monitor emits from a background thread while the
-        # greedy loop emits from the main thread; the lock keeps each
-        # line's write+flush atomic against the other emitter.
+        # Keeps each line's write+flush atomic against an emitter on
+        # another thread, and emit atomic against close.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -4,8 +4,6 @@ One renderer serves every scrape surface:
 
 * ``repro report RUN.jsonl --format openmetrics`` renders a finished
   (or interrupted) journal;
-* the live heartbeat drops ``telemetry.prom`` next to ``progress.json``
-  on every snapshot write (:class:`~repro.obs.progress.ProgressReporter`);
 * the job server's ``GET /v1/metrics`` renders its service counters
   and gauges;
 * :func:`render_openmetrics` renders any
@@ -160,26 +158,14 @@ def journal_openmetrics(events: Sequence[Dict]) -> str:
 
     Shares the aggregation layer with ``repro report``
     (:func:`~repro.obs.report.collect_timers` /
-    ``collect_counters`` / ``collect_gauges``), and folds the
-    journal's ``telemetry`` samples into peak-RSS / final-CPU gauges
-    so an interrupted run (no summary snapshot) still exposes its
-    resource readings.
+    ``collect_counters`` / ``collect_gauges``) and adds the run-level
+    ``run.*`` gauges.
     """
     from .report import collect_counters, collect_gauges, collect_timers
 
     header = next((e for e in events if e.get("event") == "run_start"), None)
     summary = next((e for e in events if e.get("event") == "summary"), None)
-    gauges = dict(collect_gauges(events))
-    telemetry = [e for e in events if e.get("event") == "telemetry"]
-    if telemetry:
-        gauges.setdefault(
-            "telemetry.rss_peak_bytes",
-            max(e.get("rss_bytes", 0) for e in telemetry),
-        )
-        coord = [e for e in telemetry if e.get("lane") == "coordinator"]
-        if coord:
-            gauges.setdefault("telemetry.cpu_s", coord[-1].get("cpu_s", 0.0))
-
+    gauges = collect_gauges(events)
     iterations = sum(1 for e in events if e.get("event") == "iteration")
     gauges.setdefault("run.iterations", iterations)
     if summary is not None:

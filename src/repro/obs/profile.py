@@ -15,9 +15,7 @@ questions those totals obscure:
   time is exactly the time no report can explain;
 * **kernel throughput** -- the compiled kernel's pass-attribution
   counters (:mod:`repro.simulation.compiled`) reduced to bytes moved
-  (uint64 words x 8) and bytes/second against the scoring span time;
-* **peak-RSS timeline** -- the coordinator-lane ``telemetry`` samples
-  as a time/RSS table with the peak marked.
+  (uint64 words x 8) and bytes/second against the scoring span time.
 
 Everything reads from journal events alone (``skip_unknown`` load), so
 a dead run's journal profiles exactly like a live one's.
@@ -50,11 +48,10 @@ def profile_events(events: Sequence[Dict], top: int = 12) -> Dict:
     """Reduce one journal event stream to the profile payload."""
     header = next((e for e in events if e.get("event") == "run_start"), None)
     summary = next((e for e in events if e.get("event") == "summary"), None)
-    telemetry = [e for e in events if e.get("event") == "telemetry"]
     timers = collect_timers(events)
     counters = collect_counters(events)
 
-    elapsed = _elapsed_seconds(summary, telemetry, timers)
+    elapsed = _elapsed_seconds(summary, timers)
     spans = _span_rows(timers, elapsed)
     attributed = sum(
         total for path, (total, _c) in timers.items() if "/" not in path
@@ -77,7 +74,6 @@ def profile_events(events: Sequence[Dict], top: int = 12) -> Dict:
             "flagged": attributed_pct < ATTRIBUTION_TARGET_PCT,
         },
         "kernel": _kernel_stats(counters, timers, elapsed),
-        "rss_timeline": _rss_timeline(telemetry),
     }
 
 
@@ -140,18 +136,6 @@ def render_profile(profile: Dict) -> str:
         if kernel.get("overlay_patches"):
             out.append(f"overlay patches applied: {kernel['overlay_patches']:,}")
 
-    timeline = profile["rss_timeline"]
-    if timeline["points"]:
-        out.append("")
-        out.append("--- RSS timeline (coordinator) ---")
-        for t_s, rss in timeline["points"]:
-            marker = "  <-- peak" if rss == timeline["peak_bytes"] else ""
-            out.append(f"t={t_s:8.2f}s  {rss / 1e6:9.1f} MB{marker}")
-        out.append(
-            f"peak {timeline['peak_bytes'] / 1e6:.1f} MB over "
-            f"{timeline['samples']} sample(s)"
-        )
-
     return "\n".join(out)
 
 
@@ -164,16 +148,9 @@ def profile_from_file(path: Union[str, os.PathLike], top: int = 12) -> Dict:
 
 
 # ----------------------------------------------------------------------
-def _elapsed_seconds(
-    summary: Optional[Dict],
-    telemetry: List[Dict],
-    timers: Dict[str, tuple],
-) -> float:
+def _elapsed_seconds(summary: Optional[Dict], timers: Dict[str, tuple]) -> float:
     if summary is not None and summary.get("elapsed_s"):
         return float(summary["elapsed_s"])
-    coord = [e for e in telemetry if e.get("lane") == "coordinator"]
-    if coord:
-        return max(float(e.get("t_s", 0.0)) for e in coord)
     return sum(t for path, (t, _c) in timers.items() if "/" not in path)
 
 
@@ -226,27 +203,6 @@ def _kernel_stats(
         "bytes_per_s": bytes_moved / basis_s if basis_s > 0 else 0.0,
         "basis": basis_path,
         "overlay_patches": counters.get("kernel.overlay_patches", 0),
-    }
-
-
-def _rss_timeline(telemetry: List[Dict], max_points: int = 16) -> Dict:
-    coord = [e for e in telemetry if e.get("lane") == "coordinator"]
-    coord.sort(key=lambda e: e.get("t_s", 0.0))
-    points = [
-        (float(e.get("t_s", 0.0)), int(e.get("rss_bytes", 0))) for e in coord
-    ]
-    shown = points
-    if len(points) > max_points:
-        # Evenly thin the series but always keep first, last and peak.
-        step = len(points) / float(max_points)
-        keep = {int(i * step) for i in range(max_points)}
-        keep.add(len(points) - 1)
-        keep.add(max(range(len(points)), key=lambda i: points[i][1]))
-        shown = [points[i] for i in sorted(keep)]
-    return {
-        "points": shown,
-        "samples": len(points),
-        "peak_bytes": max((rss for _t, rss in points), default=0),
     }
 
 

@@ -23,22 +23,11 @@ Two outputs, both optional:
   (tmp file + :func:`os.replace`, so a monitor never reads a torn
   JSON) at most once per ``interval_s`` seconds, plus once at run start
   and once at completion.  External monitors poll this file; a resumed
-  run (checkpoint) simply starts overwriting it again;
-* **telemetry.prom** -- an OpenMetrics rendering
-  (:mod:`repro.obs.metrics_export`) refreshed atomically alongside
-  every snapshot write, so a node-exporter-style textfile collector
-  can scrape a live run.  Counters and phase times accumulate from the
-  per-iteration deltas (the summary snapshot, when it arrives, is
-  authoritative and replaces them); gauges fold in the journal's
-  ``telemetry`` samples.  The reporter aggregates from the event
-  stream rather than peeking at any ``Instrumentation`` object because
-  a ``--progress``-only run builds its registry privately inside the
-  greedy loop -- the events are the only channel that always exists.
+  run (checkpoint) simply starts overwriting it again.
 
-The telemetry monitor emits from a background thread while the greedy
-loop emits from the main thread, so ``emit``/``close`` serialize under
-an internal lock (same contract as
-:class:`~repro.obs.journal.RunJournal`).
+``emit``/``close`` serialize under an internal lock (same contract as
+:class:`~repro.obs.journal.RunJournal`), so a reporter stays
+consistent whichever thread feeds or closes it.
 """
 
 from __future__ import annotations
@@ -47,7 +36,7 @@ import json
 import os
 import threading
 import time
-from typing import Dict, IO, Optional, Tuple, Union
+from typing import Dict, IO, Optional, Union
 
 __all__ = ["ProgressReporter"]
 
@@ -67,9 +56,6 @@ class ProgressReporter:
     interval_s:
         Minimum seconds between two snapshot writes (events arriving
         faster are coalesced; run start/end always write).
-    prom_path:
-        Path for the OpenMetrics text rendering refreshed with every
-        snapshot write (``None`` disables it).
     """
 
     def __init__(
@@ -77,11 +63,9 @@ class ProgressReporter:
         stream: Optional[IO[str]] = None,
         json_path: Optional[Union[str, os.PathLike]] = None,
         interval_s: float = 2.0,
-        prom_path: Optional[Union[str, os.PathLike]] = None,
     ) -> None:
         self.stream = stream
         self.json_path = os.fspath(json_path) if json_path is not None else None
-        self.prom_path = os.fspath(prom_path) if prom_path is not None else None
         self.interval_s = float(interval_s)
         self.writes = 0
         self._last_write = float("-inf")
@@ -98,16 +82,10 @@ class ProgressReporter:
         self.iteration = -1
         self.faults_committed = 0
         self.status = "running"
-        self.rss_peak_bytes = 0
         self._t_start = time.monotonic()
         self._ewma_step_s: Optional[float] = None
         self._ewma_step_rs: Optional[float] = None
         self._prev_rs = 0.0
-        # OpenMetrics accumulators: per-iteration deltas until the
-        # authoritative summary snapshot replaces them.
-        self._timers: Dict[str, Tuple[float, int]] = {}
-        self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # sink interface (mirrors RunJournal.emit)
@@ -144,34 +122,10 @@ class ProgressReporter:
             self._prev_rs = self.rs
             self._ewma_step_s = _ewma(self._ewma_step_s, step_s)
             self._ewma_step_rs = _ewma(self._ewma_step_rs, step_rs)
-            for phase, secs in (event.get("phase_times") or {}).items():
-                total, count = self._timers.get(phase, (0.0, 0))
-                self._timers[phase] = (total + float(secs), count + 1)
-            for name, n in (event.get("counters") or {}).items():
-                self._counters[name] = self._counters.get(name, 0) + n
-            self._refresh()
-        elif etype == "telemetry":
-            rss = int(event.get("rss_bytes") or 0)
-            self.rss_peak_bytes = max(self.rss_peak_bytes, rss)
-            self._gauges["telemetry.rss_peak_bytes"] = self.rss_peak_bytes
-            if event.get("lane") == "coordinator":
-                self._gauges["telemetry.rss_bytes"] = rss
-                self._gauges["telemetry.cpu_s"] = float(event.get("cpu_s") or 0.0)
-                for name, rate in (event.get("gauges") or {}).items():
-                    self._gauges[f"telemetry.{name}"] = rate
             self._refresh()
         elif etype == "summary":
             self.status = "complete"
             self.area = event.get("area_after", self.area)
-            if event.get("timers"):
-                self._timers = {
-                    path: (float(stat["total_s"]), int(stat["count"]))
-                    for path, stat in event["timers"].items()
-                }
-            if event.get("counters"):
-                self._counters = dict(event["counters"])
-            for name, value in (event.get("gauges") or {}).items():
-                self._gauges.setdefault(name, value)
             self._refresh(force=True)
 
     def close(self) -> None:
@@ -233,7 +187,6 @@ class ProgressReporter:
             "elapsed_s": self.elapsed_s,
             "step_time_ewma_s": self._ewma_step_s,
             "eta_s": self.eta_s(),
-            "rss_peak_bytes": self.rss_peak_bytes,
             "updated_unix": time.time(),
         }
 
@@ -248,7 +201,6 @@ class ProgressReporter:
         self._write_line()
 
     def _write_json(self) -> None:
-        self._write_prom()
         if self.json_path is None:
             return
         tmp = f"{self.json_path}.tmp"
@@ -257,34 +209,6 @@ class ProgressReporter:
             fh.write("\n")
         os.replace(tmp, self.json_path)
         self.writes += 1
-
-    def _write_prom(self) -> None:
-        if self.prom_path is None:
-            return
-        from .metrics_export import render_openmetrics
-
-        gauges = dict(self._gauges)
-        gauges["run.iterations"] = self.faults_committed
-        if self.area is not None:
-            gauges["run.area"] = self.area
-        if self.area_reduction_pct is not None:
-            gauges["run.area_reduction_pct"] = self.area_reduction_pct
-        gauges["run.rs"] = self.rs
-        if self.rs_threshold is not None:
-            gauges["run.rs_threshold"] = self.rs_threshold
-        gauges["run.elapsed_s"] = self.elapsed_s
-        text = render_openmetrics(
-            {
-                "timers": self._timers,
-                "counters": self._counters,
-                "gauges": gauges,
-            },
-            info={"circuit": self.circuit, "status": self.status},
-        )
-        tmp = f"{self.prom_path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, self.prom_path)
 
     def _write_line(self) -> None:
         if self.stream is None:

@@ -81,34 +81,14 @@ def collect_counters(events: Sequence[Dict]) -> Dict[str, int]:
 
 
 def collect_gauges(events: Sequence[Dict]) -> Dict[str, float]:
-    """Gauge name -> last value for one event stream.
-
-    Prefers the summary snapshot's gauges; interrupted runs fall back
-    to the last coordinator ``telemetry`` sample's rate gauges (the
-    only gauges the event stream itself carries), so a dead run still
-    reports its final throughput readings.
-    """
+    """Gauge name -> value for one event stream: the summary snapshot's
+    gauges (an interrupted run, with no summary, has none)."""
     summary = next((e for e in events if e.get("event") == "summary"), None)
-    if summary is not None and summary.get("gauges"):
-        return dict(summary["gauges"])
-    gauges: Dict[str, float] = {}
-    for ev in events:
-        if ev.get("event") != "telemetry" or ev.get("lane") != "coordinator":
-            continue
-        gauges["telemetry.rss_bytes"] = ev.get("rss_bytes", 0)
-        gauges["telemetry.rss_peak_bytes"] = max(
-            gauges.get("telemetry.rss_peak_bytes", 0), ev.get("rss_bytes", 0)
-        )
-        gauges["telemetry.cpu_s"] = ev.get("cpu_s", 0.0)
-        for name, rate in (ev.get("gauges") or {}).items():
-            gauges[f"telemetry.{name}"] = rate
-    return gauges
+    return dict((summary or {}).get("gauges") or {})
 
 
 #: (hit counter, miss counter) pairs rendered as derived hit-rates.
 _CACHE_PAIRS = (
-    ("estimator.batchsim_cache_hits", "estimator.batchsim_cache_misses"),
-    ("estimator.sim_cache_hits", "estimator.sim_cache_misses"),
     ("greedy.preview_memo_hits", "greedy.preview_memo_misses"),
     ("compile.cache_hits", "compile.cache_misses"),
 )

@@ -15,12 +15,6 @@ array of ``"ph": "X"`` complete events that ``chrome://tracing``,
 Perfetto and catapult load directly), which the job server's
 ``/trace`` route uses too.  A run is one ``repro coordinator`` lane;
 span ids are namespaced by pid (``"<pid>:<n>"``).
-
-Besides spans, a recorder carries **counter events** (``add_counter``):
-sampled series -- RSS, CPU, throughput rates from
-:mod:`repro.obs.telemetry` -- exported as Chrome-trace counter records
-(``"ph": "C"``), which Perfetto renders as one counter track per name
-under the span lane.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "SpanEvent",
-    "CounterEvent",
     "TraceRecorder",
     "chrome_trace_from_spans",
     "to_chrome_trace",
@@ -42,9 +35,6 @@ __all__ = [
 #: One completed span: (span id, parent id or None, hierarchical path,
 #: begin perf_counter, end perf_counter).
 SpanEvent = Tuple[int, Optional[int], str, float, float]
-
-#: One sampled counter reading: (track name, perf_counter instant, value).
-CounterEvent = Tuple[str, float, float]
 
 
 class TraceRecorder:
@@ -59,7 +49,6 @@ class TraceRecorder:
         self.pid = os.getpid() if pid is None else int(pid)
         self.epoch = time.perf_counter()
         self.events: List[SpanEvent] = []
-        self.counter_events: List[CounterEvent] = []
         self._open: List[Tuple[int, Optional[int]]] = []  # (id, parent)
         self._next_id = 0
 
@@ -75,11 +64,6 @@ class TraceRecorder:
         span_id, parent = self._open.pop()
         self.events.append((span_id, parent, path, t0, t1))
 
-    def add_counter(self, name: str, instant: float, value: float) -> None:
-        """Record one sampled counter reading (a ``"ph": "C"`` track
-        point on export)."""
-        self.counter_events.append((name, float(instant), float(value)))
-
 
 def to_chrome_trace(recorder: TraceRecorder) -> Dict:
     """Render a recorder's events as a Chrome trace-format object.
@@ -88,9 +72,9 @@ def to_chrome_trace(recorder: TraceRecorder) -> Dict:
     microsecond timestamps relative to the recorder's epoch, in
     begin-time order (a parent before the children it contains);
     ``args`` carries the full span path and the explicit
-    ``id``/``parent`` pair (ids namespaced ``"<pid>:<n>"``).  Sampled
-    counter readings become ``"ph": "C"`` records.  The one lane is
-    named ``repro coordinator`` by a ``process_name`` metadata record.
+    ``id``/``parent`` pair (ids namespaced ``"<pid>:<n>"``).  The one
+    lane is named ``repro coordinator`` by a ``process_name`` metadata
+    record.
     """
     pid, epoch = recorder.pid, recorder.epoch
     spans = sorted(recorder.events, key=lambda ev: (ev[3], -(ev[4] - ev[3]), ev[0]))
@@ -109,21 +93,16 @@ def to_chrome_trace(recorder: TraceRecorder) -> Dict:
             }
             for span_id, parent, path, t0, t1 in spans
         ),
-        counters=(
-            {"pid": pid, "name": name, "t_s": instant - epoch, "value": value}
-            for name, instant, value in recorder.counter_events
-        ),
         lane_names={pid: "repro coordinator"},
     )
 
 
 def chrome_trace_from_spans(
     spans: Iterable[Dict],
-    counters: Iterable[Dict] = (),
     lane_names: Optional[Dict[int, str]] = None,
     metadata: Optional[Dict] = None,
 ) -> Dict:
-    """Build a Chrome trace object from explicit span/counter dicts.
+    """Build a Chrome trace object from explicit span dicts.
 
     The one Chrome-trace renderer: :func:`to_chrome_trace` feeds it a
     recorder's spans, and the job server's ``GET /v1/jobs/<id>/trace``
@@ -133,21 +112,14 @@ def chrome_trace_from_spans(
 
     * ``spans``: ``{"pid", "name", "t0_s", "t1_s", "args"?}`` -- one
       complete (``"ph": "X"``) slice each, times in seconds;
-    * ``counters``: ``{"pid", "name", "t_s", "value"}`` -- sampled
-      ``"ph": "C"`` track points;
     * ``lane_names``: ``{pid: label}`` rendered as ``process_name``
       metadata records;
     * ``metadata``: extra args attached to every lane's metadata record
       (e.g. the trace id).
     """
     spans = list(spans)
-    counters = list(counters)
     lane_names = dict(lane_names or {})
-    pids = sorted(
-        {s["pid"] for s in spans}
-        | {c["pid"] for c in counters}
-        | set(lane_names)
-    )
+    pids = sorted({s["pid"] for s in spans} | set(lane_names))
     trace_events: List[Dict] = []
     for pid in pids:
         args: Dict = {"name": lane_names.get(pid, f"lane {pid}")}
@@ -167,18 +139,6 @@ def chrome_trace_from_spans(
                 "pid": span["pid"],
                 "tid": 0,
                 "args": dict(span.get("args") or {}),
-            }
-        )
-    for point in sorted(counters, key=lambda c: (c["pid"], c["name"], c["t_s"])):
-        trace_events.append(
-            {
-                "name": point["name"],
-                "cat": "telemetry",
-                "ph": "C",
-                "ts": point["t_s"] * 1e6,
-                "pid": point["pid"],
-                "tid": 0,
-                "args": {"value": point["value"]},
             }
         )
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}

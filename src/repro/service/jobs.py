@@ -454,8 +454,8 @@ def job_chrome_trace(job: Job, events: Optional[List[Dict]] = None) -> Dict:
     iteration phase times end-to-end from the first attempt start --
     the journal records durations, not wall-clock instants, so the
     runner lane is a faithful sequential reconstruction rather than a
-    clock-synchronized overlay.  Telemetry samples become an ``rss_mb``
-    counter track.  The trace id rides in every lane's metadata args.
+    clock-synchronized overlay.  The trace id rides in every lane's
+    metadata args.
     """
     if events is None:
         events = job_journal_events(job)
@@ -502,13 +502,8 @@ def job_chrome_trace(job: Job, events: Optional[List[Dict]] = None) -> Dict:
     # Runner lane: iterations laid sequentially from the first attempt
     # start (or the submit instant for a job with no history yet).
     cursor = max(first_start - base, 0.0) if first_start is not None else 0.0
-    runner_epoch = cursor
-    counters: List[Dict] = []
     for event in events:
-        etype = event.get("event")
-        if etype in ("run_start", "resume"):
-            runner_epoch = cursor
-        elif etype == "iteration":
+        if event.get("event") == "iteration":
             duration = sum((event.get("phase_times") or {}).values())
             duration = max(float(duration), 1e-6)
             spans.append(
@@ -525,15 +520,6 @@ def job_chrome_trace(job: Job, events: Optional[List[Dict]] = None) -> Dict:
                 }
             )
             cursor += duration
-        elif etype == "telemetry" and event.get("lane") == "coordinator":
-            counters.append(
-                {
-                    "pid": 1,
-                    "name": "rss_mb",
-                    "t_s": runner_epoch + float(event.get("t_s") or 0.0),
-                    "value": float(event.get("rss_bytes") or 0) / 1e6,
-                }
-            )
 
     from ..obs.trace import chrome_trace_from_spans
 
@@ -542,7 +528,6 @@ def job_chrome_trace(job: Job, events: Optional[List[Dict]] = None) -> Dict:
         metadata["trace_id"] = job.trace_id
     return chrome_trace_from_spans(
         spans,
-        counters,
         lane_names={0: "service", 1: "runner"},
         metadata=metadata,
     )

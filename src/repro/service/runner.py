@@ -128,8 +128,8 @@ def run_job(job_dir: str, flight: Optional[FlightRecorder] = None) -> SimplifyOu
     ``progress.json`` so the server can answer status polls with live
     numbers.  The request's
     ``trace_id`` (stamped by the server at submit) flows through
-    ``simplify`` into the journal header and telemetry events: the
-    runner-side half of the correlation story.  ``flight`` (when armed
+    ``simplify`` into the journal's ``run_start``/``resume`` header:
+    the runner-side half of the correlation story.  ``flight`` (when armed
     by :func:`main`) learns the trace id and the journal files, so a
     crash bundle carries the run's last moments.
     """

@@ -49,8 +49,7 @@ uuid when neither is given) is echoed in the response header and
 snapshot, written to the structured service logs
 (``<data_dir>/logs/``, see :mod:`repro.service.slog`), persisted in
 the job's ``request.json`` and stamped by the runner into its journal
-header and telemetry events -- one grep joins the whole distributed
-lifetime of a job.
+header -- one grep joins the whole distributed lifetime of a job.
 """
 
 from __future__ import annotations

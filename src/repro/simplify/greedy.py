@@ -185,7 +185,6 @@ def circuit_simplify(
     journal: Optional[Union[str, os.PathLike]] = None,
     obs: Optional[Instrumentation] = None,
     progress=None,
-    telemetry_interval: Optional[float] = None,
     trace_id: Optional[str] = None,
 ) -> GreedyResult:
     """Greedy maximal area reduction within an RS budget (paper Fig. 6).
@@ -214,16 +213,10 @@ def circuit_simplify(
     not closed here, so one reporter can span the ``fom="best"``
     policy's two constituent runs).
 
-    ``telemetry_interval`` switches on the background resource sampler
-    (:class:`~repro.obs.telemetry.TelemetryMonitor`): RSS/CPU/throughput
-    samples every that-many seconds, journaled as v4 ``telemetry``
-    events and mirrored into gauges and -- when tracing -- Chrome-trace
-    counter tracks.  ``None`` (the default) runs no sampler thread.
-
     ``trace_id`` is an opaque correlation id stamped into the journal
-    header (``run_start``/``resume``) and every telemetry event; the
-    job server uses it to link a client submission to this run's
-    artifacts.  ``None`` (the default) leaves the events untouched.
+    header (``run_start``/``resume``); the job server uses it to link a
+    client submission to this run's artifacts.  ``None`` (the default)
+    leaves the events untouched.
     """
     cfg = config or GreedyConfig()
     if (rs_threshold is None) == (rs_pct_threshold is None):
@@ -277,9 +270,9 @@ def circuit_simplify(
         run_journal = RunJournal(journal, append=replay is not None)
     sinks = [s for s in (run_journal, progress) if s is not None]
     tee: Optional[JournalTee] = JournalTee(sinks) if sinks else None
-    # A journal or a telemetry monitor needs real timings/counters to
-    # record: switch a private registry on when instrumentation is off.
-    if (tee is not None or telemetry_interval is not None) and not obs.enabled:
+    # A journal needs real timings/counters to record: switch a private
+    # registry on when instrumentation is off.
+    if tee is not None and not obs.enabled:
         obs = Instrumentation()
 
     estimator = MetricsEstimator(
@@ -300,14 +293,6 @@ def circuit_simplify(
     if replay is not None:
         obs.incr("checkpoint.resumes")
         obs.incr("checkpoint.replayed_iterations", len(replay.iterations))
-
-    monitor = None
-    if telemetry_interval is not None:
-        from ..obs.telemetry import TelemetryMonitor
-
-        monitor = TelemetryMonitor(
-            obs, sink=tee, interval_s=telemetry_interval, trace_id=trace_id
-        )
 
     t_run = time.perf_counter()
     if tee is not None:
@@ -344,10 +329,6 @@ def circuit_simplify(
         if trace_id is not None:
             header["trace_id"] = trace_id
         tee.emit(header)
-    # Sampling starts only after the header emit, so the journal's
-    # first line stays the run_start/resume event.
-    if monitor is not None:
-        monitor.start()
     try:
         _run_greedy(
             circuit,
@@ -359,11 +340,6 @@ def circuit_simplify(
             tee,
             replay=replay,
         )
-        # Stop sampling before the summary snapshot: the final sample's
-        # gauges land in the summary, and the journal still ends with it.
-        if monitor is not None:
-            monitor.stop()
-            monitor = None
         if tee is not None:
             snap = obs.snapshot()
             tee.emit(
@@ -384,8 +360,6 @@ def circuit_simplify(
                 }
             )
     finally:
-        if monitor is not None:
-            monitor.stop()
         if run_journal is not None:
             run_journal.close()
     return result
@@ -984,8 +958,6 @@ def _rank_candidates(
         approx=current,
         rs_drop_threshold=threshold,
     )
-    # Feeds the telemetry monitor's candidates_per_s throughput gauge.
-    estimator.obs.incr("greedy.candidates_scored", len(shortlist))
     scored: List[Tuple[float, StuckAtFault, float, float, int, int]] = []
     for (_proxy, delta, f), st in zip(shortlist, stats):
         er, observed = st.error_rate, st.max_abs_deviation

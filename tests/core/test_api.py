@@ -136,6 +136,26 @@ def test_outcome_json_round_trip(outcome):
     assert sum(r["winner"] for r in data["runs"]) == 1
 
 
+@pytest.mark.parametrize("interval", [0.5, None])
+def test_stored_telemetry_interval_loads_and_fingerprints_the_same(
+    outcome, interval
+):
+    """Requests and outcomes stored while the resource sampler existed
+    carry ``telemetry_interval``; it is ignored on load, so they load and
+    keep their result-cache key."""
+    stored = dict(outcome.request.to_dict(), telemetry_interval=interval)
+    request = SimplifyRequest.from_dict(stored)
+    assert request == outcome.request
+    assert request.fingerprint() == outcome.request.fingerprint()
+    assert "telemetry_interval" not in request.to_dict()
+
+    data = json.loads(outcome.to_json())
+    data["request"]["telemetry_interval"] = interval
+    loaded = SimplifyOutcome.from_json(json.dumps(data))
+    assert loaded.request.fingerprint() == outcome.request.fingerprint()
+    assert [str(f) for f in loaded.faults] == [str(f) for f in outcome.faults]
+
+
 def test_outcome_loaded_verify_and_save(outcome, tmp_path):
     loaded = SimplifyOutcome.from_json(outcome.to_json())
     assert loaded.verify(exhaustive=True)

@@ -79,6 +79,28 @@ def test_top_below_one_is_a_usage_error(verb, top, capsys):
     assert "usage:" in err and "--top: must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["yield", "NETLIST", "--rs-pct", "5", "--vectors", "0"],
+        ["yield", "NETLIST", "--rs-pct", "5", "--chips", "-1"],
+        ["er-tests", "NETLIST", "--candidates", "0"],
+        ["serve", "--workers", "0"],
+        # table2 reads its budget from --rs-pct alone
+        ["table2", "c880", "--rs", "5", "--rs-pct", "1",
+         "--vectors", "100", "--candidate-limit", "5"],
+    ],
+    ids=["yield-vectors", "yield-chips", "er-tests-candidates",
+         "serve-workers", "table2-rs"],
+)
+def test_bad_count_and_budget_flags_are_usage_errors(argv, netlist, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([netlist if a == "NETLIST" else a for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
 def test_redundancy_command(netlist, capsys):
     assert main(["redundancy", netlist]) == 0
     out = capsys.readouterr().out
@@ -348,105 +370,19 @@ def test_compare_cli_same_and_divergent(netlist, tmp_path, capsys):
     assert "nope.jsonl" in capsys.readouterr().err
 
 
-def test_trends_cli_history_and_regression_gate(tmp_path, capsys, monkeypatch):
-    import json
-
-    monkeypatch.chdir(tmp_path)
-    bench = tmp_path / "BENCH_demo.json"
-    history = tmp_path / "hist.jsonl"
-
-    def snapshot(t_total_s):
-        bench.write_text(json.dumps(
-            {"bench": "demo",
-             "rows": [{"circuit": "c880", "workers": 2,
-                       "t_total_s": t_total_s}]}))
-
-    # two clean baseline entries
-    for t in (10.0, 10.2):
-        snapshot(t)
-        assert main(["trends", str(bench), "--history", str(history)]) == 0
-    assert len(history.read_text().splitlines()) == 2
-
-    # a 30% slowdown against the trailing median trips the gate
-    snapshot(13.0)
-    rc = main(["trends", str(bench), "--history", str(history),
-               "--fail-on-regression"])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "REGRESSION demo" in err and "t_total_s" in err
-
-    # --no-append checks without recording
-    before = history.read_text()
-    assert main(["trends", str(bench), "--history", str(history),
-                 "--no-append"]) == 0
-    assert history.read_text() == before
-
-    # a missing snapshot is a warning, not a failure (CI soft path)
-    assert main(["trends", str(tmp_path / "BENCH_missing.json"),
-                 "--history", str(history)]) == 0
-
-
-def test_trends_first_run_creates_history_file_cleanly(tmp_path, capsys):
-    """A fresh checkout has no history file (and maybe no artifact dir):
-    the first `repro trends` run creates both instead of tracebacking."""
-    import json
-
-    bench = tmp_path / "BENCH_demo.json"
-    bench.write_text(json.dumps(
-        {"bench": "demo", "rows": [{"circuit": "c880", "t_total_s": 10.0}]}))
-    history = tmp_path / "artifacts" / "nested" / "BENCH_history.jsonl"
-    assert not history.parent.exists()
-    assert main(["trends", str(bench), "--history", str(history)]) == 0
-    assert "TREND demo" in capsys.readouterr().out
-    assert len(history.read_text().splitlines()) == 1
-
-    # an unwritable history path is a clean exit-2 error, not a traceback
-    blocked = tmp_path / "file"
-    blocked.write_text("")
-    rc = main(["trends", str(bench),
-               "--history", str(blocked / "hist.jsonl")])
-    assert rc == 2
-    assert "cannot write history" in capsys.readouterr().err
-
-
-def test_simplify_telemetry_interval_journals_samples(netlist, tmp_path, capsys):
-    journal = tmp_path / "run.jsonl"
-    rc = main(["simplify", netlist, "--rs-pct", "5", "--vectors", "500",
-               "--telemetry-interval", "0.02", "--journal", str(journal)])
-    assert rc == 0
-    capsys.readouterr()
-    from repro.obs import load_journal
-
-    events = load_journal(str(journal))
-    tel = [e for e in events if e["event"] == "telemetry"]
-    assert len(tel) >= 2
-    assert events[0]["event"] == "run_start"
-    assert events[-1]["event"] == "summary"
-
-
-def test_simplify_rejects_non_positive_telemetry_interval(netlist, capsys):
-    rc = main(["simplify", netlist, "--rs-pct", "5",
-               "--telemetry-interval", "0"])
-    assert rc == 2
-    assert "telemetry_interval" in capsys.readouterr().err
-
-
-def test_simplify_progress_drops_openmetrics_heartbeat(netlist, tmp_path,
-                                                       capsys):
-    from repro.obs import validate_openmetrics
-
-    progress = tmp_path / "progress.json"
-    prom = tmp_path / "telemetry.prom"
-    rc = main(["simplify", netlist, "--rs-pct", "5", "--vectors", "500",
-               "--progress", str(progress),
-               "--telemetry-interval", "0.02"])
-    assert rc == 0
-    assert "openmetrics snapshot written to" in capsys.readouterr().out
-    text = prom.read_text()
-    assert validate_openmetrics(text) > 0
-    assert 'repro_run_info{' in text
-    assert "repro_gauge_run_area" in text
-    assert not prom.with_suffix(".prom.tmp").exists()
+@pytest.mark.parametrize(
+    "argv",
+    [["simplify", "NETLIST", "--rs-pct", "5", "--telemetry-interval", "1"],
+     ["trends", "BENCH_compiled_kernel.json"]],
+    ids=["telemetry-interval", "trends"],
+)
+def test_retired_sampler_and_trends_are_usage_errors(argv, netlist, capsys):
+    """The resource sampler's option and the trends verb are gone: argparse
+    rejects both (exit 2) before any run starts."""
+    with pytest.raises(SystemExit) as exc:
+        main([netlist if a == "NETLIST" else a for a in argv])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_profile_cli_text_json_and_gate(netlist, tmp_path, capsys):
@@ -454,7 +390,6 @@ def test_profile_cli_text_json_and_gate(netlist, tmp_path, capsys):
 
     journal = tmp_path / "run.jsonl"
     assert main(["simplify", netlist, "--rs-pct", "5", "--vectors", "500",
-                 "--telemetry-interval", "0.02",
                  "--journal", str(journal)]) == 0
     capsys.readouterr()
 
@@ -462,7 +397,6 @@ def test_profile_cli_text_json_and_gate(netlist, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "=== profile:" in out
     assert "self time (exclusive, top spans)" in out
-    assert "RSS timeline" in out
 
     assert main(["profile", str(journal), "--format", "json", "--top", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)

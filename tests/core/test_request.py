@@ -220,9 +220,7 @@ def test_schema_version_rejects_garbage():
 
 def test_fingerprint_ignores_non_semantic_fields():
     base = SimplifyRequest(rs_pct_threshold=2.0, seed=3)
-    same = base.replace(
-        workers=8, journal="j.jsonl", telemetry_interval=1.0
-    )
+    same = base.replace(workers=8, journal="j.jsonl")
     assert base.fingerprint() == same.fingerprint()
     # semantic fields do move the digest
     assert base.fingerprint() != base.replace(seed=4).fingerprint()
@@ -275,9 +273,6 @@ _BASE = {"rs_pct_threshold": 2.0}
         ("redundancy_prepass", None),
         ("datapath_only", 0),
         ("include_branches", "false"),
-        ("telemetry_interval", 0),
-        ("telemetry_interval", float("nan")),
-        ("telemetry_interval", "1"),
     ],
 )
 def test_malformed_fields_are_invalid_requests(field, value):
@@ -314,7 +309,6 @@ def test_numpy_scalars_become_python_values():
         seed=np.int32(3),
         workers=np.int64(2),
         exhaustive=np.bool_(False),
-        telemetry_interval=np.float64(0.5),
     )
     assert req == SimplifyRequest(
         rs_pct_threshold=2.0,
@@ -322,7 +316,6 @@ def test_numpy_scalars_become_python_values():
         seed=3,
         workers=2,
         exhaustive=False,
-        telemetry_interval=0.5,
     )
     assert type(req.num_vectors) is int and type(req.exhaustive) is bool
     assert type(req.rs_pct_threshold) is float

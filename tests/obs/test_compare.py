@@ -97,10 +97,10 @@ def test_phase_time_and_counter_deltas():
 
 def test_derived_cache_hit_rates_per_side():
     a = _run(_iteration(0),
-             counters={"estimator.sim_cache_hits": 3,
-                       "estimator.sim_cache_misses": 1})
+             counters={"greedy.preview_memo_hits": 3,
+                       "greedy.preview_memo_misses": 1})
     cmp = compare_runs(a, _run(_iteration(0)))
-    assert cmp["derived"]["a"] == [("estimator.sim_cache_hit_rate",
+    assert cmp["derived"]["a"] == [("greedy.preview_memo_hit_rate",
                                     " 75.0%  (3/4)")]
     assert cmp["derived"]["b"] == []
 

@@ -22,14 +22,14 @@ def test_counters_since_reports_deltas_only():
     assert obs.counters_since(base) == {"a": 2, "c": 7}
 
 
-def test_gauges_last_value_and_watermark():
+def test_gauge_max_keeps_the_watermark():
     obs = Instrumentation()
-    obs.gauge("g", 5)
-    obs.gauge("g", 3)
-    assert obs.gauges["g"] == 3
     obs.gauge_max("m", 5)
     obs.gauge_max("m", 3)
     assert obs.gauges["m"] == 5
+    # watermarks are the only gauges: there is no last-value primitive
+    assert not hasattr(Instrumentation, "gauge")
+    assert not hasattr(NullInstrumentation, "gauge")
 
 
 def test_span_records_time_and_count():
@@ -77,7 +77,7 @@ def test_snapshot_is_json_plain():
     obs = Instrumentation()
     with obs.span("p"):
         obs.incr("n", 2)
-        obs.gauge("g", 1.5)
+        obs.gauge_max("g", 1.5)
     snap = obs.snapshot()
     json.dumps(snap)  # must be serializable
     assert snap["counters"] == {"n": 2}
@@ -89,7 +89,6 @@ def test_null_instrumentation_records_nothing():
     assert not NULL.enabled
     with NULL.span("x"):
         NULL.incr("c", 10)
-        NULL.gauge("g", 1)
         NULL.gauge_max("m", 1)
     assert NULL.counters == {}
     assert NULL.gauges == {}
@@ -115,6 +114,6 @@ def test_reset_clears_everything():
     obs = Instrumentation()
     with obs.span("p"):
         obs.incr("c")
-    obs.gauge("g", 1)
+    obs.gauge_max("g", 1)
     obs.reset()
     assert obs.timers == {} and obs.counters == {} and obs.gauges == {}

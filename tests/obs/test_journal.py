@@ -300,6 +300,25 @@ def test_c880_journal_matches_result_and_report_renders(tmp_path):
         assert phase in report
 
 
+def test_telemetry_event_schema_required_keys():
+    """This build writes no ``telemetry`` events, but stored v4 journals
+    hold them: the schema stays so they still validate."""
+    ev = {
+        "event": "telemetry",
+        "t_s": 0.1,
+        "pid": 1,
+        "lane": "coordinator",
+        "rss_bytes": 1,
+        "cpu_s": 0.1,
+    }
+    validate_event(ev)
+    for key in ("t_s", "pid", "lane", "rss_bytes", "cpu_s"):
+        broken = dict(ev)
+        del broken[key]
+        with pytest.raises(JournalError, match=key):
+            validate_event(broken)
+
+
 # ----------------------------------------------------------------------
 # forward compatibility: unknown event types are skipped, not fatal
 # ----------------------------------------------------------------------

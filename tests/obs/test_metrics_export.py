@@ -20,7 +20,7 @@ from tests.conftest import build_c17
 def test_render_counters_gauges_timers_info():
     obs = Instrumentation()
     obs.incr("kernel.runs", 7)
-    obs.gauge("telemetry.rss_bytes", 12_000_000)
+    obs.gauge_max("batchsim.cone_gates_max", 12)
     with obs.span("greedy"):
         with obs.span("rank"):
             pass
@@ -32,8 +32,8 @@ def test_render_counters_gauges_timers_info():
     assert 'repro_run_info{circuit="c17",status="complete"} 1' in text
     assert "# TYPE repro_kernel_runs counter" in text
     assert "repro_kernel_runs_total 7" in text
-    assert "# TYPE repro_gauge_telemetry_rss_bytes gauge" in text
-    assert "repro_gauge_telemetry_rss_bytes 12000000" in text
+    assert "# TYPE repro_gauge_batchsim_cone_gates_max gauge" in text
+    assert "repro_gauge_batchsim_cone_gates_max 12" in text
     assert 'repro_phase_seconds_total{phase="greedy/rank"}' in text
     assert 'repro_phase_calls_total{phase="greedy/rank"} 1' in text
     assert text.endswith("# EOF\n")
@@ -138,33 +138,12 @@ def test_journal_openmetrics_end_to_end(tmp_path):
         rs_pct_threshold=10.0,
         config=GreedyConfig(num_vectors=32, seed=0, exhaustive=True),
         journal=path,
-        telemetry_interval=0.02,
     )
     events = load_journal(path)
     text = journal_openmetrics(events)
     assert validate_openmetrics(text) > 10
     assert 'repro_run_info{circuit="c17"' in text
     assert 'status="complete"' in text
-    assert "repro_gauge_telemetry_rss_peak_bytes" in text
+    assert "repro_gauge_batchsim_cone_gates_max" in text
     assert "repro_gauge_run_iterations" in text
     assert "repro_phase_seconds_total" in text
-
-
-def test_journal_openmetrics_interrupted_run_still_exposes_resources():
-    events = [
-        {"event": "run_start", "version": 4, "circuit": "c17"},
-        {
-            "event": "telemetry",
-            "t_s": 0.1,
-            "pid": 1,
-            "lane": "coordinator",
-            "rss_bytes": 5_000_000,
-            "cpu_s": 0.2,
-        },
-        # no summary: the run died mid-flight
-    ]
-    text = journal_openmetrics(events)
-    validate_openmetrics(text)
-    assert 'status="interrupted"' in text
-    assert "repro_gauge_telemetry_rss_peak_bytes 5000000" in text
-    assert "repro_gauge_telemetry_cpu_s 0.2" in text

@@ -29,10 +29,9 @@ def _summary(timers, counters=None, elapsed=10.0, **over):
     return ev
 
 
-def _events(timers, counters=None, elapsed=10.0, telemetry=()):
+def _events(timers, counters=None, elapsed=10.0):
     return [
         {"event": "run_start", "version": 4, "circuit": "cX"},
-        *telemetry,
         _summary(timers, counters, elapsed),
     ]
 
@@ -119,39 +118,11 @@ def test_kernel_stats_absent_without_pass_counters():
 
 
 # ----------------------------------------------------------------------
-# timelines
+# interrupted runs
 # ----------------------------------------------------------------------
-def _tel(t_s, rss, lane="coordinator", pid=1, **over):
-    ev = {
-        "event": "telemetry",
-        "t_s": t_s,
-        "pid": pid,
-        "lane": lane,
-        "rss_bytes": rss,
-        "cpu_s": t_s,
-    }
-    ev.update(over)
-    return ev
-
-
-def test_rss_timeline_thins_but_keeps_first_last_peak():
-    telemetry = [_tel(float(i), 1000 + i) for i in range(100)]
-    telemetry[37]["rss_bytes"] = 999_999  # the peak, mid-series
-    profile = profile_events(
-        _events({"greedy": (99.0, 1)}, elapsed=99.0, telemetry=telemetry)
-    )
-    timeline = profile["rss_timeline"]
-    assert timeline["samples"] == 100
-    assert len(timeline["points"]) <= 18
-    times = [t for t, _ in timeline["points"]]
-    assert times[0] == 0.0 and times[-1] == 99.0
-    assert 37.0 in times
-    assert timeline["peak_bytes"] == 999_999
-    assert "<-- peak" in render_profile(profile)
-
-
-def test_elapsed_falls_back_to_telemetry_then_timers():
-    # interrupted run: no summary, elapsed = max coordinator t_s
+def test_elapsed_falls_back_to_timers():
+    # interrupted run: no summary, elapsed = sum of top-level span
+    # totals; a stored v4 telemetry sample is ignored
     events = [
         {"event": "run_start", "version": 4, "circuit": "cX"},
         {
@@ -159,14 +130,20 @@ def test_elapsed_falls_back_to_telemetry_then_timers():
             "index": 0,
             "phase_times": {"greedy": 1.0},
         },
-        _tel(7.5, 100),
+        {
+            "event": "telemetry",
+            "t_s": 7.5,
+            "pid": 1,
+            "lane": "coordinator",
+            "rss_bytes": 100,
+            "cpu_s": 7.5,
+        },
     ]
-    profile = profile_events(events)
-    assert profile["run"]["status"] == "interrupted"
-    assert profile["run"]["elapsed_s"] == pytest.approx(7.5)
-    # no telemetry either: elapsed = sum of top-level span totals
-    profile = profile_events(events[:2])
-    assert profile["run"]["elapsed_s"] == pytest.approx(1.0)
+    for prefix in (events, events[:2]):
+        profile = profile_events(prefix)
+        assert profile["run"]["status"] == "interrupted"
+        assert profile["run"]["elapsed_s"] == pytest.approx(1.0)
+    assert "RSS" not in render_profile(profile_events(events))
 
 
 # ----------------------------------------------------------------------
@@ -187,14 +164,12 @@ def test_c880_run_attributes_at_least_90pct(tmp_path):
             atpg_node_limit=200,
         ),
         journal=path,
-        telemetry_interval=0.05,
     )
     profile = profile_from_file(path)
     att = profile["attribution"]
     assert att["attributed_pct"] >= ATTRIBUTION_TARGET_PCT, att
     assert not att["flagged"]
     assert profile["kernel"] is not None  # compiled engine attribution
-    assert profile["rss_timeline"]["peak_bytes"] > 0
     text = render_profile(profile)
     assert "=== profile: c880" in text
     json.dumps(profile)  # --format json payload is serializable

@@ -151,23 +151,19 @@ def test_quality_counters_pinned_into_top_k():
 
 def test_derived_cache_hit_rate_rows():
     counters = {
-        "estimator.batchsim_cache_hits": 30,
-        "estimator.batchsim_cache_misses": 10,
-        "estimator.sim_cache_hits": 0,
-        "estimator.sim_cache_misses": 0,  # zero total: no row
         "greedy.preview_memo_hits": 27691,
         "greedy.preview_memo_misses": 4763,
         "compile.cache_hits": 25,
         "compile.cache_misses": 26,
     }
     out = render_report([_header(), _summary(counters=counters)])
-    assert "estimator.batchsim_cache_hit_rate" in out
-    assert "75.0%  (30/40)" in out
     assert "greedy.preview_memo_hit_rate" in out
     assert "85.3%  (27691/32454)" in out
     assert "compile.cache_hit_rate" in out
     assert "49.0%  (25/51)" in out
-    assert "estimator.sim_cache_hit_rate" not in out
+    counters.update({"compile.cache_hits": 0, "compile.cache_misses": 0})
+    out = render_report([_header(), _summary(counters=counters)])
+    assert "compile.cache_hit_rate" not in out  # zero total: no row
 
 
 # ----------------------------------------------------------------------
@@ -196,13 +192,13 @@ def test_report_as_dict_interrupted_and_derived():
 
     events = [
         _header(),
-        _iteration(0, counters={"estimator.sim_cache_hits": 9,
-                                "estimator.sim_cache_misses": 1}),
+        _iteration(0, counters={"compile.cache_hits": 9,
+                                "compile.cache_misses": 1}),
     ]
     d = report_as_dict(events)
     assert d["run"]["status"] == "interrupted"
     assert d["run"]["elapsed_s"] is None
-    assert d["derived"]["estimator.sim_cache_hit_rate"] == {
+    assert d["derived"]["compile.cache_hit_rate"] == {
         "hits": 9, "total": 10, "rate": 0.9,
     }
 
@@ -260,8 +256,8 @@ def test_gauges_flow_from_registry_to_cli_json_report(tmp_path, capsys):
     from repro.obs.report import collect_gauges
 
     obs = Instrumentation()
-    obs.gauge("custom.depth", 7)
-    obs.gauge("custom.depth", 9)          # last value wins
+    obs.gauge_max("custom.depth", 7)
+    obs.gauge_max("custom.depth", 9)
     obs.gauge_max("custom.watermark", 3.5)
     obs.gauge_max("custom.watermark", 2.0)  # watermark keeps the max
     snap = obs.snapshot()
@@ -296,24 +292,3 @@ def test_gauges_flow_from_registry_to_cli_json_report(tmp_path, capsys):
     assert main(["report", str(path), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["gauges"] == {"custom.depth": 9, "custom.watermark": 3.5}
-
-
-def test_simplify_run_summary_carries_telemetry_gauges(tmp_path):
-    """The real greedy loop's summary gauges reach the dict report."""
-    from repro.obs import load_journal, report_as_dict
-    from repro.simplify import GreedyConfig, circuit_simplify
-    from tests.conftest import build_c17
-
-    path = tmp_path / "run.jsonl"
-    circuit_simplify(
-        build_c17(),
-        rs_pct_threshold=10.0,
-        config=GreedyConfig(num_vectors=32, seed=0, exhaustive=True),
-        journal=path,
-        telemetry_interval=0.05,
-    )
-    gauges = report_as_dict(load_journal(path))["gauges"]
-    assert gauges["telemetry.rss_bytes"] > 0
-    assert gauges["telemetry.rss_peak_bytes"] >= gauges["telemetry.rss_bytes"]
-    assert gauges["telemetry.samples"] >= 2
-    assert "telemetry.patterns_per_s" in gauges

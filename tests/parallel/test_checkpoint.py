@@ -113,6 +113,45 @@ def test_truncated_checkpoint_resumes_identically(adder, reference, tmp_path, ke
     ]
 
 
+def test_stored_telemetry_samples_resume_and_render(
+    adder, reference, tmp_path, capsys
+):
+    """Journals written while the resource sampler existed hold v4
+    ``telemetry`` events between iterations: they still rebuild and
+    resume bit-identically, and ``repro report``/``profile`` render
+    them."""
+    from repro.cli import main
+
+    if len(reference.iterations) < 2:
+        pytest.skip("reference run too short to truncate there")
+    ckpt = tmp_path / "run.jsonl"
+    _run(adder, journal=str(ckpt))
+    sampled, t_s = [], 0.0
+    for ev in load_journal(ckpt, strict=True):
+        sampled.append(ev)
+        if ev["event"] in ("run_start", "iteration"):
+            t_s += 0.1
+            sampled.append({
+                "event": "telemetry", "t_s": t_s, "pid": 4242,
+                "lane": "coordinator", "rss_bytes": 60_000_000,
+                "cpu_s": t_s, "gauges": {"faults_per_s": 0.0},
+            })
+    with open(ckpt, "w") as fh:
+        fh.writelines(json.dumps(ev, sort_keys=True) + "\n" for ev in sampled)
+
+    _assert_identical(_run(adder, journal=str(ckpt)), reference)  # rebuild
+    _truncate_after_iterations(ckpt, 2)
+    _assert_identical(_run(adder, journal=str(ckpt)), reference)  # resume
+    events = load_journal(ckpt, strict=True)
+    assert [e["event"] for e in events].count("telemetry") == 2
+    assert events[-1]["event"] == "summary"
+
+    assert main(["report", str(ckpt)]) == 0
+    assert "status: complete" in capsys.readouterr().out
+    assert main(["profile", str(ckpt)]) == 0
+    assert "=== profile:" in capsys.readouterr().out
+
+
 def test_torn_final_line_is_tolerated(adder, reference, tmp_path):
     if len(reference.iterations) < 2:
         pytest.skip("reference run too short")
