@@ -6,11 +6,10 @@ file extension) and on the built-in benchmark suite:
 
 * ``stats``      -- netlist statistics and datapath/control profile
 * ``simplify``   -- RS-budgeted simplification of a netlist
-* ``report``     -- profiling view over a run journal (text, JSON, or
-  OpenMetrics/Prometheus exposition via ``--format openmetrics``)
-* ``profile``    -- self-time attribution over a run journal: exclusive
-  time per span, wall-clock attribution coverage (flags unattributed
-  time) and kernel bytes-moved throughput
+* ``report``     -- where a journaled run's time went (total and self
+  time per span path, wall-clock attribution with an exit-3 gate), its
+  iterations and hotspot counters; text, JSON, or
+  OpenMetrics/Prometheus exposition via ``--format openmetrics``
 * ``compare``    -- iteration-by-iteration diff of two run journals
 * ``audit``      -- estimator-calibration / RS-budget audit of a run
   journal: predicted vs. realized deltas per committed fault, Wilson
@@ -36,12 +35,11 @@ All human-facing output goes through the ``repro`` logging tree
 and Python warnings are captured into the same tree so ``--quiet``
 genuinely silences everything below WARNING.  ``simplify`` and
 ``table2`` accept ``--journal PATH`` to stream a structured JSONL run
-journal and ``--profile`` to dump the phase-time / counter breakdown
-after the run; ``simplify`` additionally takes ``--trace PATH`` (Chrome
-trace export, Perfetto-loadable) and ``--progress PATH`` (atomic
-machine-readable heartbeat; a live TTY stderr line appears
-automatically when stderr is a terminal and ``--quiet`` is not set);
-``report`` and ``profile`` render the journal views later.
+journal, which ``report`` renders later; ``simplify`` additionally
+takes ``--trace PATH`` (Chrome trace export, Perfetto-loadable) and
+``--progress PATH`` (atomic machine-readable heartbeat; a live TTY
+stderr line appears automatically when stderr is a terminal and
+``--quiet`` is not set).
 
 Output netlists are written in the format implied by the output path's
 extension.
@@ -52,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -67,9 +66,11 @@ from .obs import (
     ProgressReporter,
     TraceRecorder,
     compare_files,
+    journal_openmetrics,
+    load_journal,
     render_compare,
-    render_snapshot,
-    report_from_file,
+    render_report,
+    report_as_dict,
     write_chrome_trace,
 )
 from .simplify import remove_redundancies
@@ -168,6 +169,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a finite duration in seconds that must be > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {text}"
+        )
+    return value
+
+
 def _add_obs_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--journal", default=None, metavar="PATH",
                    help="stream a structured JSONL run journal here "
@@ -175,8 +189,6 @@ def _add_obs_options(p: argparse.ArgumentParser) -> None:
                         "is also the run's checkpoint: rerunning with "
                         "the same path resumes a killed run "
                         "bit-identically")
-    p.add_argument("--profile", action="store_true",
-                   help="print the phase-time / counter breakdown after the run")
 
 
 def _add_live_obs_options(p: argparse.ArgumentParser) -> None:
@@ -225,13 +237,6 @@ def _dump(circuit, path: str) -> None:
         dump_bench(circuit, path)
 
 
-def _instrumentation(args: argparse.Namespace) -> Optional[Instrumentation]:
-    """An explicit registry when the run is profiled or journaled."""
-    if getattr(args, "profile", False) or getattr(args, "journal", None):
-        return Instrumentation()
-    return None
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     circuit = _load_weighted(args.netlist, args.weights)
     s = circuit.stats()
@@ -253,10 +258,11 @@ def cmd_simplify(args: argparse.Namespace) -> int:
         return 2
     # The request owns output weighting; load the netlist untouched.
     circuit = _load_weighted(args.netlist, "unit")
-    obs = _instrumentation(args)
+    # A registry only for the trace: a journaled run records into its
+    # own private registry.
+    obs = None
     if args.trace:
-        if obs is None:
-            obs = Instrumentation()
+        obs = Instrumentation()
         obs.tracer = TraceRecorder()
     # The live stderr heartbeat is human-facing output: it exists only
     # on a real terminal and never under --quiet.  The --progress JSON
@@ -295,8 +301,6 @@ def cmd_simplify(args: argparse.Namespace) -> int:
         logger.info(f"chrome trace written to {args.trace} ({spans} spans)")
     if args.progress:
         logger.info(f"progress snapshot written to {args.progress}")
-    if args.profile and obs is not None:
-        logger.info("\n" + render_snapshot(obs.snapshot()))
     if args.output:
         outcome.save(args.output)
         logger.info(f"approximate netlist written to {args.output}")
@@ -305,51 +309,24 @@ def cmd_simplify(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     try:
-        if args.format in ("json", "openmetrics"):
-            from .obs import journal_openmetrics, load_journal, report_as_dict
-
-            events = load_journal(args.journal, skip_unknown=True)
-            if not events:
-                raise JournalError(f"{args.journal}: empty journal")
-            if args.format == "json":
-                logger.info(
-                    json.dumps(report_as_dict(events, top_k=args.top),
-                               indent=2, sort_keys=True)
-                )
-            else:
-                # rstrip: logger.info appends the final newline itself.
-                logger.info(journal_openmetrics(events).rstrip("\n"))
-        else:
-            logger.info(report_from_file(args.journal, top_k=args.top))
-    except FileNotFoundError:
-        logger.error(f"no such journal: {args.journal}")
-        return 2
-    except JournalError as exc:
-        logger.error(str(exc))
-        return 2
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    from .obs import profile_events, render_profile
-    from .obs.journal import load_journal
-
-    try:
         events = load_journal(args.journal, skip_unknown=True)
         if not events:
             raise JournalError(f"{args.journal}: empty journal")
-        profile = profile_events(events, top=args.top)
     except FileNotFoundError:
         logger.error(f"no such journal: {args.journal}")
         return 2
     except JournalError as exc:
         logger.error(str(exc))
         return 2
+    report = report_as_dict(events, top_k=args.top)
     if args.format == "json":
-        logger.info(json.dumps(profile, indent=2, sort_keys=True))
+        logger.info(json.dumps(report, indent=2, sort_keys=True))
+    elif args.format == "openmetrics":
+        # rstrip: logger.info appends the final newline itself.
+        logger.info(journal_openmetrics(events).rstrip("\n"))
     else:
-        logger.info(render_profile(profile))
-    if args.fail_on_unattributed and profile["attribution"]["flagged"]:
+        logger.info(render_report(events, top_k=args.top))
+    if args.fail_on_unattributed and report["attribution"]["flagged"]:
         return 3
     return 0
 
@@ -437,7 +414,6 @@ def cmd_table2(args: argparse.Namespace) -> int:
     profile = ISCAS85_SUITE[args.circuit]
     circuit = profile.builder()
     logger.info(f"{args.circuit}-like: area {circuit.area()} (paper {profile.paper_area})")
-    obs = _instrumentation(args)
     sweep = [args.rs_pct] if args.rs_pct is not None else list(profile.rs_pct_sweep)
     for pct in sweep:
         t0 = time.time()
@@ -451,7 +427,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
             request = SimplifyRequest.from_cli_args(
                 args, rs_pct_threshold=pct, weights="netlist", journal=journal,
             )
-            outcome = request.run(circuit, obs=obs)
+            outcome = request.run(circuit)
         except ReproError as exc:
             logger.error(f"{exc.code}: {exc}")
             return 2
@@ -465,8 +441,6 @@ def cmd_table2(args: argparse.Namespace) -> int:
         )
         logger.info(f"  %RS={pct:g}: ours {outcome.area_reduction_pct:.2f}%  paper {paper}  "
                     f"({len(outcome.faults)} faults, {time.time() - t0:.1f}s)")
-    if args.profile and obs is not None:
-        logger.info("\n" + render_snapshot(obs.snapshot()))
     return 0
 
 
@@ -708,7 +682,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_live_obs_options(p)
     p.set_defaults(func=cmd_simplify)
 
-    p = sub.add_parser("report", help="profiling view over a run journal")
+    p = sub.add_parser("report",
+                       help="where a journaled run's time went, its "
+                            "iterations and hotspot counters")
     p.add_argument("journal", help="journal JSONL path from --journal")
     p.add_argument("--top", type=_positive_int, default=12,
                    help="counters to show in the hotspot table (default 12)")
@@ -716,20 +692,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                    default="text",
                    help="render as human text (default), machine JSON, or "
                         "OpenMetrics/Prometheus text exposition")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("profile",
-                       help="self-time attribution over a run journal "
-                            "(exclusive span times, wall-clock coverage, "
-                            "kernel throughput)")
-    p.add_argument("journal", help="journal JSONL path from --journal")
-    p.add_argument("--top", type=_positive_int, default=12,
-                   help="span rows in the self-time table (default 12)")
-    p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--fail-on-unattributed", action="store_true",
                    help="exit 3 when top-level spans explain less than "
-                        "90%% of the run's wall time")
-    p.set_defaults(func=cmd_profile)
+                        "90%% of the run's wall time, or when that is "
+                        "unknown (a journal without its summary)")
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("compare",
                        help="diff two run journals iteration-by-iteration")
@@ -810,9 +777,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--port", type=int, default=8765)
     p.add_argument("--workers", type=_positive_int, default=2,
                    help="concurrent job runner processes (default 2)")
-    p.add_argument("--queue-limit", type=int, default=64,
+    p.add_argument("--queue-limit", type=_positive_int, default=64,
                    help="pending-job bound; further submits get HTTP 429")
-    p.add_argument("--max-retries", type=int, default=3,
+    p.add_argument("--max-retries", type=_positive_int, default=3,
                    help="attempts per job before a crashed run is failed "
                         "(each retry resumes from the job's checkpoint)")
     p.add_argument("--data-dir", default=".repro-service", metavar="DIR",
@@ -832,9 +799,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_weights_option(p)
     p.add_argument("--wait", action="store_true",
                    help="poll until the job finishes and print the report")
-    p.add_argument("--timeout", type=float, default=600.0,
+    p.add_argument("--timeout", type=_positive_float, default=600.0,
                    help="--wait limit in seconds (default 600)")
-    p.add_argument("--poll-interval", type=float, default=0.5)
+    p.add_argument("--poll-interval", type=_positive_float, default=0.5)
     p.add_argument("--trace-id", default=None, metavar="ID",
                    help="correlation id stamped through the job's whole "
                         "lifetime (API responses, service logs, runner "
@@ -852,7 +819,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--cancel", action="store_true",
                    help="request cancellation of the job")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--timeout", type=float, default=30.0,
+    p.add_argument("--timeout", type=_positive_float, default=30.0,
                    help="per-request HTTP timeout in seconds (default 30)")
     p.set_defaults(func=cmd_jobs)
 

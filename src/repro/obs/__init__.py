@@ -3,17 +3,18 @@
 See DESIGN.md §7 and §9.  ``repro.obs.core`` is the zero-dependency
 span/counter/gauge registry the hot paths record into;
 ``repro.obs.journal`` is the per-run JSONL event stream;
-``repro.obs.report`` renders the ``repro report`` profiling view from a
-journal.  ``repro.obs.trace`` exports span activity as a Chrome trace
-(Perfetto-loadable); ``repro.obs.progress`` is the
-live heartbeat (TTY line + atomic ``progress.json``) and
+``repro.obs.report`` renders the ``repro report`` view of a journal:
+where the time went (total and self time per span path, and how much
+of the wall-clock time the spans attribute), the iteration table and
+the hotspot counters.  ``repro.obs.trace`` exports span activity as a
+Chrome trace (Perfetto-loadable); ``repro.obs.progress`` is the live
+heartbeat (TTY line + atomic ``progress.json``) and
 ``repro.obs.compare`` diffs two run journals iteration-by-iteration.
 ``repro.obs.quality`` (DESIGN.md §10) is the
 statistical-quality layer: Wilson-score confidence intervals for
 sampled ER estimates, per-iteration estimator-calibration events, and
-the ``repro audit`` provenance trail.  ``repro.obs.profile``
-(DESIGN.md §12) renders the ``repro profile`` self-time attribution
-view; ``repro.obs.metrics_export`` is the OpenMetrics/Prometheus text
+the ``repro audit`` provenance trail.
+``repro.obs.metrics_export`` is the OpenMetrics/Prometheus text
 surface (``repro report --format openmetrics`` and the job server's
 ``/v1/metrics``).
 ``repro.obs.flight`` (DESIGN.md §15) is the failure-mode layer: the
@@ -61,12 +62,6 @@ from .metrics_export import (
     render_openmetrics,
     validate_openmetrics,
 )
-from .profile import (
-    ATTRIBUTION_TARGET_PCT,
-    profile_events,
-    profile_from_file,
-    render_profile,
-)
 from .progress import ProgressReporter
 from .quality import (
     DEFAULT_Z,
@@ -79,11 +74,11 @@ from .quality import (
     wilson_interval,
 )
 from .report import (
+    ATTRIBUTION_TARGET_PCT,
     collect_counters,
     collect_gauges,
     collect_timers,
     render_report,
-    render_snapshot,
     report_as_dict,
     report_from_file,
 )
@@ -110,7 +105,6 @@ __all__ = [
     "load_journal",
     "validate_event",
     "render_report",
-    "render_snapshot",
     "report_as_dict",
     "report_from_file",
     "collect_timers",
@@ -125,9 +119,6 @@ __all__ = [
     "journal_openmetrics",
     "validate_openmetrics",
     "ATTRIBUTION_TARGET_PCT",
-    "profile_events",
-    "profile_from_file",
-    "render_profile",
     "compare_runs",
     "compare_files",
     "render_compare",

@@ -145,6 +145,26 @@ class Instrumentation:
             "gauges": dict(self.gauges),
         }
 
+    def snapshot_since(self, baseline: Dict[str, Dict]) -> Dict[str, Dict]:
+        """:meth:`snapshot` less an earlier snapshot of this registry.
+
+        Timers and counters are the change since ``baseline``: what one
+        run recorded into a registry other runs share.  Gauges are
+        high-watermarks, so they stay whole-registry readings.
+        """
+        snap = self.snapshot()
+        old = baseline["timers"]
+        snap["timers"] = {
+            path: stat if path not in old else {
+                "total_s": stat["total_s"] - old[path]["total_s"],
+                "count": stat["count"] - old[path]["count"],
+            }
+            for path, stat in snap["timers"].items()
+            if path not in old or stat["count"] != old[path]["count"]
+        }
+        snap["counters"] = self.counters_since(baseline["counters"])
+        return snap
+
     def counters_since(self, baseline: Dict[str, int]) -> Dict[str, int]:
         """Counter deltas against an earlier ``dict(self.counters)`` copy."""
         return {

@@ -1,24 +1,34 @@
-"""Profiling view over a run journal: ``repro report <journal.jsonl>``.
+"""Where a run's time went, read from its journal: ``repro report``.
 
-Renders three sections from the JSONL event stream of one run:
+Renders four sections from the JSONL event stream of one run:
 
-* **phase-time breakdown** -- the hierarchical span timers from the
-  summary snapshot, one row per span path with total/share/count/mean.
-  For interrupted runs (no summary event) the per-iteration
-  ``phase_times`` are aggregated instead, so a readable journal prefix
-  still profiles;
+* **phase times** -- one row per span path: total (inclusive) time,
+  self time (the total minus its direct children's totals, clamped at
+  zero), share of the summed top-level spans, and calls.  Rows rank by
+  self time, which is where optimization effort lands.  An attribution
+  line then compares the summed top-level spans with the summary's
+  wall-clock ``elapsed_s`` and warns below
+  :data:`ATTRIBUTION_TARGET_PCT`: unattributed time is time no span
+  explains.  A run killed before its summary has no wall-clock total,
+  so its attribution is unknown; its per-iteration ``phase_times`` are
+  aggregated into the ``greedy/candidates``, ``greedy/rank`` and
+  ``greedy/commit`` rows a summary would hold (prepass time is not
+  journaled per iteration);
 * **iteration table** -- fault, area trajectory, ER/ES/RS and deltas
   per committed step;
 * **top-k hotspot counters** -- the largest monotonic counters
   (vectors simulated, cache hits/misses, ATPG backtracks, ...),
   followed by the pinned ``quality.*`` budget-risk/zero-pattern
   counters and the derived cache hit-rates (never crowded out of the
-  top-k window by bigger raw counts).
+  top-k window by bigger raw counts);
+* **gauges** -- the summary's high-watermarks.
 
-``report_as_dict`` is the machine-readable twin (``repro report
---format json``); :func:`collect_timers` / :func:`collect_counters`
-are the shared aggregation layer that ``repro compare`` reuses, so the
-two commands can never disagree about what a journal contains.
+:func:`report_as_dict` builds the one payload behind both renderings:
+``repro report --format json`` prints it and :func:`render_report`
+renders it as text, so the two cannot disagree.  :func:`collect_timers`
+/ :func:`collect_counters` / :func:`collect_gauges` are the shared
+aggregation layer that ``repro compare`` and the OpenMetrics export
+reuse, so no two commands disagree about what a journal contains.
 """
 
 from __future__ import annotations
@@ -29,15 +39,19 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .journal import JournalError, load_journal
 
 __all__ = [
+    "ATTRIBUTION_TARGET_PCT",
     "render_report",
     "report_from_file",
     "report_as_dict",
-    "render_snapshot",
     "collect_timers",
     "collect_counters",
     "collect_gauges",
     "derived_counter_rows",
 ]
+
+#: Share of the run's wall-clock time the top-level spans must explain
+#: before the report stops flagging unattributed time.
+ATTRIBUTION_TARGET_PCT = 90.0
 
 
 # ----------------------------------------------------------------------
@@ -94,17 +108,27 @@ _CACHE_PAIRS = (
 )
 
 
-def derived_counter_rows(counters: Dict[str, int]) -> List[Tuple[str, str]]:
-    """Derived (name, rendered value) rows: cache hit-rates."""
-    rows: List[Tuple[str, str]] = []
+def _hit_rates(counters: Dict[str, int]) -> Dict[str, Dict]:
+    """Derived cache hit-rates: name -> exact ``hits``/``total`` and the
+    ``rate``; a pair with no lookups has no entry."""
+    rates: Dict[str, Dict] = {}
     for hits_key, misses_key in _CACHE_PAIRS:
         hits = counters.get(hits_key, 0)
-        misses = counters.get(misses_key, 0)
-        total = hits + misses
+        total = hits + counters.get(misses_key, 0)
         if total:
             name = hits_key.rsplit("_hits", 1)[0] + "_hit_rate"
-            rows.append((name, f"{100.0 * hits / total:5.1f}%  ({hits}/{total})"))
-    return rows
+            rates[name] = {"hits": hits, "total": total, "rate": hits / total}
+    return rates
+
+
+def _fmt_rate(rate: Dict) -> str:
+    hits, total = rate["hits"], rate["total"]
+    return f"{100.0 * hits / total:5.1f}%  ({hits}/{total})"
+
+
+def derived_counter_rows(counters: Dict[str, int]) -> List[Tuple[str, str]]:
+    """Derived (name, rendered value) rows: cache hit-rates."""
+    return [(name, _fmt_rate(rate)) for name, rate in _hit_rates(counters).items()]
 
 
 def _counter_table(
@@ -126,25 +150,10 @@ def _counter_table(
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
-def render_snapshot(snapshot: Dict, top_k: int = 12) -> str:
-    """Render phase times + counters straight from an
-    :meth:`~repro.obs.core.Instrumentation.snapshot` (the ``--profile``
-    view, no journal needed)."""
-    pseudo_summary = {
-        "event": "summary",
-        "timers": snapshot.get("timers", {}),
-        "counters": snapshot.get("counters", {}),
-    }
-    lines = _render_phase_times(collect_timers([pseudo_summary]))
-    lines.append("")
-    lines.extend(_render_counters(collect_counters([pseudo_summary]), top_k))
-    return "\n".join(lines)
-
-
 def report_from_file(
     path: Union[str, os.PathLike], top_k: int = 12
 ) -> str:
-    """Load a journal file and render the profiling report.
+    """Load a journal file and render the text report.
 
     Loads tolerantly (``skip_unknown``): event types newer than this
     build degrade to "not shown" instead of erroring.
@@ -156,81 +165,75 @@ def report_from_file(
 
 
 def render_report(events: Sequence[Dict], top_k: int = 12) -> str:
-    """Render the report from already-parsed journal events."""
-    header = next((e for e in events if e.get("event") == "run_start"), None)
-    iterations = [e for e in events if e.get("event") == "iteration"]
-    summary = next((e for e in events if e.get("event") == "summary"), None)
-
+    """Render the text report of already-parsed journal events."""
+    report = report_as_dict(events, top_k=top_k)
     out: List[str] = []
-    out.extend(_render_header(header, iterations, summary))
+    out.extend(_render_header(report["run"]))
     out.append("")
-    out.extend(_render_phase_times(collect_timers(events)))
+    out.extend(_render_phase_times(report["phase_times"]))
+    out.extend(
+        _render_attribution(report["attribution"], report["run"]["elapsed_s"])
+    )
     out.append("")
-    out.extend(_render_iterations(iterations))
+    out.extend(_render_iterations(report["iterations"]))
     out.append("")
-    out.extend(_render_counters(collect_counters(events), top_k))
-    gauges = collect_gauges(events)
-    if gauges:
+    out.extend(_render_counters(report["counters"], report["derived"], top_k))
+    if report["gauges"]:
         out.append("")
-        out.extend(_render_gauges(gauges))
+        out.extend(_render_gauges(report["gauges"]))
     return "\n".join(out)
 
 
 def report_as_dict(events: Sequence[Dict], top_k: int = 12) -> Dict:
-    """Machine-readable report (``repro report --format json``).
+    """The report payload (``repro report --format json``).
 
-    Mirrors the text sections: run header/status, phase times (with
-    share against the top-level basis), the iteration table, the top-k
-    counter table with the pinned ``quality.*`` rows, and the derived
-    cache hit-rates as exact ``hits``/``total`` integers.
+    Run header/status, phase times (total, self, share of the top-level
+    basis, calls; ranked by self time), the attribution of wall-clock
+    time to top-level spans, the iteration table, the top-k counter
+    table with the pinned ``quality.*`` rows, the derived cache
+    hit-rates as exact ``hits``/``total`` integers, and the gauges.
     """
     header = next((e for e in events if e.get("event") == "run_start"), None)
     iterations = [e for e in events if e.get("event") == "iteration"]
     summary = next((e for e in events if e.get("event") == "summary"), None)
+    h = header or {}
+    s = summary or {}
     timers = collect_timers(events)
+    if not s.get("timers"):
+        # Per-iteration phase times are the greedy span's children.
+        timers = {f"greedy/{path}": stat for path, stat in timers.items()}
     counters = collect_counters(events)
-    basis = _share_basis(timers)
-
-    derived = {}
-    for hits_key, misses_key in _CACHE_PAIRS:
-        hits = counters.get(hits_key, 0)
-        total = hits + counters.get(misses_key, 0)
-        if total:
-            name = hits_key.rsplit("_hits", 1)[0] + "_hit_rate"
-            derived[name] = {
-                "hits": hits,
-                "total": total,
-                "rate": hits / total,
-            }
+    phase_times, attributed = _phase_rows(timers)
+    elapsed = s.get("elapsed_s")
+    # Without a wall-clock total (no summary) attribution is unknown.
+    pct = 100.0 * attributed / elapsed if elapsed else None
 
     return {
         "run": {
-            "circuit": header.get("circuit") if header else None,
+            "circuit": h.get("circuit"),
             "status": "complete" if summary is not None else "interrupted",
-            "rs_threshold": header.get("rs_threshold") if header else None,
-            "seed": header.get("seed") if header else None,
-            "num_vectors": header.get("num_vectors") if header else None,
+            "num_inputs": h.get("num_inputs"),
+            "num_outputs": h.get("num_outputs"),
+            "area": h.get("area"),
+            "rs_threshold": h.get("rs_threshold"),
+            "rs_max": h.get("rs_max"),
+            "seed": h.get("seed"),
+            "num_vectors": h.get("num_vectors"),
             "iterations": len(iterations),
-            "faults_injected": (
-                summary.get("faults_injected") if summary else len(iterations)
-            ),
-            "area_reduction_pct": (
-                summary.get("area_reduction_pct") if summary else None
-            ),
-            "elapsed_s": summary.get("elapsed_s") if summary else None,
+            "faults_injected": s.get("faults_injected", len(iterations)),
+            "area_before": s.get("area_before"),
+            "area_after": s.get("area_after"),
+            "area_reduction_pct": s.get("area_reduction_pct"),
+            "elapsed_s": elapsed,
         },
-        "phase_times": [
-            {
-                "path": path,
-                "total_s": total,
-                "share": total / basis,
-                "count": count,
-                "mean_s": total / count if count else 0.0,
-            }
-            for path, (total, count) in sorted(
-                timers.items(), key=lambda kv: -kv[1][0]
-            )
-        ],
+        "phase_times": phase_times,
+        "attribution": {
+            "attributed_s": attributed,
+            "unattributed_s": max(elapsed - attributed, 0.0) if elapsed else None,
+            "attributed_pct": pct,
+            "target_pct": ATTRIBUTION_TARGET_PCT,
+            "flagged": pct is None or pct < ATTRIBUTION_TARGET_PCT,
+        },
         "iterations": [
             {
                 "index": ev["index"],
@@ -249,71 +252,111 @@ def report_as_dict(events: Sequence[Dict], top_k: int = 12) -> Dict:
         ],
         "counters": dict(_counter_table(counters, top_k)),
         "gauges": collect_gauges(events),
-        "derived": derived,
+        "derived": _hit_rates(counters),
     }
 
 
+def _phase_rows(timers: Dict[str, Tuple[float, int]]) -> Tuple[List[Dict], float]:
+    """Phase-time rows ranked by self time, and their share basis.
+
+    Top-level spans partition the run, so their summed totals are the
+    100% basis (all rows when none is top-level, as in an interrupted
+    run's per-iteration fallback).  Self time subtracts the direct
+    children only; timer noise can make children overrun a parent, so
+    it is clamped at zero.
+    """
+    children: Dict[str, float] = {}
+    for path, (total, _count) in timers.items():
+        if "/" in path:
+            parent = path.rsplit("/", 1)[0]
+            children[parent] = children.get(parent, 0.0) + total
+    basis = sum(t for path, (t, _c) in timers.items() if "/" not in path)
+    basis = basis or sum(t for t, _c in timers.values())
+    rows = [
+        {
+            "path": path,
+            "total_s": total,
+            "self_s": max(total - children.get(path, 0.0), 0.0),
+            "share": total / basis if basis else 0.0,
+            "count": count,
+            "mean_s": total / count if count else 0.0,
+        }
+        for path, (total, count) in timers.items()
+    ]
+    rows.sort(key=lambda r: (-r["self_s"], r["path"]))
+    return rows, basis
+
+
 # ----------------------------------------------------------------------
-def _render_header(
-    header: Optional[Dict], iterations: List[Dict], summary: Optional[Dict]
-) -> List[str]:
+def _render_header(run: Dict) -> List[str]:
     lines = ["=== run ==="]
-    if header is not None:
+    if run["circuit"] is not None:
         lines.append(
-            f"circuit: {header['circuit']} "
-            f"({header['num_inputs']} inputs, {header['num_outputs']} outputs, "
-            f"area {header['area']})"
+            f"circuit: {run['circuit']} "
+            f"({run['num_inputs']} inputs, {run['num_outputs']} outputs, "
+            f"area {run['area']})"
         )
         pct = (
-            100.0 * header["rs_threshold"] / header["rs_max"]
-            if header.get("rs_max")
-            else 0.0
+            100.0 * run["rs_threshold"] / run["rs_max"] if run["rs_max"] else 0.0
         )
         lines.append(
-            f"RS threshold: {header['rs_threshold']:.6g} "
-            f"({pct:.4g}% of RS_max {header['rs_max']:.6g})"
+            f"RS threshold: {run['rs_threshold']:.6g} "
+            f"({pct:.4g}% of RS_max {run['rs_max']:.6g})"
         )
-        lines.append(
-            f"vectors: {header['num_vectors']}  seed: {header['seed']}"
-        )
+        lines.append(f"vectors: {run['num_vectors']}  seed: {run['seed']}")
     else:
         lines.append("(no run_start header -- journal prefix starts mid-run)")
-    if summary is not None:
+    if run["status"] == "complete":
         status = (
-            f"status: complete -- {summary['faults_injected']} faults, "
-            f"area {summary['area_before']} -> {summary['area_after']} "
-            f"({summary['area_reduction_pct']:.2f}%)"
+            f"status: complete -- {run['faults_injected']} faults, "
+            f"area {run['area_before']} -> {run['area_after']} "
+            f"({run['area_reduction_pct']:.2f}%)"
         )
-        if summary.get("elapsed_s") is not None:
-            status += f", {summary['elapsed_s']:.2f}s"
+        if run["elapsed_s"] is not None:
+            status += f", {run['elapsed_s']:.2f}s"
         lines.append(status)
     else:
         lines.append(
             f"status: INTERRUPTED -- readable prefix holds "
-            f"{len(iterations)} iteration(s)"
+            f"{run['iterations']} iteration(s)"
         )
     return lines
 
 
-def _share_basis(timers: Dict[str, Tuple[float, int]]) -> float:
-    # Top-level spans partition the run; their sum is the 100% basis.
-    top_total = sum(t for path, (t, _c) in timers.items() if "/" not in path)
-    return top_total or sum(t for t, _c in timers.values()) or 1.0
-
-
-def _render_phase_times(timers: Dict[str, Tuple[float, int]]) -> List[str]:
+def _render_phase_times(rows: List[Dict]) -> List[str]:
     lines = ["=== phase times ==="]
-    if not timers:
+    if not rows:
         lines.append("(no timing data recorded)")
         return lines
-    basis = _share_basis(timers)
-    width = max(len(p) for p in timers)
-    lines.append(f"{'phase':<{width}}  {'total':>9}  {'share':>6}  {'calls':>8}  {'mean':>9}")
-    for path, (total, count) in sorted(timers.items(), key=lambda kv: -kv[1][0]):
-        mean = total / count if count else 0.0
+    width = max(len(r["path"]) for r in rows)
+    lines.append(
+        f"{'phase':<{width}}  {'total':>9}  {'self':>9}  {'share':>6}  {'calls':>8}"
+    )
+    for r in rows:
         lines.append(
-            f"{path:<{width}}  {_fmt_s(total):>9}  {100 * total / basis:5.1f}%  "
-            f"{count:>8}  {_fmt_s(mean):>9}"
+            f"{r['path']:<{width}}  {_fmt_s(r['total_s']):>9}  "
+            f"{_fmt_s(r['self_s']):>9}  {100 * r['share']:5.1f}%  {r['count']:>8}"
+        )
+    return lines
+
+
+def _render_attribution(att: Dict, elapsed: Optional[float]) -> List[str]:
+    if att["attributed_pct"] is None:
+        return [
+            f"attributed: unknown -- no wall-clock total without a summary; "
+            f"{_fmt_s(att['attributed_s'])} of greedy phases journaled per "
+            f"iteration (prepass time is not journaled per iteration)"
+        ]
+    lines = [
+        f"attributed: {_fmt_s(att['attributed_s'])} of {_fmt_s(elapsed)} wall "
+        f"({att['attributed_pct']:.1f}%), unattributed "
+        f"{_fmt_s(att['unattributed_s'])}"
+    ]
+    if att["flagged"]:
+        lines.append(
+            f"WARNING: attribution below {att['target_pct']:.0f}% -- "
+            f"{_fmt_s(att['unattributed_s'])} of wall time runs outside "
+            f"every span"
         )
     return lines
 
@@ -339,21 +382,18 @@ def _render_iterations(iterations: List[Dict]) -> List[str]:
     return lines
 
 
-def _render_counters(counters: Dict[str, int], top_k: int) -> List[str]:
+def _render_counters(
+    table: Dict[str, int], derived: Dict[str, Dict], top_k: int
+) -> List[str]:
     lines = [f"=== top counters (k={top_k}) ==="]
-    if not counters:
+    if not table:
         lines.append("(no counters recorded)")
         return lines
-    table = _counter_table(counters, top_k)
-    derived = derived_counter_rows(counters)
-    width = max(
-        max(len(n) for n, _ in table),
-        max((len(n) for n, _ in derived), default=0),
-    )
-    for name, n in table:
+    width = max(len(n) for n in (*table, *derived))
+    for name, n in table.items():
         lines.append(f"{name:<{width}}  {n:>14,}")
-    for name, text in derived:
-        lines.append(f"{name:<{width}}  {text}")
+    for name, rate in derived.items():
+        lines.append(f"{name:<{width}}  {_fmt_rate(rate)}")
     return lines
 
 

@@ -201,6 +201,11 @@ class JobStore:
         obs: Optional[Instrumentation] = None,
         on_transition: Optional[Callable[[str, Job], None]] = None,
     ):
+        # queue.Queue(maxsize <= 0) is unbounded: it would never refuse.
+        if queue_limit < 1:
+            raise ValueError("queue_limit must be >= 1")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         self.root = os.path.abspath(root)
         os.makedirs(os.path.join(self.root, "jobs"), exist_ok=True)
         self._jobs: Dict[str, Job] = {}
@@ -249,6 +254,13 @@ class JobStore:
                 else:
                     prior = None
             if prior is None:
+                # Only this lock's holders put, so a free slot stays free
+                # until the put below: check before any directory exists.
+                if self._queue.full():
+                    raise QueueFullError(
+                        f"job queue is full ({self._queue.maxsize} pending); "
+                        f"retry later"
+                    )
                 job_id = f"job-{next(self._ids):06d}"
                 job_dir = os.path.join(self.root, "jobs", job_id)
                 os.makedirs(job_dir, exist_ok=True)
@@ -267,13 +279,7 @@ class JobStore:
                 with open(job.request_path, "w", encoding="utf-8") as fh:
                     fh.write(request.to_json())
                     fh.write("\n")
-                try:
-                    self._queue.put_nowait(job.id)
-                except queue.Full:
-                    raise QueueFullError(
-                        f"job queue is full ({self._queue.maxsize} pending); "
-                        f"retry later"
-                    ) from None
+                self._queue.put_nowait(job.id)
                 self._jobs[job.id] = job
                 self._by_key[cache_key] = job.id
         if prior is not None:

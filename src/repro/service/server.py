@@ -131,7 +131,8 @@ class SimplifyService:
     ) -> None:
         self.data_dir = os.path.abspath(data_dir)
         self.obs = obs if obs is not None else Instrumentation()
-        self.log = ServiceLog(os.path.join(self.data_dir, "logs"))
+        # The store rejects a queue_limit or max_attempts below 1 before
+        # any log file is opened.
         self.store = JobStore(
             self.data_dir,
             queue_limit=queue_limit,
@@ -139,6 +140,7 @@ class SimplifyService:
             obs=self.obs,
             on_transition=self._on_job_transition,
         )
+        self.log = ServiceLog(os.path.join(self.data_dir, "logs"))
         self.cache = ResultCache(os.path.join(self.data_dir, "cache"))
         self.netlists_dir = os.path.join(self.data_dir, "netlists")
         os.makedirs(self.netlists_dir, exist_ok=True)

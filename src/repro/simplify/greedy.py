@@ -205,6 +205,9 @@ def circuit_simplify(
     ``obs`` overrides the active instrumentation registry; when a
     journal is requested and instrumentation is off, a private registry
     is switched on so the journal always carries real phase timings.
+    The summary's timers and counters are this run's own, even when
+    ``obs`` is shared across runs; its gauges are the registry's
+    high-watermarks across every run it served.
 
     ``progress`` attaches a live sink (usually a
     :class:`~repro.obs.progress.ProgressReporter`) that receives the
@@ -274,6 +277,11 @@ def circuit_simplify(
     # registry on when instrumentation is off.
     if tee is not None and not obs.enabled:
         obs = Instrumentation()
+    # The summary holds this run's own totals, over one window: a
+    # registry the caller shares across runs (``obs=``, the CLI's
+    # ``--trace``) already holds the earlier runs' spans and counters.
+    baseline = obs.snapshot()
+    t_run = time.perf_counter()
 
     estimator = MetricsEstimator(
         circuit,
@@ -294,7 +302,6 @@ def circuit_simplify(
         obs.incr("checkpoint.resumes")
         obs.incr("checkpoint.replayed_iterations", len(replay.iterations))
 
-    t_run = time.perf_counter()
     if tee is not None:
         # Scoring runs in one process; both headers keep their count of
         # scoring processes (1) so journals and checkpoints keep their
@@ -341,7 +348,7 @@ def circuit_simplify(
             replay=replay,
         )
         if tee is not None:
-            snap = obs.snapshot()
+            snap = obs.snapshot_since(baseline)
             tee.emit(
                 {
                     "event": "summary",
@@ -578,7 +585,7 @@ def _run_greedy(
 
     if result.final_metrics is None:
         # Under its own span: the trailing RS check is the last real
-        # work of the run, and `repro profile` attributes wall time by
+        # work of the run, and `repro report` attributes wall time by
         # top-level span coverage.
         with obs.span("finalize"):
             _ok, result.final_metrics = estimator.check_rs(

@@ -43,6 +43,13 @@ per-gate reference :class:`~repro.simulation.logicsim.LogicSimulator`
 and is bit-identical to it -- pinned by the reference suite in
 ``tests/simulation/test_engine_equivalence.py`` and the property tests
 in ``tests/simulation/test_compiled.py``.
+
+A run records only ``kernel.runs``, ``kernel.words_simulated`` and the
+fault-overlay counts (``kernel.overlay_patches``/``overlay_stems``).
+The kernel's throughput is measured from outside, over
+:meth:`CompiledSimulator.run_packed`'s own time, by the end-to-end
+benchmark (``simulation.compiled.run_packed.mb_per_s`` under
+``benchmarks/e2e/run.py --trace 1``).
 """
 
 from __future__ import annotations
@@ -65,9 +72,6 @@ __all__ = [
     "circuit_fingerprint",
     "compile_program",
 ]
-
-#: Core names indexed by opcode, for the per-core pass counters.
-_CORE_NAMES = ("and", "or", "xor")
 
 #: Reserved value-matrix rows: constant zero and constant one.  They
 #: double as the padding identity rows (one for the AND core, zero for
@@ -154,7 +158,6 @@ class CompiledProgram:
         "levels",
         "loc",
         "level_of_row",
-        "pass_counters",
     )
 
     def __init__(
@@ -166,7 +169,6 @@ class CompiledProgram:
         levels: Tuple[Tuple[Tuple, ...], ...],
         loc: Dict[int, Tuple[int, int, int]],
         level_of_row: List[int],
-        pass_counters: Tuple[Tuple[str, int, bool], ...] = (),
     ) -> None:
         self.num_inputs = num_inputs
         self.num_rows = num_rows
@@ -182,37 +184,6 @@ class CompiledProgram:
         #: The level index of every row; -1 for the constant and input
         #: rows, which hold their values before any level runs.
         self.level_of_row = level_of_row
-        #: Pass-attribution amounts, precomputed at compile time so
-        #: ``run_packed`` pays a handful of ``incr`` calls per *run*
-        #: (not per gate): ``(counter name, amount, scale_by_words)``.
-        #: Word-scaled amounts count uint64 slots gathered + scattered
-        #: per batch word; the rest are per-run pass/row counts.
-        self.pass_counters = pass_counters
-
-    def pass_table(self) -> List[Dict]:
-        """Per-(level, core) execution-pass breakdown.
-
-        One row per vectorized pass the kernel executes per run:
-        topological level, core name, gates evaluated by the pass, the
-        padded fan-in, and the uint64 slots it moves per batch word
-        (``(arity + 1) * gates``: the operand gathers plus the output
-        scatter).
-        """
-        rows: List[Dict] = []
-        for li, groups in enumerate(self.levels):
-            for core, out_rows, in_rows, _inv in groups:
-                k = int(out_rows.shape[0])
-                arity = int(in_rows.shape[0])
-                rows.append(
-                    {
-                        "level": li,
-                        "core": _CORE_NAMES[core],
-                        "gates": k,
-                        "arity": arity,
-                        "words_per_batch_word": (arity + 1) * k,
-                    }
-                )
-        return rows
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
@@ -292,46 +263,7 @@ def _build_program(circuit: Circuit) -> CompiledProgram:
         levels=levels,
         loc=loc,
         level_of_row=level,
-        pass_counters=_build_pass_counters(levels),
     )
-
-
-def _build_pass_counters(
-    levels: Tuple[Tuple[Tuple, ...], ...]
-) -> Tuple[Tuple[str, int, bool], ...]:
-    """Precompute the per-run pass-attribution counter amounts.
-
-    Aggregate totals plus a per-core split, all derived from the group
-    shapes: ``passes`` is vectorized passes executed, ``rows_touched``
-    is output rows scattered, and ``words_moved`` is uint64 slots
-    gathered + scattered -- the word-scaled entries multiply by the
-    batch word count at run time.
-    """
-    per_core = {c: [0, 0, 0] for c in range(len(_CORE_NAMES))}
-    for groups in levels:
-        for core, out_rows, in_rows, _inv in groups:
-            k = int(out_rows.shape[0])
-            arity = int(in_rows.shape[0])
-            stats = per_core[core]
-            stats[0] += 1
-            stats[1] += k
-            stats[2] += (arity + 1) * k
-    entries: List[Tuple[str, int, bool]] = []
-    totals = [0, 0, 0]
-    for core, name in enumerate(_CORE_NAMES):
-        passes, rows, slots = per_core[core]
-        if not passes:
-            continue
-        totals[0] += passes
-        totals[1] += rows
-        totals[2] += slots
-        entries.append((f"kernel.pass.{name}.passes", passes, False))
-        entries.append((f"kernel.pass.{name}.rows_touched", rows, False))
-        entries.append((f"kernel.pass.{name}.words_moved", slots, True))
-    entries.append(("kernel.pass.executions", totals[0], False))
-    entries.append(("kernel.pass.rows_touched", totals[1], False))
-    entries.append(("kernel.pass.words_moved", totals[2], True))
-    return tuple(entries)
 
 
 def compile_program(
@@ -464,9 +396,5 @@ class CompiledSimulator:
                 )
         self.obs.incr("kernel.runs")
         self.obs.incr("kernel.words_simulated", w)
-        # Pass attribution, precomputed at compile time: a handful of
-        # incr calls per run (no-ops under NullInstrumentation).
-        for name, amount, by_words in p.pass_counters:
-            self.obs.incr(name, amount * w if by_words else amount)
         return SimResult(self, values, num_vectors)
 

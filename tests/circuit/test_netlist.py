@@ -202,7 +202,6 @@ def _program_facts(program):
         groups,
         program.loc,
         program.level_of_row,
-        program.pass_counters,
     )
 
 

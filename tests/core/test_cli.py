@@ -68,8 +68,7 @@ def test_workers_option_is_gone(verb, capsys):
 
 @pytest.mark.parametrize("top", ["0", "-2"])
 @pytest.mark.parametrize(
-    "verb", [["report", "r.jsonl"], ["profile", "r.jsonl"],
-             ["compare", "a.jsonl", "b.jsonl"]]
+    "verb", [["report", "r.jsonl"], ["compare", "a.jsonl", "b.jsonl"]]
 )
 def test_top_below_one_is_a_usage_error(verb, top, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -89,11 +88,32 @@ def test_top_below_one_is_a_usage_error(verb, top, capsys):
         # table2 reads its budget from --rs-pct alone
         ["table2", "c880", "--rs", "5", "--rs-pct", "1",
          "--vectors", "100", "--candidate-limit", "5"],
+        # queue.Queue(maxsize=0) is unbounded: it would never answer 429
+        ["serve", "--queue-limit", "0"],
+        ["serve", "--queue-limit", "-1"],
+        ["serve", "--max-retries", "0"],
+        ["serve", "--max-retries", "-1"],
+        ["jobs", "--timeout", "-1"],
+        ["jobs", "--timeout", "nan"],
+        ["jobs", "--timeout", "0"],
+        ["submit", "NETLIST", "--rs-pct", "5", "--timeout", "inf"],
+        ["submit", "NETLIST", "--rs-pct", "5", "--wait",
+         "--poll-interval", "-1"],
     ],
     ids=["yield-vectors", "yield-chips", "er-tests-candidates",
-         "serve-workers", "table2-rs"],
+         "serve-workers", "table2-rs", "serve-queue-limit-0",
+         "serve-queue-limit-negative", "serve-max-retries-0",
+         "serve-max-retries-negative", "jobs-timeout-negative",
+         "jobs-timeout-nan", "jobs-timeout-0", "submit-timeout-inf",
+         "submit-poll-interval-negative"],
 )
-def test_bad_count_and_budget_flags_are_usage_errors(argv, netlist, capsys):
+def test_bad_count_and_budget_flags_are_usage_errors(
+    argv, netlist, capsys, monkeypatch
+):
+    import repro.service
+
+    # A serve that argparse let through must return, not serve forever.
+    monkeypatch.setattr(repro.service, "serve", lambda **kw: None)
     with pytest.raises(SystemExit) as exc:
         main([netlist if a == "NETLIST" else a for a in argv])
     assert exc.value.code == 2
@@ -246,19 +266,43 @@ def test_simplify_fom_best(netlist, tmp_path, capsys):
     assert out_path.exists()
 
 
+def test_traced_best_run_journals_each_runs_own_totals(tmp_path, capsys):
+    """--trace shares one registry across both constituent runs of
+    --fom best; each journal's summary still counts its own run."""
+    from tests.conftest import build_ripple_adder
+    from tests.obs.test_journal import assert_summary_is_own_run
+
+    netlist = tmp_path / "adder5.bench"
+    dump_bench(build_ripple_adder(5), netlist)
+    journal = tmp_path / "j.jsonl"
+    assert main(["simplify", str(netlist), "--rs-pct", "6", "--vectors", "900",
+                 "--seed", "4", "--candidate-limit", "60",
+                 "--fom", "best", "--trace", str(tmp_path / "t.json"),
+                 "--journal", str(journal)]) == 0
+    capsys.readouterr()
+    assert os.path.exists(f"{journal}.area_per_rs")  # both runs executed
+    assert_summary_is_own_run(f"{journal}.area")
+
+
 def test_report_missing_file_fails_cleanly(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nope.jsonl")]) == 2
     assert "nope.jsonl" in capsys.readouterr().err
 
 
-def test_simplify_profile_prints_phase_times(netlist, capsys):
-    rc = main(
-        ["simplify", netlist, "--rs-pct", "5", "--vectors", "500", "--profile"]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "=== phase times ===" in out
-    assert "=== top counters" in out
+def test_profile_verb_and_flag_are_usage_errors(netlist, tmp_path, capsys):
+    """Where the time went is read from the journal (`repro report`):
+    the profile verb and the in-memory --profile print are gone."""
+    journal = str(tmp_path / "x.jsonl")
+    for argv in (
+        ["profile", journal],
+        ["simplify", netlist, "--rs-pct", "5", "--profile"],
+        ["table2", "c880", "--rs-pct", "1", "--profile"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
 
 
 def test_quiet_suppresses_stdout_but_not_errors(netlist, tmp_path, capsys):
@@ -385,7 +429,7 @@ def test_retired_sampler_and_trends_are_usage_errors(argv, netlist, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-def test_profile_cli_text_json_and_gate(netlist, tmp_path, capsys):
+def test_report_cli_text_json_and_gate(netlist, tmp_path, capsys):
     import json
 
     journal = tmp_path / "run.jsonl"
@@ -393,32 +437,37 @@ def test_profile_cli_text_json_and_gate(netlist, tmp_path, capsys):
                  "--journal", str(journal)]) == 0
     capsys.readouterr()
 
-    assert main(["profile", str(journal)]) == 0
+    assert main(["report", str(journal)]) == 0
     out = capsys.readouterr().out
-    assert "=== profile:" in out
-    assert "self time (exclusive, top spans)" in out
+    assert "=== phase times ===" in out
+    header = next(line for line in out.splitlines() if line.startswith("phase "))
+    assert header.split() == ["phase", "total", "self", "share", "calls"]
+    assert "attributed: " in out and "wall (" in out
 
-    assert main(["profile", str(journal), "--format", "json", "--top", "3"]) == 0
+    assert main(["report", str(journal), "--format", "json", "--top", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert len(payload["spans"]) <= 3
+    assert len(payload["counters"]) <= 3
+    assert all("self_s" in row for row in payload["phase_times"])
     assert payload["attribution"]["attributed_pct"] > 0
 
-    # a healthy run passes the gate; a truncated header-only journal fails it
-    assert main(["profile", str(journal), "--fail-on-unattributed"]) == 0
+    # a healthy run passes the gate; a journal holding only its header
+    # has no wall-clock total, so its attribution is unknown and fails
+    assert main(["report", str(journal), "--fail-on-unattributed"]) == 0
     capsys.readouterr()
     torn = tmp_path / "torn.jsonl"
     with open(journal, encoding="utf-8") as src:
         first = src.readline()
     torn.write_text(first)
-    assert main(["profile", str(torn), "--fail-on-unattributed"]) == 3
-    capsys.readouterr()
+    assert main(["report", str(torn), "--fail-on-unattributed"]) == 3
+    assert "attributed: unknown" in capsys.readouterr().out
 
 
-def test_profile_cli_errors(tmp_path, capsys):
-    assert main(["profile", str(tmp_path / "nope.jsonl")]) == 2
+def test_report_cli_errors(tmp_path, capsys):
+    assert main(["report", str(tmp_path / "nope.jsonl")]) == 2
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    assert main(["profile", str(empty)]) == 2
+    assert main(["report", str(empty)]) == 2
+    assert main(["report", str(empty), "--fail-on-unattributed"]) == 2
     capsys.readouterr()
 
 

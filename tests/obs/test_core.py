@@ -2,6 +2,8 @@
 
 import time
 
+import pytest
+
 from repro.obs import NULL, Instrumentation, NullInstrumentation, get_active, set_active, use
 
 
@@ -20,6 +22,28 @@ def test_counters_since_reports_deltas_only():
     obs.incr("a", 2)
     obs.incr("c", 7)
     assert obs.counters_since(base) == {"a": 2, "c": 7}
+
+
+def test_snapshot_since_holds_one_runs_timers_and_counters():
+    obs = Instrumentation()
+    with obs.span("prepass"):
+        obs.incr("a", 3)
+    with obs.span("idle"):
+        pass
+    obs.gauge_max("m", 9)
+    base = obs.snapshot()
+    with obs.span("prepass"):
+        obs.incr("a", 2)
+    with obs.span("greedy"):
+        obs.gauge_max("m", 4)
+    snap = obs.snapshot_since(base)
+    assert set(snap["timers"]) == {"prepass", "greedy"}  # "idle" unchanged
+    assert snap["timers"]["prepass"]["count"] == 1
+    assert snap["timers"]["prepass"]["total_s"] == pytest.approx(
+        obs.timers["prepass"].total_s - base["timers"]["prepass"]["total_s"]
+    )
+    assert snap["counters"] == {"a": 2}
+    assert snap["gauges"] == {"m": 9}  # gauges are whole-registry watermarks
 
 
 def test_gauge_max_keeps_the_watermark():

@@ -379,7 +379,7 @@ def test_report_compare_audit_tolerate_unknown_events(tmp_path, capsys):
     audit = audit_file(path)
     assert audit["iterations"]
     assert main(["report", str(path)]) == 0
-    assert main(["profile", str(path)]) == 0
+    assert main(["report", str(path), "--format", "json"]) == 0
     capsys.readouterr()
 
 
@@ -392,3 +392,43 @@ def test_skip_unknown_does_not_mask_malformed_events(tmp_path):
         fh.write(json.dumps({"event": "telemetry", "t_s": 0.1}) + "\n")
     with pytest.raises(JournalError, match="missing required keys"):
         load_journal(path, skip_unknown=True)
+
+
+# ----------------------------------------------------------------------
+# a registry shared across runs: each summary holds its own run's totals
+# ----------------------------------------------------------------------
+def assert_summary_is_own_run(path):
+    """The summary of one constituent run of a shared registry counts
+    that run alone: one prepass, its own commits, and no more span time
+    than its wall clock."""
+    events = load_journal(path, strict=True)
+    summary = events[-1]
+    assert summary["event"] == "summary"
+    assert summary["timers"]["prepass"]["count"] == 1
+    greedy_commits = sum(
+        1 for e in events if e["event"] == "iteration" and e["phase"] == "greedy"
+    )
+    assert greedy_commits >= 1
+    assert summary["counters"]["greedy.commits_accepted"] == greedy_commits
+    top_level = sum(
+        stat["total_s"] for path, stat in summary["timers"].items() if "/" not in path
+    )
+    assert top_level <= summary["elapsed_s"] * 1.05
+
+
+def test_shared_registry_summaries_hold_each_runs_own_totals(tmp_path):
+    from repro import SimplifyRequest
+    from repro.obs import Instrumentation
+
+    from tests.conftest import build_ripple_adder
+
+    path = tmp_path / "best.jsonl"
+    obs = Instrumentation()
+    SimplifyRequest(
+        rs_pct_threshold=6.0, fom="best", redundancy_prepass=True,
+        journal=str(path), num_vectors=900, seed=4, candidate_limit=60,
+    ).run(build_ripple_adder(5), obs=obs)
+    assert os.path.exists(f"{path}.area_per_rs")  # both runs executed
+    assert_summary_is_own_run(f"{path}.area")
+    # the shared registry itself still holds both runs
+    assert obs.timers["prepass"].count == 2

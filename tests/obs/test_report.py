@@ -1,15 +1,23 @@
-"""Report renderer: complete runs, interrupted prefixes, snapshots."""
+"""Report renderer: complete runs, interrupted prefixes, where the
+time went (self time and wall-clock attribution)."""
+
+import json
+import shutil
 
 import pytest
 
 from repro.obs import (
+    ATTRIBUTION_TARGET_PCT,
     Instrumentation,
     JournalError,
     render_report,
-    render_snapshot,
+    report_as_dict,
     report_from_file,
 )
 from repro.obs.report import _fmt_s
+from repro.simplify import GreedyConfig, circuit_simplify
+
+from tests.parallel.test_checkpoint import _truncate_after_iterations
 
 from .test_journal import _header, _iteration
 
@@ -103,16 +111,6 @@ def test_top_k_limits_counter_rows():
     ]
     assert len(counter_lines) == 3
     assert "c00" in out and "c03" not in out
-
-
-def test_render_snapshot_profile_view():
-    obs = Instrumentation()
-    with obs.span("rank"):
-        obs.incr("vectors", 1234)
-    out = render_snapshot(obs.snapshot())
-    assert "=== phase times ===" in out
-    assert "rank" in out
-    assert "vectors" in out and "1,234" in out
 
 
 def test_report_from_file_roundtrip_and_errors(tmp_path):
@@ -292,3 +290,173 @@ def test_gauges_flow_from_registry_to_cli_json_report(tmp_path, capsys):
     assert main(["report", str(path), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["gauges"] == {"custom.depth": 9, "custom.watermark": 3.5}
+
+
+# ----------------------------------------------------------------------
+# where the time went: self time and wall-clock attribution
+# ----------------------------------------------------------------------
+def _timed(timers, elapsed=10.0):
+    return [
+        _header(circuit="cX"),
+        _summary(
+            elapsed_s=elapsed,
+            timers={
+                path: {"total_s": total, "count": count}
+                for path, (total, count) in timers.items()
+            },
+        ),
+    ]
+
+
+def test_exclusive_time_subtracts_direct_children_only():
+    timers = {
+        "greedy": (10.0, 1),
+        "greedy/rank": (6.0, 5),
+        "greedy/rank/batchsim": (4.0, 5),  # grandchild: not greedy's child
+        "greedy/commit": (2.0, 5),
+    }
+    rows = report_as_dict(_timed(timers))["phase_times"]
+    by_path = {r["path"]: r for r in rows}
+    assert by_path["greedy"]["self_s"] == pytest.approx(2.0)  # 10-6-2
+    assert by_path["greedy/rank"]["self_s"] == pytest.approx(2.0)  # 6-4
+    assert by_path["greedy/rank/batchsim"]["self_s"] == pytest.approx(4.0)
+    assert by_path["greedy/commit"]["self_s"] == pytest.approx(2.0)
+    # ranked by self time descending (ties by path), every row shown
+    assert [r["path"] for r in rows] == [
+        "greedy/rank/batchsim", "greedy", "greedy/commit", "greedy/rank",
+    ]
+    text = render_report(_timed(timers), top_k=1)
+    table = text.split("=== phase times ===\n", 1)[1].split("\nattributed", 1)[0]
+    assert [line.split()[0] for line in table.splitlines()[1:]] == [
+        r["path"] for r in rows
+    ]
+    greedy_row = next(line for line in table.splitlines() if line.startswith("greedy "))
+    assert greedy_row.split() == ["greedy", "10.00s", "2.00s", "100.0%", "1"]
+
+
+def test_exclusive_time_clamped_at_zero():
+    # Children overlapping a parent (timer noise) must not go negative.
+    rows = report_as_dict(_timed({"a": (1.0, 1), "a/b": (1.2, 1)}, 2.0))
+    by_path = {r["path"]: r for r in rows["phase_times"]}
+    assert by_path["a"]["self_s"] == 0.0
+
+
+def test_attribution_sums_top_level_spans_and_flags():
+    timers = {"greedy": (4.0, 1), "prepass": (1.0, 1), "greedy/rank": (3.0, 1)}
+    events = _timed(timers, elapsed=10.0)
+    att = report_as_dict(events)["attribution"]
+    assert att["attributed_s"] == pytest.approx(5.0)  # top-level only
+    assert att["attributed_pct"] == pytest.approx(50.0)
+    assert att["unattributed_s"] == pytest.approx(5.0)
+    assert att["flagged"] is True
+    assert att["target_pct"] == ATTRIBUTION_TARGET_PCT
+    text = render_report(events)
+    assert "attributed: 5.00s of 10.00s wall (50.0%), unattributed 5.00s" in text
+    assert "WARNING: attribution below 90%" in text
+
+
+def test_attribution_not_flagged_at_full_coverage():
+    events = _timed({"greedy": (9.9, 1)}, elapsed=10.0)
+    assert report_as_dict(events)["attribution"]["flagged"] is False
+    assert "WARNING" not in render_report(events)
+
+
+@pytest.fixture(scope="module")
+def c880_journal(tmp_path_factory):
+    from repro.benchlib import ISCAS85_SUITE
+
+    path = tmp_path_factory.mktemp("c880") / "run.jsonl"
+    circuit_simplify(
+        ISCAS85_SUITE["c880"].builder(),
+        rs_pct_threshold=0.5,
+        config=GreedyConfig(
+            num_vectors=500,
+            seed=0,
+            candidate_limit=20,
+            max_iterations=12,
+            atpg_node_limit=200,
+        ),
+        journal=path,
+    )
+    return path
+
+
+def test_c880_run_attributes_at_least_90pct(c880_journal):
+    """Acceptance: a real c880 run attributes >= 90% of its wall time."""
+    with open(c880_journal, encoding="utf-8") as fh:
+        events = [json.loads(line) for line in fh]
+    report = report_as_dict(events)
+    att = report["attribution"]
+    assert att["attributed_pct"] >= ATTRIBUTION_TARGET_PCT, att
+    assert not att["flagged"]
+    paths = {r["path"] for r in report["phase_times"]}
+    assert {"greedy", "greedy/rank", "greedy/commit"} <= paths
+    text = render_report(events)
+    assert "circuit: c880" in text
+    json.dumps(report)  # the --format json payload is serializable
+
+
+def test_killed_run_attribution_is_unknown(c880_journal, tmp_path, capsys):
+    """A journal cut after its second greedy iteration has no summary,
+    so no wall-clock total: attribution is unknown (never 100%), the
+    fallback rows carry the summary's greedy/ paths, and the gate
+    fails.  The complete journal passes it."""
+    from repro.cli import main
+
+    cut = tmp_path / "cut.jsonl"
+    shutil.copy(c880_journal, cut)
+    with open(c880_journal, encoding="utf-8") as fh:
+        phases = [
+            ev["phase"]
+            for ev in map(json.loads, fh)
+            if ev["event"] == "iteration"
+        ]
+    assert phases.count("greedy") >= 2
+    _truncate_after_iterations(cut, phases.index("greedy") + 2)
+
+    events = [json.loads(line) for line in cut.read_text().splitlines()]
+    report = report_as_dict(events)
+    assert report["run"]["status"] == "interrupted"
+    paths = {r["path"] for r in report["phase_times"]}
+    assert paths == {"greedy/candidates", "greedy/rank", "greedy/commit"}
+    rank = next(r for r in report["phase_times"] if r["path"] == "greedy/rank")
+    assert rank["count"] == 2 and rank["total_s"] > 0
+    assert report["attribution"]["attributed_pct"] is None
+    assert report["attribution"]["flagged"] is True
+    text = render_report(events)
+    assert "attributed: unknown" in text
+    assert "prepass time is not journaled per iteration" in text
+    assert "100.0%)" not in text
+
+    assert main(["report", str(cut), "--fail-on-unattributed"]) == 3
+    assert main(["report", str(c880_journal), "--fail-on-unattributed"]) == 0
+    capsys.readouterr()
+
+
+def test_stored_kernel_pass_counters_render_and_resume(tmp_path, capsys):
+    """Journals written while the kernel journaled per-pass counters
+    (``kernel.pass.*``) still render, as ordinary counters, and resume
+    onto the stored trajectory."""
+    from repro.cli import main
+    from repro.obs import load_journal
+
+    from tests.conftest import build_c17
+    from tests.obs.test_compare import GOLDEN_A
+
+    stored = load_journal(GOLDEN_A, strict=True)
+    assert "kernel.pass.words_moved" in stored[-1]["counters"]
+    assert main(["report", GOLDEN_A, "--top", "100"]) == 0
+    assert "kernel.pass.words_moved" in capsys.readouterr().out
+
+    ckpt = tmp_path / "run.jsonl"
+    shutil.copy(GOLDEN_A, ckpt)
+    _truncate_after_iterations(ckpt, 2)
+    config = GreedyConfig(exhaustive=True, seed=0, candidate_limit=None,
+                          datapath_only=False, redundancy_prepass=True,
+                          fom="area_per_rs")
+    resumed = circuit_simplify(build_c17(), rs_pct_threshold=30.0,
+                               config=config, journal=ckpt)
+    assert [str(f) for f in resumed.faults] == [
+        ev["fault"] for ev in stored if ev["event"] == "iteration"
+    ]
+    assert load_journal(ckpt, strict=True)[-1]["event"] == "summary"

@@ -271,6 +271,32 @@ def test_queue_full_is_bounded(tmp_path):
     assert dup.deduplicated
 
 
+def test_queue_full_rejection_leaves_no_job_dir(tmp_path):
+    """A 429 registers nothing, so it must leave nothing on disk."""
+    store = JobStore(str(tmp_path), queue_limit=1)
+    req = SimplifyRequest(rs_threshold=1.0)
+    accepted = store.submit(req, "a", cache_key="k1", circuit_name="a")
+    with pytest.raises(QueueFullError):
+        store.submit(req, "b", cache_key="k2", circuit_name="b")
+    assert os.listdir(tmp_path / "jobs") == [accepted.id]
+    assert [j.id for j in store.list()] == [accepted.id]
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"queue_limit": 0}, {"queue_limit": -3},
+               {"max_attempts": 0}, {"max_attempts": -1}]
+)
+def test_queue_and_retry_bounds_below_one_are_rejected(tmp_path, kwargs):
+    """queue.Queue(maxsize <= 0) is unbounded and a zero retry budget
+    still ran once: both are refused up front, as ``workers`` is."""
+    from repro.service.server import SimplifyService
+
+    with pytest.raises(ValueError, match="must be >= 1"):
+        JobStore(str(tmp_path / "store"), **kwargs)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        SimplifyService(str(tmp_path / "svc"), **kwargs)
+
+
 def test_cancel_mid_run(server, adder_bench):
     client, _service = server
     # a heavier request so there is a mid-run to cancel

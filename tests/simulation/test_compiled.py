@@ -203,55 +203,3 @@ def test_program_cache_shared_across_instances():
     counters = obs.snapshot()["counters"]
     assert counters.get("compile.cache_hits", 0) >= 2
     assert sim.num_signals == len(list(ckt.signals()))
-
-
-# ----------------------------------------------------------------------
-# per-pass kernel attribution counters
-# ----------------------------------------------------------------------
-def test_pass_counters_attribute_every_run():
-    rng = np.random.default_rng(11)
-    ckt = random_circuit(num_inputs=5, num_gates=20, rng=rng)
-    obs = Instrumentation()
-    sim = CompiledSimulator(ckt, obs=obs)
-    vectors = random_vectors(len(ckt.inputs), 130, rng)  # 3 packed words
-    sim.run(vectors)
-    counters = obs.snapshot()["counters"]
-    program = compile_program(ckt)
-    expected_passes = sum(
-        amount for name, amount, by_words in program.pass_counters
-        if name == "kernel.pass.executions"
-    )
-    assert counters["kernel.pass.executions"] == expected_passes
-    # word-scaled counters multiply by the packed word count
-    per_word = sum(
-        amount for name, amount, by_words in program.pass_counters
-        if name == "kernel.pass.words_moved"
-    )
-    assert counters["kernel.pass.words_moved"] == per_word * 3
-    # per-core entries sum to the aggregates
-    core_rows = sum(
-        counters.get(f"kernel.pass.{core}.rows_touched", 0)
-        for core in ("and", "or", "xor")
-    )
-    assert core_rows * 3 == counters["kernel.pass.rows_touched"] * 3
-    sim.run(vectors)  # a second run doubles every pass counter
-    counters2 = obs.snapshot()["counters"]
-    assert counters2["kernel.pass.executions"] == 2 * expected_passes
-
-
-def test_pass_table_mirrors_pass_counters():
-    rng = np.random.default_rng(13)
-    ckt = random_circuit(num_inputs=4, num_gates=12, rng=rng)
-    program = compile_program(ckt)
-    table = program.pass_table()
-    assert table, "a nontrivial circuit lowers to at least one pass"
-    for row in table:
-        assert row["core"] in ("and", "or", "xor")
-        assert row["gates"] >= 1
-        assert row["words_per_batch_word"] == (row["arity"] + 1) * row["gates"]
-    total_passes = sum(1 for _ in table)
-    counters_passes = sum(
-        amount for name, amount, _w in program.pass_counters
-        if name == "kernel.pass.executions"
-    )
-    assert counters_passes == total_passes
