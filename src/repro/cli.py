@@ -35,11 +35,10 @@ All human-facing output goes through the ``repro`` logging tree
 and Python warnings are captured into the same tree so ``--quiet``
 genuinely silences everything below WARNING.  ``simplify`` and
 ``table2`` accept ``--journal PATH`` to stream a structured JSONL run
-journal, which ``report`` renders later; ``simplify`` additionally
-takes ``--trace PATH`` (Chrome trace export, Perfetto-loadable) and
-``--progress PATH`` (atomic machine-readable heartbeat; a live TTY
-stderr line appears automatically when stderr is a terminal and
-``--quiet`` is not set).
+journal, which ``report`` renders later, also while the run is still
+writing it; ``simplify`` additionally takes ``--trace PATH`` (Chrome
+trace export, Perfetto-loadable), and a live progress line appears on
+stderr when it is a terminal and ``--quiet`` is not set.
 
 Output netlists are written in the format implied by the output path's
 extension.
@@ -191,20 +190,6 @@ def _add_obs_options(p: argparse.ArgumentParser) -> None:
                         "bit-identically")
 
 
-def _add_live_obs_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace", default=None, metavar="PATH",
-                   help="export a Chrome trace (Perfetto/chrome://tracing "
-                        "loadable) of the run's spans here")
-    p.add_argument("--progress", default=None, metavar="PATH",
-                   help="write a machine-readable progress snapshot here "
-                        "(atomic replace) every few seconds; a live stderr "
-                        "line appears on a TTY regardless of this flag")
-    p.add_argument("--progress-interval", type=float, default=2.0,
-                   metavar="SECONDS",
-                   help="minimum seconds between progress snapshots "
-                        "(default 2)")
-
-
 def _load_weighted(path: str, weights: str):
     """Load a netlist (.bench or .v, by extension) and weight outputs.
 
@@ -264,24 +249,17 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     if args.trace:
         obs = Instrumentation()
         obs.tracer = TraceRecorder()
-    # The live stderr heartbeat is human-facing output: it exists only
-    # on a real terminal and never under --quiet.  The --progress JSON
-    # snapshot is machine-facing and is written either way.
-    heartbeat = sys.stderr.isatty() and not args.quiet
-    progress = None
-    if args.progress or heartbeat:
-        progress = ProgressReporter(
-            stream=sys.stderr if heartbeat else None,
-            json_path=args.progress,
-            interval_s=args.progress_interval,
-        )
     try:
         request = SimplifyRequest.from_cli_args(args)
     except ValueError as exc:
         logger.error(str(exc))
-        if progress is not None:
-            progress.close()
         return 2
+    # The live stderr line is human-facing output: it exists only on a
+    # real terminal and never under --quiet.  Machine-readable progress
+    # is the journal.
+    progress = None
+    if sys.stderr.isatty() and not args.quiet:
+        progress = ProgressReporter(stream=sys.stderr)
     try:
         outcome = request.run(circuit, obs=obs, progress=progress)
     except ReproError as exc:
@@ -299,8 +277,6 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     if args.trace:
         spans = write_chrome_trace(args.trace, obs.tracer)
         logger.info(f"chrome trace written to {args.trace} ({spans} spans)")
-    if args.progress:
-        logger.info(f"progress snapshot written to {args.progress}")
     if args.output:
         outcome.save(args.output)
         logger.info(f"approximate netlist written to {args.output}")
@@ -353,7 +329,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     from .obs import audit_file, exact_er_check, render_audit
 
     try:
-        audit = audit_file(args.journal, z=args.z)
+        audit = audit_file(args.journal)
     except FileNotFoundError:
         logger.error(f"no such journal: {args.journal}")
         return 2
@@ -520,7 +496,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         queue_limit=args.queue_limit,
         max_attempts=args.max_retries,
-        hang_timeout_s=args.hang_timeout or None,
+        hang_timeout_s=args.hang_timeout,
     )
     return 0
 
@@ -679,7 +655,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_rs_option(p)
     _add_weights_option(p)
     _add_obs_options(p)
-    _add_live_obs_options(p)
+    p.add_argument("--trace", default=None, metavar="PATH",
+                   help="export a Chrome trace (Perfetto/chrome://tracing "
+                        "loadable) of the run's spans here")
     p.set_defaults(func=cmd_simplify)
 
     p = sub.add_parser("report",
@@ -723,9 +701,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("-o", "--output", default=None, metavar="PATH",
                    help="also write the audit as JSON here")
-    p.add_argument("--z", type=float, default=1.96,
-                   help="normal quantile for the confidence level "
-                        "(default 1.96 = 95%%)")
     p.add_argument("--node-limit", type=int, default=500_000,
                    help="BDD node budget for --exact (default 500000)")
     p.add_argument("--weights", choices=["unit", "binary"], default="binary")
@@ -784,10 +759,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "(each retry resumes from the job's checkpoint)")
     p.add_argument("--data-dir", default=".repro-service", metavar="DIR",
                    help="durable state: job dirs, result cache, netlists")
-    p.add_argument("--hang-timeout", type=float, default=0.0, metavar="S",
-                   help="kill a running attempt whose journal/progress "
-                        "stops advancing for S seconds (after a SIGUSR1 "
-                        "stack dump) and requeue it; 0 disables (default)")
+    p.add_argument("--hang-timeout", type=_positive_float, default=None,
+                   metavar="S",
+                   help="kill a running attempt whose journal stops "
+                        "advancing for S seconds (after a SIGUSR1 stack "
+                        "dump) and requeue it; omit to disable (default)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("submit", help="submit a netlist to a job server")

@@ -561,10 +561,10 @@ class SimplifyRequest:
     def run(self, circuit: Circuit, obs=None, progress=None) -> "SimplifyOutcome":
         """Execute this request against ``circuit``.
 
-        ``progress`` attaches a live heartbeat sink (usually a
-        :class:`~repro.obs.progress.ProgressReporter`); with
-        ``fom="best"`` the one reporter spans both constituent runs.
-        The caller owns (and closes) the reporter.
+        ``progress`` attaches a live sink that receives the journal's
+        events (usually a :class:`~repro.obs.progress.ProgressReporter`
+        drawing the TTY line); with ``fom="best"`` the one sink spans
+        both constituent runs.  The caller owns (and closes) the sink.
         """
         return simplify(circuit, self, obs=obs, progress=progress)
 

@@ -7,8 +7,9 @@ span/counter/gauge registry the hot paths record into;
 where the time went (total and self time per span path, and how much
 of the wall-clock time the spans attribute), the iteration table and
 the hotspot counters.  ``repro.obs.trace`` exports span activity as a
-Chrome trace (Perfetto-loadable); ``repro.obs.progress`` is the live
-heartbeat (TTY line + atomic ``progress.json``) and
+Chrome trace (Perfetto-loadable); ``repro.obs.progress`` folds a
+run's progress (iteration, area, RS budget used) from its journal
+events, live on a TTY line or from a journal on disk, and
 ``repro.obs.compare`` diffs two run journals iteration-by-iteration.
 ``repro.obs.quality`` (DESIGN.md §10) is the
 statistical-quality layer: Wilson-score confidence intervals for
@@ -62,7 +63,7 @@ from .metrics_export import (
     render_openmetrics,
     validate_openmetrics,
 )
-from .progress import ProgressReporter
+from .progress import ProgressReporter, progress_from_events
 from .quality import (
     DEFAULT_Z,
     audit_events,
@@ -115,6 +116,7 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "ProgressReporter",
+    "progress_from_events",
     "render_openmetrics",
     "journal_openmetrics",
     "validate_openmetrics",

@@ -27,7 +27,6 @@ Bundle layout (all files best-effort except ``crash.json``)::
       stacks.txt          # stack dump of all threads
       stacks_signal.txt   # SIGUSR1-triggered dump, when one landed
       journal_tail.jsonl  # last TAIL_EVENTS events of the run journal
-      progress.json       # last progress snapshot, verbatim copy
 
 The bundle directory is assembled in a sibling temp dir and published
 with one rename, so a half-written bundle is never observable.
@@ -302,9 +301,6 @@ def package_bundle(
         if text:
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
-    _copy_if_exists(
-        os.path.join(run_dir, "progress.json"), os.path.join(tmp, "progress.json")
-    )
     with open(os.path.join(tmp, "journal_tail.jsonl"), "w", encoding="utf-8") as fh:
         for event in journal_events(journal_paths)[-TAIL_EVENTS:]:
             fh.write(json.dumps(event, sort_keys=True, default=str) + "\n")
@@ -324,15 +320,6 @@ def package_bundle(
         fh.write("\n")
     _publish_dir(tmp, bundle_dir)
     return bundle_dir
-
-
-def _copy_if_exists(src: str, dst: str) -> None:
-    if not os.path.isfile(src):
-        return
-    try:
-        shutil.copyfile(src, dst)
-    except OSError:  # pragma: no cover - forensics is best-effort
-        logger.debug("cannot copy %s into bundle", src, exc_info=True)
 
 
 def _read_if_exists(path: str) -> Optional[str]:
@@ -377,7 +364,6 @@ def load_bundle(path: str) -> Dict:
             "stacks_signal": None,
             "traceback": None,
             "tail": events[-TAIL_EVENTS:],
-            "progress": None,
         }
     if not os.path.isdir(path):
         raise ValueError(f"{path}: no such file or directory")
@@ -391,7 +377,6 @@ def load_bundle(path: str) -> Dict:
             )
     with open(os.path.join(bundle_dir, "crash.json"), "r", encoding="utf-8") as fh:
         crash = json.load(fh)
-    progress = _load_json_if_exists(os.path.join(bundle_dir, "progress.json"))
     return {
         "source": bundle_dir,
         "crash": crash,
@@ -399,17 +384,7 @@ def load_bundle(path: str) -> Dict:
         "stacks_signal": _read_if_exists(os.path.join(bundle_dir, "stacks_signal.txt")),
         "traceback": _read_if_exists(os.path.join(bundle_dir, "traceback.txt")),
         "tail": journal_events([os.path.join(bundle_dir, "journal_tail.jsonl")]),
-        "progress": progress,
     }
-
-
-def _load_json_if_exists(path: str) -> Optional[Dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return data if isinstance(data, dict) else None
-    except (OSError, ValueError):
-        return None
 
 
 def _compact_event(event: Dict) -> str:
@@ -452,14 +427,6 @@ def render_postmortem(bundle: Dict) -> str:
             lines.append(f"error: {error.get('type', '?')}: {error.get('message', '')}")
     else:
         lines.append("no crash bundle -- journal tail only")
-    progress = bundle.get("progress")
-    if progress:
-        lines.append("")
-        lines.append("-- last progress snapshot --")
-        for key in ("status", "circuit", "iteration", "faults_committed",
-                    "area", "rs", "eta_s"):
-            if key in progress:
-                lines.append(f"  {key}: {progress[key]}")
     tail = bundle.get("tail") or []
     lines.append("")
     lines.append(f"-- journal tail ({len(tail)} event(s)) --")

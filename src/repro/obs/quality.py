@@ -142,7 +142,7 @@ def calibration_event(
 # ----------------------------------------------------------------------
 # audit: per-iteration provenance with CI bands
 # ----------------------------------------------------------------------
-def audit_events(events: Sequence[Dict], z: float = DEFAULT_Z) -> Dict:
+def audit_events(events: Sequence[Dict]) -> Dict:
     """Structured quality audit of one journal event stream.
 
     Joins each ``iteration`` event with its ``calibration`` event (v3)
@@ -150,7 +150,10 @@ def audit_events(events: Sequence[Dict], z: float = DEFAULT_Z) -> Dict:
     predicted columns are then absent (``None``) while the confidence
     interval and the budget-risk flag are recomputed from the journaled
     ER, the run's batch size, and the ``exhaustive`` config flag -- the
-    audit degrades, it does not refuse.
+    audit degrades, it does not refuse.  Every interval uses the one
+    normal quantile the journal's calibration events record
+    (:data:`DEFAULT_Z` when there are none), so the final band is at
+    the same confidence level as the per-iteration ones.
     """
     header = next((e for e in events if e.get("event") == "run_start"), None)
     summary = next((e for e in events if e.get("event") == "summary"), None)
@@ -160,6 +163,9 @@ def audit_events(events: Sequence[Dict], z: float = DEFAULT_Z) -> Dict:
         for e in events
         if e.get("event") == "calibration"
     }
+    z = next(
+        (float(e["z"]) for e in calibrations.values() if "z" in e), DEFAULT_Z
+    )
 
     rs_threshold = float(header["rs_threshold"]) if header else float("inf")
     num_vectors = int(header["num_vectors"]) if header else 0
@@ -235,14 +241,14 @@ def audit_events(events: Sequence[Dict], z: float = DEFAULT_Z) -> Dict:
     }
 
 
-def audit_file(path: Union[str, os.PathLike], z: float = DEFAULT_Z) -> Dict:
+def audit_file(path: Union[str, os.PathLike]) -> Dict:
     """Load a journal file and audit it (see :func:`audit_events`)."""
     from .journal import JournalError, load_journal
 
     events = load_journal(path, skip_unknown=True)
     if not events:
         raise JournalError(f"{path}: empty journal")
-    audit = audit_events(events, z=z)
+    audit = audit_events(events)
     audit["path"] = os.fspath(path)
     return audit
 

@@ -61,7 +61,9 @@ def collect_timers(events: Sequence[Dict]) -> Dict[str, Tuple[float, int]]:
     """Span path -> (total seconds, call count) for one event stream.
 
     Prefers the summary snapshot; interrupted runs (readable prefix,
-    no summary) re-aggregate the per-iteration ``phase_times``.
+    no summary) re-aggregate the per-iteration ``phase_times``, which
+    are the greedy span's children, under the ``greedy/<phase>`` paths
+    a summary would hold them.
     """
     summary = next((e for e in events if e.get("event") == "summary"), None)
     if summary is not None and summary.get("timers"):
@@ -74,8 +76,9 @@ def collect_timers(events: Sequence[Dict]) -> Dict[str, Tuple[float, int]]:
         if ev.get("event") != "iteration":
             continue
         for phase, secs in (ev.get("phase_times") or {}).items():
-            total, count = timers.get(phase, (0.0, 0))
-            timers[phase] = (total + secs, count + 1)
+            path = f"greedy/{phase}"
+            total, count = timers.get(path, (0.0, 0))
+            timers[path] = (total + secs, count + 1)
     return timers
 
 
@@ -199,9 +202,6 @@ def report_as_dict(events: Sequence[Dict], top_k: int = 12) -> Dict:
     h = header or {}
     s = summary or {}
     timers = collect_timers(events)
-    if not s.get("timers"):
-        # Per-iteration phase times are the greedy span's children.
-        timers = {f"greedy/{path}": stat for path, stat in timers.items()}
     counters = collect_counters(events)
     phase_times, attributed = _phase_rows(timers)
     elapsed = s.get("elapsed_s")

@@ -21,7 +21,6 @@ from .jobs import (
     TERMINAL_STATES,
     Job,
     JobStore,
-    job_activity_paths,
     job_chrome_trace,
     job_journal_events,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "WorkerPool",
     "cache_key",
     "create_server",
-    "job_activity_paths",
     "job_chrome_trace",
     "job_journal_events",
     "serve",

@@ -8,7 +8,6 @@ service data dir::
       request.json     # the submitted SimplifyRequest (versioned JSON)
       netlist.bench    # the exact netlist text the job optimizes
       checkpoint.jsonl # the run journal: checkpoint, event stream, crash record
-      progress.json    # atomic heartbeat snapshot (live progress feed)
       outcome.json     # the SimplifyOutcome, written once on success
       error.json       # typed error body, written once on failure
 
@@ -18,7 +17,9 @@ checkpoint is the journal ``circuit_simplify`` resumes from,
 *re-running a job directory is the crash-recovery story*: a worker
 that died mid-run left a readable prefix, and the next attempt replays
 it and appends to it -- so the one file also holds the job's full
-event history across attempts.
+event history across attempts.  It is also the job's one live record:
+status polls fold the job's progress from it
+(:func:`~repro.obs.progress.progress_from_events`).
 
 The :class:`JobStore` owns the id space, the directories, and a
 bounded FIFO queue (``queue.Queue``).  Submission is content-aware:
@@ -32,7 +33,6 @@ half is :class:`~repro.service.cache.ResultCache`).
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import os
 import queue
@@ -43,15 +43,14 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.api import SimplifyRequest, journal_paths
 from ..core.errors import JobNotFoundError, QueueFullError
-from ..obs.core import NULL, Instrumentation
 from ..obs.journal import journal_events
+from ..obs.progress import progress_from_events
 
 __all__ = [
     "Job",
     "JobStore",
     "ACTIVE_STATES",
     "TERMINAL_STATES",
-    "job_activity_paths",
     "job_chrome_trace",
     "job_journal_events",
     "job_journal_paths",
@@ -91,9 +90,6 @@ class Job:
     #: "ended_unix", "outcome"}`` -- the service-side timing the
     #: ``/trace`` endpoint renders as attempt spans.
     attempt_history: List[Dict] = field(default_factory=list)
-    #: Instrumentation registry for read-path counters (progress-file
-    #: parse errors); injected by the owning store, never serialized.
-    obs: Instrumentation = field(default=NULL, repr=False, compare=False)
 
     # paths ------------------------------------------------------------
     @property
@@ -109,10 +105,6 @@ class Job:
         return os.path.join(self.dir, "checkpoint.jsonl")
 
     @property
-    def progress_path(self) -> str:
-        return os.path.join(self.dir, "progress.json")
-
-    @property
     def outcome_path(self) -> str:
         return os.path.join(self.dir, "outcome.json")
 
@@ -126,31 +118,21 @@ class Job:
         return os.path.join(self.dir, "crash")
 
     # views --------------------------------------------------------------
-    def progress(self) -> Optional[Dict]:
-        """The latest heartbeat snapshot, if the runner wrote one.
+    def progress(self, events: Optional[List[Dict]] = None) -> Optional[Dict]:
+        """The job's progress, folded from its journal events.
 
-        The file is replaced atomically (tmp + ``os.replace``), so a
-        reader normally never sees a torn JSON -- but a hostile
-        filesystem (NFS, a crashed runner's partial tmp rename, disk
-        errors) can still serve garbage, and a status poll must answer
-        regardless.  Absence is normal (no counter); any other read or
-        parse failure returns ``None`` and increments
-        ``service.progress_read_errors``.
+        ``events`` are the job's journal events when the caller has
+        already read them (default: :func:`job_journal_events`).
+        ``None`` until the runner has journaled anything.  A finished
+        job whose journal has no ``summary`` reads ``"interrupted"``.
         """
-        try:
-            with open(self.progress_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            # ValueError covers JSONDecodeError and UnicodeDecodeError.
-            self.obs.incr("service.progress_read_errors")
-            logger.debug("unreadable progress file for %s", self.id, exc_info=True)
-            return None
-        if not isinstance(data, dict):
-            self.obs.incr("service.progress_read_errors")
-            return None
-        return data
+        snap = progress_from_events(
+            job_journal_events(self) if events is None else events
+        )
+        finished = self.state in TERMINAL_STATES
+        if snap is not None and finished and snap["status"] == "running":
+            snap["status"] = "interrupted"
+        return snap
 
     def snapshot(self) -> Dict:
         """The wire form served by ``GET /v1/jobs/<id>``."""
@@ -198,7 +180,6 @@ class JobStore:
         root: str,
         queue_limit: int = 64,
         max_attempts: int = 3,
-        obs: Optional[Instrumentation] = None,
         on_transition: Optional[Callable[[str, Job], None]] = None,
     ):
         # queue.Queue(maxsize <= 0) is unbounded: it would never refuse.
@@ -214,7 +195,6 @@ class JobStore:
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self.max_attempts = max_attempts
-        self.obs = obs if obs is not None else NULL
         self.on_transition = on_transition
 
     def _notify(self, kind: str, job: Job) -> None:
@@ -272,7 +252,6 @@ class JobStore:
                     circuit_name=circuit_name,
                     max_attempts=self.max_attempts,
                     trace_id=request.trace_id,
-                    obs=self.obs,
                 )
                 with open(job.netlist_path, "w", encoding="utf-8") as fh:
                     fh.write(netlist_text)
@@ -313,7 +292,6 @@ class JobStore:
                 cached=True,
                 finished_unix=time.time(),
                 trace_id=request.trace_id,
-                obs=self.obs,
             )
             with open(job.request_path, "w", encoding="utf-8") as fh:
                 fh.write(request.to_json())
@@ -424,17 +402,6 @@ def job_journal_paths(job: Job) -> List[str]:
     event *index* into the concatenation is a stable streaming cursor.
     """
     return journal_paths(job.checkpoint_path, job.request.fom)
-
-
-def job_activity_paths(job: Job) -> List[str]:
-    """Files whose mtime advance proves the runner is making progress.
-
-    The hang watchdog's liveness signal: the checkpoint(s) and the
-    progress heartbeat advance once per committed event, so a deadline
-    with none of them moving means the child is wedged, not slow.
-    Paths that don't exist yet are included (callers skip them).
-    """
-    return job_journal_paths(job) + [job.progress_path]
 
 
 def job_journal_events(job: Job) -> List[Dict]:

@@ -39,8 +39,6 @@ from ..circuit import loads_bench
 from ..core.api import SimplifyOutcome, SimplifyRequest, journal_paths, simplify
 from ..core.errors import CompileError, ReproError, error_body
 from ..obs.flight import FlightRecorder
-from ..obs.journal import JournalTee
-from ..obs.progress import ProgressReporter
 
 __all__ = ["run_job", "main"]
 
@@ -124,9 +122,8 @@ def run_job(job_dir: str, flight: Optional[FlightRecorder] = None) -> SimplifyOu
 
     The stored request's journal path is overridden with the job-local
     ``checkpoint.jsonl`` -- the service owns placement, not the
-    submitter -- and a :class:`ProgressReporter` feeds
-    ``progress.json`` so the server can answer status polls with live
-    numbers.  The request's
+    submitter -- and the server answers status polls by folding that
+    journal (:meth:`~repro.service.jobs.Job.progress`).  The request's
     ``trace_id`` (stamped by the server at submit) flows through
     ``simplify`` into the journal's ``run_start``/``resume`` header:
     the runner-side half of the correlation story.  ``flight`` (when armed
@@ -138,7 +135,8 @@ def run_job(job_dir: str, flight: Optional[FlightRecorder] = None) -> SimplifyOu
     if request.trace_id:
         logger.info("job %s trace_id=%s", job_dir, request.trace_id)
     # The checkpoint (appended across resumes) is the job's only
-    # journal: the event stream, trace and crash tail read it too.
+    # journal: the event stream, status polls, trace and crash tail
+    # read it too.
     journal = os.path.join(job_dir, "checkpoint.jsonl")
     request = request.replace(journal=journal)
     if flight is not None:
@@ -152,19 +150,10 @@ def run_job(job_dir: str, flight: Optional[FlightRecorder] = None) -> SimplifyOu
     except ValueError as exc:
         raise CompileError(f"netlist does not parse: {exc}") from exc
 
-    progress = ProgressReporter(
-        json_path=os.path.join(job_dir, "progress.json"),
-        interval_s=0.2,
-    )
-    injector = _FaultInjector.from_env(job_dir)
     # The injector rides behind the journal, which has committed the
     # event before an injected fault fires, so a killed attempt leaves
     # a resumable prefix.
-    sink = progress if injector is None else JournalTee([progress, injector])
-    try:
-        outcome = simplify(circuit, request, progress=sink)
-    finally:
-        progress.close()
+    outcome = simplify(circuit, request, progress=_FaultInjector.from_env(job_dir))
     _atomic_write(os.path.join(job_dir, "outcome.json"), outcome.to_json())
     return outcome
 

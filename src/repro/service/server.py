@@ -17,11 +17,12 @@ API (version prefix ``/v1``; bodies are JSON unless noted):
                            202 + job snapshot (200 when served from
                            cache or deduplicated against a live job).
 ``GET /v1/jobs``           list job snapshots.
-``GET /v1/jobs/<id>``      one snapshot: state, attempts, live
-                           ``progress`` block while running.
+``GET /v1/jobs/<id>``      one snapshot: state, attempts, and the
+                           ``progress`` block folded from the job's
+                           journal.
 ``GET /v1/jobs/<id>/result`` the full ``SimplifyOutcome`` JSON; 409
                            while the job is active.
-``GET /v1/jobs/<id>/events`` long-poll journal/progress deltas:
+``GET /v1/jobs/<id>/events`` long-poll journal deltas (and progress):
                            ``?offset=N&wait=S`` returns events past
                            the cursor (or waits up to ``S`` seconds
                            for new ones); the streaming feed behind
@@ -131,19 +132,15 @@ class SimplifyService:
     ) -> None:
         self.data_dir = os.path.abspath(data_dir)
         self.obs = obs if obs is not None else Instrumentation()
-        # The store rejects a queue_limit or max_attempts below 1 before
-        # any log file is opened.
+        # The store and the pool reject out-of-range bounds before any
+        # log file is opened.
         self.store = JobStore(
             self.data_dir,
             queue_limit=queue_limit,
             max_attempts=max_attempts,
-            obs=self.obs,
             on_transition=self._on_job_transition,
         )
-        self.log = ServiceLog(os.path.join(self.data_dir, "logs"))
         self.cache = ResultCache(os.path.join(self.data_dir, "cache"))
-        self.netlists_dir = os.path.join(self.data_dir, "netlists")
-        os.makedirs(self.netlists_dir, exist_ok=True)
         self.pool = WorkerPool(
             self.store,
             self.cache,
@@ -152,6 +149,9 @@ class SimplifyService:
             on_attempt=self._on_attempt,
             hang_timeout_s=hang_timeout_s,
         )
+        self.log = ServiceLog(os.path.join(self.data_dir, "logs"))
+        self.netlists_dir = os.path.join(self.data_dir, "netlists")
+        os.makedirs(self.netlists_dir, exist_ok=True)
         self.started_unix = time.time()
 
     def start(self) -> None:
@@ -328,7 +328,7 @@ class SimplifyService:
             "events": events[offset:],
             "complete": job.state in TERMINAL_STATES,
         }
-        progress = job.progress()
+        progress = job.progress(events)
         if progress is not None:
             body["progress"] = progress
         return body

@@ -17,10 +17,11 @@ Cancellation is cooperative-at-the-supervisor: the server flips
 ``cancel_requested`` and the watching thread terminates the child.
 
 Hang watchdog (``hang_timeout_s``): a wedged child looks exactly like
-a slow one from ``poll()``, so liveness is judged by *artifact
-advance*: if none of the job's checkpoint/progress files gains
-an mtime within the deadline, the supervisor sends ``SIGUSR1`` (the
-runner's ``faulthandler`` answers with an all-thread stack dump into
+a slow one from ``poll()``, so liveness is judged by *journal
+advance*: the runner appends every event to the job's checkpoint
+journal, so if none of its journal files gains an mtime within the
+deadline, the supervisor sends ``SIGUSR1`` (the runner's
+``faulthandler`` answers with an all-thread stack dump into
 ``stacks.txt`` -- C-level, fires even when the GIL is wedged), waits a
 grace period for the dump to land, then SIGKILLs and re-queues.  The
 evidence is packaged as a ``crash/`` bundle
@@ -38,6 +39,7 @@ server-side ``jobs_submitted`` / ``cache_hits`` /
 from __future__ import annotations
 
 import logging
+import math
 import os
 import signal
 import subprocess
@@ -57,7 +59,7 @@ from ..obs.flight import (
     package_bundle,
 )
 from .cache import ResultCache
-from .jobs import Job, JobStore, job_activity_paths, job_journal_paths
+from .jobs import Job, JobStore, job_journal_paths
 
 __all__ = ["WorkerPool"]
 
@@ -80,9 +82,9 @@ def _runner_env() -> dict:
 
 
 def _latest_mtime(job: Job) -> float:
-    """Newest mtime across the job's liveness files (0.0 = none yet)."""
+    """Newest mtime across the job's journal files (0.0 = none yet)."""
     latest = 0.0
-    for path in job_activity_paths(job):
+    for path in job_journal_paths(job):
         try:
             latest = max(latest, os.path.getmtime(path))
         except OSError:
@@ -104,8 +106,13 @@ class WorkerPool:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if hang_timeout_s is not None and hang_timeout_s <= 0:
-            hang_timeout_s = None
+        if hang_timeout_s is not None and not (
+            math.isfinite(hang_timeout_s) and hang_timeout_s > 0
+        ):
+            raise ValueError(
+                f"hang_timeout_s must be None or finite and above 0, "
+                f"got {hang_timeout_s!r}"
+            )
         self.store = store
         self.cache = cache
         self.workers = workers
@@ -114,8 +121,8 @@ class WorkerPool:
         #: ``(job, record)``; the record is also appended to
         #: ``job.attempt_history`` (the ``/trace`` endpoint's source).
         self.on_attempt = on_attempt
-        #: Hang watchdog deadline: kill an attempt whose checkpoint/
-        #: progress files all stop advancing for this long.
+        #: Hang watchdog deadline: kill an attempt whose journal files
+        #: all stop advancing for this long.
         #: ``None`` disables the watchdog (safe for workloads whose
         #: single iterations legitimately outlast any fixed deadline).
         self.hang_timeout_s = hang_timeout_s
@@ -283,7 +290,7 @@ class WorkerPool:
         self._record_attempt(job, started_unix, "hung")
         if self.store.requeue(job):
             logger.warning(
-                "%s hung (no activity for %gs); killed and re-queued for "
+                "%s hung (no journal advance for %gs); killed and re-queued for "
                 "resume (attempt %d)",
                 job.id,
                 self.hang_timeout_s,
@@ -323,7 +330,7 @@ class WorkerPool:
             journal_paths=job_journal_paths(job),
             trace_id=job.trace_id,
             note=(
-                f"hang watchdog: no checkpoint/progress advance "
+                f"hang watchdog: no journal advance "
                 f"for {self.hang_timeout_s:g}s; sent SIGUSR1 then SIGKILL "
                 f"(attempt {job.attempts})"
             ),

@@ -7,7 +7,6 @@ from .engine import (
     simplify_with_fault,
     simplify_with_faults,
 )
-from .cleanup import full_cleanup, propagate_constants, remove_dead_logic, splice_buffers
 from .redundancy import RedundancyRemovalResult, remove_redundancies
 from .greedy import GreedyConfig, GreedyResult, IterationRecord, circuit_simplify
 
@@ -21,10 +20,6 @@ __all__ = [
     "simplify_with_fault",
     "simplify_with_faults",
     "preview_area_reduction",
-    "full_cleanup",
-    "propagate_constants",
-    "remove_dead_logic",
-    "splice_buffers",
     "RedundancyRemovalResult",
     "remove_redundancies",
     "GreedyConfig",

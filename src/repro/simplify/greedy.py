@@ -210,11 +210,11 @@ def circuit_simplify(
     high-watermarks across every run it served.
 
     ``progress`` attaches a live sink (usually a
-    :class:`~repro.obs.progress.ProgressReporter`) that receives the
-    same event stream as the journal -- the heartbeat can never
-    disagree with the journal.  The caller owns its lifetime (it is
-    not closed here, so one reporter can span the ``fom="best"``
-    policy's two constituent runs).
+    :class:`~repro.obs.progress.ProgressReporter` drawing the TTY line)
+    that receives each event after the journal has written it, so a
+    live view never runs ahead of the journal.  The caller owns its
+    lifetime (it is not closed here, so one reporter can span the
+    ``fom="best"`` policy's two constituent runs).
 
     ``trace_id`` is an opaque correlation id stamped into the journal
     header (``run_start``/``resume``); the job server uses it to link a

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import io
 import os
 import subprocess
 import sys
@@ -99,13 +100,21 @@ def test_top_below_one_is_a_usage_error(verb, top, capsys):
         ["submit", "NETLIST", "--rs-pct", "5", "--timeout", "inf"],
         ["submit", "NETLIST", "--rs-pct", "5", "--wait",
          "--poll-interval", "-1"],
+        # a NaN or infinite deadline never fires; omit the flag to
+        # disable the watchdog
+        ["serve", "--hang-timeout", "nan"],
+        ["serve", "--hang-timeout", "-5"],
+        ["serve", "--hang-timeout", "0"],
+        ["serve", "--hang-timeout", "inf"],
     ],
     ids=["yield-vectors", "yield-chips", "er-tests-candidates",
          "serve-workers", "table2-rs", "serve-queue-limit-0",
          "serve-queue-limit-negative", "serve-max-retries-0",
          "serve-max-retries-negative", "jobs-timeout-negative",
          "jobs-timeout-nan", "jobs-timeout-0", "submit-timeout-inf",
-         "submit-poll-interval-negative"],
+         "submit-poll-interval-negative", "serve-hang-timeout-nan",
+         "serve-hang-timeout-negative", "serve-hang-timeout-0",
+         "serve-hang-timeout-inf"],
 )
 def test_bad_count_and_budget_flags_are_usage_errors(
     argv, netlist, capsys, monkeypatch
@@ -289,14 +298,19 @@ def test_report_missing_file_fails_cleanly(tmp_path, capsys):
     assert "nope.jsonl" in capsys.readouterr().err
 
 
-def test_profile_verb_and_flag_are_usage_errors(netlist, tmp_path, capsys):
-    """Where the time went is read from the journal (`repro report`):
-    the profile verb and the in-memory --profile print are gone."""
+def test_retired_verbs_and_flags_are_usage_errors(netlist, tmp_path, capsys):
+    """What a run did is read from its journal: where the time went
+    (`repro report`, not the profile verb or --profile), its progress
+    (`repro report` or `progress_from_events`, not a --progress file)
+    and the confidence level of its audit (the journal's z, not --z)."""
     journal = str(tmp_path / "x.jsonl")
     for argv in (
         ["profile", journal],
         ["simplify", netlist, "--rs-pct", "5", "--profile"],
         ["table2", "c880", "--rs-pct", "1", "--profile"],
+        ["simplify", netlist, "--rs-pct", "5", "--progress", "p.json"],
+        ["simplify", netlist, "--rs-pct", "5", "--progress-interval", "1"],
+        ["audit", journal, "--z", "3"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -330,6 +344,28 @@ def test_quiet_simplify_is_fully_silent(netlist, tmp_path, capsys):
     assert (tmp_path / "r.jsonl").exists()
 
 
+def test_simplify_draws_the_live_line_only_on_a_tty(netlist, monkeypatch, capsys):
+    """On a terminal, simplify rewrites one progress line in place and
+    ends it with the run's final state; --quiet keeps it silent."""
+
+    class Tty(io.StringIO):
+        def isatty(self):
+            return True
+
+    for quiet in ([], ["--quiet"]):
+        tty = Tty()
+        monkeypatch.setattr(sys, "stderr", tty)
+        assert main(quiet + ["simplify", netlist, "--rs-pct", "5",
+                             "--vectors", "500"]) == 0
+        line = tty.getvalue()
+        if quiet:
+            assert line == ""
+        else:
+            assert line.startswith("\r[") and line.endswith("\n")
+            assert "complete" in line.rsplit("\r", 1)[-1]
+    capsys.readouterr()
+
+
 def test_simplify_trace_export(netlist, tmp_path, capsys):
     """--trace writes Chrome-trace JSON with one coordinator lane."""
     import json
@@ -360,21 +396,6 @@ def test_simplify_trace_does_not_change_result(netlist, tmp_path, capsys):
                           "--trace", str(tmp_path / "t.json")]) == 0
     capsys.readouterr()
     assert traced.read_text() == plain.read_text()
-
-
-def test_simplify_progress_snapshot(netlist, tmp_path, capsys):
-    import json
-
-    progress = tmp_path / "progress.json"
-    rc = main(["simplify", netlist, "--rs-pct", "5", "--vectors", "500",
-               "--progress", str(progress)])
-    assert rc == 0
-    assert "progress snapshot written to" in capsys.readouterr().out
-    snap = json.loads(progress.read_text())
-    assert snap["status"] == "complete"
-    assert snap["faults_committed"] >= 1
-    assert snap["area"] < snap["area_start"]
-    assert not progress.with_suffix(".json.tmp").exists()
 
 
 def test_report_format_json(netlist, tmp_path, capsys):

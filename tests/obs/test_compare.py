@@ -111,7 +111,7 @@ def test_interrupted_run_compares_from_iteration_phase_times():
     cmp = compare_runs(a, b)
     assert cmp["identical_trajectory"]  # trajectory fields match
     assert not cmp["a"]["complete"] and not cmp["b"]["complete"]
-    assert cmp["phase_times"]["rank"]["delta_s"] == pytest.approx(0.1)
+    assert cmp["phase_times"]["greedy/rank"]["delta_s"] == pytest.approx(0.1)
     assert cmp["counters"]["c"]["delta"] == 3
 
 

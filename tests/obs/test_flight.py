@@ -113,7 +113,6 @@ def test_write_bundle_contents_and_atomic_overwrite(tmp_path):
     _write_journal(journal, [{"event": "iteration", "index": 0, "area_after": 412.5}])
     rec = _armed_recorder(tmp_path, [str(journal)])
     try:
-        (tmp_path / "progress.json").write_text('{"status": "running"}\n')
         try:
             raise KeyError(140234)
         except KeyError:
@@ -134,13 +133,10 @@ def test_write_bundle_contents_and_atomic_overwrite(tmp_path):
             .splitlines()
         )
         assert json.loads(tail_lines[0])["index"] == 0
-        assert json.loads(
-            (tmp_path / BUNDLE_DIRNAME / "progress.json").read_text()
-        ) == {"status": "running"}
 
         # A later flush atomically replaces the whole bundle -- no
         # leftovers from the first one, no temp staging dirs.
-        os.remove(tmp_path / "progress.json")
+        (tmp_path / BUNDLE_DIRNAME / "stray.txt").write_text("first\n")
         try:
             raise ValueError("second flush")
         except ValueError:
@@ -149,7 +145,7 @@ def test_write_bundle_contents_and_atomic_overwrite(tmp_path):
             (tmp_path / BUNDLE_DIRNAME / "crash.json").read_text()
         )
         assert crash2["error"]["type"] == "ValueError"
-        assert not (tmp_path / BUNDLE_DIRNAME / "progress.json").exists()
+        assert not (tmp_path / BUNDLE_DIRNAME / "stray.txt").exists()
         assert not [p for p in os.listdir(tmp_path) if ".tmp." in p]
         assert bundle == str(tmp_path / BUNDLE_DIRNAME)
     finally:
@@ -172,7 +168,6 @@ def test_package_bundle_and_load_roundtrip(tmp_path):
     (job_dir / "stacks.txt").write_text(
         'Thread 0x1 (most recent call first):\n  File "a.py", line 1 in f\n'
     )
-    (job_dir / "progress.json").write_text('{"iteration": 3}\n')
     # a fom="best" job's two journal files; the second one's last line
     # is torn (the child died mid-write) and must not reach the tail
     first, second = job_dir / "checkpoint.jsonl.a", job_dir / "checkpoint.jsonl.b"

@@ -1,11 +1,16 @@
-"""Live progress heartbeat: sink behavior, atomic snapshot, ETA, quiet."""
+"""Progress folded from journal events: the live sink, the fold of a
+journal on disk, the TTY line, quiet."""
 
 import io
-import json
+import shutil
 
 import pytest
 
-from repro.obs import ProgressReporter
+from repro.core.api import journal_paths
+from repro.obs import ProgressReporter, progress_from_events
+from repro.obs.journal import journal_events, load_journal
+
+from tests.parallel.test_checkpoint import _truncate_after_iterations
 
 from .test_journal import _header, _iteration
 
@@ -79,53 +84,65 @@ def test_headerless_prefix_takes_area_from_first_iteration():
 
 
 # ----------------------------------------------------------------------
-# ETA
+# the fold of a journal on disk
 # ----------------------------------------------------------------------
-def test_eta_from_phase_time_and_rs_ewma():
-    r = ProgressReporter()
-    r.emit(_header(rs_threshold=1.0))
-    assert r.eta_s() is None  # no signal yet
-    r.emit(_iteration(0, rs=0.25, phase_times={"rank": 1.0, "commit": 1.0}))
-    # one step: EWMA seeds at 2.0 s/step and 0.25 RS/step;
-    # 0.75 budget left -> 3 steps -> 6 s
-    assert r.eta_s() == 6.0
-    r.emit(_summary())
-    assert r.eta_s() is None  # finished runs have no ETA
+def _live_snapshot(events):
+    return _feed(ProgressReporter(), events).snapshot()
 
 
-def test_eta_none_without_budget_or_rs_movement():
-    r = _feed(ProgressReporter(), [
-        _header(rs_threshold=None),
-        _iteration(0, phase_times={"rank": 1.0}),
-    ])
-    assert r.eta_s() is None
+def test_fold_of_empty_stream_is_none():
+    assert progress_from_events([]) is None
+    assert progress_from_events(iter(())) is None
 
 
-# ----------------------------------------------------------------------
-# snapshot file: atomicity and coalescing
-# ----------------------------------------------------------------------
-def test_snapshot_file_written_atomically(tmp_path):
-    path = tmp_path / "progress.json"
-    r = ProgressReporter(json_path=path, interval_s=0.0)
-    r.emit(_header(circuit="c17"))
-    assert json.loads(path.read_text())["circuit"] == "c17"
-    assert not (tmp_path / "progress.json.tmp").exists()
-    r.emit(_iteration(0))
-    r.close()
-    final = json.loads(path.read_text())
-    assert final["status"] == "interrupted"
-    assert final["faults_committed"] == 1
+def test_fold_of_c880_journal_equals_live_reporter(c880_journal):
+    events = load_journal(c880_journal)
+    snap = progress_from_events(events)
+    assert snap == _live_snapshot(events)
+    summary = events[-1]
+    assert snap["status"] == "complete"
+    assert snap["faults_committed"] == summary["faults_injected"]
+    assert snap["area"] == summary["area_after"] < snap["area_start"]
 
 
-def test_interval_coalesces_writes(tmp_path):
-    path = tmp_path / "progress.json"
-    r = ProgressReporter(json_path=path, interval_s=3600.0)
-    r.emit(_header())  # run start forces a write
-    for i in range(50):
-        r.emit(_iteration(i))  # all inside the interval: coalesced
-    assert r.writes == 1
-    r.emit(_summary())  # run end forces a write
-    assert r.writes == 2
+def test_fold_of_best_run_journals_equals_live_sink(tmp_path):
+    """fom="best" writes one journal per constituent run; the second
+    run_start resets the fold, as it resets the live sink both runs
+    fed."""
+    from repro import SimplifyRequest
+    from tests.conftest import build_ripple_adder
+
+    request = SimplifyRequest(
+        rs_pct_threshold=6.0, fom="best", num_vectors=400, seed=3,
+        candidate_limit=30, journal=str(tmp_path / "best.jsonl"),
+    )
+    live = ProgressReporter()
+    request.run(build_ripple_adder(4), progress=live)
+    events = journal_events(journal_paths(request.journal, "best"))
+    assert [e["event"] for e in events].count("run_start") == 2
+    assert progress_from_events(events) == live.snapshot()
+    assert live.snapshot()["status"] == "complete"
+
+
+def test_fold_of_resumed_journal_counts_every_commit(c880_journal, tmp_path):
+    from repro.benchlib import ISCAS85_SUITE
+    from repro.simplify import circuit_simplify
+
+    path = tmp_path / "resumed.jsonl"
+    shutil.copy(c880_journal, path)
+    _truncate_after_iterations(path, 1)
+    circuit_simplify(
+        ISCAS85_SUITE["c880"].builder(), rs_pct_threshold=0.5, journal=path
+    )
+    events = load_journal(path)
+    assert [e["event"] for e in events].count("resume") == 1
+    snap = progress_from_events(events)
+    assert snap == _live_snapshot(events)
+    iterations = [e for e in events if e["event"] == "iteration"]
+    assert snap["status"] == "complete"
+    assert snap["faults_committed"] == len(iterations)
+    assert snap["rs"] == iterations[-1]["rs"]
+    assert snap["area_start"] == events[0]["area"]
 
 
 # ----------------------------------------------------------------------
@@ -143,12 +160,13 @@ def test_tty_line_rewrites_in_place_and_close_newlines():
     assert stream.getvalue().endswith("\n")
 
 
-def test_no_stream_and_no_path_is_fully_silent(tmp_path, capsys):
+def test_no_stream_and_no_path_is_fully_silent(tmp_path, monkeypatch, capsys):
+    """A reporter without a stream writes nothing, anywhere."""
+    monkeypatch.chdir(tmp_path)
     r = _feed(ProgressReporter(), [_header(), _iteration(0), _summary()])
     r.close()
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == ""
-    assert r.writes == 0
     assert list(tmp_path.iterdir()) == []
 
 

@@ -225,6 +225,41 @@ def test_c880_audit_renders_sampled_ci_bands(tmp_path):
         assert str(r["fault"]) in out
 
 
+def test_audit_intervals_use_the_journals_z(tmp_path):
+    """The final band is drawn at the confidence level the journal's
+    calibration events record, the level of every iteration's band;
+    without calibration events (pre-v3 journals) it is DEFAULT_Z."""
+    from repro.benchlib import ISCAS85_SUITE
+
+    path = tmp_path / "c880.jsonl"
+    cfg = GreedyConfig(
+        num_vectors=500, seed=0, candidate_limit=20,
+        max_iterations=12, atpg_node_limit=200,
+    )
+    circuit_simplify(
+        ISCAS85_SUITE["c880"].builder(), rs_pct_threshold=0.5,
+        config=cfg, journal=path,
+    )
+    events = load_journal(path)
+    final_er = events[-1]["final_er"]
+
+    def audited(stream):
+        journal = tmp_path / "variant.jsonl"
+        journal.write_text("".join(json.dumps(e) + "\n" for e in stream))
+        return audit_file(journal)
+
+    variants = (
+        (events, DEFAULT_Z),
+        ([dict(e, z=3.0) if e["event"] == "calibration" else e
+          for e in events], 3.0),
+        ([e for e in events if e["event"] != "calibration"], DEFAULT_Z),
+    )
+    for stream, z in variants:
+        audit = audited(stream)
+        assert audit["z"] == z
+        assert audit["final_er_ci"] == list(er_interval(final_er, 500, z=z))
+
+
 # ----------------------------------------------------------------------
 # v2 degradation and the synthetic budget-risk journal
 # ----------------------------------------------------------------------

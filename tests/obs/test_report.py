@@ -10,6 +10,8 @@ from repro.obs import (
     ATTRIBUTION_TARGET_PCT,
     Instrumentation,
     JournalError,
+    compare_runs,
+    journal_openmetrics,
     render_report,
     report_as_dict,
     report_from_file,
@@ -361,26 +363,6 @@ def test_attribution_not_flagged_at_full_coverage():
     assert "WARNING" not in render_report(events)
 
 
-@pytest.fixture(scope="module")
-def c880_journal(tmp_path_factory):
-    from repro.benchlib import ISCAS85_SUITE
-
-    path = tmp_path_factory.mktemp("c880") / "run.jsonl"
-    circuit_simplify(
-        ISCAS85_SUITE["c880"].builder(),
-        rs_pct_threshold=0.5,
-        config=GreedyConfig(
-            num_vectors=500,
-            seed=0,
-            candidate_limit=20,
-            max_iterations=12,
-            atpg_node_limit=200,
-        ),
-        journal=path,
-    )
-    return path
-
-
 def test_c880_run_attributes_at_least_90pct(c880_journal):
     """Acceptance: a real c880 run attributes >= 90% of its wall time."""
     with open(c880_journal, encoding="utf-8") as fh:
@@ -431,6 +413,15 @@ def test_killed_run_attribution_is_unknown(c880_journal, tmp_path, capsys):
     assert main(["report", str(cut), "--fail-on-unattributed"]) == 3
     assert main(["report", str(c880_journal), "--fail-on-unattributed"]) == 0
     capsys.readouterr()
+
+    # compare and the OpenMetrics export name the cut's rows as the
+    # report does, so a cut pairs with its complete run row by row.
+    full = [json.loads(line) for line in c880_journal.read_text().splitlines()]
+    summary = next(e for e in full if e["event"] == "summary")
+    rows = compare_runs(events, full)["phase_times"]
+    cut_paths = {path for path, row in rows.items() if row["a_s"]}
+    assert cut_paths and cut_paths <= set(summary["timers"])
+    assert 'phase="greedy/rank"' in journal_openmetrics(events)
 
 
 def test_stored_kernel_pass_counters_render_and_resume(tmp_path, capsys):

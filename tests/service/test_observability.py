@@ -19,8 +19,9 @@ import pytest
 
 from repro import dumps_bench
 from repro.core.errors import InvalidRequestError, JobNotFoundError
+from repro.obs import progress_from_events
 from repro.obs.metrics_export import validate_openmetrics
-from repro.service import ServiceClient, serve_in_thread
+from repro.service import ServiceClient, job_journal_events, serve_in_thread
 from tests.conftest import build_ripple_adder
 
 FAST = dict(
@@ -229,7 +230,7 @@ def test_cache_hit_histogram_records_fast_path(server, adder_bench):
 
 
 # ----------------------------------------------------------------------
-# satellites: typed 404/400, progress hardening, client disconnects
+# satellites: typed 404/400, progress from the journal, client disconnects
 # ----------------------------------------------------------------------
 def test_delete_unknown_job_is_typed_404(server):
     client, _service = server
@@ -246,25 +247,41 @@ def test_delete_unknown_job_is_typed_404(server):
         client.cancel("job-424242")
 
 
-def test_garbage_progress_file_counts_and_returns_none(server, adder_bench):
+def test_progress_is_folded_from_the_journal(server, adder_bench):
+    """The journal is a job's one live record: no progress.json is
+    written anywhere under the job, and status and events serve the
+    fold of the job's journal."""
+    client, service = server
+    snap = client.submit(dict(FAST, seed=33), netlist=adder_bench)
+    final = client.wait(snap["job_id"], timeout=120)
+    assert final["state"] == "done"
+    job = service.store.get(snap["job_id"])
+    events = job_journal_events(job)
+    folded = progress_from_events(events)
+    assert folded["status"] == "complete"
+    assert client.status(job.id)["progress"] == folded
+    assert service.job_events(job.id)["progress"] == folded
+    found = [
+        name for _root, _dirs, files in os.walk(job.dir) for name in files
+    ]
+    assert "checkpoint.jsonl" in found and "progress.json" not in found
+
+
+def test_torn_journal_tail_status_folds_readable_prefix(server, adder_bench):
+    """A half-written last journal line (a runner mid-write) is not an
+    event: a status poll still answers, with the fold of the readable
+    prefix."""
     client, service = server
     snap = client.submit(dict(FAST, seed=31), netlist=adder_bench)
     client.wait(snap["job_id"], timeout=120)
     job = service.store.get(snap["job_id"])
-    before = service.obs.snapshot()["counters"].get(
-        "service.progress_read_errors", 0
-    )
-    with open(job.progress_path, "w", encoding="utf-8") as fh:
-        fh.write("{torn json")
-    assert job.progress() is None
-    # Non-dict JSON is garbage too.
-    with open(job.progress_path, "w", encoding="utf-8") as fh:
-        fh.write("[1, 2]\n")
-    assert job.progress() is None
-    after = service.obs.snapshot()["counters"]["service.progress_read_errors"]
-    assert after >= before + 2
-    # A status poll still answers (progress block simply absent).
-    assert "progress" not in client.status(snap["job_id"])
+    readable = job_journal_events(job)
+    with open(job.checkpoint_path, "a", encoding="utf-8") as fh:
+        fh.write('{"event": "iteration", "index": 99, "are')
+    status = client.status(snap["job_id"])
+    assert status["state"] == "done"
+    assert status["progress"] == progress_from_events(readable)
+    assert status["progress"]["status"] == "complete"
 
 
 def test_client_disconnect_is_counted_not_crashed(server, adder_bench):

@@ -217,6 +217,7 @@ def test_retry_budget_exhaustion_fails_typed(tmp_path, c880_bench):
         snap = client.submit(
             REQUEST.replace(seed=1), netlist=c880_bench, name="c880"
         )
+        job = service.store.get(snap["job_id"])
         kills = 0
         deadline = time.time() + 300
         while time.time() < deadline:
@@ -224,7 +225,9 @@ def test_retry_budget_exhaustion_fails_typed(tmp_path, c880_bench):
             if status["state"] in ("done", "failed", "cancelled"):
                 break
             pid = status.get("worker_pid")
-            if pid:
+            # The first kill waits for the journal header, so the
+            # failed job has a journal to fold.
+            if pid and job_journal_events(job):
                 try:
                     os.kill(pid, signal.SIGKILL)
                     kills += 1
@@ -239,6 +242,8 @@ def test_retry_budget_exhaustion_fails_typed(tmp_path, c880_bench):
         assert final["state"] == "failed"
         assert final["error"]["code"] == "budget_exhausted"
         assert kills >= 2
+        # No summary was journaled: the failed job's run was interrupted.
+        assert final["progress"]["status"] == "interrupted"
         from repro.core.errors import BudgetExhaustedError
 
         with pytest.raises(BudgetExhaustedError):

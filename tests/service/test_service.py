@@ -297,6 +297,26 @@ def test_queue_and_retry_bounds_below_one_are_rejected(tmp_path, kwargs):
         SimplifyService(str(tmp_path / "svc"), **kwargs)
 
 
+@pytest.mark.parametrize("timeout", [float("nan"), -5.0, 0.0, float("inf")])
+def test_hang_timeout_must_be_finite_and_positive(tmp_path, timeout):
+    """A NaN or infinite deadline never fires and a non-positive one
+    was silently read as "disabled": each is refused, before the
+    service opens its logs.  ``None`` disables the watchdog."""
+    from repro.service.cache import ResultCache
+    from repro.service.server import SimplifyService
+    from repro.service.workers import WorkerPool
+
+    store = JobStore(str(tmp_path / "store"))
+    cache = ResultCache(str(tmp_path / "cache"))
+    with pytest.raises(ValueError, match="hang_timeout_s"):
+        WorkerPool(store, cache, hang_timeout_s=timeout)
+    assert WorkerPool(store, cache, hang_timeout_s=None).hang_timeout_s is None
+    assert WorkerPool(store, cache, hang_timeout_s=2.5).hang_timeout_s == 2.5
+    with pytest.raises(ValueError, match="hang_timeout_s"):
+        SimplifyService(str(tmp_path / "svc"), hang_timeout_s=timeout)
+    assert not os.path.exists(tmp_path / "svc" / "logs")
+
+
 def test_cancel_mid_run(server, adder_bench):
     client, _service = server
     # a heavier request so there is a mid-run to cancel
