@@ -27,7 +27,14 @@ from typing import Dict, Iterable, List, Tuple, Union
 from .gates import GateType
 from .netlist import Circuit, CircuitError
 
-__all__ = ["load_bench", "loads_bench", "dump_bench", "dumps_bench", "BenchParseError"]
+__all__ = [
+    "load_bench",
+    "loads_bench",
+    "dump_bench",
+    "dumps_bench",
+    "bench_name",
+    "BenchParseError",
+]
 
 
 class BenchParseError(CircuitError):
@@ -116,6 +123,21 @@ def dumps_bench(circuit: Circuit) -> str:
             op = "BUFF"
         lines.append(f"{g.name} = {op}({', '.join(g.inputs)})")
     return "\n".join(lines) + "\n"
+
+
+def bench_name(text: str) -> str:
+    """The circuit name from the ``# name`` header line :func:`dumps_bench`
+    writes (``"submitted"`` when the text has none)."""
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            token = line.lstrip("#").strip().split()
+            if token:
+                return token[0]
+        break
+    return "submitted"
 
 
 def dump_bench(circuit: Circuit, path: Union[str, Path]) -> None:

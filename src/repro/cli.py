@@ -26,8 +26,10 @@ file extension) and on the built-in benchmark suite:
   ``--wait`` polls to completion and renders the report, with
   ``--trace-id`` stamps a correlation id through the whole lifetime
 * ``jobs``       -- list/inspect/cancel jobs on a running server
-* ``postmortem`` -- human crash report from a job's ``crash/`` bundle
-  (stack dump, journal tail, fingerprint) or a bare run journal
+* ``postmortem`` -- what a failed job left, read in place: its journal
+  tail, ``error.json`` and ``runner.log`` (tracebacks, the hang
+  watchdog's stack dump, the supervisor's verdicts); or a bare run
+  journal's tail
 
 All human-facing output goes through the ``repro`` logging tree
 (INFO -> stdout, WARNING+ -> stderr), configured by the global
@@ -610,14 +612,14 @@ def cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def cmd_postmortem(args: argparse.Namespace) -> int:
-    from .obs.flight import load_bundle, render_postmortem
+    from .obs.postmortem import load_postmortem, render_postmortem
 
     try:
-        bundle = load_bundle(args.path)
+        record = load_postmortem(args.path)
     except (OSError, ValueError) as exc:
-        logger.error(f"cannot load crash bundle: {exc}")
+        logger.error(f"cannot read a postmortem: {exc}")
         return 2
-    report = render_postmortem(bundle)
+    report = render_postmortem(record)
     logger.info(report)
     if args.output:
         try:
@@ -800,11 +802,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.set_defaults(func=cmd_jobs)
 
     p = sub.add_parser("postmortem",
-                       help="render a crash bundle (or a bare run journal) "
-                            "as a human-readable report")
+                       help="report what a failed job left: its journal "
+                            "tail, error.json and runner.log (or a bare "
+                            "run journal's tail)")
     p.add_argument("path",
-                   help="a job dir, its crash/ bundle dir, or a run "
-                        "journal .jsonl")
+                   help="a job dir or a run journal .jsonl")
     p.add_argument("-o", "--output", default=None, metavar="PATH",
                    help="also write the report here (CI artifact)")
     p.set_defaults(func=cmd_postmortem)

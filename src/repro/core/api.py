@@ -51,6 +51,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..circuit import Circuit, dump_bench, dumps_bench, loads_bench
+from ..faults.model import fault_detail
 from ..metrics.errors import ErrorMetrics, rs_max
 from ..metrics.estimate import MetricsEstimator
 from ..obs.core import get_active
@@ -234,8 +235,6 @@ def _metrics_from_dict(data: Optional[Dict[str, Any]]) -> Optional[ErrorMetrics]
 
 
 def _iteration_to_dict(rec: IterationRecord) -> Dict[str, Any]:
-    from ..parallel.checkpoint import fault_detail
-
     return {
         "index": rec.index,
         "fault": fault_detail(rec.fault),
@@ -661,8 +660,6 @@ class SimplifyOutcome:
         embeds a full circuit pair, and the loser's only queryable
         facts are its headline numbers.
         """
-        from ..parallel.checkpoint import fault_detail
-
         result = self.result
         return {
             "schema_version": SCHEMA_VERSION,

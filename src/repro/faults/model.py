@@ -19,12 +19,19 @@ consuming gate).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..circuit import Circuit
 from ..circuit.structure import datapath_signals
 
-__all__ = ["Line", "StuckAtFault", "enumerate_lines", "enumerate_faults", "datapath_faults"]
+__all__ = [
+    "Line",
+    "StuckAtFault",
+    "fault_detail",
+    "enumerate_lines",
+    "enumerate_faults",
+    "datapath_faults",
+]
 
 
 @dataclass(frozen=True, order=True)
@@ -87,6 +94,17 @@ class StuckAtFault:
     def branch(signal: str, gate: str, pin: int, value: int) -> "StuckAtFault":
         """Convenience constructor for a fanout-branch fault."""
         return StuckAtFault(Line(signal, gate, pin), value)
+
+
+def fault_detail(fault: StuckAtFault) -> Dict:
+    """Structured JSON form of a fault site: the replayable identity a
+    journal's ``iteration``/``rejection`` events and an outcome carry."""
+    return {
+        "signal": fault.line.signal,
+        "gate": fault.line.gate,
+        "pin": fault.line.pin,
+        "value": fault.value,
+    }
 
 
 def enumerate_lines(circuit: Circuit, include_branches: bool = True) -> List[Line]:

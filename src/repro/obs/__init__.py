@@ -18,28 +18,13 @@ the ``repro audit`` provenance trail.
 ``repro.obs.metrics_export`` is the OpenMetrics/Prometheus text
 surface (``repro report --format openmetrics`` and the job server's
 ``/v1/metrics``).
-``repro.obs.flight`` (DESIGN.md §15) is the failure-mode layer: the
-:class:`~repro.obs.flight.FlightRecorder` crash hooks and the one
-atomic crash-bundle writer :func:`~repro.obs.flight.package_bundle`,
-whose journal tail is read from the run journal itself,
-normalized-traceback error fingerprints, and the postmortem renderer
-behind ``repro postmortem``.
+``repro.obs.postmortem`` (DESIGN.md §15) backs ``repro postmortem``:
+it reads what a failed run left in place -- its journal's tail and,
+for a service job, ``error.json`` and ``runner.log`` -- and writes
+nothing.
 """
 
 from .compare import compare_files, compare_runs, render_compare
-from .flight import (
-    BUNDLE_DIRNAME,
-    STACKS_FILENAME,
-    TAIL_EVENTS,
-    FlightRecorder,
-    error_fingerprint,
-    fingerprint_key,
-    fingerprint_text,
-    load_bundle,
-    normalize_traceback,
-    package_bundle,
-    render_postmortem,
-)
 from .core import (
     NULL,
     Instrumentation,
@@ -63,6 +48,7 @@ from .metrics_export import (
     render_openmetrics,
     validate_openmetrics,
 )
+from .postmortem import TAIL_EVENTS, load_postmortem, render_postmortem
 from .progress import ProgressReporter, progress_from_events
 from .quality import (
     DEFAULT_Z,
@@ -132,15 +118,7 @@ __all__ = [
     "audit_file",
     "render_audit",
     "exact_er_check",
-    "BUNDLE_DIRNAME",
-    "STACKS_FILENAME",
     "TAIL_EVENTS",
-    "FlightRecorder",
-    "error_fingerprint",
-    "fingerprint_key",
-    "fingerprint_text",
-    "load_bundle",
-    "normalize_traceback",
-    "package_bundle",
+    "load_postmortem",
     "render_postmortem",
 ]

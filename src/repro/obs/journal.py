@@ -345,7 +345,7 @@ def journal_events(paths: Iterable[Union[str, os.PathLike]]) -> List[Dict]:
     unvalidated): a missing file contributes nothing, and mid-file
     garbage ends that file's contribution instead of raising.  Safe to
     call while the run is still writing -- the service's live event
-    stream and every crash bundle's journal tail read a run this way.
+    stream and ``repro postmortem`` read a run this way.
     """
     events: List[Dict] = []
     for path in paths:

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..circuit import Circuit
 from ..core.errors import CheckpointMismatchError
-from ..faults.model import Line, StuckAtFault
+from ..faults.model import Line, StuckAtFault, fault_detail
 from ..metrics.errors import ErrorMetrics
 from ..obs.journal import JournalError, load_journal
 
@@ -65,35 +65,15 @@ class CheckpointError(CheckpointMismatchError):
 
 
 # ----------------------------------------------------------------------
-# fault (de)serialization
+# fault deserialization
 # ----------------------------------------------------------------------
-def fault_detail(fault: StuckAtFault) -> Dict:
-    """Structured JSON form of a fault site (the replayable identity)."""
-    return {
-        "signal": fault.line.signal,
-        "gate": fault.line.gate,
-        "pin": fault.line.pin,
-        "value": fault.value,
-    }
-
-
 def fault_from_detail(detail: Dict) -> StuckAtFault:
-    """Inverse of :func:`fault_detail`."""
+    """Inverse of :func:`~repro.faults.model.fault_detail`."""
     try:
         line = Line(detail["signal"], detail.get("gate"), detail.get("pin"))
         return StuckAtFault(line, int(detail["value"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad fault_detail {detail!r}: {exc}") from exc
-
-
-def _fault_key(detail: Dict) -> Tuple:
-    """The greedy loop's banned-set key for a journaled fault."""
-    return (
-        detail.get("signal"),
-        detail.get("gate"),
-        detail.get("pin"),
-        detail.get("value"),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +265,7 @@ def replay_checkpoint(
     netlist.
     """
     from ..simplify.engine import Overlay
-    from ..simplify.greedy import IterationRecord
+    from ..simplify.greedy import IterationRecord, _fault_key
 
     state.validate_circuit(circuit)
     current = circuit.copy()
@@ -353,8 +333,8 @@ def replay_checkpoint(
     if prepass_seen and reference is None:
         reference = current  # killed after prepass, before any commit
 
-    banned = {_fault_key(ev["fault_detail"]) for ev in state.rejection_events
-              if "fault_detail" in ev}
+    banned = {_fault_key(fault_from_detail(ev["fault_detail"]))
+              for ev in state.rejection_events if "fault_detail" in ev}
     current_rs = final_metrics.rs if final_metrics is not None else 0.0
     return ReplayedRun(
         current=current,

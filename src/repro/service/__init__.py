@@ -10,8 +10,8 @@ See DESIGN.md §13 for the architecture (cache keying, crash-resume
 semantics, API versioning and the error-code table), §14 for the
 observability surface (correlation ids, structured service logs, the
 event stream and the per-job Chrome trace) and §15 for failure
-forensics (the worker pool's hang watchdog and fingerprinted crash
-bundles).
+forensics (the worker pool's hang watchdog, and what a failed job
+leaves: its journal and ``runner.log``).
 """
 
 from .cache import ResultCache, cache_key

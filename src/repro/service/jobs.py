@@ -8,6 +8,7 @@ service data dir::
       request.json     # the submitted SimplifyRequest (versioned JSON)
       netlist.bench    # the exact netlist text the job optimizes
       checkpoint.jsonl # the run journal: checkpoint, event stream, crash record
+      runner.log       # every attempt's stderr + the supervisor's verdicts
       outcome.json     # the SimplifyOutcome, written once on success
       error.json       # typed error body, written once on failure
 
@@ -22,12 +23,15 @@ status polls fold the job's progress from it
 (:func:`~repro.obs.progress.progress_from_events`).
 
 The :class:`JobStore` owns the id space, the directories, and a
-bounded FIFO queue (``queue.Queue``).  Submission is content-aware:
-each job carries a ``cache_key = (circuit_fingerprint, request
-fingerprint)``; a submit whose key matches a live (queued/running) or
-completed job returns that job instead of enqueueing a duplicate --
-the in-flight half of the result-cache contract (the across-restart
-half is :class:`~repro.service.cache.ResultCache`).
+bounded FIFO queue (``queue.Queue``).  The store lives in memory, so a
+restarted server numbers its jobs past every ``job-NNNNNN`` directory
+already on disk: a new job never inherits an old job's files.
+Submission is content-aware: each job carries a ``cache_key =
+(circuit_fingerprint, request fingerprint)``; a submit whose key
+matches a live (queued/running) or completed job returns that job
+instead of enqueueing a duplicate -- the in-flight half of the
+result-cache contract (the across-restart half is
+:class:`~repro.service.cache.ResultCache`).
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ import itertools
 import logging
 import os
 import queue
+import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.api import SimplifyRequest, journal_paths
 from ..core.errors import JobNotFoundError, QueueFullError
@@ -62,6 +67,8 @@ logger = logging.getLogger("repro.service.jobs")
 #: (running -> queued again on a worker crash, until the retry budget).
 ACTIVE_STATES = ("queued", "running")
 TERMINAL_STATES = ("done", "failed", "cancelled")
+
+_JOB_DIR_RE = re.compile(r"job-(\d+)")
 
 
 @dataclass
@@ -113,9 +120,9 @@ class Job:
         return os.path.join(self.dir, "error.json")
 
     @property
-    def crash_dir(self) -> str:
-        """The job's crash-bundle directory (``repro.obs.flight``)."""
-        return os.path.join(self.dir, "crash")
+    def log_path(self) -> str:
+        """``runner.log``: the attempts' stderr and the supervisor's verdicts."""
+        return os.path.join(self.dir, "runner.log")
 
     # views --------------------------------------------------------------
     def progress(self, events: Optional[List[Dict]] = None) -> Optional[Dict]:
@@ -188,14 +195,28 @@ class JobStore:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.root = os.path.abspath(root)
-        os.makedirs(os.path.join(self.root, "jobs"), exist_ok=True)
+        jobs_root = os.path.join(self.root, "jobs")
+        os.makedirs(jobs_root, exist_ok=True)
         self._jobs: Dict[str, Job] = {}
         self._by_key: Dict[str, str] = {}  # cache_key -> newest job id
         self._queue: "queue.Queue[str]" = queue.Queue(maxsize=queue_limit)
         self._lock = threading.Lock()
-        self._ids = itertools.count(1)
+        # A data dir outlives the store: number past the jobs on disk.
+        taken = [
+            int(m.group(1))
+            for m in map(_JOB_DIR_RE.fullmatch, os.listdir(jobs_root))
+            if m is not None
+        ]
+        self._ids = itertools.count(max(taken, default=0) + 1)
         self.max_attempts = max_attempts
         self.on_transition = on_transition
+
+    def _new_job_dir(self) -> Tuple[str, str]:
+        """A fresh ``(job id, directory)``; never an existing directory."""
+        job_id = f"job-{next(self._ids):06d}"
+        job_dir = os.path.join(self.root, "jobs", job_id)
+        os.makedirs(job_dir, exist_ok=False)
+        return job_id, job_dir
 
     def _notify(self, kind: str, job: Job) -> None:
         """Fire the transition observer outside the store lock."""
@@ -241,9 +262,7 @@ class JobStore:
                         f"job queue is full ({self._queue.maxsize} pending); "
                         f"retry later"
                     )
-                job_id = f"job-{next(self._ids):06d}"
-                job_dir = os.path.join(self.root, "jobs", job_id)
-                os.makedirs(job_dir, exist_ok=True)
+                job_id, job_dir = self._new_job_dir()
                 job = Job(
                     id=job_id,
                     dir=job_dir,
@@ -279,9 +298,7 @@ class JobStore:
         the job is born ``done`` and its result is served straight from
         the cache entry."""
         with self._lock:
-            job_id = f"job-{next(self._ids):06d}"
-            job_dir = os.path.join(self.root, "jobs", job_id)
-            os.makedirs(job_dir, exist_ok=True)
+            job_id, job_dir = self._new_job_dir()
             job = Job(
                 id=job_id,
                 dir=job_dir,

@@ -18,27 +18,27 @@ Exit protocol (what the supervisor reads):
   bad; re-running cannot fix it);
 * neither -> the process crashed mid-run; re-queue and resume.
 
-Forensics (DESIGN.md §15): every runner arms a
-:class:`~repro.obs.flight.FlightRecorder` -- an excepthook writes a
-``crash/`` bundle on any unexpected death, its journal tail read from
-the job's checkpoint journal, and ``SIGUSR1`` is registered with
-``faulthandler`` so the pool's hang watchdog can extract an all-thread
-stack dump (``stacks.txt``) from a wedged process before killing it.
+Forensics (DESIGN.md §15): the worker pool points the runner's stderr
+at the job's ``runner.log``, so an unexpected death leaves its
+traceback there, and the runner registers ``faulthandler`` for
+``SIGUSR1``: the pool's hang watchdog gets an all-thread stack dump in
+the same file from a wedged process before it kills it.
 """
 
 from __future__ import annotations
 
+import faulthandler
 import json
 import logging
 import os
+import signal
 import sys
 import time
-from typing import Optional
 
 from ..circuit import loads_bench
-from ..core.api import SimplifyOutcome, SimplifyRequest, journal_paths, simplify
+from ..circuit.bench import bench_name
+from ..core.api import SimplifyOutcome, SimplifyRequest, simplify
 from ..core.errors import CompileError, ReproError, error_body
-from ..obs.flight import FlightRecorder
 
 __all__ = ["run_job", "main"]
 
@@ -57,18 +57,14 @@ class _FaultInjector:
       iteration event, sleep forever (once per job: a ``fault.sentinel``
       in the job dir marks the hang as spent, so the post-kill resume
       attempt runs clean and the bit-identity contract is testable);
-    * ``REPRO_TEST_CRASH_AFTER_ITERS=N`` -- raise at the N-th iteration
-      on *every* attempt (no sentinel: the job burns its retry budget
-      and fails with a crash bundle);
-    * ``REPRO_TEST_CRASH_KIND=runtime|value`` -- the exception type,
-      so two injected failure modes yield two fingerprints.
+    * ``REPRO_TEST_CRASH_AFTER_ITERS=N`` -- raise ``RuntimeError`` at
+      the N-th iteration on *every* attempt (no sentinel: the job burns
+      its retry budget and fails, its tracebacks in ``runner.log``).
     """
 
-    def __init__(self, job_dir: str, hang_after: int, crash_after: int,
-                 crash_kind: str) -> None:
+    def __init__(self, job_dir: str, hang_after: int, crash_after: int) -> None:
         self.hang_after = hang_after
         self.crash_after = crash_after
-        self.crash_kind = crash_kind
         self.sentinel = os.path.join(job_dir, "fault.sentinel")
         self.iterations = 0
 
@@ -81,8 +77,7 @@ class _FaultInjector:
             return None
         if hang <= 0 and crash <= 0:
             return None
-        kind = os.environ.get("REPRO_TEST_CRASH_KIND", "runtime")
-        return cls(job_dir, hang, crash, kind)
+        return cls(job_dir, hang, crash)
 
     def emit(self, event: dict) -> None:
         if event.get("event") != "iteration":
@@ -99,10 +94,6 @@ class _FaultInjector:
             while True:
                 time.sleep(60.0)
         if self.crash_after and self.iterations >= self.crash_after:
-            if self.crash_kind == "value":
-                raise ValueError(
-                    f"injected value fault at iteration {self.iterations}"
-                )
             raise RuntimeError(
                 f"injected runtime fault at iteration {self.iterations}"
             )
@@ -117,7 +108,7 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def run_job(job_dir: str, flight: Optional[FlightRecorder] = None) -> SimplifyOutcome:
+def run_job(job_dir: str) -> SimplifyOutcome:
     """Execute the job stored in ``job_dir`` and persist its outcome.
 
     The stored request's journal path is overridden with the job-local
@@ -126,27 +117,20 @@ def run_job(job_dir: str, flight: Optional[FlightRecorder] = None) -> SimplifyOu
     journal (:meth:`~repro.service.jobs.Job.progress`).  The request's
     ``trace_id`` (stamped by the server at submit) flows through
     ``simplify`` into the journal's ``run_start``/``resume`` header:
-    the runner-side half of the correlation story.  ``flight`` (when armed
-    by :func:`main`) learns the trace id and the journal files, so a
-    crash bundle carries the run's last moments.
+    the runner-side half of the correlation story.
     """
     with open(os.path.join(job_dir, "request.json"), "r", encoding="utf-8") as fh:
         request = SimplifyRequest.from_json(fh.read())
     if request.trace_id:
         logger.info("job %s trace_id=%s", job_dir, request.trace_id)
     # The checkpoint (appended across resumes) is the job's only
-    # journal: the event stream, status polls, trace and crash tail
+    # journal: the event stream, status polls, trace and postmortem
     # read it too.
-    journal = os.path.join(job_dir, "checkpoint.jsonl")
-    request = request.replace(journal=journal)
-    if flight is not None:
-        flight.trace_id = request.trace_id
-        flight.journal_paths = journal_paths(journal, request.fom)
+    request = request.replace(journal=os.path.join(job_dir, "checkpoint.jsonl"))
     with open(os.path.join(job_dir, "netlist.bench"), "r", encoding="utf-8") as fh:
         bench_text = fh.read()
-    name = _bench_name(bench_text)
     try:
-        circuit = loads_bench(bench_text, name=name)
+        circuit = loads_bench(bench_text, name=bench_name(bench_text))
     except ValueError as exc:
         raise CompileError(f"netlist does not parse: {exc}") from exc
 
@@ -158,38 +142,26 @@ def run_job(job_dir: str, flight: Optional[FlightRecorder] = None) -> SimplifyOu
     return outcome
 
 
-def _bench_name(text: str) -> str:
-    """The circuit name from the conventional ``# name`` header line."""
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            token = line.lstrip("#").strip().split()
-            if token:
-                return token[0]
-        break
-    return "submitted"
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if len(argv) != 1:
         print("usage: python -m repro.service.runner <jobdir>", file=sys.stderr)
         return 2
     job_dir = argv[0]
-    flight = FlightRecorder()
-    flight.install(job_dir)
-    # Anything *unexpected* propagates past this frame into the
-    # installed excepthook, which writes the crash bundle.
+    # stderr is the job's runner.log: the hang watchdog's SIGUSR1 dumps
+    # every thread's stack there, from C, so also from a runner wedged
+    # holding the GIL.
+    if hasattr(signal, "SIGUSR1"):
+        faulthandler.register(signal.SIGUSR1, all_threads=True)
+    # Anything *unexpected* propagates past this frame, and Python
+    # prints its traceback to runner.log on the way out.
     try:
-        run_job(job_dir, flight=flight)
+        run_job(job_dir)
         return 0
     except ReproError as exc:
         # Deterministic failure: record the typed body so the server
         # can replay it to the client, and tell the supervisor (via
-        # error.json existing) not to burn retries on bad input.  No
-        # crash bundle: error.json is the (fingerprintable) record.
+        # error.json existing) not to burn retries on bad input.
         _atomic_write(
             os.path.join(job_dir, "error.json"),
             json.dumps(error_body(exc), indent=2, sort_keys=True),

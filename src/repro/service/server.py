@@ -68,6 +68,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from .. import __version__
 from ..circuit import loads_bench
+from ..circuit.bench import bench_name
 from ..core.api import SCHEMA_VERSION, _TRACE_ID_RE, SimplifyRequest
 from ..core.errors import (
     CompileError,
@@ -91,7 +92,6 @@ from .jobs import (
     job_chrome_trace,
     job_journal_events,
 )
-from .runner import _bench_name
 from .slog import ServiceLog
 from .workers import WorkerPool
 
@@ -242,7 +242,7 @@ class SimplifyService:
             raise InvalidRequestError(
                 "submit body needs 'netlist' (bench text) or 'netlist_sha256'"
             )
-        name = payload.get("name") or _bench_name(netlist)
+        name = payload.get("name") or bench_name(netlist)
         try:
             circuit = loads_bench(netlist, name=name)
         except ValueError as exc:

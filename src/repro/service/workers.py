@@ -21,13 +21,15 @@ a slow one from ``poll()``, so liveness is judged by *journal
 advance*: the runner appends every event to the job's checkpoint
 journal, so if none of its journal files gains an mtime within the
 deadline, the supervisor sends ``SIGUSR1`` (the runner's
-``faulthandler`` answers with an all-thread stack dump into
-``stacks.txt`` -- C-level, fires even when the GIL is wedged), waits a
-grace period for the dump to land, then SIGKILLs and re-queues.  The
-evidence is packaged as a ``crash/`` bundle
-(:func:`repro.obs.flight.package_bundle`) fingerprinted by the stack
-dump's normalized shape, so identical wedge points share one
-fingerprint.
+``faulthandler`` answers with an all-thread stack dump on its stderr
+-- C-level, fires even when the GIL is wedged), waits a grace period
+for the dump to land, then SIGKILLs and re-queues.
+
+Every attempt's stderr is appended to the job's ``runner.log``, and
+after an attempt it killed or found dead the supervisor appends its
+verdict there too (``hung: ...``, ``killed by signal SIGKILL``,
+``exited with code 1 and no outcome``): with the journal, that file is
+the job's whole failure record (``repro postmortem``).
 
 Service counters recorded into the shared registry:
 ``service.jobs_completed`` / ``jobs_failed`` / ``jobs_cancelled`` /
@@ -52,12 +54,6 @@ from typing import Callable, Dict
 
 from ..core.errors import BudgetExhaustedError, JobCancelledError, error_body
 from ..obs.core import NULL, Instrumentation
-from ..obs.flight import (
-    STACKS_FILENAME,
-    fingerprint_key,
-    fingerprint_text,
-    package_bundle,
-)
 from .cache import ResultCache
 from .jobs import Job, JobStore, job_journal_paths
 
@@ -79,6 +75,26 @@ def _runner_env() -> dict:
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = pkg_root if not existing else os.pathsep.join([pkg_root, existing])
     return env
+
+
+def _exit_verdict(returncode: Optional[int]) -> str:
+    """How a child that left no outcome ended, for ``runner.log``."""
+    if returncode is not None and returncode < 0:
+        try:
+            cause = signal.Signals(-returncode).name
+        except ValueError:
+            cause = str(-returncode)
+        return f"killed by signal {cause}"
+    return f"exited with code {returncode} and no outcome"
+
+
+def _append_verdict(job: Job, verdict: str) -> None:
+    """Append the supervisor's verdict on the attempt to ``runner.log``."""
+    try:
+        with open(job.log_path, "a", encoding="utf-8") as fh:
+            fh.write(f"supervisor: attempt {job.attempts} {verdict}\n")
+    except OSError:  # the record must not kill the worker
+        logger.exception("cannot append to %s", job.log_path)
 
 
 def _latest_mtime(job: Job) -> float:
@@ -171,12 +187,15 @@ class WorkerPool:
             self.obs.incr("service.jobs_resumed")
             logger.info("resuming %s (attempt %d)", job.id, job.attempts)
         started_unix = time.time()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.service.runner", job.dir],
-            env=_runner_env(),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        # Every attempt appends its stderr (tracebacks, the SIGUSR1
+        # stack dump) to the one log, so it survives resumes.
+        with open(job.log_path, "a", encoding="utf-8") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.service.runner", job.dir],
+                env=_runner_env(),
+                stdout=subprocess.DEVNULL,
+                stderr=log,
+            )
         job.worker_pid = proc.pid
         cancelled = False
         hung = False
@@ -216,8 +235,9 @@ class WorkerPool:
             self.obs.incr("service.jobs_cancelled")
             return
         if self._stop.is_set() and not os.path.exists(job.outcome_path):
-            # Shutdown interrupted the run; leave it queued for a
-            # future server generation (the checkpoint resumes it).
+            # Shutdown interrupted the run: the job reads queued again.
+            # The store lives in memory, so no later server reloads it;
+            # the job dir keeps its checkpoint.
             self._record_attempt(job, started_unix, "interrupted")
             self.store.requeue(job)
             return
@@ -244,7 +264,7 @@ class WorkerPool:
 
         # No artifact: the child died mid-run.  Re-queue for a resumed
         # attempt, or fail when the retry budget is spent.
-        self._ensure_crash_bundle(job, proc.returncode)
+        _append_verdict(job, _exit_verdict(proc.returncode))
         self._record_attempt(job, started_unix, "crashed")
         if self.store.requeue(job):
             logger.warning(
@@ -264,7 +284,7 @@ class WorkerPool:
         )
         self.obs.incr("service.jobs_failed")
 
-    # -- hang watchdog / forensics -------------------------------------
+    # -- hang watchdog --------------------------------------------------
     def _dump_and_kill(self, proc: subprocess.Popen) -> None:
         """SIGUSR1 for a stack dump, a short grace, then SIGKILL."""
         sig = getattr(signal, "SIGUSR1", None)
@@ -281,12 +301,13 @@ class WorkerPool:
         proc.wait()
 
     def _handle_hang(self, job: Job, started_unix: float) -> None:
-        """Package the evidence, then requeue within the retry budget."""
+        """Record the verdict, then requeue within the retry budget."""
         self.obs.incr("service.jobs_hung")
-        try:
-            self._package_hang_bundle(job)
-        except Exception:  # noqa: BLE001 - forensics must not kill workers
-            logger.exception("hang bundle packaging failed for %s", job.id)
+        _append_verdict(
+            job,
+            f"hung: no journal advance for {self.hang_timeout_s:g}s; "
+            f"sent SIGUSR1 then SIGKILL",
+        )
         self._record_attempt(job, started_unix, "hung")
         if self.store.requeue(job):
             logger.warning(
@@ -308,66 +329,6 @@ class WorkerPool:
             ),
         )
         self.obs.incr("service.jobs_failed")
-
-    def _package_hang_bundle(self, job: Job) -> None:
-        stacks_text = None
-        stacks_path = os.path.join(job.dir, STACKS_FILENAME)
-        try:
-            with open(stacks_path, "r", encoding="utf-8") as fh:
-                stacks_text = fh.read() or None
-        except OSError:
-            pass
-        if stacks_text:
-            # Identical wedge points dump identical (normalized)
-            # stacks, so hangs cluster by *where* they stuck.
-            fingerprint = fingerprint_text(stacks_text)
-        else:
-            fingerprint = fingerprint_key("hang", "no-stack-dump")
-        package_bundle(
-            job.dir,
-            "hung",
-            fingerprint=fingerprint,
-            journal_paths=job_journal_paths(job),
-            trace_id=job.trace_id,
-            note=(
-                f"hang watchdog: no journal advance "
-                f"for {self.hang_timeout_s:g}s; sent SIGUSR1 then SIGKILL "
-                f"(attempt {job.attempts})"
-            ),
-        )
-
-    def _ensure_crash_bundle(self, job: Job, returncode: Optional[int]) -> None:
-        """A bundle for a crash the child couldn't record itself.
-
-        A SIGKILLed/OOMed child runs no excepthook, so unless the
-        in-process recorder already published (its excepthook got
-        there first), the supervisor packages what's on disk,
-        fingerprinted by the kill signal / exit code.
-        """
-        try:
-            if os.path.isdir(job.crash_dir):
-                return
-            if returncode is not None and returncode < 0:
-                try:
-                    cause = signal.Signals(-returncode).name
-                except ValueError:
-                    cause = str(-returncode)
-                fingerprint = fingerprint_key("signal", cause)
-                message = f"killed by signal {cause}"
-            else:
-                fingerprint = fingerprint_key("exit", str(returncode))
-                message = f"exited with code {returncode} and no outcome"
-            package_bundle(
-                job.dir,
-                "crashed",
-                fingerprint=fingerprint,
-                journal_paths=job_journal_paths(job),
-                error={"type": "WorkerCrash", "message": message},
-                trace_id=job.trace_id,
-                note=f"{message} (attempt {job.attempts})",
-            )
-        except Exception:  # noqa: BLE001 - forensics must not kill workers
-            logger.exception("crash bundle packaging failed for %s", job.id)
 
     def _record_attempt(self, job: Job, started_unix: float, outcome: str) -> None:
         """Append the attempt's timing record and fire the hook."""

@@ -42,7 +42,7 @@ from ..circuit import Circuit
 from ..circuit.netlist import CircuitError
 from ..circuit.structure import datapath_signals
 from ..faults.collapse import FaultClasses
-from ..faults.model import StuckAtFault, datapath_faults, enumerate_faults
+from ..faults.model import StuckAtFault, datapath_faults, enumerate_faults, fault_detail
 from ..metrics.errors import ErrorMetrics, rs_max
 from ..metrics.estimate import MetricsEstimator
 from ..obs.core import Instrumentation, get_active
@@ -283,14 +283,17 @@ def circuit_simplify(
     baseline = obs.snapshot()
     t_run = time.perf_counter()
 
-    estimator = MetricsEstimator(
-        circuit,
-        num_vectors=cfg.num_vectors,
-        seed=cfg.seed,
-        exhaustive=cfg.exhaustive,
-        atpg_node_limit=cfg.atpg_node_limit,
-        obs=obs,
-    )
+    # The estimator draws and packs the vector batch, compiles the
+    # original and simulates its good machine: time the run owns.
+    with obs.span("setup"):
+        estimator = MetricsEstimator(
+            circuit,
+            num_vectors=cfg.num_vectors,
+            seed=cfg.seed,
+            exhaustive=cfg.exhaustive,
+            atpg_node_limit=cfg.atpg_node_limit,
+            obs=obs,
+        )
     result = GreedyResult(
         original=circuit,
         simplified=circuit.copy(),
@@ -619,12 +622,7 @@ def _emit_iteration(
                 "index": rec.index,
                 "phase": rec.phase,
                 "fault": str(rec.fault),
-                "fault_detail": {
-                    "signal": rec.fault.line.signal,
-                    "gate": rec.fault.line.gate,
-                    "pin": rec.fault.line.pin,
-                    "value": rec.fault.value,
-                },
+                "fault_detail": fault_detail(rec.fault),
                 "area_before": rec.area_before,
                 "area_after": rec.area_after,
                 "er": m.er,
@@ -684,12 +682,7 @@ def _emit_rejection(
                 "event": "rejection",
                 "index": iteration,
                 "fault": str(fault),
-                "fault_detail": {
-                    "signal": fault.line.signal,
-                    "gate": fault.line.gate,
-                    "pin": fault.line.pin,
-                    "value": fault.value,
-                },
+                "fault_detail": fault_detail(fault),
                 "reason": reason,
             }
         )
@@ -872,6 +865,8 @@ class _PreviewMemo:
 
 
 def _fault_key(fault: StuckAtFault) -> Tuple:
+    """The banned-set and preview-memo key of a fault (a resume rebuilds
+    the banned set through it from the journaled ``fault_detail``)."""
     return (fault.line.signal, fault.line.gate, fault.line.pin, fault.value)
 
 

@@ -511,7 +511,7 @@ def test_postmortem_bad_paths_exit_2(tmp_path, capsys):
     healthy.mkdir()
     assert main(["postmortem", str(healthy)]) == 2
     err = capsys.readouterr().err
-    assert "no crash bundle" in err
+    assert "nothing to report" in err
 
 
 _MALFORMED_NETLISTS = [

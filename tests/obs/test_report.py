@@ -378,6 +378,17 @@ def test_c880_run_attributes_at_least_90pct(c880_journal):
     json.dumps(report)  # the --format json payload is serializable
 
 
+def test_run_time_sits_under_the_run_phases(c880_journal):
+    """Every top-level span of a run is one of its phases: the
+    estimator's set-up (vector batch, compile, good-machine simulation)
+    runs under ``setup``, not beside the spans as unattributed time."""
+    with open(c880_journal, encoding="utf-8") as fh:
+        summary = [json.loads(line) for line in fh][-1]
+    top = {path for path in summary["timers"] if "/" not in path}
+    assert "setup" in top
+    assert top <= {"setup", "prepass", "greedy", "finalize"}, top
+
+
 def test_killed_run_attribution_is_unknown(c880_journal, tmp_path, capsys):
     """A journal cut after its second greedy iteration has no summary,
     so no wall-clock total: attribution is unknown (never 100%), the

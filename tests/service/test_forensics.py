@@ -1,29 +1,31 @@
-"""Failure forensics end-to-end: hang watchdog, crash bundles, fingerprints.
+"""Failure forensics end-to-end: hang watchdog, crash and kill records.
 
 The DESIGN.md §15 contract, exercised against a real server with a
 deliberately sabotaged runner (``REPRO_TEST_*`` fault hooks in
 :mod:`repro.service.runner`):
 
-* a *hung* runner is detected by artifact-mtime liveness, stack-dumped
+* a *hung* runner is detected by journal-mtime liveness, stack-dumped
   via SIGUSR1, SIGKILLed, and re-queued -- and the resumed attempt
   finishes **bit-identical** to an uninterrupted run;
-* crashing runners leave fingerprinted crash bundles: identical
-  failures share a fingerprint, distinct failure modes split, and each
-  bundle's journal tail is the tail of the job's own journal;
-* ``repro postmortem`` renders a bundle offline after the server is
-  gone.
+* a failed job's record is its journal plus its ``runner.log``: the
+  runner's stderr (a traceback, the SIGUSR1 stack dump) and one
+  supervisor line per attempt it killed or found dead;
+* ``repro postmortem`` renders that record offline after the server is
+  gone, and no job directory holds any other crash artifact.
 """
 
 import json
 import os
+import signal
 import time
 
 import pytest
 
 from repro import SimplifyOutcome, SimplifyRequest, dumps_bench, loads_bench
 from repro.benchlib import ISCAS85_SUITE
+from repro.circuit.bench import bench_name
 from repro.cli import main
-from repro.obs.flight import TAIL_EVENTS, load_bundle, render_postmortem
+from repro.obs.postmortem import load_postmortem
 from repro.service import ServiceClient, job_journal_events, serve_in_thread
 
 # Same shape as test_resume: a fast c880 run with >= 2 committed
@@ -50,9 +52,7 @@ def c880_bench():
 
 @pytest.fixture(scope="module")
 def reference(c880_bench):
-    from repro.service.runner import _bench_name
-
-    return REQUEST.run(loads_bench(c880_bench, name=_bench_name(c880_bench)))
+    return REQUEST.run(loads_bench(c880_bench, name=bench_name(c880_bench)))
 
 
 def _serve(tmp_path, **kwargs):
@@ -62,8 +62,18 @@ def _serve(tmp_path, **kwargs):
     )
 
 
+def _runner_log(job):
+    with open(job.log_path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _assert_no_other_crash_artifacts(job):
+    assert not os.path.exists(os.path.join(job.dir, "crash"))
+    assert not os.path.exists(os.path.join(job.dir, "stacks.txt"))
+
+
 def test_hung_runner_is_dumped_killed_and_resumes_bit_identically(
-    tmp_path, monkeypatch, c880_bench, reference
+    tmp_path, monkeypatch, c880_bench, reference, capsys
 ):
     assert len(reference.iterations) >= 2
     monkeypatch.setenv("REPRO_TEST_HANG_AFTER_ITERS", "2")
@@ -93,15 +103,18 @@ def test_hung_runner_is_dumped_killed_and_resumes_bit_identically(
             for r in logged
         )
 
-        # the evidence: a `hung` crash bundle with the SIGUSR1 stack
-        # dump showing where the runner was wedged
-        bundle = load_bundle(job.dir)
-        assert bundle["crash"]["kind"] == "hung"
-        assert bundle["crash"]["fingerprint"]
-        assert bundle["crash"]["trace_id"] == final["trace_id"]
-        assert "watchdog" in bundle["crash"]["note"]
-        assert bundle["stacks"] and 'File "' in bundle["stacks"]
-        assert any(e.get("event") == "iteration" for e in bundle["tail"])
+        # the evidence: the SIGUSR1 stack dump showing where the runner
+        # was wedged, then the supervisor's verdict, in one runner.log
+        # that the resumed attempt appended to
+        log = _runner_log(job)
+        verdict = (
+            f"supervisor: attempt 1 hung: no journal advance for "
+            f"{HANG_TIMEOUT_S:g}s; sent SIGUSR1 then SIGKILL"
+        )
+        assert verdict in log
+        assert 'File "' in log.split(verdict)[0]
+        assert "most recent call first" in log
+        _assert_no_other_crash_artifacts(job)
 
         # the recovered result is bit-identical to the uninterrupted run
         remote = client.result(snap["job_id"])
@@ -121,151 +134,102 @@ def test_hung_runner_is_dumped_killed_and_resumes_bit_identically(
         httpd.shutdown()
         httpd.server_close()
 
-    # postmortem works offline, straight off the job dir
-    report = render_postmortem(load_bundle(job.dir))
-    assert "kind: hung" in report
-    assert "stack dump" in report
+    # postmortem works offline, straight off the job dir: the journal
+    # rows are the job's own journal, and runner.log follows them
+    assert load_postmortem(job.dir)["events"] == job_journal_events(job)
+    capsys.readouterr()
+    assert main(["postmortem", job.dir]) == 0
+    out = capsys.readouterr().out
+    assert verdict in out
+    assert 'File "' in out
+    assert any(
+        line.split()[:1] == ["iteration"] for line in out.splitlines()
+    )
 
 
-def test_crash_fingerprints_cluster_by_failure_mode(
+def test_crashing_runner_leaves_its_traceback_in_runner_log(
     tmp_path, monkeypatch, c880_bench, reference, capsys
 ):
     monkeypatch.setenv("REPRO_TEST_CRASH_AFTER_ITERS", "1")
-    monkeypatch.setenv("REPRO_TEST_CRASH_KIND", "runtime")
     httpd, service, _thread = _serve(tmp_path, max_attempts=1)
     client = ServiceClient(f"http://127.0.0.1:{httpd.server_address[1]}")
-    job_ids = []
     try:
-        # two identical runtime-fault crashes (distinct seeds so the
-        # dedup/cache layers treat them as distinct jobs)...
-        for seed in (11, 12):
-            snap = client.submit(
-                REQUEST.replace(seed=seed), netlist=c880_bench, name="c880"
-            )
-            job_ids.append(snap["job_id"])
-            final = client.wait(snap["job_id"], timeout=300)
-            assert final["state"] == "failed"
-            assert final["error"]["code"] == "budget_exhausted"
+        snap = client.submit(REQUEST.replace(seed=11), netlist=c880_bench, name="c880")
+        final = client.wait(snap["job_id"], timeout=300)
+        assert final["state"] == "failed"
+        assert final["error"]["code"] == "budget_exhausted"
+        crashed = service.store.get(snap["job_id"])
 
-        # ...then one value-fault crash: a different failure mode
-        monkeypatch.setenv("REPRO_TEST_CRASH_KIND", "value")
-        snap = client.submit(
-            REQUEST.replace(seed=13), netlist=c880_bench, name="c880"
-        )
-        job_ids.append(snap["job_id"])
-        assert client.wait(snap["job_id"], timeout=300)["state"] == "failed"
-
-        # ...and a fom="best" runtime fault inside its second FOM run:
-        # the runtime failure mode again, with a journal that spans the
-        # job's two per-FOM files
-        monkeypatch.setenv("REPRO_TEST_CRASH_KIND", "runtime")
+        # a fom="best" job crashing inside its second FOM run: the
+        # record spans the job's two per-FOM journal files
         monkeypatch.setenv(
             "REPRO_TEST_CRASH_AFTER_ITERS", str(len(reference.iterations) + 1)
         )
         snap = client.submit(
             REQUEST.replace(fom="best"), netlist=c880_bench, name="c880"
         )
-        job_ids.append(snap["job_id"])
         assert client.wait(snap["job_id"], timeout=300)["state"] == "failed"
-
-        # every job left a bundle; the three runtime faults share one
-        # fingerprint and the value fault, a different failure mode,
-        # has its own
-        crashes = [
-            load_bundle(service.store.get(job_id).dir)["crash"]
-            for job_id in job_ids
-        ]
-        runtime = [crashes[i] for i in (0, 1, 3)]
-        value = crashes[2]
-        assert all("runtime" in c["error"]["message"] for c in runtime)
-        assert "value" in value["error"]["message"]
-        assert len({c["fingerprint"] for c in runtime}) == 1, (
-            "identical failures must share one fingerprint"
-        )
-        assert runtime[0]["fingerprint"]
-        assert value["fingerprint"] != runtime[0]["fingerprint"]
-
-        # every bundle's tail is the last <= 64 events of the job's
-        # journal -- the journal is the crash record, not a copy of it
-        for job_id in job_ids:
-            job = service.store.get(job_id)
-            tail = load_bundle(job.dir)["tail"]
-            assert tail and tail == job_journal_events(job)[-TAIL_EVENTS:]
-        best = service.store.get(job_ids[-1])
+        best = service.store.get(snap["job_id"])
         streamed = client.events(best.id, wait=0.0)["events"]
-        assert streamed == job_journal_events(best)
-        for events in (streamed, load_bundle(best.dir)["tail"]):
-            assert [e["event"] for e in events].count("run_start") == 2
-
-        # the child's excepthook wrote the rich bundle itself: real
-        # exception type, formatted traceback, journal tail
-        job = service.store.get(job_ids[0])
-        bundle = load_bundle(job.dir)
-        assert bundle["crash"]["kind"] == "crash"
-        assert bundle["crash"]["error"]["type"] == "RuntimeError"
-        assert "injected runtime fault" in bundle["traceback"]
-        assert any(e.get("event") == "iteration" for e in bundle["tail"])
     finally:
         service.stop()
         httpd.shutdown()
         httpd.server_close()
 
-    # the postmortem CLI renders one of the bundles offline
-    job_dir = os.path.join(str(tmp_path), "jobs", job_ids[0])
-    if not os.path.isdir(job_dir):
-        job_dir = None
-        jobs_root = os.path.join(str(tmp_path), "jobs")
-        for entry in os.listdir(jobs_root):
-            if os.path.isdir(os.path.join(jobs_root, entry, "crash")):
-                job_dir = os.path.join(jobs_root, entry)
-                break
-    assert job_dir is not None
-    assert main(["postmortem", job_dir]) == 0
+    # the runner's own traceback, then the supervisor's exit line
+    for job in (crashed, best):
+        log = _runner_log(job)
+        assert "Traceback (most recent call last)" in log
+        assert "RuntimeError: injected runtime fault" in log
+        assert log.rstrip("\n").endswith(
+            "supervisor: attempt 1 exited with code 1 and no outcome"
+        )
+        _assert_no_other_crash_artifacts(job)
+
+    record = load_postmortem(best.dir)
+    assert record["events"] == streamed == job_journal_events(best)
+    assert [e["event"] for e in record["events"]].count("run_start") == 2
+
+    # the postmortem CLI renders the record offline
+    capsys.readouterr()
+    assert main(["postmortem", crashed.dir]) == 0
     out = capsys.readouterr().out
     assert "repro postmortem" in out
-    assert "kind: crash" in out
-    assert "RuntimeError" in out
+    assert "RuntimeError: injected runtime fault" in out
+    assert "exited with code 1 and no outcome" in out
+    assert any(
+        line.split()[:1] == ["iteration"] for line in out.splitlines()
+    )
 
 
-def test_sigkilled_child_gets_a_supervisor_bundle(
-    tmp_path, monkeypatch, c880_bench
-):
-    """A child killed from outside (OOM-style) runs no excepthook; the
-    supervisor packages the bundle, fingerprinted by the kill signal,
-    and identical kills share one fingerprint."""
-    import signal
-
+def test_sigkilled_child_gets_a_supervisor_line(tmp_path, c880_bench):
+    """A child killed from outside (OOM-style) writes nothing itself;
+    the supervisor's line in runner.log names the signal."""
     httpd, service, _thread = _serve(tmp_path, max_attempts=1, workers=1)
     client = ServiceClient(f"http://127.0.0.1:{httpd.server_address[1]}")
-    fingerprints = []
     try:
-        for seed in (21, 22):
-            snap = client.submit(
-                REQUEST.replace(seed=seed), netlist=c880_bench, name="c880"
-            )
-            deadline = time.time() + 300
-            while time.time() < deadline:
-                status = client.status(snap["job_id"])
-                if status["state"] in ("done", "failed", "cancelled"):
-                    break
-                pid = status.get("worker_pid")
-                if pid:
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                    except ProcessLookupError:
-                        pass
-                time.sleep(0.02)
-            final = client.wait(snap["job_id"], timeout=300)
-            if final["state"] == "done":
-                pytest.skip("runner outran the kill loop")
-            job = service.store.get(snap["job_id"])
-            bundle = load_bundle(job.dir)
-            assert bundle["crash"]["kind"] == "crashed"
-            assert "SIGKILL" in bundle["crash"]["error"]["message"]
-            fingerprints.append(bundle["crash"]["fingerprint"])
-        assert fingerprints[0] == fingerprints[1], (
-            "identical kill causes must share one fingerprint"
+        snap = client.submit(
+            REQUEST.replace(seed=21), netlist=c880_bench, name="c880"
         )
+        deadline = time.time() + 300
+        while time.time() < deadline:
+            status = client.status(snap["job_id"])
+            if status["state"] in ("done", "failed", "cancelled"):
+                break
+            pid = status.get("worker_pid")
+            if pid:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            time.sleep(0.02)
+        final = client.wait(snap["job_id"], timeout=300)
+        if final["state"] == "done":
+            pytest.skip("runner outran the kill loop")
+        job = service.store.get(snap["job_id"])
+        assert final["state"] == "failed"
+        assert "supervisor: attempt 1 killed by signal SIGKILL" in _runner_log(job)
+        _assert_no_other_crash_artifacts(job)
     finally:
         service.stop()
         httpd.shutdown()

@@ -56,9 +56,9 @@ def c880_bench():
 def reference(c880_bench):
     """The uninterrupted answer, computed exactly like the runner does:
     same bench text, same header-derived circuit name."""
-    from repro.service.runner import _bench_name
+    from repro.circuit.bench import bench_name
 
-    return REQUEST.run(loads_bench(c880_bench, name=_bench_name(c880_bench)))
+    return REQUEST.run(loads_bench(c880_bench, name=bench_name(c880_bench)))
 
 
 def test_sigkill_worker_job_resumes_bit_identically(

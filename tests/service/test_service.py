@@ -11,6 +11,8 @@ them on purpose.
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -26,7 +28,7 @@ from repro.core.errors import (
 )
 from repro.obs.metrics_export import validate_openmetrics
 from repro.service import JobStore, ServiceClient, serve_in_thread
-from tests.conftest import build_ripple_adder
+from tests.conftest import build_c17, build_ripple_adder
 
 # Fast request shape: a 5-bit ripple adder simplifies in a second or
 # two at these knobs (same budget as the checkpoint tests).
@@ -280,6 +282,52 @@ def test_queue_full_rejection_leaves_no_job_dir(tmp_path):
         store.submit(req, "b", cache_key="k2", circuit_name="b")
     assert os.listdir(tmp_path / "jobs") == [accepted.id]
     assert [j.id for j in store.list()] == [accepted.id]
+
+
+def test_restarted_server_gives_new_jobs_fresh_dirs(tmp_path, adder_bench):
+    """Two server generations on one data dir: the second numbers its
+    jobs past the first's directories, so its job runs and caches its
+    own result -- it does not inherit the outcome.json (and checkpoint)
+    the first generation's job-000001 left."""
+    jobs = []
+    for name, bench in (("c17", dumps_bench(build_c17())), ("rca5", adder_bench)):
+        httpd, service, _thread = serve_in_thread(
+            host="127.0.0.1", port=0, data_dir=str(tmp_path), workers=1
+        )
+        client = ServiceClient(f"http://127.0.0.1:{httpd.server_address[1]}")
+        request = SimplifyRequest(seed=31, **FAST)
+        try:
+            snap = client.submit(request, netlist=bench, name=name)
+            assert client.wait(snap["job_id"], timeout=300)["state"] == "done"
+            remote = client.result(snap["job_id"])
+            jobs.append(service.store.get(snap["job_id"]))
+        finally:
+            service.stop()
+            httpd.shutdown()
+            httpd.server_close()
+        local = SimplifyOutcome.from_json(
+            request.run(loads_bench(bench, name=name)).to_json()
+        )
+        assert dumps_bench(remote.simplified) == dumps_bench(local.simplified)
+        assert remote.final_metrics == local.final_metrics
+    assert [job.id for job in jobs] == ["job-000001", "job-000002"]
+
+
+def test_runner_module_runs_once_under_python_m():
+    """``python -m repro.service.runner`` must not import the runner
+    before runpy executes it as ``__main__``: runpy's RuntimeWarning
+    would open every job's runner.log (here it is an error)."""
+    from repro.service.workers import _runner_env
+
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.service.runner"],
+        env=_runner_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "usage: python -m repro.service.runner <jobdir>\n"
 
 
 @pytest.mark.parametrize(
