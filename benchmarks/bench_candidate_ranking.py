@@ -8,7 +8,9 @@ against the new ``BatchFaultSimulator`` path
 fault population is the one phase 2 actually scores: candidates with a
 positive previewed area gain, best-first, capped at the greedy
 shortlist size.  Both paths must return identical stats; the speedup
-row lands in ``bench_results.txt``.
+row lands in ``bench_results.txt``, with the slabs one batch call
+replays (``batchsim.slabs`` per call): the fewer faults a slab holds,
+the more the batch path pays per fault.
 """
 
 import os
@@ -19,6 +21,7 @@ import pytest
 from repro.benchlib import ISCAS85_SUITE
 from repro.faults import enumerate_faults
 from repro.metrics import MetricsEstimator
+from repro.obs import Instrumentation
 from repro.simplify import preview_area_reduction
 
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
@@ -45,7 +48,8 @@ def greedy_shortlist(circuit, limit):
 @pytest.mark.parametrize("name", ["c880", "c1908", "c3540"])
 def test_candidate_ranking_speedup(name, benchmark, bench_rows, bench_json):
     circuit = ISCAS85_SUITE[name].builder()
-    estimator = MetricsEstimator(circuit, num_vectors=NUM_VECTORS, seed=0)
+    obs = Instrumentation()
+    estimator = MetricsEstimator(circuit, num_vectors=NUM_VECTORS, seed=0, obs=obs)
     faults = greedy_shortlist(circuit, SHORTLIST)
 
     def run_old():
@@ -66,17 +70,19 @@ def test_candidate_ranking_speedup(name, benchmark, bench_rows, bench_json):
         run_old()
     t_old = (time.perf_counter() - t0) / OLD_ROUNDS
 
+    slabs = obs.counters.get("batchsim.slabs", 0)
     t0 = time.perf_counter()
     for _ in range(NEW_ROUNDS):
         run_new()
     t_new = (time.perf_counter() - t0) / NEW_ROUNDS
+    slabs = (obs.counters["batchsim.slabs"] - slabs) / NEW_ROUNDS
 
     benchmark.pedantic(run_new, rounds=1, iterations=1)
     speedup = t_old / t_new
     bench_rows.append(
         f"RANKING {name:<6} {len(faults)} candidates x {NUM_VECTORS} vectors: "
         f"full={t_old * 1e3:7.1f}ms  batch={t_new * 1e3:7.1f}ms  "
-        f"speedup={speedup:.1f}x"
+        f"speedup={speedup:.1f}x  slabs/call={slabs:g}"
     )
     bench_json["candidate_ranking"].append(
         {
@@ -87,6 +93,7 @@ def test_candidate_ranking_speedup(name, benchmark, bench_rows, bench_json):
             "t_full_ms": round(t_old * 1e3, 3),
             "t_batch_ms": round(t_new * 1e3, 3),
             "speedup": round(speedup, 2),
+            "slabs_per_call": slabs,
         }
     )
     assert speedup > 1.0

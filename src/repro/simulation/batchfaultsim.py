@@ -10,14 +10,20 @@ waste:
 
 * the fault-free baseline is simulated **once per vector batch**;
 * each candidate fault replays only its *cone* (the gates in the
-  line's transitive fanout, from
-  :func:`repro.circuit.structure.fanout_cone_gates`), reading undisturbed
-  signals from the baseline;
+  line's transitive fanout), reading undisturbed signals from the
+  baseline.  The cones of a call are found together, one bit per fault
+  site OR-propagated through the compiled program's level groups, and
+  each is a sorted array of value-matrix rows, which is replay order;
 * the faults of one call replay **together**, along a fault axis: each
   fault gets a private copy of its cone rows in one value matrix (the
   *slab*) that also holds the baseline rows the cones read, and every
   fault's gates that share a topological level and a bitwise core of
-  the compiled program evaluate in one vectorized numpy call;
+  the compiled program evaluate in one vectorized numpy call.  A slab
+  is coded with array operations from the program's gate table
+  (:class:`~repro.simulation.compiled.GateTable`): a sorted search
+  tells each gate input inside its own fault's cone from a boundary
+  row, and each group's input matrix is padded only to its own widest
+  gate;
 * only the primary outputs inside a cone are compared against the
   reference machine -- every other output is known to still match the
   baseline -- and only cone value-outputs enter the weighted-deviation
@@ -36,12 +42,15 @@ waste:
 
 Memory stays within a few baseline-sized arrays.  A slab holds at most
 as many rows as the baseline (the faults are taken in blocks that fit,
-so a block never has more faults than the baseline has rows).
-Detection adds the gathered cone observe rows (no more than the slab's
-private rows) and up to three (faults in block x words) arrays: the
-detection words, the residual gather and the per-word popcounts.  The
-deviation step unpacks at most :data:`DEVIATION_CELLS` (value-output
-row x vector) cells at a time.
+so a block never has more faults than the baseline has rows), and its
+code takes a few integers per gate input.  Finding the cones holds one bit
+per (row, fault site) for at most :data:`CONE_WORDS` words at a time,
+then the rows of every cone of the call and of its boundary.  Detection
+adds the gathered cone observe rows (no more than the slab's private
+rows) and up to three (faults in block x words) arrays: the detection
+words, the residual gather and the per-word popcounts.  The deviation
+step unpacks at most :data:`DEVIATION_CELLS` (value-output row x
+vector) cells at a time.
 
 The reference machine defaults to the simulated circuit's own baseline
 (classical single-fault differential simulation).  The greedy loop
@@ -52,7 +61,9 @@ candidate fault) against the original -- exactly what
 fraction of the cost.
 
 Results are bit-identical to the full simulator (cross-validated in
-``tests/simulation/test_batchfaultsim.py``).  Multi-fault *sets* are
+``tests/simulation/test_batchfaultsim.py``), and the slabs to those of
+the per-gate coder the gate table replaced
+(``tests/simulation/test_cone_coder.py``).  Multi-fault *sets* are
 deliberately out of scope: ER does not compose across interacting
 faults (Section III.C), so overlay/commit decisions keep using the full
 :class:`FaultSimulator` / :class:`MetricsEstimator` path.
@@ -61,7 +72,6 @@ faults (Section III.C), so overlay/commit decisions keep using the full
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,8 +79,7 @@ import numpy as np
 from ..circuit import Circuit
 from ..circuit.gates import ALL_ONES
 from ..circuit.netlist import CircuitError
-from ..circuit.structure import fanout_cone_gates
-from ..faults.model import Line, StuckAtFault
+from ..faults.model import StuckAtFault
 from ..obs.core import Instrumentation, get_active
 from .compiled import (
     CORE_PAD,
@@ -90,8 +99,9 @@ __all__ = ["FaultBatchStats", "BatchFaultSimulator"]
 #: working set (about 11 bytes per cell).
 DEVIATION_CELLS = 1 << 18
 
-# Columns of a cone's gate code (see :class:`_Cone`).
-_KEY, _OUT, _INV, _ARITY, _INS = range(5)
+#: Most words a cone pass holds in one (fanout edge x key word) gather:
+#: it bounds the working set of :meth:`BatchFaultSimulator._cones`.
+CONE_WORDS = 1 << 18
 
 
 @dataclass
@@ -160,39 +170,6 @@ class FaultBatchStats:
         return self.error_rate * self.max_abs_deviation
 
 
-
-
-class _Cone:
-    """One fault site's fanout cone, coded for replay in a slab.
-
-    ``rows`` are the cone's baseline rows in local order: the forced
-    signal (stem fault) or the faulted gate (branch fault) first, then
-    the cone gates in topological order.  ``code`` is flat, one record
-    per gate to replay: its ``(level, core)`` group key, local output
-    row, inversion flag and arity, then its inputs padded to the
-    circuit's widest gate with the core's identity row.  An input inside
-    the cone is coded as its local row (>= 0), any other baseline row
-    ``r`` as ``-1 - r``; ``boundary`` holds those other rows (constants
-    aside).  ``obs_*``/``val_*`` are the observe/value-output positions
-    the cone drives and the local rows driving them (``val_rows`` are
-    their baseline rows); ``dirty`` is the set of observe positions that
-    already differ from the reference and that the cone can change.
-    """
-
-    __slots__ = (
-        "rows",
-        "code",
-        "gates",
-        "boundary",
-        "obs_pos",
-        "obs_local",
-        "val_pos",
-        "val_local",
-        "val_rows",
-        "dirty",
-    )
-
-
 class BatchFaultSimulator:
     """Cone-restricted single-fault batch simulator bound to one circuit.
 
@@ -239,21 +216,19 @@ class BatchFaultSimulator:
         self._val_rows = np.asarray(
             [self.sim.index_of(o) for o in self.value_outputs], dtype=np.intp
         )
-        self._obs_of_row: Dict[int, List[int]] = {}
-        for pos, row in enumerate(self._obs_rows.tolist()):
-            self._obs_of_row.setdefault(row, []).append(pos)
-        self._val_of_row: Dict[int, List[int]] = {}
-        for pos, row in enumerate(self._val_rows.tolist()):
-            self._val_of_row.setdefault(row, []).append(pos)
-        # The program's lowered gates (see CompiledProgram.entry_of); its
-        # rows number the gates in topological order, so ``row_of`` also
-        # orders cone gates.
+        # The program's gate table (rows number the gates in topological
+        # order, so a sorted cone is in replay order), and which observe
+        # and value positions each row drives and which gates read it.
         program = self.sim.program
-        self._entry_of = program.entry_of
         self._row_of = program.row_of
-        self._arity = max(
-            (grp[2].shape[0] for groups in program.levels for grp in groups), default=1
-        )
+        self._table = program.gate_table
+        rows = program.num_rows
+        self._obs_ptr, self._obs_pos = _positions_by_row(self._obs_rows, rows)
+        self._val_ptr, self._val_pos = _positions_by_row(self._val_rows, rows)
+        fo_ptr, edges = _positions_by_row(self._table.in_rows, rows)
+        self._fo_readers = np.repeat(np.arange(rows), self._table.fanin)[edges]
+        self._fo_rows = np.flatnonzero(np.diff(fo_ptr))
+        self._fo_starts = fo_ptr[self._fo_rows]
 
         self.deviation = WeightedDeviation(self.weights)
 
@@ -349,89 +324,126 @@ class BatchFaultSimulator:
     # ------------------------------------------------------------------
     # cones
     # ------------------------------------------------------------------
-    def _cone(self, line: Line) -> _Cone:
-        """Code the cone a fault on ``line`` disturbs (see :class:`_Cone`)."""
-        if not self.circuit.has_signal(line.signal):
-            raise CircuitError(f"fault site {line} not in circuit")
-        if line.is_stem:
-            gates = fanout_cone_gates(self.circuit, line.signal, self._row_of)
-            rows = [self._row_of[line.signal]]
-        else:
-            gate = self.circuit.gates.get(line.gate)
-            if gate is None:
-                raise CircuitError(f"fault site {line}: gate {line.gate!r} not in circuit")
-            if line.pin >= len(gate.inputs) or gate.inputs[line.pin] != line.signal:
-                raise CircuitError(f"fault site {line}: pin does not match netlist")
-            gates = (line.gate,) + fanout_cone_gates(self.circuit, line.gate, self._row_of)
-            rows = []
-        entries = [self._entry_of[g] for g in gates]
-        rows.extend(e[2] for e in entries)
-        local = {row: i for i, row in enumerate(rows)}
-        code: List[int] = []
-        boundary = set()
-        for key, core, out_row, ins, invert in entries:
-            code += (key, local[out_row], invert, len(ins))
-            for r in ins:
-                i = local.get(r)
-                if i is None:
-                    code.append(-1 - r)
-                    boundary.add(r)
+    def _sites(
+        self, faults: Sequence[StuckAtFault]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Check every fault's site and name its cone.
+
+        A cone is keyed by its root row and whether the root gate
+        replays: a stem fault forces its signal's row, a branch fault
+        replays its gate with the stuck pin.  Returns each fault's key
+        index and, per key, the root row and that flag.
+        """
+        row_of = self._row_of
+        key_of: Dict[Tuple[int, bool], int] = {}
+        site_key: Dict[Tuple, int] = {}
+        which = np.empty(len(faults), dtype=np.intp)
+        for i, fault in enumerate(faults):
+            line = fault.line
+            site = (line.signal, line.gate, line.pin)
+            key = site_key.get(site)
+            if key is None:
+                if not self.circuit.has_signal(line.signal):
+                    raise CircuitError(f"fault site {line} not in circuit")
+                if line.is_stem:
+                    root = (row_of[line.signal], False)
                 else:
-                    code.append(i)
-            code += [-1 - CORE_PAD[core]] * (self._arity - len(ins))
-        boundary.discard(ROW_ZERO)
-        boundary.discard(ROW_ONE)
-        cone = _Cone()
-        cone.rows = rows
-        cone.code = code
-        cone.gates = len(entries)
-        cone.boundary = frozenset(boundary)
-        obs = sorted((p, i) for i, r in enumerate(rows) for p in self._obs_of_row.get(r, ()))
-        val = sorted((p, i) for i, r in enumerate(rows) for p in self._val_of_row.get(r, ()))
-        cone.obs_pos = [p for p, _i in obs]
-        cone.obs_local = [i for _p, i in obs]
-        cone.val_pos = [p for p, _i in val]
-        cone.val_local = [i for _p, i in val]
-        cone.val_rows = [rows[i] for _p, i in val]
-        cone.dirty = frozenset(p for p, _i in obs if p in self._dirty)
-        self.obs.gauge_max("batchsim.cone_gates_max", len(entries))
-        return cone
+                    gate = self.circuit.gates.get(line.gate)
+                    if gate is None:
+                        raise CircuitError(f"fault site {line}: gate {line.gate!r} not in circuit")
+                    if line.pin >= len(gate.inputs) or gate.inputs[line.pin] != line.signal:
+                        raise CircuitError(f"fault site {line}: pin does not match netlist")
+                    root = (row_of[line.gate], True)
+                key = site_key[site] = key_of.setdefault(root, len(key_of))
+            which[i] = key
+        roots = np.fromiter((r for r, _b in key_of), dtype=np.intp, count=len(key_of))
+        branch = np.fromiter((b for _r, b in key_of), dtype=bool, count=len(key_of))
+        return which, roots, branch
+
+    def _cones(
+        self, roots: np.ndarray, branch: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The cone rows and the boundary rows of every cone key, as CSRs
+        ``(cone_ptr, cone_rows, boundary_ptr, boundary_rows)``.
+
+        Key ``j``'s cone is its root row and every gate in the root's
+        transitive fanout, ascending, which is replay order.  Its
+        boundary is every other row its replayed gates read -- all cone
+        gates but a stem fault's root -- the constant rows aside.  Each
+        key is one bit: OR-propagated through the program's level groups
+        (a gate joins a cone when any input is in it; the padding rows
+        hold no bits), then OR-reduced back over each row's readers.  A
+        pass takes as many keys as :data:`CONE_WORDS` allows.
+        """
+        program = self.sim.program
+        step = 64 * max(1, CONE_WORDS // max(program.num_rows, self._fo_readers.size))
+        found: Tuple[List[np.ndarray], ...] = ([], [], [], [])
+        for k0 in range(0, roots.size, step):
+            k1 = min(roots.size, k0 + step)
+            root = roots[k0:k1]
+            col = np.arange(k1 - k0)
+            word = col // 64
+            bit = np.left_shift(np.uint64(1), (col % 64).astype(np.uint64))
+            cone = np.zeros((program.num_rows, -(-col.size // 64)), dtype=np.uint64)
+            np.bitwise_or.at(cone, (root, word), bit)
+            first = 1 + min(map(program.level_of_row.__getitem__, root.tolist()))
+            for groups in program.levels[max(0, first):]:
+                for _core, out_rows, in_rows, _inv in groups:
+                    acc = cone[out_rows]
+                    for ins in in_rows:
+                        acc |= cone[ins]
+                    cone[out_rows] = acc
+            replayed = cone.copy()
+            stem = ~branch[k0:k1]
+            replayed[root[stem], word[stem]] &= ~bit[stem]
+            reads = np.zeros_like(cone)
+            reads[self._fo_rows] = np.bitwise_or.reduceat(
+                replayed[self._fo_readers], self._fo_starts, axis=0
+            )
+            reads &= ~cone
+            for bits, (counts, rows) in ((cone, found[:2]), (reads, found[2:])):
+                for w in range(bits.shape[1]):
+                    keys = min(64, col.size - 64 * w)
+                    key, row = np.nonzero(unpack_vectors(bits[:, w : w + 1], keys))
+                    counts.append(np.bincount(key, minlength=keys))
+                    rows.append(row)
+        cone_counts, cone_rows, bnd_counts, bnd_rows = (
+            np.concatenate(part) if part else np.zeros(0, dtype=np.intp) for part in found
+        )
+        return _ptr(cone_counts), cone_rows, _ptr(bnd_counts), bnd_rows
 
     def _blocks(
-        self, faults: Sequence[StuckAtFault]
-    ) -> Iterator[Tuple[List[Tuple[StuckAtFault, _Cone]], set]]:
-        """Consecutive runs of faults, with their cones, whose slab fits
-        the baseline's rows, each with the union of its cones' boundary
-        rows.
+        self, which: np.ndarray, sizes: np.ndarray, bnd_ptr: np.ndarray, bnd_rows: np.ndarray
+    ) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """Consecutive runs ``s:e`` of faults whose slab fits the
+        baseline's rows, each with the sorted union of the boundary rows
+        its faults' cones read (``which`` names each fault's cone key,
+        ``sizes`` its private rows).
 
         A slab holds the two constant rows, every fault's private cone
         rows and the union of the rows the cones read; one fault's cone
-        and boundary are distinct baseline rows, so it always fits.
-        Cones are built as the runs fill and shared within a run (both
-        polarities of a line, repeated faults).
+        and boundary are distinct baseline rows, so it always fits.  A
+        run grows fault by fault while its private rows plus the
+        boundary rows first read so far fit.
         """
         cap = self.sim.program.num_rows - 2
-        block: List[Tuple[StuckAtFault, _Cone]] = []
-        cones: Dict[Tuple, _Cone] = {}
-        private = 0
-        boundary: set = set()
-        for fault in faults:
-            line = fault.line
-            key = (line.signal, line.gate, line.pin)
-            cone = cones.get(key)
-            if cone is None:
-                cone = self._cone(line)
-            fresh = cone.boundary - boundary
-            if block and private + len(cone.rows) + len(boundary) + len(fresh) > cap:
-                yield block, boundary
-                block, cones, private, boundary = [], {}, 0, set()
-                fresh = cone.boundary
-            cones[key] = cone
-            block.append((fault, cone))
-            private += len(cone.rows)
-            boundary |= fresh
-        if block:
-            yield block, boundary
+        private = _ptr(sizes)
+        s, k = 0, which.size
+        while s < k:
+            # the faults whose private rows alone fit, and the boundary
+            # rows each of them reads first
+            e = min(k, max(s + 1, int(np.searchsorted(private, private[s] + cap, "right")) - 1))
+            rows, owner = _segments(bnd_ptr, bnd_rows, which[s:e])
+            order = np.argsort(rows, kind="stable")
+            rows = rows[order]
+            fresh = np.diff(rows, prepend=-1) != 0
+            reader = owner[order][fresh]
+            need = private[s + 1 : e + 1] - private[s] + np.cumsum(np.bincount(reader, minlength=e - s))
+            over = np.flatnonzero(need[1:] > cap)
+            if over.size:
+                e = s + 1 + int(over[0])
+            yield s, e, rows[fresh][reader < e - s]
+            s = e
 
     # ------------------------------------------------------------------
     # evaluation
@@ -464,21 +476,33 @@ class BatchFaultSimulator:
         chunk_words = max(1, int(chunk_words))
         # the word index each chunk ends at
         ends = list(range(chunk_words, w, chunk_words)) + [w] if w else []
+        faults = list(faults)
         with self.obs.span("batchsim.evaluate"):
             stats: List[FaultBatchStats] = []
-            for block, boundary in self._blocks(faults):
-                if ends:
-                    stats.extend(
-                        self._replay(block, boundary, ends, rs_drop_threshold, detailed)
+            which, roots, branch = self._sites(faults)
+            cone_ptr, cone_rows, bnd_ptr, bnd_rows = self._cones(roots, branch)
+            cone_sizes = np.diff(cone_ptr)
+            if roots.size:
+                # a stem fault forces its root row instead of replaying it
+                gates = np.where(branch, cone_sizes, cone_sizes - 1)
+                self.obs.gauge_max("batchsim.cone_gates_max", int(gates.max()))
+            if not ends:  # an empty batch
+                stats.extend(
+                    FaultBatchStats(
+                        f, 0, 0, 0, 0,
+                        detected=np.zeros(0, dtype=bool) if detailed else None,
+                        deviations=[] if detailed else None,
                     )
-                else:  # an empty batch
+                    for f in faults
+                )
+            else:
+                sizes = cone_sizes[which]
+                for s, e, boundary in self._blocks(which, sizes, bnd_ptr, bnd_rows):
+                    block = faults[s:e]
+                    rows, owner = _segments(cone_ptr, cone_rows, which[s:e])
+                    slab = self._slab(block, rows, owner, sizes[s:e], boundary)
                     stats.extend(
-                        FaultBatchStats(
-                            f, 0, 0, 0, 0,
-                            detected=np.zeros(0, dtype=bool) if detailed else None,
-                            deviations=[] if detailed else None,
-                        )
-                        for f, _cone in block
+                        self._measure(block, slab, rows, owner, ends, rs_drop_threshold, detailed)
                     )
         self.obs.incr("batchsim.faults_evaluated", len(stats))
         if stats:
@@ -489,107 +513,145 @@ class BatchFaultSimulator:
             self.obs.incr("batchsim.words_skipped", sum(skipped))
         return stats
 
-    def _replay(
+    def _slab(
         self,
-        block: List[Tuple[StuckAtFault, _Cone]],
-        boundary_rows: set,
-        ends: List[int],
-        threshold: Optional[float],
-        detailed: bool,
-    ) -> List[FaultBatchStats]:
-        """Replay one block of faults in one slab; stats in block order.
+        block: Sequence[StuckAtFault],
+        rows: np.ndarray,
+        owner: np.ndarray,
+        sizes: np.ndarray,
+        boundary: np.ndarray,
+    ) -> np.ndarray:
+        """Code one block of faults into one slab and replay it.
 
-        ``boundary_rows`` holds every baseline row the cones read (a
-        superset when a branch fault's stuck pin no longer reads its
-        stem).
+        ``rows`` are the faults' cone rows, fault by fault (``owner``
+        names the fault of each, ``sizes`` counts them per fault), and
+        become the slab's private rows in that order, after the two
+        constant rows; ``boundary`` holds, ascending, every baseline row
+        the cones read (a branch fault's stuck pin counts as reading its
+        stem), which follow the private rows.
         """
-        n, w = self._n, self._w
-        cones = [cone for _f, cone in block]
-        sizes = [len(cone.rows) for cone in cones]
-        offs = [2 + o for o in accumulate([0] + sizes[:-1])]
-        private = sum(sizes)
+        w, table, num_rows = self._w, self._table, self.sim.program.num_rows
+        k, private = len(block), rows.size
+        start = np.cumsum(sizes) - sizes
+        stem = np.fromiter((f.line.is_stem for f in block), dtype=bool, count=k)
+        stuck = np.fromiter((f.value for f in block), dtype=np.intp, count=k)
 
-        # Code every fault's cone into slab rows: private rows follow the
-        # two constant rows, the baseline rows read follow the private ones.
-        code = np.fromiter(
-            chain.from_iterable(cone.code for cone in cones), dtype=np.intp
-        ).reshape(-1, _INS + self._arity)
-        gate_counts = [cone.gates for cone in cones]
-        gate_off = np.repeat(np.asarray(offs, dtype=np.intp), gate_counts)
-        forced: Tuple[List[int], List[int]] = ([], [])
-        for (fault, _cone), off, first in zip(block, offs, accumulate([0] + gate_counts)):
-            if fault.line.is_stem:
-                forced[fault.value].append(off)
-            else:  # the stuck pin reads the matching constant row
-                stuck = ROW_ONE if fault.value else ROW_ZERO
-                code[first, _INS + fault.line.pin] = -1 - stuck
-        ins = code[:, _INS:]
-        inside = ins >= 0
-        rows = np.where(inside, ins + gate_off[:, None], -1 - ins)
-        outside = ~inside & (rows > ROW_ONE)
-        boundary = np.fromiter(sorted(boundary_rows), dtype=np.intp, count=len(boundary_rows))
-        rows[outside] = 2 + private + np.searchsorted(boundary, rows[outside])
+        # Code every replayed gate -- each private row but a stem fault's
+        # forced one -- and its inputs: one inside its own fault's cone
+        # reads the fault's private row, any other its baseline row.
+        replayed = np.ones(private, dtype=bool)
+        replayed[start[stem]] = False
+        gate = np.flatnonzero(replayed)
+        gate_rows = rows[gate]
+        fanin = table.fanin[gate_rows]
+        ins, reader = _segments(table.in_ptr, table.in_rows, gate_rows)
+        first_in = np.cumsum(fanin) - fanin
+        cone_key = owner * num_rows + rows  # ascending
+        query = owner[gate][reader] * num_rows + ins
+        at = np.minimum(np.searchsorted(cone_key, query), private - 1)
+        inside = cone_key[at] == query
+        src = np.where(inside, 2 + at, ins)
+        outside = ~inside & (ins > ROW_ONE)
+        src[outside] = 2 + private + np.searchsorted(boundary, ins[outside])
+        # a branch fault's stuck pin reads the matching constant row
+        branch = np.flatnonzero(~stem)
+        if branch.size:
+            pins = np.fromiter((block[i].line.pin for i in branch.tolist()), np.intp, branch.size)
+            entry = np.searchsorted(gate, start[branch])
+            src[first_in[entry] + pins] = np.where(stuck[branch] == 1, ROW_ONE, ROW_ZERO)
 
         slab = np.empty((2 + private + boundary.size, w), dtype=np.uint64)
         slab[ROW_ZERO] = 0
         slab[ROW_ONE] = ALL_ONES
         slab[2 + private :] = self._base[boundary]
-        slab[forced[0]] = 0
-        slab[forced[1]] = ALL_ONES
+        forced = 2 + start[stem]
+        slab[forced[stuck[stem] == 0]] = 0
+        slab[forced[stuck[stem] == 1]] = ALL_ONES
         self.obs.incr("batchsim.slabs")
         self.obs.gauge_max("batchsim.slab_rows_max", slab.shape[0])
 
-        # One vectorized pass per (level, core) group across all faults.
-        if code.shape[0]:
-            order = np.argsort(code[:, _KEY], kind="stable")
-            keys = code[order, _KEY]
-            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-            stops = np.r_[starts[1:], keys.size]
-            arity = np.maximum.reduceat(code[order, _ARITY], starts)
-            inverted = code[order, _INV] != 0
-            any_inv = np.logical_or.reduceat(inverted, starts)
+        # One vectorized pass per (level, core) group across all faults,
+        # each group's inputs in one (arity x gates) matrix padded with
+        # the core's identity row to the group's own widest gate.
+        if gate.size:
+            order = np.argsort(table.key[gate_rows], kind="stable")
+            keys = table.key[gate_rows[order]]
+            heads = np.flatnonzero(np.diff(keys, prepend=-1))
+            count = np.diff(np.r_[heads, keys.size])
+            arity = np.maximum.reduceat(fanin[order], heads)
+            cores = keys[heads] % 3
+            cells = arity * count
+            base = np.cumsum(cells) - cells
+            matrix = np.repeat(np.asarray(CORE_PAD, dtype=np.intp)[cores], cells)
+            place = np.empty_like(order)  # of each gate in group order
+            place[order] = np.arange(order.size)
+            place = place[reader]
+            group = np.repeat(np.arange(heads.size), count)[place]
+            pin = np.arange(ins.size) - first_in[reader]
+            matrix[base[group] + pin * count[group] + place - heads[group]] = src
+            inverted = table.invert[gate_rows[order]]
+            any_inv = np.logical_or.reduceat(inverted, heads)
             inv_words = np.where(inverted, ALL_ONES, np.uint64(0))[:, None]
-            outs = code[order, _OUT] + gate_off[order]
-            ins_t = np.ascontiguousarray(rows[order].T)
+            outs = 2 + gate[order]
             everything = slice(None)
-            for s, e, a, has_inv, key in zip(
-                starts.tolist(), stops.tolist(), arity.tolist(),
-                any_inv.tolist(), keys[starts].tolist(),
+            for h, c, a, b, core, has_inv in zip(
+                heads.tolist(), count.tolist(), arity.tolist(), base.tolist(),
+                cores.tolist(), any_inv.tolist(),
             ):
                 eval_core_group(
-                    key % 3, outs[s:e], ins_t[:a, s:e],
-                    inv_words[s:e] if has_inv else None, slab, everything,
+                    core, outs[h : h + c], matrix[b : b + a * c].reshape(a, c),
+                    inv_words[h : h + c] if has_inv else None, slab, everything,
                 )
+        return slab
+
+    def _measure(
+        self,
+        block: Sequence[StuckAtFault],
+        slab: np.ndarray,
+        rows: np.ndarray,
+        owner: np.ndarray,
+        ends: List[int],
+        threshold: Optional[float],
+        detailed: bool,
+    ) -> List[FaultBatchStats]:
+        """Detection, deviation and the drop rule for one replayed slab
+        (laid out as :meth:`_slab` says); stats in block order."""
+        n, w = self._n, self._w
+        k = len(block)
 
         # Detection: cone outputs against the reference, every other
         # observe output as the baseline already differs.
-        detect = np.zeros((len(block), w), dtype=np.uint64)
-        owners = [i for i, cone in enumerate(cones) if cone.obs_pos]
-        if owners:
-            obs_rows = np.fromiter(
-                (offs[i] + j for i in owners for j in cones[i].obs_local), dtype=np.intp
-            )
-            obs_pos = np.fromiter((p for i in owners for p in cones[i].obs_pos), dtype=np.intp)
-            seg = list(accumulate([0] + [len(cones[i].obs_pos) for i in owners[:-1]]))
-            diff = slab[obs_rows] ^ self._ref_out[obs_pos]
-            detect[owners] = np.bitwise_or.reduceat(diff, seg, axis=0)
+        detect = np.zeros((k, w), dtype=np.uint64)
+        obs_pos, at = _segments(self._obs_ptr, self._obs_pos, rows)
+        if at.size:
+            who = owner[at]
+            heads = np.flatnonzero(np.diff(who, prepend=-1))
+            diff = slab[2 + at] ^ self._ref_out[obs_pos]
+            detect[who[heads]] = np.bitwise_or.reduceat(diff, heads, axis=0)
         if self._dirty:
+            dirty = np.zeros(len(self._obs_rows), dtype=bool)
+            dirty[list(self._dirty)] = True
+            sel = dirty[obs_pos]
+            reached: List[set] = [set() for _ in range(k)]
+            for i, pos in zip(owner[at[sel]].tolist(), obs_pos[sel].tolist()):
+                reached[i].add(pos)
             keys_of: Dict[FrozenSet[int], int] = {}
-            which = [keys_of.setdefault(cone.dirty, len(keys_of)) for cone in cones]
-            detect |= np.stack([self._residual(k) for k in keys_of])[which]
+            which = [keys_of.setdefault(frozenset(r), len(keys_of)) for r in reached]
+            detect |= np.stack([self._residual(key) for key in keys_of])[which]
         detect &= self._tail
         counts = np.add.reduceat(
             word_popcounts(detect), [0] + ends[:-1], axis=1, dtype=np.int64
         )
 
+        val_pos, at = _segments(self._val_ptr, self._val_pos, rows)
         maxes, sums, taken, devs = self._deviation_chunks(
-            cones, offs, slab, ends, counts, threshold, detailed
+            k, owner[at], 2 + at, rows[at], val_pos, slab, ends, counts, threshold, detailed
         )
 
         # Each fault's totals over the chunks the drop rule let it count.
         out: List[FaultBatchStats] = []
         summaries = zip(taken.tolist(), counts.tolist(), maxes.tolist(), sums.tolist())
-        for i, ((fault, _cone), (c, count_i, max_i, sum_i)) in enumerate(zip(block, summaries)):
+        for i, (fault, (c, count_i, max_i, sum_i)) in enumerate(zip(block, summaries)):
             hi = ends[c - 1]
             r_end = min(n, 64 * hi)
             out.append(
@@ -622,8 +684,11 @@ class BatchFaultSimulator:
 
     def _deviation_chunks(
         self,
-        cones: List[_Cone],
-        offs: List[int],
+        k: int,
+        owner: np.ndarray,
+        new_rows: np.ndarray,
+        host_rows: np.ndarray,
+        cols: np.ndarray,
         slab: np.ndarray,
         ends: List[int],
         counts: np.ndarray,
@@ -633,6 +698,9 @@ class BatchFaultSimulator:
         """Per-chunk max and sum of every fault's absolute deviation, and
         how many chunks each fault counts.
 
+        Each cone value output is one entry, fault by fault: ``owner``
+        names its fault (of ``k``), ``new_rows`` its slab row,
+        ``host_rows`` its baseline row and ``cols`` its value position.
         A fault's per-vector deviation is the baseline's deviation
         against the reference, corrected on its cone value-outputs only:
         ``(new - ref) - (host - ref)`` is ``new - host``, read from the
@@ -652,23 +720,16 @@ class BatchFaultSimulator:
             parts = [np.abs(base[r0:r1]) for r0, r1 in bounds]
             base_max = np.array([p.max() for p in parts], dtype=base.dtype)
             base_sum = np.array([p.sum() for p in parts], dtype=base.dtype)
-        k = len(cones)
         maxes = np.empty((k, len(ends)), dtype=base.dtype)
         sums = np.empty((k, len(ends)), dtype=base.dtype)
         maxes[:] = base_max
         sums[:] = base_sum
         devs: List = [base] * k if detailed else []
 
-        valued = np.asarray([i for i, cone in enumerate(cones) if cone.val_pos], dtype=np.intp)
-        # one row per (valued fault, cone value output), fault by fault
-        owner = np.repeat(valued, [len(cones[i].val_pos) for i in valued])
-        new_rows = np.fromiter(
-            (offs[i] + j for i in valued.tolist() for j in cones[i].val_local), dtype=np.intp
-        )
-        host_rows = np.fromiter((r for i in valued.tolist() for r in cones[i].val_rows), np.intp)
-        cols = np.fromiter((p for i in valued.tolist() for p in cones[i].val_pos), np.intp)
         heads = np.diff(owner, prepend=-1) != 0
-        parts_of: Dict[int, List[np.ndarray]] = {int(i): [] for i in valued} if detailed else {}
+        parts_of: Dict[int, List[np.ndarray]] = (
+            {i: [] for i in owner[heads].tolist()} if detailed else {}
+        )
         # the drop rule's state: live faults, running detections and max
         live = np.ones(k, dtype=bool)
         taken = np.full(k, len(ends), dtype=np.intp)
@@ -732,3 +793,23 @@ class BatchFaultSimulator:
         dev = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
         dev += self._base_dev[r0:r1]
         return dev
+
+
+def _ptr(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets of consecutive segments of the given lengths."""
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+
+
+def _segments(ptr: np.ndarray, data: np.ndarray, which: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``data[ptr[i]:ptr[i + 1]]`` for each ``i`` of ``which``,
+    concatenated, and the index into ``which`` of every element."""
+    lens = ptr[which + 1] - ptr[which]
+    owner = np.repeat(np.arange(which.size), lens)
+    firsts = np.cumsum(lens) - lens
+    return data[np.arange(owner.size) + (ptr[which] - firsts)[owner]], owner
+
+
+def _positions_by_row(rows: np.ndarray, num_rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The positions ``p`` with ``rows[p] == r``, ascending, as the CSR
+    ``pos[ptr[r]:ptr[r + 1]]``; returns ``(ptr, pos)``."""
+    return _ptr(np.bincount(rows, minlength=num_rows)), np.argsort(rows, kind="stable")

@@ -33,10 +33,12 @@ A program is a view of its :class:`~repro.circuit.Circuit`
 circuit on first use and keeps the program in the circuit's view cache,
 which every netlist mutation empties.  There is no global cache, so a
 program lives exactly as long as its netlist, and a structurally equal
-rebuild lowers anew.  The program also keeps each gate's lowered entry
-(:attr:`CompiledProgram.entry_of`), which the cone replay of
-:class:`~repro.simulation.batchfaultsim.BatchFaultSimulator` reads
-instead of lowering the gates again.  :class:`CompiledSimulator` is the
+rebuild lowers anew.  The program also keeps every gate's lowered form
+in one row-indexed :class:`GateTable` (group key, inversion, fan-in and
+a CSR of its unpadded input rows), which the cone replay of
+:class:`~repro.simulation.batchfaultsim.BatchFaultSimulator` codes
+whole slabs from with array operations instead of lowering the gates
+again.  :class:`CompiledSimulator` is the
 only simulator production code builds; it keeps the run surface of the
 per-gate reference :class:`~repro.simulation.logicsim.LogicSimulator`
 (``run`` / ``run_packed`` / ``index_of``, same :class:`SimResult`)
@@ -55,7 +57,7 @@ benchmark (``simulation.compiled.run_packed.mb_per_s`` under
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -69,6 +71,7 @@ from .vectors import num_words, pack_vectors
 __all__ = [
     "CompiledProgram",
     "CompiledSimulator",
+    "GateTable",
     "circuit_fingerprint",
     "compile_program",
 ]
@@ -142,6 +145,24 @@ def eval_core_group(
     work[out_rows, sl] = acc
 
 
+class GateTable(NamedTuple):
+    """Every gate's lowered form, indexed by value-matrix row.
+
+    Row ``r`` of a gate holds its ``(level, core)`` group key
+    ``3 * level + core`` (``level`` the index into
+    :attr:`CompiledProgram.levels`), its inversion flag, its fan-in and,
+    in ``in_rows[in_ptr[r]:in_ptr[r + 1]]``, its input rows as
+    :func:`lower_entry` gives them, unpadded.  The constant and input
+    rows hold key -1 and no inputs.
+    """
+
+    key: np.ndarray
+    invert: np.ndarray
+    fanin: np.ndarray
+    in_ptr: np.ndarray
+    in_rows: np.ndarray
+
+
 class CompiledProgram:
     """The flat struct-of-arrays form of one circuit.
 
@@ -154,7 +175,7 @@ class CompiledProgram:
         "num_inputs",
         "num_rows",
         "row_of",
-        "entry_of",
+        "gate_table",
         "levels",
         "loc",
         "level_of_row",
@@ -165,7 +186,7 @@ class CompiledProgram:
         num_inputs: int,
         num_rows: int,
         row_of: Dict[str, int],
-        entry_of: Dict[str, Tuple[int, int, int, Tuple[int, ...], bool]],
+        gate_table: GateTable,
         levels: Tuple[Tuple[Tuple, ...], ...],
         loc: Dict[int, Tuple[int, int, int]],
         level_of_row: List[int],
@@ -173,12 +194,7 @@ class CompiledProgram:
         self.num_inputs = num_inputs
         self.num_rows = num_rows
         self.row_of = row_of
-        #: Each gate's lowered entry, keyed by gate name and in
-        #: topological order: ``(3 * level + core, core, out_row,
-        #: input_rows, invert)``, with ``level`` the index into
-        #: :attr:`levels` and ``input_rows`` as :func:`lower_entry`
-        #: gives them.
-        self.entry_of = entry_of
+        self.gate_table = gate_table
         self.levels = levels
         self.loc = loc
         #: The level index of every row; -1 for the constant and input
@@ -220,8 +236,12 @@ def _build_program(circuit: Circuit) -> CompiledProgram:
     # Level of every row: -1 for the constant and input rows, so a
     # gate's level (1 + its deepest input's) counts from 0 and is the
     # index of its level in ``levels``.
-    level = [-1] * (first_gate_row + len(order))
-    entry_of: Dict[str, Tuple[int, int, int, Tuple[int, ...], bool]] = {}
+    num_rows = first_gate_row + len(order)
+    level = [-1] * num_rows
+    keys = [-1] * num_rows
+    inverts = [False] * num_rows
+    fanin = [0] * num_rows
+    flat_ins: List[int] = []
     # (level, core) -> [(out_row, lowered_input_rows, invert)]
     buckets: Dict[Tuple[int, int], List[Tuple[int, Tuple[int, ...], bool]]] = {}
     for name in order:
@@ -230,8 +250,19 @@ def _build_program(circuit: Circuit) -> CompiledProgram:
         core, invert, ins = lower_entry(g.gtype, tuple(map(row_of.__getitem__, g.inputs)))
         ins = tuple(ins)
         lvl = level[out_row] = 1 + max(map(level.__getitem__, ins))
-        entry_of[name] = (3 * lvl + core, core, out_row, ins, invert)
+        keys[out_row] = 3 * lvl + core
+        inverts[out_row] = invert
+        fanin[out_row] = len(ins)
+        flat_ins.extend(ins)
         buckets.setdefault((lvl, core), []).append((out_row, ins, invert))
+    fanin_arr = np.array(fanin, dtype=np.intp)
+    table = GateTable(
+        key=np.array(keys, dtype=np.intp),
+        invert=np.array(inverts, dtype=bool),
+        fanin=fanin_arr,
+        in_ptr=np.concatenate(([0], np.cumsum(fanin_arr))),
+        in_rows=np.array(flat_ins, dtype=np.intp),
+    )
 
     level_groups: List[List[Tuple]] = [[] for _ in range(1 + max(level))]
     loc: Dict[int, Tuple[int, int, int]] = {}
@@ -257,9 +288,9 @@ def _build_program(circuit: Circuit) -> CompiledProgram:
     levels = tuple(tuple(groups) for groups in level_groups)
     return CompiledProgram(
         num_inputs=len(circuit.inputs),
-        num_rows=first_gate_row + len(order),
+        num_rows=num_rows,
         row_of=row_of,
-        entry_of=entry_of,
+        gate_table=table,
         levels=levels,
         loc=loc,
         level_of_row=level,
@@ -280,7 +311,7 @@ def compile_program(
     obs.incr("compile.cache_misses")
     with obs.span("compile.lower"):
         program = _build_program(circuit)
-    obs.incr("compile.gates_lowered", len(program.entry_of))
+    obs.incr("compile.gates_lowered", program.num_rows - 2 - program.num_inputs)
     obs.incr("compile.levels", len(program.levels))
     views["program"] = program
     return program

@@ -198,7 +198,7 @@ def _program_facts(program):
         program.num_inputs,
         program.num_rows,
         list(program.row_of.items()),
-        list(program.entry_of.items()),
+        [column.tolist() for column in program.gate_table],
         groups,
         program.loc,
         program.level_of_row,

@@ -7,6 +7,11 @@ batches, and its chunked / fault-dropping modes must stay consistent
 with the single-pass results.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -307,25 +312,75 @@ def _lowering_circuits():
 
 @pytest.mark.parametrize("ckt", list(_lowering_circuits()), ids=lambda c: c.name)
 def test_batch_simulator_shares_the_circuits_lowering(ckt):
-    """The batch simulator reads the circuit's one program, and each of
-    its lowered entries is what ``lower_entry`` gives for the gate, at
-    the gate's place in the padded group matrices."""
+    """The batch simulator reads the circuit's one program, and each
+    gate row of its gate table holds what ``lower_entry`` gives for the
+    gate -- key, inversion, unpadded inputs -- and agrees with the gate's
+    place in the padded group matrices."""
     from repro.simulation import CompiledSimulator
     from repro.simulation.compiled import CORE_PAD, lower_entry
 
     bsim = BatchFaultSimulator(ckt)
     program = bsim.sim.program
     assert program is CompiledSimulator(ckt).program
-    assert list(program.entry_of) == ckt.topological_order()
-    for name, (key, core, out_row, ins, invert) in program.entry_of.items():
+    table = program.gate_table
+    first_gate_row = 2 + program.num_inputs
+    assert [program.row_of[name] for name in ckt.topological_order()] == list(
+        range(first_gate_row, program.num_rows)
+    )
+    assert table.key[:first_gate_row].tolist() == [-1] * first_gate_row
+    assert table.fanin[:first_gate_row].tolist() == [0] * first_gate_row
+    assert table.in_ptr.tolist() == [0, *np.cumsum(table.fanin).tolist()]
+    for name in ckt.topological_order():
         gate = ckt.gates[name]
+        out_row = program.row_of[name]
+        ins = table.in_rows[table.in_ptr[out_row] : table.in_ptr[out_row + 1]].tolist()
+        invert = bool(table.invert[out_row])
         in_rows = tuple(program.row_of[s] for s in gate.inputs)
-        assert (core, invert, list(ins)) == lower_entry(gate.gtype, in_rows)
-        assert out_row == program.row_of[name]
+        core, want_invert, want_ins = lower_entry(gate.gtype, in_rows)
+        assert (invert, ins) == (want_invert, want_ins)
+        assert table.fanin[out_row] == len(ins)
         li, gi, col = program.loc[out_row]
-        assert key == 3 * li + core
+        assert table.key[out_row] == 3 * li + core
         g_core, out_rows, group_ins, inv = program.levels[li][gi]
         assert g_core == core and out_rows[col] == out_row
         pad = [CORE_PAD[core]] * (group_ins.shape[0] - len(ins))
         assert group_ins[:, col].tolist() == list(ins) + pad
         assert bool(inv is not None and inv[col, 0]) == invert
+
+
+_MASKED_ARRAYS_CHILD = textwrap.dedent(
+    """
+    import sys
+
+    import numpy as np
+
+    from repro.benchlib import ISCAS85_SUITE
+    from repro.faults import enumerate_faults
+    from repro.simplify import GreedyConfig, circuit_simplify
+    from repro.simulation import BatchFaultSimulator, random_vectors
+
+    circuit = ISCAS85_SUITE["c880"].builder()
+    config = GreedyConfig(num_vectors=500, redundancy_prepass=True)
+    circuit_simplify(circuit, rs_pct_threshold=1.0, config=config)
+    batch = BatchFaultSimulator(circuit)
+    batch.load_batch(random_vectors(len(circuit.inputs), 500, np.random.default_rng(0)))
+    faults = enumerate_faults(circuit, include_branches=True)
+    batch.evaluate(faults, rs_drop_threshold=1.0, detailed=True)
+    print("numpy.ma" in sys.modules)
+    """
+)
+
+
+def test_simplify_never_imports_masked_arrays():
+    """A numpy call that first imports ``numpy.ma`` (``np.unique`` does
+    on numpy 2.4) adds about 1.7 MB to a run's peak RSS: neither a
+    ``simplify`` run nor cone replay may make one."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath("src"), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _MASKED_ARRAYS_CHILD],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert out.stdout.split() == ["False"]
