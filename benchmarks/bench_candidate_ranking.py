@@ -7,13 +7,16 @@ against the new ``BatchFaultSimulator`` path
 (``MetricsEstimator.simulate_faults``), on the Table II circuits.  The
 fault population is the one phase 2 actually scores: candidates with a
 positive previewed area gain, best-first, capped at the greedy
-shortlist size.  Both paths must return identical stats; the speedup
-row lands in ``bench_results.txt``, with the slabs one batch call
-replays (``batchsim.slabs`` per call): the fewer faults a slab holds,
-the more the batch path pays per fault.
+shortlist size.  Both paths must return identical stats.  They are
+timed over the same number of interleaved rounds, so drift hits both
+alike, and each path's time is its median round.  The speedup row
+lands in ``bench_results.txt``, with the slabs one batch call replays
+(``batchsim.slabs`` per call): the fewer faults a slab holds, the more
+the batch path pays per fault.
 """
 
 import os
+import statistics
 import time
 
 import pytest
@@ -27,8 +30,7 @@ from repro.simplify import preview_area_reduction
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
 NUM_VECTORS = 10_000 if FULL else 2_000
 SHORTLIST = 200 if FULL else 96
-OLD_ROUNDS = 1
-NEW_ROUNDS = 3
+ROUNDS = 5
 
 
 def greedy_shortlist(circuit, limit):
@@ -65,17 +67,18 @@ def test_candidate_ranking_speedup(name, benchmark, bench_rows, bench_json):
         assert st.error_rate == er
         assert st.max_abs_deviation == observed
 
-    t0 = time.perf_counter()
-    for _ in range(OLD_ROUNDS):
-        run_old()
-    t_old = (time.perf_counter() - t0) / OLD_ROUNDS
-
+    old_times, new_times = [], []
     slabs = obs.counters.get("batchsim.slabs", 0)
-    t0 = time.perf_counter()
-    for _ in range(NEW_ROUNDS):
+    for _ in range(ROUNDS):
+        t0 = time.perf_counter()
+        run_old()
+        old_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
         run_new()
-    t_new = (time.perf_counter() - t0) / NEW_ROUNDS
-    slabs = (obs.counters["batchsim.slabs"] - slabs) / NEW_ROUNDS
+        new_times.append(time.perf_counter() - t0)
+    slabs = (obs.counters["batchsim.slabs"] - slabs) / ROUNDS
+    t_old = statistics.median(old_times)
+    t_new = statistics.median(new_times)
 
     benchmark.pedantic(run_new, rounds=1, iterations=1)
     speedup = t_old / t_new
@@ -94,6 +97,7 @@ def test_candidate_ranking_speedup(name, benchmark, bench_rows, bench_json):
             "t_batch_ms": round(t_new * 1e3, 3),
             "speedup": round(speedup, 2),
             "slabs_per_call": slabs,
+            "rounds": ROUNDS,
         }
     )
     assert speedup > 1.0

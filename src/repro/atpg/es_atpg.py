@@ -40,13 +40,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..circuit import Circuit, GateType
-from ..circuit.structure import transitive_fanin, transitive_fanout
+from ..circuit.structure import fanin_closure, transitive_fanin, transitive_fanout
 from ..faults.model import StuckAtFault
 from ..obs.core import Instrumentation, get_active
 
 __all__ = ["EsStatus", "EsResult", "EsAtpg"]
 
 _X = 2  # three-valued unknown
+
+#: ``good.views`` key of the structural reference's affected-output
+#: words over one exhaustive enumeration: ``((outputs, support), words)``.
+_REFERENCE_VIEW = "es_reference_words"
 
 
 class EsStatus(enum.Enum):
@@ -127,29 +131,15 @@ class EsAtpg:
         self.max_weight_sum: int = sum(abs(self.weights[o]) for o in self.affected_outputs)
 
         # Restrict simulation and decisions to the relevant cones.
-        relevant_good: Set[str] = set()
-        relevant_faulty: Set[str] = set()
-        for o in self.affected_outputs:
-            relevant_good |= transitive_fanin(good, o, include_self=True)
-            relevant_faulty |= transitive_fanin(
-                self.faulty, self._pair[o], include_self=True
-            )
-        for f in self.faults:
-            relevant_faulty |= transitive_fanin(
-                self.faulty, f.line.signal, include_self=True
-            )
-        self._good_schedule: List[str] = [
-            n for n in good.topological_order() if n in relevant_good
-        ]
-        self._faulty_schedule: List[str] = [
-            n for n in self.faulty.topological_order() if n in relevant_faulty
-        ]
-        support = {
-            pi
-            for pi in good.inputs
-            if pi in relevant_good or pi in relevant_faulty
-        }
-        self.support: Tuple[str, ...] = tuple(pi for pi in good.inputs if pi in support)
+        self._good_schedule, good_pis = _cone(good, self.affected_outputs)
+        self._faulty_schedule, faulty_pis = _cone(
+            self.faulty,
+            [self._pair[o] for o in self.affected_outputs]
+            + [f.line.signal for f in self.faults],
+        )
+        self.support: Tuple[str, ...] = tuple(
+            pi for pi in good.inputs if pi in good_pis or pi in faulty_pis
+        )
         self._stem_faults: Dict[str, int] = {}
         self._branch_faults: Dict[Tuple[str, int], int] = {}
         for f in self.faults:
@@ -350,15 +340,23 @@ class EsAtpg:
         (non-support inputs cannot reach any affected output), so
         enumerating 2**|support| vectors with the bit-parallel
         simulator yields the *exact* ES.  Only the relevant cones are
-        simulated (extracted with :func:`~repro.circuit.structure.subcircuit`);
-        the good machine's cone simulator is a view of ``good``, kept
-        per affected-output set, since the structural reference stays
-        fixed while the greedy loop asks about many tentatives.
+        simulated (extracted with :func:`~repro.circuit.structure.subcircuit`).
         The counting patterns are born packed
         (:func:`~repro.simulation.vectors.exhaustive_words`), one chunk
         of ``chunk_vectors`` at a time to bound memory; chunks stay
         word-aligned, so ``chunk_vectors`` must be a positive multiple
-        of 64.  Intended for supports of ~22 PIs or fewer.
+        of 64.  Each chunk's maximum is taken on the packed words
+        (:meth:`~repro.simulation.deviation.WeightedDeviation.max_abs_words`).
+
+        The structural reference stays fixed while the greedy loop asks
+        about many tentatives, so its affected-output words over the
+        whole enumeration are kept as one entry of ``good.views``, keyed
+        by (affected outputs, support): a query with the same key
+        simulates only the faulty machine's cone.  A new key replaces
+        the entry, and any mutation of ``good`` drops it.  The entry
+        holds ``m * 2**s / 8`` bytes for ``m`` affected outputs (590 KB
+        for 9 outputs at s = 19, ``m * 512 KB`` at s = 22).  Intended
+        for supports of ~22 PIs or fewer.
         """
         import numpy as np
 
@@ -366,7 +364,7 @@ class EsAtpg:
         from ..obs.core import NULL
         from ..simulation.compiled import CompiledSimulator
         from ..simulation.deviation import WeightedDeviation
-        from ..simulation.vectors import exhaustive_words
+        from ..simulation.vectors import exhaustive_words, num_words
 
         if chunk_vectors <= 0 or chunk_vectors % 64:
             raise ValueError(
@@ -377,31 +375,40 @@ class EsAtpg:
             return 0
         faulty_names = [self._pair[o] for o in self.affected_outputs]
         fault_signals = [f.line.signal for f in self.faults]
+        total = 1 << s
         # Kernel counters describe the estimator's simulations; this
         # query reports its own effort as es_atpg.exact_vectors.
-        cone_key = ("es_good_cone", self.affected_outputs)
-        good_sim = self.good.views.get(cone_key)
-        if good_sim is None:
+        key = (self.affected_outputs, self.support)
+        entry = self.good.views.get(_REFERENCE_VIEW)
+        if entry is not None and entry[0] == key:
+            reference, good_sim = entry[1], None
+        else:
+            # Drop a stale entry first, so two never coexist.
+            self.good.views.pop(_REFERENCE_VIEW, None)
+            reference = np.empty((len(self.affected_outputs), num_words(total)), np.uint64)
             good_sim = CompiledSimulator(subcircuit(self.good, self.affected_outputs), obs=NULL)
-            self.good.views[cone_key] = good_sim
         faulty_cone = subcircuit(self.faulty, list(faulty_names) + fault_signals)
         faulty_sim = CompiledSimulator(faulty_cone, obs=NULL)
         pi_index = {pi: k for k, pi in enumerate(self.good.inputs)}
         support_idx = [pi_index[pi] for pi in self.support]
         n_in = len(self.good.inputs)
         deviation = WeightedDeviation(self.weights[o] for o in self.affected_outputs)
-        total = 1 << s
         best = 0
         self.obs.incr("es_atpg.exact_vectors", total)
         for start in range(0, total, chunk_vectors):
             count = min(chunk_vectors, total - start)
             packed = exhaustive_words(support_idx, n_in, start, count)
-            g = good_sim.run_packed(packed, count)
+            words = slice(start // 64, start // 64 + num_words(count))
+            if good_sim is not None:
+                g = good_sim.run_packed(packed, count)
+                for r, o in enumerate(self.affected_outputs):
+                    reference[r, words] = g.words_for(o)
             f = faulty_sim.run_packed(packed, count, self.faults)
-            gbits = g.output_bits(self.affected_outputs)
-            fbits = f.output_bits(faulty_names)
-            delta = fbits.astype(np.int8) - gbits.astype(np.int8)
-            best = max(best, deviation.max_abs(delta))
+            fwords = np.stack([f.words_for(o) for o in faulty_names])
+            best = max(best, deviation.max_abs_words(fwords, reference[:, words], count))
+        if good_sim is not None:
+            reference.flags.writeable = False
+            self.good.views[_REFERENCE_VIEW] = (key, reference)
         return best
 
     def decide(self, threshold: int, exhaustive_limit: int = 22) -> EsResult:
@@ -462,6 +469,14 @@ class EsAtpg:
             k += 1
         # every threshold up to the structural maximum is achievable
         return w_max
+
+
+def _cone(circuit: Circuit, roots: Sequence[str]) -> Tuple[List[str], Set[str]]:
+    """The gates of the roots' fanin in topological order, and its
+    primary inputs, from one walk."""
+    relevant = fanin_closure(circuit, roots)
+    schedule = [n for n in circuit.topological_order() if n in relevant]
+    return schedule, relevant.intersection(circuit.inputs)
 
 
 def _eval3(gtype: GateType, values: List[int]) -> int:

@@ -14,6 +14,7 @@ from .netlist import Circuit
 
 __all__ = [
     "transitive_fanin",
+    "fanin_closure",
     "transitive_fanout",
     "output_cone",
     "cones_reached",
@@ -31,13 +32,13 @@ def transitive_fanin(circuit: Circuit, signal: str, include_self: bool = True) -
     Includes primary inputs encountered; includes ``signal`` itself when
     ``include_self`` is set.
     """
-    seen = _fanin_closure(circuit, (signal,))
+    seen = fanin_closure(circuit, (signal,))
     if not include_self:
         seen.discard(signal)
     return seen
 
 
-def _fanin_closure(circuit: Circuit, roots: Iterable[str]) -> Set[str]:
+def fanin_closure(circuit: Circuit, roots: Iterable[str]) -> Set[str]:
     """The roots and every signal in their transitive fanin, found in
     one walk that visits each signal once."""
     gates = circuit.gates
@@ -136,7 +137,7 @@ def subcircuit(circuit: Circuit, outputs: Iterable[str], name: str | None = None
     are primary outputs of the original.
     """
     roots = list(outputs)
-    keep = _fanin_closure(circuit, roots)
+    keep = fanin_closure(circuit, roots)
     gates = circuit.gates
     sub = Circuit.from_gates(
         name or f"{circuit.name}_cone",
@@ -164,8 +165,8 @@ def classify_signals(circuit: Circuit) -> Dict[str, Set[str]]:
       control and a data output are excluded"),
     * ``dead``    -- feeds no primary output at all.
     """
-    data_cone = _fanin_closure(circuit, circuit.data_outputs)
-    control_cone = _fanin_closure(circuit, circuit.control_outputs)
+    data_cone = fanin_closure(circuit, circuit.data_outputs)
+    control_cone = fanin_closure(circuit, circuit.control_outputs)
     all_signals = set(circuit.signals())
     data_only = data_cone - control_cone
     control_only = control_cone - data_cone

@@ -11,20 +11,37 @@ numeric weights.  Every simulator that measures a deviation --
 :class:`WeightedDeviation`, so there is one place that decides how the
 sum is computed and one place that keeps it exact.
 
-The products run as float64 matrix-vector products, which are exact
-while every partial sum stays below ``2**53``.  Weights that are too
-wide for that (e.g. ``2**i`` weights on more than ~50 outputs) are
-split into limbs narrow enough that each limb's product is exact; the
-limb products are recombined as Python integers.  The batch fault
-simulator sums many faults' cone outputs in one call
-(:meth:`WeightedDeviation.segmented`), each fault a segment of columns.
+It takes the deviation in one of two representations:
+
+* **unpacked deltas** -- (vectors x outputs) matrices of small
+  integers, for the consumers that need every vector's deviation
+  (fault simulation, cone replay, the estimator).  The products run as
+  float64 matrix-vector products, which are exact while every partial
+  sum stays below ``2**53``.  Weights that are too wide for that (e.g.
+  ``2**i`` weights on more than ~50 outputs) are split into limbs
+  narrow enough that each limb's product is exact; the limb products
+  are recombined as Python integers.  The batch fault simulator sums
+  many faults' cone outputs in one call
+  (:meth:`WeightedDeviation.segmented`), each fault a segment of
+  columns.
+* **bit planes over packed words** -- :meth:`WeightedDeviation.max_abs_words`
+  reads the faulty and good machines' packed words directly and keeps
+  the sums bit-sliced, one ``uint64`` plane per bit of the weighted
+  value, 64 vectors per word.  The exhaustive ES path needs only the
+  maximum, so no vector is ever unpacked, and the weights stay Python
+  ints: no float and no limbs, exact at any width.  The per-vector
+  consumers stay on the float path, which is faster at their batch
+  sizes (a few hundred words).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
+
+from ..circuit.gates import ALL_ONES
+from .vectors import num_words, tail_mask
 
 __all__ = ["WeightedDeviation"]
 
@@ -43,12 +60,23 @@ class WeightedDeviation:
     integers when every weight fits one limb (:attr:`narrow`), object
     arrays of Python ints otherwise -- both support ``abs``, ``max``,
     ``sum`` and ``+`` exactly as the callers need.
+    :meth:`max_abs_words` takes the two machines' packed words instead
+    of a delta matrix and returns a Python int.
     """
 
-    __slots__ = ("narrow", "_limbs", "_bits")
+    __slots__ = ("narrow", "_limbs", "_bits", "_terms")
 
     def __init__(self, weights: Iterable[int]) -> None:
         weights = [int(w) for w in weights]
+        # (bit, output, negative) for every set bit of every |weight|,
+        # lowest bit first: the order keeps :meth:`max_abs_words`'
+        # carries short.
+        self._terms = sorted(
+            (bit, j, w < 0)
+            for j, w in enumerate(weights)
+            for bit in range(abs(w).bit_length())
+            if abs(w) >> bit & 1
+        )
         self._bits = _EXACT_BITS - max(1, len(weights)).bit_length()
         wmax = max((abs(w) for w in weights), default=0)
         count = max(1, -(-wmax.bit_length() // self._bits))
@@ -108,6 +136,47 @@ class WeightedDeviation:
             return 0
         return int(np.abs(self.signed(delta)).max())
 
+    def max_abs_words(
+        self, faulty: np.ndarray, good: np.ndarray, num_vectors: int
+    ) -> int:
+        """Largest ``|deviation|`` over the first ``num_vectors`` vectors
+        of packed words, in exact integers (0 if none).
+
+        ``faulty`` and ``good`` are (outputs x words) ``uint64`` arrays in
+        the packed layout, row *j* the value output of weight *j*; bits
+        past ``num_vectors`` are ignored.  Each output's difference is
+        split into an up word (``f & ~g``) and a down word (``g & ~f``);
+        for every set bit of ``|w_j|`` the up word is ripple-added into
+        the positive sum's bit planes and the down word into the
+        negative sum's (a negative weight swaps the two).  The deviation
+        is their two's-complement difference; its absolute value is
+        searched from the most significant plane down for the largest
+        value any valid vector reaches.
+        """
+        w = num_words(num_vectors)
+        f = np.asarray(faulty, dtype=np.uint64)[:, :w]
+        g = np.asarray(good, dtype=np.uint64)[:, :w]
+        if f.shape[1] < w or g.shape[1] < w:
+            raise ValueError(f"{num_vectors} vectors need {w} words per output")
+        if w == 0 or not self._terms:
+            return 0
+        differ = f ^ g
+        up, down = differ & f, differ & g
+        rises, falls = _Planes(w), _Planes(w)
+        for bit, j, negative in self._terms:
+            rise, fall = (down[j], up[j]) if negative else (up[j], down[j])
+            rises.add(rise, bit)
+            falls.add(fall, bit)
+        magnitude = rises.abs_difference(falls)
+        candidates = tail_mask(num_vectors)
+        best = 0
+        for k in range(len(magnitude) - 1, -1, -1):
+            hit = candidates & magnitude[k]
+            if hit.any():
+                best |= 1 << k
+                candidates = hit
+        return best
+
 
 def _segment_sums(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Sums of the consecutive non-empty row segments beginning at
@@ -121,3 +190,54 @@ def _segment_sums(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
         longer = np.flatnonzero(lengths > j)
         out[longer] += rows[starts[longer] + j]
     return out
+
+
+class _Planes:
+    """A bit-sliced unsigned sum over packed words: ``planes[k]`` holds
+    bit *k* of every vector's value, and ``bound`` caps every value, so
+    a carry never runs past the planes the bound needs."""
+
+    __slots__ = ("planes", "bound", "_zero")
+
+    def __init__(self, words: int) -> None:
+        self.planes: List[np.ndarray] = []
+        self.bound = 0
+        self._zero = np.zeros(words, dtype=np.uint64)
+
+    def add(self, word: np.ndarray, bit: int) -> None:
+        """Add ``word`` (one bit per vector) shifted left by ``bit``."""
+        planes = self.planes
+        while len(planes) < bit:
+            planes.append(self._zero)
+        carry = word
+        for k in range(bit, len(planes)):
+            planes[k], carry = planes[k] ^ carry, planes[k] & carry
+        self.bound += 1 << bit
+        if self.bound.bit_length() > len(planes):
+            planes.append(carry)
+
+    def abs_difference(self, other: "_Planes") -> List[np.ndarray]:
+        """Planes of ``|self - other|`` per vector.
+
+        The difference runs in two's complement over one plane more than
+        the wider operand (``self + ~other + 1``); negative lanes are
+        then negated (complemented, plus one).  That needs no plane
+        beyond the operands': ``|self - other|`` is at most the larger
+        bound, which fits them.
+        """
+        width = max(len(self.planes), len(other.planes))
+        ones = np.full_like(self._zero, ALL_ONES)
+        carry = ones
+        diff: List[np.ndarray] = []
+        for k in range(width + 1):
+            a = self.planes[k] if k < len(self.planes) else self._zero
+            b = ~other.planes[k] if k < len(other.planes) else ones
+            partial = a ^ b
+            diff.append(partial ^ carry)
+            carry = (a & b) | (carry & partial)
+        sign = diff.pop()
+        carry = sign
+        for k in range(width):
+            flipped = diff[k] ^ sign
+            diff[k], carry = flipped ^ carry, flipped & carry
+        return diff

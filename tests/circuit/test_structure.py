@@ -9,6 +9,7 @@ from repro.circuit import (
     transitive_fanin,
     transitive_fanout,
 )
+from repro.circuit.structure import fanin_closure
 
 
 def test_transitive_fanin(c17):
@@ -16,6 +17,9 @@ def test_transitive_fanin(c17):
     assert cone == {"G22", "G10", "G16", "G1", "G2", "G3", "G6", "G11"}
     assert "G7" not in cone
     assert transitive_fanin(c17, "G22", include_self=False) == cone - {"G22"}
+    # one walk from several roots is the union of the per-root cones
+    roots = ["G22", "G19", "G7"]
+    assert fanin_closure(c17, roots) == set().union(*(transitive_fanin(c17, r) for r in roots))
 
 
 def test_transitive_fanout(c17):

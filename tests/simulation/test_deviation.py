@@ -2,7 +2,8 @@
 
 :class:`~repro.simulation.deviation.WeightedDeviation` is checked
 against exact Python-int arithmetic on narrow weights (float64 path)
-and wide ones (limb path); then each production consumer --
+and wide ones (limb path), and its packed-word maximum against the same
+integers; then each production consumer --
 ``FaultSimulator``, ``BatchFaultSimulator``, ``MetricsEstimator`` and
 the exact path of ``EsAtpg`` -- is checked on a circuit whose ``2**i``
 weights are far beyond float64's exact-integer range, against values
@@ -27,6 +28,7 @@ from repro.simulation import (
     exhaustive_vectors,
 )
 from repro.simulation.deviation import WeightedDeviation
+from repro.simulation.vectors import num_words, tail_mask, unpack_vectors
 
 
 def brute(delta, weights):
@@ -85,6 +87,37 @@ def test_segmented_matches_signed_per_segment(weights, sizes, vectors, seed):
         assert [int(v) for v in kernel.signed(delta[:, lo : lo + k], seg)] == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    weights=st.lists(
+        st.one_of(st.just(0), st.integers(min_value=-(1 << 90), max_value=1 << 90)),
+        min_size=0,
+        max_size=40,
+    ),
+    words=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_max_abs_words_matches_exact_integers(weights, words, data, seed):
+    """The bit-plane maximum on packed words equals the exact Python-int
+    maximum over the first n vectors; past n, every output of the
+    faulty word is the complement of the good one, which it must
+    ignore."""
+    num_vectors = data.draw(st.integers(min_value=0, max_value=64 * words), label="n")
+    rng = np.random.default_rng(seed)
+    shape = (len(weights), words)
+    good = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+    faulty = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+    valid = np.zeros(words, dtype=np.uint64)
+    valid[: num_words(num_vectors)] = tail_mask(num_vectors)
+    faulty = (faulty & valid) | (~good & ~valid)
+    delta = unpack_vectors(faulty, num_vectors).astype(int) - unpack_vectors(
+        good, num_vectors
+    ).astype(int)
+    expected = max((abs(v) for v in brute(delta, weights)), default=0)
+    assert WeightedDeviation(weights).max_abs_words(faulty, good, num_vectors) == expected
+
+
 def test_narrow_weights_stay_on_the_float_path():
     kernel = WeightedDeviation([1 << i for i in range(26)])
     assert kernel.narrow
@@ -97,6 +130,11 @@ def test_narrow_weights_stay_on_the_float_path():
 def test_empty_inputs():
     kernel = WeightedDeviation([3, 5])
     assert kernel.max_abs(np.zeros((0, 2), dtype=np.int8)) == 0
+    none = np.zeros((2, 0), dtype=np.uint64)
+    assert kernel.max_abs_words(none, none, 0) == 0
+    one = np.zeros((2, 1), dtype=np.uint64)
+    with pytest.raises(ValueError, match="words"):
+        kernel.max_abs_words(one, one, 65)
     assert list(WeightedDeviation([]).signed(np.zeros((4, 0), dtype=np.int8))) == [0] * 4
 
 
