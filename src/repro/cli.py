@@ -8,8 +8,7 @@ file extension) and on the built-in benchmark suite:
 * ``simplify``   -- RS-budgeted simplification of a netlist
 * ``report``     -- where a journaled run's time went (total and self
   time per span path, wall-clock attribution with an exit-3 gate), its
-  iterations and hotspot counters; text, JSON, or
-  OpenMetrics/Prometheus exposition via ``--format openmetrics``
+  iterations and hotspot counters; text or JSON
 * ``compare``    -- iteration-by-iteration diff of two run journals
 * ``audit``      -- estimator-calibration / RS-budget audit of a run
   journal: predicted vs. realized deltas per committed fault, Wilson
@@ -23,8 +22,7 @@ file extension) and on the built-in benchmark suite:
 * ``serve``      -- run the simplification job server (versioned HTTP
   API, bounded queue, crash-resumable worker pool, result cache)
 * ``submit``     -- submit a netlist to a running job server; with
-  ``--wait`` polls to completion and renders the report, with
-  ``--trace-id`` stamps a correlation id through the whole lifetime
+  ``--wait`` polls to completion and renders the report
 * ``jobs``       -- list/inspect/cancel jobs on a running server
 * ``postmortem`` -- what a failed job left, read in place: its journal
   tail, ``error.json`` and ``runner.log`` (tracebacks, the hang
@@ -38,9 +36,8 @@ and Python warnings are captured into the same tree so ``--quiet``
 genuinely silences everything below WARNING.  ``simplify`` and
 ``table2`` accept ``--journal PATH`` to stream a structured JSONL run
 journal, which ``report`` renders later, also while the run is still
-writing it; ``simplify`` additionally takes ``--trace PATH`` (Chrome
-trace export, Perfetto-loadable), and a live progress line appears on
-stderr when it is a terminal and ``--quiet`` is not set.
+writing it; a live ``simplify`` progress line appears on stderr when it
+is a terminal and ``--quiet`` is not set.
 
 Output netlists are written in the format implied by the output path's
 extension.
@@ -62,17 +59,13 @@ from .core.errors import CompileError
 from .faults import datapath_faults, enumerate_faults
 from .metrics import rs_max
 from .obs import (
-    Instrumentation,
     JournalError,
     ProgressReporter,
-    TraceRecorder,
     compare_files,
-    journal_openmetrics,
     load_journal,
     render_compare,
     render_report,
     report_as_dict,
-    write_chrome_trace,
 )
 from .simplify import remove_redundancies
 
@@ -245,12 +238,6 @@ def cmd_simplify(args: argparse.Namespace) -> int:
         return 2
     # The request owns output weighting; load the netlist untouched.
     circuit = _load_weighted(args.netlist, "unit")
-    # A registry only for the trace: a journaled run records into its
-    # own private registry.
-    obs = None
-    if args.trace:
-        obs = Instrumentation()
-        obs.tracer = TraceRecorder()
     try:
         request = SimplifyRequest.from_cli_args(args)
     except ValueError as exc:
@@ -263,7 +250,7 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     if sys.stderr.isatty() and not args.quiet:
         progress = ProgressReporter(stream=sys.stderr)
     try:
-        outcome = request.run(circuit, obs=obs, progress=progress)
+        outcome = request.run(circuit, progress=progress)
     except ReproError as exc:
         # Taxonomy errors (checkpoint mismatch, invalid request, ...)
         # carry a stable machine code; surface it alongside the text.
@@ -276,9 +263,6 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     logger.info(f"\nelapsed: {outcome.elapsed_s:.1f}s")
     if args.journal:
         logger.info(f"run journal written to {args.journal}")
-    if args.trace:
-        spans = write_chrome_trace(args.trace, obs.tracer)
-        logger.info(f"chrome trace written to {args.trace} ({spans} spans)")
     if args.output:
         outcome.save(args.output)
         logger.info(f"approximate netlist written to {args.output}")
@@ -299,9 +283,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     report = report_as_dict(events, top_k=args.top)
     if args.format == "json":
         logger.info(json.dumps(report, indent=2, sort_keys=True))
-    elif args.format == "openmetrics":
-        # rstrip: logger.info appends the final newline itself.
-        logger.info(journal_openmetrics(events).rstrip("\n"))
     else:
         logger.info(render_report(events, top_k=args.top))
     if args.fail_on_unattributed and report["attribution"]["flagged"]:
@@ -523,14 +504,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
             request,
             netlist=bench_text,
             name=Path(args.netlist).stem,
-            trace_id=args.trace_id,
         )
         logger.info(f"{snap['job_id']}: {snap['state']}"
                     + (" (served from cache)" if snap.get("cached") else "")
                     + (" (coalesced onto an identical job)"
                        if snap.get("deduplicated") else ""))
-        if snap.get("trace_id"):
-            logger.info(f"trace_id: {snap['trace_id']}")
         if not args.wait:
             logger.info(f"poll with: repro jobs {snap['job_id']} --url {args.url}")
             return 0
@@ -657,9 +635,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_rs_option(p)
     _add_weights_option(p)
     _add_obs_options(p)
-    p.add_argument("--trace", default=None, metavar="PATH",
-                   help="export a Chrome trace (Perfetto/chrome://tracing "
-                        "loadable) of the run's spans here")
     p.set_defaults(func=cmd_simplify)
 
     p = sub.add_parser("report",
@@ -668,10 +643,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("journal", help="journal JSONL path from --journal")
     p.add_argument("--top", type=_positive_int, default=12,
                    help="counters to show in the hotspot table (default 12)")
-    p.add_argument("--format", choices=["text", "json", "openmetrics"],
-                   default="text",
-                   help="render as human text (default), machine JSON, or "
-                        "OpenMetrics/Prometheus text exposition")
+    p.add_argument("--format", choices=["text", "json"], default="text",
+                   help="render as human text (default) or machine JSON")
     p.add_argument("--fail-on-unattributed", action="store_true",
                    help="exit 3 when top-level spans explain less than "
                         "90%% of the run's wall time, or when that is "
@@ -780,10 +753,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--timeout", type=_positive_float, default=600.0,
                    help="--wait limit in seconds (default 600)")
     p.add_argument("--poll-interval", type=_positive_float, default=0.5)
-    p.add_argument("--trace-id", default=None, metavar="ID",
-                   help="correlation id stamped through the job's whole "
-                        "lifetime (API responses, service logs, runner "
-                        "journal, /trace); a uuid is generated if omitted")
     p.add_argument("-o", "--output", default=None,
                    help="with --wait: write the simplified netlist here")
     p.set_defaults(func=cmd_submit)

@@ -43,7 +43,6 @@ import logging
 import math
 import numbers
 import os
-import re
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -76,32 +75,24 @@ __all__ = [
 #: Version of the JSON wire schema shared by :class:`SimplifyRequest`
 #: and :class:`SimplifyOutcome`.  Bump it when a round-trip field is
 #: added or its meaning changes; readers accept <= this and reject >.
-#: v2 added the optional ``trace_id`` correlation field.
 SCHEMA_VERSION = 2
 
 #: Request fields that do not change the mathematical outcome of a run
 #: -- the retired ``workers`` count (accepted and type-checked, read by
-#: nothing: every run scores in one process), the journal path and the
-#: correlation id.  They are excluded from
-#: :meth:`SimplifyRequest.fingerprint`, so two submissions differing
-#: only here share one result-cache entry.
-_NON_SEMANTIC_FIELDS = (
-    "workers",
-    "journal",
-    "trace_id",
-)
+#: nothing: every run scores in one process) and the journal path.
+#: They are excluded from :meth:`SimplifyRequest.fingerprint`, so two
+#: submissions differing only here share one result-cache entry.
+_NON_SEMANTIC_FIELDS = ("workers", "journal")
 
 #: Retired request fields, dropped on load so stored payloads carrying
 #: them still load and the value is ignored.  ``engine`` and
 #: ``use_batch_ranking`` each chose between two bit-identical code paths
 #: that no longer both exist (the per-gate or compiled simulator;
-#: per-candidate or batch fault simulation for ranking); the third set
-#: the period of a resource sampler that no longer exists.  None of
-#: them changed a result, so fingerprints do not move.
-_RETIRED_FIELDS = ("engine", "use_batch_ranking", "telemetry_interval")
-
-#: Correlation-id charset: URL- and filename-safe, boundable in logs.
-_TRACE_ID_RE = re.compile(r"^[A-Za-z0-9._\-]{1,128}$")
+#: per-candidate or batch fault simulation for ranking);
+#: ``telemetry_interval`` set the period of a resource sampler that no
+#: longer exists, and ``trace_id`` was a correlation id the job id
+#: replaced.  None of them changed a result, so fingerprints do not move.
+_RETIRED_FIELDS = ("engine", "use_batch_ranking", "telemetry_interval", "trace_id")
 
 #: Request fields by type, checked by :meth:`SimplifyRequest.__post_init__`.
 _INT_FIELDS = (
@@ -315,12 +306,6 @@ class SimplifyRequest:
     (:mod:`repro.parallel.checkpoint`; ``fom="best"`` writes one file
     per FOM, see :func:`journal_paths`).
 
-    ``trace_id`` is an opaque correlation id stamped into the run's
-    journal header so a service submission can be traced into the
-    runner subprocess that executed it.  Like the
-    journal path it is non-semantic: two requests differing only in
-    ``trace_id`` share one result-cache entry.
-
     The request serializes to JSON (:meth:`to_json` /
     :meth:`from_json`) so a run's full configuration can be stored
     next to its outputs and replayed later.
@@ -344,7 +329,6 @@ class SimplifyRequest:
     weights: str = "netlist"
     workers: Optional[int] = None
     journal: Optional[str] = None
-    trace_id: Optional[str] = None
 
     def __post_init__(self) -> None:
         if (self.rs_threshold is None) == (self.rs_pct_threshold is None):
@@ -396,14 +380,6 @@ class SimplifyRequest:
             raise InvalidRequestError("num_vectors must be positive")
         if self.seed < 0:
             raise InvalidRequestError("seed must be non-negative")
-        if self.trace_id is not None and (
-            not isinstance(self.trace_id, str)
-            or not _TRACE_ID_RE.match(self.trace_id)
-        ):
-            raise InvalidRequestError(
-                f"trace_id must be 1-128 chars of [A-Za-z0-9._-], "
-                f"got {self.trace_id!r}"
-            )
 
     # ------------------------------------------------------------------
     # construction
@@ -439,7 +415,6 @@ class SimplifyRequest:
             pow2_es=getattr(args, "pow2_es", False),
             weights=getattr(args, "weights", "netlist"),
             journal=getattr(args, "journal", None),
-            trace_id=getattr(args, "trace_id", None),
         )
         fields.update(overrides)
         return cls(**fields)
@@ -528,7 +503,7 @@ class SimplifyRequest:
         """Content digest of the *semantic* request fields.
 
         The :data:`_NON_SEMANTIC_FIELDS` (the retired ``workers``
-        count, the journal path and the correlation id) are excluded:
+        count and the journal path) are excluded:
         none of them changes the result, so requests differing only
         there share one result-cache entry.  ``schema_version`` is
         excluded too -- the digest covers run semantics, not wire
@@ -768,7 +743,6 @@ def simplify(
             journal=journal,
             obs=obs,
             progress=progress,
-            trace_id=request.trace_id,
         )
         runs.append((fom, result))
         if len(foms) > 1 and fom != foms[-1] and _budget_exhausted(result, threshold):

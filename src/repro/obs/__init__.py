@@ -1,4 +1,4 @@
-"""Observability layer: instrumentation, journal, trace, progress, analytics.
+"""Observability layer: instrumentation, journal, progress, analytics.
 
 See DESIGN.md §7 and §9.  ``repro.obs.core`` is the zero-dependency
 span/counter/gauge registry the hot paths record into;
@@ -6,8 +6,7 @@ span/counter/gauge registry the hot paths record into;
 ``repro.obs.report`` renders the ``repro report`` view of a journal:
 where the time went (total and self time per span path, and how much
 of the wall-clock time the spans attribute), the iteration table and
-the hotspot counters.  ``repro.obs.trace`` exports span activity as a
-Chrome trace (Perfetto-loadable); ``repro.obs.progress`` folds a
+the hotspot counters.  ``repro.obs.progress`` folds a
 run's progress (iteration, area, RS budget used) from its journal
 events, live on a TTY line or from a journal on disk, and
 ``repro.obs.compare`` diffs two run journals iteration-by-iteration.
@@ -15,9 +14,8 @@ events, live on a TTY line or from a journal on disk, and
 statistical-quality layer: Wilson-score confidence intervals for
 sampled ER estimates, per-iteration estimator-calibration events, and
 the ``repro audit`` provenance trail.
-``repro.obs.metrics_export`` is the OpenMetrics/Prometheus text
-surface (``repro report --format openmetrics`` and the job server's
-``/v1/metrics``).
+``repro.obs.metrics_export`` renders the job server's ``/v1/metrics``
+OpenMetrics/Prometheus text and checks it against the grammar.
 ``repro.obs.postmortem`` (DESIGN.md §15) backs ``repro postmortem``:
 it reads what a failed run left in place -- its journal's tail and,
 for a service job, ``error.json`` and ``runner.log`` -- and writes
@@ -43,11 +41,7 @@ from .journal import (
     read_journal,
     validate_event,
 )
-from .metrics_export import (
-    journal_openmetrics,
-    render_openmetrics,
-    validate_openmetrics,
-)
+from .metrics_export import render_openmetrics, validate_openmetrics
 from .postmortem import TAIL_EVENTS, load_postmortem, render_postmortem
 from .progress import ProgressReporter, progress_from_events
 from .quality import (
@@ -68,12 +62,6 @@ from .report import (
     render_report,
     report_as_dict,
     report_from_file,
-)
-from .trace import (
-    TraceRecorder,
-    chrome_trace_from_spans,
-    to_chrome_trace,
-    write_chrome_trace,
 )
 
 __all__ = [
@@ -97,14 +85,9 @@ __all__ = [
     "collect_timers",
     "collect_counters",
     "collect_gauges",
-    "TraceRecorder",
-    "chrome_trace_from_spans",
-    "to_chrome_trace",
-    "write_chrome_trace",
     "ProgressReporter",
     "progress_from_events",
     "render_openmetrics",
-    "journal_openmetrics",
     "validate_openmetrics",
     "ATTRIBUTION_TARGET_PCT",
     "compare_runs",

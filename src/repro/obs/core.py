@@ -67,11 +67,7 @@ class _SpanContext:
 
     Spans nest: entering pushes the name onto the instrumentation's
     path stack (forming the hierarchical key), exiting pops it and adds
-    the elapsed wall time to that path's :class:`TimerStat`.  When a
-    :class:`~repro.obs.trace.TraceRecorder` is attached to the
-    instrumentation (``obs.tracer``), every span additionally becomes
-    one trace event with an explicit parent id; the ``tracer is None``
-    fast path keeps the untraced overhead at one attribute check.
+    the elapsed wall time to that path's :class:`TimerStat`.
     """
 
     __slots__ = ("_obs", "_name", "_path", "_t0")
@@ -84,15 +80,11 @@ class _SpanContext:
         stack = self._obs._stack
         stack.append(self._name)
         self._path = "/".join(stack)
-        tracer = self._obs.tracer
-        if tracer is not None:
-            tracer.begin(self._path)
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
-        t1 = time.perf_counter()
-        elapsed = t1 - self._t0
+        elapsed = time.perf_counter() - self._t0
         path = self._path
         self._obs._stack.pop()
         stat = self._obs.timers.get(path)
@@ -100,21 +92,12 @@ class _SpanContext:
             stat = self._obs.timers[path] = TimerStat()
         stat.total_s += elapsed
         stat.count += 1
-        tracer = self._obs.tracer
-        if tracer is not None:
-            tracer.end(path, self._t0, t1)
 
 
 class Instrumentation:
     """Per-run telemetry registry: hierarchical timers, counters, gauges."""
 
     enabled = True
-
-    #: Optional :class:`~repro.obs.trace.TraceRecorder`.  A class-level
-    #: default (rather than per-instance in ``__init__``) so
-    #: :class:`NullInstrumentation` shares it without an ``__init__``
-    #: of its own.
-    tracer = None
 
     def __init__(self) -> None:
         self.timers: Dict[str, TimerStat] = {}

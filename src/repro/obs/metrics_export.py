@@ -1,29 +1,18 @@
 """OpenMetrics/Prometheus text rendering of instrumentation state.
 
-One renderer serves every scrape surface:
-
-* ``repro report RUN.jsonl --format openmetrics`` renders a finished
-  (or interrupted) journal;
-* the job server's ``GET /v1/metrics`` renders its service counters
-  and gauges;
-* :func:`render_openmetrics` renders any
-  :meth:`~repro.obs.core.Instrumentation.snapshot` directly.
-
-Mapping (all metric names prefixed ``repro_``, dots sanitized to
-underscores):
+:func:`render_openmetrics` renders the job server's ``GET /v1/metrics``
+body: its service counters and gauges.  Mapping (all metric names
+prefixed ``repro_``, dots sanitized to underscores):
 
 * counters -> one ``counter`` family each, sample ``<name>_total``;
 * gauges   -> one ``gauge`` family each;
-* span timers -> two label-indexed counter families,
-  ``repro_phase_seconds_total{phase="..."}`` and
-  ``repro_phase_calls_total{phase="..."}``;
-* run identity -> an ``info`` family,
-  ``repro_run_info{circuit="...",status="..."} 1``.
+* identity -> an ``info`` family,
+  ``repro_run_info{service="...",version="..."} 1``.
 
 :func:`validate_openmetrics` is a small grammar checker for the
 OpenMetrics text exposition format (metric-name charset, ``# TYPE``
 before samples, suffix rules per type, one family declaration each,
-the mandatory ``# EOF`` terminator).  The unit tests run every
+the mandatory ``# EOF`` terminator).  The unit tests and CI run every
 rendered payload through it, so the scrape surface stays parseable.
 """
 
@@ -31,17 +20,15 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 __all__ = [
     "render_openmetrics",
-    "journal_openmetrics",
     "validate_openmetrics",
 ]
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
-_LABEL_NAME_OK = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: sample-name suffixes a family of each type may expose.
 _TYPE_SUFFIXES = {
@@ -97,11 +84,12 @@ def render_openmetrics(
     snapshot: Dict,
     info: Optional[Dict[str, str]] = None,
 ) -> str:
-    """Render an instrumentation snapshot as OpenMetrics text.
+    """Render an instrumentation snapshot's counters and gauges as
+    OpenMetrics text.
 
-    ``snapshot`` is the :meth:`Instrumentation.snapshot` shape
-    (``timers``/``counters``/``gauges``, any subset); ``info`` adds a
-    ``repro_run_info`` identity family (circuit, status, ...).  The
+    ``snapshot`` is the :meth:`Instrumentation.snapshot` shape (any
+    subset; its span timers are not rendered); ``info`` adds a
+    ``repro_run_info`` identity family (service, version, ...).  The
     output always terminates with ``# EOF`` and passes
     :func:`validate_openmetrics`.
     """
@@ -124,71 +112,8 @@ def render_openmetrics(
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name} {_fmt_value(gauges[raw])}")
 
-    timers = snapshot.get("timers") or {}
-    if timers:
-        seconds: List[Tuple[str, float]] = []
-        calls: List[Tuple[str, int]] = []
-        for path in sorted(timers):
-            stat = timers[path]
-            if isinstance(stat, dict):
-                total, count = stat.get("total_s", 0.0), stat.get("count", 0)
-            else:  # the (total, count) tuple collect_timers produces
-                total, count = stat
-            seconds.append((path, float(total)))
-            calls.append((path, int(count)))
-        lines.append("# TYPE repro_phase_seconds counter")
-        lines.extend(
-            f'repro_phase_seconds_total{{phase="{_escape_label(p)}"}} '
-            f"{_fmt_value(t)}"
-            for p, t in seconds
-        )
-        lines.append("# TYPE repro_phase_calls counter")
-        lines.extend(
-            f'repro_phase_calls_total{{phase="{_escape_label(p)}"}} '
-            f"{_fmt_value(c)}"
-            for p, c in calls
-        )
-
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-def journal_openmetrics(events: Sequence[Dict]) -> str:
-    """Render one journal event stream as OpenMetrics text.
-
-    Shares the aggregation layer with ``repro report``
-    (:func:`~repro.obs.report.collect_timers` /
-    ``collect_counters`` / ``collect_gauges``) and adds the run-level
-    ``run.*`` gauges.
-    """
-    from .report import collect_counters, collect_gauges, collect_timers
-
-    header = next((e for e in events if e.get("event") == "run_start"), None)
-    summary = next((e for e in events if e.get("event") == "summary"), None)
-    gauges = collect_gauges(events)
-    iterations = sum(1 for e in events if e.get("event") == "iteration")
-    gauges.setdefault("run.iterations", iterations)
-    if summary is not None:
-        if summary.get("area_reduction_pct") is not None:
-            gauges.setdefault(
-                "run.area_reduction_pct", summary["area_reduction_pct"]
-            )
-        if summary.get("elapsed_s") is not None:
-            gauges.setdefault("run.elapsed_s", summary["elapsed_s"])
-        if summary.get("final_rs") is not None:
-            gauges.setdefault("run.final_rs", summary["final_rs"])
-
-    info = {
-        "circuit": header.get("circuit") if header else None,
-        "status": "complete" if summary is not None else "interrupted",
-        "version": str(header.get("version")) if header else None,
-    }
-    snapshot = {
-        "timers": collect_timers(events),
-        "counters": collect_counters(events),
-        "gauges": gauges,
-    }
-    return render_openmetrics(snapshot, info=info)
 
 
 # ----------------------------------------------------------------------

@@ -82,7 +82,7 @@ def load_postmortem(path: str) -> Dict:
 def _compact_event(event: Dict) -> str:
     detail = []
     for key in ("index", "fault", "area_after", "rs", "reason",
-                "replayed_iterations", "circuit", "trace_id"):
+                "replayed_iterations", "circuit"):
         if key in event:
             value = event[key]
             if isinstance(value, float):

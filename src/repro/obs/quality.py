@@ -314,9 +314,9 @@ def render_audit(audit: Dict) -> str:
     if exact is not None:
         verdict = "AGREES" if exact["agrees"] else "DISAGREES"
         lines.append(
-            f"exact check: BDD ER={exact['exact_er']:.6g} vs journal "
-            f"ER={exact['journal_er']:.6g} "
-            f"(CI [{exact['ci'][0]:.6g}, {exact['ci'][1]:.6g}]) -> {verdict}"
+            f"exact check: BDD ER={_g(exact['exact_er'])} vs journal "
+            f"ER={_g(exact['journal_er'])} "
+            f"(CI [{_g(exact['ci'][0])}, {_g(exact['ci'][1])}]) -> {verdict}"
         )
     return "\n".join(lines)
 

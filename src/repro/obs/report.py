@@ -27,8 +27,8 @@ Renders four sections from the JSONL event stream of one run:
 ``repro report --format json`` prints it and :func:`render_report`
 renders it as text, so the two cannot disagree.  :func:`collect_timers`
 / :func:`collect_counters` / :func:`collect_gauges` are the shared
-aggregation layer that ``repro compare`` and the OpenMetrics export
-reuse, so no two commands disagree about what a journal contains.
+aggregation layer that ``repro compare`` reuses, so no two commands
+disagree about what a journal contains.
 """
 
 from __future__ import annotations

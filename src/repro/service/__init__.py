@@ -8,8 +8,8 @@ drive it through :class:`~repro.service.client.ServiceClient`.
 
 See DESIGN.md §13 for the architecture (cache keying, crash-resume
 semantics, API versioning and the error-code table), §14 for the
-observability surface (correlation ids, structured service logs, the
-event stream and the per-job Chrome trace) and §15 for failure
+observability surface (structured service logs keyed by job id and
+the event stream) and §15 for failure
 forensics (the worker pool's hang watchdog, and what a failed job
 leaves: its journal and ``runner.log``).
 """
@@ -21,7 +21,6 @@ from .jobs import (
     TERMINAL_STATES,
     Job,
     JobStore,
-    job_chrome_trace,
     job_journal_events,
 )
 from .server import SimplifyService, create_server, serve, serve_in_thread
@@ -40,7 +39,6 @@ __all__ = [
     "WorkerPool",
     "cache_key",
     "create_server",
-    "job_chrome_trace",
     "job_journal_events",
     "serve",
     "serve_in_thread",

@@ -6,12 +6,8 @@ exercised end-to-end everywhere.  Error responses are rehydrated into
 the same typed taxonomy the server raised
 (:func:`repro.core.errors.error_from_body`): a client catching
 :class:`~repro.core.errors.QueueFullError` does not care which side of
-the socket it was on.
-
-Correlation: a client-wide or per-submit ``trace_id`` is sent as the
-``X-Repro-Trace-Id`` header; :meth:`ServiceClient.stream` consumes the
-server's long-poll event feed (``GET /v1/jobs/<id>/events``) and
-:meth:`ServiceClient.trace` fetches the assembled Chrome trace.
+the socket it was on.  :meth:`ServiceClient.stream` consumes the
+server's long-poll event feed (``GET /v1/jobs/<id>/events``).
 """
 
 from __future__ import annotations
@@ -37,17 +33,9 @@ __all__ = ["ServiceClient"]
 class ServiceClient:
     """Talk to one repro job server at ``base_url``."""
 
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 30.0,
-        trace_id: Optional[str] = None,
-    ) -> None:
+    def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        #: Default correlation id sent with every submission (a
-        #: per-call ``trace_id`` overrides it).
-        self.trace_id = trace_id
 
     # -- transport ---------------------------------------------------------
     def _call(
@@ -56,20 +44,15 @@ class ServiceClient:
         path: str,
         payload: Optional[Dict] = None,
         parse: bool = True,
-        headers: Optional[Dict[str, str]] = None,
         timeout: Optional[float] = None,
     ) -> Any:
         url = f"{self.base_url}{path}"
         data = None
-        all_headers = {"Accept": "application/json"}
-        if headers:
-            all_headers.update(headers)
+        headers = {"Accept": "application/json"}
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
-            all_headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(
-            url, data=data, method=method, headers=all_headers
-        )
+            headers["Content-Type"] = "application/json"
+        req = urllib.request.Request(url, data=data, method=method, headers=headers)
         effective_timeout = self.timeout if timeout is None else timeout
         try:
             with urllib.request.urlopen(req, timeout=effective_timeout) as resp:
@@ -131,15 +114,9 @@ class ServiceClient:
         netlist: Optional[str] = None,
         netlist_sha256: Optional[str] = None,
         name: Optional[str] = None,
-        trace_id: Optional[str] = None,
         timeout: Optional[float] = None,
     ) -> Dict:
-        """Submit one job; returns the server's job snapshot.
-
-        The effective ``trace_id`` (per-call, else the client default)
-        rides the ``X-Repro-Trace-Id`` header; the snapshot's
-        ``trace_id`` field reports what the server settled on (a
-        generated uuid when none was supplied)."""
+        """Submit one job; returns the server's job snapshot."""
         if isinstance(request, SimplifyRequest):
             request = request.to_dict()
         payload: Dict[str, Any] = {"request": request}
@@ -149,11 +126,7 @@ class ServiceClient:
             payload["netlist_sha256"] = netlist_sha256
         if name is not None:
             payload["name"] = name
-        trace_id = trace_id or self.trace_id
-        headers = {"X-Repro-Trace-Id": trace_id} if trace_id else None
-        return self._call(
-            "POST", "/v1/jobs", payload, headers=headers, timeout=timeout
-        )
+        return self._call("POST", "/v1/jobs", payload, timeout=timeout)
 
     def jobs(self, timeout: Optional[float] = None) -> List[Dict]:
         return self._call("GET", "/v1/jobs", timeout=timeout)["jobs"]
@@ -215,10 +188,6 @@ class ServiceClient:
                     f"timed out after {timeout:g}s streaming {job_id} "
                     f"(last state: {batch.get('state')})"
                 )
-
-    def trace(self, job_id: str) -> Dict:
-        """The job's assembled Chrome trace object (Perfetto-loadable)."""
-        return self._call("GET", f"/v1/jobs/{job_id}/trace")
 
     def wait(
         self,

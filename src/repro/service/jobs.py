@@ -56,7 +56,6 @@ __all__ = [
     "JobStore",
     "ACTIVE_STATES",
     "TERMINAL_STATES",
-    "job_chrome_trace",
     "job_journal_events",
     "job_journal_paths",
 ]
@@ -90,13 +89,6 @@ class Job:
     submitted_unix: float = field(default_factory=time.time)
     finished_unix: Optional[float] = None
     cancel_requested: bool = False
-    #: Correlation id (client-supplied or server-generated); also
-    #: carried inside ``request``, so the runner journals it.
-    trace_id: Optional[str] = None
-    #: One record per worker attempt: ``{"attempt", "started_unix",
-    #: "ended_unix", "outcome"}`` -- the service-side timing the
-    #: ``/trace`` endpoint renders as attempt spans.
-    attempt_history: List[Dict] = field(default_factory=list)
 
     # paths ------------------------------------------------------------
     @property
@@ -154,7 +146,6 @@ class Job:
             "submitted_unix": self.submitted_unix,
             "finished_unix": self.finished_unix,
             "cancel_requested": self.cancel_requested,
-            "trace_id": self.trace_id,
         }
         if self.worker_pid is not None and self.state == "running":
             body["worker_pid"] = self.worker_pid
@@ -241,9 +232,7 @@ class JobStore:
         Returns an existing job when ``cache_key`` matches one that is
         queued, running, or done -- the duplicate submission costs no
         second run.  Failed/cancelled jobs do *not* deduplicate: a
-        resubmit after failure is an explicit retry.  The request's
-        ``trace_id`` (if any) becomes the job's correlation id and is
-        persisted via ``request.json``, so the runner journals it.
+        resubmit after failure is an explicit retry.
         """
         with self._lock:
             prior_id = self._by_key.get(cache_key)
@@ -270,7 +259,6 @@ class JobStore:
                     cache_key=cache_key,
                     circuit_name=circuit_name,
                     max_attempts=self.max_attempts,
-                    trace_id=request.trace_id,
                 )
                 with open(job.netlist_path, "w", encoding="utf-8") as fh:
                     fh.write(netlist_text)
@@ -308,7 +296,6 @@ class JobStore:
                 state="done",
                 cached=True,
                 finished_unix=time.time(),
-                trace_id=request.trace_id,
             )
             with open(job.request_path, "w", encoding="utf-8") as fh:
                 fh.write(request.to_json())
@@ -406,7 +393,7 @@ class JobStore:
 
 
 # ----------------------------------------------------------------------
-# journal views (the /v1/jobs/<id>/events and /trace read paths)
+# journal views (the /v1/jobs/<id>/events read path)
 # ----------------------------------------------------------------------
 def job_journal_paths(job: Job) -> List[str]:
     """The job's journal files in execution order.
@@ -432,92 +419,3 @@ def job_journal_events(job: Job) -> List[Dict]:
     file.  Safe to call while the runner is writing.
     """
     return journal_events(job_journal_paths(job))
-
-
-def job_chrome_trace(job: Job, events: Optional[List[Dict]] = None) -> Dict:
-    """One Perfetto-loadable Chrome trace for a job's whole lifetime.
-
-    Lane 0 (``service``) carries the service-side wall-clock spans:
-    the enclosing job span, the queue-wait span (submit to first
-    attempt start) and one span per worker attempt, all rebased to the
-    submission instant.  Lane 1 (``runner``) lays the journal's
-    iteration phase times end-to-end from the first attempt start --
-    the journal records durations, not wall-clock instants, so the
-    runner lane is a faithful sequential reconstruction rather than a
-    clock-synchronized overlay.  The trace id rides in every lane's
-    metadata args.
-    """
-    if events is None:
-        events = job_journal_events(job)
-    base = job.submitted_unix
-    end = job.finished_unix if job.finished_unix is not None else time.time()
-    spans: List[Dict] = [
-        {
-            "pid": 0,
-            "name": f"job {job.id} [{job.state}]",
-            "t0_s": 0.0,
-            "t1_s": max(end - base, 0.0),
-            "args": {
-                "job_id": job.id,
-                "state": job.state,
-                "circuit": job.circuit_name,
-                "cache_key": job.cache_key,
-                "cached": job.cached,
-            },
-        }
-    ]
-    history = list(job.attempt_history)
-    first_start = history[0]["started_unix"] if history else None
-    if first_start is not None:
-        spans.append(
-            {
-                "pid": 0,
-                "name": "queue-wait",
-                "t0_s": 0.0,
-                "t1_s": max(first_start - base, 0.0),
-            }
-        )
-    for record in history:
-        ended = record.get("ended_unix")
-        spans.append(
-            {
-                "pid": 0,
-                "name": f"attempt {record.get('attempt')}",
-                "t0_s": max(record["started_unix"] - base, 0.0),
-                "t1_s": max((ended if ended is not None else end) - base, 0.0),
-                "args": {"outcome": record.get("outcome")},
-            }
-        )
-
-    # Runner lane: iterations laid sequentially from the first attempt
-    # start (or the submit instant for a job with no history yet).
-    cursor = max(first_start - base, 0.0) if first_start is not None else 0.0
-    for event in events:
-        if event.get("event") == "iteration":
-            duration = sum((event.get("phase_times") or {}).values())
-            duration = max(float(duration), 1e-6)
-            spans.append(
-                {
-                    "pid": 1,
-                    "name": f"iter {event.get('index', '?')}",
-                    "t0_s": cursor,
-                    "t1_s": cursor + duration,
-                    "args": {
-                        "fault": event.get("fault"),
-                        "area_after": event.get("area_after"),
-                        "rs": event.get("rs"),
-                    },
-                }
-            )
-            cursor += duration
-
-    from ..obs.trace import chrome_trace_from_spans
-
-    metadata = {"job_id": job.id}
-    if job.trace_id:
-        metadata["trace_id"] = job.trace_id
-    return chrome_trace_from_spans(
-        spans,
-        lane_names={0: "service", 1: "runner"},
-        metadata=metadata,
-    )

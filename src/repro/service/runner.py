@@ -114,18 +114,13 @@ def run_job(job_dir: str) -> SimplifyOutcome:
     The stored request's journal path is overridden with the job-local
     ``checkpoint.jsonl`` -- the service owns placement, not the
     submitter -- and the server answers status polls by folding that
-    journal (:meth:`~repro.service.jobs.Job.progress`).  The request's
-    ``trace_id`` (stamped by the server at submit) flows through
-    ``simplify`` into the journal's ``run_start``/``resume`` header:
-    the runner-side half of the correlation story.
+    journal (:meth:`~repro.service.jobs.Job.progress`).
     """
     with open(os.path.join(job_dir, "request.json"), "r", encoding="utf-8") as fh:
         request = SimplifyRequest.from_json(fh.read())
-    if request.trace_id:
-        logger.info("job %s trace_id=%s", job_dir, request.trace_id)
     # The checkpoint (appended across resumes) is the job's only
-    # journal: the event stream, status polls, trace and postmortem
-    # read it too.
+    # journal: the event stream, status polls and postmortem read it
+    # too.
     request = request.replace(journal=os.path.join(job_dir, "checkpoint.jsonl"))
     with open(os.path.join(job_dir, "netlist.bench"), "r", encoding="utf-8") as fh:
         bench_text = fh.read()

@@ -27,9 +27,6 @@ API (version prefix ``/v1``; bodies are JSON unless noted):
                            the cursor (or waits up to ``S`` seconds
                            for new ones); the streaming feed behind
                            ``ServiceClient.stream()``.
-``GET /v1/jobs/<id>/trace`` the job's assembled Chrome trace
-                           (queue-wait + attempt spans + runner
-                           iteration spans; Perfetto-loadable).
 ``DELETE /v1/jobs/<id>``   request cancellation (cooperative).
 ``POST /v1/netlists``      upload a netlist once; returns its sha256
                            for hash-only submissions.
@@ -44,13 +41,9 @@ from the result cache without queueing; one matching a queued/running
 job coalesces onto that job.  Either way a million identical submits
 cost one simplification.
 
-Every submission carries a correlation id: the ``X-Repro-Trace-Id``
-request header (or a ``trace_id`` in the request body, or a generated
-uuid when neither is given) is echoed in the response header and
-snapshot, written to the structured service logs
-(``<data_dir>/logs/``, see :mod:`repro.service.slog`), persisted in
-the job's ``request.json`` and stamped by the runner into its journal
-header -- one grep joins the whole distributed lifetime of a job.
+The job id names a job in every record: its snapshot, its directory
+(``<data_dir>/jobs/<id>/``, holding its journal) and the structured
+service logs (``<data_dir>/logs/``, see :mod:`repro.service.slog`).
 """
 
 from __future__ import annotations
@@ -62,14 +55,13 @@ import math
 import os
 import threading
 import time
-import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from .. import __version__
 from ..circuit import loads_bench
 from ..circuit.bench import bench_name
-from ..core.api import SCHEMA_VERSION, _TRACE_ID_RE, SimplifyRequest
+from ..core.api import SCHEMA_VERSION, SimplifyRequest
 from ..core.errors import (
     CompileError,
     InvalidRequestError,
@@ -89,7 +81,6 @@ from .jobs import (
     TERMINAL_STATES,
     Job,
     JobStore,
-    job_chrome_trace,
     job_journal_events,
 )
 from .slog import ServiceLog
@@ -101,7 +92,6 @@ logger = logging.getLogger("repro.service")
 
 _JSON = "application/json; charset=utf-8"
 _OPENMETRICS = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-_TRACE_HEADER = "X-Repro-Trace-Id"
 
 #: Long-poll bounds for ``GET /v1/jobs/<id>/events``: the requested
 #: ``wait`` is clamped to this many seconds (keep-alive friendly --
@@ -168,7 +158,6 @@ class SimplifyService:
         self.log.event(
             kind,
             job_id=job.id,
-            trace_id=job.trace_id,
             state=job.state,
             attempt=job.attempts,
             circuit=job.circuit_name,
@@ -179,7 +168,6 @@ class SimplifyService:
         self.log.event(
             "attempt",
             job_id=job.id,
-            trace_id=job.trace_id,
             attempt=record["attempt"],
             outcome=record["outcome"],
             duration_s=round(record["ended_unix"] - record["started_unix"], 6),
@@ -213,23 +201,14 @@ class SimplifyService:
             ) from None
 
     # -- operations --------------------------------------------------------
-    def submit(self, payload: Any, trace_id: Optional[str] = None) -> Tuple[int, Dict]:
-        """Handle one submission; returns ``(http_status, job snapshot)``.
-
-        ``trace_id`` is the transport-level correlation id (the
-        ``X-Repro-Trace-Id`` header); it beats a ``trace_id`` inside the
-        request body, and a uuid is minted when neither is given, so
-        every job has one."""
+    def submit(self, payload: Any) -> Tuple[int, Dict]:
+        """Handle one submission; returns ``(http_status, job snapshot)``."""
         if not isinstance(payload, dict):
             raise InvalidRequestError("submit body must be a JSON object")
         request = SimplifyRequest.from_dict(payload.get("request") or {})
-        if trace_id is not None and not _TRACE_ID_RE.match(trace_id):
-            raise InvalidRequestError(
-                f"invalid {_TRACE_HEADER} header: {trace_id!r} "
-                f"(want 1-128 chars of [A-Za-z0-9._-])"
-            )
-        trace_id = trace_id or request.trace_id or uuid.uuid4().hex
-        request = request.replace(trace_id=trace_id)
+        name = payload.get("name")
+        if name is not None and not isinstance(name, str):
+            raise InvalidRequestError(f"'name' must be a string, got {name!r}")
         netlist = payload.get("netlist")
         sha = payload.get("netlist_sha256")
         if netlist is not None:
@@ -242,9 +221,8 @@ class SimplifyService:
             raise InvalidRequestError(
                 "submit body needs 'netlist' (bench text) or 'netlist_sha256'"
             )
-        name = payload.get("name") or bench_name(netlist)
         try:
-            circuit = loads_bench(netlist, name=name)
+            circuit = loads_bench(netlist, name=name or bench_name(netlist))
         except ValueError as exc:
             raise CompileError(f"netlist does not parse: {exc}") from exc
 
@@ -321,7 +299,6 @@ class SimplifyService:
             time.sleep(_EVENTS_POLL_S)
         body: Dict = {
             "job_id": job.id,
-            "trace_id": job.trace_id,
             "state": job.state,
             "offset": offset,
             "next_offset": max(len(events), offset),
@@ -332,10 +309,6 @@ class SimplifyService:
         if progress is not None:
             body["progress"] = progress
         return body
-
-    def job_trace(self, job_id: str) -> Dict:
-        """The job's assembled Chrome trace (``/v1/jobs/<id>/trace``)."""
-        return job_chrome_trace(self.store.get(job_id))
 
     def metrics_text(self) -> str:
         snap = self.obs.snapshot()
@@ -350,11 +323,7 @@ class SimplifyService:
                 1 for j in jobs if j.state == state
             )
         return render_openmetrics(
-            {
-                "timers": snap.get("timers") or {},
-                "counters": snap.get("counters") or {},
-                "gauges": gauges,
-            },
+            {"counters": snap.get("counters") or {}, "gauges": gauges},
             info={"service": "repro-simplify", "version": __version__},
         )
 
@@ -386,36 +355,17 @@ class _Handler(BaseHTTPRequestHandler):
         # debug-only for humans tailing a terminal.
         logger.debug("%s %s", self.address_string(), fmt % args)
 
-    def _send(
-        self,
-        status: int,
-        text: str,
-        content_type: str = _JSON,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
+    def _send(self, status: int, text: str, content_type: str = _JSON) -> None:
         payload = text.encode("utf-8")
         self._sent_status = status
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
     def _send_json(self, status: int, body: Dict) -> None:
-        # Job-scoped responses echo the correlation id as a header too,
-        # so clients that never parse the body can still join logs.
-        trace_id = body.get("trace_id") if isinstance(body, dict) else None
-        headers = None
-        if isinstance(trace_id, str) and trace_id:
-            self._trace_id = trace_id
-            headers = {_TRACE_HEADER: trace_id}
-        self._send(
-            status,
-            json.dumps(body, indent=2, sort_keys=True) + "\n",
-            headers=headers,
-        )
+        self._send(status, json.dumps(body, indent=2, sort_keys=True) + "\n")
 
     def _send_error_obj(self, exc: ReproError) -> None:
         self._send_json(exc.http_status, error_body(exc))
@@ -455,7 +405,6 @@ class _Handler(BaseHTTPRequestHandler):
         svc = self.service
         t0 = time.perf_counter()
         self._sent_status: Optional[int] = None
-        self._trace_id: Optional[str] = self.headers.get(_TRACE_HEADER)
         try:
             try:
                 handler()
@@ -487,7 +436,6 @@ class _Handler(BaseHTTPRequestHandler):
                     self.path,
                     self._sent_status or 0,
                     (time.perf_counter() - t0) * 1e3,
-                    trace_id=self._trace_id,
                     client=self.client_address[0],
                 )
             except Exception:  # noqa: BLE001 - logging never kills a request
@@ -542,16 +490,7 @@ class _Handler(BaseHTTPRequestHandler):
             if math.isnan(wait):
                 raise InvalidRequestError("wait must be a number, not NaN")
             self._send_json(200, svc.job_events(job_id, offset=offset, wait=wait))
-        elif path.startswith("/v1/jobs/") and path.endswith("/trace"):
-            job_id = path[len("/v1/jobs/") : -len("/trace")]
-            job = svc.store.get(job_id)
-            if job.trace_id:
-                self._trace_id = job.trace_id
-            self._send(
-                200,
-                json.dumps(svc.job_trace(job_id), sort_keys=True) + "\n",
-            )
-        elif path.startswith("/v1/jobs/"):
+        elif path.startswith("/v1/jobs/") and "/" not in path[len("/v1/jobs/") :]:
             job_id = path[len("/v1/jobs/") :]
             self._send_json(200, svc.store.get(job_id).snapshot())
         else:
@@ -561,9 +500,7 @@ class _Handler(BaseHTTPRequestHandler):
         svc = self.service
         path = self.path.rstrip("/")
         if path == "/v1/jobs":
-            status, body = svc.submit(
-                self._read_json(), trace_id=self.headers.get(_TRACE_HEADER)
-            )
+            status, body = svc.submit(self._read_json())
             self._send_json(status, body)
         elif path == "/v1/netlists":
             payload = self._read_json()

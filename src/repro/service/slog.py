@@ -5,13 +5,13 @@ service also keeps logs a script can join on.  :class:`ServiceLog`
 writes two append-only JSONL files under ``<data_dir>/logs/``:
 
 * ``access.jsonl`` -- one record per HTTP request (method, path,
-  status, duration, client, trace id).  This replaces the handler's
+  status, duration, client).  This replaces the handler's
   debug-only ``log_message`` as the request record of note.
 * ``events.jsonl`` -- one record per job lifecycle transition
   (``submitted``/``started``/``attempt``/``done``/...), each carrying
-  ``job_id`` + ``trace_id``.  Grepping one trace id through this file
-  yields the job's full service-side history; the runner-side half
-  lives in the job's journal (same trace id in its header).
+  ``job_id``.  Grepping one job id through this file yields the job's
+  full service-side history; the runner-side half lives in the job's
+  journal (``jobs/<job_id>/checkpoint.jsonl``).
 
 Records are single JSON lines flushed under a lock -- the same
 readable-prefix durability story as the run journal: a crash loses at
@@ -58,7 +58,6 @@ class ServiceLog:
         path: str,
         status: int,
         duration_ms: float,
-        trace_id: Optional[str] = None,
         client: Optional[str] = None,
     ) -> None:
         """Record one served HTTP request."""
@@ -72,23 +71,13 @@ class ServiceLog:
         }
         if client:
             record["client"] = client
-        if trace_id:
-            record["trace_id"] = trace_id
         self._emit("access", record)
 
-    def event(
-        self,
-        kind: str,
-        job_id: Optional[str] = None,
-        trace_id: Optional[str] = None,
-        **fields,
-    ) -> None:
+    def event(self, kind: str, job_id: Optional[str] = None, **fields) -> None:
         """Record one job lifecycle transition (or service event)."""
         record: Dict = {"ts": time.time(), "kind": kind}
         if job_id is not None:
             record["job_id"] = job_id
-        if trace_id is not None:
-            record["trace_id"] = trace_id
         record.update(fields)
         self._emit("events", record)
 

@@ -134,8 +134,7 @@ class WorkerPool:
         self.workers = workers
         self.obs = obs if obs is not None else NULL
         #: Observability hook fired after every finished attempt with
-        #: ``(job, record)``; the record is also appended to
-        #: ``job.attempt_history`` (the ``/trace`` endpoint's source).
+        #: ``(job, record)``.
         self.on_attempt = on_attempt
         #: Hang watchdog deadline: kill an attempt whose journal files
         #: all stop advancing for this long.
@@ -331,14 +330,13 @@ class WorkerPool:
         self.obs.incr("service.jobs_failed")
 
     def _record_attempt(self, job: Job, started_unix: float, outcome: str) -> None:
-        """Append the attempt's timing record and fire the hook."""
+        """Fire the hook with the attempt's timing record."""
         record = {
             "attempt": job.attempts,
             "started_unix": started_unix,
             "ended_unix": time.time(),
             "outcome": outcome,
         }
-        job.attempt_history.append(record)
         if self.on_attempt is not None:
             try:
                 self.on_attempt(job, record)

@@ -185,7 +185,6 @@ def circuit_simplify(
     journal: Optional[Union[str, os.PathLike]] = None,
     obs: Optional[Instrumentation] = None,
     progress=None,
-    trace_id: Optional[str] = None,
 ) -> GreedyResult:
     """Greedy maximal area reduction within an RS budget (paper Fig. 6).
 
@@ -215,11 +214,6 @@ def circuit_simplify(
     live view never runs ahead of the journal.  The caller owns its
     lifetime (it is not closed here, so one reporter can span the
     ``fom="best"`` policy's two constituent runs).
-
-    ``trace_id`` is an opaque correlation id stamped into the journal
-    header (``run_start``/``resume``); the job server uses it to link a
-    client submission to this run's artifacts.  ``None`` (the default)
-    leaves the events untouched.
     """
     cfg = config or GreedyConfig()
     if (rs_threshold is None) == (rs_pct_threshold is None):
@@ -278,8 +272,8 @@ def circuit_simplify(
     if tee is not None and not obs.enabled:
         obs = Instrumentation()
     # The summary holds this run's own totals, over one window: a
-    # registry the caller shares across runs (``obs=``, the CLI's
-    # ``--trace``) already holds the earlier runs' spans and counters.
+    # registry the caller shares across runs (``obs=``) already holds
+    # the earlier runs' spans and counters.
     baseline = obs.snapshot()
     t_run = time.perf_counter()
 
@@ -334,10 +328,6 @@ def circuit_simplify(
                 "rs": replay.current_rs,
                 "workers": 1,
             }
-        # Only stamped when present, so journals of untraced runs (and
-        # the golden fixtures) keep their historical shape.
-        if trace_id is not None:
-            header["trace_id"] = trace_id
         tee.emit(header)
     try:
         _run_greedy(

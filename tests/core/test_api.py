@@ -136,21 +136,30 @@ def test_outcome_json_round_trip(outcome):
     assert sum(r["winner"] for r in data["runs"]) == 1
 
 
-@pytest.mark.parametrize("interval", [0.5, None])
-def test_stored_telemetry_interval_loads_and_fingerprints_the_same(
-    outcome, interval
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("telemetry_interval", 0.5),
+        ("telemetry_interval", None),
+        ("trace_id", "deploy-42"),
+        ("trace_id", None),
+    ],
+)
+def test_stored_retired_fields_load_and_fingerprint_the_same(
+    outcome, field, value
 ):
-    """Requests and outcomes stored while the resource sampler existed
-    carry ``telemetry_interval``; it is ignored on load, so they load and
+    """Requests and outcomes stored while the resource sampler or the
+    correlation ids existed carry ``telemetry_interval`` or
+    ``trace_id``; they are ignored on load, so the payloads load and
     keep their result-cache key."""
-    stored = dict(outcome.request.to_dict(), telemetry_interval=interval)
+    stored = dict(outcome.request.to_dict(), **{field: value})
     request = SimplifyRequest.from_dict(stored)
     assert request == outcome.request
     assert request.fingerprint() == outcome.request.fingerprint()
-    assert "telemetry_interval" not in request.to_dict()
+    assert field not in request.to_dict()
 
     data = json.loads(outcome.to_json())
-    data["request"]["telemetry_interval"] = interval
+    data["request"][field] = value
     loaded = SimplifyOutcome.from_json(json.dumps(data))
     assert loaded.request.fingerprint() == outcome.request.fingerprint()
     assert [str(f) for f in loaded.faults] == [str(f) for f in outcome.faults]

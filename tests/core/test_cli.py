@@ -275,9 +275,9 @@ def test_simplify_fom_best(netlist, tmp_path, capsys):
     assert out_path.exists()
 
 
-def test_traced_best_run_journals_each_runs_own_totals(tmp_path, capsys):
-    """--trace shares one registry across both constituent runs of
-    --fom best; each journal's summary still counts its own run."""
+def test_best_run_journals_each_runs_own_totals(tmp_path, capsys):
+    """Each journal of --fom best's two constituent runs holds its own
+    run's totals in its summary."""
     from tests.conftest import build_ripple_adder
     from tests.obs.test_journal import assert_summary_is_own_run
 
@@ -286,8 +286,7 @@ def test_traced_best_run_journals_each_runs_own_totals(tmp_path, capsys):
     journal = tmp_path / "j.jsonl"
     assert main(["simplify", str(netlist), "--rs-pct", "6", "--vectors", "900",
                  "--seed", "4", "--candidate-limit", "60",
-                 "--fom", "best", "--trace", str(tmp_path / "t.json"),
-                 "--journal", str(journal)]) == 0
+                 "--fom", "best", "--journal", str(journal)]) == 0
     capsys.readouterr()
     assert os.path.exists(f"{journal}.area_per_rs")  # both runs executed
     assert_summary_is_own_run(f"{journal}.area")
@@ -300,9 +299,11 @@ def test_report_missing_file_fails_cleanly(tmp_path, capsys):
 
 def test_retired_verbs_and_flags_are_usage_errors(netlist, tmp_path, capsys):
     """What a run did is read from its journal: where the time went
-    (`repro report`, not the profile verb or --profile), its progress
-    (`repro report` or `progress_from_events`, not a --progress file)
-    and the confidence level of its audit (the journal's z, not --z)."""
+    (`repro report`, not the profile verb, --profile or a Chrome
+    trace), its progress (`repro report` or `progress_from_events`, not
+    a --progress file), a machine view of it (`report --format json`,
+    not OpenMetrics text) and the confidence level of its audit (the
+    journal's z, not --z).  A job is named by its id, not a trace id."""
     journal = str(tmp_path / "x.jsonl")
     for argv in (
         ["profile", journal],
@@ -311,6 +312,9 @@ def test_retired_verbs_and_flags_are_usage_errors(netlist, tmp_path, capsys):
         ["simplify", netlist, "--rs-pct", "5", "--progress", "p.json"],
         ["simplify", netlist, "--rs-pct", "5", "--progress-interval", "1"],
         ["audit", journal, "--z", "3"],
+        ["simplify", netlist, "--rs-pct", "5", "--trace", "t.json"],
+        ["report", journal, "--format", "openmetrics"],
+        ["submit", netlist, "--rs-pct", "5", "--trace-id", "x"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -364,38 +368,6 @@ def test_simplify_draws_the_live_line_only_on_a_tty(netlist, monkeypatch, capsys
             assert line.startswith("\r[") and line.endswith("\n")
             assert "complete" in line.rsplit("\r", 1)[-1]
     capsys.readouterr()
-
-
-def test_simplify_trace_export(netlist, tmp_path, capsys):
-    """--trace writes Chrome-trace JSON with one coordinator lane."""
-    import json
-
-    trace = tmp_path / "trace.json"
-    rc = main(["simplify", netlist, "--rs-pct", "5", "--vectors", "1000",
-               "--trace", str(trace)])
-    assert rc == 0
-    assert "chrome trace written to" in capsys.readouterr().out
-    with open(trace) as fh:
-        payload = json.load(fh)
-    lanes = [ev["args"]["name"] for ev in payload["traceEvents"]
-             if ev["ph"] == "M"]
-    assert lanes == ["repro coordinator"]
-    spans = [ev for ev in payload["traceEvents"] if ev["ph"] == "X"]
-    assert spans and all(ev["dur"] >= 0 for ev in spans)
-    assert {ev["pid"] for ev in spans} == {os.getpid()}
-    paths = {ev["args"]["path"] for ev in spans}
-    assert any(p.startswith("greedy") for p in paths)
-
-
-def test_simplify_trace_does_not_change_result(netlist, tmp_path, capsys):
-    plain = tmp_path / "plain.bench"
-    traced = tmp_path / "traced.bench"
-    common = ["simplify", netlist, "--rs-pct", "5", "--vectors", "1000"]
-    assert main(common + ["-o", str(plain)]) == 0
-    assert main(common + ["-o", str(traced),
-                          "--trace", str(tmp_path / "t.json")]) == 0
-    capsys.readouterr()
-    assert traced.read_text() == plain.read_text()
 
 
 def test_report_format_json(netlist, tmp_path, capsys):
@@ -490,19 +462,6 @@ def test_report_cli_errors(tmp_path, capsys):
     assert main(["report", str(empty)]) == 2
     assert main(["report", str(empty), "--fail-on-unattributed"]) == 2
     capsys.readouterr()
-
-
-def test_report_format_openmetrics_cli(netlist, tmp_path, capsys):
-    from repro.obs import validate_openmetrics
-
-    journal = tmp_path / "run.jsonl"
-    assert main(["simplify", netlist, "--rs-pct", "5", "--vectors", "500",
-                 "--journal", str(journal)]) == 0
-    capsys.readouterr()
-    assert main(["report", str(journal), "--format", "openmetrics"]) == 0
-    text = capsys.readouterr().out
-    assert validate_openmetrics(text) > 0
-    assert 'status="complete"' in text
 
 
 def test_postmortem_bad_paths_exit_2(tmp_path, capsys):

@@ -411,6 +411,30 @@ def test_audit_exact_agrees_with_bdd_on_c17(tmp_path, capsys):
     assert "exact check:" in out and "AGREES" in out
 
 
+def test_audit_exact_on_a_journal_with_no_commit(tmp_path, capsys):
+    """A run killed before its first commit leaves only its header: the
+    exact check still renders, with the journal's missing ER as n/a."""
+    from repro.circuit import dump_bench
+
+    bench = tmp_path / "c17.bench"
+    dump_bench(build_c17(), bench)
+    journal = tmp_path / "run.jsonl"
+    assert main([
+        "simplify", str(bench), "--rs-pct", "10", "--exhaustive",
+        "--journal", str(journal),
+    ]) == 0
+    header = journal.read_text().splitlines(True)[0]
+    assert json.loads(header)["event"] == "run_start"
+    journal.write_text(header)
+    capsys.readouterr()
+    rc = main(["audit", str(journal), "--exact", "--netlist", str(bench)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "(no committed iterations)" in captured.out
+    assert "vs journal ER=n/a" in captured.out and "AGREES" in captured.out
+    assert "Traceback" not in captured.err
+
+
 # ----------------------------------------------------------------------
 # checkpoint interplay
 # ----------------------------------------------------------------------

@@ -117,16 +117,22 @@ def test_stored_telemetry_samples_resume_and_render(
     adder, reference, tmp_path, capsys
 ):
     """Journals written while the resource sampler existed hold v4
-    ``telemetry`` events between iterations: they still rebuild and
-    resume bit-identically, and ``repro report`` renders them."""
+    ``telemetry`` events between iterations, and journals written while
+    correlation ids existed carry a ``trace_id`` on their ``run_start``
+    and ``resume`` headers: they still rebuild and resume
+    bit-identically, and ``repro report`` renders them."""
     from repro.cli import main
 
     if len(reference.iterations) < 2:
         pytest.skip("reference run too short to truncate there")
     ckpt = tmp_path / "run.jsonl"
     _run(adder, journal=str(ckpt))
+    _truncate_after_iterations(ckpt, 1)
+    _run(adder, journal=str(ckpt))  # a resume header after iteration 1
     sampled, t_s = [], 0.0
     for ev in load_journal(ckpt, strict=True):
+        if ev["event"] in ("run_start", "resume"):
+            ev["trace_id"] = "deploy-42"
         sampled.append(ev)
         if ev["event"] in ("run_start", "iteration"):
             t_s += 0.1
@@ -143,6 +149,12 @@ def test_stored_telemetry_samples_resume_and_render(
     _assert_identical(_run(adder, journal=str(ckpt)), reference)  # resume
     events = load_journal(ckpt, strict=True)
     assert [e["event"] for e in events].count("telemetry") == 2
+    headers = [e for e in events if e["event"] in ("run_start", "resume")]
+    assert [(e["event"], e.get("trace_id")) for e in headers] == [
+        ("run_start", "deploy-42"),
+        ("resume", "deploy-42"),
+        ("resume", None),  # this build's resume stamps no trace id
+    ]
     assert events[-1]["event"] == "summary"
 
     assert main(["report", str(ckpt)]) == 0

@@ -92,16 +92,17 @@ def test_hung_runner_is_dumped_killed_and_resumes_bit_identically(
         assert final["state"] == "done"
         assert final["attempts"] == 2, "the resume is a second attempt"
 
-        # the watchdog counted and logged the incident
+        # the watchdog counted and logged the incident: the lifecycle
+        # log's attempt records hold each attempt's outcome
         assert "repro_service_jobs_hung_total 1" in client.metrics()
-        outcomes = [r["outcome"] for r in job.attempt_history]
-        assert outcomes == ["hung", "done"]
         with open(os.path.join(str(tmp_path), "logs", "events.jsonl")) as fh:
             logged = [json.loads(line) for line in fh]
-        assert any(
-            r["kind"] == "attempt" and r.get("outcome") == "hung"
+        outcomes = [
+            r["outcome"]
             for r in logged
-        )
+            if r["kind"] == "attempt" and r["job_id"] == job.id
+        ]
+        assert outcomes == ["hung", "done"]
 
         # the evidence: the SIGUSR1 stack dump showing where the runner
         # was wedged, then the supervisor's verdict, in one runner.log

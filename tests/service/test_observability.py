@@ -1,4 +1,4 @@
-"""Service observability: trace ids, metrics, streaming, traces.
+"""Service observability: job-keyed logs, metrics, streaming.
 
 One in-process server (ephemeral port) serves the whole module, same
 shape as ``test_service.py``.  Seeds here start at 20 so the
@@ -54,74 +54,56 @@ def server(tmp_path_factory):
 
 
 # ----------------------------------------------------------------------
-# correlation ids
+# the job id keys every record
 # ----------------------------------------------------------------------
-def test_trace_id_propagates_end_to_end(server, adder_bench):
-    """One trace id: API response -> service logs -> journal -> /trace."""
+def test_job_id_keys_every_record_end_to_end(server, adder_bench):
+    """One job id: API response -> service logs -> runner journal.  The
+    retired ``X-Repro-Trace-Id`` header is ignored, even a value its old
+    validation refused."""
     client, service = server
-    trace_id = "e2e-trace-abc.123"
-    snap = client.submit(
-        dict(FAST, seed=20), netlist=adder_bench, trace_id=trace_id
+    body = json.dumps(
+        {"request": dict(FAST, seed=20), "netlist": adder_bench}
+    ).encode("utf-8")
+    post = urllib.request.Request(
+        f"{client.base_url}/v1/jobs",
+        data=body,
+        method="POST",
+        headers={
+            "Content-Type": "application/json",
+            "X-Repro-Trace-Id": "bad id with spaces",
+        },
     )
-    assert snap["trace_id"] == trace_id
+    with urllib.request.urlopen(post, timeout=30) as resp:
+        assert "X-Repro-Trace-Id" not in resp.headers
+        snap = json.loads(resp.read())
+    assert "trace_id" not in snap
     final = client.wait(snap["job_id"], timeout=120)
     assert final["state"] == "done"
-    assert final["trace_id"] == trace_id
+    assert "trace_id" not in final
 
-    # Response header echo on job-scoped GETs.
-    url = f"{client.base_url}/v1/jobs/{snap['job_id']}"
-    with urllib.request.urlopen(url) as resp:
-        assert resp.headers.get("X-Repro-Trace-Id") == trace_id
-
-    # Structured lifecycle log: every transition carries the trace id.
+    # Structured lifecycle log: every transition names the job.
     with open(service.log.events_path, "r", encoding="utf-8") as fh:
         events = [json.loads(line) for line in fh]
     mine = [e for e in events if e.get("job_id") == snap["job_id"]]
     kinds = {e["kind"] for e in mine}
     assert {"submitted", "started", "attempt", "done"} <= kinds
-    assert all(e.get("trace_id") == trace_id for e in mine)
+    assert not any("trace_id" in e for e in mine)
 
-    # Access log: the submit POST carries it too.
+    # Access log: the submit POST is recorded.
     with open(service.log.access_path, "r", encoding="utf-8") as fh:
         access = [json.loads(line) for line in fh]
     assert any(
-        a["method"] == "POST" and a.get("trace_id") == trace_id for a in access
+        a["method"] == "POST" and a["path"] == "/v1/jobs" for a in access
     )
 
-    # Runner journal header: the runner-side half of the correlation.
+    # Runner journal header: the runner-side half of the job's record.
     # The checkpoint is the job's one journal; no second copy is written.
     job = service.store.get(snap["job_id"])
     with open(job.checkpoint_path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
     assert header["event"] == "run_start"
-    assert header["trace_id"] == trace_id
+    assert "trace_id" not in header
     assert not os.path.exists(os.path.join(job.dir, "journal.jsonl"))
-
-    # Assembled Chrome trace: the id rides the lane metadata.
-    trace = client.trace(snap["job_id"])
-    meta = [e for e in trace["traceEvents"] if e.get("ph") == "M"]
-    assert meta and all(e["args"]["trace_id"] == trace_id for e in meta)
-    names = [e["name"] for e in trace["traceEvents"] if e.get("ph") == "X"]
-    assert "queue-wait" in names
-    assert any(n.startswith("attempt ") for n in names)
-    assert any(n.startswith("iter ") for n in names)
-
-
-def test_server_generates_trace_id_when_absent(server, adder_bench):
-    client, _service = server
-    snap = client.submit(dict(FAST, seed=21), netlist=adder_bench)
-    assert snap["trace_id"]  # a generated uuid, never empty
-    client.wait(snap["job_id"], timeout=120)
-
-
-def test_invalid_trace_id_header_is_400(server, adder_bench):
-    client, _service = server
-    with pytest.raises(InvalidRequestError):
-        client.submit(
-            dict(FAST, seed=22),
-            netlist=adder_bench,
-            trace_id="bad id with spaces",
-        )
 
 
 # ----------------------------------------------------------------------

@@ -204,6 +204,10 @@ def test_malformed_field_is_400_and_creates_no_job(server, adder_bench):
     assert "rs_pct_threshold" in error["message"]
     with pytest.raises(InvalidRequestError):
         client.submit(dict(FAST, seed=30, workers="two"), netlist=adder_bench)
+    # The circuit's name is text: any other JSON value is refused too.
+    for name in (123, ["x"], {"a": 1}, True):
+        with pytest.raises(InvalidRequestError, match="'name' must be a string"):
+            client.submit(dict(FAST, seed=30), netlist=adder_bench, name=name)
     assert len(client.jobs()) == before
 
 
@@ -231,12 +235,17 @@ def test_unknown_job_is_404(server):
         client.result_json("job-999999")
 
 
-def test_unknown_route_is_404(server):
+def test_unknown_route_is_404(server, adder_bench):
     client, _service = server
     import urllib.error
     import urllib.request
 
-    for path in ("/v2/jobs", "/v1/errors"):
+    # A job that exists has no Chrome-trace route: its history is the
+    # journal and the lifecycle log.
+    job_id = client.submit(SimplifyRequest(seed=4, **FAST), netlist=adder_bench)[
+        "job_id"
+    ]
+    for path in ("/v2/jobs", "/v1/errors", f"/v1/jobs/{job_id}/trace"):
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(f"{client.base_url}{path}")
         assert exc_info.value.code == 404
