@@ -28,9 +28,9 @@ lower than the threshold"*:
 * if ``max(|Dmin|, |Dmax|) < T`` the subtree is pruned (the upper bound
   cannot reach the threshold).
 
-:meth:`EsAtpg.estimate_es` sweeps thresholds over powers of two
-(2^0 ... 2^(m+1)) to produce the paper's conservative ES value: the
-smallest refuted power of two.
+:meth:`EsAtpg.decide` answers one threshold query by the cheapest
+sound route: structural refutation, then exhaustive enumeration of
+small supports, then the branch-&-bound.
 """
 
 from __future__ import annotations
@@ -432,43 +432,6 @@ class EsAtpg:
                 return EsResult(EsStatus.SAT, None, exact, 0)
             return EsResult(EsStatus.UNSAT, None, exact, 0)
         return self.test_exists(threshold)
-
-    # ------------------------------------------------------------------
-    # conservative ES estimation (paper Section IV.A)
-    # ------------------------------------------------------------------
-    def estimate_es(self, observed_lower_bound: int = 0) -> int:
-        """Conservative ES via a power-of-two threshold sweep.
-
-        Returns the smallest ``2**k`` for which the ATPG *refutes*
-        ``|deviation| >= 2**k`` (the paper's rule: if a test exists for
-        ``2**j`` but not for ``2**k``, take ES = ``2**k``), clipped to
-        the structural maximum (the summed ``|weight|`` of affected
-        outputs).
-        ``observed_lower_bound`` -- e.g. the largest deviation seen
-        during fault simulation -- lets the sweep skip thresholds that
-        are already known to be achievable.  Aborted queries count as
-        achievable (conservative).  Returns 0 when even a deviation of 1
-        is refuted (the change is redundant w.r.t. the data outputs).
-        """
-        if not self.affected_outputs:
-            return 0
-        if len(self.support) <= 20:
-            # Small support: the exhaustive path gives the exact ES.
-            return self.exact_max_deviation()
-        w_max = self.max_weight_sum
-        k = 0
-        if observed_lower_bound > 0:
-            while (1 << k) <= observed_lower_bound:
-                k += 1
-        while (1 << k) <= w_max:
-            res = self.test_exists(1 << k)
-            if res.status is EsStatus.UNSAT:
-                # No deviation >= 2**k exists; for k == 0 that means no
-                # deviation at all (redundant w.r.t. the data outputs).
-                return (1 << k) if k > 0 else 0
-            k += 1
-        # every threshold up to the structural maximum is achievable
-        return w_max
 
 
 def _cone(circuit: Circuit, roots: Sequence[str]) -> Tuple[List[str], Set[str]]:

@@ -263,14 +263,12 @@ def _iteration_from_dict(data: Dict[str, Any]) -> IterationRecord:
 logger = logging.getLogger("repro.core")
 
 _FOMS = ("best", "area", "area_per_rs")
-_ES_MODES = ("hybrid", "simulated")
 _WEIGHTS = ("netlist", "unit", "binary")
 
 # GreedyConfig fields that SimplifyRequest mirrors one-to-one.
 _GREEDY_FIELDS = (
     "num_vectors",
     "seed",
-    "es_mode",
     "candidate_limit",
     "datapath_only",
     "include_branches",
@@ -316,7 +314,6 @@ class SimplifyRequest:
     fom: str = "best"
     num_vectors: int = 10_000
     seed: int = 0
-    es_mode: str = "hybrid"
     candidate_limit: Optional[int] = 200
     datapath_only: bool = True
     include_branches: bool = True
@@ -368,10 +365,6 @@ class SimplifyRequest:
             raise InvalidRequestError(
                 f"fom must be one of {_FOMS}, got {self.fom!r}"
             )
-        if self.es_mode not in _ES_MODES:
-            raise InvalidRequestError(
-                f"es_mode must be one of {_ES_MODES}, got {self.es_mode!r}"
-            )
         if self.weights not in _WEIGHTS:
             raise InvalidRequestError(
                 f"weights must be one of {_WEIGHTS}, got {self.weights!r}"
@@ -385,24 +378,10 @@ class SimplifyRequest:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_config(
-        cls, config: GreedyConfig, **overrides: Any
-    ) -> "SimplifyRequest":
-        """Lift a legacy :class:`GreedyConfig` into a request.
-
-        The config's ``fom`` is kept verbatim (a single-FOM request);
-        pass ``fom="best"`` in ``overrides`` for the both-FOMs policy.
-        """
-        fields: Dict[str, Any] = {k: getattr(config, k) for k in _GREEDY_FIELDS}
-        fields["fom"] = config.fom
-        fields.update(overrides)
-        return cls(**fields)
-
-    @classmethod
     def from_cli_args(cls, args: Any, **overrides: Any) -> "SimplifyRequest":
         """Build a request from the greedy options of an argparse
         namespace (``repro simplify``, ``submit`` and ``table2``);
-        ``overrides`` win, as in :meth:`from_config`."""
+        ``overrides`` win."""
         fields: Dict[str, Any] = dict(
             rs_threshold=getattr(args, "rs", None),
             rs_pct_threshold=getattr(args, "rs_pct", None),
@@ -439,11 +418,14 @@ class SimplifyRequest:
         of means the payload is newer or wrong, and either way it must
         not be silently dropped.  The exceptions are the
         :data:`_RETIRED_FIELDS`: stored requests that carry them still
-        load.  Two retired spellings load onto their successors: a
-        ``checkpoint`` path becomes ``journal`` (the journal is the
-        checkpoint; when both are set ``checkpoint`` wins, because it
-        holds the resumable history), and ``es_mode="atpg"``, which
-        always ran exactly like ``"hybrid"``, becomes ``"hybrid"``.
+        load.  A retired ``checkpoint`` path loads as ``journal`` (the
+        journal is the checkpoint; when both are set ``checkpoint``
+        wins, because it holds the resumable history).  The retired
+        ``es_mode`` is checked and dropped: ``"hybrid"`` and ``"atpg"``
+        ran the one commit rule this build runs (a threshold ES-ATPG
+        query); any other value (``"simulated"`` skipped the ATPG) names
+        a run no build reproduces and raises
+        :class:`~repro.core.errors.InvalidRequestError`.
         """
         if not isinstance(data, dict):
             raise InvalidRequestError("request JSON must be an object")
@@ -454,8 +436,12 @@ class SimplifyRequest:
         checkpoint = data.pop("checkpoint", None)
         if checkpoint is not None:
             data["journal"] = checkpoint
-        if data.get("es_mode") == "atpg":
-            data["es_mode"] = "hybrid"
+        es_mode = data.pop("es_mode", "hybrid")
+        if es_mode not in ("hybrid", "atpg"):
+            raise InvalidRequestError(
+                f"es_mode {es_mode!r} is retired: every run commits on a "
+                f"threshold ES-ATPG query (stored 'hybrid' or 'atpg' loads)"
+            )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -507,11 +493,14 @@ class SimplifyRequest:
         none of them changes the result, so requests differing only
         there share one result-cache entry.  ``schema_version`` is
         excluded too -- the digest covers run semantics, not wire
-        framing.
+        framing.  The digest still covers the retired ``es_mode`` as
+        ``"hybrid"``, the rule every run now commits on, so stored
+        fingerprints and result-cache keys do not move.
         """
         data = dataclasses.asdict(self)
         for key in _NON_SEMANTIC_FIELDS:
             data.pop(key, None)
+        data["es_mode"] = "hybrid"
         canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..circuit import Circuit
 
@@ -51,8 +51,7 @@ class ErrorMetrics:
     er:
         Estimated error rate in [0, 1].
     es:
-        Error significance (conservative when produced by the ATPG
-        sweep, else the largest simulated deviation).
+        Error significance: the largest simulated deviation.
     observed_es:
         Largest absolute deviation actually seen during simulation
         (a lower bound on the true ES).
@@ -63,7 +62,10 @@ class ErrorMetrics:
     num_vectors:
         Simulation batch size behind the ER estimate.
     es_mode:
-        How ES was obtained: "simulated", "atpg", or "exact".
+        How the commit was decided: ``"hybrid"`` (an ES-ATPG threshold
+        query) or ``"redundant"`` (a PODEM-proven redundant fault).
+    es_bound:
+        The proven ES ceiling when the ES-ATPG refuted the threshold.
     """
 
     er: float
@@ -80,41 +82,9 @@ class ErrorMetrics:
         return self.er * self.es
 
     @property
-    def rs_bound(self) -> Optional[float]:
-        """Proven upper bound on RS, when a threshold query refuted a
-        larger ES (``es_bound`` is the proven ES ceiling)."""
-        if self.es_bound is None:
-            return None
-        return self.er * self.es_bound
-
-    @property
     def rs_pct(self) -> float:
         """RS as a percentage of the maximum possible RS."""
         return rs_percent(self.rs, self.rs_maximum)
-
-    def within(self, rs_threshold: float) -> bool:
-        """True when this measurement satisfies an absolute RS budget."""
-        return self.rs <= rs_threshold
-
-    def er_confidence(
-        self, z: float = 1.96, exact: bool = False
-    ) -> Tuple[float, float]:
-        """Wilson-score confidence interval for the sampled ER.
-
-        ``exact=True`` marks the measurement as exhaustive-batch (no
-        sampling error): the interval collapses to the point estimate.
-        The detection count is recovered from ``er * num_vectors``.
-        """
-        from ..obs.quality import er_interval
-
-        return er_interval(self.er, self.num_vectors, z=z, exact=exact)
-
-    def rs_confidence(
-        self, z: float = 1.96, exact: bool = False
-    ) -> Tuple[float, float]:
-        """The RS band implied by :meth:`er_confidence` at this ES."""
-        lo, hi = self.er_confidence(z=z, exact=exact)
-        return (lo * self.es, hi * self.es)
 
     def __str__(self) -> str:
         return (

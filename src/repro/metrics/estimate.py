@@ -8,16 +8,11 @@ simplified) netlist -- by differential bit-parallel simulation:
 
 * **ER** is the fraction of batch vectors with any output mismatch;
 * **observed ES** is the largest weighted deviation in the batch -- a
-  lower bound on the true ES;
-* **ES** is, depending on ``es_mode``:
+  lower bound on the true ES.
 
-  - ``"simulated"`` -- the observed value (fast, optimistic),
-  - ``"atpg"``      -- the conservative power-of-two value from the
-    threshold ES ATPG seeded with the observed lower bound (the
-    paper's method),
-  - ``"exact"``     -- the observed value on an exhaustive batch
-    (small circuits only; the estimator must have been built with
-    ``exhaustive=True``).
+:meth:`MetricsEstimator.check_rs` decides an RS budget: one ES-ATPG
+threshold query at ``T* = floor(threshold / ER) + 1`` settles whether
+the true ES keeps ``ER x ES`` within it.
 
 Outputs of an approximate netlist are paired with the original's
 positionally, so renamed constant-tied outputs keep contributing.
@@ -25,7 +20,7 @@ positionally, so renamed constant-tied outputs keep contributing.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +28,7 @@ from ..atpg.es_atpg import EsAtpg, EsStatus
 from ..circuit import Circuit
 from ..faults.model import StuckAtFault
 from ..obs.core import Instrumentation, get_active
+from ..obs.quality import er_interval
 from ..simulation.batchfaultsim import BatchFaultSimulator, FaultBatchStats
 from ..simulation.compiled import CompiledSimulator
 from ..simulation.deviation import WeightedDeviation
@@ -95,73 +91,26 @@ class MetricsEstimator:
         )
 
     # ------------------------------------------------------------------
-    def measure(
-        self,
-        approx: Optional[Circuit] = None,
-        faults: Sequence[StuckAtFault] = (),
-        es_mode: str = "atpg",
-    ) -> ErrorMetrics:
-        """Measure an approximate version of the original circuit.
-
-        ``approx`` is a different netlist (defaults to the original);
-        ``faults`` are injected into its simulation.  The combination
-        (approx netlist + fault set) defines the faulty machine, exactly
-        as the greedy loop needs when ranking candidate faults on the
-        current simplified circuit.
-        """
-        er, observed = self.simulate(approx=approx, faults=faults)
-        if es_mode == "simulated":
-            es = observed
-        elif es_mode == "exact":
-            if not self.exhaustive:
-                raise ValueError('es_mode="exact" requires an exhaustive estimator')
-            es = observed
-        elif es_mode == "atpg":
-            atpg = EsAtpg(
-                self.circuit,
-                faulty=approx,
-                faults=faults,
-                value_outputs=self.value_outputs,
-                node_limit=self.atpg_node_limit,
-                obs=self.obs,
-            )
-            with self.obs.span("atpg.es_estimate"):
-                es = atpg.estimate_es(observed_lower_bound=observed)
-        else:
-            raise ValueError(f"unknown es_mode {es_mode!r}")
-        return ErrorMetrics(
-            er=er,
-            es=es,
-            observed_es=observed,
-            rs_maximum=self.rs_maximum,
-            num_vectors=self.num_vectors,
-            es_mode=es_mode,
-        )
-
-    # ------------------------------------------------------------------
     def check_rs(
         self,
         rs_threshold: float,
         approx: Optional[Circuit] = None,
         faults: Sequence[StuckAtFault] = (),
-        use_atpg: bool = True,
-        node_limit: Optional[int] = None,
         pow2_es: bool = False,
         structural_reference: Optional[Circuit] = None,
     ) -> Tuple[bool, ErrorMetrics]:
         """Decide whether an approximate version satisfies an RS budget.
 
-        Much cheaper than a full ES sweep: after the differential
-        simulation, a *single* ATPG threshold query at
+        After the differential simulation, a *single* ES-ATPG
+        threshold query (:meth:`~repro.atpg.es_atpg.EsAtpg.decide`) at
         ``T* = floor(rs_threshold / ER) + 1`` settles the question --
         UNSAT proves ``ES <= T*-1`` hence ``RS <= rs_threshold``, while
         SAT proves ``RS > rs_threshold``.  Aborted queries reject
-        conservatively.  With ``use_atpg=False`` the decision uses the
-        simulated (observed) ES only.
+        conservatively.
 
         ``pow2_es`` reproduces the paper's conservatism: ES is rounded
         up to the next power of two before the comparison (the paper's
-        sweep only resolves ES to powers of two), which rejects more
+        threshold sweep resolves ES only to powers of two), which rejects more
         faults and yields smaller-but-safer simplifications.
 
         ``structural_reference`` optionally names a circuit *proven*
@@ -183,7 +132,7 @@ class MetricsEstimator:
                 observed_es=observed,
                 rs_maximum=self.rs_maximum,
                 num_vectors=self.num_vectors,
-                es_mode="hybrid" if use_atpg else "simulated",
+                es_mode="hybrid",
                 es_bound=es_bound,
             )
 
@@ -191,7 +140,7 @@ class MetricsEstimator:
             # Budget-risk accounting: accepted on the point estimate,
             # but the ER confidence interval's upper bound would have
             # pushed RS over the threshold.
-            _lo, hi = self.er_confidence(metrics.er)
+            _lo, hi = er_interval(metrics.er, self.num_vectors, exact=self.exhaustive)
             if metrics.rs <= rs_threshold < hi * metrics.es:
                 self.obs.incr("quality.budget_risk_accepts")
             return True, metrics
@@ -207,8 +156,6 @@ class MetricsEstimator:
             return True, make(observed)
         if er * es_obs_eff > rs_threshold:
             return False, make(None)
-        if not use_atpg:
-            return accept(make(None))
         t_star = int(rs_threshold / er) + 1
         if t_star <= observed:
             return False, make(None)
@@ -219,7 +166,7 @@ class MetricsEstimator:
             faulty=approx,
             faults=faults,
             value_outputs=good_value_outputs,
-            node_limit=node_limit or self.atpg_node_limit,
+            node_limit=self.atpg_node_limit,
             obs=self.obs,
         )
         with self.obs.span("atpg.es_decide"):
@@ -232,37 +179,6 @@ class MetricsEstimator:
                 return False, make(bound)
             return accept(make(bound))
         return False, make(None)
-
-    # ------------------------------------------------------------------
-    def er_confidence(self, er: float, z: float = 1.96) -> Tuple[float, float]:
-        """Confidence interval for an ER measured on this estimator's batch.
-
-        Wilson-score at level ``z`` for sampled batches; exhaustive
-        estimators have no sampling error, so the interval collapses to
-        the point estimate.
-        """
-        from ..obs.quality import er_interval
-
-        return er_interval(er, self.num_vectors, z=z, exact=self.exhaustive)
-
-    # ------------------------------------------------------------------
-    def exact_error_rate(
-        self,
-        approx: Optional[Circuit] = None,
-        faults: Sequence[StuckAtFault] = (),
-        node_limit: int = 500_000,
-    ) -> float:
-        """Exact ER via BDD model counting (no sampling error).
-
-        Tractable when the circuit's BDD stays within ``node_limit``
-        nodes; raises :class:`repro.bdd.BddLimitExceeded` otherwise so
-        callers can fall back to :meth:`simulate`.
-        """
-        from ..bdd import exact_error_rate
-
-        return exact_error_rate(
-            self.circuit, approx=approx, faults=faults, node_limit=node_limit
-        )
 
     # ------------------------------------------------------------------
     def simulate(

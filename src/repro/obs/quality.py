@@ -7,8 +7,8 @@ inspectable artifact of every run:
 
 * :func:`wilson_interval` -- the Wilson-score confidence interval for a
   binomial proportion, used for every sampled ER estimate in the
-  pipeline (``DifferentialResult`` / ``FaultBatchStats`` /
-  ``ErrorMetrics`` all expose an ``er_confidence`` built on it).  The
+  pipeline (:func:`er_interval` applies it to an ER and its batch
+  size; ``ErTestSet.er_confidence`` to one fault's ER).  The
   Wilson interval stays well-behaved at the extremes the naive normal
   interval gets wrong: ``k=0`` gives a nonzero upper bound (the rule of
   three), ``k=n`` a sub-1 lower bound, and the interval always contains

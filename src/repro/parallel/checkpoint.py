@@ -355,18 +355,24 @@ def greedy_config_from(config: Dict):
     Unknown keys (written by a newer schema) are dropped rather than
     fatal; known keys keep their journaled values verbatim, which is
     what pins the resumed run to the original's vector batch and knobs.
-    The one exception is ``es_mode="atpg"``, a retired spelling that
-    always ran exactly like ``"hybrid"``: it loads as ``"hybrid"``.
+    The retired ``es_mode`` is checked, not kept: ``"hybrid"`` and
+    ``"atpg"`` ran the one commit rule this build runs (a threshold
+    ES-ATPG query), while any other value (``"simulated"`` skipped the
+    ATPG) names a run no build reproduces, so it raises
+    :class:`CheckpointError`.
     """
     import dataclasses
 
     from ..simplify.greedy import GreedyConfig
 
+    es_mode = config.get("es_mode", "hybrid")
+    if es_mode not in ("hybrid", "atpg"):
+        raise CheckpointError(
+            f"es_mode {es_mode!r} is retired: every run commits on a "
+            f"threshold ES-ATPG query, so this run cannot be reproduced"
+        )
     known = {f.name for f in dataclasses.fields(GreedyConfig)}
-    fields = {k: v for k, v in config.items() if k in known}
-    if fields.get("es_mode") == "atpg":
-        fields["es_mode"] = "hybrid"
-    return GreedyConfig(**fields)
+    return GreedyConfig(**{k: v for k, v in config.items() if k in known})
 
 
 # ----------------------------------------------------------------------

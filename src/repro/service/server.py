@@ -209,12 +209,12 @@ class SimplifyService:
         name = payload.get("name")
         if name is not None and not isinstance(name, str):
             raise InvalidRequestError(f"'name' must be a string, got {name!r}")
-        netlist = payload.get("netlist")
+        inline = payload.get("netlist")
         sha = payload.get("netlist_sha256")
-        if netlist is not None:
-            if not isinstance(netlist, str):
+        if inline is not None:
+            if not isinstance(inline, str):
                 raise InvalidRequestError("'netlist' must be bench text")
-            sha = self.store_netlist(netlist)
+            netlist = inline
         elif sha is not None:
             netlist = self.netlist_text(sha)
         else:
@@ -225,6 +225,9 @@ class SimplifyService:
             circuit = loads_bench(netlist, name=name or bench_name(netlist))
         except ValueError as exc:
             raise CompileError(f"netlist does not parse: {exc}") from exc
+        if inline is not None:
+            # Only text that parses enters the store.
+            sha = self.store_netlist(inline)
 
         key = cache_key(circuit, request)
         if key in self.cache:
@@ -516,9 +519,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._not_found()
 
     def _delete(self) -> None:
-        path = self.path.rstrip("/")
-        if path.startswith("/v1/jobs/"):
-            job_id = path[len("/v1/jobs/") :]
+        path = self.path.partition("?")[0].rstrip("/")
+        job_id = path[len("/v1/jobs/") :]
+        if path.startswith("/v1/jobs/") and "/" not in job_id:
             self._send_json(202, self.service.cancel(job_id))
         else:
             self._not_found()

@@ -9,8 +9,8 @@ threshold would be violated.  Exactly as in Section IV:
 * ER is re-estimated for the whole accumulated change by differential
   bit-parallel fault simulation (never composed from single-fault ERs);
 * ES is re-estimated against the original circuit -- by observed
-  deviation for candidate ranking, and by the conservative threshold
-  ATPG for the commit decision (``es_mode="hybrid"``, the default);
+  deviation for candidate ranking, and by one threshold ES-ATPG query
+  for the commit decision (:meth:`MetricsEstimator.check_rs`);
 * both paper FOMs are available: plain area reduction (``"area"``) and
   area reduction per unit of added RS (``"area_per_rs"``); the Table II
   experiment reports the better of the two.
@@ -64,10 +64,6 @@ class GreedyConfig:
         Vector-batch size for ER estimation (paper: 10,000).
     seed:
         RNG seed for the vector batch.
-    es_mode:
-        ``"hybrid"`` (rank by simulated ES, commit with ATPG ES --
-        default) or ``"simulated"`` (no ATPG at all; fastest,
-        optimistic ES).
     candidate_limit:
         Number of candidates fully evaluated per iteration after proxy
         pre-ranking; ``None`` evaluates all (the paper's full scan).
@@ -99,7 +95,6 @@ class GreedyConfig:
     fom: str = "area_per_rs"
     num_vectors: int = 10_000
     seed: int = 0
-    es_mode: str = "hybrid"
     candidate_limit: Optional[int] = 200
     datapath_only: bool = True
     include_branches: bool = True
@@ -250,8 +245,6 @@ def circuit_simplify(
 
     if cfg.fom not in ("area", "area_per_rs"):
         raise ValueError(f"unknown FOM {cfg.fom!r}")
-    if cfg.es_mode not in ("hybrid", "simulated"):
-        raise ValueError(f"unknown es_mode {cfg.es_mode!r}")
 
     obs = obs if obs is not None else get_active()
 
@@ -300,9 +293,6 @@ def circuit_simplify(
         obs.incr("checkpoint.replayed_iterations", len(replay.iterations))
 
     if tee is not None:
-        # Scoring runs in one process; both headers keep their count of
-        # scoring processes (1) so journals and checkpoints keep their
-        # shape.
         if replay is None:
             header = {
                 "event": "run_start",
@@ -315,7 +305,6 @@ def circuit_simplify(
                 "rs_max": float(maximum),
                 "seed": cfg.seed,
                 "num_vectors": estimator.num_vectors,
-                "workers": 1,
                 "config": asdict(cfg),
             }
         else:
@@ -326,7 +315,6 @@ def circuit_simplify(
                 "replayed_iterations": len(replay.iterations),
                 "area": replay.current.area(),
                 "rs": replay.current_rs,
-                "workers": 1,
             }
         tee.emit(header)
     try:
@@ -410,7 +398,7 @@ def _rebuild_complete_result(
                 observed_es=int(s["final_es"]),
                 rs_maximum=int(maximum),
                 num_vectors=state.num_vectors,
-                es_mode=cfg.es_mode,
+                es_mode="hybrid",
             )
     return result
 
@@ -458,7 +446,6 @@ def _run_greedy(
         banned = set(replay.banned)
         prev.er, prev.es, prev.rs = replay.prev_metrics
     current = result.simplified
-    use_atpg = cfg.es_mode != "simulated"
     memo = _PreviewMemo(obs)
 
     if cfg.redundancy_prepass and replay is None:
@@ -526,7 +513,6 @@ def _run_greedy(
                     accepted, metrics = estimator.check_rs(
                         threshold,
                         approx=tentative,
-                        use_atpg=use_atpg,
                         pow2_es=cfg.pow2_es,
                         structural_reference=reference,
                     )
@@ -584,7 +570,6 @@ def _run_greedy(
             _ok, result.final_metrics = estimator.check_rs(
                 threshold,
                 approx=current,
-                use_atpg=use_atpg,
                 structural_reference=reference,
             )
 

@@ -139,24 +139,6 @@ class FaultBatchStats:
             return 0.0
         return self.detected_count / self.num_vectors
 
-    def er_confidence(
-        self, z: float = 1.96, exact: bool = False
-    ) -> Tuple[float, float]:
-        """Wilson-score confidence interval for :attr:`error_rate`.
-
-        For a dropped fault the detection count covers only the
-        ``words_simulated`` prefix, so the interval (like the rate) is
-        a lower-bound view -- already enough to disqualify the fault.
-        ``exact=True`` marks an exhaustive batch: zero-width interval.
-        """
-        from ..obs.quality import wilson_interval
-
-        if self.num_vectors == 0:
-            return (0.0, 1.0)
-        if exact:
-            return (self.error_rate, self.error_rate)
-        return wilson_interval(self.detected_count, self.num_vectors, z=z)
-
     @property
     def mean_abs_deviation(self) -> float:
         """Average absolute weighted deviation across the batch."""

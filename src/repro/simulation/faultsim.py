@@ -61,23 +61,6 @@ class DifferentialResult:
             return 0.0
         return float(np.count_nonzero(self.detected)) / self.num_vectors
 
-    def er_confidence(
-        self, z: float = 1.96, exact: bool = False
-    ) -> Tuple[float, float]:
-        """Wilson-score confidence interval for :attr:`error_rate`.
-
-        ``exact=True`` marks the batch as exhaustive (no sampling
-        error): the interval collapses to the point estimate.
-        """
-        from ..obs.quality import wilson_interval
-
-        if self.num_vectors == 0:
-            return (0.0, 1.0)
-        if exact:
-            return (self.error_rate, self.error_rate)
-        k = int(np.count_nonzero(self.detected))
-        return wilson_interval(k, self.num_vectors, z=z)
-
     @property
     def max_abs_deviation(self) -> int:
         """Largest absolute weighted deviation observed (a lower bound

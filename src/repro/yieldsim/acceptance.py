@@ -128,7 +128,7 @@ def classify_population(
                 continue
         if use_atpg:
             accepted, metrics = est.check_rs(
-                rs_threshold, approx=approx, faults=list(chip.faults), use_atpg=True
+                rs_threshold, approx=approx, faults=list(chip.faults)
             )
             rs = metrics.rs
         else:

@@ -28,7 +28,7 @@ def test_adder_sum_bit_fault(adder4):
     atpg = EsAtpg(adder4, faults=[StuckAtFault.stem(s2, 0)])
     assert atpg.test_exists(4).is_sat
     assert atpg.test_exists(5).status is EsStatus.UNSAT
-    assert atpg.estimate_es() == 4
+    assert atpg.exact_max_deviation() == 4
 
 
 def test_sat_vector_achieves_threshold(adder4):
@@ -75,13 +75,13 @@ def test_two_circuit_mode_matches_fault_mode(seed):
     simp = simplify_with_faults(ckt, faults)
     true_es = exact_es(ckt, faults)
     atpg = EsAtpg(ckt, faulty=simp, node_limit=10**6)
-    assert atpg.estimate_es() >= true_es
+    assert atpg.exact_max_deviation() == true_es
     if true_es:
         assert atpg.test_exists(true_es).is_sat
     assert atpg.test_exists(true_es + 1).status is EsStatus.UNSAT
 
 
-def test_estimate_es_zero_for_redundant():
+def test_decide_refutes_a_redundant_fault():
     from repro.circuit import CircuitBuilder
 
     b = CircuitBuilder("red")
@@ -90,7 +90,10 @@ def test_estimate_es_zero_for_redundant():
     b.output(b.OR(a, t, name="z"))
     ckt = b.build()
     atpg = EsAtpg(ckt, faults=[StuckAtFault.stem("t", 0)])
-    assert atpg.estimate_es() == 0
+    res = atpg.decide(1)
+    assert res.status is EsStatus.UNSAT
+    assert res.deviation in (None, 0)
+    assert atpg.exact_max_deviation() == 0
 
 
 def test_structural_refutation_is_instant(adder4):
@@ -166,7 +169,6 @@ def test_negative_weight_is_not_refuted():
         assert atpg.test_exists(t).is_sat, t
     assert atpg.decide(5).status is EsStatus.UNSAT
     assert atpg.test_exists(5).status is EsStatus.UNSAT
-    assert atpg.estimate_es() == 4
     assert rs_max(ckt) == 5
 
 

@@ -165,6 +165,33 @@ def test_stored_retired_fields_load_and_fingerprint_the_same(
     assert [str(f) for f in loaded.faults] == [str(f) for f in outcome.faults]
 
 
+@pytest.mark.parametrize("es_mode", ["hybrid", "atpg"])
+def test_stored_outcome_es_mode_loads_and_fingerprints_the_same(outcome, es_mode):
+    """Outcomes (and result-cache entries, which are outcome JSON)
+    stored while ``es_mode`` existed carry it in the request and the
+    result config.  ``"hybrid"`` and ``"atpg"`` ran the one commit
+    rule, so they load, and the result-cache key does not move."""
+    data = json.loads(outcome.to_json())
+    data["request"]["es_mode"] = es_mode
+    data["result"]["config"]["es_mode"] = es_mode
+    loaded = SimplifyOutcome.from_json(json.dumps(data))
+    assert loaded.request == outcome.request
+    assert loaded.request.fingerprint() == outcome.request.fingerprint()
+    assert loaded.result.config == outcome.result.config
+    assert loaded.final_metrics == outcome.final_metrics
+
+
+@pytest.mark.parametrize("where", ["request", "config"])
+def test_stored_outcome_that_skipped_the_atpg_is_refused(outcome, where):
+    """An outcome of an ``es_mode="simulated"`` run committed without
+    the ES-ATPG: no build reproduces it, so it does not load."""
+    data = json.loads(outcome.to_json())
+    target = data["request"] if where == "request" else data["result"]["config"]
+    target["es_mode"] = "simulated"
+    with pytest.raises(InvalidRequestError, match="es_mode"):
+        SimplifyOutcome.from_json(json.dumps(data))
+
+
 def test_outcome_loaded_verify_and_save(outcome, tmp_path):
     loaded = SimplifyOutcome.from_json(outcome.to_json())
     assert loaded.verify(exhaustive=True)
@@ -208,8 +235,6 @@ def test_argument_validation():
         SimplifyRequest(rs_threshold=1.0, rs_pct_threshold=1.0)
     with pytest.raises(ValueError):
         SimplifyRequest(rs_threshold=1.0, fom="nope")
-    with pytest.raises(ValueError):
-        SimplifyRequest(rs_threshold=1.0, es_mode="nope")
     with pytest.raises(ValueError):
         SimplifyRequest(rs_threshold=1.0, weights="nope")
     with pytest.raises(ValueError):

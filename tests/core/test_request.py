@@ -90,19 +90,35 @@ def test_legacy_checkpoint_path_loads_onto_journal():
 
 
 def test_es_mode_atpg_and_hybrid_share_one_fingerprint():
-    """``es_mode="atpg"`` always ran exactly like ``"hybrid"``: stored
-    requests carrying it load as hybrid and share its result-cache
-    entry, and new requests can no longer spell it."""
-    req = SimplifyRequest(rs_pct_threshold=2.5, seed=7)
-    assert req.es_mode == "hybrid"
-    legacy = SimplifyRequest.from_json(
-        json.dumps(dict(req.to_dict(), es_mode="atpg"))
+    """``es_mode`` is retired: ``"hybrid"`` and ``"atpg"`` both ran the
+    one commit rule, so stored requests carrying either load as the
+    request without it and keep their result-cache entry; the digest
+    still covers ``es_mode: "hybrid"``, so stored fingerprints do not
+    move."""
+    assert SimplifyRequest(rs_pct_threshold=1.0).fingerprint() == (
+        "e5f4386410e1126beebb0c4907fd924ddfc6caf66d4be4e27ed1305934fdc74f"
     )
-    assert legacy == req
-    assert legacy.fingerprint() == req.fingerprint()
-    assert legacy.greedy_config().es_mode == "hybrid"
+    req = SimplifyRequest(rs_pct_threshold=2.5, seed=7)
+    assert "es_mode" not in req.to_dict()
+    assert "es_mode" not in req.greedy_config().__dict__
+    for es_mode in ("hybrid", "atpg"):
+        legacy = SimplifyRequest.from_json(
+            json.dumps(dict(req.to_dict(), es_mode=es_mode))
+        )
+        assert legacy == req
+        assert legacy.fingerprint() == req.fingerprint()
+    with pytest.raises(TypeError, match="es_mode"):
+        SimplifyRequest(rs_pct_threshold=2.5, es_mode="hybrid")
+
+
+@pytest.mark.parametrize("es_mode", ["simulated", "exact", None, 1])
+def test_stored_es_mode_without_the_atpg_is_refused(es_mode):
+    """A stored request whose ``es_mode`` is not ``"hybrid"``/``"atpg"``
+    ran a rule no build reproduces: loading it as hybrid would
+    misreport it, so it is refused with an error naming the field."""
+    data = dict(SimplifyRequest(rs_pct_threshold=2.5).to_dict(), es_mode=es_mode)
     with pytest.raises(InvalidRequestError, match="es_mode"):
-        SimplifyRequest(rs_pct_threshold=2.5, es_mode="atpg")
+        SimplifyRequest.from_dict(data)
 
 
 def test_from_json_validates():
@@ -116,7 +132,6 @@ def test_greedy_config_mirror():
         fom="best",
         num_vectors=1234,
         seed=9,
-        es_mode="simulated",
         candidate_limit=17,
         datapath_only=False,
         include_branches=False,
@@ -132,7 +147,6 @@ def test_greedy_config_mirror():
         fom="area",
         num_vectors=1234,
         seed=9,
-        es_mode="simulated",
         candidate_limit=17,
         datapath_only=False,
         include_branches=False,
@@ -145,15 +159,6 @@ def test_greedy_config_mirror():
     )
     # "best" is a policy, not a greedy FOM: it resolves to a real one
     assert req.greedy_config().fom == "area_per_rs"
-
-
-def test_from_config_round_trip():
-    cfg = GreedyConfig(fom="area", num_vectors=2000, seed=5, pow2_es=True)
-    req = SimplifyRequest.from_config(cfg, rs_threshold=1.5)
-    assert req.fom == "area"
-    assert req.greedy_config() == cfg
-    # overrides win
-    assert SimplifyRequest.from_config(cfg, rs_threshold=1.5, fom="best").fom == "best"
 
 
 def test_from_cli_args():
@@ -178,7 +183,7 @@ def test_from_cli_args():
     assert req.redundancy_prepass is False  # --no-prepass
     assert req.workers is None  # a namespace's worker count is not read
     assert req.journal == "ck.jsonl"
-    # overrides win, as in from_config
+    # overrides win
     swept = SimplifyRequest.from_cli_args(ns, rs_pct_threshold=2.0, weights="netlist")
     assert swept.rs_pct_threshold == 2.0 and swept.weights == "netlist"
 

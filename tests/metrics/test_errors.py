@@ -12,7 +12,7 @@ def make(er=0.5, es=8, **kw):
         observed_es=es,
         rs_maximum=31,
         num_vectors=1000,
-        es_mode="simulated",
+        es_mode="hybrid",
     )
     defaults.update(kw)
     return ErrorMetrics(**defaults)
@@ -39,20 +39,6 @@ def test_rs_max_explicit_outputs(adder4):
 
 def test_rs_percent_zero_max():
     assert rs_percent(5.0, 0) == 0.0
-
-
-def test_within():
-    m = make(er=0.5, es=8)  # rs = 4
-    assert m.within(4.0)
-    assert m.within(4.5)
-    assert not m.within(3.9)
-
-
-def test_rs_bound():
-    m = make(es_bound=None)
-    assert m.rs_bound is None
-    m = make(er=0.5, es_bound=10)
-    assert m.rs_bound == 5.0
 
 
 def test_str_contains_fields():

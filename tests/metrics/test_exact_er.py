@@ -1,8 +1,9 @@
-"""The estimator's BDD-backed exact-ER path."""
+"""The BDD exact ER (``repro.bdd.exact_error_rate``) against the
+estimator's exhaustive batch."""
 
 import pytest
 
-from repro.bdd import BddLimitExceeded
+from repro.bdd import BddLimitExceeded, exact_error_rate
 from repro.faults import StuckAtFault
 from repro.metrics import MetricsEstimator
 from repro.simplify import simplify_with_faults
@@ -12,20 +13,18 @@ def test_exact_matches_exhaustive(adder4):
     est = MetricsEstimator(adder4, exhaustive=True)
     f = StuckAtFault.stem(adder4.outputs[2], 1)
     er_sim, _ = est.simulate(faults=[f])
-    er_bdd = est.exact_error_rate(faults=[f])
+    er_bdd = exact_error_rate(adder4, faults=[f])
     assert er_bdd == pytest.approx(er_sim)
 
 
 def test_exact_on_simplified(adder4):
-    est = MetricsEstimator(adder4, exhaustive=True)
     f = StuckAtFault.stem(adder4.outputs[0], 0)
     simp = simplify_with_faults(adder4, [f])
-    assert est.exact_error_rate(approx=simp) == pytest.approx(0.5)
+    assert exact_error_rate(adder4, approx=simp) == pytest.approx(0.5)
 
 
 def test_node_limit_raises(adder4):
-    est = MetricsEstimator(adder4, num_vectors=100)
     with pytest.raises(BddLimitExceeded):
-        est.exact_error_rate(
-            faults=[StuckAtFault.stem(adder4.outputs[0], 0)], node_limit=3
+        exact_error_rate(
+            adder4, faults=[StuckAtFault.stem(adder4.outputs[0], 0)], node_limit=3
         )

@@ -1,4 +1,4 @@
-"""Regenerate the golden c17 fixtures after an *intentional* change.
+"""Regenerate the golden c17 journal after an *intentional* change.
 
 Usage (from the repo root)::
 
@@ -6,13 +6,13 @@ Usage (from the repo root)::
 
 Re-runs the exact fixed-seed exhaustive c17 configuration of
 ``test_c17_journal_matches_golden``, strips the volatile keys, and
-rewrites ``golden_c17_journal.json``; then re-runs the two 30%-budget
-c17 runs (``area_per_rs`` vs ``area`` FOM) behind
-``tests/obs/test_compare.py`` and rewrites
-``golden_c17_run_{a,b}.jsonl``.  Review the diff before committing:
-every changed field is a behavior change of the greedy loop, the
-metrics estimators, or the journal schema -- and the hardcoded
-divergence expectations in ``test_compare.py`` may need to follow.
+rewrites ``golden_c17_journal.json``.  Review the diff before
+committing: every changed field is a behavior change of the greedy
+loop, the metrics estimators, or the journal schema.
+
+``golden_c17_run_{a,b}.jsonl`` (behind ``tests/obs/test_compare.py``)
+are stored state: journals an older build wrote, which today's build
+must still read, render and resume.  They are never regenerated.
 """
 
 import json
@@ -37,22 +37,6 @@ def main() -> None:
         json.dump(events, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(events)} events to {GOLDEN_PATH}")
-
-    from tests.conftest import build_c17
-    from tests.obs.test_compare import GOLDEN_A, GOLDEN_B
-
-    from repro.simplify import GreedyConfig, circuit_simplify
-
-    for path, fom in ((GOLDEN_A, "area_per_rs"), (GOLDEN_B, "area")):
-        if os.path.exists(path):
-            os.unlink(path)
-        cfg = GreedyConfig(exhaustive=True, seed=0, candidate_limit=None,
-                           datapath_only=False, redundancy_prepass=True,
-                           fom=fom)
-        circuit_simplify(build_c17(), rs_pct_threshold=30.0, config=cfg,
-                         journal=path)
-        n = len(load_journal(path, strict=True))
-        print(f"wrote {n} events to {path} (fom={fom})")
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ def test_er_interval_exact_batch_is_zero_width():
 
 
 # ----------------------------------------------------------------------
-# er_confidence across the simulation layer
+# er_interval across the simulation layer
 # ----------------------------------------------------------------------
 def test_differential_result_confidence_contains_rate():
     from repro.faults import enumerate_faults
@@ -90,9 +90,11 @@ def test_differential_result_confidence_contains_rate():
     fault = enumerate_faults(circuit)[0]
     vecs = random_vectors(len(circuit.inputs), 64, np.random.default_rng(0))
     res = FaultSimulator(circuit).differential(vecs, [fault])
-    lo, hi = res.er_confidence()
+    lo, hi = er_interval(res.error_rate, res.num_vectors)
     assert lo <= res.error_rate <= hi
-    assert res.er_confidence(exact=True) == (res.error_rate, res.error_rate)
+    assert er_interval(res.error_rate, res.num_vectors, exact=True) == (
+        res.error_rate, res.error_rate
+    )
 
 
 def test_zero_pattern_estimate_bumps_quality_counter():
@@ -112,20 +114,6 @@ def test_zero_pattern_estimate_bumps_quality_counter():
         assert empty.error_rate == 0.0
         assert stats.error_rate == 0.0
     assert obs.counters["quality.zero_pattern_estimates"] == 2
-    assert empty.er_confidence() == (0.0, 1.0)
-    assert stats.er_confidence() == (0.0, 1.0)
-
-
-def test_metrics_rs_confidence_scales_er_band():
-    from repro.metrics.errors import ErrorMetrics
-
-    m = ErrorMetrics(er=0.1, es=10, observed_es=8, rs_maximum=100,
-                     num_vectors=100, es_mode="hybrid")
-    er_lo, er_hi = m.er_confidence()
-    rs_lo, rs_hi = m.rs_confidence()
-    assert rs_lo == pytest.approx(er_lo * 10)
-    assert rs_hi == pytest.approx(er_hi * 10)
-    assert rs_lo <= m.rs <= rs_hi
 
 
 def test_er_test_set_confidence_contains_estimates():

@@ -344,26 +344,54 @@ def test_resume_rejects_mismatched_config(adder, tmp_path):
         _run(adder, journal=str(ckpt), config=other)
 
 
+def _with_header_es_mode(ckpt, es_mode) -> str:
+    """Stamp the retired ``es_mode`` on a journal's ``run_start``
+    config; returns the new text."""
+    lines = ckpt.read_text().splitlines(True)
+    header = json.loads(lines[0])
+    header["config"]["es_mode"] = es_mode
+    lines[0] = json.dumps(header) + "\n"
+    ckpt.write_text("".join(lines))
+    return "".join(lines)
+
+
 def test_legacy_atpg_header_resumes_as_hybrid(adder, reference, tmp_path):
-    """A journal header carrying the retired ``es_mode="atpg"`` -- which
-    always ran exactly like ``"hybrid"`` -- resumes under the hybrid
-    config, whether the caller passes it or adopts the header's."""
+    """Journal headers written while ``es_mode`` existed carry
+    ``"hybrid"`` or the older ``"atpg"``; both ran the one commit rule
+    and resume bit-identically, whether the caller passes the config or
+    adopts the header's."""
     if len(reference.iterations) < 2:
         pytest.skip("reference run too short")
     ckpt = tmp_path / "run.jsonl"
     _run(adder, journal=str(ckpt))
     _truncate_after_iterations(ckpt, 1)
-    lines = ckpt.read_text().splitlines(True)
-    header = json.loads(lines[0])
-    header["config"]["es_mode"] = "atpg"
-    lines[0] = json.dumps(header) + "\n"
-    legacy = "".join(lines)
-    ckpt.write_text(legacy)
-    _assert_identical(_run(adder, journal=str(ckpt)), reference)
-    ckpt.write_text(legacy)
-    resumed = resume_from(adder, ckpt)
-    assert resumed.config == _CFG
-    _assert_identical(resumed, reference)
+    prefix = ckpt.read_text()
+    for es_mode in ("hybrid", "atpg"):
+        ckpt.write_text(prefix)
+        legacy = _with_header_es_mode(ckpt, es_mode)
+        _assert_identical(_run(adder, journal=str(ckpt)), reference)
+        ckpt.write_text(legacy)
+        resumed = resume_from(adder, ckpt)
+        assert resumed.config == _CFG
+        _assert_identical(resumed, reference)
+
+
+def test_header_that_skipped_the_atpg_is_refused(adder, tmp_path):
+    """A journal of an ``es_mode="simulated"`` run committed without the
+    ES-ATPG; no build reproduces it, so resuming it is a checkpoint
+    mismatch naming the field, and the journal is left as it was."""
+    ckpt = tmp_path / "run.jsonl"
+    _run(adder, journal=str(ckpt))
+    _truncate_after_iterations(ckpt, 1)
+    legacy = _with_header_es_mode(ckpt, "simulated")
+    with pytest.raises(CheckpointError, match="es_mode") as exc:
+        _run(adder, journal=str(ckpt))
+    assert exc.value.code == "checkpoint_mismatch"
+    with pytest.raises(CheckpointError, match="es_mode"):
+        resume_from(adder, ckpt)
+    with pytest.raises(CheckpointError, match="es_mode"):
+        circuit_simplify(adder, rs_pct_threshold=6.0, config=None, journal=str(ckpt))
+    assert ckpt.read_text() == legacy
 
 
 def test_resume_rejects_mismatched_threshold(adder, tmp_path):

@@ -222,9 +222,49 @@ def test_newer_schema_version_is_rejected(server, adder_bench):
 
 
 def test_bad_netlist_is_422(server):
+    """A netlist that does not parse is refused before it is stored:
+    the content-addressed store keeps only text that compiles."""
+    client, service = server
+    before = sorted(os.listdir(service.netlists_dir))
+    jobs = len(client.jobs())
+    for text in ("INPUT((((", "INPUT(a)\nOUTPUT(z)\nz = FOO(a)\n"):
+        with pytest.raises(CompileError):
+            client.submit(SimplifyRequest(seed=9, **FAST), netlist=text)
+        with pytest.raises(CompileError):
+            service.submit(
+                {"request": SimplifyRequest(seed=9, **FAST).to_dict(), "netlist": text}
+            )
+    assert sorted(os.listdir(service.netlists_dir)) == before
+    assert len(client.jobs()) == jobs
+
+
+def test_retired_es_mode_without_the_atpg_is_400(server, adder_bench):
+    """A submit body asking for ``es_mode="simulated"`` (commits without
+    the ES-ATPG) answers 400 ``invalid_request`` and queues nothing;
+    ``"hybrid"``, the rule every run commits on, is still accepted."""
+    import urllib.error
+    import urllib.request
+
     client, _service = server
-    with pytest.raises(CompileError):
-        client.submit(SimplifyRequest(seed=9, **FAST), netlist="INPUT((((")
+    before = len(client.jobs())
+    body = json.dumps({
+        "request": dict(FAST, seed=31, es_mode="simulated"),
+        "netlist": adder_bench,
+    }).encode("utf-8")
+    post = urllib.request.Request(
+        f"{client.base_url}/v1/jobs", data=body, method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as info:
+        urllib.request.urlopen(post, timeout=30)
+    assert info.value.code == 400
+    error = json.loads(info.value.read())["error"]
+    assert error["code"] == "invalid_request"
+    assert "es_mode" in error["message"]
+    assert len(client.jobs()) == before
+    plain = client.submit(dict(FAST, seed=31), netlist=adder_bench)
+    hybrid = client.submit(dict(FAST, seed=31, es_mode="hybrid"), netlist=adder_bench)
+    assert hybrid["cache_key"] == plain["cache_key"]
 
 
 def test_unknown_job_is_404(server):
@@ -251,6 +291,21 @@ def test_unknown_route_is_404(server, adder_bench):
         assert exc_info.value.code == 404
         body = json.loads(exc_info.value.read())
         assert body["error"]["code"] == "not_found"
+    # DELETE routes the path as GET does: one id segment, query dropped.
+    for path, code in (
+        (f"/v1/jobs/{job_id}/trace", "not_found"),
+        ("/v1/jobs/job-999999?x=1", "job_not_found"),
+    ):
+        delete = urllib.request.Request(f"{client.base_url}{path}", method="DELETE")
+        with pytest.raises(urllib.error.HTTPError) as exc_info:
+            urllib.request.urlopen(delete, timeout=30)
+        assert exc_info.value.code == 404
+        error = json.loads(exc_info.value.read())["error"]
+        assert error["code"] == code
+        assert "?" not in error["message"]
+    snapshot = client.status(job_id)
+    assert snapshot["cancel_requested"] is False
+    assert snapshot["state"] != "cancelled"
 
 
 def test_metrics_endpoint_validates(server):

@@ -68,14 +68,6 @@ def test_fom_variants_both_work(adder6):
     assert b.area_reduction > 0
 
 
-def test_simulated_es_mode(adder6):
-    res = circuit_simplify(
-        adder6, rs_pct_threshold=5.0, config=cfg(es_mode="simulated")
-    )
-    assert res.faults
-    assert res.final_metrics.es_mode == "simulated"
-
-
 def test_records_are_consistent(adder6):
     res = circuit_simplify(adder6, rs_pct_threshold=5.0, config=cfg())
     assert len(res.iterations) == len(res.faults)

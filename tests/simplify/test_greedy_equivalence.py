@@ -66,7 +66,6 @@ def config(**kw):
         num_vectors=1000,
         seed=3,
         candidate_limit=60,
-        es_mode="simulated",
         max_iterations=40,
     )
     return GreedyConfig(**{**base, **kw})
@@ -202,7 +201,7 @@ def test_preview_memo_on_c880_trajectory(monkeypatch):
     result = circuit_simplify(
         ISCAS85_SUITE["c880"].builder(),
         rs_pct_threshold=1.0,
-        config=GreedyConfig(num_vectors=400, seed=0, es_mode="simulated", max_iterations=10),
+        config=GreedyConfig(num_vectors=400, seed=0, max_iterations=10),
         obs=obs,
     )
     assert len(kept) == len(result.iterations) >= 5
