@@ -41,13 +41,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from ..circuit import Circuit
 from ..circuit.netlist import CircuitError
 from ..circuit.structure import datapath_signals
-from ..faults.collapse import FaultClasses
 from ..faults.model import StuckAtFault, datapath_faults, enumerate_faults, fault_detail
 from ..metrics.errors import ErrorMetrics, rs_max
 from ..metrics.estimate import MetricsEstimator
 from ..obs.core import Instrumentation, get_active
 from ..obs.journal import JOURNAL_VERSION, JournalTee, RunJournal, truncate_torn_tail
 from .engine import Overlay, preview_area_reduction
+from .redundancy import _prescreen_survivors
 
 __all__ = ["GreedyConfig", "IterationRecord", "GreedyResult", "circuit_simplify"]
 
@@ -675,12 +675,17 @@ def _apply_redundancy_prepass(
     """Inject PODEM-proven redundant candidate faults (free area).
 
     The collapsed candidate classes first pass a random-pattern screen
-    (:func:`_prescreen_survivors`): a class the screen detects is
-    testable, so PODEM runs only on the undetected few.  Each proven
-    fault is then applied one at a time and re-validated by a
-    differential simulation against the original (ER must stay exactly
-    0 on the batch): injecting one redundancy can, in principle, turn a
-    structurally different member of the remaining set non-redundant.
+    (:func:`~repro.simplify.redundancy._prescreen_survivors`): a class
+    the screen detects is testable.  Each surviving class is then tried
+    through its member that frees the most area, in order of that area,
+    cheapest check first: the injection must free area on the current
+    netlist, PODEM must prove the class redundant on the original
+    netlist and the fault redundant on the current one, and a
+    differential simulation against the original must keep ER exactly 0
+    on the batch.  PODEM thus proves only faults the prepass could
+    inject (a REDUNDANT verdict is costly: it exhausts the decision
+    tree), and the order of the checks cannot change which faults pass
+    all of them.
     """
     from ..atpg.podem import AtpgStatus, Podem
     from ..faults.collapse import collapse_faults
@@ -688,22 +693,19 @@ def _apply_redundancy_prepass(
     candidates = _candidate_faults(current, cfg)
     if not candidates:
         return current
-    classes = collapse_faults(current, candidates)
-    survivors = _prescreen_survivors(current, classes, cfg.seed, estimator.obs)
-
-    podem = Podem(
-        current, backtrack_limit=cfg.prepass_backtrack_limit, obs=estimator.obs
-    )
-    redundant: List[StuckAtFault] = []
-    for rep, members in survivors:
-        if podem.run(rep).status is AtpgStatus.REDUNDANT:
-            # any member is behaviourally identical; keep the one that
-            # frees the most area
-            best = max(members, key=lambda f: _safe_preview(current, f))
-            redundant.append(best)
-    redundant.sort(key=lambda f: -_safe_preview(current, f))
-    revalidate = False  # first injection is already proven on `current`
-    for fault in redundant:
+    original = current
+    classes = collapse_faults(original, candidates)
+    survivors = _prescreen_survivors(original, classes, cfg.seed, estimator.obs)
+    # any member is behaviourally identical; try the one that frees the
+    # most area
+    tries = [
+        (rep, max(members, key=lambda f: _safe_preview(original, f)))
+        for rep, members in survivors
+    ]
+    tries.sort(key=lambda pair: -_safe_preview(original, pair[1]))
+    podem: Optional[Podem] = None
+    revalidate = False  # the first injection's proof is on `original`
+    for rep, fault in tries:
         overlay = Overlay(current)
         try:
             overlay.apply(fault)
@@ -711,13 +713,19 @@ def _apply_redundancy_prepass(
             continue
         if overlay.area_delta() <= 0:
             continue
+        if revalidate and not current.has_signal(fault.line.signal):
+            continue
+        if podem is None:
+            podem = Podem(
+                original, backtrack_limit=cfg.prepass_backtrack_limit, obs=estimator.obs
+            )
+        if podem.run(rep).status is not AtpgStatus.REDUNDANT:
+            continue
         if revalidate:
             # Earlier injections rewrote the netlist; re-prove the fault
             # redundant on the *current* circuit so that the chain of
             # injections is exactly function-preserving (this is what
             # lets the result serve as a structural reference later).
-            if not current.has_signal(fault.line.signal):
-                continue
             recheck = Podem(
                 current,
                 backtrack_limit=cfg.prepass_backtrack_limit,
@@ -744,7 +752,7 @@ def _apply_redundancy_prepass(
                     es_mode="redundant",
                 ),
                 fom_value=float("inf"),
-                candidates_evaluated=len(redundant),
+                candidates_evaluated=len(tries),
                 phase="prepass",
             )
         )
@@ -753,43 +761,6 @@ def _apply_redundancy_prepass(
         result.simplified = current
         revalidate = True
     return current
-
-
-#: Vectors in the prepass's random-pattern screen.
-PRESCREEN_VECTORS = 256
-
-
-def _prescreen_survivors(
-    circuit: Circuit,
-    classes: FaultClasses,
-    seed: int,
-    obs: Instrumentation,
-) -> List[Tuple[StuckAtFault, List[StuckAtFault]]]:
-    """The ``(representative, members)`` fault classes that a batch of
-    :data:`PRESCREEN_VECTORS` random vectors does not detect, in class
-    order.
-
-    Any class the batch detects is provably testable.  One cone-replay
-    batch simulates every representative as a single fault against the
-    same baseline, for detection only (no value outputs); its cone
-    plans go with the simulator when this returns.
-    """
-    import numpy as np
-
-    from ..simulation.batchfaultsim import BatchFaultSimulator
-    from ..simulation.vectors import random_vectors
-
-    vectors = random_vectors(
-        len(circuit.inputs), PRESCREEN_VECTORS, np.random.default_rng(seed + 7)
-    )
-    bsim = BatchFaultSimulator(circuit, value_outputs=(), obs=obs)
-    bsim.load_batch(vectors)
-    reps = list(classes.members)
-    return [
-        (st.fault, classes.members[st.fault])
-        for st in bsim.evaluate(reps)
-        if st.detected_count == 0
-    ]
 
 
 def _safe_preview(circuit: Circuit, fault: StuckAtFault) -> int:

@@ -15,6 +15,8 @@ import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
+
 import pytest
 
 from repro import GreedyConfig, circuit_simplify, dumps_bench, loads_bench
@@ -256,6 +258,51 @@ def test_resume_cut_inside_prepass_matches_uninterrupted(tmp_path):
         journaled = [(ev["phase"], ev["index"]) for ev in
                      load_checkpoint(ckpt).iteration_events]
         assert journaled == [(r.phase, r.index) for r in reference.iterations]
+
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+
+#: Stored state, never regenerated: a journal written by the eager
+#: prepass (it proved every screen survivor before injecting, and its
+#: rows count the 83 proven redundancies as ``candidates_evaluated``)
+#: for ``tests/data/c880.bench`` with unit weights, cut after 17 of the
+#: run's 34 prepass injections.  The uninterrupted run committed 35
+#: faults (digest of their names, one per line) and ended at area 627.
+STORED_PREPASS_CUT = DATA / "c880_prepass_cut.jsonl"
+STORED_RUN_DIGEST = "97a403adebe8d409"
+STORED_RUN_AREA = 627
+
+
+def test_stored_journal_cut_inside_prepass_resumes(tmp_path):
+    """The lazy prepass reproduces the eager prepass's injections, so a
+    journal it wrote resumes without ``CheckpointError``, bit-identical
+    to an uninterrupted run."""
+    import hashlib
+
+    circuit = loads_bench((DATA / "c880.bench").read_text(), name="c880")
+    cfg = GreedyConfig(
+        num_vectors=500, seed=0, candidate_limit=20, max_iterations=1,
+        redundancy_prepass=True,
+    )
+    ckpt = tmp_path / "cut.jsonl"
+    ckpt.write_bytes(STORED_PREPASS_CUT.read_bytes())
+    resumed = circuit_simplify(
+        circuit, rs_pct_threshold=2.0, config=cfg, journal=str(ckpt)
+    )
+    reference = circuit_simplify(circuit, rs_pct_threshold=2.0, config=cfg)
+    _assert_identical(resumed, reference)
+    names = "\n".join(str(f) for f in resumed.faults)
+    assert hashlib.sha256(names.encode()).hexdigest()[:16] == STORED_RUN_DIGEST
+    assert resumed.simplified.area() == STORED_RUN_AREA
+    events = load_journal(ckpt, strict=True)
+    rows = [e for e in events if e["event"] == "iteration"]
+    assert [(e["phase"], e["index"]) for e in rows] == [
+        (r.phase, r.index) for r in reference.iterations
+    ]
+    # prepass rows after the resume count the 84 screen survivors
+    assert [e["candidates_evaluated"] for e in rows if e["phase"] == "prepass"] == (
+        [83] * 17 + [84] * 17
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Classical redundancy removal: function preserved, area reduced."""
 
-import numpy as np
+from pathlib import Path
 
-from repro.circuit import CircuitBuilder
+import numpy as np
+import pytest
+
+from repro.circuit import CircuitBuilder, dumps_bench, load_bench
 from repro.simplify import remove_redundancies
-from repro.simulation import LogicSimulator, exhaustive_vectors
+from repro.simulation import LogicSimulator, exhaustive_vectors, random_vectors
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def consensus_circuit():
@@ -53,3 +58,43 @@ def test_result_converges():
 def test_adder_is_irredundant(adder4):
     res = remove_redundancies(adder4)
     assert not res.removed_faults
+
+
+def c880():
+    """c880 as ``.bench`` text, built under ``PYTHONHASHSEED=0``."""
+    return load_bench(DATA / "c880.bench", name="c880")
+
+
+def test_c880_rounds_past_a_contradicting_constant():
+    """By round 4 an earlier injection has left a constant that a
+    candidate stem fault contradicts; the round passes over that class
+    instead of raising ``CircuitError``."""
+    ckt = c880()
+    res = remove_redundancies(ckt, max_rounds=4)
+    assert len(res.removed_faults) == 4
+    assert res.area_reduction > 0
+    vecs = random_vectors(len(ckt.inputs), 2000, np.random.default_rng(3))
+    ra = LogicSimulator(ckt).run(vecs).output_bits(ckt.outputs)
+    rb = LogicSimulator(res.simplified).run(vecs).output_bits(ckt.outputs)
+    assert (ra == rb).all()
+
+
+@pytest.mark.parametrize(
+    "build, rounds", [(consensus_circuit, 50), (c880, 4)], ids=["consensus", "c880"]
+)
+def test_screen_keeps_the_removed_sequence(build, rounds, monkeypatch):
+    """A class some screen vector detects is testable, so screening
+    before PODEM leaves the first class proven redundant unchanged."""
+    from repro.simplify import redundancy
+
+    ckt = build()
+    screened = remove_redundancies(ckt, max_rounds=rounds)
+    monkeypatch.setattr(
+        redundancy,
+        "_prescreen_survivors",
+        lambda circuit, classes, seed, obs=None: list(classes.members.items()),
+    )
+    unscreened = remove_redundancies(ckt, max_rounds=rounds)
+    assert screened.removed_faults == unscreened.removed_faults
+    assert screened.removed_faults
+    assert dumps_bench(screened.simplified) == dumps_bench(unscreened.simplified)
