@@ -1,8 +1,7 @@
-"""Automatic test pattern generation: PODEM, ES-threshold ATPG, redundancy."""
+"""Automatic test pattern generation: PODEM, ES-threshold ATPG, ER tests."""
 
 from .podem import AtpgResult, AtpgStatus, Podem
 from .es_atpg import EsAtpg, EsResult, EsStatus
-from .redundancy import RedundancyReport, find_redundant_faults, is_redundant
 from .er_testing import ErTestSet, estimate_fault_er, generate_er_tests
 
 __all__ = [
@@ -12,9 +11,6 @@ __all__ = [
     "EsAtpg",
     "EsResult",
     "EsStatus",
-    "RedundancyReport",
-    "find_redundant_faults",
-    "is_redundant",
     "ErTestSet",
     "estimate_fault_er",
     "generate_er_tests",

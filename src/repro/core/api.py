@@ -200,25 +200,25 @@ def _metrics_to_dict(metrics: Optional[ErrorMetrics]) -> Optional[Dict[str, Any]
     return {
         "er": metrics.er,
         "es": metrics.es,
-        "observed_es": metrics.observed_es,
         "rs_maximum": metrics.rs_maximum,
         "num_vectors": metrics.num_vectors,
-        "es_mode": metrics.es_mode,
         "es_bound": metrics.es_bound,
     }
 
 
 def _metrics_from_dict(data: Optional[Dict[str, Any]]) -> Optional[ErrorMetrics]:
+    """Inverse of :func:`_metrics_to_dict`.  Payloads stored by older
+    builds also carry ``observed_es`` (always equal to ``es``) and
+    ``es_mode`` (restated by the iteration's ``phase``): both are
+    ignored."""
     if data is None:
         return None
     try:
         return ErrorMetrics(
             er=float(data["er"]),
             es=int(data["es"]),
-            observed_es=int(data["observed_es"]),
             rs_maximum=int(data["rs_maximum"]),
             num_vectors=int(data["num_vectors"]),
-            es_mode=str(data["es_mode"]),
             es_bound=None if data.get("es_bound") is None else int(data["es_bound"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

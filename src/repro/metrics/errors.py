@@ -51,30 +51,26 @@ class ErrorMetrics:
     er:
         Estimated error rate in [0, 1].
     es:
-        Error significance: the largest simulated deviation.
-    observed_es:
-        Largest absolute deviation actually seen during simulation
-        (a lower bound on the true ES).
-    rs:
-        ER x ES.
+        Error significance: the largest absolute deviation seen during
+        simulation (a lower bound on the true ES).
     rs_maximum:
         The circuit's RS_max used for normalization.
     num_vectors:
         Simulation batch size behind the ER estimate.
-    es_mode:
-        How the commit was decided: ``"hybrid"`` (an ES-ATPG threshold
-        query) or ``"redundant"`` (a PODEM-proven redundant fault).
     es_bound:
         The proven ES ceiling when the ES-ATPG refuted the threshold.
     """
 
     er: float
     es: int
-    observed_es: int
     rs_maximum: int
     num_vectors: int
-    es_mode: str
     es_bound: Optional[int] = None
+
+    @property
+    def observed_es(self) -> int:
+        """The simulated ES: the same value as :attr:`es`."""
+        return self.es
 
     @property
     def rs(self) -> float:
@@ -89,5 +85,5 @@ class ErrorMetrics:
     def __str__(self) -> str:
         return (
             f"ER={self.er:.4f} ES={self.es} RS={self.rs:.2f} "
-            f"(%RS={self.rs_pct:.4g}, es_mode={self.es_mode})"
+            f"(%RS={self.rs_pct:.4g})"
         )

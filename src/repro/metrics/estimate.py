@@ -129,10 +129,8 @@ class MetricsEstimator:
             return ErrorMetrics(
                 er=er,
                 es=observed,
-                observed_es=observed,
                 rs_maximum=self.rs_maximum,
                 num_vectors=self.num_vectors,
-                es_mode="hybrid",
                 es_bound=es_bound,
             )
 

@@ -12,8 +12,8 @@ events, live on a TTY line or from a journal on disk, and
 ``repro.obs.compare`` diffs two run journals iteration-by-iteration.
 ``repro.obs.quality`` (DESIGN.md §10) is the
 statistical-quality layer: Wilson-score confidence intervals for
-sampled ER estimates, per-iteration estimator-calibration events, and
-the ``repro audit`` provenance trail.
+sampled ER estimates and the ``repro audit`` provenance trail
+(predicted vs. realized per committed step).
 ``repro.obs.metrics_export`` renders the job server's ``/v1/metrics``
 OpenMetrics/Prometheus text and checks it against the grammar.
 ``repro.obs.postmortem`` (DESIGN.md §15) backs ``repro postmortem``:
@@ -48,7 +48,6 @@ from .quality import (
     DEFAULT_Z,
     audit_events,
     audit_file,
-    calibration_event,
     er_interval,
     exact_er_check,
     render_audit,
@@ -96,7 +95,6 @@ __all__ = [
     "DEFAULT_Z",
     "wilson_interval",
     "er_interval",
-    "calibration_event",
     "audit_events",
     "audit_file",
     "render_audit",

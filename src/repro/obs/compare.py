@@ -28,6 +28,7 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .journal import JournalError, load_journal
+from .quality import audit_events
 from .report import collect_counters, collect_timers, derived_counter_rows
 
 __all__ = ["compare_runs", "compare_files", "render_compare"]
@@ -41,7 +42,6 @@ _DIVERGENCE_FIELDS = (
     "area_after",
     "er",
     "es",
-    "observed_es",
     "rs",
     "fom",
     "candidates_evaluated",
@@ -121,22 +121,13 @@ def _side_view(events: Sequence[Dict]) -> Dict:
     header = next((e for e in events if e.get("event") == "run_start"), None)
     summary = next((e for e in events if e.get("event") == "summary"), None)
     iterations = [e for e in events if e.get("event") == "iteration"]
-    calibrations = [e for e in events if e.get("event") == "calibration"]
-    # Pre-v3 journals carry no calibration events: budget risk is
-    # unknown (None), not zero.
-    version = (header or {}).get("version")
-    budget_risk = (
-        sum(1 for e in calibrations if e.get("budget_risk"))
-        if (version is not None and version >= 3)
-        else None
-    )
     view: Dict = {
         "circuit": header.get("circuit") if header else None,
         "fom": (header or {}).get("config", {}).get("fom"),
         "seed": header.get("seed") if header else None,
         "rs_threshold": header.get("rs_threshold") if header else None,
         "iterations": len(iterations),
-        "budget_risk": budget_risk,
+        "budget_risk": audit_events(events)["budget_risk_count"],
         "complete": summary is not None,
         "_iterations": iterations,
     }

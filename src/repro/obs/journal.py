@@ -4,13 +4,14 @@ A journal is an append-only sequence of JSON objects, one per line:
 
 * ``run_start`` -- run header: circuit identity (name/inputs/outputs/
   area), RS threshold, greedy config, seed and vector-batch size;
-* ``iteration`` -- one committed simplification step: the accepted
-  fault, area before/after, ER/ES/RS of the cumulative change plus the
-  deltas against the previous step, FOM value, candidates evaluated,
-  per-phase wall times and the counter deltas (cache hits, vectors
-  simulated, ATPG effort) attributable to the step.  Prepass
-  (redundancy) injections carry ``"phase": "prepass"``, greedy commits
-  ``"phase": "greedy"``;
+* ``iteration`` -- one committed simplification step, and its only
+  record: the accepted fault, area before/after, ER/ES/RS of the
+  cumulative change, the ES-ATPG's proven ``es_bound``, the
+  ``predicted`` ER/ES/area delta the candidate ranking chose the fault
+  on, FOM value, candidates evaluated, per-phase wall times and the
+  counter deltas (cache hits, vectors simulated, ATPG effort)
+  attributable to the step.  Prepass (redundancy) injections carry
+  ``"phase": "prepass"``, greedy commits ``"phase": "greedy"``;
 * ``summary`` -- final metrics, totals, and the full instrumentation
   snapshot (timers/counters/gauges).
 
@@ -38,16 +39,13 @@ record commit-phase rejections (rebuilding the greedy loop's banned set
 on resume), and a ``resume`` event marks each continuation of an
 interrupted run.
 
-Version 3 adds estimator-calibration observability
-(:mod:`repro.obs.quality`): each committed iteration is followed by a
+Version 3 added estimator-calibration observability
+(:mod:`repro.obs.quality`): each committed iteration was followed by a
 ``calibration`` event pairing the *predicted* ER/ES/area deltas the
 candidate ranking saw at selection time with the *realized* commit
 measurement, the ER sample size, the Wilson-score confidence interval,
 and the budget-risk flag (CI upper bound crosses the RS threshold
-although the point estimate did not).  ``repro audit`` renders these;
-v2 journals (no calibration events) still load everywhere, with the
-calibration view degrading to CI bands recomputed from the journaled
-ER and batch size.
+although the point estimate did not).
 
 Version 4 added ``telemetry`` events (periodic RSS/CPU/throughput
 samples).  This build writes none but still reads them: ``telemetry``
@@ -56,6 +54,16 @@ hold samples load, resume and render, and every reader ignores the
 samples.  :meth:`RunJournal.emit` serializes
 concurrent emitters under a lock; the one-write-per-line durability
 contract is unchanged.
+
+Version 5 makes the ``iteration`` event the one record of a committed
+step: it carries the ``predicted`` block (``er``/``es``/``area_delta``)
+and drops the fields that repeated another (``observed_es`` equals
+``es``, ``es_mode`` restates ``phase``, ``delta_er``/``delta_es``/
+``delta_rs`` are differences of consecutive events).  No
+``calibration`` event is written; it stays in :data:`REQUIRED_KEYS`,
+as ``telemetry`` does, so v3/v4 journals load, resume and audit.  The
+summary adds ``final_es_bound``.
+
 Readers that only understand older event sets pass
 ``skip_unknown=True`` to :func:`read_journal` / :func:`load_journal`
 (``report``/``compare``/``audit`` do), so future event types degrade
@@ -82,7 +90,7 @@ __all__ = [
     "truncate_torn_tail",
 ]
 
-JOURNAL_VERSION = 4
+JOURNAL_VERSION = 5
 
 #: Required keys per event type.  ``iteration`` deliberately does not
 #: require ``phase_times``/``counters``/``fault_detail`` -- they are
@@ -110,11 +118,7 @@ REQUIRED_KEYS: Dict[str, tuple] = {
         "area_after",
         "er",
         "es",
-        "observed_es",
         "rs",
-        "delta_er",
-        "delta_es",
-        "delta_rs",
         "fom",
         "candidates_evaluated",
     ),

@@ -13,21 +13,17 @@ inspectable artifact of every run:
   interval gets wrong: ``k=0`` gives a nonzero upper bound (the rule of
   three), ``k=n`` a sub-1 lower bound, and the interval always contains
   the point estimate;
-* :func:`calibration_event` -- the journal v3 ``calibration`` event:
-  for each committed iteration, the *predicted* ER/ES/area deltas the
-  candidate ranking saw at selection time next to the *realized* values
-  the commit measurement produced, plus the ER confidence interval and
-  the **budget-risk** flag.  An iteration is budget-risk when its RS
-  point estimate satisfied the threshold but the CI upper bound does
-  not: ``rs <= rs_threshold < er_ci_hi * es``.  Exact (exhaustive-
-  batch) ER estimates carry a zero-width interval and can never be
-  budget-risk;
 * :func:`audit_events` / :func:`render_audit` / :func:`audit_file` --
   the ``repro audit`` view: full per-iteration provenance (FOM at
-  selection, predicted vs. realized deltas, cumulative RS with its CI
-  band), with v2 journals degrading gracefully (no predicted columns;
-  CI and budget risk are recomputed from the journaled ER and batch
-  size);
+  selection, the *predicted* ER/ES/area deltas the candidate ranking
+  saw at selection time vs. the *realized* commit measurement,
+  cumulative RS with its CI band) and the **budget-risk** flag.  An
+  iteration is budget-risk when its RS point estimate satisfied the
+  threshold but the CI upper bound does not: ``rs <= rs_threshold <
+  er_ci_hi * es``.  Exact (exhaustive-batch) ER estimates carry a
+  zero-width interval and can never be budget-risk.  The interval and
+  the flag are derived from the iteration event and the header; v2
+  journals audit without predicted columns;
 * :func:`exact_er_check` -- the ``--exact`` cross-check: replay the
   journaled faults through the Overlay engine and compare the final ER
   against the BDD engine's exact value; agreement means the exact ER
@@ -38,12 +34,11 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 __all__ = [
     "DEFAULT_Z",
     "wilson_interval",
-    "calibration_event",
     "audit_events",
     "audit_file",
     "render_audit",
@@ -96,64 +91,19 @@ def er_interval(
 
 
 # ----------------------------------------------------------------------
-# journal v3 calibration events
-# ----------------------------------------------------------------------
-def calibration_event(
-    index: int,
-    fault: str,
-    metrics,
-    area_delta: int,
-    rs_threshold: float,
-    predicted: Optional[Dict] = None,
-    exact: bool = False,
-    z: float = DEFAULT_Z,
-) -> Dict:
-    """Build one journal v3 ``calibration`` event for a committed step.
-
-    ``metrics`` is the step's realized :class:`~repro.metrics.errors.
-    ErrorMetrics`; ``predicted`` carries the candidate ranking's
-    selection-time view (``er``/``es``/``area_delta``/``fom``) or
-    ``None`` for steps that were never ranked (prepass injections are
-    PODEM-proven free, i.e. predicted zeros).
-    """
-    ci_lo, ci_hi = er_interval(metrics.er, metrics.num_vectors, z=z, exact=exact)
-    budget_risk = metrics.rs <= rs_threshold < ci_hi * metrics.es
-    return {
-        "event": "calibration",
-        "index": index,
-        "fault": fault,
-        "predicted": predicted,
-        "realized": {
-            "er": metrics.er,
-            "es": metrics.es,
-            "observed_es": metrics.observed_es,
-            "rs": metrics.rs,
-            "area_delta": area_delta,
-        },
-        "num_vectors": metrics.num_vectors,
-        "er_ci": [ci_lo, ci_hi],
-        "rs_ci": [ci_lo * metrics.es, ci_hi * metrics.es],
-        "rs_threshold": rs_threshold,
-        "z": z,
-        "budget_risk": budget_risk,
-    }
-
-
-# ----------------------------------------------------------------------
 # audit: per-iteration provenance with CI bands
 # ----------------------------------------------------------------------
 def audit_events(events: Sequence[Dict]) -> Dict:
     """Structured quality audit of one journal event stream.
 
-    Joins each ``iteration`` event with its ``calibration`` event (v3)
-    by journal order.  Pre-v3 journals have no calibration events; the
-    predicted columns are then absent (``None``) while the confidence
-    interval and the budget-risk flag are recomputed from the journaled
-    ER, the run's batch size, and the ``exhaustive`` config flag -- the
-    audit degrades, it does not refuse.  Every interval uses the one
-    normal quantile the journal's calibration events record
-    (:data:`DEFAULT_Z` when there are none), so the final band is at
-    the same confidence level as the per-iteration ones.
+    Every row's confidence interval and budget-risk flag are derived
+    from the iteration event's ER/ES/RS, the header's batch size, RS
+    threshold and ``exhaustive`` flag, at :data:`DEFAULT_Z`, the final
+    band's level too.  The prediction is the iteration event's
+    ``predicted`` block (v5); v3/v4 journals stored it in the
+    ``calibration`` event that followed the iteration, and pre-v3
+    journals have none (``None``, ``calibrated`` false) -- the audit
+    degrades, it does not refuse.
     """
     header = next((e for e in events if e.get("event") == "run_start"), None)
     summary = next((e for e in events if e.get("event") == "summary"), None)
@@ -163,9 +113,6 @@ def audit_events(events: Sequence[Dict]) -> Dict:
         for e in events
         if e.get("event") == "calibration"
     }
-    z = next(
-        (float(e["z"]) for e in calibrations.values() if "z" in e), DEFAULT_Z
-    )
 
     rs_threshold = float(header["rs_threshold"]) if header else float("inf")
     num_vectors = int(header["num_vectors"]) if header else 0
@@ -175,17 +122,12 @@ def audit_events(events: Sequence[Dict]) -> Dict:
     rows: List[Dict] = []
     risk_count = 0
     for ev in iterations:
-        cal = calibrations.get((ev["index"], ev["fault"]))
-        if cal is not None:
-            er_ci = tuple(cal["er_ci"])
-            budget_risk = bool(cal["budget_risk"])
-            predicted = cal.get("predicted")
-            n = cal["num_vectors"]
-        else:
-            n = num_vectors
-            er_ci = er_interval(float(ev["er"]), n, z=z, exact=exact)
-            budget_risk = float(ev["rs"]) <= rs_threshold < er_ci[1] * ev["es"]
-            predicted = None
+        source = (
+            ev if "predicted" in ev
+            else calibrations.get((ev["index"], ev["fault"]))
+        )
+        er_ci = er_interval(float(ev["er"]), num_vectors, exact=exact)
+        budget_risk = float(ev["rs"]) <= rs_threshold < er_ci[1] * ev["es"]
         if budget_risk:
             risk_count += 1
         rows.append(
@@ -194,19 +136,18 @@ def audit_events(events: Sequence[Dict]) -> Dict:
                 "phase": ev["phase"],
                 "fault": ev["fault"],
                 "fom": ev.get("fom"),
-                "predicted": predicted,
+                "predicted": source.get("predicted") if source else None,
                 "realized": {
                     "er": ev["er"],
                     "es": ev["es"],
-                    "observed_es": ev["observed_es"],
                     "rs": ev["rs"],
                     "area_delta": ev["area_before"] - ev["area_after"],
                 },
-                "num_vectors": n,
+                "num_vectors": num_vectors,
                 "er_ci": [er_ci[0], er_ci[1]],
                 "rs_ci": [er_ci[0] * ev["es"], er_ci[1] * ev["es"]],
                 "budget_risk": budget_risk,
-                "calibrated": cal is not None,
+                "calibrated": source is not None,
             }
         )
 
@@ -221,7 +162,7 @@ def audit_events(events: Sequence[Dict]) -> Dict:
         last = rows[-1]["realized"]
         final = {"er": last["er"], "es": last["es"], "rs": last["rs"]}
     final_ci = (
-        er_interval(float(final["er"]), num_vectors, z=z, exact=exact)
+        er_interval(float(final["er"]), num_vectors, exact=exact)
         if final["er"] is not None
         else None
     )
@@ -232,7 +173,7 @@ def audit_events(events: Sequence[Dict]) -> Dict:
         "rs_threshold": rs_threshold if header else None,
         "num_vectors": num_vectors,
         "exact_batch": exact,
-        "z": z,
+        "z": DEFAULT_Z,
         "complete": summary is not None,
         "iterations": rows,
         "budget_risk_count": risk_count,

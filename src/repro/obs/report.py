@@ -192,12 +192,14 @@ def report_as_dict(events: Sequence[Dict], top_k: int = 12) -> Dict:
 
     Run header/status, phase times (total, self, share of the top-level
     basis, calls; ranked by self time), the attribution of wall-clock
-    time to top-level spans, the iteration table, the top-k counter
+    time to top-level spans, the iteration table (``delta_rs`` is a
+    row's RS minus the previous row's), the top-k counter
     table with the pinned ``quality.*`` rows, the derived cache
     hit-rates as exact ``hits``/``total`` integers, and the gauges.
     """
     header = next((e for e in events if e.get("event") == "run_start"), None)
     iterations = [e for e in events if e.get("event") == "iteration"]
+    rs_before = [0.0] + [e["rs"] for e in iterations]
     summary = next((e for e in events if e.get("event") == "summary"), None)
     h = header or {}
     s = summary or {}
@@ -244,11 +246,11 @@ def report_as_dict(events: Sequence[Dict], top_k: int = 12) -> Dict:
                 "er": ev["er"],
                 "es": ev["es"],
                 "rs": ev["rs"],
-                "delta_rs": ev["delta_rs"],
+                "delta_rs": ev["rs"] - prev_rs,
                 "fom": ev.get("fom"),
                 "candidates_evaluated": ev["candidates_evaluated"],
             }
-            for ev in iterations
+            for ev, prev_rs in zip(iterations, rs_before)
         ],
         "counters": dict(_counter_table(counters, top_k)),
         "gauges": collect_gauges(events),

@@ -87,7 +87,6 @@ class CheckpointState:
     header: Dict
     iteration_events: List[Dict] = field(default_factory=list)
     rejection_events: List[Dict] = field(default_factory=list)
-    calibration_events: List[Dict] = field(default_factory=list)
     summary: Optional[Dict] = None
     resumes: int = 0
 
@@ -220,12 +219,6 @@ def _state_from_events(path: str, events: List[Dict], header: Dict) -> Checkpoin
             state.iteration_events.append(ev)
         elif etype == "rejection":
             state.rejection_events.append(ev)
-        elif etype == "calibration":
-            # v3 quality observability; replay does not need them, but
-            # the audit command reads them through this state, and a
-            # truncated trailing calibration event must not poison
-            # resume.
-            state.calibration_events.append(ev)
         elif etype == "resume":
             state.resumes += 1
         elif etype == "summary":
@@ -248,7 +241,6 @@ class ReplayedRun:
     start_iteration: int
     current_rs: float
     final_metrics: Optional[ErrorMetrics]
-    prev_metrics: Tuple[float, int, float]  # (er, es, rs) journal delta cursor
 
 
 def replay_checkpoint(
@@ -275,7 +267,6 @@ def replay_checkpoint(
     prepass_seen = False
     last_greedy_index: Optional[int] = None
     final_metrics: Optional[ErrorMetrics] = None
-    prev = (0.0, 0, 0.0)
 
     for ev in state.iteration_events:
         fault = fault_from_detail(ev["fault_detail"])
@@ -305,10 +296,8 @@ def replay_checkpoint(
         metrics = ErrorMetrics(
             er=float(ev["er"]),
             es=int(ev["es"]),
-            observed_es=int(ev["observed_es"]),
             rs_maximum=int(rs_maximum),
             num_vectors=state.num_vectors,
-            es_mode=ev.get("es_mode", "hybrid"),
             es_bound=ev.get("es_bound"),
         )
         rec = IterationRecord(
@@ -323,7 +312,6 @@ def replay_checkpoint(
         )
         iterations.append(rec)
         faults.append(fault)
-        prev = (metrics.er, metrics.es, metrics.rs)
         if ev["phase"] == "prepass":
             prepass_seen = True
         else:
@@ -345,7 +333,6 @@ def replay_checkpoint(
         start_iteration=0 if last_greedy_index is None else last_greedy_index + 1,
         current_rs=current_rs,
         final_metrics=final_metrics,
-        prev_metrics=prev,
     )
 
 

@@ -330,6 +330,7 @@ def circuit_simplify(
         )
         if tee is not None:
             snap = obs.snapshot_since(baseline)
+            final = result.final_metrics
             tee.emit(
                 {
                     "event": "summary",
@@ -338,9 +339,10 @@ def circuit_simplify(
                     "area_before": circuit.area(),
                     "area_after": result.simplified.area(),
                     "area_reduction_pct": result.area_reduction_pct,
-                    "final_er": result.final_metrics.er if result.final_metrics else None,
-                    "final_es": result.final_metrics.es if result.final_metrics else None,
-                    "final_rs": result.final_metrics.rs if result.final_metrics else None,
+                    "final_er": final.er if final else None,
+                    "final_es": final.es if final else None,
+                    "final_rs": final.rs if final else None,
+                    "final_es_bound": final.es_bound if final else None,
                     "elapsed_s": time.perf_counter() - t_run,
                     "timers": snap["timers"],
                     "counters": snap["counters"],
@@ -379,7 +381,12 @@ def _rebuild_complete_result(
     replay,
     maximum: float,
 ) -> GreedyResult:
-    """Reconstruct the finished GreedyResult a complete checkpoint holds."""
+    """Reconstruct the finished GreedyResult a complete checkpoint holds.
+
+    Without a committed greedy step the final metrics are the trailing
+    ``finalize`` check's, which only the summary records (a summary
+    written before ``final_es_bound`` existed rebuilds ``es_bound=None``).
+    """
     result = GreedyResult(
         original=circuit,
         simplified=replay.current,
@@ -392,13 +399,13 @@ def _rebuild_complete_result(
     if result.final_metrics is None and state.summary is not None:
         s = state.summary
         if s.get("final_er") is not None:
+            bound = s.get("final_es_bound")
             result.final_metrics = ErrorMetrics(
                 er=float(s["final_er"]),
                 es=int(s["final_es"]),
-                observed_es=int(s["final_es"]),
                 rs_maximum=int(maximum),
                 num_vectors=state.num_vectors,
-                es_mode="hybrid",
+                es_bound=None if bound is None else int(bound),
             )
     return result
 
@@ -430,7 +437,6 @@ def _run_greedy(
         # original netlist and journal only the injections the
         # checkpoint does not hold yet.
         journaled_prepass, replay = replay.faults, None
-    prev = _MetricsCursor()
     start_iteration = 0
     current_rs = 0.0
     reference: Optional[Circuit] = None
@@ -444,7 +450,6 @@ def _run_greedy(
         current_rs = replay.current_rs
         reference = replay.reference
         banned = set(replay.banned)
-        prev.er, prev.es, prev.rs = replay.prev_metrics
     current = result.simplified
     memo = _PreviewMemo(obs)
 
@@ -460,16 +465,10 @@ def _run_greedy(
                 "checkpointed injections"
             )
         for rec in result.iterations[done:]:
-            _emit_iteration(journal, rec, prev)
             # Prepass injections are PODEM-proven free: the selection-
             # time prediction is exactly zero ER and ES.
-            _emit_calibration(
-                journal,
-                rec,
-                predicted={"er": 0.0, "es": 0,
-                           "area_delta": rec.area_delta, "fom": None},
-                threshold=threshold,
-                exhaustive=cfg.exhaustive,
+            _emit_iteration(
+                journal, rec, {"er": 0.0, "es": 0, "area_delta": rec.area_delta}
             )
         if result.faults:
             # Every prepass injection is PODEM-proven function
@@ -545,18 +544,10 @@ def _run_greedy(
                     result.final_metrics = metrics
                     committed = True
                     obs.incr("greedy.commits_accepted")
-                    _emit_iteration(journal, rec, prev)
-                    _emit_calibration(
+                    _emit_iteration(
                         journal,
                         rec,
-                        predicted={
-                            "er": pred_er,
-                            "es": pred_es,
-                            "area_delta": pred_delta,
-                            "fom": fom_value if math.isfinite(fom_value) else None,
-                        },
-                        threshold=threshold,
-                        exhaustive=cfg.exhaustive,
+                        {"er": pred_er, "es": pred_es, "area_delta": pred_delta},
                     )
                     break
             if not committed:
@@ -574,74 +565,33 @@ def _run_greedy(
             )
 
 
-class _MetricsCursor:
-    """Tracks the previous step's ER/ES/RS for journal delta fields."""
-
-    __slots__ = ("er", "es", "rs")
-
-    def __init__(self) -> None:
-        self.er = 0.0
-        self.es = 0
-        self.rs = 0.0
-
-
 def _emit_iteration(
-    journal: Optional[JournalTee], rec: IterationRecord, prev: _MetricsCursor
+    journal: Optional[JournalTee], rec: IterationRecord, predicted: Dict
 ) -> None:
-    """Emit one iteration event; advances the delta cursor either way."""
-    m = rec.metrics
-    if journal is not None:
-        journal.emit(
-            {
-                "event": "iteration",
-                "index": rec.index,
-                "phase": rec.phase,
-                "fault": str(rec.fault),
-                "fault_detail": fault_detail(rec.fault),
-                "area_before": rec.area_before,
-                "area_after": rec.area_after,
-                "er": m.er,
-                "es": m.es,
-                "observed_es": m.observed_es,
-                "rs": m.rs,
-                "es_mode": m.es_mode,
-                "es_bound": m.es_bound,
-                "delta_er": m.er - prev.er,
-                "delta_es": m.es - prev.es,
-                "delta_rs": m.rs - prev.rs,
-                "fom": rec.fom_value if math.isfinite(rec.fom_value) else None,
-                "candidates_evaluated": rec.candidates_evaluated,
-                "phase_times": rec.phase_times,
-                "counters": rec.counters,
-            }
-        )
-    prev.er, prev.es, prev.rs = m.er, m.es, m.rs
-
-
-def _emit_calibration(
-    journal: Optional[JournalTee],
-    rec: IterationRecord,
-    predicted: Optional[Dict],
-    threshold: float,
-    exhaustive: bool,
-) -> None:
-    """Journal the v3 calibration event for one committed step: the
-    selection-time prediction next to the realized commit measurement,
-    with the ER confidence interval and the budget-risk flag."""
+    """Journal one committed step, with ``predicted``: the ER, ES and
+    area delta the candidate ranking saw when it chose the fault."""
     if journal is None:
         return
-    from ..obs.quality import calibration_event
-
+    m = rec.metrics
     journal.emit(
-        calibration_event(
-            index=rec.index,
-            fault=str(rec.fault),
-            metrics=rec.metrics,
-            area_delta=rec.area_delta,
-            rs_threshold=threshold,
-            predicted=predicted,
-            exact=exhaustive,
-        )
+        {
+            "event": "iteration",
+            "index": rec.index,
+            "phase": rec.phase,
+            "fault": str(rec.fault),
+            "fault_detail": fault_detail(rec.fault),
+            "area_before": rec.area_before,
+            "area_after": rec.area_after,
+            "er": m.er,
+            "es": m.es,
+            "rs": m.rs,
+            "es_bound": m.es_bound,
+            "predicted": predicted,
+            "fom": rec.fom_value if math.isfinite(rec.fom_value) else None,
+            "candidates_evaluated": rec.candidates_evaluated,
+            "phase_times": rec.phase_times,
+            "counters": rec.counters,
+        }
     )
 
 
@@ -746,10 +696,8 @@ def _apply_redundancy_prepass(
                 metrics=ErrorMetrics(
                     er=0.0,
                     es=0,
-                    observed_es=0,
                     rs_maximum=estimator.rs_maximum,
                     num_vectors=estimator.num_vectors,
-                    es_mode="redundant",
                 ),
                 fom_value=float("inf"),
                 candidates_evaluated=len(tries),
@@ -872,8 +820,8 @@ def _rank_candidates(
 
     Each entry is ``(fom, fault, simulated_rs, er, observed_es,
     area_delta)`` -- the trailing triple is the selection-time
-    *prediction* the calibration events pair with the realized commit
-    measurement.  ``memo`` carries the run's area previews of
+    *prediction* the committed step's journal event carries next to the
+    realized commit measurement.  ``memo`` carries the run's area previews of
     ``current`` (a fresh one by default).
     """
     memo = memo if memo is not None else _PreviewMemo(estimator.obs)

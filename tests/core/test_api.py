@@ -181,6 +181,29 @@ def test_stored_outcome_es_mode_loads_and_fingerprints_the_same(outcome, es_mode
     assert loaded.final_metrics == outcome.final_metrics
 
 
+def test_stored_outcome_with_retired_metric_fields_loads(outcome):
+    """Outcomes (and result-cache entries) stored while ``ErrorMetrics``
+    had ``observed_es`` (always equal to ``es``) and ``es_mode``
+    (restated by the iteration's ``phase``) carry both in every metrics
+    payload.  They are ignored: the outcome loads equal to a fresh one."""
+    data = json.loads(outcome.to_json())
+    res = data["result"]
+    stored = [(res["final_metrics"], "hybrid")] + [
+        (it["metrics"], "redundant" if it["phase"] == "prepass" else "hybrid")
+        for it in res["iterations"]
+    ]
+    for metrics, es_mode in stored:
+        assert "observed_es" not in metrics and "es_mode" not in metrics
+        metrics.update(observed_es=metrics["es"], es_mode=es_mode)
+    loaded = SimplifyOutcome.from_json(json.dumps(data))
+    fresh = SimplifyOutcome.from_json(outcome.to_json())
+    assert loaded.to_json() == fresh.to_json()
+    assert loaded.final_metrics == outcome.final_metrics
+    assert [r.metrics for r in loaded.iterations] == [
+        r.metrics for r in outcome.iterations
+    ]
+
+
 @pytest.mark.parametrize("where", ["request", "config"])
 def test_stored_outcome_that_skipped_the_atpg_is_refused(outcome, where):
     """An outcome of an ``es_mode="simulated"`` run committed without

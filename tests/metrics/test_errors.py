@@ -6,14 +6,7 @@ from repro.metrics import ErrorMetrics, rs_max, rs_percent
 
 
 def make(er=0.5, es=8, **kw):
-    defaults = dict(
-        er=er,
-        es=es,
-        observed_es=es,
-        rs_maximum=31,
-        num_vectors=1000,
-        es_mode="hybrid",
-    )
+    defaults = dict(er=er, es=es, rs_maximum=31, num_vectors=1000)
     defaults.update(kw)
     return ErrorMetrics(**defaults)
 
@@ -44,3 +37,7 @@ def test_rs_percent_zero_max():
 def test_str_contains_fields():
     s = str(make())
     assert "ER=" in s and "ES=" in s and "RS=" in s
+
+
+def test_observed_es_reads_es():
+    assert make(es=8).observed_es == 8

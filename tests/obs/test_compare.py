@@ -143,6 +143,31 @@ def test_golden_c17_different_fom_diverges_at_first_greedy_pick():
     assert "A='G1 SA0' B='G3 SA0'" in out
 
 
+@pytest.mark.parametrize("stored", [GOLDEN_A, GOLDEN_B], ids=os.path.basename)
+def test_fresh_run_of_a_stored_config_reads_as_the_same_run(stored, tmp_path):
+    """This build's run of a stored v4 journal's configuration writes a
+    v5 journal (one line per committed step) that every reader reads as
+    the stored run: zero divergence, the same budget-risk count, the
+    same rendered audit and the same report rows."""
+    from repro.obs import audit_file, load_journal, render_audit, report_as_dict
+    from repro.parallel.checkpoint import greedy_config_from
+    from repro.simplify import circuit_simplify
+    from tests.conftest import build_c17
+
+    header = load_journal(stored)[0]
+    fresh = tmp_path / "fresh.jsonl"
+    circuit_simplify(
+        build_c17(), rs_threshold=header["rs_threshold"],
+        config=greedy_config_from(header["config"]), journal=fresh,
+    )
+    cmp = compare_files(stored, fresh)
+    assert cmp["identical_trajectory"] and cmp["first_divergence"] is None
+    assert cmp["a"]["budget_risk"] == cmp["b"]["budget_risk"] == 0
+    assert render_audit(audit_file(stored)) == render_audit(audit_file(fresh))
+    rows = [report_as_dict(load_journal(p))["iterations"] for p in (stored, fresh)]
+    assert rows[0] == rows[1]
+
+
 def test_render_compare_sections():
     cmp = compare_files(GOLDEN_A, GOLDEN_B)
     out = render_compare(cmp)

@@ -1,7 +1,8 @@
-"""Quality observability: Wilson intervals, calibration events, audit."""
+"""Quality observability: Wilson intervals, the predicted block, audit."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.obs import (
     er_interval,
     load_journal,
     render_audit,
+    report_as_dict,
     wilson_interval,
 )
 from repro.simplify import GreedyConfig, circuit_simplify
@@ -22,6 +24,16 @@ from repro.simplify import GreedyConfig, circuit_simplify
 from tests.conftest import build_c17
 
 Z2 = DEFAULT_Z * DEFAULT_Z
+
+#: Stored state, never regenerated: v4 journals, whose every committed
+#: step is an iteration event followed by its calibration event (the
+#: c880 one is cut between the two).
+_TESTS = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STORED_V4 = [
+    os.path.join(_TESTS, "obs", "golden_c17_run_a.jsonl"),
+    os.path.join(_TESTS, "obs", "golden_c17_run_b.jsonl"),
+    os.path.join(_TESTS, "data", "c880_prepass_cut.jsonl"),
+]
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +139,7 @@ def test_er_test_set_confidence_contains_estimates():
 
 
 # ----------------------------------------------------------------------
-# calibration events in live runs
+# the predicted block in live runs
 # ----------------------------------------------------------------------
 def _run_c17(tmp_path, **over):
     path = tmp_path / "c17.jsonl"
@@ -144,28 +156,29 @@ def _run_c17(tmp_path, **over):
     return path, result
 
 
-def test_exhaustive_run_emits_one_calibration_per_iteration(tmp_path):
+def test_exhaustive_run_journals_one_line_per_committed_step(tmp_path):
     path, result = _run_c17(tmp_path)
     events = load_journal(path, strict=True)
     iters = [e for e in events if e["event"] == "iteration"]
-    cals = [e for e in events if e["event"] == "calibration"]
-    assert result.iterations and len(cals) == len(iters)
-    for it, cal in zip(iters, cals):
-        assert (cal["index"], cal["fault"]) == (it["index"], it["fault"])
-        # exhaustive batch: exact ER, zero-width interval, no budget risk
-        assert cal["er_ci"] == [it["er"], it["er"]]
-        assert cal["budget_risk"] is False
-        assert cal["realized"]["er"] == it["er"]
+    assert not [e for e in events if e["event"] == "calibration"]
+    assert result.iterations and len(iters) == len(result.iterations)
+    assert len(iters) == events[-1]["iterations"]
+    for it in iters:
+        assert not {"observed_es", "es_mode", "delta_er", "delta_es",
+                    "delta_rs"} & set(it)
         if it["phase"] == "greedy":
             # ranking and commit share the exhaustive batch: the
             # prediction must be realized exactly
-            assert cal["predicted"]["er"] == it["er"]
+            assert it["predicted"]["er"] == it["er"]
         else:  # prepass: PODEM-proven free, predicted zeros
-            assert cal["predicted"] == {
+            assert it["predicted"] == {
                 "er": 0.0, "es": 0,
                 "area_delta": it["area_before"] - it["area_after"],
-                "fom": None,
             }
+    # exhaustive batch: exact ER, zero-width interval, no budget risk
+    for row in audit_events(events)["iterations"]:
+        assert row["er_ci"] == [row["realized"]["er"]] * 2
+        assert row["budget_risk"] is False
 
 
 def test_audit_of_current_run_is_fully_calibrated(tmp_path):
@@ -214,9 +227,9 @@ def test_c880_audit_renders_sampled_ci_bands(tmp_path):
 
 
 def test_audit_intervals_use_the_journals_z(tmp_path):
-    """The final band is drawn at the confidence level the journal's
-    calibration events record, the level of every iteration's band;
-    without calibration events (pre-v3 journals) it is DEFAULT_Z."""
+    """Every band, the final one included, is drawn at DEFAULT_Z, the
+    one level any journal's calibration events recorded: a fresh v5
+    journal and a stored v4 one alike."""
     from repro.benchlib import ISCAS85_SUITE
 
     path = tmp_path / "c880.jsonl"
@@ -228,24 +241,13 @@ def test_audit_intervals_use_the_journals_z(tmp_path):
         ISCAS85_SUITE["c880"].builder(), rs_pct_threshold=0.5,
         config=cfg, journal=path,
     )
-    events = load_journal(path)
-    final_er = events[-1]["final_er"]
-
-    def audited(stream):
-        journal = tmp_path / "variant.jsonl"
-        journal.write_text("".join(json.dumps(e) + "\n" for e in stream))
-        return audit_file(journal)
-
-    variants = (
-        (events, DEFAULT_Z),
-        ([dict(e, z=3.0) if e["event"] == "calibration" else e
-          for e in events], 3.0),
-        ([e for e in events if e["event"] != "calibration"], DEFAULT_Z),
-    )
-    for stream, z in variants:
-        audit = audited(stream)
-        assert audit["z"] == z
-        assert audit["final_er_ci"] == list(er_interval(final_er, 500, z=z))
+    for journal in (path, STORED_V4[-1]):
+        audit = audit_file(journal)
+        assert audit["z"] == DEFAULT_Z
+        assert audit["num_vectors"] == 500
+        assert audit["final_er_ci"] == list(er_interval(audit["final"]["er"], 500))
+        for row in audit["iterations"]:
+            assert row["er_ci"] == list(er_interval(row["realized"]["er"], 500))
 
 
 # ----------------------------------------------------------------------
@@ -330,8 +332,8 @@ def test_v2_journal_still_loads_in_report_and_compare(tmp_path):
     events = load_journal(path)
     assert "G1 SA0" in render_report(events)
     cmp = compare_files(path, path)
-    # pre-v3: budget risk is unknown, not zero
-    assert cmp["a"]["budget_risk"] is None
+    # counted by the audit's rule, from the iteration event and header
+    assert cmp["a"]["budget_risk"] == audit_file(path)["budget_risk_count"] == 1
     assert cmp["identical_trajectory"]
 
 
@@ -341,6 +343,37 @@ def test_v3_compare_counts_budget_risk(tmp_path):
     path, _result = _run_c17(tmp_path)
     cmp = compare_files(path, path)
     assert cmp["a"]["budget_risk"] == 0
+
+
+# ----------------------------------------------------------------------
+# stored v4 journals: what they stored, the readers now derive
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("path", STORED_V4, ids=os.path.basename)
+def test_stored_v4_journals_derive_their_calibration_fields(path):
+    """The audit derives each row's interval and budget-risk flag from
+    the iteration event and the header, reads the prediction from the
+    stored calibration event, and the report derives dRS: on every
+    stored row they equal the stored fields."""
+    events = load_journal(path)
+    assert events[0]["version"] == 4
+    iters = [e for e in events if e["event"] == "iteration"]
+    cals = {
+        (e["index"], e["fault"]): e for e in events if e["event"] == "calibration"
+    }
+    rows = audit_events(events)["iterations"]
+    assert len(rows) == len(iters) and cals
+    compared = 0
+    for row in rows:
+        cal = cals.get((row["index"], row["fault"]))
+        assert row["calibrated"] is (cal is not None)
+        if cal is None:  # the cut journal's last step lost its event
+            continue
+        compared += 1
+        for key in ("er_ci", "rs_ci", "budget_risk", "predicted"):
+            assert row[key] == cal[key], key
+    assert compared == len(cals)
+    report_rows = report_as_dict(events)["iterations"]
+    assert [r["delta_rs"] for r in report_rows] == [e["delta_rs"] for e in iters]
 
 
 # ----------------------------------------------------------------------
@@ -438,20 +471,14 @@ def _checkpoint_c17(tmp_path):
     return path, result
 
 
-def test_checkpoint_collects_calibration_events(tmp_path):
-    from repro.parallel import load_checkpoint
-
-    path, result = _checkpoint_c17(tmp_path)
-    state = load_checkpoint(path)
-    assert len(state.calibration_events) == len(result.iterations)
-    assert state.complete
-
-
-@pytest.mark.parametrize("cut_after", ["iteration", "calibration"])
+# A v3/v4 journal could also be cut between a step's iteration event
+# and its calibration event: the stored c880_prepass_cut.jsonl ends
+# that way and resumes (tests/parallel/test_checkpoint.py).
+@pytest.mark.parametrize("cut_after", ["iteration"])
 def test_resume_tolerates_truncated_calibration_tail(tmp_path, cut_after):
-    """A kill between an iteration event and its calibration event (or
-    right after the calibration event) leaves a clean prefix: the
-    resume must replay and finish identically to the full run."""
+    """A kill right after a step's one journal line leaves a clean
+    prefix: the resume must replay and finish identically to the full
+    run."""
     from repro.parallel import resume_from
 
     path, full = _checkpoint_c17(tmp_path)

@@ -192,6 +192,37 @@ def test_complete_checkpoint_short_circuits(adder, reference, tmp_path):
     assert obs.snapshot()["counters"]["checkpoint.already_complete"] == 1
 
 
+def test_rebuilt_run_without_a_greedy_step_keeps_its_es_bound(tmp_path):
+    """A run that commits no greedy step takes its final metrics from
+    the trailing ``finalize`` check, which only the summary records, so
+    the rebuild reads the bound from there.  A summary stored without
+    ``final_es_bound`` rebuilds ``es_bound=None``."""
+    cfg = GreedyConfig(
+        exhaustive=True, seed=0, candidate_limit=None,
+        datapath_only=False, redundancy_prepass=True,
+    )
+    ckpt = tmp_path / "run.jsonl"
+    live = circuit_simplify(
+        build_c17(), rs_threshold=0.0, config=cfg, journal=str(ckpt)
+    )
+    assert all(r.phase == "prepass" for r in live.iterations)
+    assert live.final_metrics.es_bound == 0
+    rebuilt = circuit_simplify(
+        build_c17(), rs_threshold=0.0, config=cfg, journal=str(ckpt)
+    )
+    assert rebuilt.final_metrics == live.final_metrics
+
+    lines = ckpt.read_text().splitlines(keepends=True)
+    summary = json.loads(lines[-1])
+    del summary["final_es_bound"]
+    ckpt.write_text("".join(lines[:-1]) + json.dumps(summary) + "\n")
+    stored = circuit_simplify(
+        build_c17(), rs_threshold=0.0, config=cfg, journal=str(ckpt)
+    )
+    assert stored.final_metrics.es_bound is None
+    assert stored.final_metrics.rs == live.final_metrics.rs
+
+
 def test_resume_from_adopts_checkpoint_config(adder, reference, tmp_path):
     ckpt = tmp_path / "run.jsonl"
     _run(adder, journal=str(ckpt))

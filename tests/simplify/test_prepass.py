@@ -43,7 +43,7 @@ def test_prepass_recovers_free_area_at_zero_budget():
     res = circuit_simplify(ckt, rs_threshold=0.0, config=cfg(exhaustive=True))
     # the tautological gating stage is removed for free
     assert res.area_reduction > 0
-    nred = sum(1 for r in res.iterations if r.metrics.es_mode == "redundant")
+    nred = sum(1 for r in res.iterations if r.phase == "prepass")
     assert nred == len(res.iterations)  # zero budget: only redundancies
     # and the function is exactly preserved
     est = MetricsEstimator(ckt, exhaustive=True)
@@ -54,13 +54,13 @@ def test_prepass_recovers_free_area_at_zero_budget():
 def test_prepass_marks_iterations():
     ckt = gated_adder()
     res = circuit_simplify(ckt, rs_pct_threshold=5.0, config=cfg(exhaustive=True))
-    modes = [r.metrics.es_mode for r in res.iterations]
-    assert "redundant" in modes
+    phases = [r.phase for r in res.iterations]
+    assert "prepass" in phases
     # redundant records always come first
     first_budgeted = next(
-        (i for i, m in enumerate(modes) if m != "redundant"), len(modes)
+        (i for i, p in enumerate(phases) if p != "prepass"), len(phases)
     )
-    assert all(m == "redundant" for m in modes[:first_budgeted])
+    assert all(p == "prepass" for p in phases[:first_budgeted])
 
 
 def test_prepass_plus_budget_beats_prepass_alone():
@@ -175,10 +175,9 @@ def _eager_prepass(current, cfg, estimator, result):
                 area_before=current.area(),
                 area_after=tentative.area(),
                 metrics=ErrorMetrics(
-                    er=0.0, es=0, observed_es=0,
+                    er=0.0, es=0,
                     rs_maximum=estimator.rs_maximum,
                     num_vectors=estimator.num_vectors,
-                    es_mode="redundant",
                 ),
                 fom_value=float("inf"),
                 candidates_evaluated=len(redundant),
