@@ -67,9 +67,6 @@ class ErTestSet:
     targets: List[StuckAtFault] = field(default_factory=list)
     covered: int = 0
     fault_er: Dict[StuckAtFault, float] = field(default_factory=dict)
-    #: Size of the shared candidate batch behind every ER estimate (the
-    #: sample size of the binomial proportion; 0 when unknown).
-    num_vectors: int = 0
 
     @property
     def num_tests(self) -> int:
@@ -83,20 +80,6 @@ class ErTestSet:
     def skipped_faults(self) -> int:
         """Faults whose ER is tolerable and therefore left untested."""
         return sum(1 for er in self.fault_er.values() if er <= self.er_threshold)
-
-    def er_confidence(
-        self, fault: StuckAtFault, z: float = 1.96
-    ) -> Tuple[float, float]:
-        """Wilson-score confidence interval for one fault's sampled ER.
-
-        The skip decision (``fault_er[f] <= er_threshold``) rides on a
-        point estimate; the interval says how sure that decision is --
-        a fault whose interval straddles the threshold was a close
-        call.  ``(0.0, 1.0)`` when the batch size is unknown.
-        """
-        from ..obs.quality import er_interval
-
-        return er_interval(self.fault_er[fault], self.num_vectors, z=z)
 
 
 def generate_er_tests(
@@ -172,5 +155,4 @@ def generate_er_tests(
         targets=targets,
         covered=covered,
         fault_er=fault_er,
-        num_vectors=num_candidates,
     )

@@ -79,18 +79,12 @@ class Podem:
         Combinational circuit under test.
     backtrack_limit:
         Abort threshold on the number of backtracks per fault.
-    guidance:
-        Backtrace cost heuristic: ``"level"`` uses logic depth (the
-        classic default), ``"scoap"`` uses SCOAP controllability --
-        hard-to-control inputs are driven first, which tends to fail
-        fast and cut backtracks on control-heavy circuits.
     """
 
     def __init__(
         self,
         circuit: Circuit,
         backtrack_limit: int = 20_000,
-        guidance: str = "level",
         obs: Optional[Instrumentation] = None,
     ) -> None:
         circuit.validate()
@@ -110,18 +104,6 @@ class Podem:
         }
         # fault-free values under the all-X assignment
         self._baseline = self._simulate({}, None)
-        if guidance == "scoap":
-            from ..analysis.scoap import compute_scoap
-
-            m = compute_scoap(circuit)
-            self._cost0 = m.cc0
-            self._cost1 = m.cc1
-        elif guidance == "level":
-            lv = self._levels
-            self._cost0 = {s: lv.get(s, 0) for s in circuit.signals()}
-            self._cost1 = self._cost0
-        else:
-            raise ValueError(f"unknown guidance {guidance!r}")
         # distance-to-PO used to rank D-frontier gates (propagate via
         # the shortest remaining path first)
         self._po_dist: Dict[str, int] = {}
@@ -429,15 +411,14 @@ class Podem:
                     0 if gt in (GateType.AND, GateType.NAND) else 1
                 )
                 if need_controlling:
-                    # one controlling input suffices: pick the cheapest
-                    cost = self._cost0 if cv == 0 else self._cost1
-                    pin, src = min(x_inputs, key=lambda t: cost.get(t[1], 0))
+                    # one controlling input suffices: pick the cheapest,
+                    # the one of lowest logic level
+                    pin, src = min(x_inputs, key=lambda t: self._levels.get(t[1], 0))
                     value = cv
                 else:
                     # every input must be non-controlling: attack the
-                    # hardest one first (fail fast)
-                    cost = self._cost1 if cv == 0 else self._cost0
-                    pin, src = max(x_inputs, key=lambda t: cost.get(t[1], 0))
+                    # hardest (deepest) one first (fail fast)
+                    pin, src = max(x_inputs, key=lambda t: self._levels.get(t[1], 0))
                     value = cv ^ 1
                 signal = src
                 continue

@@ -52,7 +52,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from .circuit import CircuitError, dump_bench, dump_verilog, load_bench, load_verilog
 from .core.errors import CompileError
@@ -152,28 +152,34 @@ def _add_weights_option(p: argparse.ArgumentParser) -> None:
                         "(binary: bit i of the output list weighs 2**i)")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], rule: str):
+    """An argparse type that parses the text with ``parse`` and makes a
+    value ``ok`` refuses a usage error: "must be <rule>"."""
+
+    def convert(text: str) -> Any:
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {parse.__name__} value: {text!r}"
+            ) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return convert
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a finite duration in seconds that must be > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number above 0, got {text}"
-        )
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, "at least 0")
+_positive_float = _checked(
+    float, lambda v: math.isfinite(v) and v > 0, "a finite number above 0"
+)
+_non_negative_float = _checked(
+    float, lambda v: math.isfinite(v) and v >= 0, "a finite number at least 0"
+)
+_er_threshold = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
+_image_size = _checked(int, lambda v: v > 0 and v % 8 == 0, "a positive multiple of 8")
 
 
 def _add_obs_options(p: argparse.ArgumentParser) -> None:
@@ -697,15 +703,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.set_defaults(func=cmd_table2)
 
     p = sub.add_parser("dct-study", help="Section II JPEG/DCT study")
-    p.add_argument("--size", type=int, default=256, help="test image edge length")
+    p.add_argument("--size", type=_image_size, default=256,
+                   help="test image edge length (a multiple of 8)")
     p.set_defaults(func=cmd_dct_study)
 
     p = sub.add_parser("er-tests", help="error-rate test generation (ERTG)")
     p.add_argument("netlist")
-    p.add_argument("--er", type=float, default=0.0,
+    p.add_argument("--er", type=_er_threshold, default=0.0,
                    help="test only faults with ER above this (default 0: all)")
     p.add_argument("--candidates", type=_positive_int, default=2048)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("-o", "--output", default=None, help="write vectors here")
     p.add_argument("--weights", choices=["unit", "binary"], default="binary")
     p.set_defaults(func=cmd_er_tests)
@@ -713,12 +720,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("yield", help="effective-yield analysis on a defect population")
     p.add_argument("netlist")
     p.add_argument("--chips", type=_positive_int, default=300)
-    p.add_argument("--density", type=float, default=0.8,
+    p.add_argument("--density", type=_non_negative_float, default=0.8,
                    help="expected defects per chip (Poisson lambda)")
-    p.add_argument("--rs", type=float, default=None, help="absolute RS budget")
-    p.add_argument("--rs-pct", type=float, default=None, help="RS budget in %% of RS_max")
+    budget = p.add_mutually_exclusive_group()
+    budget.add_argument("--rs", type=_non_negative_float, default=None,
+                        help="absolute RS budget")
+    budget.add_argument("--rs-pct", type=_non_negative_float, default=None,
+                        help="RS budget in %% of RS_max")
     p.add_argument("--vectors", type=_positive_int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--weights", choices=["unit", "binary"], default="binary")
     p.set_defaults(func=cmd_yield)
 
@@ -733,7 +743,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="attempts per job before a crashed run is failed "
                         "(each retry resumes from the job's checkpoint)")
     p.add_argument("--data-dir", default=".repro-service", metavar="DIR",
-                   help="durable state: job dirs, result cache, netlists")
+                   help="durable state: job dirs, result cache, logs")
     p.add_argument("--hang-timeout", type=_positive_float, default=None,
                    metavar="S",
                    help="kill a running attempt whose journal stops "

@@ -5,7 +5,7 @@ Every failure the public surfaces can report is an instance of
 
 * ``code`` -- a machine-readable snake_case string.  Codes are part of
   the wire API (the job server's error bodies carry them) and are
-  never renamed once released;
+  never renamed once released, nor reused once retired;
 * ``http_status`` -- the HTTP status the job server answers with when
   this error reaches a handler.
 
@@ -31,7 +31,6 @@ __all__ = [
     "BudgetExhaustedError",
     "CheckpointMismatchError",
     "JobNotFoundError",
-    "UnknownNetlistError",
     "QueueFullError",
     "ResultNotReadyError",
     "JobCancelledError",
@@ -108,14 +107,6 @@ class JobNotFoundError(ReproError, KeyError):
     """No job with the requested id."""
 
     code = "job_not_found"
-    http_status = 404
-
-
-class UnknownNetlistError(ReproError, KeyError):
-    """A submit referenced a netlist content hash the server has never
-    been sent."""
-
-    code = "unknown_netlist"
     http_status = 404
 
 

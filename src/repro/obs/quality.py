@@ -8,11 +8,10 @@ inspectable artifact of every run:
 * :func:`wilson_interval` -- the Wilson-score confidence interval for a
   binomial proportion, used for every sampled ER estimate in the
   pipeline (:func:`er_interval` applies it to an ER and its batch
-  size; ``ErTestSet.er_confidence`` to one fault's ER).  The
-  Wilson interval stays well-behaved at the extremes the naive normal
-  interval gets wrong: ``k=0`` gives a nonzero upper bound (the rule of
-  three), ``k=n`` a sub-1 lower bound, and the interval always contains
-  the point estimate;
+  size).  The Wilson interval stays well-behaved at the extremes the
+  naive normal interval gets wrong: ``k=0`` gives a nonzero upper bound
+  (the rule of three), ``k=n`` a sub-1 lower bound, and the interval
+  always contains the point estimate;
 * :func:`audit_events` / :func:`render_audit` / :func:`audit_file` --
   the ``repro audit`` view: full per-iteration provenance (FOM at
   selection, the *predicted* ER/ES/area deltas the candidate ranking

@@ -100,19 +100,10 @@ class ServiceClient:
         """The raw OpenMetrics exposition text."""
         return self._call("GET", "/v1/metrics", parse=False, timeout=timeout)
 
-    def upload_netlist(
-        self, bench_text: str, timeout: Optional[float] = None
-    ) -> str:
-        """Store a netlist server-side; returns its sha256 handle."""
-        return self._call(
-            "POST", "/v1/netlists", {"netlist": bench_text}, timeout=timeout
-        )["netlist_sha256"]
-
     def submit(
         self,
         request: Union[SimplifyRequest, Dict],
         netlist: Optional[str] = None,
-        netlist_sha256: Optional[str] = None,
         name: Optional[str] = None,
         timeout: Optional[float] = None,
     ) -> Dict:
@@ -122,8 +113,6 @@ class ServiceClient:
         payload: Dict[str, Any] = {"request": request}
         if netlist is not None:
             payload["netlist"] = netlist
-        if netlist_sha256 is not None:
-            payload["netlist_sha256"] = netlist_sha256
         if name is not None:
             payload["name"] = name
         return self._call("POST", "/v1/jobs", payload, timeout=timeout)

@@ -3,17 +3,16 @@
 Stdlib only (``http.server`` + threads) -- the service adds no
 dependencies beyond what the library already needs.  One
 :class:`SimplifyService` owns the durable state (job store, result
-cache, content-addressed netlist store, worker pool) and exposes the
-transport-free operations; :class:`_Handler` is a thin HTTP adapter
-mapping routes to those operations and taxonomy errors
-(:mod:`repro.core.errors`) to their stable status codes + JSON bodies.
+cache, worker pool) and exposes the transport-free operations;
+:class:`_Handler` is a thin HTTP adapter mapping routes to those
+operations and taxonomy errors (:mod:`repro.core.errors`) to their
+stable status codes + JSON bodies.
 
 API (version prefix ``/v1``; bodies are JSON unless noted):
 
 ========================== ============================================
 ``POST /v1/jobs``          submit -- ``{"request": {...},
-                           "netlist": "<bench text>"}`` or
-                           ``{"request": ..., "netlist_sha256": "..."}``.
+                           "netlist": "<bench text>"}``.
                            202 + job snapshot (200 when served from
                            cache or deduplicated against a live job).
 ``GET /v1/jobs``           list job snapshots.
@@ -28,8 +27,6 @@ API (version prefix ``/v1``; bodies are JSON unless noted):
                            for new ones); the streaming feed behind
                            ``ServiceClient.stream()``.
 ``DELETE /v1/jobs/<id>``   request cancellation (cooperative).
-``POST /v1/netlists``      upload a netlist once; returns its sha256
-                           for hash-only submissions.
 ``GET /v1/metrics``        OpenMetrics exposition (service counters
                            and queue/cache gauges).
 ``GET /v1/healthz``        liveness + version/schema info.
@@ -48,7 +45,6 @@ service logs (``<data_dir>/logs/``, see :mod:`repro.service.slog`).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -69,7 +65,6 @@ from ..core.errors import (
     ReproError,
     ResultNotReadyError,
     ServiceUnavailableError,
-    UnknownNetlistError,
     error_body,
     error_from_body,
 )
@@ -108,7 +103,6 @@ class SimplifyService:
         <data_dir>/
           jobs/<id>/...     # per-job state (see repro.service.jobs)
           cache/<key>.json  # content-addressed outcome cache
-          netlists/<sha>.bench  # content-addressed netlist store
     """
 
     def __init__(
@@ -140,8 +134,6 @@ class SimplifyService:
             hang_timeout_s=hang_timeout_s,
         )
         self.log = ServiceLog(os.path.join(self.data_dir, "logs"))
-        self.netlists_dir = os.path.join(self.data_dir, "netlists")
-        os.makedirs(self.netlists_dir, exist_ok=True)
         self.started_unix = time.time()
 
     def start(self) -> None:
@@ -173,33 +165,6 @@ class SimplifyService:
             duration_s=round(record["ended_unix"] - record["started_unix"], 6),
         )
 
-    # -- netlist store ---------------------------------------------------
-    def store_netlist(self, text: str) -> str:
-        """Store bench text content-addressed; returns its sha256."""
-        sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        path = os.path.join(self.netlists_dir, f"{sha}.bench")
-        if not os.path.exists(path):
-            # One temp file per handler thread: concurrent uploads of
-            # the same text must not rename each other's file away.
-            tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        return sha
-
-    def netlist_text(self, sha: str) -> str:
-        if not isinstance(sha, str) or not sha.isalnum():
-            raise InvalidRequestError(f"bad netlist_sha256: {sha!r}")
-        path = os.path.join(self.netlists_dir, f"{sha}.bench")
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return fh.read()
-        except FileNotFoundError:
-            raise UnknownNetlistError(
-                f"no stored netlist with sha256 {sha}; upload it via "
-                f"POST /v1/netlists or submit with a 'netlist' body"
-            ) from None
-
     # -- operations --------------------------------------------------------
     def submit(self, payload: Any) -> Tuple[int, Dict]:
         """Handle one submission; returns ``(http_status, job snapshot)``."""
@@ -209,25 +174,13 @@ class SimplifyService:
         name = payload.get("name")
         if name is not None and not isinstance(name, str):
             raise InvalidRequestError(f"'name' must be a string, got {name!r}")
-        inline = payload.get("netlist")
-        sha = payload.get("netlist_sha256")
-        if inline is not None:
-            if not isinstance(inline, str):
-                raise InvalidRequestError("'netlist' must be bench text")
-            netlist = inline
-        elif sha is not None:
-            netlist = self.netlist_text(sha)
-        else:
-            raise InvalidRequestError(
-                "submit body needs 'netlist' (bench text) or 'netlist_sha256'"
-            )
+        netlist = payload.get("netlist")
+        if not isinstance(netlist, str):
+            raise InvalidRequestError("submit body needs 'netlist' (bench text)")
         try:
             circuit = loads_bench(netlist, name=name or bench_name(netlist))
         except ValueError as exc:
             raise CompileError(f"netlist does not parse: {exc}") from exc
-        if inline is not None:
-            # Only text that parses enters the store.
-            sha = self.store_netlist(inline)
 
         key = cache_key(circuit, request)
         if key in self.cache:
@@ -245,9 +198,7 @@ class SimplifyService:
                 self.obs.incr("service.jobs_submitted")
                 logger.info("%s queued (%s)", job.id, circuit.name)
                 status = 202
-        body = job.snapshot()
-        body["netlist_sha256"] = sha
-        return status, body
+        return status, job.snapshot()
 
     def result_text(self, job_id: str) -> str:
         """The stored ``SimplifyOutcome`` JSON for a finished job."""
@@ -469,6 +420,7 @@ class _Handler(BaseHTTPRequestHandler):
         svc = self.service
         path, _, query = self.path.partition("?")
         path = path.rstrip("/")
+        job_id, sub = _job_route(path)
         if path == "/v1/healthz":
             self._send_json(200, svc.health())
         elif path == "/v1/metrics":
@@ -477,11 +429,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(
                 200, {"jobs": [j.snapshot() for j in svc.store.list()]}
             )
-        elif path.startswith("/v1/jobs/") and path.endswith("/result"):
-            job_id = path[len("/v1/jobs/") : -len("/result")]
+        elif job_id is None:
+            self._not_found()
+        elif sub == "":
+            self._send_json(200, svc.store.get(job_id).snapshot())
+        elif sub == "result":
             self._send(200, svc.result_text(job_id))
-        elif path.startswith("/v1/jobs/") and path.endswith("/events"):
-            job_id = path[len("/v1/jobs/") : -len("/events")]
+        elif sub == "events":
             params = self._query_params(query)
             try:
                 offset = int(params.get("offset") or 0)
@@ -493,9 +447,6 @@ class _Handler(BaseHTTPRequestHandler):
             if math.isnan(wait):
                 raise InvalidRequestError("wait must be a number, not NaN")
             self._send_json(200, svc.job_events(job_id, offset=offset, wait=wait))
-        elif path.startswith("/v1/jobs/") and "/" not in path[len("/v1/jobs/") :]:
-            job_id = path[len("/v1/jobs/") :]
-            self._send_json(200, svc.store.get(job_id).snapshot())
         else:
             self._not_found()
 
@@ -505,26 +456,27 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/v1/jobs":
             status, body = svc.submit(self._read_json())
             self._send_json(status, body)
-        elif path == "/v1/netlists":
-            payload = self._read_json()
-            if not isinstance(payload, dict) or not isinstance(
-                payload.get("netlist"), str
-            ):
-                raise InvalidRequestError(
-                    "body must be {'netlist': '<bench text>'}"
-                )
-            sha = svc.store_netlist(payload["netlist"])
-            self._send_json(201, {"netlist_sha256": sha})
         else:
             self._not_found()
 
     def _delete(self) -> None:
-        path = self.path.partition("?")[0].rstrip("/")
-        job_id = path[len("/v1/jobs/") :]
-        if path.startswith("/v1/jobs/") and "/" not in job_id:
+        job_id, sub = _job_route(self.path.partition("?")[0].rstrip("/"))
+        if job_id is not None and sub == "":
             self._send_json(202, self.service.cancel(job_id))
         else:
             self._not_found()
+
+
+def _job_route(path: str) -> Tuple[Optional[str], Optional[str]]:
+    """Split ``/v1/jobs/<id>[/<sub>]`` into the job id (one non-empty
+    segment) and the sub-route (``""`` when there is none); ``(None,
+    None)`` for any other path, including a deeper one."""
+    if not path.startswith("/v1/jobs/"):
+        return None, None
+    job_id, _, sub = path[len("/v1/jobs/") :].partition("/")
+    if not job_id or "/" in sub:
+        return None, None
+    return job_id, sub
 
 
 def create_server(

@@ -35,7 +35,7 @@ waste:
   ``ER * ES > threshold`` the fault's remaining chunks do not count (the
   fault is disqualified for ranking purposes no matter how the rest of
   the batch turns out).  Every chunk is simulated and summarized per
-  fault (detection count, deviation max and sum); the drop rule runs
+  fault (detection count and deviation max); the drop rule runs
   once per chunk, for all faults, on their summaries so far, and each
   fault's statistics and ``words_simulated`` cover the chunks up to its
   drop -- those of a fault simulated chunk by chunk and stopped there.
@@ -110,7 +110,7 @@ class FaultBatchStats:
 
     Exposes the same ranking statistics as
     :class:`~repro.simulation.faultsim.DifferentialResult`
-    (``error_rate`` / ``max_abs_deviation`` / ``mean_abs_deviation``).
+    (``error_rate`` / ``max_abs_deviation``).
     When the fault was dropped early, the statistics are lower bounds
     over the ``words_simulated`` first words -- already sufficient to
     disqualify the fault against the drop threshold.
@@ -120,7 +120,6 @@ class FaultBatchStats:
     num_vectors: int
     detected_count: int
     max_abs_deviation: int
-    sum_abs_deviation: int
     dropped: bool = False
     words_simulated: int = 0
     detected: Optional[np.ndarray] = None
@@ -138,13 +137,6 @@ class FaultBatchStats:
             get_active().incr("quality.zero_pattern_estimates")
             return 0.0
         return self.detected_count / self.num_vectors
-
-    @property
-    def mean_abs_deviation(self) -> float:
-        """Average absolute weighted deviation across the batch."""
-        if self.num_vectors == 0:
-            return 0.0
-        return self.sum_abs_deviation / self.num_vectors
 
     @property
     def rs(self) -> float:
@@ -471,7 +463,7 @@ class BatchFaultSimulator:
             if not ends:  # an empty batch
                 stats.extend(
                     FaultBatchStats(
-                        f, 0, 0, 0, 0,
+                        f, 0, 0, 0,
                         detected=np.zeros(0, dtype=bool) if detailed else None,
                         deviations=[] if detailed else None,
                     )
@@ -626,14 +618,14 @@ class BatchFaultSimulator:
         )
 
         val_pos, at = _segments(self._val_ptr, self._val_pos, rows)
-        maxes, sums, taken, devs = self._deviation_chunks(
+        maxes, taken, devs = self._deviation_chunks(
             k, owner[at], 2 + at, rows[at], val_pos, slab, ends, counts, threshold, detailed
         )
 
         # Each fault's totals over the chunks the drop rule let it count.
         out: List[FaultBatchStats] = []
-        summaries = zip(taken.tolist(), counts.tolist(), maxes.tolist(), sums.tolist())
-        for i, (fault, (c, count_i, max_i, sum_i)) in enumerate(zip(block, summaries)):
+        summaries = zip(taken.tolist(), counts.tolist(), maxes.tolist())
+        for i, (fault, (c, count_i, max_i)) in enumerate(zip(block, summaries)):
             hi = ends[c - 1]
             r_end = min(n, 64 * hi)
             out.append(
@@ -642,7 +634,6 @@ class BatchFaultSimulator:
                     num_vectors=n,
                     detected_count=sum(count_i[:c]),
                     max_abs_deviation=int(max(max_i[:c])),
-                    sum_abs_deviation=sum(int(v) for v in sum_i[:c]),
                     dropped=hi < w,
                     words_simulated=hi,
                     detected=unpack_vectors(detect[i, :hi], r_end)[:, 0] if detailed else None,
@@ -676,9 +667,9 @@ class BatchFaultSimulator:
         counts: np.ndarray,
         threshold: Optional[float],
         detailed: bool,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]]:
-        """Per-chunk max and sum of every fault's absolute deviation, and
-        how many chunks each fault counts.
+    ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+        """Per-chunk max of every fault's absolute deviation, and how
+        many chunks each fault counts.
 
         Each cone value output is one entry, fault by fault: ``owner``
         names its fault (of ``k``), ``new_rows`` its slab row,
@@ -686,26 +677,22 @@ class BatchFaultSimulator:
         A fault's per-vector deviation is the baseline's deviation
         against the reference, corrected on its cone value-outputs only:
         ``(new - ref) - (host - ref)`` is ``new - host``, read from the
-        slab's private rows and the baseline rows.  Sums run along one
-        contiguous per-fault row per chunk, as a fault replayed alone
-        sums them.  Chunks are taken in order; after each one the drop
-        rule runs for every fault on its ``counts`` and maxima so far,
-        and a fault it fires for counts no further chunk and is no
-        longer corrected.  With ``detailed``, the signed per-vector
-        deviations are returned as well.
+        slab's private rows and the baseline rows.  Chunks are taken in
+        order; after each one the drop rule runs for every fault on its
+        ``counts`` and maxima so far, and a fault it fires for counts no
+        further chunk and is no longer corrected.  With ``detailed``,
+        the signed per-vector deviations are returned as well.
         """
         n, base = self._n, self._base_dev
         bounds = [(64 * lo, min(n, 64 * hi)) for lo, hi in zip([0] + ends[:-1], ends)]
         if self._base_dev_zero:
-            base_max = base_sum = np.zeros(len(ends), dtype=base.dtype)
+            base_max = np.zeros(len(ends), dtype=base.dtype)
         else:
-            parts = [np.abs(base[r0:r1]) for r0, r1 in bounds]
-            base_max = np.array([p.max() for p in parts], dtype=base.dtype)
-            base_sum = np.array([p.sum() for p in parts], dtype=base.dtype)
+            base_max = np.array(
+                [np.abs(base[r0:r1]).max() for r0, r1 in bounds], dtype=base.dtype
+            )
         maxes = np.empty((k, len(ends)), dtype=base.dtype)
-        sums = np.empty((k, len(ends)), dtype=base.dtype)
         maxes[:] = base_max
-        sums[:] = base_sum
         devs: List = [base] * k if detailed else []
 
         heads = np.diff(owner, prepend=-1) != 0
@@ -734,7 +721,6 @@ class BatchFaultSimulator:
                     parts_of[i].append(row.copy())
                 np.abs(dev, out=dev)
                 maxes[who, c] = dev.max(axis=1)
-                sums[who, c] = dev.sum(axis=1)
             if threshold is None:
                 continue
             run_max = np.maximum(run_max, maxes[:, c])
@@ -745,7 +731,7 @@ class BatchFaultSimulator:
                 break
         for i, parts in parts_of.items():
             devs[i] = np.concatenate(parts)
-        return maxes, sums, taken, devs
+        return maxes, taken, devs
 
     def _piece_deviation(
         self,

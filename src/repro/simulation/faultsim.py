@@ -69,13 +69,6 @@ class DifferentialResult:
             return 0
         return max(abs(d) for d in self.deviations)
 
-    @property
-    def mean_abs_deviation(self) -> float:
-        """Average absolute deviation across the batch."""
-        if not self.deviations:
-            return 0.0
-        return float(sum(abs(d) for d in self.deviations)) / self.num_vectors
-
 
 class FaultSimulator:
     """Differential good/faulty simulator bound to one circuit.

@@ -106,6 +106,21 @@ def test_top_below_one_is_a_usage_error(verb, top, capsys):
         ["serve", "--hang-timeout", "-5"],
         ["serve", "--hang-timeout", "0"],
         ["serve", "--hang-timeout", "inf"],
+        ["yield", "NETLIST", "--rs-pct", "5", "--density", "-1"],
+        ["yield", "NETLIST", "--rs-pct", "5", "--density", "nan"],
+        ["yield", "NETLIST", "--rs-pct", "5", "--density", "inf"],
+        ["yield", "NETLIST", "--rs-pct", "5", "--seed", "-1"],
+        ["yield", "NETLIST", "--rs", "-1"],
+        ["yield", "NETLIST", "--rs-pct", "nan"],
+        # one budget: --rs would silently win over --rs-pct
+        ["yield", "NETLIST", "--rs", "1", "--rs-pct", "5"],
+        ["er-tests", "NETLIST", "--er", "1"],
+        ["er-tests", "NETLIST", "--er", "-0.1"],
+        ["er-tests", "NETLIST", "--er", "nan"],
+        ["er-tests", "NETLIST", "--seed", "-1"],
+        # the DCT works on whole 8x8 blocks
+        ["dct-study", "--size", "0"],
+        ["dct-study", "--size", "12"],
     ],
     ids=["yield-vectors", "yield-chips", "er-tests-candidates",
          "serve-workers", "table2-rs", "serve-queue-limit-0",
@@ -114,7 +129,11 @@ def test_top_below_one_is_a_usage_error(verb, top, capsys):
          "jobs-timeout-nan", "jobs-timeout-0", "submit-timeout-inf",
          "submit-poll-interval-negative", "serve-hang-timeout-nan",
          "serve-hang-timeout-negative", "serve-hang-timeout-0",
-         "serve-hang-timeout-inf"],
+         "serve-hang-timeout-inf", "yield-density-negative",
+         "yield-density-nan", "yield-density-inf", "yield-seed-negative",
+         "yield-rs-negative", "yield-rs-pct-nan", "yield-rs-and-rs-pct",
+         "er-tests-er-1", "er-tests-er-negative", "er-tests-er-nan",
+         "er-tests-seed-negative", "dct-study-size-0", "dct-study-size-12"],
 )
 def test_bad_count_and_budget_flags_are_usage_errors(
     argv, netlist, capsys, monkeypatch

@@ -16,7 +16,6 @@ from repro.core.errors import (
     ReproError,
     ResultNotReadyError,
     ServiceUnavailableError,
-    UnknownNetlistError,
     UnsupportedSchemaVersionError,
     error_body,
     error_from_body,
@@ -32,7 +31,6 @@ CONTRACT = {
     "budget_exhausted": (BudgetExhaustedError, 500),
     "checkpoint_mismatch": (CheckpointMismatchError, 409),
     "job_not_found": (JobNotFoundError, 404),
-    "unknown_netlist": (UnknownNetlistError, 404),
     "queue_full": (QueueFullError, 429),
     "result_not_ready": (ResultNotReadyError, 409),
     "job_cancelled": (JobCancelledError, 409),
@@ -71,8 +69,7 @@ def test_value_error_compatibility():
     for cls in (InvalidRequestError, UnsupportedSchemaVersionError,
                 CompileError, CheckpointMismatchError):
         assert issubclass(cls, ValueError)
-    for cls in (JobNotFoundError, UnknownNetlistError):
-        assert issubclass(cls, KeyError)
+    assert issubclass(JobNotFoundError, KeyError)
 
 
 def test_error_body_shape():

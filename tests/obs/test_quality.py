@@ -118,24 +118,13 @@ def test_zero_pattern_estimate_bumps_quality_counter():
         detected=np.zeros(0, dtype=bool), deviations=[], num_vectors=0
     )
     stats = FaultBatchStats(
-        fault=None, num_vectors=0, detected_count=0,
-        max_abs_deviation=0, sum_abs_deviation=0,
+        fault=None, num_vectors=0, detected_count=0, max_abs_deviation=0,
     )
     obs = Instrumentation()
     with use(obs):
         assert empty.error_rate == 0.0
         assert stats.error_rate == 0.0
     assert obs.counters["quality.zero_pattern_estimates"] == 2
-
-
-def test_er_test_set_confidence_contains_estimates():
-    from repro.atpg import generate_er_tests
-
-    ts = generate_er_tests(build_c17(), er_threshold=0.1, num_candidates=256)
-    assert ts.num_vectors == 256
-    for fault, er in ts.fault_er.items():
-        lo, hi = ts.er_confidence(fault)
-        assert lo <= er <= hi
 
 
 # ----------------------------------------------------------------------

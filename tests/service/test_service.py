@@ -8,12 +8,10 @@ never couples two tests by accident -- except the test that couples
 them on purpose.
 """
 
-import concurrent.futures
 import json
 import os
 import subprocess
 import sys
-import threading
 
 import pytest
 
@@ -24,7 +22,6 @@ from repro.core.errors import (
     JobCancelledError,
     JobNotFoundError,
     QueueFullError,
-    UnknownNetlistError,
 )
 from repro.obs.metrics_export import validate_openmetrics
 from repro.service import JobStore, ServiceClient, serve_in_thread
@@ -128,43 +125,17 @@ def test_duplicate_submit_costs_one_run(server, adder_bench):
     assert len(ran) == 1
 
 
-def test_submit_by_content_hash(server, adder_bench):
+def test_submit_by_content_hash_is_400(server):
+    """A submit naming its netlist by hash alone is refused as a request
+    without a netlist: the server keeps no netlist store."""
     client, _service = server
-    sha = client.upload_netlist(adder_bench)
-    request = SimplifyRequest(seed=6, **FAST)
-    snap = client.submit(request, netlist_sha256=sha)
-    assert snap["netlist_sha256"] == sha
-    final = client.wait(snap["job_id"], timeout=300)
-    assert final["state"] == "done"
-    # submitting the text directly hits the same cache entry
-    again = client.submit(request, netlist=adder_bench)
-    assert again["cached"]
-
-
-def test_concurrent_uploads_of_one_netlist(server, adder_bench):
-    """Threads storing the same new netlist at once all get its hash
-    and leave exactly one file behind."""
-    _client, service = server
-    for round_ in range(5):
-        text = f"# concurrent upload {round_}\n" + adder_bench
-        barrier = threading.Barrier(8, timeout=30)
-
-        def store(_):
-            barrier.wait()
-            return service.store_netlist(text)
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            shas = set(pool.map(store, range(8)))
-        assert len(shas) == 1
-        assert service.netlist_text(shas.pop()) == text
-    assert not [n for n in os.listdir(service.netlists_dir) if ".tmp." in n]
-
-
-def test_unknown_content_hash_is_404(server):
-    client, _service = server
-    with pytest.raises(UnknownNetlistError):
-        client.submit(SimplifyRequest(seed=7, **FAST),
-                      netlist_sha256="0" * 64)
+    before = len(client.jobs())
+    with pytest.raises(InvalidRequestError, match="'netlist'"):
+        client._call("POST", "/v1/jobs", {
+            "request": SimplifyRequest(seed=7, **FAST).to_dict(),
+            "netlist_sha256": "0" * 64,
+        })
+    assert len(client.jobs()) == before
 
 
 def test_invalid_request_is_400(server, adder_bench):
@@ -222,10 +193,9 @@ def test_newer_schema_version_is_rejected(server, adder_bench):
 
 
 def test_bad_netlist_is_422(server):
-    """A netlist that does not parse is refused before it is stored:
-    the content-addressed store keeps only text that compiles."""
+    """A netlist that does not parse is refused before any job exists,
+    and leaves nothing behind."""
     client, service = server
-    before = sorted(os.listdir(service.netlists_dir))
     jobs = len(client.jobs())
     for text in ("INPUT((((", "INPUT(a)\nOUTPUT(z)\nz = FOO(a)\n"):
         with pytest.raises(CompileError):
@@ -234,7 +204,7 @@ def test_bad_netlist_is_422(server):
             service.submit(
                 {"request": SimplifyRequest(seed=9, **FAST).to_dict(), "netlist": text}
             )
-    assert sorted(os.listdir(service.netlists_dir)) == before
+    assert not os.path.exists(os.path.join(service.data_dir, "netlists"))
     assert len(client.jobs()) == jobs
 
 
@@ -285,12 +255,25 @@ def test_unknown_route_is_404(server, adder_bench):
     job_id = client.submit(SimplifyRequest(seed=4, **FAST), netlist=adder_bench)[
         "job_id"
     ]
-    for path in ("/v2/jobs", "/v1/errors", f"/v1/jobs/{job_id}/trace"):
+    # A job path has one non-empty id segment, as DELETE's does.
+    for path in ("/v2/jobs", "/v1/errors", f"/v1/jobs/{job_id}/trace",
+                 "/v1/jobs/a/b/result", "/v1/jobs/a/b/events",
+                 "/v1/jobs//result"):
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(f"{client.base_url}{path}")
         assert exc_info.value.code == 404
         body = json.loads(exc_info.value.read())
         assert body["error"]["code"] == "not_found"
+    # The netlist upload route is retired.
+    upload = urllib.request.Request(
+        f"{client.base_url}/v1/netlists", method="POST",
+        data=json.dumps({"netlist": adder_bench}).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as exc_info:
+        urllib.request.urlopen(upload, timeout=30)
+    assert exc_info.value.code == 404
+    assert json.loads(exc_info.value.read())["error"]["code"] == "not_found"
     # DELETE routes the path as GET does: one id segment, query dropped.
     for path, code in (
         (f"/v1/jobs/{job_id}/trace", "not_found"),

@@ -12,7 +12,6 @@ def test_no_fault_no_error(adder4):
     d = fs.estimate([], exhaustive=True)
     assert d.error_rate == 0.0
     assert d.max_abs_deviation == 0
-    assert d.mean_abs_deviation == 0.0
 
 
 def test_lsb_sum_fault_metrics(adder4):
